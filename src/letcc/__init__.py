@@ -21,7 +21,7 @@ from .points import (
     chebyshev_second,
     mesh_stats,
 )
-from .spline import NaturalSplineBasis, SplineFit, build_basis, fit, penalty_matrix
+from .spline import NaturalSplineBasis, SplineFit, fit
 from .kernel import KernelFit, kernel_fit, sobolev_kernel
 from .coding import (
     CodedBatch,
@@ -37,10 +37,8 @@ from .baselines import (
     LagrangeCodec,
     bacc_decode,
     bacc_encode,
-    berrut_eval,
     lcc_decode,
     lcc_encode,
-    lcc_recovery_threshold,
 )
 from .sim import (
     MonteCarloResult,

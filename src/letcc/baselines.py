@@ -29,12 +29,10 @@ __all__ = [
     "BerrutInterpolant",
     "LagrangePolynomial",
     "LagrangeCodec",
-    "berrut_eval",
     "bacc_encode",
     "bacc_decode",
     "lcc_encode",
     "lcc_decode",
-    "lcc_recovery_threshold",
 ]
 
 logger = logging.getLogger(__name__)
@@ -87,11 +85,6 @@ class BerrutInterpolant:
         return _barycentric_eval(self.nodes, self.weights, self.values, query)
 
 
-def berrut_eval(interp: BerrutInterpolant, query) -> np.ndarray:
-    """Evaluate a Berrut interpolant (shape: (len(query), m))."""
-    return interp.evaluate(query)
-
-
 @dataclass(frozen=True)
 class LagrangePolynomial:
     """Interpolating polynomial in barycentric second form (true weights)."""
@@ -132,10 +125,6 @@ class LagrangeCodec:
     def min_survivors(self) -> int:
         """Survivor count needed to pin down the target polynomial."""
         return self.target_degree + 1
-
-
-def lcc_recovery_threshold(k: int, f_degree: int, s: int) -> int:
-    return LagrangeCodec(k, f_degree).recovery_threshold(s)
 
 
 def bacc_encode(data: Dataset, grid: InterpolationGrid) -> CodedBatch:

@@ -26,6 +26,7 @@ from .experiments import (
     DEFAULT_LAMBDA_GRID,
     StragglerSweepConfig,
     SweepConfig,
+    SweepReport,
     crossval_lambda,
     report_to_dict,
     straggler_sweep,
@@ -41,8 +42,8 @@ from .sim import (
     StragglerModel,
     TrialSetup,
     WORKER_FUNCTIONS,
-    make_worker,
     run_trial,
+    worker_for,
 )
 
 __all__ = ["main"]
@@ -65,8 +66,8 @@ class ConfigError(ValueError):
     pass
 
 
-def _load_config(path, allowed: dict) -> dict:
-    """Load a strict JSON config: unknown keys are rejected."""
+def _read_config(path) -> dict:
+    """Read a JSON config file holding one object."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -76,6 +77,11 @@ def _load_config(path, allowed: dict) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
+    return raw
+
+
+def _check_config(raw: dict, allowed: dict) -> dict:
+    """Strict config check: unknown keys are rejected, values converted."""
     unknown = set(raw) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}; "
@@ -115,20 +121,15 @@ _TRIAL_KEYS = {
     "f_degree": _opt_int, "data": str, "d": int, "m": int, "seed": int,
 }
 
-_NSWEEP_KEYS = {
-    "kind": str, "schemes": _str_list, "f": str, "k": int,
-    "n_values": _int_list, "s": _opt_int, "s_ratio": _opt_float,
-    "sigma0": float, "lambda_e": float, "lambda_d_rule": str,
-    "lambda_d_scale": float, "f_degree": _opt_int, "trials": int,
-    "seed": int, "data": str, "d": int, "m": int,
+_SCHEME_SWEEP_KEYS = {
+    "kind": str, "schemes": _str_list, "f": str, "k": int, "sigma0": float,
+    "lambda_e": float, "lambda_d_rule": str, "lambda_d_scale": float,
+    "f_degree": _opt_int, "trials": int, "seed": int, "data": str, "d": int,
+    "m": int,
 }
-
-_STRAGGLER_KEYS = {
-    "kind": str, "schemes": _str_list, "f": str, "k": int, "n": int,
-    "s_values": _int_list, "sigma0": float, "lambda_e": float,
-    "lambda_d_rule": str, "lambda_d_scale": float, "f_degree": _opt_int,
-    "trials": int, "seed": int, "data": str, "d": int, "m": int,
-}
+_NSWEEP_KEYS = {**_SCHEME_SWEEP_KEYS, "n_values": _int_list, "s": _opt_int,
+                "s_ratio": _opt_float}
+_STRAGGLER_KEYS = {**_SCHEME_SWEEP_KEYS, "n": int, "s_values": _int_list}
 
 _CROSSVAL_KEYS = {
     "kind": str, "f": str, "k": int, "n": int, "s": int, "sigma0": float,
@@ -150,7 +151,7 @@ def _merge_flags(config: dict, args, names) -> dict:
 def cmd_trial(args) -> int:
     cfg = {}
     if args.config:
-        cfg = _load_config(args.config, _TRIAL_KEYS)
+        cfg = _check_config(_read_config(args.config), _TRIAL_KEYS)
     cfg = _merge_flags(cfg, args, ["scheme", "f", "k", "n", "s", "sigma0",
                                    "lambda_e", "lambda_d", "f_degree", "data",
                                    "d", "m", "seed"])
@@ -163,13 +164,9 @@ def cmd_trial(args) -> int:
         raise ConfigError(f"unknown worker function {cfg['f']!r}; "
                           f"choices: {sorted(WORKER_FUNCTIONS)}")
 
-    if cfg["f"] == "tanh_net":
-        func = make_worker("tanh_net", d=cfg.get("d", 4), m=cfg.get("m", 3))
-    else:
-        func = make_worker(cfg["f"])
     setup = TrialSetup(
         scheme=cfg["scheme"],
-        func=func,
+        func=worker_for(cfg["f"], cfg.get("d", 4), cfg.get("m", 3)),
         grid=chebyshev_grid(cfg["k"], cfg["n"]),
         stragglers=StragglerModel(cfg["n"], cfg["s"]),
         noise=NoiseModel(cfg.get("sigma0", 0.0)),
@@ -201,29 +198,41 @@ def _formats(args) -> set:
     return fmts
 
 
+def _write_reports(args, stem: str, report) -> str:
+    """Write the ``--format`` files of ``report`` into ``--out``; return it."""
+    out = _outdir(args)
+    fmts = _formats(args)
+    if "csv" in fmts:
+        write_csv(os.path.join(out, f"{stem}.csv"), report.rows)
+    if "json" in fmts:
+        write_json(os.path.join(out, f"{stem}.json"), report_to_dict(report))
+    if "svg" in fmts and isinstance(report, SweepReport):
+        write_svg(os.path.join(out, f"{stem}.svg"), report)
+    return out
+
+
 def cmd_sweep(args) -> int:
-    try:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {args.config} must be a JSON object")
-    kind = raw.get("kind", "n_sweep")
-    if kind == "n_sweep":
-        return _run_n_sweep(args)
-    if kind == "straggler":
-        return _run_straggler(args)
-    if kind == "crossval":
-        return _run_crossval(args)
-    raise ConfigError(f"unknown sweep kind {kind!r}; "
-                      "choices: ['n_sweep', 'straggler', 'crossval']")
+    raw = _read_config(args.config)
+    return _run_kind(raw.get("kind", "n_sweep"), raw, args)
+
+
+def cmd_crossval(args) -> int:
+    return _run_kind("crossval", _read_config(args.config), args)
+
+
+def _run_kind(kind: str, raw: dict, args) -> int:
+    if kind not in _SWEEP_KINDS:
+        raise ConfigError(f"unknown sweep kind {kind!r}; "
+                          f"choices: {list(_SWEEP_KINDS)}")
+    keys, run = _SWEEP_KINDS[kind]
+    cfg = _check_config(raw, keys)
+    if args.seed is not None:
+        cfg["seed"] = args.seed
+    return run(cfg, args)
 
 
 def _common_kwargs(cfg, args):
-    kwargs = dict(
+    return dict(
         func=cfg["f"],
         k=cfg["k"],
         sigma0=cfg.get("sigma0", 0.0),
@@ -238,13 +247,9 @@ def _common_kwargs(cfg, args):
         func_m=cfg.get("m", 1),
         threads=args.threads,
     )
-    return kwargs
 
 
-def _run_n_sweep(args) -> int:
-    cfg = _load_config(args.config, _NSWEEP_KEYS)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+def _run_n_sweep(cfg: dict, args) -> int:
     for required in ("schemes", "f", "k", "n_values"):
         if not cfg.get(required):
             raise ConfigError(f"config key {required!r} is required and nonempty")
@@ -252,22 +257,12 @@ def _run_n_sweep(args) -> int:
                          s=cfg.get("s"), s_ratio=cfg.get("s_ratio"),
                          **_common_kwargs(cfg, args))
     report = sweep_n(config)
-    out = _outdir(args)
-    fmts = _formats(args)
-    if "csv" in fmts:
-        write_csv(os.path.join(out, "sweep.csv"), report.rows)
-    if "json" in fmts:
-        write_json(os.path.join(out, "sweep.json"), report_to_dict(report))
-    if "svg" in fmts:
-        write_svg(os.path.join(out, "sweep.svg"), report)
+    out = _write_reports(args, "sweep", report)
     sys.stderr.write(f"sweep: {len(report.rows)} rows written to {out}\n")
     return EXIT_OK
 
 
-def _run_straggler(args) -> int:
-    cfg = _load_config(args.config, _STRAGGLER_KEYS)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+def _run_straggler(cfg: dict, args) -> int:
     for required in ("schemes", "f", "k", "n", "s_values"):
         if not cfg.get(required):
             raise ConfigError(f"config key {required!r} is required and nonempty")
@@ -275,20 +270,12 @@ def _run_straggler(args) -> int:
                                   s_values=cfg["s_values"],
                                   **_common_kwargs(cfg, args))
     report = straggler_sweep(config)
-    out = _outdir(args)
-    fmts = _formats(args)
-    if "csv" in fmts:
-        write_csv(os.path.join(out, "straggler.csv"), report.rows)
-    if "json" in fmts:
-        write_json(os.path.join(out, "straggler.json"), report_to_dict(report))
+    out = _write_reports(args, "straggler", report)
     sys.stderr.write(f"straggler sweep: {len(report.table)} rows written to {out}\n")
     return EXIT_OK
 
 
-def _run_crossval(args) -> int:
-    cfg = _load_config(args.config, _CROSSVAL_KEYS)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+def _run_crossval(cfg: dict, args) -> int:
     for required in ("f", "k", "n"):
         if cfg.get(required) is None:
             raise ConfigError(f"config key {required!r} is required")
@@ -308,6 +295,13 @@ def _run_crossval(args) -> int:
         sys.stderr.write(f"crossval: table written to {out}\n")
     sys.stdout.write(experiments._dump_json(payload) + "\n")
     return EXIT_OK
+
+
+_SWEEP_KINDS = {
+    "n_sweep": (_NSWEEP_KEYS, _run_n_sweep),
+    "straggler": (_STRAGGLER_KEYS, _run_straggler),
+    "crossval": (_CROSSVAL_KEYS, _run_crossval),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +425,7 @@ def build_parser() -> _Parser:
     c = sub.add_parser("crossval", help="grid-search smoothing weights")
     c.add_argument("config", help="JSON crossval config")
     add_common(c)
-    c.set_defaults(func=_run_crossval)
+    c.set_defaults(func=cmd_crossval)
 
     codec = sub.add_parser("codec", help="stand-alone encode/decode on matrix files")
     csub = codec.add_subparsers(dest="codec_command", required=True)
@@ -441,9 +435,6 @@ def build_parser() -> _Parser:
     ce.add_argument("--n", type=int, required=True, help="number of workers")
     ce.add_argument("--lambda-e", dest="lambda_e", type=float, default=0.0)
     ce.add_argument("--out", required=True, help="output matrix file")
-    ce.add_argument("--seed", type=int, default=None)
-    ce.add_argument("--threads", type=int, default=1)
-    ce.add_argument("--format", default="csv,json,svg")
     ce.set_defaults(func=cmd_codec_encode)
 
     cd = csub.add_parser("decode", help="decode survivor outputs to estimates")
@@ -454,9 +445,6 @@ def build_parser() -> _Parser:
                     help="comma-separated beta indices of surviving rows")
     cd.add_argument("--lambda-d", dest="lambda_d", type=float, default=0.0)
     cd.add_argument("--out", required=True, help="output matrix file")
-    cd.add_argument("--seed", type=int, default=None)
-    cd.add_argument("--threads", type=int, default=1)
-    cd.add_argument("--format", default="csv,json,svg")
     cd.set_defaults(func=cmd_codec_decode)
 
     return parser

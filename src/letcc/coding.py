@@ -106,28 +106,34 @@ def normalize_survivors(survivors, n: int):
     Duplicate indices keep the first occurrence and emit a warning.
     """
     if hasattr(survivors, "indices") and hasattr(survivors, "outputs"):
-        pairs = list(zip(np.asarray(survivors.indices).tolist(),
-                         np.atleast_2d(np.asarray(survivors.outputs, dtype=float))))
+        indices = np.asarray(survivors.indices)
+        rows = np.atleast_2d(np.asarray(survivors.outputs, dtype=float))
+        count = min(indices.size, rows.shape[0])
+        indices, rows = indices[:count], rows[:count]
     else:
         pairs = [(int(i), np.atleast_1d(np.asarray(v, dtype=float))) for i, v in survivors]
-    if not pairs:
+        indices = np.array([i for i, _ in pairs], dtype=int)
+        rows = [v for _, v in pairs]
+        count = len(pairs)
+    if not count:
         raise DecodeFailure("no survivor outputs to decode from")
 
-    seen = {}
-    for idx, vec in pairs:
-        if not 0 <= idx < n:
-            raise ValueError(f"survivor index {idx} outside [0, {n})")
-        if idx in seen:
+    outside = ~((indices >= 0) & (indices < n))
+    if outside.any():
+        raise ValueError(f"survivor index {indices[outside.argmax()]} outside [0, {n})")
+    unique, first = np.unique(indices, return_index=True)
+    if unique.size < count:
+        for idx in np.delete(indices, first):
             warnings.warn(f"duplicate survivor index {idx}; keeping first report",
                           stacklevel=3)
-            continue
-        seen[idx] = np.ravel(vec)
 
-    indices = np.array(sorted(seen), dtype=int)
-    outputs = np.vstack([seen[i] for i in indices])
+    if isinstance(rows, list):
+        outputs = np.vstack([np.ravel(rows[p]) for p in first])
+    else:
+        outputs = rows[first].reshape(first.size, -1)
     if not np.all(np.isfinite(outputs)):
         raise ValueError("survivor outputs contain non-finite values")
-    return indices, outputs
+    return unique.astype(int), outputs
 
 
 def decode(survivors, grid: InterpolationGrid, lambda_d: float) -> DecodeResult:

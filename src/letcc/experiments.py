@@ -20,9 +20,12 @@ from .sim import (
     NoiseModel,
     StragglerModel,
     TrialSetup,
-    make_worker,
+    _map_seeds,
+    _prepare,
+    _score,
+    aggregate,
     monte_carlo,
-    run_trial,
+    worker_for,
 )
 
 __all__ = [
@@ -116,11 +119,6 @@ class SweepConfig:
             return self.s
         return int(round(self.s_ratio * n))
 
-    def worker(self):
-        if self.func == "tanh_net":
-            return make_worker(self.func, d=self.func_d, m=self.func_m)
-        return make_worker(self.func)
-
 
 @dataclass(frozen=True)
 class SlopeFit:
@@ -209,8 +207,8 @@ def sweep_n(config: SweepConfig) -> SweepReport:
     rows = []
     excluded = {scheme: [] for scheme in config.schemes}
     usable = {scheme: [] for scheme in config.schemes}
+    func = worker_for(config.func, config.func_d, config.func_m)
     for scheme in config.schemes:
-        func = config.worker()
         for n in config.n_values:
             s = config.s_for(n)
             lambda_d = _resolve_lambda_d(config.lambda_d_rule, config.lambda_d_scale, n, s)
@@ -269,11 +267,6 @@ class StragglerSweepConfig:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
-    def worker(self):
-        if self.func == "tanh_net":
-            return make_worker(self.func, d=self.func_d, m=self.func_m)
-        return make_worker(self.func)
-
 
 @dataclass(frozen=True)
 class StragglerSweepReport:
@@ -290,43 +283,29 @@ def straggler_sweep(config: StragglerSweepConfig) -> StragglerSweepReport:
     comparison table carries per-scheme means plus the fraction of paired
     trials the first scheme wins (RMSE <=) against each other scheme.
     """
-    func = config.worker()
+    func = worker_for(config.func, config.func_d, config.func_m)
     table = []
     rows = []
     base = config.schemes[0]
     for s in config.s_values:
         lambda_d = _resolve_lambda_d(config.lambda_d_rule, config.lambda_d_scale,
                                      config.n, s)
-        per_scheme = {}
+        aggs = {}
         for scheme in config.schemes:
             setup = _point_setup(config, scheme, func, config.n, s, lambda_d)
-            seeds = [(config.master_seed, s, t) for t in range(config.trials)]
-            per_scheme[scheme] = [run_trial(setup, seed) for seed in seeds]
+            aggs[scheme] = monte_carlo(setup, config.trials, (config.master_seed, s),
+                                       threads=config.threads)
 
         entry = {"S": s}
+        base_rmses = np.array([m.rmse for m in aggs[base].metrics])
         for scheme in config.schemes:
-            metrics = per_scheme[scheme]
-            rmses = np.array([m.rmse for m in metrics])
-            mses = np.array([m.empirical_risk for m in metrics])
-            std = float(mses.std(ddof=1)) if config.trials > 1 else 0.0
-            half = 1.96 * std / math.sqrt(config.trials)
-            relaccs = [m.relacc for m in metrics]
-            entry[f"{scheme}_mean_rmse"] = float(rmses.mean())
-            entry[f"{scheme}_mean_relacc"] = (
-                float(np.mean(relaccs)) if relaccs[0] is not None else None
-            )
-            rows.append({
-                "scheme": scheme, "f": config.func, "K": config.k, "N": config.n,
-                "S": s, "sigma0": config.sigma0, "lambda_e": config.lambda_e,
-                "lambda_d": lambda_d, "trials": config.trials,
-                "mean_mse": float(mses.mean()), "std_mse": std,
-                "ci95_lo": float(mses.mean()) - half, "ci95_hi": float(mses.mean()) + half,
-                "mean_rmse": float(rmses.mean()),
-                "mean_relacc": entry[f"{scheme}_mean_relacc"],
-                "seed": config.master_seed,
-            })
+            agg = aggs[scheme]
+            rows.append(_row(scheme, config, config.n, s, lambda_d, agg,
+                             config.master_seed))
+            entry[f"{scheme}_mean_rmse"] = agg.mean_rmse
+            entry[f"{scheme}_mean_relacc"] = agg.mean_relacc
             if scheme != base:
-                base_rmses = np.array([m.rmse for m in per_scheme[base]])
+                rmses = np.array([m.rmse for m in agg.metrics])
                 entry[f"{base}_wins_vs_{scheme}"] = float(np.mean(base_rmses <= rmses))
         table.append(entry)
     return StragglerSweepReport(config=config, table=tuple(table), rows=tuple(rows))
@@ -347,11 +326,6 @@ class CrossvalConfig:
     func_d: int = 1
     func_m: int = 1
     threads: int = 1
-
-    def worker(self):
-        if self.func == "tanh_net":
-            return make_worker(self.func, d=self.func_d, m=self.func_m)
-        return make_worker(self.func)
 
 
 @dataclass(frozen=True)
@@ -375,22 +349,28 @@ def crossval_lambda(lambda_e_grid, lambda_d_grid, config: CrossvalConfig) -> Cro
     d_grid = tuple(float(v) for v in lambda_d_grid)
     if not e_grid or not d_grid:
         raise ValueError("lambda grids must be nonempty")
-    func = config.worker()
+    func = worker_for(config.func, config.func_d, config.func_m)
+    grid = chebyshev_grid(config.k, config.n)
     table = []
     for lam_e in e_grid:
-        for lam_d in d_grid:
-            setup = TrialSetup(
-                scheme="letcc",
-                func=func,
-                grid=chebyshev_grid(config.k, config.n),
-                stragglers=StragglerModel(config.n, config.s),
-                noise=NoiseModel(config.sigma0),
-                lambda_e=lam_e,
-                lambda_d=lam_d,
-                data_rule=config.data_rule,
-            )
-            agg = monte_carlo(setup, config.trials, (config.master_seed,),
-                              threads=config.threads)
+        setup = TrialSetup(
+            scheme="letcc",
+            func=func,
+            grid=grid,
+            stragglers=StragglerModel(config.n, config.s),
+            noise=NoiseModel(config.sigma0),
+            lambda_e=lam_e,
+            data_rule=config.data_rule,
+        )
+
+        def score_grid(seed):
+            prepared = _prepare(setup, seed)
+            return [_score(setup, prepared, lam_d) for lam_d in d_grid]
+
+        per_trial = _map_seeds(score_grid, (config.master_seed,), config.trials,
+                               config.threads)
+        for j, lam_d in enumerate(d_grid):
+            agg = aggregate([scores[j] for scores in per_trial])
             table.append({"lambda_e": lam_e, "lambda_d": lam_d,
                           "mean_rmse": agg.mean_rmse})
 

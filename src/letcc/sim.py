@@ -31,9 +31,11 @@ __all__ = [
     "apply_workers",
     "run_trial",
     "monte_carlo",
+    "aggregate",
     "relacc",
     "classification_accuracy",
     "make_worker",
+    "worker_for",
     "WORKER_FUNCTIONS",
     "trial_rng",
     "SCHEMES",
@@ -198,6 +200,13 @@ def make_worker(name: str, **kwargs) -> WorkerFunction:
     return WORKER_FUNCTIONS[name](**kwargs)
 
 
+def worker_for(name: str, d: int, m: int) -> WorkerFunction:
+    """Built-in worker ``name``; the dimensions ``d`` and ``m`` size tanh_net only."""
+    if name == "tanh_net":
+        return make_worker(name, d=d, m=m)
+    return make_worker(name)
+
+
 @dataclass(frozen=True)
 class WorkerReturns:
     """Survivor indices plus their (possibly noisy) outputs."""
@@ -284,17 +293,25 @@ def _trial_data(setup: TrialSetup, seed) -> Dataset:
     return Dataset(rng.uniform(-1.0, 1.0, (setup.grid.k, setup.func.in_dim)))
 
 
-def run_trial(setup: TrialSetup, seed) -> TrialMetrics:
-    """Run the full encode/compute/decode pipeline once.
+@dataclass(frozen=True)
+class _Prepared:
+    """The lambda_d-independent half of a trial: everything up to decode."""
 
-    ``seed`` (int or tuple of ints) fully determines the trial: identical
-    seeds give bit-identical metrics.
-    """
+    returns: WorkerReturns
+    truth: np.ndarray
+    through_encoder: np.ndarray | None
+    seed: tuple[int, ...]
+
+
+def _prepare(setup: TrialSetup, seed) -> _Prepared:
+    """Draw data, encode, sample stragglers and run the workers for one trial."""
     data = _trial_data(setup, seed)
     grid = setup.grid
 
+    through_encoder = None
     if setup.scheme == "letcc":
         batch = coding.encode(data, grid, setup.lambda_e)
+        through_encoder = setup.func.evaluate(batch.encoder_fit.evaluate(grid.alphas))
     elif setup.scheme == "bacc":
         batch = baselines.bacc_encode(data, grid)
     else:
@@ -303,23 +320,33 @@ def run_trial(setup: TrialSetup, seed) -> TrialMetrics:
     survivors = sample_stragglers(setup.stragglers, trial_rng(seed, _STREAM_STRAGGLERS))
     returns = apply_workers(setup.func, batch, setup.noise, survivors,
                             trial_rng(seed, _STREAM_NOISE))
+    return _Prepared(
+        returns=returns,
+        truth=setup.func.evaluate(data.inputs),
+        through_encoder=through_encoder,
+        seed=tuple(int(s) for s in np.atleast_1d(seed)),
+    )
 
+
+def _score(setup: TrialSetup, prepared: _Prepared, lambda_d: float) -> TrialMetrics:
+    """Decode one prepared trial with decoder weight ``lambda_d`` and score it."""
+    grid = setup.grid
     if setup.scheme == "letcc":
-        result = coding.decode(returns, grid, setup.lambda_d)
+        result = coding.decode(prepared.returns, grid, lambda_d)
     elif setup.scheme == "bacc":
-        result = baselines.bacc_decode(returns, grid)
+        result = baselines.bacc_decode(prepared.returns, grid)
     else:
         degree = setup.f_degree if setup.f_degree is not None else setup.func.degree
         if degree is None:
             raise ValueError("lcc needs a declared polynomial degree")
-        result = baselines.lcc_decode(returns, grid, degree)
+        result = baselines.lcc_decode(prepared.returns, grid, degree)
 
-    truth = setup.func.evaluate(data.inputs)
+    truth = prepared.truth
     risk = float(np.mean(np.sum((result.estimates - truth) ** 2, axis=1)))
 
     l_dec = l_enc = None
     if setup.scheme == "letcc":
-        through_encoder = setup.func.evaluate(batch.encoder_fit.evaluate(grid.alphas))
+        through_encoder = prepared.through_encoder
         l_dec = 2.0 * float(np.mean(np.sum((result.estimates - through_encoder) ** 2, axis=1)))
         l_enc = 2.0 * float(np.mean(np.sum((through_encoder - truth) ** 2, axis=1)))
         bound = l_dec + l_enc
@@ -337,8 +364,17 @@ def run_trial(setup: TrialSetup, seed) -> TrialMetrics:
         relacc=relacc(result.estimates, truth),
         survivor_count=result.survivor_count,
         degraded=result.degraded,
-        seed=tuple(int(s) for s in np.atleast_1d(seed)),
+        seed=prepared.seed,
     )
+
+
+def run_trial(setup: TrialSetup, seed) -> TrialMetrics:
+    """Run the full encode/compute/decode pipeline once.
+
+    ``seed`` (int or tuple of ints) fully determines the trial: identical
+    seeds give bit-identical metrics.
+    """
+    return _score(setup, _prepare(setup, seed), setup.lambda_d)
 
 
 @dataclass(frozen=True)
@@ -356,24 +392,22 @@ class MonteCarloResult:
     metrics: tuple[TrialMetrics, ...]
 
 
-def monte_carlo(setup: TrialSetup, trials: int, master_seed: int,
-                threads: int = 1) -> MonteCarloResult:
-    """Run ``trials`` seeded trials and aggregate in fixed trial order.
-
-    Trial t uses seed (master_seed, t); aggregation order never depends on
-    the thread count, so results are bit-identical for any ``threads``.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+def _map_seeds(fn, master_seed, trials: int, threads: int = 1) -> list:
+    """``fn`` of each trial seed (master_seed..., t) for t < trials, in trial
+    order whatever ``threads`` (0 = one per core) is."""
     entropy = tuple(int(s) for s in np.atleast_1d(master_seed))
     seeds = [entropy + (t,) for t in range(trials)]
-    if threads == 1 or trials == 1:
-        metrics = [run_trial(setup, s) for s in seeds]
-    else:
-        workers = threads if threads > 0 else None
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            metrics = list(pool.map(lambda s: run_trial(setup, s), seeds))
+    if threads == 1 or trials <= 1:
+        return [fn(s) for s in seeds]
+    with ThreadPoolExecutor(max_workers=threads if threads > 0 else None) as pool:
+        return list(pool.map(fn, seeds))
 
+
+def aggregate(metrics: Sequence[TrialMetrics]) -> MonteCarloResult:
+    """Mean, spread and 95% interval of trial metrics, in the given order."""
+    trials = len(metrics)
+    if trials < 1:
+        raise ValueError("need at least one trial")
     mses = np.array([m.empirical_risk for m in metrics])
     mean = float(mses.mean())
     std = float(mses.std(ddof=1)) if trials > 1 else 0.0
@@ -391,6 +425,17 @@ def monte_carlo(setup: TrialSetup, trials: int, master_seed: int,
         degenerate_ci=trials == 1,
         metrics=tuple(metrics),
     )
+
+
+def monte_carlo(setup: TrialSetup, trials: int, master_seed: int,
+                threads: int = 1) -> MonteCarloResult:
+    """Run ``trials`` seeded trials and aggregate in fixed trial order.
+
+    Trial t uses seed (master_seed, t); results are bit-identical for any
+    ``threads``.
+    """
+    return aggregate(_map_seeds(lambda seed: run_trial(setup, seed), master_seed,
+                                trials, threads))
 
 
 def relacc(estimates: np.ndarray, truth: np.ndarray) -> float | None:

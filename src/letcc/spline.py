@@ -39,8 +39,6 @@ __all__ = [
     "NumericalFitError",
     "NaturalSplineBasis",
     "SplineFit",
-    "build_basis",
-    "penalty_matrix",
     "fit",
 ]
 
@@ -130,16 +128,6 @@ class NaturalSplineBasis:
         gam[1:-1] = self.interior_second_derivs(ident)
         return _evaluate_natural(self.knots, ident, gam,
                                  np.atleast_1d(np.asarray(x, dtype=float)))
-
-
-def build_basis(knots) -> NaturalSplineBasis:
-    """Construct the cardinal natural-cubic basis for the given knots."""
-    return NaturalSplineBasis(knots)
-
-
-def penalty_matrix(basis: NaturalSplineBasis) -> np.ndarray:
-    """Roughness penalty matrix of ``basis`` (see its docstring)."""
-    return basis.penalty_matrix()
 
 
 @dataclass(frozen=True)

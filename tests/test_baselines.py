@@ -6,13 +6,12 @@ import pytest
 
 from letcc.baselines import (
     BerrutInterpolant,
+    LagrangeCodec,
     LagrangePolynomial,
     bacc_decode,
     bacc_encode,
-    berrut_eval,
     lcc_decode,
     lcc_encode,
-    lcc_recovery_threshold,
 )
 from letcc.coding import Dataset, DecodeFailure
 from letcc.points import chebyshev_grid, chebyshev_second
@@ -23,7 +22,7 @@ class TestBerrut:
         nodes = chebyshev_second(9)
         values = rng.normal(size=(9, 2))
         interp = BerrutInterpolant(nodes, values)
-        assert np.array_equal(berrut_eval(interp, nodes), values)
+        assert np.array_equal(interp.evaluate(nodes), values)
 
     def test_constants_reproduced_everywhere(self):
         interp = BerrutInterpolant(chebyshev_second(7), np.full((7, 1), 4.25))
@@ -109,8 +108,8 @@ class TestLagrangeEncode:
 
 class TestLagrangeDecode:
     def test_recovery_threshold_formula(self):
-        assert lcc_recovery_threshold(k=2, f_degree=2, s=1) == 4
-        assert lcc_recovery_threshold(k=3, f_degree=2, s=2) == 7
+        assert LagrangeCodec(k=2, f_degree=2).recovery_threshold(s=1) == 4
+        assert LagrangeCodec(k=3, f_degree=2).recovery_threshold(s=2) == 7
 
     def test_square_function_exact_with_any_single_straggler(self):
         grid = chebyshev_grid(2, 4)

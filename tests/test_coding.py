@@ -8,8 +8,11 @@ from letcc.coding import (
     decode,
     encode,
     encoder_training_error,
+    normalize_survivors,
 )
 from letcc.points import chebyshev_grid
+
+from letcc.sim import WorkerReturns
 
 from conftest import ols_affine
 
@@ -141,6 +144,29 @@ class TestDecode:
             result = decode(pairs, grid, 0.0)
         clean = decode([(2, [1.0]), (5, [2.0]), (8, [3.0])], grid, 0.0)
         assert np.array_equal(result.estimates, clean.estimates)
+
+    def test_normalize_matches_first_report_reference(self, rng):
+        # reference: walk the pairs in order, keep each index's first report
+        n = 12
+        indices = rng.integers(0, n, 30)
+        outputs = rng.normal(size=(30, 3))
+        first = {}
+        for i, row in zip(indices.tolist(), outputs):
+            first.setdefault(i, row)
+        keys = sorted(first)
+        for survivors in (WorkerReturns(indices, outputs), list(zip(indices, outputs))):
+            with pytest.warns(UserWarning, match="duplicate"):
+                got_idx, got_out = normalize_survivors(survivors, n)
+            assert got_idx.dtype == np.array([0]).dtype
+            assert got_idx.tolist() == keys
+            assert np.array_equal(got_out, np.vstack([first[i] for i in keys]))
+
+    def test_normalize_rejects_out_of_range_and_non_finite(self):
+        with pytest.raises(ValueError, match="survivor index 7 outside"):
+            normalize_survivors([(1, [0.0]), (7, [1.0]), (-1, [2.0])], 7)
+        with pytest.raises(ValueError, match="non-finite"):
+            normalize_survivors(WorkerReturns(np.array([0, 2]),
+                                              np.array([[1.0], [np.nan]])), 4)
 
     def test_decomposition_and_lipschitz_bounds_hold(self, rng):
         # risk <= l_dec + l_enc and l_enc <= 2 q^2 * training error, per trial

@@ -3,12 +3,16 @@ import json
 import numpy as np
 import pytest
 
+from letcc import sim
 from letcc.experiments import (
     CSV_HEADER,
     CrossvalConfig,
     DEFAULT_LAMBDA_GRID,
     StragglerSweepConfig,
     SweepConfig,
+    _point_setup,
+    _resolve_lambda_d,
+    _row,
     crossval_lambda,
     fit_loglog_slope,
     render_svg,
@@ -19,6 +23,7 @@ from letcc.experiments import (
     write_json,
     write_svg,
 )
+from letcc.points import chebyshev_grid
 
 
 class TestSlopeFit:
@@ -118,6 +123,35 @@ class TestStragglerSweep:
         report = straggler_sweep(config)
         assert report.table[0]["lcc_mean_rmse"] < 1e-8
 
+    def _paired_config(self, **overrides):
+        base = dict(schemes=("letcc", "bacc"), func="tanh_net", func_d=2, func_m=3,
+                    k=4, n=16, s_values=(1, 4), sigma0=0.1, trials=3,
+                    master_seed=5, data_rule="uniform")
+        base.update(overrides)
+        return StragglerSweepConfig(**base)
+
+    def test_rows_are_monte_carlo_aggregates(self):
+        config = self._paired_config()
+        report = straggler_sweep(config)
+        func = sim.worker_for(config.func, config.func_d, config.func_m)
+        expected = []
+        for s in config.s_values:
+            lambda_d = _resolve_lambda_d(config.lambda_d_rule, config.lambda_d_scale,
+                                         config.n, s)
+            for scheme in config.schemes:
+                setup = _point_setup(config, scheme, func, config.n, s, lambda_d)
+                agg = sim.monte_carlo(setup, config.trials, (config.master_seed, s))
+                expected.append(_row(scheme, config, config.n, s, lambda_d, agg,
+                                     config.master_seed))
+        assert list(report.rows) == expected
+        assert all(row["mean_relacc"] is not None for row in report.rows)
+
+    def test_threads_do_not_change_report(self):
+        one = straggler_sweep(self._paired_config(threads=1))
+        two = straggler_sweep(self._paired_config(threads=2))
+        assert one.rows == two.rows
+        assert one.table == two.table
+
 
 class TestCrossval:
     def test_affine_problem_ties_break_to_most_regularized(self):
@@ -141,14 +175,33 @@ class TestCrossval:
         assert result.best_lambda_e in e_grid
         assert result.best_lambda_d in d_grid
 
+    def test_table_entries_are_monte_carlo_means(self):
+        cfg = CrossvalConfig(func="sin_pi", k=6, n=20, s=3, sigma0=0.1,
+                             trials=4, master_seed=13, data_rule="uniform")
+        e_grid = (0.0, 1e-3)
+        d_grid = (1e-6, 1e-4, 1e-2)
+        result = crossval_lambda(e_grid, d_grid, cfg)
+        expected = []
+        for lam_e in e_grid:
+            for lam_d in d_grid:
+                setup = sim.TrialSetup(
+                    scheme="letcc", func=sim.make_worker(cfg.func),
+                    grid=chebyshev_grid(cfg.k, cfg.n),
+                    stragglers=sim.StragglerModel(cfg.n, cfg.s),
+                    noise=sim.NoiseModel(cfg.sigma0), lambda_e=lam_e,
+                    lambda_d=lam_d, data_rule=cfg.data_rule)
+                agg = sim.monte_carlo(setup, cfg.trials, (cfg.master_seed,))
+                expected.append({"lambda_e": lam_e, "lambda_d": lam_d,
+                                 "mean_rmse": agg.mean_rmse})
+        assert list(result.table) == expected
+
     def test_ties_pick_largest_lambda(self, monkeypatch):
         import letcc.experiments as exp
 
         class FakeAgg:
             mean_rmse = 0.0
 
-        monkeypatch.setattr(exp, "monte_carlo",
-                            lambda setup, trials, seed, threads=1: FakeAgg())
+        monkeypatch.setattr(exp, "aggregate", lambda metrics: FakeAgg())
         cfg = CrossvalConfig(func="sin_pi", k=4, n=12, s=0, trials=1, master_seed=0)
         result = crossval_lambda((0.0, 1e-3), (1e-8, 1e-2), cfg)
         assert result.best_lambda_d == 1e-2

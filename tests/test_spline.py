@@ -5,9 +5,8 @@ from hypothesis import given, settings, strategies as st
 from letcc.points import chebyshev_second
 from letcc.spline import (
     DegenerateBasisError,
-    build_basis,
+    NaturalSplineBasis,
     fit,
-    penalty_matrix,
 )
 
 from conftest import ols_affine, quadrature_roughness
@@ -15,18 +14,18 @@ from conftest import ols_affine, quadrature_roughness
 
 class TestBasis:
     def test_three_knots_dimension(self):
-        assert build_basis([-1.0, 0.0, 1.0]).basis_dim == 3
+        assert NaturalSplineBasis([-1.0, 0.0, 1.0]).basis_dim == 3
 
     def test_fewer_than_three_knots_rejected(self):
         with pytest.raises(DegenerateBasisError):
-            build_basis([-1.0, 1.0])
+            NaturalSplineBasis([-1.0, 1.0])
 
     def test_non_ascending_rejected(self):
         with pytest.raises(ValueError):
-            build_basis([0.0, 0.0, 1.0])
+            NaturalSplineBasis([0.0, 0.0, 1.0])
 
     def test_knot_evaluation_matrix_invertible(self):
-        basis = build_basis(chebyshev_second(8))
+        basis = NaturalSplineBasis(chebyshev_second(8))
         mat = basis.basis_matrix(basis.knots)
         # cardinal basis: the matrix is the identity, trivially invertible
         assert np.allclose(mat, np.eye(8), atol=1e-12)
@@ -34,7 +33,7 @@ class TestBasis:
 
     def test_affine_functions_in_span(self):
         knots = chebyshev_second(8)
-        basis = build_basis(knots)
+        basis = NaturalSplineBasis(knots)
         coef = 3.0 * knots - 0.5  # cardinal coefficients = knot values
         query = np.linspace(-1, 1, 57)
         values = basis.basis_matrix(query) @ coef
@@ -43,26 +42,26 @@ class TestBasis:
 
 class TestPenaltyMatrix:
     def test_constant_in_null_space(self):
-        basis = build_basis(chebyshev_second(8))
-        phi = penalty_matrix(basis)
+        basis = NaturalSplineBasis(chebyshev_second(8))
+        phi = basis.penalty_matrix()
         assert np.abs(phi @ np.ones(8)).max() < 1e-10
 
     def test_linear_in_null_space(self):
-        basis = build_basis(chebyshev_second(8))
-        phi = penalty_matrix(basis)
+        basis = NaturalSplineBasis(chebyshev_second(8))
+        phi = basis.penalty_matrix()
         assert np.abs(phi @ basis.knots).max() < 1e-10
 
     def test_symmetric_positive_semidefinite(self):
-        basis = build_basis(chebyshev_second(12))
-        phi = penalty_matrix(basis)
+        basis = NaturalSplineBasis(chebyshev_second(12))
+        phi = basis.penalty_matrix()
         assert np.array_equal(phi, phi.T)
         assert np.linalg.eigvalsh(phi).min() > -1e-9
 
     def test_quadratic_form_matches_quadrature(self):
         knots = chebyshev_second(8)
         coef = knots**2
-        basis = build_basis(knots)
-        quad_form = float(coef @ penalty_matrix(basis) @ coef)
+        basis = NaturalSplineBasis(knots)
+        quad_form = float(coef @ basis.penalty_matrix() @ coef)
         interp = fit(knots, coef, 0.0)
         oracle = quadrature_roughness(interp.evaluate, knots)
         assert quad_form == pytest.approx(oracle, rel=1e-6)
@@ -143,7 +142,7 @@ class TestFit:
         t = chebyshev_second(9)
         y = rng.normal(size=9)
         lam = 1e-3
-        phi = penalty_matrix(build_basis(t))
+        phi = NaturalSplineBasis(t).penalty_matrix()
         direct = np.linalg.solve(np.eye(9) + 9 * lam * phi, y)
         assert fit(t, y, lam).coefficients[:, 0] == pytest.approx(direct, abs=1e-9)
 

@@ -279,6 +279,7 @@ def _run_crossval(cfg: dict, args) -> int:
     for required in ("f", "k", "n"):
         if cfg.get(required) is None:
             raise ConfigError(f"config key {required!r} is required")
+    _formats(args)  # crossval always writes JSON; reject a bad --format all the same
     config = CrossvalConfig(
         func=cfg["f"], k=cfg["k"], n=cfg["n"], s=cfg.get("s", 0),
         sigma0=cfg.get("sigma0", 0.0), trials=cfg.get("trials", 20),
@@ -398,7 +399,7 @@ def build_parser() -> _Parser:
         p.add_argument("--threads", type=int, default=1,
                        help="trial worker threads (0 = auto)")
         p.add_argument("--format", default="csv,json,svg",
-                       help="comma list of csv,json,svg")
+                       help="comma list of csv,json,svg (svg applies to n_sweep only)")
 
     t = sub.add_parser("trial", help="run one pipeline trial, JSON metrics on stdout")
     t.add_argument("--config", default=None, help="JSON config file (flags override)")

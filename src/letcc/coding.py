@@ -108,8 +108,10 @@ def normalize_survivors(survivors, n: int):
     if hasattr(survivors, "indices") and hasattr(survivors, "outputs"):
         indices = np.asarray(survivors.indices)
         rows = np.atleast_2d(np.asarray(survivors.outputs, dtype=float))
-        count = min(indices.size, rows.shape[0])
-        indices, rows = indices[:count], rows[:count]
+        if indices.size and indices.size != rows.shape[0]:
+            raise ValueError(f"{indices.size} survivor indices for "
+                             f"{rows.shape[0]} output rows")
+        count = indices.size
     else:
         pairs = [(int(i), np.atleast_1d(np.asarray(v, dtype=float))) for i, v in survivors]
         indices = np.array([i for i, _ in pairs], dtype=int)

@@ -410,7 +410,9 @@ def aggregate(metrics: Sequence[TrialMetrics]) -> MonteCarloResult:
         raise ValueError("need at least one trial")
     mses = np.array([m.empirical_risk for m in metrics])
     mean = float(mses.mean())
-    std = float(mses.std(ddof=1)) if trials > 1 else 0.0
+    # shifted by a sample, so identical trials give exactly zero spread even
+    # when their mean rounds away from the common value
+    std = float((mses - mses[0]).std(ddof=1)) if trials > 1 else 0.0
     half = 1.96 * std / sqrt(trials)
     relaccs = [m.relacc for m in metrics]
     mean_relacc = float(np.mean(relaccs)) if relaccs[0] is not None else None

@@ -13,18 +13,24 @@ values shift by a factor of n between the two conventions.
 Representation: the cardinal natural-spline basis, where the coefficient
 vector is simply the fitted values at the knots.  With ``g`` the knot
 values and ``gam`` the second derivatives at the interior knots, a natural
-cubic spline satisfies  Q^T g = R gam  where Q and R are the classical
-banded matrices built from knot spacings, and the roughness penalty is
-exactly ``gam^T R gam``.  Eliminating the constraint gives the fitted
-values directly:
+cubic spline satisfies  Q^T g = R gam,  where Q (n x n-2, three nonzero
+diagonals) and R (n-2 x n-2, tridiagonal) are the classical matrices
+built from the knot spacings (Reinsch 1967; Green & Silverman 1994,
+ch. 2), and the roughness penalty is exactly ``gam^T R gam``.  The fit
+satisfies
 
-    (R + n*lam * Q^T Q) gam = Q^T y,      g = y - n*lam * Q gam.
+    g + n*lam * Q gam = y,      Q^T g - R gam = 0,
 
-This solve is algebraically identical to the dense normal equations
-``(N^T N + n*lam*Phi) xi = N^T y`` for the cardinal basis (where N is the
-identity and Phi = Q R^{-1} Q^T), but is far better conditioned: affine
-data gives Q^T y = 0, hence gam = 0 and exact reproduction for every lam.
-Vector-valued data reuses one factorization for all output dimensions.
+which is algebraically the dense normal equations ``(I + n*lam*Phi) g = y``
+of the cardinal basis, with Phi = Q R^{-1} Q^T.  Only band diagonals are
+stored: the two equations, with g and gam interleaved, form one band
+system of bandwidth three, solved by banded LU in O(n) time and memory
+per output dimension (:meth:`NaturalSplineBasis.smooth`); ``lam = 0``
+keeps g = y and solves the tridiagonal R for gam.  No n x n array is
+formed.  Affine data gives Q^T y = 0, hence gam = 0 and exact
+reproduction for every lam.  Vector-valued data reuses one factorization
+for all output dimensions.  The dense ``Phi`` and basis matrix are built
+only on request, as test oracles.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import solve_banded, solveh_banded
 
 __all__ = [
     "DegenerateBasisError",
@@ -73,55 +79,105 @@ class NaturalSplineBasis:
             )
         if not np.all(np.isfinite(knots)):
             raise ValueError("knots contain non-finite values")
-        if not np.all(np.diff(knots) > 0):
+        h = np.diff(knots)
+        if not np.all(h > 0):
             raise ValueError("knots must be strictly increasing")
 
         self.knots = knots
-        n = knots.size
-        h = np.diff(knots)
-
-        # Q (n x n-2) and R (n-2 x n-2): second-difference operator and the
-        # Gram matrix of the interior second-derivative hat functions.
-        q = np.zeros((n, n - 2))
-        cols = np.arange(n - 2)
-        q[cols, cols] = 1.0 / h[:-1]
-        q[cols + 1, cols] = -1.0 / h[:-1] - 1.0 / h[1:]
-        q[cols + 2, cols] = 1.0 / h[1:]
-
-        r = np.zeros((n - 2, n - 2))
-        r[cols, cols] = (h[:-1] + h[1:]) / 3.0
-        r[cols[:-1], cols[:-1] + 1] = h[1:-1] / 6.0
-        r[cols[:-1] + 1, cols[:-1]] = h[1:-1] / 6.0
-
+        # Column j of Q (n x n-2) holds qa[j], qb[j], qc[j] in rows j, j+1,
+        # j+2: the second-difference operator on the knot values.
         self._h = h
-        self._q = q
-        self._r = r
-        self._qtq = q.T @ q
-        self._chol_r = cho_factor(r, lower=True)
-        self._penalty = None
+        self._qa = 1.0 / h[:-1]
+        self._qc = 1.0 / h[1:]
+        self._qb = -self._qa - self._qc
 
     @property
     def basis_dim(self) -> int:
         return self.knots.size
 
+    def apply_qt(self, values: np.ndarray) -> np.ndarray:
+        """Q^T @ values for values of shape (n,) or (n, m)."""
+        col = (slice(None),) + (None,) * (values.ndim - 1)
+        return (self._qa[col] * values[:-2] + self._qb[col] * values[1:-1]
+                + self._qc[col] * values[2:])
+
+    def _r_band(self) -> np.ndarray:
+        """Upper band of the tridiagonal R in ``solveh_banded`` layout.
+
+        Three rows with a zero top row: scipy's two-row (tridiagonal) path
+        rejects the 1 x 1 system of three knots.
+        """
+        h = self._h
+        band = np.zeros((3, h.size - 1))
+        band[2] = (h[:-1] + h[1:]) / 3.0
+        band[1, 1:] = h[1:-1] / 6.0
+        return band
+
     def interior_second_derivs(self, values: np.ndarray) -> np.ndarray:
         """Second derivatives at interior knots of the natural interpolant."""
-        return cho_solve(self._chol_r, self._q.T @ values)
+        rhs = self.apply_qt(np.asarray(values, dtype=float))
+        return solveh_banded(self._r_band(), rhs, overwrite_ab=True)
+
+    def smooth(self, y: np.ndarray, lamn: float) -> tuple[np.ndarray, np.ndarray]:
+        """Fitted knot values and interior second derivatives for ``lamn > 0``.
+
+        Solves the equations of the fit,  g + lamn * Q gam = y  and
+        Q^T g - R gam = 0,  as one band system in the interleaved unknowns
+        (g_0, g_1, gam_1, g_2, ..., gam_{n-2}, g_{n-1}) by banded LU with
+        partial pivoting; the bandwidth is 3 on both sides.  Eliminating g
+        instead leaves the Reinsch system (R + lamn Q^T Q) gam = Q^T y,
+        which squares the conditioning: on meshes whose gaps alternate
+        between 1 and 1e4 its Cholesky solution misses the exact fit by up
+        to 8e-5 for unit-scale data, where this solve stays below 1e-10.
+        """
+        n = self.basis_dim
+        qa, qb, qc = self._qa, self._qb, self._qc
+        r = self._r_band()
+        # Entry (row, col) of the system sits at band[3 + row - col, col];
+        # g_i is unknown max(2i - 1, 0) and gam_j (interior knot j + 1) is
+        # unknown 2j + 2.
+        band = np.zeros((7, 2 * n - 2))
+        band[3, 0] = band[3, 1::2] = 1.0                  # g_i in its own row
+        band[1, 2], band[0, 4::2] = lamn * qa[0], lamn * qa[1:]  # lamn Q, g rows
+        band[2, 2::2] = lamn * qb
+        band[4, 2::2] = lamn * qc
+        band[5, 0], band[6, 1:-4:2] = qa[0], qa[1:]       # Q^T, gam rows
+        band[4, 1:-2:2] = qb
+        band[2, 3::2] = qc
+        band[3, 2::2] = -r[2]                             # -R, gam rows
+        band[1, 4::2] = band[5, 2:-3:2] = -r[1, 1:]
+        rhs = np.zeros((2 * n - 2,) + y.shape[1:])
+        rhs[0], rhs[1::2] = y[0], y[1:]
+        try:
+            sol = solve_banded((3, 3), band, rhs, overwrite_ab=True, overwrite_b=True)
+        except np.linalg.LinAlgError as exc:  # distinct knots make this unreachable
+            raise NumericalFitError("smoothing system is singular") from exc
+        return np.concatenate((sol[:1], sol[1::2])), sol[2:-1:2]
+
+    def roughness(self, gam: np.ndarray) -> float:
+        """gam^T R gam summed over columns, for interior second derivatives gam."""
+        band = self._r_band()
+        col = (slice(None),) + (None,) * (gam.ndim - 1)
+        return float(np.sum(band[2][col] * gam * gam)
+                     + 2.0 * np.sum(band[1, 1:][col] * gam[:-1] * gam[1:]))
 
     def penalty_matrix(self) -> np.ndarray:
         """Gram matrix Phi of basis second derivatives, Phi_ij = int b_i'' b_j''.
 
         Exact for the piecewise-linear second derivatives of the basis:
         Phi = Q R^{-1} Q^T.  Symmetric positive semidefinite with null space
-        spanned by the knot values of affine functions.
+        spanned by the knot values of affine functions.  Dense (n x n) and
+        built on each call; a test oracle, not used by fitting.
         """
-        if self._penalty is None:
-            phi = self._q @ cho_solve(self._chol_r, self._q.T)
-            self._penalty = (phi + phi.T) / 2.0
-        return self._penalty
+        ident = np.eye(self.basis_dim)
+        phi = self.apply_qt(ident).T @ self.interior_second_derivs(ident)
+        return (phi + phi.T) / 2.0
 
     def basis_matrix(self, x) -> np.ndarray:
-        """Evaluate all basis functions at ``x``: returns (len(x), n)."""
+        """Evaluate all basis functions at ``x``: returns (len(x), n).
+
+        Dense and built on each call; a test oracle, not used by fitting.
+        """
         n = self.basis_dim
         ident = np.eye(n)
         gam = np.zeros((n, n))
@@ -172,8 +228,7 @@ class SplineFit:
         """Total penalty sum_j integral (u_j''(t))^2 dt; zero iff affine."""
         if self.basis is None:
             return 0.0
-        gam = self.second_derivs[1:-1]
-        return float(np.sum(gam * (self.basis._r @ gam)))
+        return self.basis.roughness(self.second_derivs[1:-1])
 
 
 def fit(t, y, lam: float) -> SplineFit:
@@ -222,13 +277,7 @@ def fit(t, y, lam: float) -> SplineFit:
         g = y.copy()
         gam_int = basis.interior_second_derivs(g)
     else:
-        m = basis._r + lamn * basis._qtq
-        try:
-            chol = cho_factor(m, lower=True)
-        except np.linalg.LinAlgError as exc:  # distinct knots make this unreachable
-            raise NumericalFitError("smoothing system is not positive definite") from exc
-        gam_int = cho_solve(chol, basis._q.T @ y)
-        g = y - lamn * (basis._q @ gam_int)
+        g, gam_int = basis.smooth(y, lamn)
     gam = np.zeros_like(g)
     gam[1:-1] = gam_int
     return SplineFit(t, g, gam, float(lam), degenerate=False,

@@ -167,6 +167,19 @@ class TestCrossvalCommand:
         assert payload["best_lambda_d"] in cfg["lambda_d_grid"]
         assert len(payload["table"]) == 3
 
+    def test_unknown_format_exits_one_and_writes_nothing(self, capsys, tmp_path):
+        cfg = {"kind": "crossval", "f": "sin_pi", "k": 8, "n": 24, "s": 2,
+               "trials": 1, "lambda_d_grid": [1e-4]}
+        path = tmp_path / "cv.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        code, stdout, err = run_cli(capsys, "crossval", str(path), "--out", str(out),
+                                    "--format", "bogus")
+        assert code == 1
+        assert stdout == ""
+        assert "bogus" in err
+        assert not out.exists()
+
 
 def write_matrix_file(path, matrix):
     matrix = np.atleast_2d(matrix)

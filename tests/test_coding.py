@@ -168,6 +168,15 @@ class TestDecode:
             normalize_survivors(WorkerReturns(np.array([0, 2]),
                                               np.array([[1.0], [np.nan]])), 4)
 
+    def test_normalize_rejects_length_mismatch(self):
+        grid = chebyshev_grid(4, 8)
+        with pytest.raises(ValueError, match="4 survivor indices for 2 output rows"):
+            decode(WorkerReturns([0, 1, 2, 5], [[1.0], [2.0]]), grid, 0.0)
+        with pytest.raises(ValueError, match="2 survivor indices for 3 output rows"):
+            normalize_survivors(WorkerReturns(np.array([0, 1]), np.ones((3, 2))), 8)
+        with pytest.raises(DecodeFailure):
+            decode(WorkerReturns([], []), grid, 0.0)
+
     def test_decomposition_and_lipschitz_bounds_hold(self, rng):
         # risk <= l_dec + l_enc and l_enc <= 2 q^2 * training error, per trial
         q = np.pi

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from letcc.points import chebyshev_second
+from letcc.kernel import kernel_fit
+from letcc.points import chebyshev_second, mesh_stats
 from letcc.spline import (
     DegenerateBasisError,
     NaturalSplineBasis,
@@ -174,6 +177,57 @@ class TestFit:
         q = np.linspace(-1, 1, 17)
         scale = 1.0 + abs(slope) + abs(intercept)
         assert np.abs(f.evaluate(q) - (slope * q + intercept)).max() < 1e-10 * scale
+
+
+class TestBandedAgainstOracles:
+    """The banded fit against the dense normal equations and the kernel form."""
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gaps=st.lists(st.floats(min_value=1.0, max_value=1e4), min_size=2, max_size=63),
+        lam=st.one_of(st.just(0.0),
+                      st.floats(min_value=-12.0, max_value=16.0).map(lambda e: 10.0**e)),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_fit_matches_dense_and_kernel_oracles(self, gaps, lam, seed):
+        t = np.concatenate(([0.0], np.cumsum(gaps)))
+        t = 2.0 * t / t[-1] - 1.0
+        assert mesh_stats(t).ratio <= 1e4 * (1 + 1e-9)
+        n = t.size
+        y = np.random.default_rng(seed).normal(size=(n, 2))
+        f = fit(t, y, lam)
+        g = f.coefficients
+
+        # (I + n*lam*Phi) g = y, checked by componentwise residual: at large
+        # n*lam the dense system is too ill-conditioned for its own solve
+        # to serve as a forward reference
+        a = np.eye(n) + n * lam * NaturalSplineBasis(t).penalty_matrix()
+        residual = np.abs(a @ g - y)
+        assert (residual <= 1e-9 * (np.abs(a) @ np.abs(g) + np.abs(y))).all()
+
+        if lam >= 1e-8:
+            q = np.linspace(-1.0, 1.0, 101)
+            oracle = kernel_fit(t, y, lam)
+            assert np.abs(f.evaluate(q) - oracle.evaluate(q)).max() < 1e-6
+            assert np.abs(g - oracle.evaluate(t)).max() < 1e-6
+
+
+class TestLargeN:
+    def test_fit_at_65536_knots_is_linear_in_memory(self):
+        n = 65536
+        t = chebyshev_second(n)
+        y = np.column_stack([2.0 * t + 1.0, -0.7 * t + 0.3])
+        for lam in (float(n) ** -4, 1e3):
+            tracemalloc.start()
+            try:
+                f = fit(t, y, lam)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # a dense Q alone would be n * (n - 2) * 8 bytes, 34 GB
+            assert peak < 64 * 2**20
+            assert np.abs(f.evaluate(t) - y).max() <= 1e-10 * np.abs(y).max()
 
 
 class TestDegenerateFits:

@@ -8,8 +8,8 @@ experiment harness.
 import os as _os
 
 # Pin BLAS pools (when the user has not configured them) before numpy loads:
-# trial results must be bit-identical regardless of how many harness threads
-# issue linear-algebra calls concurrently.
+# a multithreaded BLAS may split reductions differently between runs, and
+# trial results must be bit-identical across reruns.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     _os.environ.setdefault(_var, "1")
 

@@ -231,7 +231,7 @@ def _run_kind(kind: str, raw: dict, args) -> int:
     return run(cfg, args)
 
 
-def _common_kwargs(cfg, args):
+def _common_kwargs(cfg):
     return dict(
         func=cfg["f"],
         k=cfg["k"],
@@ -245,7 +245,6 @@ def _common_kwargs(cfg, args):
         data_rule=cfg.get("data", "identity"),
         func_d=cfg.get("d", 1),
         func_m=cfg.get("m", 1),
-        threads=args.threads,
     )
 
 
@@ -255,7 +254,7 @@ def _run_n_sweep(cfg: dict, args) -> int:
             raise ConfigError(f"config key {required!r} is required and nonempty")
     config = SweepConfig(schemes=cfg["schemes"], n_values=cfg["n_values"],
                          s=cfg.get("s"), s_ratio=cfg.get("s_ratio"),
-                         **_common_kwargs(cfg, args))
+                         **_common_kwargs(cfg))
     report = sweep_n(config)
     out = _write_reports(args, "sweep", report)
     sys.stderr.write(f"sweep: {len(report.rows)} rows written to {out}\n")
@@ -268,7 +267,7 @@ def _run_straggler(cfg: dict, args) -> int:
             raise ConfigError(f"config key {required!r} is required and nonempty")
     config = StragglerSweepConfig(schemes=cfg["schemes"], n=cfg["n"],
                                   s_values=cfg["s_values"],
-                                  **_common_kwargs(cfg, args))
+                                  **_common_kwargs(cfg))
     report = straggler_sweep(config)
     out = _write_reports(args, "straggler", report)
     sys.stderr.write(f"straggler sweep: {len(report.table)} rows written to {out}\n")
@@ -284,7 +283,7 @@ def _run_crossval(cfg: dict, args) -> int:
         func=cfg["f"], k=cfg["k"], n=cfg["n"], s=cfg.get("s", 0),
         sigma0=cfg.get("sigma0", 0.0), trials=cfg.get("trials", 20),
         master_seed=cfg.get("seed", 0), data_rule=cfg.get("data", "identity"),
-        func_d=cfg.get("d", 1), func_m=cfg.get("m", 1), threads=args.threads,
+        func_d=cfg.get("d", 1), func_m=cfg.get("m", 1),
     )
     result = crossval_lambda(cfg.get("lambda_e_grid", (0.0,)),
                              cfg.get("lambda_d_grid", DEFAULT_LAMBDA_GRID),
@@ -395,9 +394,12 @@ def build_parser() -> _Parser:
 
     def add_common(p):
         p.add_argument("--seed", type=int, default=None, help="master seed")
-        p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--threads", type=int, default=1,
-                       help="trial worker threads (0 = auto)")
+                       help="accepted for compatibility; has no effect "
+                            "(trials always run in order on one thread)")
+
+    def add_reports(p):
+        p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--format", default="csv,json,svg",
                        help="comma list of csv,json,svg (svg applies to n_sweep only)")
 
@@ -421,11 +423,13 @@ def build_parser() -> _Parser:
     s = sub.add_parser("sweep", help="run a sweep config; writes report files")
     s.add_argument("config", help="JSON sweep config (kind: n_sweep|straggler|crossval)")
     add_common(s)
+    add_reports(s)
     s.set_defaults(func=cmd_sweep)
 
     c = sub.add_parser("crossval", help="grid-search smoothing weights")
     c.add_argument("config", help="JSON crossval config")
     add_common(c)
+    add_reports(c)
     c.set_defaults(func=cmd_crossval)
 
     codec = sub.add_parser("codec", help="stand-alone encode/decode on matrix files")

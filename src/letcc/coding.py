@@ -35,7 +35,11 @@ class DecodeFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """K input vectors of dimension d, stored as a (K, d) array."""
+    """K input vectors of dimension d, stored as a (K, d) array.
+
+    A 1-D array is one row: ``Dataset(np.zeros(3))`` holds a single
+    3-dimensional input, not three scalars.  Pass K scalars as shape (K, 1).
+    """
 
     inputs: np.ndarray
 

@@ -3,8 +3,7 @@
 Everything here is a pure function of (config, master seed): reruns produce
 byte-identical CSV/JSON/SVG artifacts.  Per-point trial seeds derive from
 (master_seed, point key, trial index), so schemes sharing a seed see the
-same data draws, straggler sets, and noise, and results never depend on
-thread count or execution order.
+same data draws, straggler sets, and noise.
 """
 
 from __future__ import annotations
@@ -20,9 +19,9 @@ from .sim import (
     NoiseModel,
     StragglerModel,
     TrialSetup,
-    _map_seeds,
     _prepare,
     _score,
+    _trial_seeds,
     aggregate,
     monte_carlo,
     worker_for,
@@ -95,7 +94,6 @@ class SweepConfig:
     data_rule: str = "identity"
     func_d: int = 1
     func_m: int = 1
-    threads: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "schemes", tuple(self.schemes))
@@ -214,8 +212,7 @@ def sweep_n(config: SweepConfig) -> SweepReport:
             lambda_d = _resolve_lambda_d(config.lambda_d_rule, config.lambda_d_scale, n, s)
             setup = _point_setup(config, scheme, func, n, s, lambda_d)
             try:
-                agg = monte_carlo(setup, config.trials, (config.master_seed, n),
-                                  threads=config.threads)
+                agg = monte_carlo(setup, config.trials, (config.master_seed, n))
             except DecodeFailure:
                 excluded[scheme].append({"N": n, "reason": "decode_failure"})
                 continue
@@ -253,7 +250,6 @@ class StragglerSweepConfig:
     data_rule: str = "identity"
     func_d: int = 1
     func_m: int = 1
-    threads: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "schemes", tuple(self.schemes))
@@ -293,8 +289,7 @@ def straggler_sweep(config: StragglerSweepConfig) -> StragglerSweepReport:
         aggs = {}
         for scheme in config.schemes:
             setup = _point_setup(config, scheme, func, config.n, s, lambda_d)
-            aggs[scheme] = monte_carlo(setup, config.trials, (config.master_seed, s),
-                                       threads=config.threads)
+            aggs[scheme] = monte_carlo(setup, config.trials, (config.master_seed, s))
 
         entry = {"S": s}
         base_rmses = np.array([m.rmse for m in aggs[base].metrics])
@@ -325,7 +320,6 @@ class CrossvalConfig:
     data_rule: str = "identity"
     func_d: int = 1
     func_m: int = 1
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -363,12 +357,10 @@ def crossval_lambda(lambda_e_grid, lambda_d_grid, config: CrossvalConfig) -> Cro
             data_rule=config.data_rule,
         )
 
-        def score_grid(seed):
+        per_trial = []
+        for seed in _trial_seeds(config.master_seed, config.trials):
             prepared = _prepare(setup, seed)
-            return [_score(setup, prepared, lam_d) for lam_d in d_grid]
-
-        per_trial = _map_seeds(score_grid, (config.master_seed,), config.trials,
-                               config.threads)
+            per_trial.append([_score(setup, prepared, lam_d) for lam_d in d_grid])
         for j, lam_d in enumerate(d_grid):
             agg = aggregate([scores[j] for scores in per_trial])
             table.append({"lambda_e": lam_e, "lambda_d": lam_d,
@@ -448,11 +440,7 @@ def write_json(path, obj) -> None:
 
 
 def report_to_dict(report) -> dict:
-    """JSON-ready dictionary for any of the three report kinds.
-
-    The ``threads`` execution knob is omitted: reports are a function of the
-    experiment parameters and seed only.
-    """
+    """JSON-ready dictionary for any of the three report kinds."""
     if isinstance(report, CrossvalResult):
         return {
             "best_lambda_e": report.best_lambda_e,
@@ -460,9 +448,7 @@ def report_to_dict(report) -> dict:
             "best_rmse": report.best_rmse,
             "table": list(report.table),
         }
-    config = asdict(report.config)
-    config.pop("threads", None)
-    out = {"config": config}
+    out = {"config": asdict(report.config)}
     if isinstance(report, SweepReport):
         out["rows"] = list(report.rows)
         out["slopes"] = {

@@ -1,14 +1,12 @@
 """Monte-Carlo harness: stragglers, worker noise, trials, and metrics.
 
 Randomness is organized as counter-based streams: every trial derives its
-generators from ``(master_seed, trial_index, stream_tag)`` so results are
-independent of execution order and thread count, and two schemes given the
-same seeds see identical straggler sets, data draws, and noise.
+generators from ``(master_seed, trial_index, stream_tag)``, so two schemes
+given the same seeds see identical straggler sets, data draws, and noise.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import sqrt
 from typing import Callable, Sequence
@@ -392,15 +390,10 @@ class MonteCarloResult:
     metrics: tuple[TrialMetrics, ...]
 
 
-def _map_seeds(fn, master_seed, trials: int, threads: int = 1) -> list:
-    """``fn`` of each trial seed (master_seed..., t) for t < trials, in trial
-    order whatever ``threads`` (0 = one per core) is."""
+def _trial_seeds(master_seed, trials: int) -> list[tuple[int, ...]]:
+    """The seed (master_seed..., t) of each trial t < trials, in trial order."""
     entropy = tuple(int(s) for s in np.atleast_1d(master_seed))
-    seeds = [entropy + (t,) for t in range(trials)]
-    if threads == 1 or trials <= 1:
-        return [fn(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=threads if threads > 0 else None) as pool:
-        return list(pool.map(fn, seeds))
+    return [entropy + (t,) for t in range(trials)]
 
 
 def aggregate(metrics: Sequence[TrialMetrics]) -> MonteCarloResult:
@@ -429,15 +422,13 @@ def aggregate(metrics: Sequence[TrialMetrics]) -> MonteCarloResult:
     )
 
 
-def monte_carlo(setup: TrialSetup, trials: int, master_seed: int,
-                threads: int = 1) -> MonteCarloResult:
-    """Run ``trials`` seeded trials and aggregate in fixed trial order.
+def monte_carlo(setup: TrialSetup, trials: int, master_seed: int) -> MonteCarloResult:
+    """Run ``trials`` seeded trials in order and aggregate them.
 
-    Trial t uses seed (master_seed, t); results are bit-identical for any
-    ``threads``.
+    Trial t uses seed (master_seed, t).
     """
-    return aggregate(_map_seeds(lambda seed: run_trial(setup, seed), master_seed,
-                                trials, threads))
+    return aggregate([run_trial(setup, seed)
+                      for seed in _trial_seeds(master_seed, trials)])
 
 
 def relacc(estimates: np.ndarray, truth: np.ndarray) -> float | None:

@@ -51,6 +51,15 @@ class TestTrial:
         assert out == ""
         assert "--n" in err
 
+    @pytest.mark.parametrize("flag", [["--format", "bogus"], ["--out", "results"]])
+    def test_report_flags_rejected(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(TRIAL_ARGS + flag)
+        assert exc.value.code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
     def test_s_equal_n_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "trial", "--scheme", "letcc",
                                "--f", "sin_pi", "--k", "16", "--n", "8", "--s", "8")

@@ -146,12 +146,6 @@ class TestStragglerSweep:
         assert list(report.rows) == expected
         assert all(row["mean_relacc"] is not None for row in report.rows)
 
-    def test_threads_do_not_change_report(self):
-        one = straggler_sweep(self._paired_config(threads=1))
-        two = straggler_sweep(self._paired_config(threads=2))
-        assert one.rows == two.rows
-        assert one.table == two.table
-
 
 class TestCrossval:
     def test_affine_problem_ties_break_to_most_regularized(self):

@@ -206,11 +206,6 @@ class TestMonteCarlo:
         assert a.mean_mse == b.mean_mse
         assert a.metrics == b.metrics
 
-    def test_thread_count_does_not_change_results(self):
-        a = monte_carlo(_setup(sigma0=0.1), trials=12, master_seed=5, threads=1)
-        b = monte_carlo(_setup(sigma0=0.1), trials=12, master_seed=5, threads=4)
-        assert a == b
-
     def test_risk_trend_improves_with_fewer_stragglers(self):
         means = []
         for s in (32, 24, 16, 8, 0):

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
 from letcc.kernel import kernel_fit
 from letcc.points import chebyshev_second, mesh_stats
@@ -180,7 +181,8 @@ class TestFit:
 
 
 class TestBandedAgainstOracles:
-    """The banded fit against the dense normal equations and the kernel form."""
+    """The banded fit against the dense normal equations, the kernel form
+    (lambda >= 1e-8) and scipy's natural cubic interpolant (lambda = 0)."""
 
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     @settings(max_examples=40, deadline=None)
@@ -211,6 +213,13 @@ class TestBandedAgainstOracles:
             oracle = kernel_fit(t, y, lam)
             assert np.abs(f.evaluate(q) - oracle.evaluate(q)).max() < 1e-6
             assert np.abs(g - oracle.evaluate(t)).max() < 1e-6
+        elif lam == 0.0:
+            # kernel_fit is no oracle here: at lambda = 0 nothing regularises
+            # its nearly singular Gram matrix on uneven knots.  CubicSpline
+            # extrapolates cubically and fit linearly, so compare in range.
+            oracle = CubicSpline(t, y, bc_type="natural")
+            q = np.union1d(np.linspace(t[0], t[-1], 301), t)
+            assert np.abs(f.evaluate(q) - oracle(q)).max() <= 1e-9 * (1.0 + np.abs(y).max())
 
 
 class TestLargeN:

@@ -43,6 +43,7 @@ from .baselines import (
 from .sim import (
     MonteCarloResult,
     NoiseModel,
+    RiskBoundViolation,
     StragglerModel,
     TrialMetrics,
     TrialSetup,

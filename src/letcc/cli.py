@@ -3,7 +3,8 @@
 Subcommands: ``trial``, ``sweep``, ``crossval``, ``codec encode``,
 ``codec decode``.  stdout carries machine-readable output only; human
 diagnostics go to stderr.  Exit codes: 0 success, 1 config or input error,
-2 decode failure at runtime.
+2 decode failure at runtime, 3 a trial's risk above its l_dec + l_enc
+bound (a numerical fault).
 
 Matrix files use a plain text format: a header line ``dims R C`` followed
 by R whitespace-separated rows of C decimal floats.
@@ -38,6 +39,7 @@ from .experiments import (
 from .points import chebyshev_grid
 from .sim import (
     NoiseModel,
+    RiskBoundViolation,
     SCHEMES,
     StragglerModel,
     TrialSetup,
@@ -51,6 +53,7 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DECODE = 2
+EXIT_RISK_BOUND = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -463,6 +466,9 @@ def main(argv=None) -> int:
     except DecodeFailure as exc:
         sys.stderr.write(f"decode failure: {exc}\n")
         return EXIT_DECODE
+    except RiskBoundViolation as exc:
+        sys.stderr.write(f"risk bound failure: {exc}\n")
+        return EXIT_RISK_BOUND
     except (ConfigError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG

@@ -5,12 +5,23 @@ and evaluates it at the worker points ``beta_n``; every coded vector is a
 weighted combination of all inputs.  Decoding fits a smoothing spline
 through the surviving ``(beta_v, output_v)`` pairs and evaluates it at the
 ``alpha_k`` to estimate ``f(x_k)``.
+
+The encoder is linear in the data.  Its fit to the K x K identity gives
+matrices G and Gamma whose products with the inputs X are the knot values
+and second derivatives of the encoder fitted to X, and the evaluation
+weights of the alphas at the betas (:func:`letcc.spline.evaluation_weights`)
+turn those into the coded batch.  Both are computed once per grid object
+and encoder weight ``lambda_e`` and kept on the grid, in O(N + K^2)
+memory; later encodes on the same grid object cost two K x K products and
+one O(N d) weighted gather.  Reuse the grid object to benefit: an equal
+but separately built grid starts without encoders and computes the same
+ones, so its coded batches are identical.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,22 +94,54 @@ class DecodeResult:
     degraded: bool = False
 
 
+@dataclass(frozen=True)
+class _LinearEncoder:
+    """The encoder of one grid at one ``lambda_e`` as a linear map.
+
+    ``unit`` is the encoder fitted to the K x K identity: its coefficients
+    G and second derivatives Gamma map inputs X to the encoder fit of X.
+    ``at_betas`` evaluates any spline on the alphas at the betas.
+    """
+
+    unit: spline.SplineFit
+    at_betas: spline.EvaluationWeights
+
+
+def _linear_encoder(grid: InterpolationGrid, lambda_e: float) -> _LinearEncoder:
+    """The grid's encoder for ``lambda_e``, built and kept on first use."""
+    key = float(lambda_e)
+    encoder = grid._encoders.get(key)
+    if encoder is None:
+        unit = spline.fit(grid.alphas, np.eye(grid.k), key)
+        encoder = _LinearEncoder(unit, spline.evaluation_weights(grid.alphas, grid.betas))
+        grid._encoders[key] = encoder
+    return encoder
+
+
 def encode(data: Dataset, grid: InterpolationGrid, lambda_e: float) -> CodedBatch:
     """Fit the encoder spline through (alphas, inputs) and evaluate at betas.
 
-    With ``lambda_e = 0`` the encoder interpolates the inputs exactly, so
-    its training error vanishes.
+    The fit is G @ inputs and Gamma @ inputs for the grid's cached linear
+    encoder (see the module docstring).  With ``lambda_e = 0``, G is the
+    identity and the encoder interpolates the inputs exactly, so its
+    training error vanishes.
     """
     if data.k != grid.k:
         raise ValueError(f"dataset has {data.k} rows but grid has {grid.k} alphas")
-    enc = spline.fit(grid.alphas, data.inputs, lambda_e)
-    coded = enc.evaluate(grid.betas)
+    encoder = _linear_encoder(grid, lambda_e)
+    enc = replace(encoder.unit,
+                  coefficients=encoder.unit.coefficients @ data.inputs,
+                  second_derivs=encoder.unit.second_derivs @ data.inputs)
+    coded = encoder.at_betas.apply(enc.coefficients, enc.second_derivs)
     return CodedBatch(coded=coded, encoder_fit=enc, grid=grid)
 
 
 def encoder_training_error(batch: CodedBatch, data: Dataset) -> float:
-    """Mean squared encoder residual, (1/K) sum_k ||u_enc(alpha_k) - x_k||^2."""
-    fitted = batch.encoder_fit.evaluate(batch.grid.alphas)
+    """Mean squared encoder residual, (1/K) sum_k ||u_enc(alpha_k) - x_k||^2.
+
+    A spline's values at its knots are its coefficients.
+    """
+    fitted = batch.encoder_fit.coefficients
     return float(np.mean(np.sum((fitted - data.inputs) ** 2, axis=1)))
 
 

@@ -9,7 +9,7 @@ spline code can assume sorted knots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,14 +55,21 @@ class InterpolationGrid:
     Both arrays must be strictly increasing and confined to [-1, 1].  The
     worker grid may include the endpoints (the second-kind Chebyshev grid
     does); the spline machinery is well defined on the closed interval.
+
+    A grid also holds the linear encoders built on it, one per encoder
+    smoothing weight (see :func:`letcc.coding.encode`), and keeps read-only
+    copies of its points so that those encoders cannot go stale.
     """
 
     alphas: np.ndarray
     betas: np.ndarray
+    _encoders: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
-        alphas = np.atleast_1d(np.asarray(self.alphas, dtype=float))
-        betas = np.atleast_1d(np.asarray(self.betas, dtype=float))
+        alphas = np.array(self.alphas, dtype=float, ndmin=1)
+        betas = np.array(self.betas, dtype=float, ndmin=1)
+        alphas.flags.writeable = betas.flags.writeable = False
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "betas", betas)
         _check_points("alphas", alphas, minimum=1)

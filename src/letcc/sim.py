@@ -18,6 +18,7 @@ from .coding import CodedBatch, Dataset
 from .points import InterpolationGrid
 
 __all__ = [
+    "RiskBoundViolation",
     "StragglerModel",
     "NoiseModel",
     "WorkerFunction",
@@ -45,6 +46,14 @@ SCHEMES = ("letcc", "bacc", "lcc")
 _STREAM_STRAGGLERS = 101
 _STREAM_NOISE = 202
 _STREAM_DATA = 303
+
+
+class RiskBoundViolation(ArithmeticError):
+    """A letcc trial's risk exceeds its l_dec + l_enc bound.
+
+    The bound holds for every trial in exact arithmetic, so this signals a
+    numerical fault, never a property of the data.
+    """
 
 
 def trial_rng(seed, stream: int) -> np.random.Generator:
@@ -309,7 +318,8 @@ def _prepare(setup: TrialSetup, seed) -> _Prepared:
     through_encoder = None
     if setup.scheme == "letcc":
         batch = coding.encode(data, grid, setup.lambda_e)
-        through_encoder = setup.func.evaluate(batch.encoder_fit.evaluate(grid.alphas))
+        # the encoder's values at the alphas, its knots, are its coefficients
+        through_encoder = setup.func.evaluate(batch.encoder_fit.coefficients)
     elif setup.scheme == "bacc":
         batch = baselines.bacc_encode(data, grid)
     else:
@@ -349,7 +359,7 @@ def _score(setup: TrialSetup, prepared: _Prepared, lambda_d: float) -> TrialMetr
         l_enc = 2.0 * float(np.mean(np.sum((through_encoder - truth) ** 2, axis=1)))
         bound = l_dec + l_enc
         if risk > bound + 1e-9 * (1.0 + bound):
-            raise AssertionError(
+            raise RiskBoundViolation(
                 f"risk decomposition violated: {risk} > {l_dec} + {l_enc}"
             )
 

@@ -31,6 +31,17 @@ formed.  Affine data gives Q^T y = 0, hence gam = 0 and exact
 reproduction for every lam.  Vector-valued data reuses one factorization
 for all output dimensions.  The dense ``Phi`` and basis matrix are built
 only on request, as test oracles.
+
+Evaluation at q query points runs in two steps.  The first depends only on
+the knots and the queries (:func:`evaluation_weights`): for each query row
+it finds the knot interval and four weights, on the values and on the
+second derivatives at the interval's two ends; rows beyond the end knots
+get the weights of the linear extension instead, so no row takes a
+separate branch.  The second (:meth:`EvaluationWeights.apply`) is four
+weighted row gathers of the knot values and second derivatives, O(q m)
+for m output dimensions.  Spline fits evaluate through both steps; a
+caller that evaluates many splines on the same knots at the same queries
+keeps the weights and repeats only the second step.
 """
 
 from __future__ import annotations
@@ -45,6 +56,8 @@ __all__ = [
     "NumericalFitError",
     "NaturalSplineBasis",
     "SplineFit",
+    "EvaluationWeights",
+    "evaluation_weights",
     "fit",
 ]
 
@@ -182,8 +195,8 @@ class NaturalSplineBasis:
         ident = np.eye(n)
         gam = np.zeros((n, n))
         gam[1:-1] = self.interior_second_derivs(ident)
-        return _evaluate_natural(self.knots, ident, gam,
-                                 np.atleast_1d(np.asarray(x, dtype=float)))
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return evaluation_weights(self.knots, x).apply(ident, gam)
 
 
 @dataclass(frozen=True)
@@ -218,10 +231,8 @@ class SplineFit:
         x = np.atleast_1d(np.asarray(query, dtype=float))
         if not np.all(np.isfinite(x)):
             raise ValueError("query contains non-finite values")
-        if self.knots.size == 1:
-            out = np.broadcast_to(self.coefficients[0], (x.size, self.out_dim)).copy()
-        else:
-            out = _evaluate_natural(self.knots, self.coefficients, self.second_derivs, x)
+        out = evaluation_weights(self.knots, x).apply(self.coefficients,
+                                                      self.second_derivs)
         return out[:, 0] if self._scalar else out
 
     def roughness(self) -> float:
@@ -284,43 +295,69 @@ def fit(t, y, lam: float) -> SplineFit:
                      basis=basis, _scalar=scalar)
 
 
-def _evaluate_natural(knots, values, second_derivs, x):
-    """Piecewise-cubic evaluation with linear extrapolation beyond the ends.
+@dataclass(frozen=True)
+class EvaluationWeights:
+    """Where each query row of a spline evaluation reads, and with what weight.
 
-    Works for any n >= 2; with all-zero second derivatives this is plain
-    piecewise-linear interpolation, which is exactly the degenerate n=2
-    fallback.
+    For knot values ``v`` and knot second derivatives ``s``, query row r is
+
+        weights[0, r] v[lo[r]] + weights[1, r] v[hi[r]]
+          + weights[2, r] s[lo[r]] + weights[3, r] s[hi[r]].
+
+    The weights depend on the knots and the queries only, so one instance
+    evaluates every spline on those knots at those queries.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    weights: np.ndarray
+
+    def apply(self, values: np.ndarray, second_derivs: np.ndarray) -> np.ndarray:
+        """The (q, m) values at the queries of the spline with these knot rows."""
+        out = values[self.lo]
+        out *= self.weights[0, :, None]
+        term = np.empty_like(out)
+        for w, rows, idx in ((self.weights[1], values, self.hi),
+                             (self.weights[2], second_derivs, self.lo),
+                             (self.weights[3], second_derivs, self.hi)):
+            # indices are in range by construction; "clip" lets take write
+            # into ``term`` without the buffering its "raise" mode needs
+            np.take(rows, idx, axis=0, out=term, mode="clip")
+            term *= w[:, None]
+            out += term
+        return out
+
+
+def evaluation_weights(knots: np.ndarray, x: np.ndarray) -> EvaluationWeights:
+    """Evaluation weights of natural cubic splines on ``knots`` at queries ``x``.
+
+    A query in [knots[i], knots[i+1]] with a = (knots[i+1] - x) / h and
+    b = (x - knots[i]) / h takes weights a, b, (a^3 - a) h^2/6 and
+    (b^3 - b) h^2/6, the cubic of Press et al. (Numerical Recipes, 3.3).
+    Beyond the ends the spline continues along its end tangent, which in
+    the same a and b of the end interval is -b h^2/3 and -b h^2/6 on the
+    left and -a h^2/6 and -a h^2/3 on the right.  All-zero second
+    derivatives give piecewise-linear interpolation, the degenerate fit on
+    two knots; on one knot every query reads that knot's value.  Queries
+    need not be sorted.
     """
     n = knots.size
-    out = np.empty((x.size, values.shape[1]))
-
-    left = x < knots[0]
-    right = x > knots[-1]
-    mid = ~(left | right)
-
-    if np.any(mid):
-        xm = x[mid]
-        idx = np.clip(np.searchsorted(knots, xm, side="right") - 1, 0, n - 2)
-        h = (knots[idx + 1] - knots[idx])[:, None]
-        a = (knots[idx + 1] - xm)[:, None] / h
-        b = (xm - knots[idx])[:, None] / h
-        out[mid] = (
-            a * values[idx]
-            + b * values[idx + 1]
-            + ((a**3 - a) * second_derivs[idx] + (b**3 - b) * second_derivs[idx + 1])
-            * h**2
-            / 6.0
-        )
-    if np.any(left):
-        h = knots[1] - knots[0]
-        slope = (values[1] - values[0]) / h - h * (
-            2.0 * second_derivs[0] + second_derivs[1]
-        ) / 6.0
-        out[left] = values[0] + (x[left] - knots[0])[:, None] * slope
-    if np.any(right):
-        h = knots[-1] - knots[-2]
-        slope = (values[-1] - values[-2]) / h + h * (
-            second_derivs[-2] + 2.0 * second_derivs[-1]
-        ) / 6.0
-        out[right] = values[-1] + (x[right] - knots[-1])[:, None] * slope
-    return out
+    if n == 1:
+        lo = np.zeros(x.size, dtype=np.intp)
+        weights = np.zeros((4, x.size))
+        weights[0] = 1.0
+        return EvaluationWeights(lo, lo, weights)
+    lo = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, n - 2)
+    hi = lo + 1
+    h = knots[hi] - knots[lo]
+    a = (knots[hi] - x) / h
+    b = (x - knots[lo]) / h
+    h2_6 = h * h / 6.0
+    left, right = x < knots[0], x > knots[-1]
+    weights = np.stack((
+        a,
+        b,
+        np.where(left, -2.0 * b, np.where(right, -a, a**3 - a)) * h2_6,
+        np.where(left, -b, np.where(right, -2.0 * a, b**3 - b)) * h2_6,
+    ))
+    return EvaluationWeights(lo, hi, weights)

@@ -5,6 +5,7 @@ import pytest
 
 from letcc import cli
 from letcc.coding import DecodeFailure
+from letcc.sim import RiskBoundViolation
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +94,16 @@ class TestTrial:
         assert code == 2
         assert out == ""
         assert "decode failure" in err
+
+    def test_risk_bound_violation_exits_three(self, capsys, monkeypatch):
+        def violated(setup, seed):
+            raise RiskBoundViolation("risk decomposition violated: 2.0 > 0.5 + 0.5")
+        monkeypatch.setattr(cli, "run_trial", violated)
+        code, out, err = run_cli(capsys, *TRIAL_ARGS)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("risk bound failure: risk decomposition violated")
 
 
 def _sweep_config(tmp_path, **overrides):

@@ -10,6 +10,7 @@ from letcc.coding import (
     encoder_training_error,
     normalize_survivors,
 )
+from letcc import spline
 from letcc.points import chebyshev_grid
 
 from letcc.sim import WorkerReturns
@@ -40,7 +41,8 @@ class TestEncode:
         grid = chebyshev_grid(8, 16)
         data = Dataset(rng.uniform(-1, 1, (8, 3)))
         batch = encode(data, grid, 0.0)
-        assert encoder_training_error(batch, data) < 1e-16
+        assert np.array_equal(batch.encoder_fit.coefficients, data.inputs)
+        assert encoder_training_error(batch, data) == 0.0
 
     def test_k_mismatch_rejected(self, rng):
         grid = chebyshev_grid(8, 16)
@@ -71,6 +73,70 @@ class TestEncode:
         errors = [encoder_training_error(encode(data, grid, lam), data)
                   for lam in (0.0, 1e-6, 1e-3, 1.0, 1e3)]
         assert all(b >= a - 1e-12 for a, b in zip(errors, errors[1:]))
+
+
+class TestEncoderCache:
+    """encode applies a linear encoder kept on the grid object per lambda_e."""
+
+    @staticmethod
+    def _count_fits(monkeypatch):
+        calls = []
+        original = spline.fit
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(spline, "fit", counted)
+        return calls
+
+    def test_repeat_and_fresh_grid_encode_identically(self, rng, monkeypatch):
+        calls = self._count_fits(monkeypatch)
+        grid = chebyshev_grid(6, 20)
+        data = Dataset(rng.uniform(-1, 1, (6, 3)))
+        first = encode(data, grid, 1e-3)
+        repeat = encode(data, grid, 1e-3)
+        assert len(calls) == 1
+        fresh = encode(data, chebyshev_grid(6, 20), 1e-3)
+        assert len(calls) == 2
+        for batch in (repeat, fresh):
+            assert np.array_equal(batch.coded, first.coded)
+            for name in ("knots", "coefficients", "second_derivs"):
+                assert np.array_equal(getattr(batch.encoder_fit, name),
+                                      getattr(first.encoder_fit, name))
+
+    def test_lambda_values_do_not_collide(self, rng):
+        grid = chebyshev_grid(6, 20)
+        data = Dataset(rng.uniform(-1, 1, (6, 2)))
+        interpolating = encode(data, grid, 0.0)
+        smoothing = encode(data, grid, 1.0)
+        assert np.abs(interpolating.coded - smoothing.coded).max() > 1e-3
+        assert smoothing.encoder_fit.lam == 1.0
+        for lam, batch in ((0.0, interpolating), (1.0, smoothing)):
+            assert np.array_equal(encode(data, grid, lam).coded, batch.coded)
+            assert np.array_equal(encode(data, chebyshev_grid(6, 20), lam).coded,
+                                  batch.coded)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("lam", [0.0, 1e-2])
+    def test_small_k_matches_direct_fit(self, k, lam, rng):
+        grid = chebyshev_grid(k, 9)
+        x = rng.uniform(-1, 1, (k, 2))
+        expected = spline.fit(grid.alphas, x, lam).evaluate(grid.betas)
+        batch = encode(Dataset(x), grid, lam)
+        scale = 1.0 + np.abs(expected).max()
+        assert np.abs(batch.coded - expected).max() <= 1e-12 * scale
+        assert batch.encoder_fit.degenerate == (k < 3)
+
+    @pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf])
+    def test_invalid_lambda_raises_and_caches_nothing(self, bad, rng):
+        grid = chebyshev_grid(4, 9)
+        data = Dataset(rng.uniform(-1, 1, (4, 1)))
+        encode(data, grid, 0.0)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                encode(data, grid, bad)
+        assert list(grid._encoders) == [0.0]
 
 
 def _worker_pairs(batch: CodedBatch, f, survivors):

@@ -127,3 +127,12 @@ class TestInterpolationGrid:
     def test_too_few_betas_rejected(self):
         with pytest.raises(ValueError):
             InterpolationGrid(alphas=[0.0], betas=[-1, 1])
+
+    def test_points_are_read_only_copies(self):
+        alphas = np.array([-0.5, 0.5])
+        grid = InterpolationGrid(alphas, [-1.0, 0.0, 1.0])
+        alphas[0] = 0.0
+        assert grid.alphas[0] == -0.5
+        for points in (grid.alphas, grid.betas):
+            with pytest.raises(ValueError):
+                points[0] = 0.0

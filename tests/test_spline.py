@@ -197,7 +197,8 @@ class TestBandedAgainstOracles:
         t = 2.0 * t / t[-1] - 1.0
         assert mesh_stats(t).ratio <= 1e4 * (1 + 1e-9)
         n = t.size
-        y = np.random.default_rng(seed).normal(size=(n, 2))
+        rng = np.random.default_rng(seed)
+        y = rng.normal(size=(n, 2))
         f = fit(t, y, lam)
         g = f.coefficients
 
@@ -216,10 +217,22 @@ class TestBandedAgainstOracles:
         elif lam == 0.0:
             # kernel_fit is no oracle here: at lambda = 0 nothing regularises
             # its nearly singular Gram matrix on uneven knots.  CubicSpline
-            # extrapolates cubically and fit linearly, so compare in range.
+            # extrapolates cubically and fit linearly, so beyond the knots
+            # the oracle is its end value plus its end slope times the
+            # distance.  That slope carries a rounding error of order
+            # eps * max|y| / h at an end gap h (1.8e-9 of scale at distance
+            # 0.5 when h = 1e-4, against a 50-digit reference), so queries
+            # beyond the ends stay within two end gaps.  The queries are
+            # shuffled: evaluation must not need them sorted.
             oracle = CubicSpline(t, y, bc_type="natural")
-            q = np.union1d(np.linspace(t[0], t[-1], 301), t)
-            assert np.abs(f.evaluate(q) - oracle(q)).max() <= 1e-9 * (1.0 + np.abs(y).max())
+            q = rng.permutation(np.concatenate((
+                np.union1d(np.linspace(t[0], t[-1], 301), t),
+                t[0] - rng.uniform(0.0, 2.0, 20) * (t[1] - t[0]),
+                t[-1] + rng.uniform(0.0, 2.0, 20) * (t[-1] - t[-2]),
+            )))
+            end = np.clip(q, t[0], t[-1])
+            expected = oracle(end) + oracle(end, 1) * (q - end)[:, None]
+            assert np.abs(f.evaluate(q) - expected).max() <= 1e-9 * (1.0 + np.abs(y).max())
 
 
 class TestLargeN:

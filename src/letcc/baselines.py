@@ -22,7 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .coding import CodedBatch, Dataset, DecodeResult, normalize_survivors
+from .coding import (
+    CodedBatch,
+    Dataset,
+    DecodeResult,
+    _cached_encoder,
+    normalize_survivors,
+)
 from .points import InterpolationGrid
 
 __all__ = [
@@ -44,21 +50,69 @@ UNSTABLE_DEGREE = 25
 _NODE_HIT_TOL = 1e-14
 
 
-def _barycentric_eval(nodes, weights, values, query):
-    """Barycentric evaluation with exact node-coincidence handling."""
-    x = np.atleast_1d(np.asarray(query, dtype=float))
-    diff = x[:, None] - nodes[None, :]
-    hits = np.abs(diff) < _NODE_HIT_TOL
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = weights / diff
-        out = (ratios @ values) / ratios.sum(axis=1, keepdims=True)
-    hit_rows = hits.any(axis=1)
-    if np.any(hit_rows):
-        out[hit_rows] = values[np.argmax(hits[hit_rows], axis=1)]
-    return out
+@dataclass(frozen=True, eq=False)
+class _BarycentricMap:
+    """Barycentric evaluation at fixed queries as a linear map of node values.
+
+    Row r of the result is (ratios[r] @ values) / den[r], with ratios the
+    weights over (query - node); a query on a node (within
+    ``_NODE_HIT_TOL``) reads that node's value instead.
+    """
+
+    weights: np.ndarray
+    ratios: np.ndarray
+    den: np.ndarray
+    hit_rows: np.ndarray
+    hit_nodes: np.ndarray
+
+    @classmethod
+    def build(cls, nodes, weights, query) -> "_BarycentricMap":
+        x = np.atleast_1d(np.asarray(query, dtype=float))
+        diff = x[:, None] - nodes[None, :]
+        hits = np.abs(diff) < _NODE_HIT_TOL
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = weights / diff
+            den = ratios.sum(axis=1, keepdims=True)
+        hit_rows = hits.any(axis=1)
+        return cls(weights, ratios, den, hit_rows, np.argmax(hits[hit_rows], axis=1))
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """Values (n, m), or a stack (..., n, m), at the queries.
+
+        A stacked matmul runs each set's product on its own, so a set gets
+        the same bits in a stack as alone.
+        """
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.matmul(self.ratios, values) / self.den
+        if self.hit_nodes.size:
+            out[..., self.hit_rows, :] = values[..., self.hit_nodes, :]
+        return out
 
 
-@dataclass(frozen=True)
+def _berrut_weights(n: int) -> np.ndarray:
+    """Berrut's alternating weights (-1)^j for n sorted nodes."""
+    return (-1.0) ** np.arange(n)
+
+
+def _lagrange_weights(nodes: np.ndarray) -> np.ndarray:
+    """True barycentric weights 1 / prod_{j != i} (nodes[i] - nodes[j])."""
+    w = np.ones(nodes.size)
+    for i in range(nodes.size):
+        w[i] = 1.0 / np.prod(np.delete(nodes[i] - nodes, i)) if nodes.size > 1 else 1.0
+    return w
+
+
+def _encoder(grid: InterpolationGrid, scheme: str) -> _BarycentricMap:
+    """The grid's cached "bacc" or "lcc" encoder: interpolation at the betas."""
+    def build():
+        alphas = grid.alphas
+        weights = (_berrut_weights(alphas.size) if scheme == "bacc"
+                   else _lagrange_weights(alphas))
+        return _BarycentricMap.build(alphas, weights, grid.betas)
+    return _cached_encoder(grid, (scheme, None), build)
+
+
+@dataclass(frozen=True, eq=False)
 class BerrutInterpolant:
     """Berrut first rational form on distinct nodes with weights (-1)^j."""
 
@@ -72,20 +126,20 @@ class BerrutInterpolant:
             raise ValueError("Berrut interpolant needs at least one node")
         if values.shape[0] != nodes.size:
             raise ValueError("one value row per node required")
-        if nodes.size > 1 and not np.all(np.diff(nodes) > 0):
+        if nodes.size > 1 and not (nodes[1:] > nodes[:-1]).all():
             raise ValueError("nodes must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
 
     @property
     def weights(self) -> np.ndarray:
-        return (-1.0) ** np.arange(self.nodes.size)
+        return _berrut_weights(self.nodes.size)
 
     def evaluate(self, query) -> np.ndarray:
-        return _barycentric_eval(self.nodes, self.weights, self.values, query)
+        return _BarycentricMap.build(self.nodes, self.weights, query).apply(self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LagrangePolynomial:
     """Interpolating polynomial in barycentric second form (true weights)."""
 
@@ -97,13 +151,10 @@ class LagrangePolynomial:
     def through(cls, nodes, values) -> "LagrangePolynomial":
         nodes = np.atleast_1d(np.asarray(nodes, dtype=float))
         values = np.atleast_2d(np.asarray(values, dtype=float))
-        w = np.ones(nodes.size)
-        for i in range(nodes.size):
-            w[i] = 1.0 / np.prod(np.delete(nodes[i] - nodes, i)) if nodes.size > 1 else 1.0
-        return cls(nodes, values, w)
+        return cls(nodes, values, _lagrange_weights(nodes))
 
     def evaluate(self, query) -> np.ndarray:
-        return _barycentric_eval(self.nodes, self.weights, self.values, query)
+        return _BarycentricMap.build(self.nodes, self.weights, query).apply(self.values)
 
 
 @dataclass(frozen=True)
@@ -128,11 +179,14 @@ class LagrangeCodec:
 
 
 def bacc_encode(data: Dataset, grid: InterpolationGrid) -> CodedBatch:
-    """Berrut interpolant through (alphas, inputs), evaluated at betas."""
+    """Berrut interpolant through (alphas, inputs), evaluated at betas.
+
+    Applies the grid's cached Berrut encoder (see :mod:`letcc.coding`).
+    """
     if data.k != grid.k:
         raise ValueError(f"dataset has {data.k} rows but grid has {grid.k} alphas")
-    enc = BerrutInterpolant(grid.alphas, data.inputs)
-    return CodedBatch(coded=enc.evaluate(grid.betas), encoder_fit=enc, grid=grid)
+    return CodedBatch(coded=_encoder(grid, "bacc").apply(data.inputs),
+                      encoder_fit=BerrutInterpolant(grid.alphas, data.inputs), grid=grid)
 
 
 def bacc_decode(survivors, grid: InterpolationGrid) -> DecodeResult:
@@ -147,11 +201,17 @@ def bacc_decode(survivors, grid: InterpolationGrid) -> DecodeResult:
 
 
 def lcc_encode(data: Dataset, grid: InterpolationGrid) -> CodedBatch:
-    """Degree-(K-1) interpolating polynomial through the data, at betas."""
+    """Degree-(K-1) interpolating polynomial through the data, at betas.
+
+    Applies the grid's cached Lagrange encoder (see :mod:`letcc.coding`).
+    """
     if data.k != grid.k:
         raise ValueError(f"dataset has {data.k} rows but grid has {grid.k} alphas")
-    enc = LagrangePolynomial.through(grid.alphas, data.inputs)
-    return CodedBatch(coded=enc.evaluate(grid.betas), encoder_fit=enc, grid=grid)
+    encoder = _encoder(grid, "lcc")
+    return CodedBatch(coded=encoder.apply(data.inputs),
+                      encoder_fit=LagrangePolynomial(grid.alphas, data.inputs,
+                                                     encoder.weights),
+                      grid=grid)
 
 
 def lcc_decode(survivors, grid: InterpolationGrid, f_degree: int) -> DecodeResult:

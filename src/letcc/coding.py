@@ -13,9 +13,13 @@ weights of the alphas at the betas (:func:`letcc.spline.evaluation_weights`)
 turn those into the coded batch.  Both are computed once per grid object
 and encoder weight ``lambda_e`` and kept on the grid, in O(N + K^2)
 memory; later encodes on the same grid object cost two K x K products and
-one O(N d) weighted gather.  Reuse the grid object to benefit: an equal
-but separately built grid starts without encoders and computes the same
-ones, so its coded batches are identical.
+one O(N d) weighted gather.  The same cache holds the Berrut and Lagrange
+encoders of :mod:`letcc.baselines`, keyed by scheme, so each of the three
+schemes encodes through one fixed linear map per grid.  Reuse the grid
+object to benefit: an equal but separately built grid starts without
+encoders and computes the same ones, so its coded batches are identical.
+A cached encoder also applies to a stack (T, K, d) of T input sets at
+once, with the same arithmetic per set as on its own.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ class DecodeFailure(RuntimeError):
     """No survivor outputs to decode from."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """K input vectors of dimension d, stored as a (K, d) array.
 
@@ -71,7 +75,7 @@ class Dataset:
         return self.inputs.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodedBatch:
     """The N coded vectors dispatched to workers, plus the fitted encoder."""
 
@@ -84,7 +88,7 @@ class CodedBatch:
         return self.coded.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecodeResult:
     """Estimates of f at the K inputs, plus the fitted decoder."""
 
@@ -94,7 +98,7 @@ class DecodeResult:
     degraded: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _LinearEncoder:
     """The encoder of one grid at one ``lambda_e`` as a linear map.
 
@@ -106,16 +110,31 @@ class _LinearEncoder:
     unit: spline.SplineFit
     at_betas: spline.EvaluationWeights
 
+    def apply(self, inputs: np.ndarray):
+        """Coded values, knot values and knot second derivatives of the encoder.
 
-def _linear_encoder(grid: InterpolationGrid, lambda_e: float) -> _LinearEncoder:
-    """The grid's encoder for ``lambda_e``, built and kept on first use."""
-    key = float(lambda_e)
+        ``inputs`` is (K, d), or a stack (..., K, d) that gives stacks of
+        each; a stacked matmul runs the product of each set on its own.
+        """
+        values = np.matmul(self.unit.coefficients, inputs)
+        second_derivs = np.matmul(self.unit.second_derivs, inputs)
+        return self.at_betas.apply(values, second_derivs), values, second_derivs
+
+
+def _cached_encoder(grid: InterpolationGrid, key, build):
+    """The encoder kept on ``grid`` under ``key``, built by ``build()`` on first use."""
     encoder = grid._encoders.get(key)
     if encoder is None:
-        unit = spline.fit(grid.alphas, np.eye(grid.k), key)
-        encoder = _LinearEncoder(unit, spline.evaluation_weights(grid.alphas, grid.betas))
-        grid._encoders[key] = encoder
+        encoder = grid._encoders[key] = build()
     return encoder
+
+
+def _linear_encoder(grid: InterpolationGrid, lambda_e: float) -> _LinearEncoder:
+    """The grid's letcc encoder for ``lambda_e``, built and kept on first use."""
+    lam = float(lambda_e)
+    return _cached_encoder(grid, ("letcc", lam), lambda: _LinearEncoder(
+        spline.fit(grid.alphas, np.eye(grid.k), lam),
+        spline.evaluation_weights(grid.alphas, grid.betas)))
 
 
 def encode(data: Dataset, grid: InterpolationGrid, lambda_e: float) -> CodedBatch:
@@ -129,10 +148,8 @@ def encode(data: Dataset, grid: InterpolationGrid, lambda_e: float) -> CodedBatc
     if data.k != grid.k:
         raise ValueError(f"dataset has {data.k} rows but grid has {grid.k} alphas")
     encoder = _linear_encoder(grid, lambda_e)
-    enc = replace(encoder.unit,
-                  coefficients=encoder.unit.coefficients @ data.inputs,
-                  second_derivs=encoder.unit.second_derivs @ data.inputs)
-    coded = encoder.at_betas.apply(enc.coefficients, enc.second_derivs)
+    coded, values, second_derivs = encoder.apply(data.inputs)
+    enc = replace(encoder.unit, coefficients=values, second_derivs=second_derivs)
     return CodedBatch(coded=coded, encoder_fit=enc, grid=grid)
 
 
@@ -180,7 +197,7 @@ def normalize_survivors(survivors, n: int):
         outputs = np.vstack([np.ravel(rows[p]) for p in first])
     else:
         outputs = rows[first].reshape(first.size, -1)
-    if not np.all(np.isfinite(outputs)):
+    if not np.isfinite(outputs).all():
         raise ValueError("survivor outputs contain non-finite values")
     return unique.astype(int), outputs
 

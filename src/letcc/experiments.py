@@ -357,10 +357,9 @@ def crossval_lambda(lambda_e_grid, lambda_d_grid, config: CrossvalConfig) -> Cro
             data_rule=config.data_rule,
         )
 
-        per_trial = []
-        for seed in _trial_seeds(config.master_seed, config.trials):
-            prepared = _prepare(setup, seed)
-            per_trial.append([_score(setup, prepared, lam_d) for lam_d in d_grid])
+        per_trial = [[_score(setup, prepared, lam_d) for lam_d in d_grid]
+                     for prepared in _prepare(setup, _trial_seeds(config.master_seed,
+                                                                  config.trials))]
         for j, lam_d in enumerate(d_grid):
             agg = aggregate([scores[j] for scores in per_trial])
             table.append({"lambda_e": lam_e, "lambda_d": lam_d,

@@ -53,7 +53,7 @@ def sobolev_kernel(t, s) -> np.ndarray:
     return antideriv(a) - antideriv(-1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelFit:
     """Kernel-expansion smoothing spline: u(x) = d0 + d1*x + sum c_v r0(x, t_v)."""
 

@@ -48,7 +48,7 @@ def chebyshev_second(n: int) -> np.ndarray:
     return np.sin(np.pi * (2 * i - (n - 1)) / (2 * (n - 1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InterpolationGrid:
     """Encoder points ``alphas`` (K of them) and worker points ``betas`` (N).
 
@@ -56,15 +56,15 @@ class InterpolationGrid:
     worker grid may include the endpoints (the second-kind Chebyshev grid
     does); the spline machinery is well defined on the closed interval.
 
-    A grid also holds the linear encoders built on it, one per encoder
-    smoothing weight (see :func:`letcc.coding.encode`), and keeps read-only
-    copies of its points so that those encoders cannot go stale.
+    A grid also holds the linear encoders built on it, one per scheme and
+    encoder smoothing weight (see :mod:`letcc.coding`), and keeps read-only
+    copies of its points so that those encoders cannot go stale.  Grids
+    compare by identity, like the encoders they hold.
     """
 
     alphas: np.ndarray
     betas: np.ndarray
-    _encoders: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
+    _encoders: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         alphas = np.array(self.alphas, dtype=float, ndmin=1)

@@ -3,13 +3,26 @@
 Randomness is organized as counter-based streams: every trial derives its
 generators from ``(master_seed, trial_index, stream_tag)``, so two schemes
 given the same seeds see identical straggler sets, data draws, and noise.
+A generator a trial does not use (noise at sigma0 = 0, stragglers in
+``fixed`` mode, data when it is given or ``identity``) is never built.
+
+A trial runs in two halves.  The first, independent of the decoder
+weight lambda_d, draws the data, encodes, samples the stragglers and runs
+the workers; :func:`monte_carlo` and the cross-validation of
+:mod:`letcc.experiments` prepare all trials of a call together, in chunks
+of a bounded number of coded values, and encode each chunk in one stacked
+product through the grid's cached encoder.  The second half decodes and
+scores one trial at a time.  Every step does the same arithmetic on a
+trial's values alone as in any batch, so a trial's metrics are
+bit-identical whether it runs through :func:`run_trial` or inside any
+Monte-Carlo call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,7 +45,6 @@ __all__ = [
     "monte_carlo",
     "aggregate",
     "relacc",
-    "classification_accuracy",
     "make_worker",
     "worker_for",
     "WORKER_FUNCTIONS",
@@ -46,6 +58,10 @@ SCHEMES = ("letcc", "bacc", "lcc")
 _STREAM_STRAGGLERS = 101
 _STREAM_NOISE = 202
 _STREAM_DATA = 303
+
+# Coded values (N x input dimension per trial) prepared together at most,
+# unless one trial alone has more: bounds the memory of a batch.
+_CHUNK_VALUES = 2**16
 
 
 class RiskBoundViolation(ArithmeticError):
@@ -61,8 +77,12 @@ def trial_rng(seed, stream: int) -> np.random.Generator:
 
     ``seed`` may be an int or a sequence of ints (e.g. (master, trial)).
     """
-    entropy = [int(s) for s in np.atleast_1d(seed)]
-    return np.random.default_rng(entropy + [stream])
+    return np.random.default_rng([*_entropy(seed), stream])
+
+
+def _entropy(seed) -> tuple[int, ...]:
+    """``seed``, an int or a sequence of ints, as a tuple of ints."""
+    return tuple(int(s) for s in (seed if isinstance(seed, tuple) else np.atleast_1d(seed)))
 
 
 @dataclass(frozen=True)
@@ -97,8 +117,11 @@ class StragglerModel:
             object.__setattr__(self, "fixed_stragglers", idx)
 
 
-def sample_stragglers(model: StragglerModel, rng: np.random.Generator) -> np.ndarray:
-    """Sorted survivor indices for one trial."""
+def sample_stragglers(model: StragglerModel, rng: np.random.Generator | None) -> np.ndarray:
+    """Sorted survivor indices for one trial.
+
+    ``rng`` is not used, and may be None, in ``fixed`` mode.
+    """
     if model.mode == "fixed":
         stragglers = np.array(model.fixed_stragglers, dtype=int)
     else:
@@ -123,7 +146,14 @@ class NoiseModel:
 class WorkerFunction:
     """The computing function applied by every worker.
 
-    ``fn`` maps a (q, d) batch to (q, m) outputs and must be pure.  The
+    ``fn`` maps a (q, d) batch to (q, m) outputs, one row per worker, and
+    must be row-wise pure: row i of the output depends on row i of the
+    input alone, and equal inputs give equal outputs.  The harness calls
+    it once per trial on that trial's surviving coded rows, once on its
+    inputs and, for letcc, once on the encoder's values at the alphas, and
+    never on the rows of several trials together: a BLAS product such as
+    tanh_net's can round a row differently with the number of rows in the
+    call, which would make a trial's bits depend on its batch.  The
     optional ``lipschitz`` and ``curvature`` bounds are declared over
     ``bound_domain`` (inputs are expected to stay inside it); ``degree`` is
     the polynomial degree used by the Lagrange baseline.
@@ -214,20 +244,21 @@ def worker_for(name: str, d: int, m: int) -> WorkerFunction:
     return make_worker(name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WorkerReturns:
     """Survivor indices plus their (possibly noisy) outputs."""
 
     indices: np.ndarray
     outputs: np.ndarray
 
-    def as_pairs(self):
-        return list(zip(self.indices.tolist(), self.outputs))
-
 
 def apply_workers(func: WorkerFunction, batch: CodedBatch, noise: NoiseModel,
-                  survivors: np.ndarray, rng: np.random.Generator) -> WorkerReturns:
-    """Evaluate f on the surviving coded points and add worker noise."""
+                  survivors: np.ndarray, rng: np.random.Generator | None) -> WorkerReturns:
+    """Evaluate f on the surviving coded points and add worker noise.
+
+    ``rng`` draws the noise; it is not used, and may be None, when
+    ``noise.sigma0`` is 0.
+    """
     survivors = np.asarray(survivors, dtype=int)
     if survivors.size and (survivors.min() < 0 or survivors.max() >= batch.n):
         raise ValueError("survivor indices outside worker range")
@@ -291,49 +322,64 @@ class TrialSetup:
             raise ValueError("identity data rule requires a 1-D worker function")
 
 
-def _trial_data(setup: TrialSetup, seed) -> Dataset:
+def _trial_inputs(setup: TrialSetup, seed: tuple[int, ...]) -> np.ndarray:
+    """The (K, d) inputs of one trial."""
     if setup.data is not None:
-        return setup.data
+        return setup.data.inputs
     if setup.data_rule == "identity":
-        return Dataset(setup.grid.alphas[:, None].copy())
+        return setup.grid.alphas[:, None]
     rng = trial_rng(seed, _STREAM_DATA)
-    return Dataset(rng.uniform(-1.0, 1.0, (setup.grid.k, setup.func.in_dim)))
+    return rng.uniform(-1.0, 1.0, (setup.grid.k, setup.func.in_dim))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Prepared:
     """The lambda_d-independent half of a trial: everything up to decode."""
 
     returns: WorkerReturns
     truth: np.ndarray
     through_encoder: np.ndarray | None
+    l_enc: float | None
     seed: tuple[int, ...]
 
 
-def _prepare(setup: TrialSetup, seed) -> _Prepared:
-    """Draw data, encode, sample stragglers and run the workers for one trial."""
-    data = _trial_data(setup, seed)
-    grid = setup.grid
+def _prepare(setup: TrialSetup, seeds) -> Iterator[_Prepared]:
+    """The prepared trials of ``seeds``, in order, made a chunk at a time.
 
-    through_encoder = None
-    if setup.scheme == "letcc":
-        batch = coding.encode(data, grid, setup.lambda_e)
-        # the encoder's values at the alphas, its knots, are its coefficients
-        through_encoder = setup.func.evaluate(batch.encoder_fit.coefficients)
-    elif setup.scheme == "bacc":
-        batch = baselines.bacc_encode(data, grid)
-    else:
-        batch = baselines.lcc_encode(data, grid)
+    Each chunk stacks its trials' inputs and encodes them in one product
+    through the grid's cached encoder; the straggler draw, the workers and
+    the truth run per trial, on exactly that trial's rows.
+    """
+    grid, func = setup.grid, setup.func
+    seeds = [_entropy(seed) for seed in seeds]
+    size = max(1, _CHUNK_VALUES // (grid.n * func.in_dim))
+    for start in range(0, len(seeds), size):
+        chunk = seeds[start:start + size]
+        inputs = np.stack([_trial_inputs(setup, seed) for seed in chunk])
+        knot_values = None
+        if setup.scheme == "letcc":
+            coded, knot_values, _ = coding._linear_encoder(grid, setup.lambda_e).apply(inputs)
+        else:
+            coded = baselines._encoder(grid, setup.scheme).apply(inputs)
+        for t, seed in enumerate(chunk):
+            straggler_rng = (trial_rng(seed, _STREAM_STRAGGLERS)
+                             if setup.stragglers.mode == "uniform" else None)
+            noise_rng = trial_rng(seed, _STREAM_NOISE) if setup.noise.sigma0 > 0 else None
+            returns = apply_workers(func, CodedBatch(coded[t], None, grid), setup.noise,
+                                    sample_stragglers(setup.stragglers, straggler_rng),
+                                    noise_rng)
+            truth = func.evaluate(inputs[t])
+            through = l_enc = None
+            if knot_values is not None:
+                # the encoder's values at the alphas, its knots
+                through = func.evaluate(knot_values[t])
+                l_enc = 2.0 * _mean_sq_dist(through, truth)
+            yield _Prepared(returns, truth, through, l_enc, seed)
 
-    survivors = sample_stragglers(setup.stragglers, trial_rng(seed, _STREAM_STRAGGLERS))
-    returns = apply_workers(setup.func, batch, setup.noise, survivors,
-                            trial_rng(seed, _STREAM_NOISE))
-    return _Prepared(
-        returns=returns,
-        truth=setup.func.evaluate(data.inputs),
-        through_encoder=through_encoder,
-        seed=tuple(int(s) for s in np.atleast_1d(seed)),
-    )
+
+def _mean_sq_dist(a: np.ndarray, b: np.ndarray) -> float:
+    """(1/K) sum_k ||a_k - b_k||^2 over the rows of two (K, m) arrays."""
+    return float(np.mean(np.sum((a - b) ** 2, axis=1)))
 
 
 def _score(setup: TrialSetup, prepared: _Prepared, lambda_d: float) -> TrialMetrics:
@@ -349,14 +395,12 @@ def _score(setup: TrialSetup, prepared: _Prepared, lambda_d: float) -> TrialMetr
             raise ValueError("lcc needs a declared polynomial degree")
         result = baselines.lcc_decode(prepared.returns, grid, degree)
 
-    truth = prepared.truth
-    risk = float(np.mean(np.sum((result.estimates - truth) ** 2, axis=1)))
+    risk = _mean_sq_dist(result.estimates, prepared.truth)
 
-    l_dec = l_enc = None
+    l_dec = None
+    l_enc = prepared.l_enc
     if setup.scheme == "letcc":
-        through_encoder = prepared.through_encoder
-        l_dec = 2.0 * float(np.mean(np.sum((result.estimates - through_encoder) ** 2, axis=1)))
-        l_enc = 2.0 * float(np.mean(np.sum((through_encoder - truth) ** 2, axis=1)))
+        l_dec = 2.0 * _mean_sq_dist(result.estimates, prepared.through_encoder)
         bound = l_dec + l_enc
         if risk > bound + 1e-9 * (1.0 + bound):
             raise RiskBoundViolation(
@@ -369,7 +413,7 @@ def _score(setup: TrialSetup, prepared: _Prepared, lambda_d: float) -> TrialMetr
         l_dec=l_dec,
         l_enc=l_enc,
         rmse=sqrt(risk),
-        relacc=relacc(result.estimates, truth),
+        relacc=relacc(result.estimates, prepared.truth),
         survivor_count=result.survivor_count,
         degraded=result.degraded,
         seed=prepared.seed,
@@ -382,7 +426,8 @@ def run_trial(setup: TrialSetup, seed) -> TrialMetrics:
     ``seed`` (int or tuple of ints) fully determines the trial: identical
     seeds give bit-identical metrics.
     """
-    return _score(setup, _prepare(setup, seed), setup.lambda_d)
+    prepared, = _prepare(setup, [seed])
+    return _score(setup, prepared, setup.lambda_d)
 
 
 @dataclass(frozen=True)
@@ -402,7 +447,7 @@ class MonteCarloResult:
 
 def _trial_seeds(master_seed, trials: int) -> list[tuple[int, ...]]:
     """The seed (master_seed..., t) of each trial t < trials, in trial order."""
-    entropy = tuple(int(s) for s in np.atleast_1d(master_seed))
+    entropy = _entropy(master_seed)
     return [entropy + (t,) for t in range(trials)]
 
 
@@ -435,10 +480,12 @@ def aggregate(metrics: Sequence[TrialMetrics]) -> MonteCarloResult:
 def monte_carlo(setup: TrialSetup, trials: int, master_seed: int) -> MonteCarloResult:
     """Run ``trials`` seeded trials in order and aggregate them.
 
-    Trial t uses seed (master_seed, t).
+    Trial t uses seed (master_seed, t).  The trials are prepared together
+    (data, a stacked encode, stragglers, workers) and decoded one by one;
+    ``metrics[t]`` equals ``run_trial(setup, (master_seed, t))`` bit for bit.
     """
-    return aggregate([run_trial(setup, seed)
-                      for seed in _trial_seeds(master_seed, trials)])
+    return aggregate([_score(setup, prepared, setup.lambda_d)
+                      for prepared in _prepare(setup, _trial_seeds(master_seed, trials))])
 
 
 def relacc(estimates: np.ndarray, truth: np.ndarray) -> float | None:
@@ -453,12 +500,3 @@ def relacc(estimates: np.ndarray, truth: np.ndarray) -> float | None:
     if estimates.shape[1] < 2:
         return None
     return float(np.mean(estimates.argmax(axis=1) == truth.argmax(axis=1)))
-
-
-def classification_accuracy(outputs: np.ndarray, labels: Sequence[int]) -> float:
-    """Argmax accuracy against integer labels (for directional reporting)."""
-    outputs = np.atleast_2d(np.asarray(outputs, dtype=float))
-    labels = np.asarray(labels, dtype=int)
-    if labels.shape[0] != outputs.shape[0]:
-        raise ValueError("one label per output row required")
-    return float(np.mean(outputs.argmax(axis=1) == labels))

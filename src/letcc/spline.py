@@ -24,8 +24,8 @@ satisfies
 which is algebraically the dense normal equations ``(I + n*lam*Phi) g = y``
 of the cardinal basis, with Phi = Q R^{-1} Q^T.  Only band diagonals are
 stored: the two equations, with g and gam interleaved, form one band
-system of bandwidth three, solved by banded LU in O(n) time and memory
-per output dimension (:meth:`NaturalSplineBasis.smooth`); ``lam = 0``
+system of bandwidth three, solved by LAPACK's banded LU in O(n) time and
+memory per output dimension (:meth:`NaturalSplineBasis.smooth`); ``lam = 0``
 keeps g = y and solves the tridiagonal R for gam.  No n x n array is
 formed.  Affine data gives Q^T y = 0, hence gam = 0 and exact
 reproduction for every lam.  Vector-valued data reuses one factorization
@@ -46,10 +46,12 @@ keeps the weights and repeats only the second step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded, solveh_banded
+from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dgbsv
 
 __all__ = [
     "DegenerateBasisError",
@@ -90,10 +92,10 @@ class NaturalSplineBasis:
             raise DegenerateBasisError(
                 f"natural cubic basis needs >= 3 knots, got {knots.size}"
             )
-        if not np.all(np.isfinite(knots)):
+        if not np.isfinite(knots).all():
             raise ValueError("knots contain non-finite values")
-        h = np.diff(knots)
-        if not np.all(h > 0):
+        h = knots[1:] - knots[:-1]
+        if not (h > 0).all():
             raise ValueError("knots must be strictly increasing")
 
         self.knots = knots
@@ -137,34 +139,41 @@ class NaturalSplineBasis:
         Solves the equations of the fit,  g + lamn * Q gam = y  and
         Q^T g - R gam = 0,  as one band system in the interleaved unknowns
         (g_0, g_1, gam_1, g_2, ..., gam_{n-2}, g_{n-1}) by banded LU with
-        partial pivoting; the bandwidth is 3 on both sides.  Eliminating g
-        instead leaves the Reinsch system (R + lamn Q^T Q) gam = Q^T y,
-        which squares the conditioning: on meshes whose gaps alternate
-        between 1 and 1e4 its Cholesky solution misses the exact fit by up
-        to 8e-5 for unit-scale data, where this solve stays below 1e-10.
+        partial pivoting (LAPACK ``dgbsv``); the bandwidth is 3 on both
+        sides.  Eliminating g instead leaves the Reinsch system
+        (R + lamn Q^T Q) gam = Q^T y, which squares the conditioning: on
+        meshes whose gaps alternate between 1 and 1e4 its Cholesky solution
+        misses the exact fit by up to 8e-5 for unit-scale data, where this
+        solve stays below 1e-10.
         """
         n = self.basis_dim
         qa, qb, qc = self._qa, self._qb, self._qc
+        # |qb| = 1/h[:-1] + 1/h[1:] is the largest entry of Q, so this bounds
+        # every lamn-scaled entry of the band (in Python floats, which
+        # overflow to inf without a warning)
+        q_max = float(-qb.min())
+        if not math.isfinite(lamn * q_max):
+            raise ValueError(f"lam too large for these knots: n*lam = {lamn} times "
+                             f"the largest 1/h weight {q_max} overflows")
         r = self._r_band()
-        # Entry (row, col) of the system sits at band[3 + row - col, col];
-        # g_i is unknown max(2i - 1, 0) and gam_j (interior knot j + 1) is
-        # unknown 2j + 2.
-        band = np.zeros((7, 2 * n - 2))
-        band[3, 0] = band[3, 1::2] = 1.0                  # g_i in its own row
-        band[1, 2], band[0, 4::2] = lamn * qa[0], lamn * qa[1:]  # lamn Q, g rows
-        band[2, 2::2] = lamn * qb
-        band[4, 2::2] = lamn * qc
-        band[5, 0], band[6, 1:-4:2] = qa[0], qa[1:]       # Q^T, gam rows
-        band[4, 1:-2:2] = qb
-        band[2, 3::2] = qc
-        band[3, 2::2] = -r[2]                             # -R, gam rows
-        band[1, 4::2] = band[5, 2:-3:2] = -r[1, 1:]
-        rhs = np.zeros((2 * n - 2,) + y.shape[1:])
+        # Entry (row, col) of the system sits at band[6 + row - col, col]; the
+        # top three rows hold the fill-in of the pivoting LU.  g_i is unknown
+        # max(2i - 1, 0) and gam_j (interior knot j + 1) is unknown 2j + 2.
+        band = np.zeros((10, 2 * n - 2))
+        band[6, 0] = band[6, 1::2] = 1.0                  # g_i in its own row
+        band[4, 2], band[3, 4::2] = lamn * qa[0], lamn * qa[1:]  # lamn Q, g rows
+        band[5, 2::2] = lamn * qb
+        band[7, 2::2] = lamn * qc
+        band[8, 0], band[9, 1:-4:2] = qa[0], qa[1:]       # Q^T, gam rows
+        band[7, 1:-2:2] = qb
+        band[5, 3::2] = qc
+        band[6, 2::2] = -r[2]                             # -R, gam rows
+        band[4, 4::2] = band[8, 2:-3:2] = -r[1, 1:]
+        rhs = np.zeros((2 * n - 2,) + y.shape[1:], order="F")
         rhs[0], rhs[1::2] = y[0], y[1:]
-        try:
-            sol = solve_banded((3, 3), band, rhs, overwrite_ab=True, overwrite_b=True)
-        except np.linalg.LinAlgError as exc:  # distinct knots make this unreachable
-            raise NumericalFitError("smoothing system is singular") from exc
+        _, _, sol, info = dgbsv(3, 3, band, rhs, overwrite_ab=True, overwrite_b=True)
+        if info:  # > 0 singular, which distinct knots rule out; < 0 a bad argument
+            raise NumericalFitError(f"smoothing system not solved: dgbsv info {info}")
         return np.concatenate((sol[:1], sol[1::2])), sol[2:-1:2]
 
     def roughness(self, gam: np.ndarray) -> float:
@@ -199,7 +208,7 @@ class NaturalSplineBasis:
         return evaluation_weights(self.knots, x).apply(ident, gam)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplineFit:
     """A fitted vector-valued smoothing spline.
 
@@ -229,7 +238,7 @@ class SplineFit:
     def evaluate(self, query) -> np.ndarray:
         """Values at ``query``; shape (q, m), or (q,) if fitted on 1-D data."""
         x = np.atleast_1d(np.asarray(query, dtype=float))
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("query contains non-finite values")
         out = evaluation_weights(self.knots, x).apply(self.coefficients,
                                                       self.second_derivs)
@@ -265,14 +274,14 @@ def fit(t, y, lam: float) -> SplineFit:
         raise ValueError("t must be one-dimensional")
     if y.shape[0] != t.size:
         raise ValueError(f"y has {y.shape[0]} rows for {t.size} knots")
-    if not np.all(np.isfinite(t)) or not np.all(np.isfinite(y)):
+    if not np.isfinite(t).all() or not np.isfinite(y).all():
         raise ValueError("non-finite values in fit inputs")
     if not (np.isfinite(lam) and lam >= 0):
         raise ValueError(f"lam must be a finite nonnegative real, got {lam}")
     n = t.size
     if n == 0:
         raise ValueError("cannot fit on zero points")
-    if n > 1 and not np.all(np.diff(t) > 0):
+    if n > 1 and not (t[1:] > t[:-1]).all():
         raise ValueError("t must be strictly increasing")
 
     if n < 3:
@@ -282,8 +291,10 @@ def fit(t, y, lam: float) -> SplineFit:
         return SplineFit(t, y.copy(), gam, float(lam), degenerate=True,
                          basis=None, _scalar=scalar)
 
-    basis = NaturalSplineBasis(t)
     lamn = n * float(lam)
+    if not math.isfinite(lamn):
+        raise ValueError(f"lam = {lam} overflows: n*lam is not finite for n = {n} knots")
+    basis = NaturalSplineBasis(t)
     if lamn == 0.0:
         g = y.copy()
         gam_int = basis.interior_second_derivs(g)
@@ -295,7 +306,7 @@ def fit(t, y, lam: float) -> SplineFit:
                      basis=basis, _scalar=scalar)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvaluationWeights:
     """Where each query row of a spline evaluation reads, and with what weight.
 
@@ -313,8 +324,13 @@ class EvaluationWeights:
     weights: np.ndarray
 
     def apply(self, values: np.ndarray, second_derivs: np.ndarray) -> np.ndarray:
-        """The (q, m) values at the queries of the spline with these knot rows."""
-        out = values[self.lo]
+        """The (q, m) values at the queries of the spline with these knot rows.
+
+        ``values`` and ``second_derivs`` are (n, m), or stacks (..., n, m) of
+        splines on the same knots, which give (..., q, m); each spline of a
+        stack gets the same arithmetic as on its own.
+        """
+        out = np.take(values, self.lo, axis=-2)
         out *= self.weights[0, :, None]
         term = np.empty_like(out)
         for w, rows, idx in ((self.weights[1], values, self.hi),
@@ -322,7 +338,7 @@ class EvaluationWeights:
                              (self.weights[3], second_derivs, self.hi)):
             # indices are in range by construction; "clip" lets take write
             # into ``term`` without the buffering its "raise" mode needs
-            np.take(rows, idx, axis=0, out=term, mode="clip")
+            np.take(rows, idx, axis=-2, out=term, mode="clip")
             term *= w[:, None]
             out += term
         return out
@@ -347,17 +363,22 @@ def evaluation_weights(knots: np.ndarray, x: np.ndarray) -> EvaluationWeights:
         weights = np.zeros((4, x.size))
         weights[0] = 1.0
         return EvaluationWeights(lo, lo, weights)
-    lo = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, n - 2)
+    # the number of interior knots at or left of x is the interval index,
+    # 0 left of the first knot and n - 2 from the last knot on
+    lo = np.searchsorted(knots[1:-1], x, side="right")
     hi = lo + 1
-    h = knots[hi] - knots[lo]
-    a = (knots[hi] - x) / h
-    b = (x - knots[lo]) / h
+    k_lo, k_hi = knots[lo], knots[hi]
+    h = k_hi - k_lo
+    weights = np.empty((4, x.size))
+    a, b = weights[0], weights[1]
+    np.subtract(k_hi, x, out=a)
+    a /= h
+    np.subtract(x, k_lo, out=b)
+    b /= h
     h2_6 = h * h / 6.0
     left, right = x < knots[0], x > knots[-1]
-    weights = np.stack((
-        a,
-        b,
-        np.where(left, -2.0 * b, np.where(right, -a, a**3 - a)) * h2_6,
-        np.where(left, -b, np.where(right, -2.0 * a, b**3 - b)) * h2_6,
-    ))
+    np.multiply(np.where(left, -2.0 * b, np.where(right, -a, a**3 - a)), h2_6,
+                out=weights[2])
+    np.multiply(np.where(left, -b, np.where(right, -2.0 * a, b**3 - b)), h2_6,
+                out=weights[3])
     return EvaluationWeights(lo, hi, weights)

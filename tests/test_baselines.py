@@ -17,6 +17,24 @@ from letcc.coding import Dataset, DecodeFailure
 from letcc.points import chebyshev_grid, chebyshev_second
 
 
+def _reference_barycentric(nodes, weights, values, query):
+    """Per-call barycentric evaluation, as the encoders ran before caching."""
+    diff = query[:, None] - nodes[None, :]
+    hits = np.abs(diff) < 1e-14
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = weights / diff
+        out = (ratios @ values) / ratios.sum(axis=1, keepdims=True)
+    hit_rows = hits.any(axis=1)
+    if np.any(hit_rows):
+        out[hit_rows] = values[np.argmax(hits[hit_rows], axis=1)]
+    return out
+
+
+def _reference_lagrange_weights(nodes):
+    return np.array([1.0 / np.prod(np.delete(nodes[i] - nodes, i)) if nodes.size > 1
+                     else 1.0 for i in range(nodes.size)])
+
+
 class TestBerrut:
     def test_node_queries_return_node_values(self, rng):
         nodes = chebyshev_second(9)
@@ -80,6 +98,26 @@ class TestBacc:
         grid = chebyshev_grid(5, 12)
         batch = bacc_encode(Dataset(rng.uniform(-1, 1, (5, 3))), grid)
         assert batch.coded.shape == (12, 3)
+
+
+class TestCachedEncoders:
+    # (3, 7) and (5, 9) put an alpha exactly on a beta (both hold 0.0)
+    @pytest.mark.parametrize("k, n", [(1, 5), (3, 7), (5, 9), (8, 64)])
+    @pytest.mark.parametrize("scheme", ["bacc", "lcc"])
+    def test_same_bytes_as_per_call_interpolant(self, scheme, k, n, rng):
+        grid = chebyshev_grid(k, n)
+        weights = ((-1.0) ** np.arange(k) if scheme == "bacc"
+                   else _reference_lagrange_weights(grid.alphas))
+        encode = bacc_encode if scheme == "bacc" else lcc_encode
+        stack = rng.uniform(-1, 1, (4, k, 2))
+        for _ in range(2):  # the second pass reads the cache
+            for x in stack:
+                expected = _reference_barycentric(grid.alphas, weights, x, grid.betas)
+                assert np.array_equal(encode(Dataset(x), grid).coded, expected)
+        assert list(grid._encoders) == [(scheme, None)]
+        stacked = grid._encoders[(scheme, None)].apply(stack)
+        for x, out in zip(stack, stacked):
+            assert np.array_equal(out, encode(Dataset(x), grid).coded)
 
 
 class TestLagrangeEncode:

@@ -10,7 +10,7 @@ from letcc.coding import (
     encoder_training_error,
     normalize_survivors,
 )
-from letcc import spline
+from letcc import baselines, kernel, spline
 from letcc.points import chebyshev_grid
 
 from letcc.sim import WorkerReturns
@@ -29,6 +29,29 @@ class TestDataset:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             Dataset(np.array([[np.inf]]))
+
+
+# every frozen dataclass that holds arrays
+_ARRAY_HOLDERS = {
+    "Dataset": lambda: Dataset(np.ones((3, 1))),
+    "CodedBatch": lambda: encode(Dataset(np.ones((3, 1))), chebyshev_grid(3, 7), 0.0),
+    "DecodeResult": lambda: decode([(0, 1.0), (3, 2.0), (6, 0.0)], chebyshev_grid(3, 7), 0.0),
+    "SplineFit": lambda: spline.fit([-1.0, 0.0, 1.0], [1.0, 2.0, 0.0], 0.0),
+    "EvaluationWeights": lambda: spline.evaluation_weights(np.array([-1.0, 1.0]),
+                                                           np.zeros(2)),
+    "WorkerReturns": lambda: WorkerReturns(np.arange(2), np.ones((2, 1))),
+    "BerrutInterpolant": lambda: baselines.BerrutInterpolant([0.0, 1.0], [[1.0], [2.0]]),
+    "LagrangePolynomial": lambda: baselines.LagrangePolynomial.through([0.0, 1.0],
+                                                                      [1.0, 2.0]),
+    "KernelFit": lambda: kernel.kernel_fit([-1.0, 0.0, 1.0], [1.0, 2.0, 0.0], 1e-3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_HOLDERS))
+def test_array_holders_compare_by_identity(name):
+    a, b = _ARRAY_HOLDERS[name](), _ARRAY_HOLDERS[name]()
+    assert (a == b) is False and (a == a) is True and (a != b) is True
+    assert len({a, b}) == 2
 
 
 class TestEncode:
@@ -136,7 +159,18 @@ class TestEncoderCache:
         for _ in range(2):
             with pytest.raises(ValueError):
                 encode(data, grid, bad)
-        assert list(grid._encoders) == [0.0]
+        assert list(grid._encoders) == [("letcc", 0.0)]
+
+    def test_one_cache_holds_every_scheme(self, rng):
+        grid = chebyshev_grid(4, 9)
+        data = Dataset(rng.uniform(-1, 1, (4, 1)))
+        for _ in range(2):
+            encode(data, grid, 0.0)
+            encode(data, grid, 1e-2)
+            baselines.bacc_encode(data, grid)
+            baselines.lcc_encode(data, grid)
+        assert list(grid._encoders) == [("letcc", 0.0), ("letcc", 1e-2),
+                                        ("bacc", None), ("lcc", None)]
 
 
 def _worker_pairs(batch: CodedBatch, f, survivors):

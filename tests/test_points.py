@@ -128,6 +128,11 @@ class TestInterpolationGrid:
         with pytest.raises(ValueError):
             InterpolationGrid(alphas=[0.0], betas=[-1, 1])
 
+    def test_equality_is_identity(self):
+        a, b = chebyshev_grid(3, 7), chebyshev_grid(3, 7)
+        assert (a == b) is False and (a == a) is True
+        assert len({a, b}) == 2
+
     def test_points_are_read_only_copies(self):
         alphas = np.array([-0.5, 0.5])
         grid = InterpolationGrid(alphas, [-1.0, 0.0, 1.0])

@@ -1,6 +1,10 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from letcc import sim
 from letcc.coding import CodedBatch, Dataset
 from letcc.points import chebyshev_grid
 from letcc.sim import (
@@ -10,7 +14,6 @@ from letcc.sim import (
     WorkerFunction,
     WorkerReturns,
     apply_workers,
-    classification_accuracy,
     make_worker,
     monte_carlo,
     relacc,
@@ -100,10 +103,6 @@ class TestNoiseAndWorkers:
         returns = apply_workers(func, zeros, NoiseModel(0.0), np.arange(5),
                                 trial_rng(0, 2))
         assert np.array_equal(returns.outputs, np.zeros((5, 1)))
-
-    def test_worker_pairs_roundtrip(self):
-        ret = WorkerReturns(indices=np.array([1, 4]), outputs=np.array([[2.0], [3.0]]))
-        assert ret.as_pairs() == [(1, pytest.approx([2.0])), (4, pytest.approx([3.0]))]
 
     def test_builtin_functions_have_expected_shapes(self):
         x = np.linspace(-1, 1, 7)[:, None]
@@ -206,6 +205,56 @@ class TestMonteCarlo:
         assert a.mean_mse == b.mean_mse
         assert a.metrics == b.metrics
 
+    @pytest.mark.parametrize("chunk_values", [None, 3 * 23])
+    @pytest.mark.parametrize("mode", ["uniform", "fixed"])
+    @pytest.mark.parametrize("sigma0", [0.0, 0.1])
+    @pytest.mark.parametrize("worker", sorted(sim.WORKER_FUNCTIONS))
+    @pytest.mark.parametrize("scheme", sim.SCHEMES)
+    def test_each_trial_equals_run_trial_bit_for_bit(self, scheme, worker, sigma0, mode,
+                                                     chunk_values, monkeypatch):
+        # K = 5 and 19 survivors: row counts off every power-of-two block
+        if chunk_values is not None:  # three trials per prepared chunk
+            monkeypatch.setattr(sim, "_CHUNK_VALUES", chunk_values)
+        func = make_worker(worker)
+        kw = {"mode": "fixed", "fixed_stragglers": (0, 7, 8, 22)} if mode == "fixed" else {}
+        setup = _setup(scheme=scheme, k=5, n=23, s=4, sigma0=sigma0, lambda_d=1e-6,
+                       lambda_e=1e-3, func=func, **kw)
+        if func.degree is None:
+            setup = replace(setup, f_degree=2)
+        agg = monte_carlo(setup, 10, 31)
+        for t, metrics in enumerate(agg.metrics):
+            assert metrics == run_trial(setup, (31, t))
+
+    def test_unused_generators_are_not_built(self, monkeypatch):
+        calls = []
+        original = sim.trial_rng
+
+        def counted(seed, stream):
+            calls.append(stream)
+            return original(seed, stream)
+
+        monkeypatch.setattr(sim, "trial_rng", counted)
+        quiet = _setup(s=2, mode="fixed", fixed_stragglers=(3, 17), data_rule="identity")
+        monte_carlo(quiet, 5, 0)
+        assert calls == []
+        monte_carlo(_setup(sigma0=0.1), 5, 0)
+        assert sorted(calls) == sorted([sim._STREAM_DATA, sim._STREAM_STRAGGLERS,
+                                        sim._STREAM_NOISE] * 5)
+
+    def test_memory_at_65536_workers_does_not_grow_with_trials(self):
+        # 8-dimensional inputs: 32 trials' coded values alone take 128 MB
+        setup = _setup(k=8, n=65536, s=64, sigma0=0.1, lambda_d=65536.0 ** -4,
+                       func=make_worker("tanh_net", d=8, m=1))
+        peaks = []
+        for trials in (1, 32):
+            tracemalloc.start()
+            try:
+                monte_carlo(setup, trials, 5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0]
+
     def test_risk_trend_improves_with_fewer_stragglers(self):
         means = []
         for s in (32, 24, 16, 8, 0):
@@ -227,7 +276,3 @@ class TestRelacc:
 
     def test_scalar_outputs_not_applicable(self):
         assert relacc(np.zeros((4, 1)), np.zeros((4, 1))) is None
-
-    def test_classification_accuracy(self):
-        out = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
-        assert classification_accuracy(out, [0, 1, 1]) == pytest.approx(2 / 3)

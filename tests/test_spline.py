@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
+from letcc import spline
 from letcc.kernel import kernel_fit
 from letcc.points import chebyshev_second, mesh_stats
 from letcc.spline import (
     DegenerateBasisError,
     NaturalSplineBasis,
+    NumericalFitError,
+    evaluation_weights,
     fit,
 )
 
@@ -286,3 +290,58 @@ class TestFitValidation:
         f = fit([-1, 0, 1], [0.0, 1.0, 2.0], 0.0)
         with pytest.raises(ValueError):
             f.evaluate([np.inf])
+
+    def test_n_lambda_overflow_names_lambda(self, recwarn):
+        t = chebyshev_second(64)
+        with pytest.raises(ValueError, match="lam"):
+            fit(t, np.sin(t), 1e307)  # 64 * 1e307 = inf
+        # n*lam finite, but n*lam times the largest 1/h of the band is not
+        with pytest.raises(ValueError, match="lam"):
+            fit(t, np.sin(t), 1e306)
+        assert not recwarn.list
+        # degenerate fits never build the band and accept any finite lam
+        assert fit([0.0, 1.0], [1.0, 2.0], 1e308).degenerate
+
+
+class TestDirectLapackSolve:
+    def test_same_bytes_as_solve_banded(self, rng, monkeypatch):
+        # smooth hands dgbsv the seven band rows of the system plus three
+        # fill-in rows: exactly what scipy's solve_banded builds for it
+        seen = []
+        original = spline.dgbsv
+
+        def capture(kl, ku, ab, b, **kwargs):
+            seen.append((ab[3:].copy(), b.copy()))
+            return original(kl, ku, ab, b, **kwargs)
+
+        monkeypatch.setattr(spline, "dgbsv", capture)
+        t = np.sort(rng.uniform(-1, 1, 40))
+        for y in (rng.normal(size=40), rng.normal(size=(40, 3))):
+            for lam in (1e-8, 1e-2, 1e4):
+                f = fit(t, y, lam)
+                band, rhs = seen.pop()
+                sol = solve_banded((3, 3), band, rhs)
+                g = np.concatenate((sol[:1], sol[1::2])).reshape(f.coefficients.shape)
+                assert np.array_equal(f.coefficients, g)
+                assert np.array_equal(f.second_derivs[1:-1],
+                                      sol[2:-1:2].reshape(f.second_derivs[1:-1].shape))
+
+    @pytest.mark.parametrize("info", [3, -4])
+    def test_lapack_failure_raises(self, info, monkeypatch):
+        monkeypatch.setattr(spline, "dgbsv",
+                            lambda kl, ku, ab, b, **kw: (ab, None, b, info))
+        with pytest.raises(NumericalFitError, match="dgbsv"):
+            fit([-1.0, 0.0, 0.5, 1.0], [0.0, 1.0, 0.0, 1.0], 1e-3)
+
+
+class TestStackedEvaluation:
+    def test_stack_matches_each_spline_alone(self, rng):
+        knots = np.sort(rng.uniform(-1, 1, 9))
+        x = np.concatenate((rng.uniform(-1.5, 1.5, 30), knots[[0, 4, 8]]))
+        weights = evaluation_weights(knots, x)
+        values = rng.normal(size=(5, 9, 2))
+        second = rng.normal(size=(5, 9, 2))
+        stacked = weights.apply(values, second)
+        assert stacked.shape == (5, x.size, 2)
+        for v, s2, out in zip(values, second, stacked):
+            assert np.array_equal(out, weights.apply(v, s2))

@@ -11,16 +11,17 @@ data.  For a polynomial computing function of degree deg(f) the worker
 outputs lie on a polynomial of degree D = (K-1)*deg(f), so any D+1
 survivors recover it exactly; this needs N >= (K-1)*deg(f) + S + 1 workers
 to tolerate S stragglers.  Below that, we fit the highest degree the
-survivors support, as a flagged approximation.
+survivors support, as a flagged approximation.  The decoder fits in the
+Chebyshev basis, which stays well conditioned on the Chebyshev worker
+points at the degrees LCC needs; a monomial-basis fit does not (at K=16
+and cubic f, degree 45, its mean squared error is near 1e-3).
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from .coding import (
     CodedBatch,
@@ -40,12 +41,6 @@ __all__ = [
     "lcc_encode",
     "lcc_decode",
 ]
-
-logger = logging.getLogger(__name__)
-
-# Real-arithmetic Lagrange decoding is known to destabilize once the target
-# polynomial degree reaches roughly this size.
-UNSTABLE_DEGREE = 25
 
 _NODE_HIT_TOL = 1e-14
 
@@ -214,11 +209,18 @@ def lcc_encode(data: Dataset, grid: InterpolationGrid) -> CodedBatch:
                       grid=grid)
 
 
+def _chebyshev_vandermonde(x: np.ndarray, deg: int) -> np.ndarray:
+    """T_0 .. T_deg at the points ``x`` in [-1, 1], as cos(j arccos x)."""
+    return np.cos(np.arccos(np.clip(x, -1.0, 1.0))[:, None] * np.arange(deg + 1))
+
+
 def lcc_decode(survivors, grid: InterpolationGrid, f_degree: int) -> DecodeResult:
     """Polynomial decode: exact once survivors reach (K-1)*deg(f)+1.
 
-    Below the threshold, least-squares fits the highest degree the survivor
-    count supports and flags the result as degraded.
+    Least squares in the Chebyshev basis; ``decoder_fit`` holds the
+    Chebyshev coefficients, one column per output.  Below the threshold it
+    fits the highest degree the survivor count supports and flags the
+    result as degraded.
     """
     if f_degree < 0:
         raise ValueError("f_degree must be nonnegative")
@@ -226,20 +228,10 @@ def lcc_decode(survivors, grid: InterpolationGrid, f_degree: int) -> DecodeResul
     codec = LagrangeCodec(grid.k, f_degree)
     count = indices.size
     deg = min(codec.target_degree, count - 1)
-    if codec.target_degree >= UNSTABLE_DEGREE:
-        logger.warning(
-            "lagrange decode targets degree %d (>= %d): real-arithmetic "
-            "interpolation at this degree is numerically unstable",
-            codec.target_degree, UNSTABLE_DEGREE,
-        )
-    coef = npoly.polyfit(grid.betas[indices], outputs, deg)
-    estimates = npoly.polyval(grid.alphas, coef)
-    if estimates.ndim == 1:
-        estimates = estimates[:, None]
-    else:
-        estimates = estimates.T
+    coef, *_ = np.linalg.lstsq(_chebyshev_vandermonde(grid.betas[indices], deg),
+                               outputs, rcond=None)
     return DecodeResult(
-        estimates=np.ascontiguousarray(estimates),
+        estimates=_chebyshev_vandermonde(grid.alphas, deg) @ coef,
         decoder_fit=coef,
         survivor_count=count,
         degraded=count < codec.min_survivors,

@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 
@@ -83,23 +83,35 @@ def _read_config(path) -> dict:
     return raw
 
 
-def _check_config(raw: dict, allowed: dict) -> dict:
-    """Strict config check: unknown keys are rejected, values converted."""
+def _check_config(raw: dict, allowed) -> dict:
+    """Strict config check: unknown keys are rejected, values converted.
+
+    A null value counts as not given, as an unset flag does.
+    """
     unknown = set(raw) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}; "
                           f"allowed: {sorted(allowed)}")
     out = {}
     for key, value in raw.items():
+        if value is None:
+            continue
         try:
-            out[key] = allowed[key](value)
+            out[key] = _CONVERTERS[key](value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from exc
     return out
 
 
+def _int(value) -> int:
+    """int() that refuses booleans and non-integral numbers."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _int_list(v):
-    return tuple(int(x) for x in v)
+    return tuple(_int(x) for x in v)
 
 
 def _float_list(v):
@@ -110,62 +122,29 @@ def _str_list(v):
     return tuple(str(x) for x in v)
 
 
-def _opt_float(v):
-    return None if v is None else float(v)
-
-
-def _opt_int(v):
-    return None if v is None else int(v)
-
-
-_TRIAL_KEYS = {
-    "scheme": str, "f": str, "k": int, "n": int, "s": int,
-    "sigma0": float, "lambda_e": float, "lambda_d": float,
-    "f_degree": _opt_int, "data": str, "d": int, "m": int, "seed": int,
+# Every config key of every command, with its converter.
+_CONVERTERS = {
+    "kind": str, "scheme": str, "schemes": _str_list, "f": str, "data": str,
+    "lambda_d_rule": str, "k": _int, "n": _int, "s": _int, "d": _int, "m": _int,
+    "f_degree": _int, "trials": _int, "seed": _int, "n_values": _int_list,
+    "s_values": _int_list, "sigma0": float, "s_ratio": float, "lambda_e": float,
+    "lambda_d": float, "lambda_d_scale": float, "lambda_e_grid": _float_list,
+    "lambda_d_grid": _float_list,
 }
 
-_SCHEME_SWEEP_KEYS = {
-    "kind": str, "schemes": _str_list, "f": str, "k": int, "sigma0": float,
-    "lambda_e": float, "lambda_d_rule": str, "lambda_d_scale": float,
-    "f_degree": _opt_int, "trials": int, "seed": int, "data": str, "d": int,
-    "m": int,
-}
-_NSWEEP_KEYS = {**_SCHEME_SWEEP_KEYS, "n_values": _int_list, "s": _opt_int,
-                "s_ratio": _opt_float}
-_STRAGGLER_KEYS = {**_SCHEME_SWEEP_KEYS, "n": int, "s_values": _int_list}
-
-_CROSSVAL_KEYS = {
-    "kind": str, "f": str, "k": int, "n": int, "s": int, "sigma0": float,
-    "trials": int, "seed": int, "data": str, "d": int, "m": int,
-    "lambda_e_grid": _float_list, "lambda_d_grid": _float_list,
-}
-
-
-def _merge_flags(config: dict, args, names) -> dict:
-    """Command-line flags override config-file values."""
-    merged = dict(config)
-    for name in names:
-        value = getattr(args, name, None)
-        if value is not None:
-            merged[name] = value
-    return merged
+# Config dataclass fields whose config key is named otherwise.
+_CONFIG_KEYS = {"func": "f", "master_seed": "seed", "data_rule": "data",
+                "func_d": "d", "func_m": "m"}
 
 
 def cmd_trial(args) -> int:
-    cfg = {}
-    if args.config:
-        cfg = _check_config(_read_config(args.config), _TRIAL_KEYS)
-    cfg = _merge_flags(cfg, args, ["scheme", "f", "k", "n", "s", "sigma0",
-                                   "lambda_e", "lambda_d", "f_degree", "data",
-                                   "d", "m", "seed"])
+    # the trial's config keys are its flags; a given flag overrides the file
+    flags = {key: value for key, value in vars(args).items() if key in _CONVERTERS}
+    cfg = _check_config(_read_config(args.config), flags) if args.config else {}
+    cfg.update((key, value) for key, value in flags.items() if value is not None)
     for required in ("scheme", "f", "k", "n", "s"):
-        if cfg.get(required) is None:
-            raise ConfigError(f"missing required option --{required.replace('_', '-')}")
-    if cfg["scheme"] not in SCHEMES:
-        raise ConfigError(f"unknown scheme {cfg['scheme']!r}; choices: {SCHEMES}")
-    if cfg["f"] not in WORKER_FUNCTIONS:
-        raise ConfigError(f"unknown worker function {cfg['f']!r}; "
-                          f"choices: {sorted(WORKER_FUNCTIONS)}")
+        if required not in cfg:
+            raise ConfigError(f"missing required option --{required}")
 
     setup = TrialSetup(
         scheme=cfg["scheme"],
@@ -224,73 +203,46 @@ def cmd_crossval(args) -> int:
 
 
 def _run_kind(kind: str, raw: dict, args) -> int:
+    """Build the kind's config dataclass from ``raw`` and run it.
+
+    The allowed keys, the defaults and the required keys (fields without a
+    default) all come from the dataclass fields; ``extra`` lists the keys
+    that configure the run but are no field.
+    """
     if kind not in _SWEEP_KINDS:
         raise ConfigError(f"unknown sweep kind {kind!r}; "
                           f"choices: {list(_SWEEP_KINDS)}")
-    keys, run = _SWEEP_KINDS[kind]
-    cfg = _check_config(raw, keys)
+    config_class, extra, run = _SWEEP_KINDS[kind]
+    by_key = {_CONFIG_KEYS.get(f.name, f.name): f for f in fields(config_class)}
+    cfg = _check_config(raw, {"kind", *by_key, *extra})
     if args.seed is not None:
         cfg["seed"] = args.seed
-    return run(cfg, args)
+    for key, field in by_key.items():
+        if key not in cfg and field.default is MISSING:
+            raise ConfigError(f"config key {key!r} is required")
+    _formats(args)  # reject a bad --format before running anything
+    config = config_class(**{field.name: cfg[key] for key, field in by_key.items()
+                             if key in cfg})
+    return run(config, args, **{key: cfg.get(key, default)
+                                for key, default in extra.items()})
 
 
-def _common_kwargs(cfg):
-    return dict(
-        func=cfg["f"],
-        k=cfg["k"],
-        sigma0=cfg.get("sigma0", 0.0),
-        lambda_e=cfg.get("lambda_e", 0.0),
-        lambda_d_rule=cfg.get("lambda_d_rule", "n**-4"),
-        lambda_d_scale=cfg.get("lambda_d_scale", 1.0),
-        f_degree=cfg.get("f_degree"),
-        trials=cfg.get("trials", 20),
-        master_seed=cfg.get("seed", 0),
-        data_rule=cfg.get("data", "identity"),
-        func_d=cfg.get("d", 1),
-        func_m=cfg.get("m", 1),
-    )
-
-
-def _run_n_sweep(cfg: dict, args) -> int:
-    for required in ("schemes", "f", "k", "n_values"):
-        if not cfg.get(required):
-            raise ConfigError(f"config key {required!r} is required and nonempty")
-    config = SweepConfig(schemes=cfg["schemes"], n_values=cfg["n_values"],
-                         s=cfg.get("s"), s_ratio=cfg.get("s_ratio"),
-                         **_common_kwargs(cfg))
+def _run_n_sweep(config: SweepConfig, args) -> int:
     report = sweep_n(config)
     out = _write_reports(args, "sweep", report)
     sys.stderr.write(f"sweep: {len(report.rows)} rows written to {out}\n")
     return EXIT_OK
 
 
-def _run_straggler(cfg: dict, args) -> int:
-    for required in ("schemes", "f", "k", "n", "s_values"):
-        if not cfg.get(required):
-            raise ConfigError(f"config key {required!r} is required and nonempty")
-    config = StragglerSweepConfig(schemes=cfg["schemes"], n=cfg["n"],
-                                  s_values=cfg["s_values"],
-                                  **_common_kwargs(cfg))
+def _run_straggler(config: StragglerSweepConfig, args) -> int:
     report = straggler_sweep(config)
     out = _write_reports(args, "straggler", report)
     sys.stderr.write(f"straggler sweep: {len(report.table)} rows written to {out}\n")
     return EXIT_OK
 
 
-def _run_crossval(cfg: dict, args) -> int:
-    for required in ("f", "k", "n"):
-        if cfg.get(required) is None:
-            raise ConfigError(f"config key {required!r} is required")
-    _formats(args)  # crossval always writes JSON; reject a bad --format all the same
-    config = CrossvalConfig(
-        func=cfg["f"], k=cfg["k"], n=cfg["n"], s=cfg.get("s", 0),
-        sigma0=cfg.get("sigma0", 0.0), trials=cfg.get("trials", 20),
-        master_seed=cfg.get("seed", 0), data_rule=cfg.get("data", "identity"),
-        func_d=cfg.get("d", 1), func_m=cfg.get("m", 1),
-    )
-    result = crossval_lambda(cfg.get("lambda_e_grid", (0.0,)),
-                             cfg.get("lambda_d_grid", DEFAULT_LAMBDA_GRID),
-                             config)
+def _run_crossval(config: CrossvalConfig, args, lambda_e_grid, lambda_d_grid) -> int:
+    result = crossval_lambda(lambda_e_grid, lambda_d_grid, config)
     payload = report_to_dict(result)
     if args.out:
         out = _outdir(args)
@@ -300,10 +252,12 @@ def _run_crossval(cfg: dict, args) -> int:
     return EXIT_OK
 
 
+# kind -> (config dataclass, runner's extra keys with their defaults, runner)
 _SWEEP_KINDS = {
-    "n_sweep": (_NSWEEP_KEYS, _run_n_sweep),
-    "straggler": (_STRAGGLER_KEYS, _run_straggler),
-    "crossval": (_CROSSVAL_KEYS, _run_crossval),
+    "n_sweep": (SweepConfig, {}, _run_n_sweep),
+    "straggler": (StragglerSweepConfig, {}, _run_straggler),
+    "crossval": (CrossvalConfig, {"lambda_e_grid": (0.0,),
+                                  "lambda_d_grid": DEFAULT_LAMBDA_GRID}, _run_crossval),
 }
 
 

@@ -313,7 +313,7 @@ class CrossvalConfig:
     func: str
     k: int
     n: int
-    s: int
+    s: int = 0
     sigma0: float = 0.0
     trials: int = 20
     master_seed: int = 0

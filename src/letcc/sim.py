@@ -155,8 +155,8 @@ class WorkerFunction:
     tanh_net's can round a row differently with the number of rows in the
     call, which would make a trial's bits depend on its batch.  The
     optional ``lipschitz`` and ``curvature`` bounds are declared over
-    ``bound_domain`` (inputs are expected to stay inside it); ``degree`` is
-    the polynomial degree used by the Lagrange baseline.
+    [-2, 2]; ``degree`` is the polynomial degree used by the Lagrange
+    baseline.
     """
 
     name: str
@@ -166,7 +166,6 @@ class WorkerFunction:
     lipschitz: float | None = None
     curvature: float | None = None
     degree: int | None = None
-    bound_domain: tuple[float, float] = (-2.0, 2.0)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -202,7 +201,10 @@ def _softplus() -> WorkerFunction:
 
 
 def _tanh_net(d: int = 4, m: int = 3, hidden: int = 16) -> WorkerFunction:
-    """Fixed-weight 2-layer tanh network with a softmax head."""
+    """Fixed-weight 2-layer tanh network with a softmax head over m >= 2 classes."""
+    if m < 2:
+        # a softmax over one class is the constant 1
+        raise ValueError(f"tanh_net needs m >= 2 outputs, got m={m}")
     rng = np.random.default_rng([9141, d, m, hidden])
     w1 = rng.normal(0.0, 1.0 / sqrt(d), (d, hidden))
     b1 = rng.normal(0.0, 0.1, hidden)

@@ -1,8 +1,9 @@
 import itertools
-import logging
+import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 
 from letcc.baselines import (
     BerrutInterpolant,
@@ -15,6 +16,7 @@ from letcc.baselines import (
 )
 from letcc.coding import Dataset, DecodeFailure
 from letcc.points import chebyshev_grid, chebyshev_second
+from letcc.sim import NoiseModel, StragglerModel, TrialSetup, make_worker, monte_carlo
 
 
 def _reference_barycentric(nodes, weights, values, query):
@@ -213,15 +215,27 @@ class TestLagrangeDecode:
                         else:
                             assert err > 1e-8, (degree, k, survivors)
 
-    def test_high_degree_logs_instability_diagnostic(self, caplog, rng):
-        grid = chebyshev_grid(10, 40)
-        data = Dataset(rng.uniform(-1, 1, (10, 1)))
+    def test_exact_at_degree_45_without_warnings(self):
+        # K=16 and cubic f target degree 45; N=64, S=4 leaves 60 survivors
+        setup = TrialSetup(scheme="lcc", func=make_worker("cubic"),
+                           grid=chebyshev_grid(16, 64), stragglers=StragglerModel(64, 4),
+                           noise=NoiseModel(0.0), data_rule="uniform")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            agg = monte_carlo(setup, 50, 1)
+        assert agg.mean_mse <= 1e-20
+        assert not any(m.degraded for m in agg.metrics)
+
+    def test_decoder_fit_holds_chebyshev_coefficients(self, rng):
+        grid = chebyshev_grid(3, 12)
+        data = Dataset(rng.uniform(-1, 1, (3, 2)))
         batch = lcc_encode(data, grid)
-        f = lambda x: x**3  # target degree (10-1)*3 = 27 >= 25
-        pairs = list(zip(range(40), f(batch.coded)))
-        with caplog.at_level(logging.WARNING, logger="letcc.baselines"):
-            lcc_decode(pairs, grid, f_degree=3)
-        assert any("unstable" in rec.message for rec in caplog.records)
+        survivors = [0, 2, 3, 5, 7, 8, 11]
+        outs = batch.coded[survivors] ** 2
+        result = lcc_decode(list(zip(survivors, outs)), grid, 2)
+        assert result.decoder_fit.shape == (5, 2)
+        assert np.allclose(chebval(grid.alphas, result.decoder_fit).T,
+                           result.estimates, rtol=0, atol=1e-13)
 
     def test_empty_survivors_fails(self):
         grid = chebyshev_grid(2, 4)

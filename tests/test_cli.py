@@ -86,6 +86,28 @@ class TestTrial:
         assert code == 1
         assert "bogus" in err
 
+    def test_lcc_at_degree_45_writes_nothing_to_stderr(self, capsys):
+        code, out, err = run_cli(capsys, "trial", "--scheme", "lcc", "--f", "cubic",
+                                 "--k", "16", "--n", "64", "--s", "4")
+        assert code == 0
+        assert json.loads(out)["empirical_risk"] <= 1e-20
+        assert err == ""
+
+    @pytest.mark.parametrize("key, value, shown", [("k", 16.7, "16.7"),
+                                                   ("seed", True, "True"),
+                                                   ("n", 64.0, None),
+                                                   ("n", "64", None)])
+    def test_integer_keys_must_be_integral(self, capsys, tmp_path, key, value, shown):
+        cfg = tmp_path / "trial.json"
+        cfg.write_text(json.dumps({"scheme": "letcc", "f": "sin_pi", "k": 16,
+                                   "n": 64, "s": 4, "seed": 7, key: value}))
+        code, out, err = run_cli(capsys, "trial", "--config", str(cfg))
+        if shown is None:  # integral values convert as before
+            assert code == 0
+            return
+        assert (code, out) == (1, "")
+        assert err == f"error: config key {key!r}: expected an integer, got {shown}\n"
+
     def test_decode_failure_exits_two(self, capsys, monkeypatch):
         def boom(setup, seed):
             raise DecodeFailure("no survivors")
@@ -172,6 +194,80 @@ class TestSweep:
                                str(tmp_path / "o"))
         assert code == 1
         assert "kind" in err
+
+
+_KIND_CONFIGS = {
+    "n_sweep": {"kind": "n_sweep", "schemes": ["letcc"], "f": "sin_pi", "k": 8,
+                "n_values": [16, 24], "s": 2, "trials": 2},
+    "straggler": {"kind": "straggler", "schemes": ["letcc"], "f": "sin_pi", "k": 8,
+                  "n": 24, "s_values": [2], "trials": 2},
+    "crossval": {"kind": "crossval", "f": "sin_pi", "k": 8, "n": 24, "s": 2,
+                 "trials": 2, "lambda_d_grid": [1e-4]},
+}
+
+_MALFORMED = [
+    ("missing required key", "n_sweep", {"n_values": None}, "'n_values' is required"),
+    ("null required key", "n_sweep", {"schemes": None}, "'schemes' is required"),
+    ("wrong type", "n_sweep", {"n_values": ["x"]}, "config key 'n_values'"),
+    ("fractional integer", "n_sweep", {"s": 2.5}, "expected an integer, got 2.5"),
+    ("boolean integer", "n_sweep", {"trials": True}, "expected an integer, got True"),
+    ("k zero", "n_sweep", {"k": 0}, "k=0"),
+    ("tanh_net without m", "n_sweep", {"f": "tanh_net", "data": "uniform"}, "m >= 2"),
+    ("missing required key", "straggler", {"s_values": None}, "'s_values' is required"),
+    ("null required key", "straggler", {"n": None}, "'n' is required"),
+    ("wrong type", "straggler", {"n": [24]}, "config key 'n'"),
+    ("k zero", "straggler", {"k": 0}, "k=0"),
+    ("missing required key", "crossval", {"n": None}, "'n' is required"),
+    ("null required key", "crossval", {"f": None}, "'f' is required"),
+    ("wrong type", "crossval", {"lambda_d_grid": 1e-4}, "config key 'lambda_d_grid'"),
+    ("fractional integer", "crossval", {"k": 16.7}, "expected an integer, got 16.7"),
+    ("k zero", "crossval", {"k": 0}, "k=0"),
+]
+
+
+class TestMalformedConfigs:
+    @pytest.mark.parametrize("case, kind, change, message", _MALFORMED,
+                             ids=[f"{kind}-{case}" for case, kind, *_ in _MALFORMED])
+    def test_exits_one_with_one_error_line(self, capsys, tmp_path, case, kind, change,
+                                           message):
+        # "missing" cases drop the key; the "null" ones write it as null
+        cfg = dict(_KIND_CONFIGS[kind], **change)
+        if case == "missing required key":
+            cfg = {k: v for k, v in cfg.items() if v is not None}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        command = "crossval" if kind == "crossval" else "sweep"
+        code, out, err = run_cli(capsys, command, str(path), "--out",
+                                 str(tmp_path / "out"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+class TestReportConfigBlock:
+    # the key order of "config" is the field order of the config dataclass
+    def test_sweep_json_key_order(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        run_cli(capsys, "sweep", str(_sweep_config(tmp_path)), "--out", str(out))
+        config = json.loads((out / "sweep.json").read_text())["config"]
+        assert list(config) == ["schemes", "func", "k", "n_values", "s", "s_ratio",
+                                "sigma0", "lambda_e", "lambda_d_rule",
+                                "lambda_d_scale", "f_degree", "trials",
+                                "master_seed", "data_rule", "func_d", "func_m"]
+        assert config["master_seed"] == 5 and config["func_m"] == 1
+
+    def test_straggler_json_key_order(self, capsys, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(_KIND_CONFIGS["straggler"]))
+        out = tmp_path / "out"
+        run_cli(capsys, "sweep", str(path), "--out", str(out))
+        config = json.loads((out / "straggler.json").read_text())["config"]
+        assert list(config) == ["schemes", "func", "k", "n", "s_values", "sigma0",
+                                "lambda_e", "lambda_d_rule", "lambda_d_scale",
+                                "f_degree", "trials", "master_seed", "data_rule",
+                                "func_d", "func_m"]
+        assert config["trials"] == 2 and config["data_rule"] == "identity"
 
 
 class TestCrossvalCommand:

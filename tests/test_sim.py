@@ -119,6 +119,11 @@ class TestNoiseAndWorkers:
         with pytest.raises(ValueError):
             make_worker("nope")
 
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_tanh_net_needs_two_classes(self, m):
+        with pytest.raises(ValueError, match="m >= 2"):
+            make_worker("tanh_net", d=2, m=m)
+
 
 def _setup(scheme="letcc", k=8, n=24, s=4, sigma0=0.0, lambda_e=0.0,
            lambda_d=0.0, func=None, data=None, data_rule="uniform", **kw):
@@ -244,7 +249,7 @@ class TestMonteCarlo:
     def test_memory_at_65536_workers_does_not_grow_with_trials(self):
         # 8-dimensional inputs: 32 trials' coded values alone take 128 MB
         setup = _setup(k=8, n=65536, s=64, sigma0=0.1, lambda_d=65536.0 ** -4,
-                       func=make_worker("tanh_net", d=8, m=1))
+                       func=make_worker("tanh_net", d=8, m=2))
         peaks = []
         for trials in (1, 32):
             tracemalloc.start()

@@ -110,26 +110,29 @@ def _int(value) -> int:
     return int(value)
 
 
-def _int_list(v):
-    return tuple(_int(x) for x in v)
+def _str(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
 
 
-def _float_list(v):
-    return tuple(float(x) for x in v)
-
-
-def _str_list(v):
-    return tuple(str(x) for x in v)
+def _list(convert):
+    """Converter of a JSON array to a tuple, each item through ``convert``."""
+    def converter(value):
+        if not isinstance(value, list):
+            raise ValueError(f"expected a list, got {value!r}")
+        return tuple(convert(x) for x in value)
+    return converter
 
 
 # Every config key of every command, with its converter.
 _CONVERTERS = {
-    "kind": str, "scheme": str, "schemes": _str_list, "f": str, "data": str,
-    "lambda_d_rule": str, "k": _int, "n": _int, "s": _int, "d": _int, "m": _int,
-    "f_degree": _int, "trials": _int, "seed": _int, "n_values": _int_list,
-    "s_values": _int_list, "sigma0": float, "s_ratio": float, "lambda_e": float,
-    "lambda_d": float, "lambda_d_scale": float, "lambda_e_grid": _float_list,
-    "lambda_d_grid": _float_list,
+    "kind": _str, "scheme": _str, "schemes": _list(_str), "f": _str, "data": _str,
+    "lambda_d_rule": _str, "k": _int, "n": _int, "s": _int, "d": _int, "m": _int,
+    "f_degree": _int, "trials": _int, "seed": _int, "n_values": _list(_int),
+    "s_values": _list(_int), "sigma0": float, "s_ratio": float, "lambda_e": float,
+    "lambda_d": float, "lambda_d_scale": float, "lambda_e_grid": _list(float),
+    "lambda_d_grid": _list(float),
 }
 
 # Config dataclass fields whose config key is named otherwise.
@@ -165,8 +168,6 @@ def cmd_trial(args) -> int:
 
 
 def _outdir(args) -> str:
-    if not args.out:
-        raise ConfigError("--out directory is required")
     os.makedirs(args.out, exist_ok=True)
     return args.out
 
@@ -195,7 +196,9 @@ def _write_reports(args, stem: str, report) -> str:
 
 def cmd_sweep(args) -> int:
     raw = _read_config(args.config)
-    return _run_kind(raw.get("kind", "n_sweep"), raw, args)
+    # checked first, as the kind decides which other keys are allowed
+    kind = _check_config({"kind": raw.get("kind", "n_sweep")}, ("kind",)).get("kind")
+    return _run_kind(kind, raw, args)
 
 
 def cmd_crossval(args) -> int:
@@ -207,7 +210,8 @@ def _run_kind(kind: str, raw: dict, args) -> int:
 
     The allowed keys, the defaults and the required keys (fields without a
     default) all come from the dataclass fields; ``extra`` lists the keys
-    that configure the run but are no field.
+    that configure the run but are no field.  Every check, ``--out`` and
+    ``--format`` included, happens before the first trial.
     """
     if kind not in _SWEEP_KINDS:
         raise ConfigError(f"unknown sweep kind {kind!r}; "
@@ -223,6 +227,8 @@ def _run_kind(kind: str, raw: dict, args) -> int:
     _formats(args)  # reject a bad --format before running anything
     config = config_class(**{field.name: cfg[key] for key, field in by_key.items()
                              if key in cfg})
+    if kind != "crossval" and not args.out:
+        raise ConfigError("--out directory is required")
     return run(config, args, **{key: cfg.get(key, default)
                                 for key, default in extra.items()})
 

@@ -13,7 +13,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .coding import DecodeFailure
 from .points import chebyshev_grid
 from .sim import (
     NoiseModel,
@@ -160,20 +159,6 @@ class SweepReport:
         return [(r["N"], r["mean_mse"]) for r in self.rows if r["scheme"] == scheme]
 
 
-def _point_setup(config, scheme, func, n, s, lambda_d):
-    return TrialSetup(
-        scheme=scheme,
-        func=func,
-        grid=chebyshev_grid(config.k, n),
-        stragglers=StragglerModel(n, s),
-        noise=NoiseModel(config.sigma0),
-        lambda_e=config.lambda_e,
-        lambda_d=lambda_d,
-        f_degree=config.f_degree,
-        data_rule=config.data_rule,
-    )
-
-
 def _row(scheme, config, n, s, lambda_d, agg, seed):
     return {
         "scheme": scheme,
@@ -195,40 +180,50 @@ def _row(scheme, config, n, s, lambda_d, agg, seed):
     }
 
 
+def _run_points(config, points):
+    """Rows and aggregates of every scheme at each (seed key, N, S) point.
+
+    Yields one (rows, aggregates) pair per point, each a list in the order
+    of ``config.schemes``.  A point's schemes share one grid and one
+    lambda_d, and all their setups are built before any trial runs.
+    Trial t of a point uses seed (master, key, t) for every scheme.
+    """
+    func = worker_for(config.func, config.func_d, config.func_m)
+    for key, n, s in points:
+        lambda_d = _resolve_lambda_d(config.lambda_d_rule, config.lambda_d_scale, n, s)
+        grid = chebyshev_grid(config.k, n)
+        setups = [TrialSetup(scheme=scheme, func=func, grid=grid,
+                             stragglers=StragglerModel(n, s),
+                             noise=NoiseModel(config.sigma0), lambda_e=config.lambda_e,
+                             lambda_d=lambda_d, f_degree=config.f_degree,
+                             data_rule=config.data_rule)
+                  for scheme in config.schemes]
+        aggs = [monte_carlo(setup, config.trials, (config.master_seed, key))
+                for setup in setups]
+        yield ([_row(setup.scheme, config, n, s, lambda_d, agg, config.master_seed)
+                for setup, agg in zip(setups, aggs)], aggs)
+
+
 def sweep_n(config: SweepConfig) -> SweepReport:
     """One Monte-Carlo aggregate per (scheme, N), plus log-log slopes.
 
-    Points whose mean MSE sits at the numerical floor are excluded from the
-    slope fit and listed under ``excluded`` with an ``at_floor`` marker, as
-    are points that fail to decode.
+    Rows run scheme by scheme, each in ascending N.  Points whose mean MSE
+    sits at the numerical floor are excluded from the slope fit and listed
+    under ``excluded`` with an ``at_floor`` marker.
     """
-    rows = []
+    by_point = [rows for rows, _ in _run_points(
+        config, [(n, n, config.s_for(n)) for n in config.n_values])]
+    rows = tuple(row for column in zip(*by_point) for row in column)
     excluded = {scheme: [] for scheme in config.schemes}
     usable = {scheme: [] for scheme in config.schemes}
-    func = worker_for(config.func, config.func_d, config.func_m)
-    for scheme in config.schemes:
-        for n in config.n_values:
-            s = config.s_for(n)
-            lambda_d = _resolve_lambda_d(config.lambda_d_rule, config.lambda_d_scale, n, s)
-            setup = _point_setup(config, scheme, func, n, s, lambda_d)
-            try:
-                agg = monte_carlo(setup, config.trials, (config.master_seed, n))
-            except DecodeFailure:
-                excluded[scheme].append({"N": n, "reason": "decode_failure"})
-                continue
-            rows.append(_row(scheme, config, n, s, lambda_d, agg, config.master_seed))
-            if agg.mean_mse < MSE_FLOOR:
-                excluded[scheme].append({"N": n, "reason": "at_floor"})
-            else:
-                usable[scheme].append((n, agg.mean_mse))
-
-    slopes = {}
-    for scheme in config.schemes:
-        if len(usable[scheme]) >= 2:
-            slopes[scheme] = fit_loglog_slope(usable[scheme])
+    for row in rows:
+        if row["mean_mse"] < MSE_FLOOR:
+            excluded[row["scheme"]].append({"N": row["N"], "reason": "at_floor"})
         else:
-            slopes[scheme] = None
-    return SweepReport(config=config, rows=tuple(rows), slopes=slopes, excluded=excluded)
+            usable[row["scheme"]].append((row["N"], row["mean_mse"]))
+    slopes = {scheme: fit_loglog_slope(usable[scheme]) if len(usable[scheme]) >= 2
+              else None for scheme in config.schemes}
+    return SweepReport(config=config, rows=rows, slopes=slopes, excluded=excluded)
 
 
 @dataclass(frozen=True)
@@ -279,30 +274,21 @@ def straggler_sweep(config: StragglerSweepConfig) -> StragglerSweepReport:
     comparison table carries per-scheme means plus the fraction of paired
     trials the first scheme wins (RMSE <=) against each other scheme.
     """
-    func = worker_for(config.func, config.func_d, config.func_m)
     table = []
     rows = []
     base = config.schemes[0]
-    for s in config.s_values:
-        lambda_d = _resolve_lambda_d(config.lambda_d_rule, config.lambda_d_scale,
-                                     config.n, s)
-        aggs = {}
-        for scheme in config.schemes:
-            setup = _point_setup(config, scheme, func, config.n, s, lambda_d)
-            aggs[scheme] = monte_carlo(setup, config.trials, (config.master_seed, s))
-
+    for s, (point_rows, aggs) in zip(config.s_values, _run_points(
+            config, [(s, config.n, s) for s in config.s_values])):
         entry = {"S": s}
-        base_rmses = np.array([m.rmse for m in aggs[base].metrics])
-        for scheme in config.schemes:
-            agg = aggs[scheme]
-            rows.append(_row(scheme, config, config.n, s, lambda_d, agg,
-                             config.master_seed))
+        base_rmses = np.array([m.rmse for m in aggs[0].metrics])
+        for scheme, agg in zip(config.schemes, aggs):
             entry[f"{scheme}_mean_rmse"] = agg.mean_rmse
             entry[f"{scheme}_mean_relacc"] = agg.mean_relacc
             if scheme != base:
                 rmses = np.array([m.rmse for m in agg.metrics])
                 entry[f"{base}_wins_vs_{scheme}"] = float(np.mean(base_rmses <= rmses))
         table.append(entry)
+        rows.extend(point_rows)
     return StragglerSweepReport(config=config, table=tuple(table), rows=tuple(rows))
 
 

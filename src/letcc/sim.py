@@ -322,6 +322,8 @@ class TrialSetup:
             raise ValueError(f"unknown data rule {self.data_rule!r}")
         if self.data is None and self.data_rule == "identity" and self.func.in_dim != 1:
             raise ValueError("identity data rule requires a 1-D worker function")
+        if self.scheme == "lcc" and self.f_degree is None and self.func.degree is None:
+            raise ValueError("lcc needs a declared polynomial degree")
 
 
 def _trial_inputs(setup: TrialSetup, seed: tuple[int, ...]) -> np.ndarray:
@@ -393,8 +395,6 @@ def _score(setup: TrialSetup, prepared: _Prepared, lambda_d: float) -> TrialMetr
         result = baselines.bacc_decode(prepared.returns, grid)
     else:
         degree = setup.f_degree if setup.f_degree is not None else setup.func.degree
-        if degree is None:
-            raise ValueError("lcc needs a declared polynomial degree")
         result = baselines.lcc_decode(prepared.returns, grid, degree)
 
     risk = _mean_sq_dist(result.estimates, prepared.truth)

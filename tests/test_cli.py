@@ -245,6 +245,51 @@ class TestMalformedConfigs:
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+# (case, kind, change to the config, whether --out is given, error text)
+_EARLY_FAILURES = [
+    ("no out", "n_sweep", {}, False, "error: --out directory is required"),
+    ("no out", "straggler", {}, False, "error: --out directory is required"),
+    ("string as list", "n_sweep", {"schemes": "letcc"}, True,
+     "error: config key 'schemes': expected a list, got 'letcc'"),
+    ("string as list", "n_sweep", {"n_values": "128"}, True,
+     "error: config key 'n_values': expected a list, got '128'"),
+    ("string as list", "straggler", {"s_values": "2"}, True,
+     "error: config key 's_values': expected a list, got '2'"),
+    ("number as string", "n_sweep", {"f": 16}, True,
+     "error: config key 'f': expected a string, got 16"),
+    ("number in string list", "n_sweep", {"schemes": ["letcc", 5]}, True,
+     "error: config key 'schemes': expected a string, got 5"),
+    ("number as kind", "n_sweep", {"kind": 5}, True,
+     "error: config key 'kind': expected a string, got 5"),
+    ("bad second scheme", "n_sweep", {"schemes": ["letcc", "nope"]}, True,
+     "error: unknown scheme 'nope'"),
+    ("bad second scheme", "straggler", {"schemes": ["letcc", "nope"]}, True,
+     "error: unknown scheme 'nope'"),
+    ("lcc without degree", "n_sweep", {"schemes": ["letcc", "lcc"]}, True,
+     "error: lcc needs a declared polynomial degree"),
+    ("lcc without degree", "straggler", {"schemes": ["letcc", "lcc"]}, True,
+     "error: lcc needs a declared polynomial degree"),
+]
+
+
+class TestFailsBeforeFirstTrial:
+    @pytest.mark.parametrize("case, kind, change, with_out, message", _EARLY_FAILURES,
+                             ids=[f"{kind}-{case}" for case, kind, *_ in _EARLY_FAILURES])
+    def test_exits_one_without_running_a_trial(self, capsys, tmp_path, monkeypatch, case,
+                                               kind, change, with_out, message):
+        calls = []
+        monte_carlo = cli.experiments.monte_carlo
+        monkeypatch.setattr(cli.experiments, "monte_carlo",
+                            lambda *a: calls.append(a) or monte_carlo(*a))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(_KIND_CONFIGS[kind], **change)))
+        argv = ["sweep", str(path)] + (["--out", str(tmp_path / "out")] if with_out else [])
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, calls) == (1, "", [])
+        assert err.startswith(message) and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 class TestReportConfigBlock:
     # the key order of "config" is the field order of the config dataclass
     def test_sweep_json_key_order(self, capsys, tmp_path):

@@ -10,7 +10,6 @@ from letcc.experiments import (
     DEFAULT_LAMBDA_GRID,
     StragglerSweepConfig,
     SweepConfig,
-    _point_setup,
     _resolve_lambda_d,
     _row,
     crossval_lambda,
@@ -60,6 +59,24 @@ class TestSlopeFit:
             fit_loglog_slope([(10, 1.0)])
 
 
+def _monte_carlo_row(config, scheme, key, n, s):
+    """The report row of ``scheme`` at one point, straight from monte_carlo."""
+    lambda_d = _resolve_lambda_d(config.lambda_d_rule, config.lambda_d_scale, n, s)
+    setup = sim.TrialSetup(
+        scheme=scheme,
+        func=sim.worker_for(config.func, config.func_d, config.func_m),
+        grid=chebyshev_grid(config.k, n),
+        stragglers=sim.StragglerModel(n, s),
+        noise=sim.NoiseModel(config.sigma0),
+        lambda_e=config.lambda_e,
+        lambda_d=lambda_d,
+        f_degree=config.f_degree,
+        data_rule=config.data_rule,
+    )
+    agg = sim.monte_carlo(setup, config.trials, (config.master_seed, key))
+    return _row(scheme, config, n, s, lambda_d, agg, config.master_seed)
+
+
 def _sweep_config(**overrides):
     base = dict(schemes=("letcc",), func="sin_pi", k=8,
                 n_values=(16, 24, 32, 48), s=2, trials=4, master_seed=42,
@@ -74,6 +91,15 @@ class TestSweepN:
         assert len(report.rows) == 8
         assert report.slopes["letcc"] is not None
         assert report.slopes["letcc"].slope < report.slopes["bacc"].slope
+
+    def test_rows_are_monte_carlo_aggregates_scheme_major(self):
+        config = _sweep_config(schemes=("letcc", "bacc", "lcc"), func="cubic", k=4,
+                               n_values=(16, 24, 32), sigma0=0.05, lambda_e=1e-4,
+                               data_rule="uniform")
+        report = sweep_n(config)
+        expected = [_monte_carlo_row(config, scheme, n, n, config.s_for(n))
+                    for scheme in config.schemes for n in config.n_values]
+        assert list(report.rows) == expected
 
     def test_rows_carry_resolved_lambda(self):
         report = sweep_n(_sweep_config())
@@ -133,16 +159,8 @@ class TestStragglerSweep:
     def test_rows_are_monte_carlo_aggregates(self):
         config = self._paired_config()
         report = straggler_sweep(config)
-        func = sim.worker_for(config.func, config.func_d, config.func_m)
-        expected = []
-        for s in config.s_values:
-            lambda_d = _resolve_lambda_d(config.lambda_d_rule, config.lambda_d_scale,
-                                         config.n, s)
-            for scheme in config.schemes:
-                setup = _point_setup(config, scheme, func, config.n, s, lambda_d)
-                agg = sim.monte_carlo(setup, config.trials, (config.master_seed, s))
-                expected.append(_row(scheme, config, config.n, s, lambda_d, agg,
-                                     config.master_seed))
+        expected = [_monte_carlo_row(config, scheme, s, config.n, s)
+                    for s in config.s_values for scheme in config.schemes]
         assert list(report.rows) == expected
         assert all(row["mean_relacc"] is not None for row in report.rows)
 

@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -126,7 +125,8 @@ class TestNoiseAndWorkers:
 
 
 def _setup(scheme="letcc", k=8, n=24, s=4, sigma0=0.0, lambda_e=0.0,
-           lambda_d=0.0, func=None, data=None, data_rule="uniform", **kw):
+           lambda_d=0.0, func=None, data=None, data_rule="uniform", f_degree=None,
+           **kw):
     return TrialSetup(
         scheme=scheme,
         func=func or make_worker("sin_pi"),
@@ -135,6 +135,7 @@ def _setup(scheme="letcc", k=8, n=24, s=4, sigma0=0.0, lambda_e=0.0,
         noise=NoiseModel(sigma0),
         lambda_e=lambda_e,
         lambda_d=lambda_d,
+        f_degree=f_degree,
         data=data,
         data_rule=data_rule,
     )
@@ -146,6 +147,12 @@ class TestRunTrial:
                                curvature=0.0)
         metrics = run_trial(_setup(func=ident, s=0, data_rule="identity"), seed=3)
         assert metrics.empirical_risk <= 1e-12
+
+    def test_lcc_without_degree_rejected_at_setup(self):
+        with pytest.raises(ValueError, match="lcc needs a declared polynomial degree"):
+            _setup(scheme="lcc")  # sin_pi declares no degree
+        _setup(scheme="lcc", f_degree=3)
+        _setup(scheme="lcc", func=make_worker("cubic"))
 
     def test_same_seed_bit_identical(self):
         a = run_trial(_setup(sigma0=0.1, lambda_d=1e-5), seed=11)
@@ -222,10 +229,10 @@ class TestMonteCarlo:
             monkeypatch.setattr(sim, "_CHUNK_VALUES", chunk_values)
         func = make_worker(worker)
         kw = {"mode": "fixed", "fixed_stragglers": (0, 7, 8, 22)} if mode == "fixed" else {}
+        # lcc needs a degree for the workers that declare none
         setup = _setup(scheme=scheme, k=5, n=23, s=4, sigma0=sigma0, lambda_d=1e-6,
-                       lambda_e=1e-3, func=func, **kw)
-        if func.degree is None:
-            setup = replace(setup, f_degree=2)
+                       lambda_e=1e-3, func=func,
+                       f_degree=2 if func.degree is None else None, **kw)
         agg = monte_carlo(setup, 10, 31)
         for t, metrics in enumerate(agg.metrics):
             assert metrics == run_trial(setup, (31, t))

@@ -21,7 +21,7 @@ from .points import (
     chebyshev_second,
     mesh_stats,
 )
-from .spline import NaturalSplineBasis, SplineFit, fit
+from .spline import NaturalSplineBasis, SplineFit, fit, fit_lambdas
 from .kernel import KernelFit, kernel_fit, sobolev_kernel
 from .coding import (
     CodedBatch,
@@ -29,6 +29,7 @@ from .coding import (
     DecodeFailure,
     DecodeResult,
     decode,
+    decode_lambdas,
     encode,
     encoder_training_error,
 )

@@ -110,6 +110,13 @@ def _int(value) -> int:
     return int(value)
 
 
+def _float(value) -> float:
+    """float() of a JSON number only: booleans and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _str(value) -> str:
     if not isinstance(value, str):
         raise ValueError(f"expected a string, got {value!r}")
@@ -130,9 +137,9 @@ _CONVERTERS = {
     "kind": _str, "scheme": _str, "schemes": _list(_str), "f": _str, "data": _str,
     "lambda_d_rule": _str, "k": _int, "n": _int, "s": _int, "d": _int, "m": _int,
     "f_degree": _int, "trials": _int, "seed": _int, "n_values": _list(_int),
-    "s_values": _list(_int), "sigma0": float, "s_ratio": float, "lambda_e": float,
-    "lambda_d": float, "lambda_d_scale": float, "lambda_e_grid": _list(float),
-    "lambda_d_grid": _list(float),
+    "s_values": _list(_int), "sigma0": _float, "s_ratio": _float, "lambda_e": _float,
+    "lambda_d": _float, "lambda_d_scale": _float, "lambda_e_grid": _list(_float),
+    "lambda_d_grid": _list(_float),
 }
 
 # Config dataclass fields whose config key is named otherwise.
@@ -196,8 +203,9 @@ def _write_reports(args, stem: str, report) -> str:
 
 def cmd_sweep(args) -> int:
     raw = _read_config(args.config)
-    # checked first, as the kind decides which other keys are allowed
-    kind = _check_config({"kind": raw.get("kind", "n_sweep")}, ("kind",)).get("kind")
+    # checked first, as the kind decides which other keys are allowed; a
+    # null kind counts as not given
+    kind = _check_config({"kind": raw.get("kind")}, ("kind",)).get("kind", "n_sweep")
     return _run_kind(kind, raw, args)
 
 

@@ -20,6 +20,14 @@ object to benefit: an equal but separately built grid starts without
 encoders and computes the same ones, so its coded batches are identical.
 A cached encoder also applies to a stack (T, K, d) of T input sets at
 once, with the same arithmetic per set as on its own.
+
+Decoding the same survivors at several decoder weights (the lambda_d grid
+of a cross-validation) shares everything that does not depend on the
+weight: :func:`decode_lambdas` normalizes the survivors once, fits every
+weight on one spline basis (:func:`letcc.spline.fit_lambdas`) and
+evaluates the stacked fits at the alphas through one set of evaluation
+weights.  Each weight's estimates equal a :func:`decode` at that weight,
+bit for bit, as both fit through the same spline code.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ __all__ = [
     "encode",
     "encoder_training_error",
     "decode",
+    "decode_lambdas",
     "normalize_survivors",
 ]
 
@@ -209,6 +218,8 @@ def decode(survivors, grid: InterpolationGrid, lambda_d: float) -> DecodeResult:
     through two points, constant through one); the result is flagged.  Zero
     survivors raise :class:`DecodeFailure`.
     """
+    # one fit and its own evaluation, so that a profile (bench/spans.py)
+    # sees the decode's spline.fit and SplineFit.evaluate calls
     indices, outputs = normalize_survivors(survivors, grid.n)
     dec = spline.fit(grid.betas[indices], outputs, lambda_d)
     estimates = dec.evaluate(grid.alphas)
@@ -218,3 +229,21 @@ def decode(survivors, grid: InterpolationGrid, lambda_d: float) -> DecodeResult:
         survivor_count=indices.size,
         degraded=dec.degenerate,
     )
+
+
+def decode_lambdas(survivors, grid: InterpolationGrid, lambdas) -> list[DecodeResult]:
+    """:func:`decode` of the same survivors at each weight of ``lambdas``, in order.
+
+    The survivors are normalized once (a duplicate index warns once per
+    call), the fits share one basis, and one set of evaluation weights
+    takes the stacked fits to the alphas.
+    """
+    indices, outputs = normalize_survivors(survivors, grid.n)
+    knots = grid.betas[indices]
+    fits = spline.fit_lambdas(knots, outputs, lambdas)
+    estimates = spline.evaluation_weights(knots, grid.alphas).apply(
+        np.stack([dec.coefficients for dec in fits]),
+        np.stack([dec.second_derivs for dec in fits]))
+    return [DecodeResult(estimates=est, decoder_fit=dec, survivor_count=indices.size,
+                         degraded=dec.degenerate)
+            for est, dec in zip(estimates, fits)]

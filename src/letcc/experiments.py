@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import coding
 from .points import chebyshev_grid
 from .sim import (
     NoiseModel,
@@ -320,7 +321,10 @@ def crossval_lambda(lambda_e_grid, lambda_d_grid, config: CrossvalConfig) -> Cro
     """Pick the (lambda_e, lambda_d) pair minimizing mean RMSE over trials.
 
     Every pair is scored on the same seeded trials (identical stragglers,
-    noise, data), so the comparison is paired.  Near-ties (within a small
+    noise, data), so the comparison is paired.  Each trial is prepared once
+    per lambda_e and decoded at the whole lambda_d grid in one
+    :func:`letcc.coding.decode_lambdas` call; its metrics at each lambda_d
+    equal those of a ``monte_carlo`` trial at that weight.  Near-ties (within a small
     relative epsilon of the minimum, which happens when the problem is
     solved exactly for many pairs) break toward the most regularized pair:
     largest lambda_d, then largest lambda_e.
@@ -343,7 +347,8 @@ def crossval_lambda(lambda_e_grid, lambda_d_grid, config: CrossvalConfig) -> Cro
             data_rule=config.data_rule,
         )
 
-        per_trial = [[_score(setup, prepared, lam_d) for lam_d in d_grid]
+        per_trial = [_score(setup, prepared,
+                            coding.decode_lambdas(prepared.returns, grid, d_grid))
                      for prepared in _prepare(setup, _trial_seeds(config.master_seed,
                                                                   config.trials))]
         for j, lam_d in enumerate(d_grid):

@@ -12,7 +12,9 @@ the workers; :func:`monte_carlo` and the cross-validation of
 :mod:`letcc.experiments` prepare all trials of a call together, in chunks
 of a bounded number of coded values, and encode each chunk in one stacked
 product through the grid's cached encoder.  The second half decodes and
-scores one trial at a time.  Every step does the same arithmetic on a
+scores one trial at a time; the cross-validation decodes a trial at its
+whole lambda_d grid in one :func:`letcc.coding.decode_lambdas` call and
+scores each weight's result.  Every step does the same arithmetic on a
 trial's values alone as in any batch, so a trial's metrics are
 bit-identical whether it runs through :func:`run_trial` or inside any
 Monte-Carlo call.
@@ -377,39 +379,52 @@ def _prepare(setup: TrialSetup, seeds) -> Iterator[_Prepared]:
             if knot_values is not None:
                 # the encoder's values at the alphas, its knots
                 through = func.evaluate(knot_values[t])
-                l_enc = 2.0 * _mean_sq_dist(through, truth)
+                l_enc = 2.0 * float(_mean_sq_dist(through, truth))
             yield _Prepared(returns, truth, through, l_enc, seed)
 
 
-def _mean_sq_dist(a: np.ndarray, b: np.ndarray) -> float:
-    """(1/K) sum_k ||a_k - b_k||^2 over the rows of two (K, m) arrays."""
-    return float(np.mean(np.sum((a - b) ** 2, axis=1)))
+def _mean_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(1/K) sum_k ||a_k - b_k||^2 over the rows of (K, m) arrays.
+
+    A stack (..., K, m) gives one distance per array of the stack, each
+    reduced exactly as on its own.  ``np.add.reduce`` is the reduction of
+    ``np.sum`` and ``np.mean`` without their per-call Python wrappers.
+    """
+    return np.add.reduce(np.add.reduce((a - b) ** 2, axis=-1), axis=-1) / a.shape[-2]
 
 
-def _score(setup: TrialSetup, prepared: _Prepared, lambda_d: float) -> TrialMetrics:
-    """Decode one prepared trial with decoder weight ``lambda_d`` and score it."""
+def _decode(setup: TrialSetup, prepared: _Prepared) -> coding.DecodeResult:
+    """Decode one prepared trial with the setup's scheme and decoder weight."""
     grid = setup.grid
     if setup.scheme == "letcc":
-        result = coding.decode(prepared.returns, grid, lambda_d)
-    elif setup.scheme == "bacc":
-        result = baselines.bacc_decode(prepared.returns, grid)
-    else:
-        degree = setup.f_degree if setup.f_degree is not None else setup.func.degree
-        result = baselines.lcc_decode(prepared.returns, grid, degree)
+        return coding.decode(prepared.returns, grid, setup.lambda_d)
+    if setup.scheme == "bacc":
+        return baselines.bacc_decode(prepared.returns, grid)
+    degree = setup.f_degree if setup.f_degree is not None else setup.func.degree
+    return baselines.lcc_decode(prepared.returns, grid, degree)
 
-    risk = _mean_sq_dist(result.estimates, prepared.truth)
 
-    l_dec = None
+def _score(setup: TrialSetup, prepared: _Prepared,
+           results: Sequence[coding.DecodeResult]) -> list[TrialMetrics]:
+    """The metrics of one prepared trial for each of its decodes ``results``.
+
+    The distances run once on the stack of all estimates.  A letcc result
+    whose risk exceeds its decomposition bound raises.
+    """
+    estimates = np.array([result.estimates for result in results])
+    risks = _mean_sq_dist(estimates, prepared.truth).tolist()
     l_enc = prepared.l_enc
+    l_decs = [None] * len(results)
     if setup.scheme == "letcc":
-        l_dec = 2.0 * _mean_sq_dist(result.estimates, prepared.through_encoder)
-        bound = l_dec + l_enc
-        if risk > bound + 1e-9 * (1.0 + bound):
-            raise RiskBoundViolation(
-                f"risk decomposition violated: {risk} > {l_dec} + {l_enc}"
-            )
+        l_decs = (2.0 * _mean_sq_dist(estimates, prepared.through_encoder)).tolist()
+        for risk, l_dec in zip(risks, l_decs):
+            bound = l_dec + l_enc
+            if risk > bound + 1e-9 * (1.0 + bound):
+                raise RiskBoundViolation(
+                    f"risk decomposition violated: {risk} > {l_dec} + {l_enc}"
+                )
 
-    return TrialMetrics(
+    return [TrialMetrics(
         scheme=setup.scheme,
         empirical_risk=risk,
         l_dec=l_dec,
@@ -419,7 +434,7 @@ def _score(setup: TrialSetup, prepared: _Prepared, lambda_d: float) -> TrialMetr
         survivor_count=result.survivor_count,
         degraded=result.degraded,
         seed=prepared.seed,
-    )
+    ) for risk, l_dec, result in zip(risks, l_decs, results)]
 
 
 def run_trial(setup: TrialSetup, seed) -> TrialMetrics:
@@ -429,7 +444,7 @@ def run_trial(setup: TrialSetup, seed) -> TrialMetrics:
     seeds give bit-identical metrics.
     """
     prepared, = _prepare(setup, [seed])
-    return _score(setup, prepared, setup.lambda_d)
+    return _score(setup, prepared, [_decode(setup, prepared)])[0]
 
 
 @dataclass(frozen=True)
@@ -486,7 +501,7 @@ def monte_carlo(setup: TrialSetup, trials: int, master_seed: int) -> MonteCarloR
     (data, a stacked encode, stragglers, workers) and decoded one by one;
     ``metrics[t]`` equals ``run_trial(setup, (master_seed, t))`` bit for bit.
     """
-    return aggregate([_score(setup, prepared, setup.lambda_d)
+    return aggregate([_score(setup, prepared, [_decode(setup, prepared)])[0]
                       for prepared in _prepare(setup, _trial_seeds(master_seed, trials))])
 
 

@@ -32,6 +32,14 @@ reproduction for every lam.  Vector-valued data reuses one factorization
 for all output dimensions.  The dense ``Phi`` and basis matrix are built
 only on request, as test oracles.
 
+Most entries of that band (the ones of the g rows, Q^T and -R) do not
+depend on lam.  A basis builds them once, as a band skeleton, on its first
+smooth; each solve fills a copy of the skeleton with its four lam-scaled
+rows of Q and runs one LU.  :func:`fit_lambdas` fits the same data at
+several weights on one basis, so the checks, the knot spacings and the
+skeleton are shared and only the lam-scaled rows and the solve repeat;
+:func:`fit` is its one-weight case.
+
 Evaluation at q query points runs in two steps.  The first depends only on
 the knots and the queries (:func:`evaluation_weights`): for each query row
 it finds the knot interval and four weights, on the values and on the
@@ -48,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solveh_banded
@@ -61,6 +70,7 @@ __all__ = [
     "EvaluationWeights",
     "evaluation_weights",
     "fit",
+    "fit_lambdas",
 ]
 
 
@@ -133,6 +143,33 @@ class NaturalSplineBasis:
         rhs = self.apply_qt(np.asarray(values, dtype=float))
         return solveh_banded(self._r_band(), rhs, overwrite_ab=True)
 
+    @cached_property
+    def _q_max(self) -> float:
+        """|qb| = 1/h[:-1] + 1/h[1:], the largest entry of Q."""
+        return float(-self._qb.min())
+
+    @cached_property
+    def _skeleton(self) -> np.ndarray:
+        """The lam-free entries of the band that :meth:`smooth` solves.
+
+        Entry (row, col) of the system sits at band[6 + row - col, col]; the
+        top three rows hold the fill-in of the pivoting LU.  g_i is unknown
+        max(2i - 1, 0) and gam_j (interior knot j + 1) is unknown 2j + 2.
+        The slots of lamn Q in the g rows stay zero.  Fortran order, the
+        layout LAPACK takes without a copy of its own.
+        """
+        n = self.basis_dim
+        qa, qb, qc = self._qa, self._qb, self._qc
+        r = self._r_band()
+        band = np.zeros((10, 2 * n - 2), order="F")
+        band[6, 0] = band[6, 1::2] = 1.0                  # g_i in its own row
+        band[8, 0], band[9, 1:-4:2] = qa[0], qa[1:]       # Q^T, gam rows
+        band[7, 1:-2:2] = qb
+        band[5, 3::2] = qc
+        band[6, 2::2] = -r[2]                             # -R, gam rows
+        band[4, 4::2] = band[8, 2:-3:2] = -r[1, 1:]
+        return band
+
     def smooth(self, y: np.ndarray, lamn: float) -> tuple[np.ndarray, np.ndarray]:
         """Fitted knot values and interior second derivatives for ``lamn > 0``.
 
@@ -140,7 +177,8 @@ class NaturalSplineBasis:
         Q^T g - R gam = 0,  as one band system in the interleaved unknowns
         (g_0, g_1, gam_1, g_2, ..., gam_{n-2}, g_{n-1}) by banded LU with
         partial pivoting (LAPACK ``dgbsv``); the bandwidth is 3 on both
-        sides.  Eliminating g instead leaves the Reinsch system
+        sides.  The band is a copy of the basis's skeleton with the lamn Q
+        entries filled in.  Eliminating g instead leaves the Reinsch system
         (R + lamn Q^T Q) gam = Q^T y, which squares the conditioning: on
         meshes whose gaps alternate between 1 and 1e4 its Cholesky solution
         misses the exact fit by up to 8e-5 for unit-scale data, where this
@@ -148,27 +186,15 @@ class NaturalSplineBasis:
         """
         n = self.basis_dim
         qa, qb, qc = self._qa, self._qb, self._qc
-        # |qb| = 1/h[:-1] + 1/h[1:] is the largest entry of Q, so this bounds
-        # every lamn-scaled entry of the band (in Python floats, which
+        # bounds every lamn-scaled entry of the band (in Python floats, which
         # overflow to inf without a warning)
-        q_max = float(-qb.min())
-        if not math.isfinite(lamn * q_max):
+        if not math.isfinite(lamn * self._q_max):
             raise ValueError(f"lam too large for these knots: n*lam = {lamn} times "
-                             f"the largest 1/h weight {q_max} overflows")
-        r = self._r_band()
-        # Entry (row, col) of the system sits at band[6 + row - col, col]; the
-        # top three rows hold the fill-in of the pivoting LU.  g_i is unknown
-        # max(2i - 1, 0) and gam_j (interior knot j + 1) is unknown 2j + 2.
-        band = np.zeros((10, 2 * n - 2))
-        band[6, 0] = band[6, 1::2] = 1.0                  # g_i in its own row
+                             f"the largest 1/h weight {self._q_max} overflows")
+        band = self._skeleton.copy(order="F")
         band[4, 2], band[3, 4::2] = lamn * qa[0], lamn * qa[1:]  # lamn Q, g rows
         band[5, 2::2] = lamn * qb
         band[7, 2::2] = lamn * qc
-        band[8, 0], band[9, 1:-4:2] = qa[0], qa[1:]       # Q^T, gam rows
-        band[7, 1:-2:2] = qb
-        band[5, 3::2] = qc
-        band[6, 2::2] = -r[2]                             # -R, gam rows
-        band[4, 4::2] = band[8, 2:-3:2] = -r[1, 1:]
         rhs = np.zeros((2 * n - 2,) + y.shape[1:], order="F")
         rhs[0], rhs[1::2] = y[0], y[1:]
         _, _, sol, info = dgbsv(3, 3, band, rhs, overwrite_ab=True, overwrite_b=True)
@@ -265,6 +291,17 @@ def fit(t, y, lam: float) -> SplineFit:
         Smoothing weight (>= 0) on the mean-squared-error objective
         described in the module docstring.  ``lam = 0`` interpolates.
     """
+    return fit_lambdas(t, y, (lam,))[0]
+
+
+def fit_lambdas(t, y, lams) -> list[SplineFit]:
+    """Fits of one data set at each smoothing weight of ``lams``, in order.
+
+    Equals ``[fit(t, y, lam) for lam in lams]`` bit for bit, but checks the
+    inputs and builds the basis and its band skeleton once.  A weight that
+    ``fit`` refuses (negative, not finite, or overflowing for these knots)
+    raises the same error.
+    """
     t = np.ascontiguousarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     scalar = y.ndim == 1
@@ -276,8 +313,9 @@ def fit(t, y, lam: float) -> SplineFit:
         raise ValueError(f"y has {y.shape[0]} rows for {t.size} knots")
     if not np.isfinite(t).all() or not np.isfinite(y).all():
         raise ValueError("non-finite values in fit inputs")
-    if not (np.isfinite(lam) and lam >= 0):
-        raise ValueError(f"lam must be a finite nonnegative real, got {lam}")
+    lams = [_checked_lam(lam) for lam in lams]
+    if not lams:
+        raise ValueError("need at least one lam")
     n = t.size
     if n == 0:
         raise ValueError("cannot fit on zero points")
@@ -287,23 +325,31 @@ def fit(t, y, lam: float) -> SplineFit:
     if n < 3:
         # Penalty null space: exact interpolation (affine for n=2, constant
         # for n=1) regardless of lam.
-        gam = np.zeros_like(y)
-        return SplineFit(t, y.copy(), gam, float(lam), degenerate=True,
-                         basis=None, _scalar=scalar)
+        return [SplineFit(t, y.copy(), np.zeros_like(y), lam, degenerate=True,
+                          basis=None, _scalar=scalar) for lam in lams]
 
-    lamn = n * float(lam)
-    if not math.isfinite(lamn):
-        raise ValueError(f"lam = {lam} overflows: n*lam is not finite for n = {n} knots")
     basis = NaturalSplineBasis(t)
-    if lamn == 0.0:
-        g = y.copy()
-        gam_int = basis.interior_second_derivs(g)
-    else:
-        g, gam_int = basis.smooth(y, lamn)
-    gam = np.zeros_like(g)
-    gam[1:-1] = gam_int
-    return SplineFit(t, g, gam, float(lam), degenerate=False,
-                     basis=basis, _scalar=scalar)
+    fits = []
+    for lam in lams:
+        lamn = n * lam
+        if not math.isfinite(lamn):
+            raise ValueError(f"lam = {lam} overflows: n*lam is not finite for n = {n} knots")
+        if lamn == 0.0:
+            g = y.copy()
+            gam_int = basis.interior_second_derivs(g)
+        else:
+            g, gam_int = basis.smooth(y, lamn)
+        gam = np.zeros_like(g)
+        gam[1:-1] = gam_int
+        fits.append(SplineFit(t, g, gam, lam, degenerate=False, basis=basis,
+                              _scalar=scalar))
+    return fits
+
+
+def _checked_lam(lam) -> float:
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be a finite nonnegative real, got {lam}")
+    return float(lam)
 
 
 @dataclass(frozen=True, eq=False)

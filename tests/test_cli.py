@@ -93,6 +93,20 @@ class TestTrial:
         assert json.loads(out)["empirical_risk"] <= 1e-20
         assert err == ""
 
+    @pytest.mark.parametrize("key, value, shown", [("sigma0", True, "True"),
+                                                   ("lambda_d", "1e-6", "'1e-6'"),
+                                                   ("lambda_e", 0, None)])
+    def test_float_keys_take_numbers_only(self, capsys, tmp_path, key, value, shown):
+        cfg = tmp_path / "trial.json"
+        cfg.write_text(json.dumps({"scheme": "letcc", "f": "sin_pi", "k": 16,
+                                   "n": 64, "s": 4, "seed": 7, key: value}))
+        code, out, err = run_cli(capsys, "trial", "--config", str(cfg))
+        if shown is None:  # an integer is a number
+            assert code == 0
+            return
+        assert (code, out) == (1, "")
+        assert err == f"error: config key {key!r}: expected a number, got {shown}\n"
+
     @pytest.mark.parametrize("key, value, shown", [("k", 16.7, "16.7"),
                                                    ("seed", True, "True"),
                                                    ("n", 64.0, None),
@@ -187,6 +201,17 @@ class TestSweep:
         assert (out / "sweep.csv").exists()
         assert not (out / "sweep.json").exists()
 
+    def test_null_kind_runs_an_n_sweep(self, capsys, tmp_path):
+        outs = []
+        for kind in ("n_sweep", None):
+            out = tmp_path / f"out_{kind}"
+            code, stdout, _ = run_cli(capsys, "sweep", str(_sweep_config(tmp_path, kind=kind)),
+                                      "--out", str(out))
+            assert (code, stdout) == (0, "")
+            outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outs[0] == outs[1]
+        assert sorted(outs[1]) == ["sweep.csv", "sweep.json", "sweep.svg"]
+
     def test_unknown_kind_exits_one(self, capsys, tmp_path):
         path = tmp_path / "k.json"
         path.write_text(json.dumps({"kind": "wat"}))
@@ -212,16 +237,31 @@ _MALFORMED = [
     ("fractional integer", "n_sweep", {"s": 2.5}, "expected an integer, got 2.5"),
     ("boolean integer", "n_sweep", {"trials": True}, "expected an integer, got True"),
     ("k zero", "n_sweep", {"k": 0}, "k=0"),
+    ("boolean float", "n_sweep", {"sigma0": True}, "'sigma0': expected a number, got True"),
+    ("string float", "n_sweep", {"lambda_e": "1e-3"},
+     "'lambda_e': expected a number, got '1e-3'"),
+    ("string float", "n_sweep", {"s": None, "s_ratio": "0.1"},
+     "'s_ratio': expected a number, got '0.1'"),
+    ("boolean float", "n_sweep", {"lambda_d_scale": False},
+     "'lambda_d_scale': expected a number, got False"),
     ("tanh_net without m", "n_sweep", {"f": "tanh_net", "data": "uniform"}, "m >= 2"),
     ("missing required key", "straggler", {"s_values": None}, "'s_values' is required"),
     ("null required key", "straggler", {"n": None}, "'n' is required"),
     ("wrong type", "straggler", {"n": [24]}, "config key 'n'"),
     ("k zero", "straggler", {"k": 0}, "k=0"),
+    ("boolean float", "straggler", {"sigma0": True}, "'sigma0': expected a number, got True"),
+    ("string float", "straggler", {"lambda_e": "1e-6"},
+     "'lambda_e': expected a number, got '1e-6'"),
     ("missing required key", "crossval", {"n": None}, "'n' is required"),
     ("null required key", "crossval", {"f": None}, "'f' is required"),
     ("wrong type", "crossval", {"lambda_d_grid": 1e-4}, "config key 'lambda_d_grid'"),
     ("fractional integer", "crossval", {"k": 16.7}, "expected an integer, got 16.7"),
     ("k zero", "crossval", {"k": 0}, "k=0"),
+    ("string float", "crossval", {"sigma0": "0.1"}, "'sigma0': expected a number, got '0.1'"),
+    ("string in float grid", "crossval", {"lambda_d_grid": [1e-4, "1e-3"]},
+     "'lambda_d_grid': expected a number, got '1e-3'"),
+    ("boolean in float grid", "crossval", {"lambda_e_grid": [True]},
+     "'lambda_e_grid': expected a number, got True"),
 ]
 
 

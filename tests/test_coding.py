@@ -1,11 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from letcc.coding import (
     CodedBatch,
     Dataset,
     DecodeFailure,
     decode,
+    decode_lambdas,
     encode,
     encoder_training_error,
     normalize_survivors,
@@ -300,3 +304,64 @@ class TestDecode:
             assert risk <= l_dec + l_enc + 1e-9 * (1 + l_dec + l_enc)
             bound = 2 * q**2 * encoder_training_error(batch, data)
             assert l_enc <= bound + 1e-9 * (1 + bound)
+
+
+# decoder weights from interpolation through every decade of the crossval
+# grid to a weight far past any useful smoothing
+_LAMBDA_LISTS = st.lists(st.one_of(st.just(0.0),
+                                   st.integers(-13, 0).map(lambda e: 10.0**e),
+                                   st.just(1e16)),
+                         min_size=1, max_size=6)
+
+
+def _decode_quietly(survivors, grid, lam):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return decode(survivors, grid, lam)
+
+
+class TestDecodeLambdas:
+    @settings(max_examples=60, deadline=None)
+    @given(lams=_LAMBDA_LISTS, m=st.sampled_from([1, 3]),
+           count=st.sampled_from([1, 2, 3, None]), n=st.integers(8, 80),
+           duplicate=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_each_weight_equals_decode_at_that_weight(self, lams, m, count, n, duplicate,
+                                                      seed):
+        rng = np.random.default_rng(seed)
+        grid = chebyshev_grid(5, n)
+        if count is None:  # N - S survivors
+            count = n - int(rng.integers(0, n // 4 + 1))
+        indices = rng.choice(n, count, replace=False)
+        pairs = list(zip(indices.tolist(), rng.normal(size=(count, m))))
+        if duplicate:  # a second report of one index: kept out, warned about
+            pairs.insert(int(rng.integers(1, count + 1)), (pairs[0][0], rng.normal(size=m)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results = decode_lambdas(pairs, grid, lams)
+        assert len(caught) == int(duplicate)
+        assert len(results) == len(lams)
+        for lam, got in zip(lams, results):
+            want = _decode_quietly(pairs, grid, lam)
+            assert np.array_equal(got.estimates, want.estimates)
+            assert got.survivor_count == want.survivor_count == count
+            assert got.degraded == want.degraded == (count < 3)
+            assert got.decoder_fit.lam == lam
+
+    @pytest.mark.parametrize("bad, message", [(-1e-3, "finite nonnegative"),
+                                              (np.nan, "finite nonnegative"),
+                                              (np.inf, "finite nonnegative"),
+                                              (1e307, "n[*]lam is not finite"),
+                                              (1e305, "too large for these knots")])
+    def test_refuses_a_weight_as_fit_does(self, rng, bad, message):
+        grid = chebyshev_grid(4, 256)
+        indices = np.arange(0, 256, 2)
+        outputs = rng.normal(size=(indices.size, 1))
+        with pytest.raises(ValueError, match=message) as want:
+            spline.fit(grid.betas[indices], outputs, bad)
+        with pytest.raises(ValueError) as got:
+            decode_lambdas(WorkerReturns(indices, outputs), grid, [1e-6, bad, 0.0])
+        assert str(got.value) == str(want.value)
+
+    def test_empty_weight_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            decode_lambdas([(0, 1.0), (3, 2.0), (6, 0.0)], chebyshev_grid(3, 7), [])

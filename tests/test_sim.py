@@ -198,6 +198,42 @@ class TestRunTrial:
         assert 0.0 <= metrics.relacc <= 1.0
 
 
+def test_letcc_trials_decode_once_each_through_coding_decode(monkeypatch):
+    # one coding.decode(returns, grid, <float>) call per letcc trial: the
+    # call a caller hooks to see every trial's decoder input and result
+    calls = []
+    original = sim.coding.decode
+
+    def counted(survivors, grid, lambda_d):
+        calls.append(lambda_d)
+        return original(survivors, grid, lambda_d)
+
+    monkeypatch.setattr(sim.coding, "decode", counted)
+    setup = _setup(sigma0=0.1, lambda_d=1e-5)
+    run_trial(setup, 3)
+    monte_carlo(setup, 4, 7)
+    assert calls == [1e-5] * 5
+    assert all(type(lam) is float for lam in calls)
+
+
+@pytest.mark.parametrize("worker", ["sin_pi", "tanh_net"])
+def test_scores_of_a_decode_stack_equal_each_decode_alone(worker):
+    # the reference reduces each decode's (K, m) rows on their own; K = 16
+    # rows are enough that a reduction in another order rounds differently
+    setup = _setup(k=16, n=64, s=5, sigma0=0.1, lambda_e=1e-3, func=make_worker(worker),
+                   data_rule="uniform")
+    prepared, = sim._prepare(setup, [(5, 1)])
+    results = sim.coding.decode_lambdas(prepared.returns, setup.grid,
+                                        (0.0, 1e-9, 1e-4, 1.0, 1e16))
+    stacked = sim._score(setup, prepared, results)
+    for result, metrics in zip(results, stacked):
+        assert metrics == sim._score(setup, prepared, [result])[0]
+        for value, target in ((metrics.empirical_risk, prepared.truth),
+                              (metrics.l_dec / 2.0, prepared.through_encoder)):
+            assert value == float(np.mean(np.sum((result.estimates - target) ** 2,
+                                                 axis=1)))
+
+
 class TestMonteCarlo:
     def test_single_trial_flagged_degenerate(self):
         agg = monte_carlo(_setup(), trials=1, master_seed=0)

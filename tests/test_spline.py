@@ -303,6 +303,33 @@ class TestFitValidation:
         assert fit([0.0, 1.0], [1.0, 2.0], 1e308).degenerate
 
 
+class TestFitLambdas:
+    @pytest.mark.parametrize("n", [1, 2, 3, 40])
+    @pytest.mark.parametrize("shape", [(), (1,), (3,)])
+    def test_each_fit_equals_fit_at_that_weight(self, rng, n, shape):
+        t = np.sort(rng.uniform(-1, 1, n))
+        y = rng.normal(size=(n,) + shape)
+        lams = (0.0, 1e-13, 1e-4, 1.0, 1e16, 1e-4)
+        fits = spline.fit_lambdas(t, y, lams)
+        assert len(fits) == len(lams)
+        for lam, got in zip(lams, fits):
+            want = fit(t, y, lam)
+            assert np.array_equal(got.coefficients, want.coefficients)
+            assert np.array_equal(got.second_derivs, want.second_derivs)
+            assert (got.lam, got.degenerate) == (want.lam, want.degenerate)
+            assert np.array_equal(got.evaluate(t[:1] - 0.5), want.evaluate(t[:1] - 0.5))
+        # one basis for all weights
+        assert len({id(f.basis) for f in fits}) == 1
+
+    def test_skeleton_is_not_changed_by_a_solve(self, rng):
+        t = np.sort(rng.uniform(-1, 1, 12))
+        basis = NaturalSplineBasis(t)
+        basis.smooth(rng.normal(size=(12, 1)), 0.5)
+        skeleton = basis._skeleton.copy()
+        basis.smooth(rng.normal(size=(12, 2)), 3.0)
+        assert np.array_equal(basis._skeleton, skeleton)
+
+
 class TestDirectLapackSolve:
     def test_same_bytes_as_solve_banded(self, rng, monkeypatch):
         # smooth hands dgbsv the seven band rows of the system plus three

@@ -29,6 +29,7 @@ from .coding import (
     DecodeFailure,
     DecodeResult,
     decode,
+    decode_batch,
     decode_lambdas,
     encode,
     encoder_training_error,
@@ -37,6 +38,7 @@ from .baselines import (
     BerrutInterpolant,
     LagrangeCodec,
     bacc_decode,
+    bacc_decode_batch,
     bacc_encode,
     lcc_decode,
     lcc_encode,

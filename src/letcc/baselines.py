@@ -28,6 +28,7 @@ from .coding import (
     Dataset,
     DecodeResult,
     _cached_encoder,
+    _stack_survivors,
     normalize_survivors,
 )
 from .points import InterpolationGrid
@@ -38,6 +39,7 @@ __all__ = [
     "LagrangeCodec",
     "bacc_encode",
     "bacc_decode",
+    "bacc_decode_batch",
     "lcc_encode",
     "lcc_decode",
 ]
@@ -51,36 +53,41 @@ class _BarycentricMap:
 
     Row r of the result is (ratios[r] @ values) / den[r], with ratios the
     weights over (query - node); a query on a node (within
-    ``_NODE_HIT_TOL``) reads that node's value instead.
+    ``_NODE_HIT_TOL``) reads that node's value instead.  ``nodes`` may be a
+    (T, v) stack of node sets: then ``ratios`` is (T, q, v), one map per
+    set, and ``hit`` holds the set and the query row of each node hit.
     """
 
     weights: np.ndarray
     ratios: np.ndarray
     den: np.ndarray
-    hit_rows: np.ndarray
+    hit: tuple[np.ndarray, ...]
     hit_nodes: np.ndarray
 
     @classmethod
     def build(cls, nodes, weights, query) -> "_BarycentricMap":
         x = np.atleast_1d(np.asarray(query, dtype=float))
-        diff = x[:, None] - nodes[None, :]
+        diff = x[:, None] - nodes[..., None, :]
         hits = np.abs(diff) < _NODE_HIT_TOL
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = weights / diff
-            den = ratios.sum(axis=1, keepdims=True)
-        hit_rows = hits.any(axis=1)
-        return cls(weights, ratios, den, hit_rows, np.argmax(hits[hit_rows], axis=1))
+            den = ratios.sum(axis=-1, keepdims=True)
+        hit = np.nonzero(hits.any(axis=-1))
+        return cls(weights, ratios, den, hit, np.argmax(hits[hit], axis=-1))
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Values (n, m), or a stack (..., n, m), at the queries.
 
-        A stacked matmul runs each set's product on its own, so a set gets
-        the same bits in a stack as alone.
+        A map of T node sets takes one value set per node set, (..., T, n,
+        m).  A stacked matmul runs each set's product on its own, so a set
+        gets the same bits in a stack as alone.
         """
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.matmul(self.ratios, values) / self.den
         if self.hit_nodes.size:
-            out[..., self.hit_rows, :] = values[..., self.hit_nodes, :]
+            *sets, rows = self.hit
+            out[(..., *sets, rows, slice(None))] = values[(..., *sets, self.hit_nodes,
+                                                           slice(None))]
         return out
 
 
@@ -185,14 +192,39 @@ def bacc_encode(data: Dataset, grid: InterpolationGrid) -> CodedBatch:
 
 
 def bacc_decode(survivors, grid: InterpolationGrid) -> DecodeResult:
-    """Berrut interpolant through surviving (beta, output) pairs, at alphas."""
+    """Berrut interpolant through surviving (beta, output) pairs, at alphas.
+
+    A batch of one trial of :func:`bacc_decode_batch`, after
+    :func:`letcc.coding.normalize_survivors`.
+    """
     indices, outputs = normalize_survivors(survivors, grid.n)
-    dec = BerrutInterpolant(grid.betas[indices], outputs)
-    return DecodeResult(
-        estimates=dec.evaluate(grid.alphas),
-        decoder_fit=dec,
-        survivor_count=indices.size,
-    )
+    return _bacc_decode_stack(grid, indices[None], outputs[None])[0]
+
+
+def bacc_decode_batch(survivors, grid: InterpolationGrid) -> list[DecodeResult]:
+    """:func:`bacc_decode` of each trial's survivors in ``survivors``, in one batch.
+
+    Each result equals the trial's own :func:`bacc_decode` bit for bit.
+    The survivors take the form of :func:`letcc.coding.decode_batch`.
+    """
+    survivors = list(survivors)
+    if not survivors:
+        return []
+    return _bacc_decode_stack(grid, *_stack_survivors(survivors, grid.n))
+
+
+def _bacc_decode_stack(grid: InterpolationGrid, indices: np.ndarray,
+                       outputs: np.ndarray) -> list[DecodeResult]:
+    """Berrut decodes of T trials' checked (T, v) indices and (T, v, m) outputs.
+
+    One barycentric map on the T node sets takes every trial to the alphas.
+    """
+    nodes = grid.betas[indices]
+    count = indices.shape[1]
+    estimates = _BarycentricMap.build(nodes, _berrut_weights(count), grid.alphas).apply(outputs)
+    return [DecodeResult(estimates=est, decoder_fit=BerrutInterpolant(knots, values),
+                         survivor_count=count)
+            for est, knots, values in zip(estimates, nodes, outputs)]
 
 
 def lcc_encode(data: Dataset, grid: InterpolationGrid) -> CodedBatch:

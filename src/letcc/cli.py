@@ -104,8 +104,9 @@ def _check_config(raw: dict, allowed) -> dict:
 
 
 def _int(value) -> int:
-    """int() that refuses booleans and non-integral numbers."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """int() of an integral JSON number: booleans, strings and fractions are refused."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer())):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 

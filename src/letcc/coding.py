@@ -21,13 +21,18 @@ encoders and computes the same ones, so its coded batches are identical.
 A cached encoder also applies to a stack (T, K, d) of T input sets at
 once, with the same arithmetic per set as on its own.
 
-Decoding the same survivors at several decoder weights (the lambda_d grid
-of a cross-validation) shares everything that does not depend on the
-weight: :func:`decode_lambdas` normalizes the survivors once, fits every
-weight on one spline basis (:func:`letcc.spline.fit_lambdas`) and
-evaluates the stacked fits at the alphas through one set of evaluation
-weights.  Each weight's estimates equal a :func:`decode` at that weight,
-bit for bit, as both fit through the same spline code.
+Every decode runs through one body on a stack of T trials' survivors,
+all of one count (uniform and fixed stragglers both leave N - S), at L
+decoder weights.  It builds the T interleaved band systems of a weight in
+one set of array operations and solves them one LAPACK call per trial
+(:func:`letcc.spline.NaturalSplineBasis` on a (T, n) knot stack), and
+evaluates all T x L fits at the alphas through one set of stacked
+evaluation weights.  :func:`decode_batch` is T trials at one weight, the
+Monte-Carlo decode; :func:`decode_lambdas` one trial at L weights, the
+cross-validation's, which normalizes the survivors once and shares the
+basis and its lambda-free band entries; :func:`decode` one trial at one
+weight.  Each trial's result equals its own :func:`decode` bit for bit:
+every operation is elementwise across trials, or runs per trial.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ __all__ = [
     "encode",
     "encoder_training_error",
     "decode",
+    "decode_batch",
     "decode_lambdas",
     "normalize_survivors",
 ]
@@ -196,6 +202,12 @@ def normalize_survivors(survivors, n: int):
     outside = ~((indices >= 0) & (indices < n))
     if outside.any():
         raise ValueError(f"survivor index {indices[outside.argmax()]} outside [0, {n})")
+    if not isinstance(rows, list) and (indices[1:] > indices[:-1]).all():
+        # sorted and unique already, as workers report: every row in place
+        outputs = rows.reshape(count, -1).copy()
+        if not np.isfinite(outputs).all():
+            raise ValueError("survivor outputs contain non-finite values")
+        return indices.astype(int), outputs
     unique, first = np.unique(indices, return_index=True)
     if unique.size < count:
         for idx in np.delete(indices, first):
@@ -211,24 +223,60 @@ def normalize_survivors(survivors, n: int):
     return unique.astype(int), outputs
 
 
+def _stack_survivors(survivors, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The survivors of T trials as (T, v) indices and (T, v, m) outputs.
+
+    Checks the form :func:`decode_batch` asks for and raises
+    ``ValueError`` where it is not met; zero survivors raise
+    :class:`DecodeFailure`.
+    """
+    counts = {np.size(s.indices) for s in survivors}
+    if len(counts) > 1:
+        raise ValueError(f"a batch needs one survivor count, got {sorted(counts)}")
+    indices = np.array([s.indices for s in survivors], dtype=int)
+    outputs = np.array([s.outputs for s in survivors], dtype=float)
+    if outputs.ndim != 3 or outputs.shape[:2] != indices.shape:
+        raise ValueError(f"survivor outputs of shape {outputs.shape[1:]} "
+                         f"for {indices.shape[1]} indices")
+    if not indices.shape[1]:
+        raise DecodeFailure("no survivor outputs to decode from")
+    outside = (indices < 0) | (indices >= n)
+    if outside.any():
+        raise ValueError(f"survivor index {indices[outside][0]} outside [0, {n})")
+    if not (indices[:, 1:] > indices[:, :-1]).all():
+        raise ValueError("batched survivor indices must be sorted and unique")
+    if not np.isfinite(outputs).all():
+        raise ValueError("survivor outputs contain non-finite values")
+    return indices, outputs
+
+
 def decode(survivors, grid: InterpolationGrid, lambda_d: float) -> DecodeResult:
     """Fit the decoder spline through surviving (beta, output) pairs.
 
     Fewer than three survivors degrade to the penalty null space (affine
     through two points, constant through one); the result is flagged.  Zero
-    survivors raise :class:`DecodeFailure`.
+    survivors raise :class:`DecodeFailure`.  A batch of one trial of
+    :func:`decode_batch`, after :func:`normalize_survivors`.
     """
-    # one fit and its own evaluation, so that a profile (bench/spans.py)
-    # sees the decode's spline.fit and SplineFit.evaluate calls
     indices, outputs = normalize_survivors(survivors, grid.n)
-    dec = spline.fit(grid.betas[indices], outputs, lambda_d)
-    estimates = dec.evaluate(grid.alphas)
-    return DecodeResult(
-        estimates=estimates,
-        decoder_fit=dec,
-        survivor_count=indices.size,
-        degraded=dec.degenerate,
-    )
+    return _decode_stack(grid, indices[None], outputs[None], (lambda_d,))[0][0]
+
+
+def decode_batch(survivors, grid: InterpolationGrid, lambda_d: float) -> list[DecodeResult]:
+    """:func:`decode` of each trial's survivors in ``survivors``, in one batch.
+
+    Each result equals the trial's own :func:`decode` bit for bit.  Every
+    trial's survivors expose ``indices`` and ``outputs`` (a
+    :class:`letcc.sim.WorkerReturns`) in the form :func:`normalize_survivors`
+    gives: sorted, unique indices in [0, N) with one finite output row
+    each.  All trials need the same survivor count, as the survivors of
+    uniform or fixed stragglers on one grid have; anything else raises
+    ``ValueError``.
+    """
+    survivors = list(survivors)
+    if not survivors:
+        return []
+    return _decode_stack(grid, *_stack_survivors(survivors, grid.n), (lambda_d,))[0]
 
 
 def decode_lambdas(survivors, grid: InterpolationGrid, lambdas) -> list[DecodeResult]:
@@ -239,11 +287,34 @@ def decode_lambdas(survivors, grid: InterpolationGrid, lambdas) -> list[DecodeRe
     takes the stacked fits to the alphas.
     """
     indices, outputs = normalize_survivors(survivors, grid.n)
+    return [trials[0] for trials in
+            _decode_stack(grid, indices[None], outputs[None], lambdas)]
+
+
+def _decode_stack(grid: InterpolationGrid, indices: np.ndarray, outputs: np.ndarray,
+                  lambdas) -> list[list[DecodeResult]]:
+    """Decodes of T trials' checked survivors at each weight of ``lambdas``.
+
+    ``indices`` (T, v) and ``outputs`` (T, v, m) are as
+    :func:`_stack_survivors` gives them.  The T fits at a weight share one
+    set of band operations (:func:`letcc.spline._fit_stack`), and one set
+    of evaluation weights takes all fits to the alphas.  Returns one list
+    of T results per weight.
+    """
+    lams = spline._checked_lams(lambdas)
     knots = grid.betas[indices]
-    fits = spline.fit_lambdas(knots, outputs, lambdas)
-    estimates = spline.evaluation_weights(knots, grid.alphas).apply(
-        np.stack([dec.coefficients for dec in fits]),
-        np.stack([dec.second_derivs for dec in fits]))
-    return [DecodeResult(estimates=est, decoder_fit=dec, survivor_count=indices.size,
-                         degraded=dec.degenerate)
-            for est, dec in zip(estimates, fits)]
+    stack = spline._fit_stack(knots, outputs, lams)
+    weights = spline.evaluation_weights(knots, grid.alphas)
+    if len(stack) == 1:
+        # one weight, as in every decode but a crossval's: stacking its fits
+        # would copy them, ~8% of a codec_batch decode (K = 32, m = 64)
+        (values, second_derivs, _), = stack
+        estimates = weights.apply(values, second_derivs)[None]
+    else:
+        estimates = weights.apply(np.stack([values for values, _, _ in stack]),
+                                  np.stack([second_derivs for _, second_derivs, _ in stack]))
+    count = indices.shape[1]
+    return [[DecodeResult(estimates=est, decoder_fit=dec, survivor_count=count,
+                          degraded=dec.degenerate)
+             for est, dec in zip(trial_estimates, fits)]
+            for trial_estimates, (_, _, fits) in zip(estimates, stack)]

@@ -347,10 +347,11 @@ def crossval_lambda(lambda_e_grid, lambda_d_grid, config: CrossvalConfig) -> Cro
             data_rule=config.data_rule,
         )
 
-        per_trial = [_score(setup, prepared,
+        per_trial = [_score(setup, [prepared] * len(d_grid),
                             coding.decode_lambdas(prepared.returns, grid, d_grid))
-                     for prepared in _prepare(setup, _trial_seeds(config.master_seed,
-                                                                  config.trials))]
+                     for chunk in _prepare(setup, _trial_seeds(config.master_seed,
+                                                               config.trials))
+                     for prepared in chunk]
         for j, lam_d in enumerate(d_grid):
             agg = aggregate([scores[j] for scores in per_trial])
             table.append({"lambda_e": lam_e, "lambda_d": lam_d,

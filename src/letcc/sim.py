@@ -3,21 +3,29 @@
 Randomness is organized as counter-based streams: every trial derives its
 generators from ``(master_seed, trial_index, stream_tag)``, so two schemes
 given the same seeds see identical straggler sets, data draws, and noise.
-A generator a trial does not use (noise at sigma0 = 0, stragglers in
-``fixed`` mode, data when it is given or ``identity``) is never built.
+A stream a trial does not use (noise at sigma0 = 0, stragglers in
+``fixed`` mode, data when it is given or ``identity``) is never seeded.
+:func:`trial_rng` builds one such generator; the harness computes the
+same states for all streams of many trials in one vectorised pass
+(numpy's SeedSequence mixing in uint32 arrays, PCG64's seeding in Python
+ints) and loads each, just before its draws, into one reused generator.
 
 A trial runs in two halves.  The first, independent of the decoder
 weight lambda_d, draws the data, encodes, samples the stragglers and runs
 the workers; :func:`monte_carlo` and the cross-validation of
 :mod:`letcc.experiments` prepare all trials of a call together, in chunks
-of a bounded number of coded values, and encode each chunk in one stacked
-product through the grid's cached encoder.  The second half decodes and
-scores one trial at a time; the cross-validation decodes a trial at its
-whole lambda_d grid in one :func:`letcc.coding.decode_lambdas` call and
-scores each weight's result.  Every step does the same arithmetic on a
-trial's values alone as in any batch, so a trial's metrics are
-bit-identical whether it runs through :func:`run_trial` or inside any
-Monte-Carlo call.
+of a bounded number of values.  A chunk seeds its streams at once and
+encodes its inputs in one stacked product through the grid's cached
+encoder.  The second half decodes and scores: :func:`monte_carlo`
+decodes the letcc or bacc trials of a chunk in one batch
+(:func:`letcc.coding.decode_batch`,
+:func:`letcc.baselines.bacc_decode_batch`) and lcc trials one at a time,
+then scores the chunk on one stack; the cross-validation decodes a trial
+at its whole lambda_d grid in one :func:`letcc.coding.decode_lambdas`
+call.  Worker functions only ever see one trial's rows.  Every step does
+the same arithmetic on a trial's values alone as in any batch, so a
+trial's metrics are bit-identical whether it runs through
+:func:`run_trial` or inside any Monte-Carlo call.
 """
 
 from __future__ import annotations
@@ -61,8 +69,10 @@ _STREAM_STRAGGLERS = 101
 _STREAM_NOISE = 202
 _STREAM_DATA = 303
 
-# Coded values (N x input dimension per trial) prepared together at most,
-# unless one trial alone has more: bounds the memory of a batch.
+# Values per trial (N x input dimension coded values; N x max(input
+# dimension, K) for bacc, whose batched decode holds (K, N) barycentric
+# weights) prepared and decoded together at most, unless one trial alone
+# has more: bounds the memory of a batch.
 _CHUNK_VALUES = 2**16
 
 
@@ -78,6 +88,8 @@ def trial_rng(seed, stream: int) -> np.random.Generator:
     """Generator for one substream of one trial.
 
     ``seed`` may be an int or a sequence of ints (e.g. (master, trial)).
+    The Monte-Carlo harness loads the same states into a reused generator
+    (:func:`_stream_states`); this is their reference.
     """
     return np.random.default_rng([*_entropy(seed), stream])
 
@@ -85,6 +97,129 @@ def trial_rng(seed, stream: int) -> np.random.Generator:
 def _entropy(seed) -> tuple[int, ...]:
     """``seed``, an int or a sequence of ints, as a tuple of ints."""
     return tuple(int(s) for s in (seed if isinstance(seed, tuple) else np.atleast_1d(seed)))
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+# hash constants are precomputed for rows of up to _CONST_WORDS words; a
+# word count needs _VECTOR_ROWS rows for the vectorised pass to beat
+# numpy's own SeedSequence per row
+_CONST_WORDS = 64
+_VECTOR_ROWS = 4
+# the state of the reused generator is replaced before every draw
+_ANY_SEED = np.random.SeedSequence(0)
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """SeedSequence's hash constants at steps 0 to count, init * mult**i mod 2**32.
+
+    One per row, shaped (count + 1, 1) to scale the rows of a word-major pool.
+    """
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+_CONSTS_A = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE ** 2 + _POOL_SIZE * _CONST_WORDS)
+_CONSTS_B = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+# the pool words each word is mixed into, that word repeated for them, and
+# the pool words generate_state(4, uint64) reads in turn
+_MIX_DST = [np.array([d for d in range(_POOL_SIZE) if d != s]) for s in range(_POOL_SIZE)]
+_MIX_SRC = [np.full(_POOL_SIZE - 1, s) for s in range(_POOL_SIZE)]
+_STATE_WORDS = np.tile(np.arange(_POOL_SIZE), 2)
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray, step: int) -> np.ndarray:
+    """SeedSequence's hashmix of each row of ``values``, row i at step + i."""
+    out = values ^ consts[step:step + len(values)]
+    out *= consts[step + 1:step + len(values) + 1]
+    out ^= out >> np.uint32(16)
+    return out
+
+
+def _seed_words(entropy: np.ndarray) -> list[list[int]]:
+    """PCG64 seed and increment words of ``default_rng(row)`` for each row.
+
+    ``entropy`` is (R, w) uint32, the words of R entropy rows of one length
+    w.  SeedSequence's pool mixing and ``generate_state(4, uint64)`` run on
+    all rows at once, on a word-major (4, R) pool: their hash constants
+    depend on the step only, not on the data.  Gives R rows of (seed high,
+    seed low, inc high, inc low).
+    """
+    rows, width = entropy.shape
+    consts = (_CONSTS_A if width <= _CONST_WORDS else
+              _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE ** 2 + _POOL_SIZE * width))
+    pool = np.zeros((_POOL_SIZE, rows), dtype=np.uint32)
+    pool[:width] = entropy[:, :_POOL_SIZE].T
+    pool = _hashmix(pool, consts, 0)
+    step = _POOL_SIZE
+    for dst, src in zip(_MIX_DST, _MIX_SRC):  # every pool word into every other one
+        mixed = pool[dst]
+        mixed *= _MIX_MULT_L
+        mixed -= _hashmix(pool[src], consts, step) * _MIX_MULT_R
+        mixed ^= mixed >> np.uint32(16)
+        pool[dst] = mixed
+        step += len(dst)
+    for word in entropy.T[_POOL_SIZE:]:  # entropy beyond the pool into every word
+        pool *= _MIX_MULT_L
+        pool -= _hashmix(np.broadcast_to(word, pool.shape), consts, step) * _MIX_MULT_R
+        pool ^= pool >> np.uint32(16)
+        step += _POOL_SIZE
+    words = _hashmix(pool[_STATE_WORDS], _CONSTS_B, 0).astype(np.uint64)
+    return (words[0::2] | words[1::2] << np.uint64(32)).T.tolist()
+
+
+def _words(row: tuple[int, ...]) -> list[int]:
+    """The uint32 words SeedSequence takes an entropy row of ints as."""
+    words = []
+    for value in row:
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(value & _MASK32)
+        value >>= 32
+        while value:
+            words.append(value & _MASK32)
+            value >>= 32
+    return words
+
+
+def _stream_states(rows: Sequence[tuple[int, ...]]) -> list[dict]:
+    """``default_rng(row).bit_generator.state`` for each entropy row, in order.
+
+    Vectorised over all rows of one word count: SeedSequence's mixing runs
+    in uint32 numpy, PCG64's two seeding steps in Python ints.  A word
+    count with fewer than ``_VECTOR_ROWS`` rows takes numpy's own
+    SeedSequence per row instead, which costs less than the fixed cost of
+    the vectorised pass (~15 us a row against ~90 us).  A row that
+    ``trial_rng`` refuses raises its error.
+    """
+    words = [_words(row) for row in rows]
+    widths = {}
+    for i, row_words in enumerate(words):
+        widths.setdefault(len(row_words), []).append(i)
+    states = [None] * len(rows)
+    for index in widths.values():
+        if len(index) < _VECTOR_ROWS:
+            # the same words, which SeedSequence takes as they are
+            seeded = [np.random.SeedSequence(np.array(words[i], dtype=np.uint32))
+                      .generate_state(4, np.uint64).tolist() for i in index]
+        else:
+            seeded = _seed_words(np.array([words[i] for i in index], dtype=np.uint32))
+        for i, (seed_hi, seed_lo, inc_hi, inc_lo) in zip(index, seeded):
+            inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+            # from state 0: one step, add the seed, one more step
+            state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
+            states[i] = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+    return states
 
 
 @dataclass(frozen=True)
@@ -170,10 +305,14 @@ class WorkerFunction:
     degree: int | None = None
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2:
+            x = np.atleast_2d(x)
         if x.shape[1] != self.in_dim:
             raise ValueError(f"{self.name} expects inputs of dim {self.in_dim}, got {x.shape[1]}")
-        out = np.atleast_2d(np.asarray(self.fn(x), dtype=float))
+        out = np.asarray(self.fn(x), dtype=float)
+        if out.ndim != 2:
+            out = np.atleast_2d(out)
         if out.shape != (x.shape[0], self.out_dim):
             raise ValueError(f"{self.name} returned shape {out.shape}, "
                              f"expected {(x.shape[0], self.out_dim)}")
@@ -328,16 +467,6 @@ class TrialSetup:
             raise ValueError("lcc needs a declared polynomial degree")
 
 
-def _trial_inputs(setup: TrialSetup, seed: tuple[int, ...]) -> np.ndarray:
-    """The (K, d) inputs of one trial."""
-    if setup.data is not None:
-        return setup.data.inputs
-    if setup.data_rule == "identity":
-        return setup.grid.alphas[:, None]
-    rng = trial_rng(seed, _STREAM_DATA)
-    return rng.uniform(-1.0, 1.0, (setup.grid.k, setup.func.in_dim))
-
-
 @dataclass(frozen=True, eq=False)
 class _Prepared:
     """The lambda_d-independent half of a trial: everything up to decode."""
@@ -349,38 +478,67 @@ class _Prepared:
     seed: tuple[int, ...]
 
 
-def _prepare(setup: TrialSetup, seeds) -> Iterator[_Prepared]:
-    """The prepared trials of ``seeds``, in order, made a chunk at a time.
+def _trial_inputs(setup: TrialSetup, rng: np.random.Generator | None) -> np.ndarray:
+    """The (K, d) inputs of one trial; ``rng`` is its data stream, None if it draws none."""
+    if setup.data is not None:
+        return setup.data.inputs
+    if setup.data_rule == "identity":
+        return setup.grid.alphas[:, None]
+    return rng.uniform(-1.0, 1.0, (setup.grid.k, setup.func.in_dim))
 
-    Each chunk stacks its trials' inputs and encodes them in one product
-    through the grid's cached encoder; the straggler draw, the workers and
-    the truth run per trial, on exactly that trial's rows.
+
+def _prepare(setup: TrialSetup, seeds) -> Iterator[list[_Prepared]]:
+    """The prepared trials of ``seeds``, in order, as lists of one chunk each.
+
+    A chunk holds at most ``_CHUNK_VALUES`` values of N x d per trial
+    (N x max(d, K) for bacc, whose decode weights are K x N), or one
+    trial.  Its random streams are seeded in one vectorised pass and loaded
+    in turn into one reused generator; it stacks its trials' inputs and
+    encodes them in one product through the grid's cached encoder.  The
+    straggler draw, the workers and the truth run per trial, on exactly
+    that trial's rows.
     """
     grid, func = setup.grid, setup.func
     seeds = [_entropy(seed) for seed in seeds]
-    size = max(1, _CHUNK_VALUES // (grid.n * func.in_dim))
+    tags = [tag for tag, used in ((_STREAM_DATA, setup.data is None
+                                   and setup.data_rule == "uniform"),
+                                  (_STREAM_STRAGGLERS, setup.stragglers.mode == "uniform"),
+                                  (_STREAM_NOISE, setup.noise.sigma0 > 0)) if used]
+    # one generator, loaded with each stream's state just before its draws
+    gen = np.random.Generator(np.random.PCG64(_ANY_SEED)) if tags else None
+
+    def rng(states: dict, tag: int) -> np.random.Generator | None:
+        """The stream ``tag`` at a trial's state, None if the setup draws none."""
+        if tag not in states:
+            return None
+        gen.bit_generator.state = states[tag]
+        return gen
+
+    width = max(func.in_dim, grid.k) if setup.scheme == "bacc" else func.in_dim
+    size = max(1, _CHUNK_VALUES // (grid.n * width))
     for start in range(0, len(seeds), size):
         chunk = seeds[start:start + size]
-        inputs = np.stack([_trial_inputs(setup, seed) for seed in chunk])
+        flat = iter(_stream_states([seed + (tag,) for seed in chunk for tag in tags]))
+        states = [{tag: next(flat) for tag in tags} for _ in chunk]
+        inputs = np.stack([_trial_inputs(setup, rng(trial, _STREAM_DATA)) for trial in states])
         knot_values = None
         if setup.scheme == "letcc":
             coded, knot_values, _ = coding._linear_encoder(grid, setup.lambda_e).apply(inputs)
         else:
             coded = baselines._encoder(grid, setup.scheme).apply(inputs)
-        for t, seed in enumerate(chunk):
-            straggler_rng = (trial_rng(seed, _STREAM_STRAGGLERS)
-                             if setup.stragglers.mode == "uniform" else None)
-            noise_rng = trial_rng(seed, _STREAM_NOISE) if setup.noise.sigma0 > 0 else None
+        prepared = []
+        for t, (seed, trial) in enumerate(zip(chunk, states)):
+            survivors = sample_stragglers(setup.stragglers, rng(trial, _STREAM_STRAGGLERS))
             returns = apply_workers(func, CodedBatch(coded[t], None, grid), setup.noise,
-                                    sample_stragglers(setup.stragglers, straggler_rng),
-                                    noise_rng)
+                                    survivors, rng(trial, _STREAM_NOISE))
             truth = func.evaluate(inputs[t])
             through = l_enc = None
             if knot_values is not None:
                 # the encoder's values at the alphas, its knots
                 through = func.evaluate(knot_values[t])
                 l_enc = 2.0 * float(_mean_sq_dist(through, truth))
-            yield _Prepared(returns, truth, through, l_enc, seed)
+            prepared.append(_Prepared(returns, truth, through, l_enc, seed))
+        yield prepared
 
 
 def _mean_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -404,47 +562,65 @@ def _decode(setup: TrialSetup, prepared: _Prepared) -> coding.DecodeResult:
     return baselines.lcc_decode(prepared.returns, grid, degree)
 
 
-def _score(setup: TrialSetup, prepared: _Prepared,
-           results: Sequence[coding.DecodeResult]) -> list[TrialMetrics]:
-    """The metrics of one prepared trial for each of its decodes ``results``.
+def _decode_chunk(setup: TrialSetup, chunk: list[_Prepared]) -> list[coding.DecodeResult]:
+    """:func:`_decode` of each trial of a prepared chunk, bit for bit.
 
-    The distances run once on the stack of all estimates.  A letcc result
-    whose risk exceeds its decomposition bound raises.
+    letcc and bacc decode the whole chunk in one batch; lcc decodes one
+    trial at a time.
+    """
+    if setup.scheme == "lcc":
+        return [_decode(setup, prepared) for prepared in chunk]
+    returns = [prepared.returns for prepared in chunk]
+    if setup.scheme == "letcc":
+        return coding.decode_batch(returns, setup.grid, setup.lambda_d)
+    return baselines.bacc_decode_batch(returns, setup.grid)
+
+
+def _score(setup: TrialSetup, prepared: Sequence[_Prepared],
+           results: Sequence[coding.DecodeResult]) -> list[TrialMetrics]:
+    """The metrics of each decode ``results[i]`` of the trial ``prepared[i]``.
+
+    The trials of a chunk, or one trial at several decoder weights: the
+    distances run once on the stack of all estimates, each reduced as on
+    its own.  A letcc result whose risk exceeds its decomposition bound
+    raises.
     """
     estimates = np.array([result.estimates for result in results])
-    risks = _mean_sq_dist(estimates, prepared.truth).tolist()
-    l_enc = prepared.l_enc
+    risks = _mean_sq_dist(estimates, np.array([trial.truth for trial in prepared])).tolist()
     l_decs = [None] * len(results)
     if setup.scheme == "letcc":
-        l_decs = (2.0 * _mean_sq_dist(estimates, prepared.through_encoder)).tolist()
-        for risk, l_dec in zip(risks, l_decs):
-            bound = l_dec + l_enc
+        through = np.array([trial.through_encoder for trial in prepared])
+        l_decs = (2.0 * _mean_sq_dist(estimates, through)).tolist()
+        for risk, l_dec, trial in zip(risks, l_decs, prepared):
+            bound = l_dec + trial.l_enc
             if risk > bound + 1e-9 * (1.0 + bound):
                 raise RiskBoundViolation(
-                    f"risk decomposition violated: {risk} > {l_dec} + {l_enc}"
+                    f"risk decomposition violated: {risk} > {l_dec} + {trial.l_enc}"
                 )
 
+    classes = estimates.shape[-1] >= 2  # relacc is defined for vector outputs only
     return [TrialMetrics(
         scheme=setup.scheme,
         empirical_risk=risk,
         l_dec=l_dec,
-        l_enc=l_enc,
+        l_enc=trial.l_enc,
         rmse=sqrt(risk),
-        relacc=relacc(result.estimates, prepared.truth),
+        relacc=relacc(result.estimates, trial.truth) if classes else None,
         survivor_count=result.survivor_count,
         degraded=result.degraded,
-        seed=prepared.seed,
-    ) for risk, l_dec, result in zip(risks, l_decs, results)]
+        seed=trial.seed,
+    ) for risk, l_dec, trial, result in zip(risks, l_decs, prepared, results, strict=True)]
 
 
 def run_trial(setup: TrialSetup, seed) -> TrialMetrics:
     """Run the full encode/compute/decode pipeline once.
 
     ``seed`` (int or tuple of ints) fully determines the trial: identical
-    seeds give bit-identical metrics.
+    seeds give bit-identical metrics.  A letcc trial decodes through one
+    :func:`letcc.coding.decode` call.
     """
-    prepared, = _prepare(setup, [seed])
-    return _score(setup, prepared, [_decode(setup, prepared)])[0]
+    (prepared,), = _prepare(setup, [seed])
+    return _score(setup, [prepared], [_decode(setup, prepared)])[0]
 
 
 @dataclass(frozen=True)
@@ -498,11 +674,14 @@ def monte_carlo(setup: TrialSetup, trials: int, master_seed: int) -> MonteCarloR
     """Run ``trials`` seeded trials in order and aggregate them.
 
     Trial t uses seed (master_seed, t).  The trials are prepared together
-    (data, a stacked encode, stragglers, workers) and decoded one by one;
-    ``metrics[t]`` equals ``run_trial(setup, (master_seed, t))`` bit for bit.
+    (streams, data, a stacked encode, stragglers, workers) and decoded a
+    batch at a time (:func:`letcc.coding.decode_batch` for letcc,
+    :func:`letcc.baselines.bacc_decode_batch` for bacc, one decode per
+    trial for lcc); ``metrics[t]`` equals ``run_trial(setup, (master_seed,
+    t))`` bit for bit.
     """
-    return aggregate([_score(setup, prepared, [_decode(setup, prepared)])[0]
-                      for prepared in _prepare(setup, _trial_seeds(master_seed, trials))])
+    return aggregate([metrics for chunk in _prepare(setup, _trial_seeds(master_seed, trials))
+                      for metrics in _score(setup, chunk, _decode_chunk(setup, chunk))])
 
 
 def relacc(estimates: np.ndarray, truth: np.ndarray) -> float | None:

@@ -110,7 +110,7 @@ class TestTrial:
     @pytest.mark.parametrize("key, value, shown", [("k", 16.7, "16.7"),
                                                    ("seed", True, "True"),
                                                    ("n", 64.0, None),
-                                                   ("n", "64", None)])
+                                                   ("n", "64", "'64'")])
     def test_integer_keys_must_be_integral(self, capsys, tmp_path, key, value, shown):
         cfg = tmp_path / "trial.json"
         cfg.write_text(json.dumps({"scheme": "letcc", "f": "sin_pi", "k": 16,

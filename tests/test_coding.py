@@ -9,6 +9,7 @@ from letcc.coding import (
     Dataset,
     DecodeFailure,
     decode,
+    decode_batch,
     decode_lambdas,
     encode,
     encoder_training_error,
@@ -17,7 +18,7 @@ from letcc.coding import (
 from letcc import baselines, kernel, spline
 from letcc.points import chebyshev_grid
 
-from letcc.sim import WorkerReturns
+from letcc.sim import WorkerReturns, make_worker
 
 from conftest import ols_affine
 
@@ -365,3 +366,120 @@ class TestDecodeLambdas:
     def test_empty_weight_list_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             decode_lambdas([(0, 1.0), (3, 2.0), (6, 0.0)], chebyshev_grid(3, 7), [])
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _survivor_batch(grid, count, trials, m, fixed, rng):
+    """Survivors of ``trials`` trials with ``count`` sorted indices each.
+
+    ``fixed`` repeats one index set, as fixed stragglers do.  m = 3 takes
+    the outputs of a tanh network with a softmax head.
+    """
+    net = make_worker("tanh_net", d=2, m=3)
+    indices = np.sort(rng.choice(grid.n, count, replace=False))
+    batch = []
+    for _ in range(trials):
+        if not fixed:
+            indices = np.sort(rng.choice(grid.n, count, replace=False))
+        outputs = (net.evaluate(rng.uniform(-1, 1, (count, 2))) if m == 3
+                   else rng.normal(size=(count, m)))
+        batch.append(WorkerReturns(indices, outputs))
+    return batch
+
+
+class TestDecodeBatch:
+    # grid (3, 7) puts the alpha 0.0 on the beta 0.0 (index 3): the bacc
+    # node hit of every trial whose survivors hold index 3
+    @pytest.mark.parametrize("k, n, count", [(5, 21, 1), (5, 21, 2), (5, 21, 3),
+                                             (5, 21, 17), (5, 21, 21), (3, 7, 4)])
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_each_result_equals_its_own_decode(self, k, n, count, m, fixed):
+        grid = chebyshev_grid(k, n)
+        rng = np.random.default_rng([k, n, count, m, fixed])
+        survivors = _survivor_batch(grid, count, 12, m, fixed, rng)
+        for lam in (0.0, 1e-13, float(n) ** -4, 1e16):
+            for s, got in zip(survivors, decode_batch(survivors, grid, lam), strict=True):
+                want = decode(s, grid, lam)
+                assert _same_bits(got.estimates, want.estimates)
+                assert _same_bits(got.decoder_fit.coefficients, want.decoder_fit.coefficients)
+                assert _same_bits(got.decoder_fit.second_derivs,
+                                  want.decoder_fit.second_derivs)
+                assert got.decoder_fit.roughness() == want.decoder_fit.roughness()
+                assert (got.survivor_count, got.degraded) == (count, count < 3)
+                assert (want.survivor_count, want.degraded) == (count, count < 3)
+        hits = 0
+        for s, got in zip(survivors, baselines.bacc_decode_batch(survivors, grid), strict=True):
+            want = baselines.bacc_decode(s, grid)
+            assert _same_bits(got.estimates, want.estimates)
+            assert _same_bits(got.decoder_fit.nodes, want.decoder_fit.nodes)
+            assert got.survivor_count == want.survivor_count == count
+            hits += 3 in s.indices
+        if (k, n) == (3, 7):
+            assert 0 < hits < len(survivors) or fixed
+
+    def test_bacc_node_hit_reads_the_node_value(self):
+        grid = chebyshev_grid(3, 7)
+        assert grid.alphas[1] == grid.betas[3] == 0.0
+        survivors = [WorkerReturns(np.array([1, 3, 5]), np.array([[1.0], [7.0], [2.0]])),
+                     WorkerReturns(np.array([1, 2, 5]), np.array([[1.0], [7.0], [2.0]]))]
+        hit, miss = baselines.bacc_decode_batch(survivors, grid)
+        assert hit.estimates[1, 0] == 7.0
+        assert miss.estimates[1, 0] != 7.0
+
+    def test_unequal_survivor_counts_raise(self):
+        grid = chebyshev_grid(5, 21)
+        survivors = [WorkerReturns(np.arange(6), np.zeros((6, 1))),
+                     WorkerReturns(np.arange(5), np.zeros((5, 1)))]
+        with pytest.raises(ValueError, match="one survivor count"):
+            decode_batch(survivors, grid, 1e-4)
+        with pytest.raises(ValueError, match="one survivor count"):
+            baselines.bacc_decode_batch(survivors, grid)
+
+    def test_overflow_names_the_first_trial_that_overflows(self, rng):
+        # survivor sets whose smallest gaps shrink from trial to trial: at
+        # this weight trial 0 fits, and trials 1 and 2 overflow with their
+        # own largest 1/h weights; the batch raises trial 1's error
+        grid = chebyshev_grid(4, 256)
+        indices = [np.arange(3, 253), np.arange(1, 251), np.arange(0, 250)]
+        weights = []
+        for idx in indices:
+            h = np.diff(grid.betas[idx])
+            weights.append(float((1.0 / h[:-1] + 1.0 / h[1:]).max()))
+        assert weights[0] < weights[1] < weights[2]
+        lam = np.finfo(float).max / np.sqrt(weights[0] * weights[1]) / 250
+        survivors = [WorkerReturns(idx, rng.normal(size=(250, 1))) for idx in indices]
+        decode(survivors[0], grid, lam)
+        with pytest.raises(ValueError, match="too large for these knots") as want:
+            for s in survivors:
+                decode(s, grid, lam)
+        assert str(weights[1]) in str(want.value)
+        with pytest.raises(ValueError) as got:
+            decode_batch(survivors, grid, lam)
+        assert str(got.value) == str(want.value)
+
+    def test_malformed_survivors_raise(self):
+        grid = chebyshev_grid(5, 21)
+        for survivors, error in (
+                ([WorkerReturns(np.array([0, 21]), np.zeros((2, 1)))], "outside"),
+                ([WorkerReturns(np.array([3, 1]), np.zeros((2, 1)))], "sorted and unique"),
+                ([WorkerReturns(np.array([1, 1]), np.zeros((2, 1)))], "sorted and unique"),
+                ([WorkerReturns(np.array([1, 2]), np.full((2, 1), np.nan))], "non-finite"),
+                ([WorkerReturns(np.array([1, 2]), np.zeros((3, 1)))], "for 2 indices")):
+            with pytest.raises(ValueError, match=error):
+                decode_batch(survivors, grid, 1e-4)
+        with pytest.raises(DecodeFailure):
+            decode_batch([WorkerReturns(np.zeros(0, dtype=int), np.zeros((0, 1)))], grid, 0.0)
+        assert decode_batch([], grid, 0.0) == [] == baselines.bacc_decode_batch([], grid)
+
+    def test_bad_lambda_raises_as_decode_does(self):
+        grid = chebyshev_grid(5, 21)
+        survivors = [WorkerReturns(np.arange(4), np.zeros((4, 1)))]
+        for lam in (-1e-3, np.nan, np.inf):
+            with pytest.raises(ValueError, match="lam must be"):
+                decode_batch(survivors, grid, lam)
+        with pytest.raises(ValueError, match="lam too large"):
+            decode_batch([WorkerReturns(np.arange(21), np.zeros((21, 1)))], grid, 1e306)

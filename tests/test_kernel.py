@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from letcc import kernel
 from letcc.kernel import kernel_fit, sobolev_kernel
 from letcc.points import chebyshev_second
 from letcc.spline import fit
@@ -86,3 +89,36 @@ class TestKernelFit:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             kernel_fit([-1, 0, 1], [0.0, 1.0, 2.0], -1.0)
+
+
+def _exact_kernel(t, s) -> Fraction:
+    u = min(t, s) + 1
+    return u * u * (abs(t - s) / 2 + u / 3)
+
+
+class TestRefinementResidual:
+    @pytest.mark.parametrize("gaps", [[1.0] * 6, [1165.0, 1.0, 1.0], [1.0, 1e4, 1.0, 1e4, 1.0]])
+    def test_equals_the_exact_residual_rounded(self, gaps, rng):
+        # double-double arithmetic, whatever the platform's longdouble: the
+        # residual of the exact system (Sigma never rounded) within one
+        # rounding of it plus 1e-28 of the terms' scale, against rational
+        # arithmetic; a float64 residual errs by ~1e-16 of that scale
+        t = np.concatenate(([0.0], np.cumsum(gaps)))
+        t = 2.0 * t / t[-1] - 1.0
+        n, m, lamn = t.size, 2, t.size * 1e-8
+        rhs = np.zeros((n + 2, m))
+        rhs[:n] = rng.normal(size=(n, m))
+        # near a solution, as in refinement, and far from one
+        system = kernel._system(t, lamn)
+        near = np.linalg.solve(system, rhs)
+        for sol in (near, rng.normal(size=(n + 2, m))):
+            got = kernel._residual(t, lamn, rhs, sol)
+            q = [Fraction(x) for x in t]
+            for k in range(m):
+                c = [Fraction(x) for x in sol[:, k]]
+                rows = [sum(_exact_kernel(q[i], q[j]) * c[j] for j in range(n))
+                        + Fraction(lamn) * c[i] + c[n] + q[i] * c[n + 1] for i in range(n)]
+                rows += [sum(c[:n]), sum(qj * cj for qj, cj in zip(q, c))]
+                want = np.array([float(Fraction(r) - p) for r, p in zip(rhs[:, k], rows)])
+                scale = np.abs(system) @ np.abs(sol[:, k]) + np.abs(rhs[:, k])
+                assert (np.abs(got[:, k] - want) <= 4.5e-16 * np.abs(want) + 1e-28 * scale).all()

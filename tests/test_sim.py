@@ -198,22 +198,38 @@ class TestRunTrial:
         assert 0.0 <= metrics.relacc <= 1.0
 
 
-def test_letcc_trials_decode_once_each_through_coding_decode(monkeypatch):
-    # one coding.decode(returns, grid, <float>) call per letcc trial: the
-    # call a caller hooks to see every trial's decoder input and result
-    calls = []
-    original = sim.coding.decode
+def test_letcc_trials_decode_once_each(monkeypatch):
+    # run_trial makes one coding.decode(returns, grid, <float>) call per
+    # letcc trial, the call a caller hooks to see a trial's decoder input
+    # and result; monte_carlo decodes every trial exactly once, through
+    # coding.decode_batch
+    singles, batches = [], []
+    decode, decode_batch = sim.coding.decode, sim.coding.decode_batch
 
     def counted(survivors, grid, lambda_d):
-        calls.append(lambda_d)
-        return original(survivors, grid, lambda_d)
+        singles.append(lambda_d)
+        return decode(survivors, grid, lambda_d)
+
+    def counted_batch(survivors, grid, lambda_d):
+        batches.append((list(survivors), lambda_d))
+        return decode_batch(survivors, grid, lambda_d)
 
     monkeypatch.setattr(sim.coding, "decode", counted)
+    monkeypatch.setattr(sim.coding, "decode_batch", counted_batch)
     setup = _setup(sigma0=0.1, lambda_d=1e-5)
     run_trial(setup, 3)
+    assert singles == [1e-5] and batches == []
     monte_carlo(setup, 4, 7)
-    assert calls == [1e-5] * 5
-    assert all(type(lam) is float for lam in calls)
+    assert singles == [1e-5]
+    assert all(lam == 1e-5 for _, lam in batches)
+    assert all(type(lam) is float for lam in singles + [lam for _, lam in batches])
+    seen = [returns for survivors, _ in batches for returns in survivors]
+    assert len(batches) == 1  # one prepared chunk, one batch
+    assert len(seen) == 4 and len({id(returns) for returns in seen}) == 4
+    for t, returns in enumerate(seen):  # in trial order, each its trial's survivors
+        (prepared,), = sim._prepare(setup, [(7, t)])
+        assert np.array_equal(returns.indices, prepared.returns.indices)
+        assert np.array_equal(returns.outputs, prepared.returns.outputs)
 
 
 @pytest.mark.parametrize("worker", ["sin_pi", "tanh_net"])
@@ -222,12 +238,12 @@ def test_scores_of_a_decode_stack_equal_each_decode_alone(worker):
     # rows are enough that a reduction in another order rounds differently
     setup = _setup(k=16, n=64, s=5, sigma0=0.1, lambda_e=1e-3, func=make_worker(worker),
                    data_rule="uniform")
-    prepared, = sim._prepare(setup, [(5, 1)])
+    (prepared,), = sim._prepare(setup, [(5, 1)])
     results = sim.coding.decode_lambdas(prepared.returns, setup.grid,
                                         (0.0, 1e-9, 1e-4, 1.0, 1e16))
-    stacked = sim._score(setup, prepared, results)
+    stacked = sim._score(setup, [prepared] * len(results), results)
     for result, metrics in zip(results, stacked):
-        assert metrics == sim._score(setup, prepared, [result])[0]
+        assert metrics == sim._score(setup, [prepared], [result])[0]
         for value, target in ((metrics.empirical_risk, prepared.truth),
                               (metrics.l_dec / 2.0, prepared.through_encoder)):
             assert value == float(np.mean(np.sum((result.estimates - target) ** 2,
@@ -273,21 +289,41 @@ class TestMonteCarlo:
         for t, metrics in enumerate(agg.metrics):
             assert metrics == run_trial(setup, (31, t))
 
+    def test_bacc_chunks_bound_its_decode_weights(self, monkeypatch):
+        # bacc's batched decode holds (K, N) weights per trial, so its
+        # chunks hold N x K values per trial where letcc's hold N x d
+        monkeypatch.setattr(sim, "_CHUNK_VALUES", 2 * 23 * 5)
+        for scheme, sizes in (("bacc", [2, 2, 1]), ("letcc", [5])):
+            setup = _setup(scheme, k=5, n=23, s=4, sigma0=0.1)
+            chunks = list(sim._prepare(setup, [(9, t) for t in range(5)]))
+            assert [len(chunk) for chunk in chunks] == sizes
+            for t, metrics in enumerate(monte_carlo(setup, 5, 9).metrics):
+                assert metrics == run_trial(setup, (9, t))
+
     def test_unused_generators_are_not_built(self, monkeypatch):
-        calls = []
-        original = sim.trial_rng
+        # the streams requested from the seeder, and the generators built
+        rows, built = [], []
+        states, pcg64 = sim._stream_states, np.random.PCG64
 
-        def counted(seed, stream):
-            calls.append(stream)
-            return original(seed, stream)
+        def counted(entropy_rows):
+            rows.extend(entropy_rows)
+            return states(entropy_rows)
 
-        monkeypatch.setattr(sim, "trial_rng", counted)
+        def counted_pcg64(*args):
+            built.append(args)
+            return pcg64(*args)
+
+        monkeypatch.setattr(sim, "_stream_states", counted)
+        monkeypatch.setattr(np.random, "PCG64", counted_pcg64)
         quiet = _setup(s=2, mode="fixed", fixed_stragglers=(3, 17), data_rule="identity")
         monte_carlo(quiet, 5, 0)
-        assert calls == []
+        assert rows == [] and built == []
         monte_carlo(_setup(sigma0=0.1), 5, 0)
-        assert sorted(calls) == sorted([sim._STREAM_DATA, sim._STREAM_STRAGGLERS,
-                                        sim._STREAM_NOISE] * 5)
+        assert sorted(rows) == sorted((0, t, stream) for t in range(5)
+                                      for stream in (sim._STREAM_DATA,
+                                                     sim._STREAM_STRAGGLERS,
+                                                     sim._STREAM_NOISE))
+        assert len(built) == 1  # one generator serves every stream of the call
 
     def test_memory_at_65536_workers_does_not_grow_with_trials(self):
         # 8-dimensional inputs: 32 trials' coded values alone take 128 MB
@@ -311,6 +347,82 @@ class TestMonteCarlo:
             means.append(agg.mean_mse)
         inversions = sum(b > a for a, b in zip(means, means[1:]))
         assert inversions <= 1
+
+
+class TestStreamSeeder:
+    # one-word, word-boundary and multi-word entropy values: 2**32 and
+    # 2**64 + 5 take two and three SeedSequence words, 0 takes one
+    VALUES = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 101, 202, 303)
+
+    @pytest.mark.parametrize("vector_rows", [1, 10**9])
+    def test_states_and_draws_equal_trial_rng(self, vector_rows, monkeypatch):
+        # every word count through the vectorised pass, or none of them
+        monkeypatch.setattr(sim, "_VECTOR_ROWS", vector_rows)
+        rng = np.random.default_rng(11)
+        # and a row of 71 words, beyond the precomputed hash constants
+        rows = [(0,), (2**32 - 1,), (2**32,), (2**64 + 5,), (0,) * 6, (2**32,) * 3,
+                (2**(32 * 70) + 9, 3)]
+        for width in range(1, 7):
+            for _ in range(30):
+                rows.append(tuple(int(rng.choice(self.VALUES)) if rng.random() < 0.5
+                                  else int(rng.integers(2**32)) for _ in range(width)))
+        assert {len(sim._words(row)) for row in rows} >= set(range(1, 7))
+        states = sim._stream_states(rows)  # all widths in one call
+        gen = np.random.Generator(np.random.PCG64())
+        for row, state in zip(rows, states, strict=True):
+            reference = trial_rng(row[:-1], row[-1])
+            assert state == reference.bit_generator.state
+            gen.bit_generator.state = state
+            assert np.array_equal(gen.random(4), reference.random(4))
+            assert np.array_equal(gen.normal(size=3), reference.normal(size=3))
+
+    def test_negative_entropy_raises_as_trial_rng(self, monkeypatch):
+        with pytest.raises(ValueError) as reference:
+            trial_rng((5, -1), 101)
+        for vector_rows in (1, 10**9):
+            monkeypatch.setattr(sim, "_VECTOR_ROWS", vector_rows)
+            with pytest.raises(ValueError) as got:
+                sim._stream_states([(7, 0, 303), (5, -1, 101)])
+            assert str(got.value) == str(reference.value)
+        with pytest.raises(ValueError) as got:
+            monte_carlo(_setup(), 2, -3)
+        assert str(got.value) == str(reference.value)
+
+    @pytest.mark.parametrize("chunk_values", [None, 2 * 23])
+    def test_trials_draw_their_own_streams(self, chunk_values, monkeypatch):
+        # a trial's data and stragglers are those of trial_rng on its seed,
+        # whatever chunk it is prepared in
+        if chunk_values is not None:  # two trials per prepared chunk
+            monkeypatch.setattr(sim, "_CHUNK_VALUES", chunk_values)
+        setup = _setup(k=5, n=23, s=4, sigma0=0.1)
+        chunks = list(sim._prepare(setup, [(9, t) for t in range(5)]))
+        assert [len(chunk) for chunk in chunks] == ([5] if chunk_values is None else [2, 2, 1])
+        for t, trial in enumerate(p for chunk in chunks for p in chunk):
+            inputs = trial_rng((9, t), sim._STREAM_DATA).uniform(-1.0, 1.0, (5, 1))
+            survivors = sample_stragglers(setup.stragglers,
+                                          trial_rng((9, t), sim._STREAM_STRAGGLERS))
+            assert np.array_equal(trial.returns.indices, survivors)
+            assert np.array_equal(trial.truth, setup.func.evaluate(inputs))
+
+
+class TestInputRules:
+    @pytest.mark.parametrize("scheme", sim.SCHEMES)
+    @pytest.mark.parametrize("rule", ["uniform", "identity", "given"])
+    def test_each_trial_sees_its_own_rows_and_equals_run_trial(self, scheme, rule):
+        rows = []
+        cubic = make_worker("cubic")
+        func = WorkerFunction("counted_cubic", lambda x: rows.append(len(x)) or cubic.fn(x),
+                              1, 1, degree=3)
+        data = Dataset(np.linspace(-0.9, 0.8, 8)[:, None]) if rule == "given" else None
+        setup = _setup(scheme, k=8, n=24, s=4, sigma0=0.1, lambda_e=1e-3, lambda_d=1e-5,
+                       func=func, data=data,
+                       data_rule="identity" if rule == "identity" else "uniform")
+        agg = monte_carlo(setup, 5, 3)
+        # per trial: f at its K inputs (and, for letcc, at the encoder's
+        # knot values), then at its 20 survivors
+        assert sorted(rows) == [8] * 5 * (2 if scheme == "letcc" else 1) + [20] * 5
+        for t, metrics in enumerate(agg.metrics):
+            assert metrics == run_trial(setup, (3, t))
 
 
 class TestRelacc:

@@ -30,7 +30,6 @@ from .coding import (
     DecodeResult,
     decode,
     decode_batch,
-    decode_lambdas,
     encode,
     encoder_training_error,
 )
@@ -55,6 +54,7 @@ from .sim import (
     apply_workers,
     make_worker,
     monte_carlo,
+    monte_carlo_lambdas,
     relacc,
     run_trial,
     sample_stragglers,

@@ -252,7 +252,8 @@ def lcc_decode(survivors, grid: InterpolationGrid, f_degree: int) -> DecodeResul
     Least squares in the Chebyshev basis; ``decoder_fit`` holds the
     Chebyshev coefficients, one column per output.  Below the threshold it
     fits the highest degree the survivor count supports and flags the
-    result as degraded.
+    result as degraded.  The basis at the alphas is kept on the grid, by
+    degree, beside its encoders; the survivor rows are built per call.
     """
     if f_degree < 0:
         raise ValueError("f_degree must be nonnegative")
@@ -262,8 +263,10 @@ def lcc_decode(survivors, grid: InterpolationGrid, f_degree: int) -> DecodeResul
     deg = min(codec.target_degree, count - 1)
     coef, *_ = np.linalg.lstsq(_chebyshev_vandermonde(grid.betas[indices], deg),
                                outputs, rcond=None)
+    at_alphas = _cached_encoder(grid, ("lcc_decode", deg),
+                                lambda: _chebyshev_vandermonde(grid.alphas, deg))
     return DecodeResult(
-        estimates=_chebyshev_vandermonde(grid.alphas, deg) @ coef,
+        estimates=at_alphas @ coef,
         decoder_fit=coef,
         survivor_count=count,
         degraded=count < codec.min_survivors,

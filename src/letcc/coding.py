@@ -15,7 +15,8 @@ and encoder weight ``lambda_e`` and kept on the grid, in O(N + K^2)
 memory; later encodes on the same grid object cost two K x K products and
 one O(N d) weighted gather.  The same cache holds the Berrut and Lagrange
 encoders of :mod:`letcc.baselines`, keyed by scheme, so each of the three
-schemes encodes through one fixed linear map per grid.  Reuse the grid
+schemes encodes through one fixed linear map per grid, and the Lagrange
+decoder's Chebyshev basis at the alphas, keyed by degree.  Reuse the grid
 object to benefit: an equal but separately built grid starts without
 encoders and computes the same ones, so its coded batches are identical.
 A cached encoder also applies to a stack (T, K, d) of T input sets at
@@ -25,14 +26,13 @@ Every decode runs through one body on a stack of T trials' survivors,
 all of one count (uniform and fixed stragglers both leave N - S), at L
 decoder weights.  It builds the T interleaved band systems of a weight in
 one set of array operations and solves them one LAPACK call per trial
-(:func:`letcc.spline.NaturalSplineBasis` on a (T, n) knot stack), and
-evaluates all T x L fits at the alphas through one set of stacked
-evaluation weights.  :func:`decode_batch` is T trials at one weight, the
-Monte-Carlo decode; :func:`decode_lambdas` one trial at L weights, the
-cross-validation's, which normalizes the survivors once and shares the
-basis and its lambda-free band entries; :func:`decode` one trial at one
-weight.  Each trial's result equals its own :func:`decode` bit for bit:
-every operation is elementwise across trials, or runs per trial.
+(:func:`letcc.spline.NaturalSplineBasis` on a (T, n) knot stack); the
+weights share the basis and its lambda-free band entries, and one set of
+stacked evaluation weights takes all T x L fits to the alphas.
+:func:`decode_batch` is that body, the Monte-Carlo and cross-validation
+decode; :func:`decode` is one trial at one weight.  Each trial's result
+at each weight equals its own :func:`decode` bit for bit: every operation
+is elementwise across trials and weights, or runs per trial.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ __all__ = [
     "encoder_training_error",
     "decode",
     "decode_batch",
-    "decode_lambdas",
     "normalize_survivors",
 ]
 
@@ -262,33 +261,22 @@ def decode(survivors, grid: InterpolationGrid, lambda_d: float) -> DecodeResult:
     return _decode_stack(grid, indices[None], outputs[None], (lambda_d,))[0][0]
 
 
-def decode_batch(survivors, grid: InterpolationGrid, lambda_d: float) -> list[DecodeResult]:
-    """:func:`decode` of each trial's survivors in ``survivors``, in one batch.
+def decode_batch(survivors, grid: InterpolationGrid, lambdas) -> list[list[DecodeResult]]:
+    """:func:`decode` of each trial's survivors at each weight of ``lambdas``, in one batch.
 
-    Each result equals the trial's own :func:`decode` bit for bit.  Every
-    trial's survivors expose ``indices`` and ``outputs`` (a
-    :class:`letcc.sim.WorkerReturns`) in the form :func:`normalize_survivors`
-    gives: sorted, unique indices in [0, N) with one finite output row
-    each.  All trials need the same survivor count, as the survivors of
-    uniform or fixed stragglers on one grid have; anything else raises
-    ``ValueError``.
+    One list of T results per weight of the sequence ``lambdas`` (a scalar
+    raises ``TypeError``), each equal to the trial's own :func:`decode` at
+    that weight bit for bit.  Every trial's survivors expose ``indices``
+    and ``outputs`` (a :class:`letcc.sim.WorkerReturns`) in the form
+    :func:`normalize_survivors` gives: sorted, unique indices in [0, N)
+    with one finite output row each.  All trials need the same survivor
+    count, as the survivors of uniform or fixed stragglers on one grid
+    have; anything else raises ``ValueError``.
     """
     survivors = list(survivors)
     if not survivors:
-        return []
-    return _decode_stack(grid, *_stack_survivors(survivors, grid.n), (lambda_d,))[0]
-
-
-def decode_lambdas(survivors, grid: InterpolationGrid, lambdas) -> list[DecodeResult]:
-    """:func:`decode` of the same survivors at each weight of ``lambdas``, in order.
-
-    The survivors are normalized once (a duplicate index warns once per
-    call), the fits share one basis, and one set of evaluation weights
-    takes the stacked fits to the alphas.
-    """
-    indices, outputs = normalize_survivors(survivors, grid.n)
-    return [trials[0] for trials in
-            _decode_stack(grid, indices[None], outputs[None], lambdas)]
+        return [[] for _ in spline._checked_lams(lambdas)]
+    return _decode_stack(grid, *_stack_survivors(survivors, grid.n), lambdas)
 
 
 def _decode_stack(grid: InterpolationGrid, indices: np.ndarray, outputs: np.ndarray,

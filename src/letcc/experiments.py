@@ -3,7 +3,9 @@
 Everything here is a pure function of (config, master seed): reruns produce
 byte-identical CSV/JSON/SVG artifacts.  Per-point trial seeds derive from
 (master_seed, point key, trial index), so schemes sharing a seed see the
-same data draws, straggler sets, and noise.
+same data draws, straggler sets, and noise.  The sweeps make one
+:func:`letcc.sim.monte_carlo` call per scheme and point, the
+cross-validation one :func:`letcc.sim.monte_carlo_lambdas` per lambda_e.
 """
 
 from __future__ import annotations
@@ -13,17 +15,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import coding
+from . import spline
 from .points import chebyshev_grid
 from .sim import (
     NoiseModel,
     StragglerModel,
     TrialSetup,
-    _prepare,
-    _score,
-    _trial_seeds,
-    aggregate,
     monte_carlo,
+    monte_carlo_lambdas,
     worker_for,
 )
 
@@ -321,18 +320,19 @@ def crossval_lambda(lambda_e_grid, lambda_d_grid, config: CrossvalConfig) -> Cro
     """Pick the (lambda_e, lambda_d) pair minimizing mean RMSE over trials.
 
     Every pair is scored on the same seeded trials (identical stragglers,
-    noise, data), so the comparison is paired.  Each trial is prepared once
-    per lambda_e and decoded at the whole lambda_d grid in one
-    :func:`letcc.coding.decode_lambdas` call; its metrics at each lambda_d
-    equal those of a ``monte_carlo`` trial at that weight.  Near-ties (within a small
-    relative epsilon of the minimum, which happens when the problem is
-    solved exactly for many pairs) break toward the most regularized pair:
-    largest lambda_d, then largest lambda_e.
+    noise, data), so the comparison is paired.  Both grids are checked
+    (nonempty, every weight finite and >= 0) before any trial runs; then
+    each lambda_e makes one :func:`letcc.sim.monte_carlo_lambdas` call at
+    the whole lambda_d grid.  Near-ties (within a small relative epsilon
+    of the minimum, which happens when the problem is solved exactly for
+    many pairs) break toward the most regularized pair: largest lambda_d,
+    then largest lambda_e.
     """
     e_grid = tuple(float(v) for v in lambda_e_grid)
     d_grid = tuple(float(v) for v in lambda_d_grid)
     if not e_grid or not d_grid:
         raise ValueError("lambda grids must be nonempty")
+    spline._checked_lams(e_grid + d_grid)
     func = worker_for(config.func, config.func_d, config.func_m)
     grid = chebyshev_grid(config.k, config.n)
     table = []
@@ -346,16 +346,9 @@ def crossval_lambda(lambda_e_grid, lambda_d_grid, config: CrossvalConfig) -> Cro
             lambda_e=lam_e,
             data_rule=config.data_rule,
         )
-
-        per_trial = [_score(setup, [prepared] * len(d_grid),
-                            coding.decode_lambdas(prepared.returns, grid, d_grid))
-                     for chunk in _prepare(setup, _trial_seeds(config.master_seed,
-                                                               config.trials))
-                     for prepared in chunk]
-        for j, lam_d in enumerate(d_grid):
-            agg = aggregate([scores[j] for scores in per_trial])
-            table.append({"lambda_e": lam_e, "lambda_d": lam_d,
-                          "mean_rmse": agg.mean_rmse})
+        aggs = monte_carlo_lambdas(setup, config.trials, config.master_seed, d_grid)
+        table.extend({"lambda_e": lam_e, "lambda_d": lam_d, "mean_rmse": agg.mean_rmse}
+                     for lam_d, agg in zip(d_grid, aggs))
 
     best_rmse = min(row["mean_rmse"] for row in table)
     tie_eps = 1e-12 + 1e-9 * best_rmse

@@ -12,25 +12,25 @@ ints) and loads each, just before its draws, into one reused generator.
 
 A trial runs in two halves.  The first, independent of the decoder
 weight lambda_d, draws the data, encodes, samples the stragglers and runs
-the workers; :func:`monte_carlo` and the cross-validation of
-:mod:`letcc.experiments` prepare all trials of a call together, in chunks
-of a bounded number of values.  A chunk seeds its streams at once and
-encodes its inputs in one stacked product through the grid's cached
-encoder.  The second half decodes and scores: :func:`monte_carlo`
-decodes the letcc or bacc trials of a chunk in one batch
-(:func:`letcc.coding.decode_batch`,
-:func:`letcc.baselines.bacc_decode_batch`) and lcc trials one at a time,
-then scores the chunk on one stack; the cross-validation decodes a trial
-at its whole lambda_d grid in one :func:`letcc.coding.decode_lambdas`
-call.  Worker functions only ever see one trial's rows.  Every step does
-the same arithmetic on a trial's values alone as in any batch, so a
-trial's metrics are bit-identical whether it runs through
-:func:`run_trial` or inside any Monte-Carlo call.
+the workers; :func:`monte_carlo_lambdas` prepares all trials of a call
+together, in chunks of a bounded number of values.  A chunk seeds its
+streams at once and encodes its inputs in one stacked product through the
+grid's cached encoder.  The second half decodes and scores: a chunk's
+letcc trials decode at every weight of the call in one
+:func:`letcc.coding.decode_batch`, its bacc trials in one
+:func:`letcc.baselines.bacc_decode_batch` and its lcc trials one at a
+time; the chunk is then scored on one stack per weight.
+:func:`monte_carlo` is the call at the setup's own lambda_d.  Worker
+functions only ever see one trial's rows.  Every step does the same
+arithmetic on a trial's values alone as in any batch, so a trial's
+metrics are bit-identical whether it runs through :func:`run_trial` or
+inside any Monte-Carlo call, at any weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import sqrt
 from typing import Callable, Iterator, Sequence
 
@@ -53,6 +53,7 @@ __all__ = [
     "apply_workers",
     "run_trial",
     "monte_carlo",
+    "monte_carlo_lambdas",
     "aggregate",
     "relacc",
     "make_worker",
@@ -69,10 +70,10 @@ _STREAM_STRAGGLERS = 101
 _STREAM_NOISE = 202
 _STREAM_DATA = 303
 
-# Values per trial (N x input dimension coded values; N x max(input
-# dimension, K) for bacc, whose batched decode holds (K, N) barycentric
-# weights) prepared and decoded together at most, unless one trial alone
-# has more: bounds the memory of a batch.
+# Values per trial and decoder weight (N x input dimension coded values;
+# N x max(input dimension, K) for bacc, whose batched decode holds (K, N)
+# barycentric weights) prepared and decoded together at most, unless one
+# trial alone has more: bounds the memory of a batch.
 _CHUNK_VALUES = 2**16
 
 
@@ -108,19 +109,19 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
-# hash constants are precomputed for rows of up to _CONST_WORDS words; a
-# word count needs _VECTOR_ROWS rows for the vectorised pass to beat
+# a word count needs _VECTOR_ROWS rows for the vectorised pass to beat
 # numpy's own SeedSequence per row
-_CONST_WORDS = 64
 _VECTOR_ROWS = 4
 # the state of the reused generator is replaced before every draw
 _ANY_SEED = np.random.SeedSequence(0)
 
 
+@cache
 def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
     """SeedSequence's hash constants at steps 0 to count, init * mult**i mod 2**32.
 
     One per row, shaped (count + 1, 1) to scale the rows of a word-major pool.
+    Built once per count, so once per entropy width for the pool mixing.
     """
     consts = [init]
     for _ in range(count):
@@ -128,7 +129,6 @@ def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
     return np.array(consts, dtype=np.uint32)[:, None]
 
 
-_CONSTS_A = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE ** 2 + _POOL_SIZE * _CONST_WORDS)
 _CONSTS_B = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
 # the pool words each word is mixed into, that word repeated for them, and
 # the pool words generate_state(4, uint64) reads in turn
@@ -155,8 +155,7 @@ def _seed_words(entropy: np.ndarray) -> list[list[int]]:
     seed low, inc high, inc low).
     """
     rows, width = entropy.shape
-    consts = (_CONSTS_A if width <= _CONST_WORDS else
-              _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE ** 2 + _POOL_SIZE * width))
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE ** 2 + _POOL_SIZE * width)
     pool = np.zeros((_POOL_SIZE, rows), dtype=np.uint32)
     pool[:width] = entropy[:, :_POOL_SIZE].T
     pool = _hashmix(pool, consts, 0)
@@ -487,16 +486,16 @@ def _trial_inputs(setup: TrialSetup, rng: np.random.Generator | None) -> np.ndar
     return rng.uniform(-1.0, 1.0, (setup.grid.k, setup.func.in_dim))
 
 
-def _prepare(setup: TrialSetup, seeds) -> Iterator[list[_Prepared]]:
+def _prepare(setup: TrialSetup, seeds, weights: int = 1) -> Iterator[list[_Prepared]]:
     """The prepared trials of ``seeds``, in order, as lists of one chunk each.
 
-    A chunk holds at most ``_CHUNK_VALUES`` values of N x d per trial
-    (N x max(d, K) for bacc, whose decode weights are K x N), or one
-    trial.  Its random streams are seeded in one vectorised pass and loaded
-    in turn into one reused generator; it stacks its trials' inputs and
-    encodes them in one product through the grid's cached encoder.  The
-    straggler draw, the workers and the truth run per trial, on exactly
-    that trial's rows.
+    A chunk holds at most ``_CHUNK_VALUES`` values of N x d per trial and
+    each of the ``weights`` it is decoded at (N x max(d, K) for bacc, whose
+    decode weights are K x N), or one trial.  Its random streams are seeded
+    in one vectorised pass and loaded in turn into one reused generator; it
+    stacks its trials' inputs and encodes them in one product through the
+    grid's cached encoder.  The straggler draw, the workers and the truth
+    run per trial, on exactly that trial's rows.
     """
     grid, func = setup.grid, setup.func
     seeds = [_entropy(seed) for seed in seeds]
@@ -515,7 +514,7 @@ def _prepare(setup: TrialSetup, seeds) -> Iterator[list[_Prepared]]:
         return gen
 
     width = max(func.in_dim, grid.k) if setup.scheme == "bacc" else func.in_dim
-    size = max(1, _CHUNK_VALUES // (grid.n * width))
+    size = max(1, _CHUNK_VALUES // (grid.n * width * weights))
     for start in range(0, len(seeds), size):
         chunk = seeds[start:start + size]
         flat = iter(_stream_states([seed + (tag,) for seed in chunk for tag in tags]))
@@ -562,28 +561,28 @@ def _decode(setup: TrialSetup, prepared: _Prepared) -> coding.DecodeResult:
     return baselines.lcc_decode(prepared.returns, grid, degree)
 
 
-def _decode_chunk(setup: TrialSetup, chunk: list[_Prepared]) -> list[coding.DecodeResult]:
-    """:func:`_decode` of each trial of a prepared chunk, bit for bit.
+def _decode_chunk(setup: TrialSetup, chunk: list[_Prepared],
+                  lambdas: tuple[float, ...]) -> list[list[coding.DecodeResult]]:
+    """:func:`_decode` of each trial of a prepared chunk, one list per weight of ``lambdas``.
 
-    letcc and bacc decode the whole chunk in one batch; lcc decodes one
-    trial at a time.
+    letcc and bacc decode the whole chunk in one batch (bacc and lcc take
+    one weight, which they ignore); lcc decodes one trial at a time.
     """
-    if setup.scheme == "lcc":
-        return [_decode(setup, prepared) for prepared in chunk]
     returns = [prepared.returns for prepared in chunk]
     if setup.scheme == "letcc":
-        return coding.decode_batch(returns, setup.grid, setup.lambda_d)
-    return baselines.bacc_decode_batch(returns, setup.grid)
+        return coding.decode_batch(returns, setup.grid, lambdas)
+    if setup.scheme == "bacc":
+        return [baselines.bacc_decode_batch(returns, setup.grid)]
+    return [[_decode(setup, prepared) for prepared in chunk]]
 
 
 def _score(setup: TrialSetup, prepared: Sequence[_Prepared],
            results: Sequence[coding.DecodeResult]) -> list[TrialMetrics]:
     """The metrics of each decode ``results[i]`` of the trial ``prepared[i]``.
 
-    The trials of a chunk, or one trial at several decoder weights: the
-    distances run once on the stack of all estimates, each reduced as on
-    its own.  A letcc result whose risk exceeds its decomposition bound
-    raises.
+    The distances of a chunk's trials at one decoder weight run once on
+    the stack of all estimates, each reduced as on its own.  A letcc result
+    whose risk exceeds its decomposition bound raises.
     """
     estimates = np.array([result.estimates for result in results])
     risks = _mean_sq_dist(estimates, np.array([trial.truth for trial in prepared])).tolist()
@@ -638,12 +637,6 @@ class MonteCarloResult:
     metrics: tuple[TrialMetrics, ...]
 
 
-def _trial_seeds(master_seed, trials: int) -> list[tuple[int, ...]]:
-    """The seed (master_seed..., t) of each trial t < trials, in trial order."""
-    entropy = _entropy(master_seed)
-    return [entropy + (t,) for t in range(trials)]
-
-
 def aggregate(metrics: Sequence[TrialMetrics]) -> MonteCarloResult:
     """Mean, spread and 95% interval of trial metrics, in the given order."""
     trials = len(metrics)
@@ -673,15 +666,33 @@ def aggregate(metrics: Sequence[TrialMetrics]) -> MonteCarloResult:
 def monte_carlo(setup: TrialSetup, trials: int, master_seed: int) -> MonteCarloResult:
     """Run ``trials`` seeded trials in order and aggregate them.
 
-    Trial t uses seed (master_seed, t).  The trials are prepared together
-    (streams, data, a stacked encode, stragglers, workers) and decoded a
-    batch at a time (:func:`letcc.coding.decode_batch` for letcc,
-    :func:`letcc.baselines.bacc_decode_batch` for bacc, one decode per
-    trial for lcc); ``metrics[t]`` equals ``run_trial(setup, (master_seed,
-    t))`` bit for bit.
+    Trial t uses seed (master_seed, t), and ``metrics[t]`` equals
+    ``run_trial(setup, (master_seed, t))`` bit for bit.
     """
-    return aggregate([metrics for chunk in _prepare(setup, _trial_seeds(master_seed, trials))
-                      for metrics in _score(setup, chunk, _decode_chunk(setup, chunk))])
+    return monte_carlo_lambdas(setup, trials, master_seed, (setup.lambda_d,))[0]
+
+
+def monte_carlo_lambdas(setup: TrialSetup, trials: int, master_seed,
+                        lambdas) -> list[MonteCarloResult]:
+    """:func:`monte_carlo` of ``setup`` at each decoder weight of ``lambdas``, in order.
+
+    Result j equals ``monte_carlo(dataclasses.replace(setup, lambda_d=lambdas[j]),
+    trials, master_seed)`` bit for bit, but each trial is prepared once and
+    each chunk of trials decoded at every weight together (see the module
+    docstring).  bacc and lcc have no decoder weight and take exactly one.
+    """
+    lams = tuple(lambdas)
+    if not lams:
+        raise ValueError("need at least one decoder weight")
+    if len(lams) > 1 and setup.scheme != "letcc":
+        raise ValueError(f"{setup.scheme} has no decoder weight; "
+                         f"give one lambda_d, not {len(lams)}")
+    entropy = _entropy(master_seed)
+    by_weight = [[] for _ in lams]
+    for chunk in _prepare(setup, [entropy + (t,) for t in range(trials)], len(lams)):
+        for metrics, results in zip(by_weight, _decode_chunk(setup, chunk, lams), strict=True):
+            metrics.extend(_score(setup, chunk, results))
+    return [aggregate(metrics) for metrics in by_weight]
 
 
 def relacc(estimates: np.ndarray, truth: np.ndarray) -> float | None:

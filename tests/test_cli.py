@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from letcc import cli
+from letcc import cli, sim
 from letcc.coding import DecodeFailure
 from letcc.sim import RiskBoundViolation
 
@@ -380,6 +380,22 @@ class TestCrossvalCommand:
         assert stdout == ""
         assert "bogus" in err
         assert not out.exists()
+
+    # a bad second entry of either grid: no trial is prepared, not even at
+    # the first lambda_e
+    @pytest.mark.parametrize("change", [{"lambda_d_grid": [1e-4, -1.0]},
+                                        {"lambda_e_grid": [0.0, -1.0]}])
+    def test_negative_weight_exits_one_before_any_trial(self, capsys, tmp_path, monkeypatch,
+                                                        change):
+        prepared, prepare = [], sim._prepare
+        monkeypatch.setattr(sim, "_prepare", lambda *a: prepared.append(a) or prepare(*a))
+        path = tmp_path / "cv.json"
+        path.write_text(json.dumps(dict(_KIND_CONFIGS["crossval"], **change)))
+        code, out, err = run_cli(capsys, "crossval", str(path), "--out",
+                                 str(tmp_path / "out"))
+        assert (code, out, prepared) == (1, "", [])
+        assert err == "error: lam must be a finite nonnegative real, got -1.0\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cv.json"]
 
 
 def write_matrix_file(path, matrix):

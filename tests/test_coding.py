@@ -10,7 +10,6 @@ from letcc.coding import (
     DecodeFailure,
     decode,
     decode_batch,
-    decode_lambdas,
     encode,
     encoder_training_error,
     normalize_survivors,
@@ -321,32 +320,27 @@ def _decode_quietly(survivors, grid, lam):
         return decode(survivors, grid, lam)
 
 
-class TestDecodeLambdas:
+class TestDecodeBatchAtManyWeights:
     @settings(max_examples=60, deadline=None)
     @given(lams=_LAMBDA_LISTS, m=st.sampled_from([1, 3]),
            count=st.sampled_from([1, 2, 3, None]), n=st.integers(8, 80),
-           duplicate=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_each_weight_equals_decode_at_that_weight(self, lams, m, count, n, duplicate,
-                                                      seed):
+           trials=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_each_trial_at_each_weight_equals_decode(self, lams, m, count, n, trials, seed):
         rng = np.random.default_rng(seed)
         grid = chebyshev_grid(5, n)
         if count is None:  # N - S survivors
             count = n - int(rng.integers(0, n // 4 + 1))
-        indices = rng.choice(n, count, replace=False)
-        pairs = list(zip(indices.tolist(), rng.normal(size=(count, m))))
-        if duplicate:  # a second report of one index: kept out, warned about
-            pairs.insert(int(rng.integers(1, count + 1)), (pairs[0][0], rng.normal(size=m)))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            results = decode_lambdas(pairs, grid, lams)
-        assert len(caught) == int(duplicate)
+        survivors = [WorkerReturns(np.sort(rng.choice(n, count, replace=False)),
+                                   rng.normal(size=(count, m))) for _ in range(trials)]
+        results = decode_batch(survivors, grid, lams)
         assert len(results) == len(lams)
-        for lam, got in zip(lams, results):
-            want = _decode_quietly(pairs, grid, lam)
-            assert np.array_equal(got.estimates, want.estimates)
-            assert got.survivor_count == want.survivor_count == count
-            assert got.degraded == want.degraded == (count < 3)
-            assert got.decoder_fit.lam == lam
+        for lam, at_weight in zip(lams, results):
+            for s, got in zip(survivors, at_weight, strict=True):
+                want = _decode_quietly(s, grid, lam)
+                assert np.array_equal(got.estimates, want.estimates)
+                assert got.survivor_count == want.survivor_count == count
+                assert got.degraded == want.degraded == (count < 3)
+                assert got.decoder_fit.lam == lam
 
     @pytest.mark.parametrize("bad, message", [(-1e-3, "finite nonnegative"),
                                               (np.nan, "finite nonnegative"),
@@ -360,12 +354,21 @@ class TestDecodeLambdas:
         with pytest.raises(ValueError, match=message) as want:
             spline.fit(grid.betas[indices], outputs, bad)
         with pytest.raises(ValueError) as got:
-            decode_lambdas(WorkerReturns(indices, outputs), grid, [1e-6, bad, 0.0])
+            decode_batch([WorkerReturns(indices, outputs)], grid, [1e-6, bad, 0.0])
         assert str(got.value) == str(want.value)
 
     def test_empty_weight_list_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            decode_lambdas([(0, 1.0), (3, 2.0), (6, 0.0)], chebyshev_grid(3, 7), [])
+        survivors = [WorkerReturns(np.array([0, 3, 6]), np.array([[1.0], [2.0], [0.0]]))]
+        for batch in (survivors, []):
+            with pytest.raises(ValueError, match="at least one"):
+                decode_batch(batch, chebyshev_grid(3, 7), [])
+
+    def test_scalar_weight_rejected(self):
+        survivors = [WorkerReturns(np.array([0, 3, 6]), np.array([[1.0], [2.0], [0.0]]))]
+        for lam in (1e-3, np.float64(1e-3)):
+            for batch in (survivors, []):
+                with pytest.raises(TypeError):
+                    decode_batch(batch, chebyshev_grid(3, 7), lam)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -401,16 +404,18 @@ class TestDecodeBatch:
         grid = chebyshev_grid(k, n)
         rng = np.random.default_rng([k, n, count, m, fixed])
         survivors = _survivor_batch(grid, count, 12, m, fixed, rng)
-        for lam in (0.0, 1e-13, float(n) ** -4, 1e16):
-            for s, got in zip(survivors, decode_batch(survivors, grid, lam), strict=True):
-                want = decode(s, grid, lam)
-                assert _same_bits(got.estimates, want.estimates)
-                assert _same_bits(got.decoder_fit.coefficients, want.decoder_fit.coefficients)
-                assert _same_bits(got.decoder_fit.second_derivs,
-                                  want.decoder_fit.second_derivs)
-                assert got.decoder_fit.roughness() == want.decoder_fit.roughness()
-                assert (got.survivor_count, got.degraded) == (count, count < 3)
-                assert (want.survivor_count, want.degraded) == (count, count < 3)
+        lams = (0.0, 1e-13, float(n) ** -4, 1e16)
+        for group in [lams] + [(lam,) for lam in lams]:  # all weights at once, and each alone
+            for lam, at_weight in zip(group, decode_batch(survivors, grid, group), strict=True):
+                for s, got in zip(survivors, at_weight, strict=True):
+                    want = decode(s, grid, lam)
+                    assert _same_bits(got.estimates, want.estimates)
+                    assert _same_bits(got.decoder_fit.coefficients, want.decoder_fit.coefficients)
+                    assert _same_bits(got.decoder_fit.second_derivs,
+                                      want.decoder_fit.second_derivs)
+                    assert got.decoder_fit.roughness() == want.decoder_fit.roughness()
+                    assert (got.survivor_count, got.degraded) == (count, count < 3)
+                    assert (want.survivor_count, want.degraded) == (count, count < 3)
         hits = 0
         for s, got in zip(survivors, baselines.bacc_decode_batch(survivors, grid), strict=True):
             want = baselines.bacc_decode(s, grid)
@@ -435,7 +440,7 @@ class TestDecodeBatch:
         survivors = [WorkerReturns(np.arange(6), np.zeros((6, 1))),
                      WorkerReturns(np.arange(5), np.zeros((5, 1)))]
         with pytest.raises(ValueError, match="one survivor count"):
-            decode_batch(survivors, grid, 1e-4)
+            decode_batch(survivors, grid, (1e-4,))
         with pytest.raises(ValueError, match="one survivor count"):
             baselines.bacc_decode_batch(survivors, grid)
 
@@ -458,7 +463,7 @@ class TestDecodeBatch:
                 decode(s, grid, lam)
         assert str(weights[1]) in str(want.value)
         with pytest.raises(ValueError) as got:
-            decode_batch(survivors, grid, lam)
+            decode_batch(survivors, grid, (lam,))
         assert str(got.value) == str(want.value)
 
     def test_malformed_survivors_raise(self):
@@ -470,16 +475,17 @@ class TestDecodeBatch:
                 ([WorkerReturns(np.array([1, 2]), np.full((2, 1), np.nan))], "non-finite"),
                 ([WorkerReturns(np.array([1, 2]), np.zeros((3, 1)))], "for 2 indices")):
             with pytest.raises(ValueError, match=error):
-                decode_batch(survivors, grid, 1e-4)
+                decode_batch(survivors, grid, (1e-4,))
         with pytest.raises(DecodeFailure):
-            decode_batch([WorkerReturns(np.zeros(0, dtype=int), np.zeros((0, 1)))], grid, 0.0)
-        assert decode_batch([], grid, 0.0) == [] == baselines.bacc_decode_batch([], grid)
+            decode_batch([WorkerReturns(np.zeros(0, dtype=int), np.zeros((0, 1)))], grid, (0.0,))
+        assert decode_batch([], grid, (0.0, 1e-4)) == [[], []]
+        assert baselines.bacc_decode_batch([], grid) == []
 
     def test_bad_lambda_raises_as_decode_does(self):
         grid = chebyshev_grid(5, 21)
         survivors = [WorkerReturns(np.arange(4), np.zeros((4, 1)))]
         for lam in (-1e-3, np.nan, np.inf):
             with pytest.raises(ValueError, match="lam must be"):
-                decode_batch(survivors, grid, lam)
+                decode_batch(survivors, grid, (lam,))
         with pytest.raises(ValueError, match="lam too large"):
-            decode_batch([WorkerReturns(np.arange(21), np.zeros((21, 1)))], grid, 1e306)
+            decode_batch([WorkerReturns(np.arange(21), np.zeros((21, 1)))], grid, (1e306,))

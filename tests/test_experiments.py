@@ -208,12 +208,10 @@ class TestCrossval:
         assert list(result.table) == expected
 
     def test_ties_pick_largest_lambda(self, monkeypatch):
-        import letcc.experiments as exp
-
         class FakeAgg:
             mean_rmse = 0.0
 
-        monkeypatch.setattr(exp, "aggregate", lambda metrics: FakeAgg())
+        monkeypatch.setattr(sim, "aggregate", lambda metrics: FakeAgg())
         cfg = CrossvalConfig(func="sin_pi", k=4, n=12, s=0, trials=1, master_seed=0)
         result = crossval_lambda((0.0, 1e-3), (1e-8, 1e-2), cfg)
         assert result.best_lambda_d == 1e-2
@@ -232,6 +230,18 @@ class TestCrossval:
         cfg = CrossvalConfig(func="sin_pi", k=4, n=12, s=0)
         with pytest.raises(ValueError):
             crossval_lambda((), (1e-3,), cfg)
+
+    @pytest.mark.parametrize("e_grid, d_grid", [((0.0, -1.0), (1e-3,)),
+                                                ((0.0,), (1e-3, np.nan)),
+                                                ((0.0,), (np.inf, 1e-3)),
+                                                ((0.0, 1e-3), ())])
+    def test_bad_grid_rejected_before_any_trial(self, monkeypatch, e_grid, d_grid):
+        prepared, prepare = [], sim._prepare
+        monkeypatch.setattr(sim, "_prepare", lambda *a: prepared.append(a) or prepare(*a))
+        cfg = CrossvalConfig(func="sin_pi", k=4, n=12, s=0, trials=2)
+        with pytest.raises(ValueError, match="finite nonnegative|nonempty"):
+            crossval_lambda(e_grid, d_grid, cfg)
+        assert prepared == []
 
 
 class TestReportEmission:

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from letcc.sim import (
     apply_workers,
     make_worker,
     monte_carlo,
+    monte_carlo_lambdas,
     relacc,
     run_trial,
     sample_stragglers,
@@ -202,7 +204,7 @@ def test_letcc_trials_decode_once_each(monkeypatch):
     # run_trial makes one coding.decode(returns, grid, <float>) call per
     # letcc trial, the call a caller hooks to see a trial's decoder input
     # and result; monte_carlo decodes every trial exactly once, through
-    # coding.decode_batch
+    # coding.decode_batch at the setup's one weight
     singles, batches = [], []
     decode, decode_batch = sim.coding.decode, sim.coding.decode_batch
 
@@ -210,9 +212,10 @@ def test_letcc_trials_decode_once_each(monkeypatch):
         singles.append(lambda_d)
         return decode(survivors, grid, lambda_d)
 
-    def counted_batch(survivors, grid, lambda_d):
+    def counted_batch(survivors, grid, lambdas):
+        (lambda_d,) = lambdas
         batches.append((list(survivors), lambda_d))
-        return decode_batch(survivors, grid, lambda_d)
+        return decode_batch(survivors, grid, lambdas)
 
     monkeypatch.setattr(sim.coding, "decode", counted)
     monkeypatch.setattr(sim.coding, "decode_batch", counted_batch)
@@ -238,16 +241,16 @@ def test_scores_of_a_decode_stack_equal_each_decode_alone(worker):
     # rows are enough that a reduction in another order rounds differently
     setup = _setup(k=16, n=64, s=5, sigma0=0.1, lambda_e=1e-3, func=make_worker(worker),
                    data_rule="uniform")
-    (prepared,), = sim._prepare(setup, [(5, 1)])
-    results = sim.coding.decode_lambdas(prepared.returns, setup.grid,
-                                        (0.0, 1e-9, 1e-4, 1.0, 1e16))
-    stacked = sim._score(setup, [prepared] * len(results), results)
-    for result, metrics in zip(results, stacked):
-        assert metrics == sim._score(setup, [prepared], [result])[0]
-        for value, target in ((metrics.empirical_risk, prepared.truth),
-                              (metrics.l_dec / 2.0, prepared.through_encoder)):
-            assert value == float(np.mean(np.sum((result.estimates - target) ** 2,
-                                                 axis=1)))
+    (chunk,) = sim._prepare(setup, [(5, t) for t in range(4)])
+    returns = [prepared.returns for prepared in chunk]
+    for results in sim.coding.decode_batch(returns, setup.grid, (0.0, 1e-9, 1e-4, 1.0, 1e16)):
+        stacked = sim._score(setup, chunk, results)
+        for prepared, result, metrics in zip(chunk, results, stacked, strict=True):
+            assert metrics == sim._score(setup, [prepared], [result])[0]
+            for value, target in ((metrics.empirical_risk, prepared.truth),
+                                  (metrics.l_dec / 2.0, prepared.through_encoder)):
+                assert value == float(np.mean(np.sum((result.estimates - target) ** 2,
+                                                     axis=1)))
 
 
 class TestMonteCarlo:
@@ -349,6 +352,68 @@ class TestMonteCarlo:
         assert inversions <= 1
 
 
+class TestMonteCarloLambdas:
+    LAMS = (0.0, 1e-9, 1e-5, 1.0)
+
+    # one chunk, three trials a chunk, one trial a chunk
+    @pytest.mark.parametrize("chunk_values", [None, 3 * 23 * 4, 1])
+    @pytest.mark.parametrize("worker", ["sin_pi", "tanh_net"])
+    @pytest.mark.parametrize("mode", ["uniform", "fixed"])
+    def test_each_weight_equals_monte_carlo_at_that_weight(self, mode, worker, chunk_values,
+                                                           monkeypatch):
+        if chunk_values is not None:
+            monkeypatch.setattr(sim, "_CHUNK_VALUES", chunk_values)
+        kw = {"mode": "fixed", "fixed_stragglers": (0, 7, 8, 22)} if mode == "fixed" else {}
+        setup = _setup(k=5, n=23, s=4, sigma0=0.1, lambda_e=1e-3, func=make_worker(worker),
+                       **kw)
+        aggs = monte_carlo_lambdas(setup, 7, 31, self.LAMS)
+        assert len(aggs) == len(self.LAMS)
+        for lam, agg in zip(self.LAMS, aggs):
+            assert agg == monte_carlo(replace(setup, lambda_d=lam), 7, 31)
+
+    @pytest.mark.parametrize("scheme", ["bacc", "lcc"])
+    def test_baselines_take_one_weight(self, scheme):
+        setup = _setup(scheme, k=5, n=23, s=4, sigma0=0.1, func=make_worker("cubic"))
+        (agg,) = monte_carlo_lambdas(setup, 4, 2, (1e-3,))
+        assert agg == monte_carlo(setup, 4, 2)
+        with pytest.raises(ValueError, match="no decoder weight"):
+            monte_carlo_lambdas(setup, 4, 2, (0.0, 1e-3))
+
+    def test_weights_are_a_nonempty_sequence(self):
+        with pytest.raises(ValueError, match="at least one"):
+            monte_carlo_lambdas(_setup(), 2, 0, ())
+        with pytest.raises(TypeError):
+            monte_carlo_lambdas(_setup(), 2, 0, 1e-3)
+
+    def test_chunks_bound_the_values_of_every_weight(self, monkeypatch):
+        # a decode at L weights holds L fits per trial: 2 trials of N x d
+        # values at 5 weights fill a chunk
+        monkeypatch.setattr(sim, "_CHUNK_VALUES", 2 * 23 * 5)
+        sizes, decode_batch = [], sim.coding.decode_batch
+
+        def counted_batch(survivors, grid, lambdas):
+            survivors = list(survivors)
+            sizes.append((len(survivors), len(lambdas)))
+            return decode_batch(survivors, grid, lambdas)
+
+        monkeypatch.setattr(sim.coding, "decode_batch", counted_batch)
+        monte_carlo_lambdas(_setup(k=5, n=23, s=4, sigma0=0.1), 5, 9, (1e-6,) * 5)
+        assert sizes == [(2, 5), (2, 5), (1, 5)]
+
+    def test_memory_at_65536_workers_does_not_grow_with_trials(self):
+        setup = _setup(k=8, n=65536, s=64, sigma0=0.1)
+        lams = tuple(65536.0 ** -4 * 10.0 ** e for e in range(4))
+        peaks = []
+        for trials in (1, 8):
+            tracemalloc.start()
+            try:
+                monte_carlo_lambdas(setup, trials, 5, lams)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0]
+
+
 class TestStreamSeeder:
     # one-word, word-boundary and multi-word entropy values: 2**32 and
     # 2**64 + 5 take two and three SeedSequence words, 0 takes one
@@ -359,7 +424,7 @@ class TestStreamSeeder:
         # every word count through the vectorised pass, or none of them
         monkeypatch.setattr(sim, "_VECTOR_ROWS", vector_rows)
         rng = np.random.default_rng(11)
-        # and a row of 71 words, beyond the precomputed hash constants
+        # and a row of 71 words, with its own table of hash constants
         rows = [(0,), (2**32 - 1,), (2**32,), (2**64 + 5,), (0,) * 6, (2**32,) * 3,
                 (2**(32 * 70) + 9, 3)]
         for width in range(1, 7):

@@ -176,23 +176,37 @@ def encoder_training_error(batch: CodedBatch, data: Dataset) -> float:
     return float(np.mean(np.sum((fitted - data.inputs) ** 2, axis=1)))
 
 
+def _integral_indices(indices) -> np.ndarray:
+    """Survivor ``indices`` as a new int array; a fractional or non-finite one raises.
+
+    Integral values stored as floats are taken as they are.
+    """
+    indices = np.asarray(indices)
+    if indices.dtype.kind not in "iu":
+        integral = np.isfinite(indices) & (np.floor(indices) == indices)
+        if not integral.all():
+            raise ValueError(f"survivor index {indices[~integral][0]} is not an integer")
+    return indices.astype(int)
+
+
 def normalize_survivors(survivors, n: int):
     """Sort survivor (beta_index, output) pairs by index; drop duplicates.
 
     Accepts an iterable of pairs or an object exposing ``indices`` and
     ``outputs`` arrays.  Outputs are coerced to a 2-D (count, m) array.
-    Duplicate indices keep the first occurrence and emit a warning.
+    Duplicate indices keep the first occurrence and emit a warning.  An
+    index must be an integer in [0, n), or an integral float.
     """
     if hasattr(survivors, "indices") and hasattr(survivors, "outputs"):
-        indices = np.asarray(survivors.indices)
+        indices = _integral_indices(survivors.indices)
         rows = np.atleast_2d(np.asarray(survivors.outputs, dtype=float))
         if indices.size and indices.size != rows.shape[0]:
             raise ValueError(f"{indices.size} survivor indices for "
                              f"{rows.shape[0]} output rows")
         count = indices.size
     else:
-        pairs = [(int(i), np.atleast_1d(np.asarray(v, dtype=float))) for i, v in survivors]
-        indices = np.array([i for i, _ in pairs], dtype=int)
+        pairs = [(i, np.atleast_1d(np.asarray(v, dtype=float))) for i, v in survivors]
+        indices = _integral_indices([i for i, _ in pairs])
         rows = [v for _, v in pairs]
         count = len(pairs)
     if not count:
@@ -206,7 +220,7 @@ def normalize_survivors(survivors, n: int):
         outputs = rows.reshape(count, -1).copy()
         if not np.isfinite(outputs).all():
             raise ValueError("survivor outputs contain non-finite values")
-        return indices.astype(int), outputs
+        return indices, outputs
     unique, first = np.unique(indices, return_index=True)
     if unique.size < count:
         for idx in np.delete(indices, first):
@@ -219,7 +233,7 @@ def normalize_survivors(survivors, n: int):
         outputs = rows[first].reshape(first.size, -1)
     if not np.isfinite(outputs).all():
         raise ValueError("survivor outputs contain non-finite values")
-    return unique.astype(int), outputs
+    return unique, outputs
 
 
 def _stack_survivors(survivors, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -232,7 +246,7 @@ def _stack_survivors(survivors, n: int) -> tuple[np.ndarray, np.ndarray]:
     counts = {np.size(s.indices) for s in survivors}
     if len(counts) > 1:
         raise ValueError(f"a batch needs one survivor count, got {sorted(counts)}")
-    indices = np.array([s.indices for s in survivors], dtype=int)
+    indices = _integral_indices([s.indices for s in survivors])
     outputs = np.array([s.outputs for s in survivors], dtype=float)
     if outputs.ndim != 3 or outputs.shape[:2] != indices.shape:
         raise ValueError(f"survivor outputs of shape {outputs.shape[1:]} "

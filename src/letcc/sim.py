@@ -36,7 +36,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from . import baselines, coding
+from . import baselines, coding, spline
 from .coding import CodedBatch, Dataset
 from .points import InterpolationGrid
 
@@ -438,7 +438,11 @@ class TrialMetrics:
 
 @dataclass(frozen=True)
 class TrialSetup:
-    """Everything but the seed needed to run one trial."""
+    """Everything but the seed needed to run one trial.
+
+    Every field is checked on construction; ``lambda_e`` and ``lambda_d``
+    must be finite and nonnegative.
+    """
 
     scheme: str
     func: WorkerFunction
@@ -464,6 +468,7 @@ class TrialSetup:
             raise ValueError("identity data rule requires a 1-D worker function")
         if self.scheme == "lcc" and self.f_degree is None and self.func.degree is None:
             raise ValueError("lcc needs a declared polynomial degree")
+        spline._checked_lams((self.lambda_e, self.lambda_d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -680,6 +685,7 @@ def monte_carlo_lambdas(setup: TrialSetup, trials: int, master_seed,
     trials, master_seed)`` bit for bit, but each trial is prepared once and
     each chunk of trials decoded at every weight together (see the module
     docstring).  bacc and lcc have no decoder weight and take exactly one.
+    Every weight is checked, finite and nonnegative, before any trial runs.
     """
     lams = tuple(lambdas)
     if not lams:
@@ -687,6 +693,7 @@ def monte_carlo_lambdas(setup: TrialSetup, trials: int, master_seed,
     if len(lams) > 1 and setup.scheme != "letcc":
         raise ValueError(f"{setup.scheme} has no decoder weight; "
                          f"give one lambda_d, not {len(lams)}")
+    spline._checked_lams(lams)
     entropy = _entropy(master_seed)
     by_weight = [[] for _ in lams]
     for chunk in _prepare(setup, [entropy + (t,) for t in range(trials)], len(lams)):

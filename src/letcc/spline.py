@@ -35,14 +35,16 @@ only on request, as test oracles.
 Most entries of that band (the ones of the g rows, Q^T and -R) do not
 depend on lam.  A basis builds them once, as a band skeleton, on its first
 smooth; each solve fills a copy of the skeleton with its four lam-scaled
-rows of Q and runs one LU.  :func:`fit_lambdas` fits the same data at
-several weights on one basis, so the checks, the knot spacings and the
-skeleton are shared and only the lam-scaled rows and the solve repeat;
-:func:`fit` is its one-weight case.  A basis may also hold a (T, n)
-stack of knot sets of one size, such as the survivor knots of T
-Monte-Carlo trials: the bands of all sets are built in one set of array
-operations, and the LU runs once per set, so every set's fit equals its
-own fit bit for bit (one body, ``_fit_stack``, serves all of these).
+rows of Q and runs one LU.  A basis holds a (T, n) stack of knot sets of
+one size, such as the survivor knots of T Monte-Carlo trials, and one
+knot set is the stack T = 1: its methods take and give (T, n, m) stacks.
+The bands of all sets are built in one set of array operations and the
+LU runs once per set, so every set's fit equals its own fit bit for bit.
+:func:`fit` is the one public fit, of one knot set at one weight; the
+decoder fits T sets at several weights on one basis through the same
+body, ``_fit_stack``, which shares the knot spacings and the skeleton
+across weights and repeats only the lam-scaled rows and the solve.  A
+fit keeps no basis: its roughness is computed from its own knots.
 
 Evaluation at q query points runs in two steps.  The first depends only on
 the knots and the queries (:func:`evaluation_weights`): for each query row
@@ -75,7 +77,6 @@ __all__ = [
     "EvaluationWeights",
     "evaluation_weights",
     "fit",
-    "fit_lambdas",
 ]
 
 
@@ -88,7 +89,7 @@ class NumericalFitError(RuntimeError):
 
 
 class NaturalSplineBasis:
-    """Cardinal natural-cubic-spline basis on a strictly increasing knot set.
+    """Cardinal natural-cubic-spline basis on strictly increasing knot sets.
 
     Basis function ``b_i`` is the natural cubic spline taking value 1 at
     knot i and 0 at every other knot, so ``basis_dim`` equals the number of
@@ -96,14 +97,12 @@ class NaturalSplineBasis:
     is linear beyond the boundary knots (second derivative zero there and
     outside).
 
-    ``knots`` may also be a (T, n) stack of T knot sets of one size.  Then
-    :meth:`apply_qt`, :meth:`interior_second_derivs` and :meth:`smooth` take
-    and give (T, n, m) stacks and treat each set with the same arithmetic
-    as a basis on that set alone, and :meth:`row` is the basis of one set.
-    :meth:`roughness` and the dense oracles need a single knot set.
+    ``knots`` is one knot set, or a (T, n) stack of T knot sets of one
+    size.  :meth:`apply_qt`, :meth:`interior_second_derivs` and
+    :meth:`smooth` take and give (T, n, m) stacks, T = 1 for one knot set,
+    and treat each set with the same arithmetic as a basis on that set
+    alone.  The dense oracles need a single knot set.
     """
-
-    kind = "natural-cubic"
 
     def __init__(self, knots):
         knots = np.ascontiguousarray(knots, dtype=float)
@@ -129,59 +128,22 @@ class NaturalSplineBasis:
         self._qc = 1.0 / h[:, 1:]
         self._qb = -self._qa - self._qc
 
-    def row(self, i: int) -> "NaturalSplineBasis":
-        """The basis on knot set ``i`` of a stack, sharing the stack's arrays."""
-        basis = object.__new__(NaturalSplineBasis)
-        basis.knots = self.knots[i]
-        basis._h, basis._qa, basis._qb, basis._qc = (
-            a[i:i + 1] for a in (self._h, self._qa, self._qb, self._qc))
-        return basis
-
     @property
     def basis_dim(self) -> int:
         return self.knots.shape[-1]
 
-    def _stack(self, values: np.ndarray) -> np.ndarray:
-        """``values`` as a (T, n, m) stack; one knot set takes (n,) or (n, m)."""
-        if self.knots.ndim == 2:
-            return values
-        return values.reshape(1, values.shape[0], -1)
-
-    def _unstack(self, out: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """A (T, r, m) result in the layout of ``values``, as :meth:`_stack` took it."""
-        if self.knots.ndim == 2:
-            return out
-        return out.reshape(out.shape[1:2] + values.shape[1:])
-
     def apply_qt(self, values: np.ndarray) -> np.ndarray:
-        """Q^T @ values for values of shape (n,) or (n, m); (T, n, m) on a stack."""
-        return self._unstack(self._apply_qt(self._stack(values)), values)
-
-    def _apply_qt(self, v: np.ndarray) -> np.ndarray:
-        return (self._qa[..., None] * v[:, :-2] + self._qb[..., None] * v[:, 1:-1]
-                + self._qc[..., None] * v[:, 2:])
-
-    def _r_band(self) -> np.ndarray:
-        """Upper band of each tridiagonal R in ``solveh_banded`` layout, (T, 3, n-2).
-
-        Three rows with a zero top row: scipy's two-row (tridiagonal) path
-        rejects the 1 x 1 system of three knots.
-        """
-        h = self._h
-        band = np.zeros((h.shape[0], 3, h.shape[1] - 1))
-        band[:, 2] = (h[:, :-1] + h[:, 1:]) / 3.0
-        band[:, 1, 1:] = h[:, 1:-1] / 6.0
-        return band
+        """Q^T @ values of each set, (T, n-2, m) for values (T, n, m)."""
+        return (self._qa[..., None] * values[:, :-2] + self._qb[..., None] * values[:, 1:-1]
+                + self._qc[..., None] * values[:, 2:])
 
     def interior_second_derivs(self, values: np.ndarray) -> np.ndarray:
-        """Second derivatives at interior knots of the natural interpolant."""
-        values = np.asarray(values, dtype=float)
-        return self._unstack(self._second_derivs(self._stack(values)), values)
+        """Second derivatives at interior knots of the natural interpolant, (T, n-2, m).
 
-    def _second_derivs(self, v: np.ndarray) -> np.ndarray:
-        """R gam = Q^T v, one ``solveh_banded`` per knot set."""
+        R gam = Q^T values, one ``solveh_banded`` per knot set.
+        """
         return np.stack([solveh_banded(r, rhs, overwrite_ab=True)
-                         for r, rhs in zip(self._r_band(), self._apply_qt(v))])
+                         for r, rhs in zip(_r_band(self._h), self.apply_qt(values))])
 
     @cached_property
     def _q_max(self) -> list[float]:
@@ -202,7 +164,7 @@ class NaturalSplineBasis:
         """
         n = self.basis_dim
         qa, qb, qc = self._qa, self._qb, self._qc
-        r = self._r_band()
+        r = _r_band(self._h)
         skeleton = np.zeros((qa.shape[0], 2 * n - 2, 10))
         band = skeleton.transpose(0, 2, 1)
         band[:, 6, 0] = band[:, 6, 1::2] = 1.0                    # g_i in its own row
@@ -214,10 +176,11 @@ class NaturalSplineBasis:
         return skeleton
 
     def smooth(self, y: np.ndarray, lamn: float) -> tuple[np.ndarray, np.ndarray]:
-        """Fitted knot values and interior second derivatives for ``lamn > 0``.
+        """Fitted knot values (T, n, m) and interior second derivatives (T, n-2, m).
 
-        Solves the equations of the fit,  g + lamn * Q gam = y  and
-        Q^T g - R gam = 0,  as one band system in the interleaved unknowns
+        For data ``y`` (T, n, m) and ``lamn > 0``, solves the equations of
+        the fit,  g + lamn * Q gam = y  and  Q^T g - R gam = 0,  as one band
+        system in the interleaved unknowns
         (g_0, g_1, gam_1, g_2, ..., gam_{n-2}, g_{n-1}) by banded LU with
         partial pivoting (LAPACK ``dgbsv``, once per knot set); the
         bandwidth is 3 on both sides.  The bands are a copy of the basis's
@@ -227,10 +190,6 @@ class NaturalSplineBasis:
         and 1e4 its Cholesky solution misses the exact fit by up to 8e-5 for
         unit-scale data, where this solve stays below 1e-10.
         """
-        g, gam = self._smooth(self._stack(y), lamn)
-        return self._unstack(g, y), self._unstack(gam, y)
-
-    def _smooth(self, y: np.ndarray, lamn: float) -> tuple[np.ndarray, np.ndarray]:
         count, n, m = y.shape
         qa, qb, qc = self._qa, self._qb, self._qc
         # bounds every lamn-scaled entry of a set's band (in Python floats,
@@ -259,13 +218,6 @@ class NaturalSplineBasis:
         g[:, 0], g[:, 1:] = rhs[:, 0], rhs[:, 1::2]
         return g, rhs[:, 2:-1:2]
 
-    def roughness(self, gam: np.ndarray) -> float:
-        """gam^T R gam summed over columns, for interior second derivatives gam."""
-        band = self._r_band()[0]
-        col = (slice(None),) + (None,) * (gam.ndim - 1)
-        return float(np.sum(band[2][col] * gam * gam)
-                     + 2.0 * np.sum(band[1, 1:][col] * gam[:-1] * gam[1:]))
-
     def penalty_matrix(self) -> np.ndarray:
         """Gram matrix Phi of basis second derivatives, Phi_ij = int b_i'' b_j''.
 
@@ -274,8 +226,8 @@ class NaturalSplineBasis:
         spanned by the knot values of affine functions.  Dense (n x n) and
         built on each call; a test oracle, not used by fitting.
         """
-        ident = np.eye(self.basis_dim)
-        phi = self.apply_qt(ident).T @ self.interior_second_derivs(ident)
+        ident = np.eye(self.basis_dim)[None]
+        phi = self.apply_qt(ident)[0].T @ self.interior_second_derivs(ident)[0]
         return (phi + phi.T) / 2.0
 
     def basis_matrix(self, x) -> np.ndarray:
@@ -286,9 +238,22 @@ class NaturalSplineBasis:
         n = self.basis_dim
         ident = np.eye(n)
         gam = np.zeros((n, n))
-        gam[1:-1] = self.interior_second_derivs(ident)
+        gam[1:-1] = self.interior_second_derivs(ident[None])[0]
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return evaluation_weights(self.knots, x).apply(ident, gam)
+
+
+def _r_band(h: np.ndarray) -> np.ndarray:
+    """Upper band of each tridiagonal R in ``solveh_banded`` layout, (T, 3, n-2).
+
+    ``h`` holds the (T, n-1) knot spacings of T knot sets.  Three rows with
+    a zero top row: scipy's two-row (tridiagonal) path rejects the 1 x 1
+    system of three knots.
+    """
+    band = np.zeros((h.shape[0], 3, h.shape[1] - 1))
+    band[:, 2] = (h[:, :-1] + h[:, 1:]) / 3.0
+    band[:, 1, 1:] = h[:, 1:-1] / 6.0
+    return band
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,12 +276,7 @@ class SplineFit:
     second_derivs: np.ndarray
     lam: float
     degenerate: bool = False
-    basis: NaturalSplineBasis | None = field(default=None, repr=False)
     _scalar: bool = field(default=False, repr=False)
-
-    @property
-    def out_dim(self) -> int:
-        return self.coefficients.shape[1]
 
     def evaluate(self, query) -> np.ndarray:
         """Values at ``query``; shape (q, m), or (q,) if fitted on 1-D data."""
@@ -328,10 +288,17 @@ class SplineFit:
         return out[:, 0] if self._scalar else out
 
     def roughness(self) -> float:
-        """Total penalty sum_j integral (u_j''(t))^2 dt; zero iff affine."""
-        if self.basis is None:
+        """Total penalty sum_j integral (u_j''(t))^2 dt; zero iff affine.
+
+        gam^T R gam summed over columns, for the interior second
+        derivatives gam and the R of the fit's own knots.
+        """
+        if self.degenerate:
             return 0.0
-        return self.basis.roughness(self.second_derivs[1:-1])
+        band = _r_band(np.diff(self.knots)[None])[0]
+        gam = self.second_derivs[1:-1]
+        return float(np.sum(band[2][:, None] * gam * gam)
+                     + 2.0 * np.sum(band[1, 1:][:, None] * gam[:-1] * gam[1:]))
 
 
 def fit(t, y, lam: float) -> SplineFit:
@@ -348,19 +315,10 @@ def fit(t, y, lam: float) -> SplineFit:
         Smoothing weight (>= 0) on the mean-squared-error objective
         described in the module docstring.  ``lam = 0`` interpolates.
     """
-    return fit_lambdas(t, y, (lam,))[0]
-
-
-def fit_lambdas(t, y, lams) -> list[SplineFit]:
-    """Fits of one data set at each smoothing weight of ``lams``, in order.
-
-    Equals ``[fit(t, y, lam) for lam in lams]`` bit for bit, but checks the
-    inputs and builds the basis and its band skeleton once.  A weight that
-    ``fit`` refuses (negative, not finite, or overflowing for these knots)
-    raises the same error.
-    """
     t = np.ascontiguousarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
+    if y.ndim not in (1, 2):
+        raise ValueError("y must be (n,) or (n, m)")
     scalar = y.ndim == 1
     if scalar:
         y = y[:, None]
@@ -370,13 +328,14 @@ def fit_lambdas(t, y, lams) -> list[SplineFit]:
         raise ValueError(f"y has {y.shape[0]} rows for {t.size} knots")
     if not np.isfinite(t).all() or not np.isfinite(y).all():
         raise ValueError("non-finite values in fit inputs")
-    lams = _checked_lams(lams)
+    lam = _checked_lam(lam)
     n = t.size
     if n == 0:
         raise ValueError("cannot fit on zero points")
     if n > 1 and not (t[1:] > t[:-1]).all():
         raise ValueError("t must be strictly increasing")
-    return [fits[0] for _, _, fits in _fit_stack(t[None], y[None], lams, scalar)]
+    (_, _, (result,)), = _fit_stack(t[None], y[None], [lam], scalar)
+    return result
 
 
 def _fit_stack(t: np.ndarray, y: np.ndarray, lams: list[float],
@@ -394,7 +353,6 @@ def _fit_stack(t: np.ndarray, y: np.ndarray, lams: list[float],
     """
     count, n = t.shape
     basis = NaturalSplineBasis(t) if n >= 3 else None
-    bases = [basis.row(i) for i in range(count)] if basis else [None] * count
     out = []
     for lam in lams:
         lamn = n * lam
@@ -402,15 +360,15 @@ def _fit_stack(t: np.ndarray, y: np.ndarray, lams: list[float],
             g = y.copy()
             gam = np.zeros_like(g)
             if basis is not None:
-                gam[:, 1:-1] = basis._second_derivs(g)
+                gam[:, 1:-1] = basis.interior_second_derivs(g)
         elif not math.isfinite(lamn):
             raise ValueError(f"lam = {lam} overflows: n*lam is not finite for n = {n} knots")
         else:
-            g, gam_int = basis._smooth(y, lamn)
+            g, gam_int = basis.smooth(y, lamn)
             gam = np.zeros_like(g)
             gam[:, 1:-1] = gam_int
         out.append((g, gam, [SplineFit(t[i], g[i], gam[i], lam, degenerate=basis is None,
-                                       basis=bases[i], _scalar=scalar)
+                                       _scalar=scalar)
                              for i in range(count)]))
     return out
 

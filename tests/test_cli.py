@@ -381,21 +381,32 @@ class TestCrossvalCommand:
         assert "bogus" in err
         assert not out.exists()
 
-    # a bad second entry of either grid: no trial is prepared, not even at
-    # the first lambda_e
+    # a bad second entry of either grid, a negative lambda_d rule scale or
+    # lambda_e in a sweep, or a negative --lambda-d: no trial is prepared,
+    # not even at the first lambda_e or the first point
     @pytest.mark.parametrize("change", [{"lambda_d_grid": [1e-4, -1.0]},
-                                        {"lambda_e_grid": [0.0, -1.0]}])
+                                        {"lambda_e_grid": [0.0, -1.0]},
+                                        {"kind": "n_sweep", "lambda_d_scale": -1},
+                                        {"kind": "straggler", "lambda_e": -1},
+                                        {"kind": "trial"}])
     def test_negative_weight_exits_one_before_any_trial(self, capsys, tmp_path, monkeypatch,
                                                         change):
         prepared, prepare = [], sim._prepare
         monkeypatch.setattr(sim, "_prepare", lambda *a: prepared.append(a) or prepare(*a))
-        path = tmp_path / "cv.json"
-        path.write_text(json.dumps(dict(_KIND_CONFIGS["crossval"], **change)))
-        code, out, err = run_cli(capsys, "crossval", str(path), "--out",
-                                 str(tmp_path / "out"))
+        kind = change.get("kind", "crossval")
+        if kind == "trial":
+            argv = ["trial", "--scheme", "letcc", "--f", "sin_pi", "--k", "8", "--n", "24",
+                    "--s", "2", "--lambda-d", "-1"]
+        else:
+            path = tmp_path / "cv.json"
+            path.write_text(json.dumps(dict(_KIND_CONFIGS[kind], **change)))
+            argv = ["crossval" if kind == "crossval" else "sweep", str(path),
+                    "--out", str(tmp_path / "out")]
+        code, out, err = run_cli(capsys, *argv)
         assert (code, out, prepared) == (1, "", [])
-        assert err == "error: lam must be a finite nonnegative real, got -1.0\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["cv.json"]
+        bad = -(16.0 ** -4) if kind == "n_sweep" else -1.0  # the first point has N = 16
+        assert err == f"error: lam must be a finite nonnegative real, got {bad}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ([] if kind == "trial" else ["cv.json"])
 
 
 def write_matrix_file(path, matrix):

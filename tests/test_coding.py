@@ -271,6 +271,18 @@ class TestDecode:
         with pytest.raises(ValueError, match="non-finite"):
             normalize_survivors(WorkerReturns(np.array([0, 2]),
                                               np.array([[1.0], [np.nan]])), 4)
+        # a fractional index is refused, not truncated; integral floats pass
+        grid = chebyshev_grid(4, 9)
+        for bad in (0.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"survivor index {bad} is not an integer"):
+                decode([(bad, [1.0]), (1, [2.0]), (2, [0.0])], grid, 1e-3)
+            with pytest.raises(ValueError, match="is not an integer"):
+                normalize_survivors(WorkerReturns(np.array([bad, 1.0]), np.zeros((2, 1))), 9)
+        want = decode([(0, [1.0]), (1, [2.0]), (2, [0.0])], grid, 1e-3)
+        for survivors in ([(0.0, [1.0]), (1.0, [2.0]), (2.0, [0.0])],
+                          WorkerReturns(np.array([0.0, 1.0, 2.0]), [[1.0], [2.0], [0.0]])):
+            got = decode(survivors, grid, 1e-3)
+            assert np.array_equal(got.estimates, want.estimates)
 
     def test_normalize_rejects_length_mismatch(self):
         grid = chebyshev_grid(4, 8)
@@ -473,11 +485,17 @@ class TestDecodeBatch:
                 ([WorkerReturns(np.array([3, 1]), np.zeros((2, 1)))], "sorted and unique"),
                 ([WorkerReturns(np.array([1, 1]), np.zeros((2, 1)))], "sorted and unique"),
                 ([WorkerReturns(np.array([1, 2]), np.full((2, 1), np.nan))], "non-finite"),
-                ([WorkerReturns(np.array([1, 2]), np.zeros((3, 1)))], "for 2 indices")):
+                ([WorkerReturns(np.array([1, 2]), np.zeros((3, 1)))], "for 2 indices"),
+                ([WorkerReturns(np.array([0.5, 2.0]), np.zeros((2, 1)))],
+                 "survivor index 0.5 is not an integer")):
             with pytest.raises(ValueError, match=error):
                 decode_batch(survivors, grid, (1e-4,))
         with pytest.raises(DecodeFailure):
             decode_batch([WorkerReturns(np.zeros(0, dtype=int), np.zeros((0, 1)))], grid, (0.0,))
+        (got,), = decode_batch([WorkerReturns(np.array([1.0, 3.0, 4.0]), np.ones((3, 1)))],
+                               grid, (1e-4,))
+        want = decode(WorkerReturns(np.array([1, 3, 4]), np.ones((3, 1))), grid, 1e-4)
+        assert np.array_equal(got.estimates, want.estimates)
         assert decode_batch([], grid, (0.0, 1e-4)) == [[], []]
         assert baselines.bacc_decode_batch([], grid) == []
 

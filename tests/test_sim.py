@@ -156,6 +156,12 @@ class TestRunTrial:
         _setup(scheme="lcc", f_degree=3)
         _setup(scheme="lcc", func=make_worker("cubic"))
 
+    @pytest.mark.parametrize("weight", ["lambda_e", "lambda_d"])
+    @pytest.mark.parametrize("value", [-1e-9, np.inf, np.nan])
+    def test_bad_weight_rejected_at_setup(self, weight, value):
+        with pytest.raises(ValueError, match="lam must be a finite nonnegative real"):
+            _setup(**{weight: value})
+
     def test_same_seed_bit_identical(self):
         a = run_trial(_setup(sigma0=0.1, lambda_d=1e-5), seed=11)
         b = run_trial(_setup(sigma0=0.1, lambda_d=1e-5), seed=11)
@@ -384,6 +390,12 @@ class TestMonteCarloLambdas:
             monte_carlo_lambdas(_setup(), 2, 0, ())
         with pytest.raises(TypeError):
             monte_carlo_lambdas(_setup(), 2, 0, 1e-3)
+
+    @pytest.mark.parametrize("lams", [(1e-3, -1.0), (np.inf,), (np.nan, 0.0)])
+    def test_bad_weight_raises_before_any_trial(self, lams, monkeypatch):
+        monkeypatch.setattr(sim, "_prepare", lambda *a: pytest.fail("a trial was prepared"))
+        with pytest.raises(ValueError, match="lam must be a finite nonnegative real"):
+            monte_carlo_lambdas(_setup(), 2, 0, lams)
 
     def test_chunks_bound_the_values_of_every_weight(self, monkeypatch):
         # a decode at L weights holds L fits per trial: 2 trials of N x d

@@ -289,6 +289,12 @@ class TestFitValidation:
         with pytest.raises(ValueError):
             fit([-1, 0, 1], [0.0, 1.0], 0.0)
 
+    @pytest.mark.parametrize("lam", [0.0, 1e-3])
+    @pytest.mark.parametrize("shape", [(), (3, 2, 2)])
+    def test_y_of_zero_or_three_dims_rejected(self, lam, shape):
+        with pytest.raises(ValueError, match=r"^y must be \(n,\) or \(n, m\)$"):
+            fit([-1, 0, 1], np.zeros(shape), lam)
+
     def test_non_finite_query_rejected(self):
         f = fit([-1, 0, 1], [0.0, 1.0, 2.0], 0.0)
         with pytest.raises(ValueError):
@@ -306,30 +312,13 @@ class TestFitValidation:
         assert fit([0.0, 1.0], [1.0, 2.0], 1e308).degenerate
 
 
-class TestFitLambdas:
-    @pytest.mark.parametrize("n", [1, 2, 3, 40])
-    @pytest.mark.parametrize("shape", [(), (1,), (3,)])
-    def test_each_fit_equals_fit_at_that_weight(self, rng, n, shape):
-        t = np.sort(rng.uniform(-1, 1, n))
-        y = rng.normal(size=(n,) + shape)
-        lams = (0.0, 1e-13, 1e-4, 1.0, 1e16, 1e-4)
-        fits = spline.fit_lambdas(t, y, lams)
-        assert len(fits) == len(lams)
-        for lam, got in zip(lams, fits):
-            want = fit(t, y, lam)
-            assert np.array_equal(got.coefficients, want.coefficients)
-            assert np.array_equal(got.second_derivs, want.second_derivs)
-            assert (got.lam, got.degenerate) == (want.lam, want.degenerate)
-            assert np.array_equal(got.evaluate(t[:1] - 0.5), want.evaluate(t[:1] - 0.5))
-        # one basis for all weights
-        assert len({id(f.basis) for f in fits}) == 1
-
+class TestBandSkeleton:
     def test_skeleton_is_not_changed_by_a_solve(self, rng):
         t = np.sort(rng.uniform(-1, 1, 12))
         basis = NaturalSplineBasis(t)
-        basis.smooth(rng.normal(size=(12, 1)), 0.5)
+        basis.smooth(rng.normal(size=(1, 12, 1)), 0.5)
         skeleton = basis._skeleton.copy()
-        basis.smooth(rng.normal(size=(12, 2)), 3.0)
+        basis.smooth(rng.normal(size=(1, 12, 2)), 3.0)
         assert np.array_equal(basis._skeleton, skeleton)
 
 
@@ -340,16 +329,18 @@ class TestStackedBasis:
         y = rng.normal(size=(5, 9, m))
         stack = NaturalSplineBasis(knots)
         assert stack.basis_dim == 9
+        qt = stack.apply_qt(y)
         gam0 = stack.interior_second_derivs(y)
         g, gam = stack.smooth(y, 0.7)
+        assert (qt.shape, gam0.shape, g.shape, gam.shape) == (
+            (5, 7, m), (5, 7, m), (5, 9, m), (5, 7, m))
         for i in range(5):
             alone = NaturalSplineBasis(knots[i])
-            assert np.array_equal(stack.row(i).knots, knots[i])
-            assert np.array_equal(stack.apply_qt(y)[i], alone.apply_qt(y[i]))
-            assert np.array_equal(gam0[i], alone.interior_second_derivs(y[i]))
-            g_i, gam_i = alone.smooth(y[i], 0.7)
-            assert np.array_equal(g[i], g_i) and np.array_equal(gam[i], gam_i)
-            assert stack.row(i).roughness(gam[i]) == alone.roughness(gam_i)
+            one = y[i:i + 1]  # a single knot set takes a stack of one
+            assert np.array_equal(qt[i:i + 1], alone.apply_qt(one))
+            assert np.array_equal(gam0[i:i + 1], alone.interior_second_derivs(one))
+            g_i, gam_i = alone.smooth(one, 0.7)
+            assert np.array_equal(g[i:i + 1], g_i) and np.array_equal(gam[i:i + 1], gam_i)
 
     def test_knots_beyond_two_dimensions_rejected(self):
         with pytest.raises(ValueError, match="one-dimensional"):

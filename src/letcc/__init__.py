@@ -40,6 +40,7 @@ from .baselines import (
     bacc_decode_batch,
     bacc_encode,
     lcc_decode,
+    lcc_decode_batch,
     lcc_encode,
 )
 from .sim import (

@@ -15,10 +15,20 @@ survivors support, as a flagged approximation.  The decoder fits in the
 Chebyshev basis, which stays well conditioned on the Chebyshev worker
 points at the degrees LCC needs; a monomial-basis fit does not (at K=16
 and cubic f, degree 45, its mean squared error is near 1e-3).
+
+Both decoders run through one body on a stack of T trials' survivors, all
+of one count.  Berrut's takes every trial to the alphas with one
+barycentric map on the T node sets; Lagrange's solves the T least-squares
+fits with one stacked QR factorisation of the augmented matrices [V | Y]
+and one stacked triangular solve.  :func:`bacc_decode_batch` and
+:func:`lcc_decode_batch` are those bodies, the Monte-Carlo decode;
+:func:`bacc_decode` and :func:`lcc_decode` are one trial.  Each trial's
+result equals its own one-trial decode bit for bit.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +52,7 @@ __all__ = [
     "bacc_decode_batch",
     "lcc_encode",
     "lcc_decode",
+    "lcc_decode_batch",
 ]
 
 _NODE_HIT_TOL = 1e-14
@@ -246,28 +257,66 @@ def _chebyshev_vandermonde(x: np.ndarray, deg: int) -> np.ndarray:
     return np.cos(np.arccos(np.clip(x, -1.0, 1.0))[:, None] * np.arange(deg + 1))
 
 
+def _checked_degree(f_degree) -> int:
+    """``f_degree`` as an int; a boolean, fractional, non-finite or negative one raises."""
+    if (isinstance(f_degree, (bool, np.bool_)) or not isinstance(f_degree, numbers.Real)
+            or not float(f_degree).is_integer() or f_degree < 0):
+        raise ValueError(f"f_degree must be a nonnegative integer, got {f_degree!r}")
+    return int(f_degree)
+
+
 def lcc_decode(survivors, grid: InterpolationGrid, f_degree: int) -> DecodeResult:
     """Polynomial decode: exact once survivors reach (K-1)*deg(f)+1.
 
-    Least squares in the Chebyshev basis; ``decoder_fit`` holds the
-    Chebyshev coefficients, one column per output.  Below the threshold it
-    fits the highest degree the survivor count supports and flags the
-    result as degraded.  The basis at the alphas is kept on the grid, by
-    degree, beside its encoders; the survivor rows are built per call.
+    Least squares in the Chebyshev basis, solved through a QR factorisation;
+    ``decoder_fit`` holds the Chebyshev coefficients, one column per output.
+    Below the threshold it fits the highest degree the survivor count
+    supports and flags the result as degraded.  ``f_degree`` must be a
+    nonnegative integer.  A batch of one trial of :func:`lcc_decode_batch`,
+    after :func:`letcc.coding.normalize_survivors`.
     """
-    if f_degree < 0:
-        raise ValueError("f_degree must be nonnegative")
+    degree = _checked_degree(f_degree)
     indices, outputs = normalize_survivors(survivors, grid.n)
+    return _lcc_decode_stack(grid, indices[None], outputs[None], degree)[0]
+
+
+def lcc_decode_batch(survivors, grid: InterpolationGrid, f_degree: int) -> list[DecodeResult]:
+    """:func:`lcc_decode` of each trial's survivors in ``survivors``, in one batch.
+
+    Each result equals the trial's own :func:`lcc_decode` bit for bit.
+    The survivors take the form of :func:`letcc.coding.decode_batch`.
+    """
+    degree = _checked_degree(f_degree)
+    survivors = list(survivors)
+    if not survivors:
+        return []
+    return _lcc_decode_stack(grid, *_stack_survivors(survivors, grid.n), degree)
+
+
+def _lcc_decode_stack(grid: InterpolationGrid, indices: np.ndarray, outputs: np.ndarray,
+                      f_degree: int) -> list[DecodeResult]:
+    """Lagrange decodes of T trials' checked (T, v) indices and (T, v, m) outputs.
+
+    The least-squares fit of each trial's outputs Y on its Chebyshev
+    Vandermonde V comes from one QR factorisation of [V | Y]: the top-right
+    block of its R is Q^T Y, so Q is never formed, and the coefficients
+    solve the (deg + 1)-square triangular block against it.  The stacked
+    ``qr``, ``solve`` and ``matmul`` each run per trial, so a trial gets the
+    same bits in a batch of any size.  The basis at every beta and at the
+    alphas is kept on the grid, by degree, beside its encoders: a trial's V
+    is the rows of its survivors, gathered for the whole stack at once.
+    """
     codec = LagrangeCodec(grid.k, f_degree)
-    count = indices.size
+    count = indices.shape[1]
     deg = min(codec.target_degree, count - 1)
-    coef, *_ = np.linalg.lstsq(_chebyshev_vandermonde(grid.betas[indices], deg),
-                               outputs, rcond=None)
-    at_alphas = _cached_encoder(grid, ("lcc_decode", deg),
-                                lambda: _chebyshev_vandermonde(grid.alphas, deg))
-    return DecodeResult(
-        estimates=at_alphas @ coef,
-        decoder_fit=coef,
-        survivor_count=count,
-        degraded=count < codec.min_survivors,
-    )
+    at_betas, at_alphas = _cached_encoder(
+        grid, ("lcc_decode", deg),
+        lambda: (_chebyshev_vandermonde(grid.betas, deg),
+                 _chebyshev_vandermonde(grid.alphas, deg)))
+    r = np.linalg.qr(np.concatenate([at_betas[indices], outputs], axis=-1), mode="r")
+    coef = np.linalg.solve(r[:, :deg + 1, :deg + 1], r[:, :deg + 1, deg + 1:])
+    estimates = np.matmul(at_alphas, coef)
+    degraded = count < codec.min_survivors
+    return [DecodeResult(estimates=est, decoder_fit=c, survivor_count=count,
+                         degraded=degraded)
+            for est, c in zip(estimates, coef)]

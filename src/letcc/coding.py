@@ -16,9 +16,10 @@ memory; later encodes on the same grid object cost two K x K products and
 one O(N d) weighted gather.  The same cache holds the Berrut and Lagrange
 encoders of :mod:`letcc.baselines`, keyed by scheme, so each of the three
 schemes encodes through one fixed linear map per grid, and the Lagrange
-decoder's Chebyshev basis at the alphas, keyed by degree.  Reuse the grid
-object to benefit: an equal but separately built grid starts without
-encoders and computes the same ones, so its coded batches are identical.
+decoder's Chebyshev bases at the betas and the alphas, keyed by degree.
+Reuse the grid object to benefit: an equal but separately built grid
+starts without encoders and computes the same ones, so its coded batches
+are identical.
 A cached encoder also applies to a stack (T, K, d) of T input sets at
 once, with the same arithmetic per set as on its own.
 

@@ -18,8 +18,9 @@ streams at once and encodes its inputs in one stacked product through the
 grid's cached encoder.  The second half decodes and scores: a chunk's
 letcc trials decode at every weight of the call in one
 :func:`letcc.coding.decode_batch`, its bacc trials in one
-:func:`letcc.baselines.bacc_decode_batch` and its lcc trials one at a
-time; the chunk is then scored on one stack per weight.
+:func:`letcc.baselines.bacc_decode_batch` and its lcc trials in one
+:func:`letcc.baselines.lcc_decode_batch` (one stacked QR least-squares
+solve); the chunk is then scored on one stack per weight.
 :func:`monte_carlo` is the call at the setup's own lambda_d.  Worker
 functions only ever see one trial's rows.  Every step does the same
 arithmetic on a trial's values alone as in any batch, so a trial's
@@ -72,8 +73,10 @@ _STREAM_DATA = 303
 
 # Values per trial and decoder weight (N x input dimension coded values;
 # N x max(input dimension, K) for bacc, whose batched decode holds (K, N)
-# barycentric weights) prepared and decoded together at most, unless one
-# trial alone has more: bounds the memory of a batch.
+# barycentric weights; N x max(input dimension, deg + 1 + output dimension)
+# for lcc, whose batched decode factors each trial's augmented Chebyshev
+# Vandermonde) prepared and decoded together at most, unless one trial
+# alone has more: bounds the memory of a batch.
 _CHUNK_VALUES = 2**16
 
 
@@ -399,9 +402,10 @@ def apply_workers(func: WorkerFunction, batch: CodedBatch, noise: NoiseModel,
     """Evaluate f on the surviving coded points and add worker noise.
 
     ``rng`` draws the noise; it is not used, and may be None, when
-    ``noise.sigma0`` is 0.
+    ``noise.sigma0`` is 0.  A survivor index must be an integer in [0, N),
+    or an integral float.
     """
-    survivors = np.asarray(survivors, dtype=int)
+    survivors = coding._integral_indices(survivors)
     if survivors.size and (survivors.min() < 0 or survivors.max() >= batch.n):
         raise ValueError("survivor indices outside worker range")
     clean = func.evaluate(batch.coded[survivors])
@@ -441,7 +445,8 @@ class TrialSetup:
     """Everything but the seed needed to run one trial.
 
     Every field is checked on construction; ``lambda_e`` and ``lambda_d``
-    must be finite and nonnegative.
+    must be finite and nonnegative, and ``f_degree`` (or, for lcc without
+    one, the worker's declared degree) a nonnegative integer.
     """
 
     scheme: str
@@ -468,6 +473,8 @@ class TrialSetup:
             raise ValueError("identity data rule requires a 1-D worker function")
         if self.scheme == "lcc" and self.f_degree is None and self.func.degree is None:
             raise ValueError("lcc needs a declared polynomial degree")
+        if self.scheme == "lcc" or self.f_degree is not None:
+            baselines._checked_degree(_lcc_degree(self))
         spline._checked_lams((self.lambda_e, self.lambda_d))
 
 
@@ -496,11 +503,13 @@ def _prepare(setup: TrialSetup, seeds, weights: int = 1) -> Iterator[list[_Prepa
 
     A chunk holds at most ``_CHUNK_VALUES`` values of N x d per trial and
     each of the ``weights`` it is decoded at (N x max(d, K) for bacc, whose
-    decode weights are K x N), or one trial.  Its random streams are seeded
-    in one vectorised pass and loaded in turn into one reused generator; it
-    stacks its trials' inputs and encodes them in one product through the
-    grid's cached encoder.  The straggler draw, the workers and the truth
-    run per trial, on exactly that trial's rows.
+    decode weights are K x N, and N x max(d, deg + 1 + m) for lcc, whose
+    decode factors the survivors' augmented Vandermonde), or one trial.
+    Its random streams are seeded in one vectorised pass and loaded in turn
+    into one reused generator; it stacks its trials' inputs and encodes
+    them in one product through the grid's cached encoder.  The straggler
+    draw, the workers and the truth run per trial, on exactly that trial's
+    rows.
     """
     grid, func = setup.grid, setup.func
     seeds = [_entropy(seed) for seed in seeds]
@@ -518,7 +527,12 @@ def _prepare(setup: TrialSetup, seeds, weights: int = 1) -> Iterator[list[_Prepa
         gen.bit_generator.state = states[tag]
         return gen
 
-    width = max(func.in_dim, grid.k) if setup.scheme == "bacc" else func.in_dim
+    width = func.in_dim
+    if setup.scheme == "bacc":
+        width = max(width, grid.k)
+    elif setup.scheme == "lcc":
+        columns = baselines.LagrangeCodec(grid.k, _lcc_degree(setup)).target_degree + 1
+        width = max(width, min(columns, grid.n) + func.out_dim)
     size = max(1, _CHUNK_VALUES // (grid.n * width * weights))
     for start in range(0, len(seeds), size):
         chunk = seeds[start:start + size]
@@ -555,6 +569,11 @@ def _mean_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.add.reduce((a - b) ** 2, axis=-1), axis=-1) / a.shape[-2]
 
 
+def _lcc_degree(setup: TrialSetup) -> int:
+    """The polynomial degree lcc decodes ``setup``'s worker outputs at."""
+    return setup.f_degree if setup.f_degree is not None else setup.func.degree
+
+
 def _decode(setup: TrialSetup, prepared: _Prepared) -> coding.DecodeResult:
     """Decode one prepared trial with the setup's scheme and decoder weight."""
     grid = setup.grid
@@ -562,23 +581,22 @@ def _decode(setup: TrialSetup, prepared: _Prepared) -> coding.DecodeResult:
         return coding.decode(prepared.returns, grid, setup.lambda_d)
     if setup.scheme == "bacc":
         return baselines.bacc_decode(prepared.returns, grid)
-    degree = setup.f_degree if setup.f_degree is not None else setup.func.degree
-    return baselines.lcc_decode(prepared.returns, grid, degree)
+    return baselines.lcc_decode(prepared.returns, grid, _lcc_degree(setup))
 
 
 def _decode_chunk(setup: TrialSetup, chunk: list[_Prepared],
                   lambdas: tuple[float, ...]) -> list[list[coding.DecodeResult]]:
     """:func:`_decode` of each trial of a prepared chunk, one list per weight of ``lambdas``.
 
-    letcc and bacc decode the whole chunk in one batch (bacc and lcc take
-    one weight, which they ignore); lcc decodes one trial at a time.
+    Every scheme decodes the whole chunk in one batch; bacc and lcc take
+    one weight, which they ignore.
     """
     returns = [prepared.returns for prepared in chunk]
     if setup.scheme == "letcc":
         return coding.decode_batch(returns, setup.grid, lambdas)
     if setup.scheme == "bacc":
         return [baselines.bacc_decode_batch(returns, setup.grid)]
-    return [[_decode(setup, prepared) for prepared in chunk]]
+    return [baselines.lcc_decode_batch(returns, setup.grid, _lcc_degree(setup))]
 
 
 def _score(setup: TrialSetup, prepared: Sequence[_Prepared],

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.polynomial.chebyshev import chebval
+from numpy.polynomial.chebyshev import chebval, chebvander
 
 from letcc.baselines import (
     BerrutInterpolant,
@@ -12,11 +12,19 @@ from letcc.baselines import (
     bacc_decode,
     bacc_encode,
     lcc_decode,
+    lcc_decode_batch,
     lcc_encode,
 )
 from letcc.coding import Dataset, DecodeFailure
 from letcc.points import chebyshev_grid, chebyshev_second
-from letcc.sim import NoiseModel, StragglerModel, TrialSetup, make_worker, monte_carlo
+from letcc.sim import (
+    NoiseModel,
+    StragglerModel,
+    TrialSetup,
+    WorkerReturns,
+    make_worker,
+    monte_carlo,
+)
 
 
 def _reference_barycentric(nodes, weights, values, query):
@@ -241,6 +249,71 @@ class TestLagrangeDecode:
         grid = chebyshev_grid(2, 4)
         with pytest.raises(DecodeFailure):
             lcc_decode([], grid, 2)
+
+
+def _lcc_trials(grid, count, trials, rng):
+    """``trials`` noisy cubic worker returns on ``count`` random survivors each."""
+    returns = []
+    for _ in range(trials):
+        coded = lcc_encode(Dataset(rng.uniform(-1, 1, (grid.k, 2))), grid).coded
+        survivors = np.sort(rng.choice(grid.n, size=count, replace=False))
+        outputs = coded[survivors] ** 3 + rng.normal(0.0, 0.1, (count, 2))
+        returns.append(WorkerReturns(survivors, outputs))
+    return returns
+
+
+class TestLagrangeDecodeBatch:
+    # K = 8 and cubic f: target degree 21.  One and two survivors fit
+    # degree 0 and 1, 14 a degraded degree 13, and 56 the full degree.
+    @pytest.mark.parametrize("count", [1, 2, 14, 56])
+    def test_each_result_equals_its_own_decode_bit_for_bit(self, count, rng):
+        grid = chebyshev_grid(8, 64)
+        returns = _lcc_trials(grid, count, 5, rng)
+        batch = lcc_decode_batch(returns, grid, 3)
+        assert len(batch) == len(returns)
+        for trial, got in zip(returns, batch):
+            own = lcc_decode(trial, grid, 3)
+            assert np.array_equal(got.estimates, own.estimates)
+            assert np.array_equal(got.decoder_fit, own.decoder_fit)
+            assert got.decoder_fit.shape == (min(21, count - 1) + 1, 2)
+            assert got.survivor_count == own.survivor_count == count
+            assert got.degraded == own.degraded == (count < 22)
+
+    def test_empty_batch_and_zero_survivors(self):
+        grid = chebyshev_grid(3, 10)
+        assert lcc_decode_batch([], grid, 2) == []
+        with pytest.raises(DecodeFailure):
+            lcc_decode_batch([WorkerReturns(np.zeros(0, dtype=int), np.zeros((0, 1)))],
+                             grid, 2)
+
+    @pytest.mark.parametrize("k, n, s", [(8, 64, 8), (16, 64, 4), (101, 320, 8)])
+    def test_estimates_match_lstsq_oracle(self, k, n, s, rng):
+        # cubic f: degree 21, 45 and 300, fitted to noisy outputs
+        grid = chebyshev_grid(k, n)
+        deg = 3 * (k - 1)
+        returns = _lcc_trials(grid, n - s, 3, rng)
+        for trial, got in zip(returns, lcc_decode_batch(returns, grid, 3)):
+            coef, *_ = np.linalg.lstsq(chebvander(grid.betas[trial.indices], deg),
+                                       trial.outputs, rcond=None)
+            oracle = chebvander(grid.alphas, deg) @ coef
+            assert np.abs(got.estimates - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("f_degree", [True, np.True_, False, 1.5, -1, np.nan, np.inf,
+                                          "3", None])
+    def test_degree_must_be_a_nonnegative_integer(self, f_degree):
+        grid = chebyshev_grid(3, 10)
+        pairs = [(0, [1.0]), (4, [0.5]), (9, [0.25])]
+        with pytest.raises(ValueError, match="f_degree must be a nonnegative integer"):
+            lcc_decode(pairs, grid, f_degree)
+        with pytest.raises(ValueError, match="f_degree must be a nonnegative integer"):
+            lcc_decode_batch([WorkerReturns(np.array([0, 4, 9]), np.ones((3, 1)))],
+                             grid, f_degree)
+
+    def test_integral_float_degree_is_that_integer(self, rng):
+        grid = chebyshev_grid(8, 64)
+        trial, = _lcc_trials(grid, 56, 1, rng)
+        assert np.array_equal(lcc_decode(trial, grid, 3.0).estimates,
+                              lcc_decode(trial, grid, np.int64(3)).estimates)
 
 
 class TestLagrangePolynomial:

@@ -105,6 +105,16 @@ class TestNoiseAndWorkers:
                                 trial_rng(0, 2))
         assert np.array_equal(returns.outputs, np.zeros((5, 1)))
 
+    def test_fractional_survivor_indices_raise(self):
+        grid = chebyshev_grid(4, 9)
+        batch = CodedBatch(coded=np.linspace(-1, 1, 9)[:, None], encoder_fit=None, grid=grid)
+        func = make_worker("sin_pi")
+        with pytest.raises(ValueError, match="survivor index 0.5 is not an integer"):
+            apply_workers(func, batch, NoiseModel(0.0), [0.5, 1.7, 2.2], None)
+        returns = apply_workers(func, batch, NoiseModel(0.0), [0.0, 2.0, 5.0], None)
+        assert returns.indices.dtype.kind == "i"
+        assert np.array_equal(returns.indices, [0, 2, 5])
+
     def test_builtin_functions_have_expected_shapes(self):
         x = np.linspace(-1, 1, 7)[:, None]
         for name in ("sin_pi", "cubic", "softplus"):
@@ -155,6 +165,18 @@ class TestRunTrial:
             _setup(scheme="lcc")  # sin_pi declares no degree
         _setup(scheme="lcc", f_degree=3)
         _setup(scheme="lcc", func=make_worker("cubic"))
+
+    @pytest.mark.parametrize("scheme", sim.SCHEMES)
+    @pytest.mark.parametrize("f_degree", [True, 1.5, -1, np.nan])
+    def test_bad_degree_rejected_at_setup(self, scheme, f_degree):
+        with pytest.raises(ValueError, match="f_degree must be a nonnegative integer"):
+            _setup(scheme=scheme, func=make_worker("cubic"), f_degree=f_degree)
+
+    def test_bad_declared_degree_rejected_for_lcc(self):
+        half = WorkerFunction("half_cubic", make_worker("cubic").fn, 1, 1, degree=1.5)
+        with pytest.raises(ValueError, match="f_degree must be a nonnegative integer"):
+            _setup(scheme="lcc", func=half)
+        _setup(scheme="lcc", func=half, f_degree=3)
 
     @pytest.mark.parametrize("weight", ["lambda_e", "lambda_d"])
     @pytest.mark.parametrize("value", [-1e-9, np.inf, np.nan])
@@ -308,6 +330,24 @@ class TestMonteCarlo:
             assert [len(chunk) for chunk in chunks] == sizes
             for t, metrics in enumerate(monte_carlo(setup, 5, 9).metrics):
                 assert metrics == run_trial(setup, (9, t))
+
+    def test_lcc_chunks_bound_its_augmented_vandermonde(self, monkeypatch):
+        # K = 5 and cubic f: lcc's batched decode factors a (19, 13 + 1)
+        # augmented matrix per trial, so its chunks hold N x 14 values per trial
+        monkeypatch.setattr(sim, "_CHUNK_VALUES", 2 * 23 * 14)
+        sizes, decode_batch = [], sim.baselines.lcc_decode_batch
+
+        def counted_batch(survivors, grid, f_degree):
+            survivors = list(survivors)
+            sizes.append(len(survivors))
+            return decode_batch(survivors, grid, f_degree)
+
+        monkeypatch.setattr(sim.baselines, "lcc_decode_batch", counted_batch)
+        setup = _setup("lcc", k=5, n=23, s=4, sigma0=0.1, func=make_worker("cubic"))
+        agg = monte_carlo(setup, 5, 9)
+        assert sizes == [2, 2, 1]
+        for t, metrics in enumerate(agg.metrics):
+            assert metrics == run_trial(setup, (9, t))
 
     def test_unused_generators_are_not_built(self, monkeypatch):
         # the streams requested from the seeder, and the generators built

@@ -21,9 +21,11 @@ of one count.  Berrut's takes every trial to the alphas with one
 barycentric map on the T node sets; Lagrange's solves the T least-squares
 fits with one stacked QR factorisation of the augmented matrices [V | Y]
 and one stacked triangular solve.  :func:`bacc_decode_batch` and
-:func:`lcc_decode_batch` are those bodies, the Monte-Carlo decode;
-:func:`bacc_decode` and :func:`lcc_decode` are one trial.  Each trial's
-result equals its own one-trial decode bit for bit.
+:func:`lcc_decode_batch` are those bodies behind the checks an outside
+caller's survivors need (the Monte-Carlo harness hands its own stacked
+survivors to the bodies directly); :func:`bacc_decode` and
+:func:`lcc_decode` are one trial.  Each trial's result equals its own
+one-trial decode bit for bit.
 """
 
 from __future__ import annotations

@@ -30,10 +30,12 @@ one set of array operations and solves them one LAPACK call per trial
 (:func:`letcc.spline.NaturalSplineBasis` on a (T, n) knot stack); the
 weights share the basis and its lambda-free band entries, and one set of
 stacked evaluation weights takes all T x L fits to the alphas.
-:func:`decode_batch` is that body, the Monte-Carlo and cross-validation
-decode; :func:`decode` is one trial at one weight.  Each trial's result
-at each weight equals its own :func:`decode` bit for bit: every operation
-is elementwise across trials and weights, or runs per trial.
+:func:`decode_batch` is that body behind the checks an outside caller's
+survivors need; the Monte-Carlo harness hands its own stacked survivors
+to the body directly.  :func:`decode` is one trial at one weight.  Each
+trial's result at each weight equals its own :func:`decode` bit for bit:
+every operation is elementwise across trials and weights, or runs per
+trial.
 """
 
 from __future__ import annotations
@@ -299,9 +301,10 @@ def _decode_stack(grid: InterpolationGrid, indices: np.ndarray, outputs: np.ndar
     """Decodes of T trials' checked survivors at each weight of ``lambdas``.
 
     ``indices`` (T, v) and ``outputs`` (T, v, m) are as
-    :func:`_stack_survivors` gives them.  The T fits at a weight share one
-    set of band operations (:func:`letcc.spline._fit_stack`), and one set
-    of evaluation weights takes all fits to the alphas.  Returns one list
+    :func:`_stack_survivors` or a Monte-Carlo chunk gives them.  The T
+    fits at a weight share one set of band operations
+    (:func:`letcc.spline._fit_stack`), and one set of evaluation weights
+    takes all fits to the alphas.  Returns one list
     of T results per weight.
     """
     lams = spline._checked_lams(lambdas)

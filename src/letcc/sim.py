@@ -10,22 +10,33 @@ same states for all streams of many trials in one vectorised pass
 (numpy's SeedSequence mixing in uint32 arrays, PCG64's seeding in Python
 ints) and loads each, just before its draws, into one reused generator.
 
-A trial runs in two halves.  The first, independent of the decoder
-weight lambda_d, draws the data, encodes, samples the stragglers and runs
-the workers; :func:`monte_carlo_lambdas` prepares all trials of a call
-together, in chunks of a bounded number of values.  A chunk seeds its
-streams at once and encodes its inputs in one stacked product through the
-grid's cached encoder.  The second half decodes and scores: a chunk's
-letcc trials decode at every weight of the call in one
-:func:`letcc.coding.decode_batch`, its bacc trials in one
-:func:`letcc.baselines.bacc_decode_batch` and its lcc trials in one
-:func:`letcc.baselines.lcc_decode_batch` (one stacked QR least-squares
-solve); the chunk is then scored on one stack per weight.
-:func:`monte_carlo` is the call at the setup's own lambda_d.  Worker
-functions only ever see one trial's rows.  Every step does the same
-arithmetic on a trial's values alone as in any batch, so a trial's
-metrics are bit-identical whether it runs through :func:`run_trial` or
-inside any Monte-Carlo call, at any weights.
+A trial runs in two halves, and the harness runs both on chunks of
+trials held as stacked arrays.  The first half, independent of the
+decoder weight lambda_d, draws the data, encodes, samples the stragglers
+and runs the workers; :func:`monte_carlo_lambdas` prepares all trials of
+a call together, in chunks of a bounded number of values.  What stays
+per trial is what a trial owns: its draws, each on its own stream (the
+data's ``uniform``, the stragglers' ``choice``, the noise's ``normal``),
+and the worker function, called once on each of the trial's row sets and
+never on the rows of several trials.  Everything else runs once per
+chunk: the encode (one stacked product through the grid's cached
+encoder), the straggler mask, the survivor gather, the noise add, the
+finiteness check of survivor outputs, truth and through-encoder values,
+and l_enc.  A chunk is (T, N - S) survivor indices, (T, N - S, m)
+outputs, (T, K, m) truth and, for letcc, (T, K, m) through-encoder
+values and (T,) l_enc.  The second half decodes and scores: those arrays
+go straight into each scheme's decode body, letcc's at every weight of
+the call (:func:`letcc.coding.decode_batch`'s body), bacc's and lcc's at
+none (the bodies of :func:`letcc.baselines.bacc_decode_batch` and of
+:func:`letcc.baselines.lcc_decode_batch`, one stacked QR least-squares
+solve); the chunk is then scored on one stack per weight.  The public
+one-trial :func:`sample_stragglers` and :func:`apply_workers` are
+chunks of one of the same draw and workers, and :func:`run_trial` is a
+chunk of one decoded through the scheme's public one-trial decode.
+:func:`monte_carlo` is the call at the setup's own lambda_d.  Every step
+does the same arithmetic on a trial's values alone as in any batch, so a
+trial's metrics are bit-identical whether it runs through
+:func:`run_trial` or inside any Monte-Carlo call, at any weights.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import sqrt
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -259,15 +270,29 @@ class StragglerModel:
 def sample_stragglers(model: StragglerModel, rng: np.random.Generator | None) -> np.ndarray:
     """Sorted survivor indices for one trial.
 
-    ``rng`` is not used, and may be None, in ``fixed`` mode.
+    ``rng`` is not used, and may be None, in ``fixed`` mode.  A batch of
+    one trial of the harness's chunk draw.
+    """
+    return _survivor_stack(model, [rng])[0]
+
+
+def _survivor_stack(model: StragglerModel, rngs: Iterable) -> np.ndarray:
+    """Sorted survivor indices of T trials, (T, N - S).
+
+    ``rngs`` yields each trial's stragglers stream in turn, ready for its
+    draw (None in ``fixed`` mode, where none is used).  Each trial draws
+    its S stragglers on its own stream; one mask over all T trials turns
+    them into survivors.
     """
     if model.mode == "fixed":
-        stragglers = np.array(model.fixed_stragglers, dtype=int)
+        stragglers = [model.fixed_stragglers for _ in rngs]
     else:
-        stragglers = rng.choice(model.n, size=model.s, replace=False)
-    mask = np.ones(model.n, dtype=bool)
-    mask[stragglers] = False
-    return np.flatnonzero(mask)
+        stragglers = [rng.choice(model.n, size=model.s, replace=False) for rng in rngs]
+    stragglers = np.array(stragglers, dtype=int)
+    trials = len(stragglers)
+    survivors = np.ones((trials, model.n), dtype=bool)
+    survivors[np.arange(trials)[:, None], stragglers] = False
+    return np.nonzero(survivors)[1].reshape(trials, model.n - model.s)
 
 
 @dataclass(frozen=True)
@@ -403,15 +428,31 @@ def apply_workers(func: WorkerFunction, batch: CodedBatch, noise: NoiseModel,
 
     ``rng`` draws the noise; it is not used, and may be None, when
     ``noise.sigma0`` is 0.  A survivor index must be an integer in [0, N),
-    or an integral float.
+    or an integral float.  A batch of one trial of the harness's chunk
+    workers, after these checks.
     """
     survivors = coding._integral_indices(survivors)
     if survivors.size and (survivors.min() < 0 or survivors.max() >= batch.n):
         raise ValueError("survivor indices outside worker range")
-    clean = func.evaluate(batch.coded[survivors])
+    outputs = _worker_stack(func, batch.coded[None], noise, survivors[None], [rng])[0]
+    return WorkerReturns(indices=survivors, outputs=outputs)
+
+
+def _worker_stack(func: WorkerFunction, coded: np.ndarray, noise: NoiseModel,
+                  indices: np.ndarray, rngs: Iterable) -> np.ndarray:
+    """Worker outputs (T, v, m) of T trials at their survivors, with noise.
+
+    ``coded`` (T, N, d) holds each trial's coded rows and ``indices`` (T, v)
+    its checked survivors.  The rows of all trials are gathered at once; f
+    runs once per trial, on exactly that trial's rows (see
+    :class:`WorkerFunction`).  ``rngs`` yields each trial's noise stream in
+    turn, ready for its draw; it is not used when ``noise.sigma0`` is 0.
+    """
+    rows = coded[np.arange(len(indices))[:, None], indices]
+    outputs = np.array([func.evaluate(trial_rows) for trial_rows in rows])
     if noise.sigma0 > 0:
-        clean = clean + rng.normal(0.0, noise.sigma0, clean.shape)
-    return WorkerReturns(indices=survivors, outputs=clean)
+        outputs += np.array([rng.normal(0.0, noise.sigma0, outputs.shape[1:]) for rng in rngs])
+    return outputs
 
 
 @dataclass(frozen=True)
@@ -474,19 +515,28 @@ class TrialSetup:
         if self.scheme == "lcc" and self.f_degree is None and self.func.degree is None:
             raise ValueError("lcc needs a declared polynomial degree")
         if self.scheme == "lcc" or self.f_degree is not None:
-            baselines._checked_degree(_lcc_degree(self))
+            _lcc_degree(self)  # raises on a bad degree
         spline._checked_lams((self.lambda_e, self.lambda_d))
 
 
 @dataclass(frozen=True, eq=False)
-class _Prepared:
-    """The lambda_d-independent half of a trial: everything up to decode."""
+class _Chunk:
+    """The lambda_d-independent half of T trials, everything up to decode, as stacks.
 
-    returns: WorkerReturns
+    ``indices`` (T, v) are each trial's sorted survivor indices and
+    ``outputs`` (T, v, m) their noisy worker outputs; ``truth`` (T, K, m)
+    is f at each trial's inputs.  For letcc, ``through_encoder`` (T, K, m)
+    is f at the encoder's values at the alphas and ``l_enc`` (T,) the
+    encoder term of each trial's risk bound; both are None for the
+    baselines.  All values are finite.
+    """
+
+    seeds: list[tuple[int, ...]]
+    indices: np.ndarray
+    outputs: np.ndarray
     truth: np.ndarray
     through_encoder: np.ndarray | None
-    l_enc: float | None
-    seed: tuple[int, ...]
+    l_enc: np.ndarray | None
 
 
 def _trial_inputs(setup: TrialSetup, rng: np.random.Generator | None) -> np.ndarray:
@@ -498,18 +548,22 @@ def _trial_inputs(setup: TrialSetup, rng: np.random.Generator | None) -> np.ndar
     return rng.uniform(-1.0, 1.0, (setup.grid.k, setup.func.in_dim))
 
 
-def _prepare(setup: TrialSetup, seeds, weights: int = 1) -> Iterator[list[_Prepared]]:
-    """The prepared trials of ``seeds``, in order, as lists of one chunk each.
+def _prepare(setup: TrialSetup, seeds, weights: int = 1) -> Iterator[_Chunk]:
+    """The prepared trials of ``seeds``, in order, one :class:`_Chunk` at a time.
 
     A chunk holds at most ``_CHUNK_VALUES`` values of N x d per trial and
     each of the ``weights`` it is decoded at (N x max(d, K) for bacc, whose
     decode weights are K x N, and N x max(d, deg + 1 + m) for lcc, whose
     decode factors the survivors' augmented Vandermonde), or one trial.
-    Its random streams are seeded in one vectorised pass and loaded in turn
-    into one reused generator; it stacks its trials' inputs and encodes
-    them in one product through the grid's cached encoder.  The straggler
-    draw, the workers and the truth run per trial, on exactly that trial's
-    rows.
+    Its random streams are seeded in one vectorised pass; each trial's
+    draws (data, stragglers, noise) run on its own stream, loaded just
+    before them into one reused generator.  The chunk encodes its trials'
+    inputs in one product through the grid's cached encoder, masks the
+    stragglers, gathers the survivors' rows, adds the noise and checks
+    every value of all its trials at once.  f runs once per trial on
+    each of that trial's row sets: survivors, inputs and, for letcc, the
+    encoder's values at the alphas.  A non-finite value raises
+    ``ValueError`` naming which of the three it is.
     """
     grid, func = setup.grid, setup.func
     seeds = [_entropy(seed) for seed in seeds]
@@ -520,12 +574,18 @@ def _prepare(setup: TrialSetup, seeds, weights: int = 1) -> Iterator[list[_Prepa
     # one generator, loaded with each stream's state just before its draws
     gen = np.random.Generator(np.random.PCG64(_ANY_SEED)) if tags else None
 
-    def rng(states: dict, tag: int) -> np.random.Generator | None:
-        """The stream ``tag`` at a trial's state, None if the setup draws none."""
-        if tag not in states:
-            return None
-        gen.bit_generator.state = states[tag]
-        return gen
+    def streams(states: list[dict], tag: int) -> Iterator[np.random.Generator | None]:
+        """Each trial's stream ``tag`` in turn, None if the setup draws none.
+
+        A trial's state is loaded as the next one is asked for, so each must
+        draw before the next.
+        """
+        for trial in states:
+            if tag not in trial:
+                yield None
+                continue
+            gen.bit_generator.state = trial[tag]
+            yield gen
 
     width = func.in_dim
     if setup.scheme == "bacc":
@@ -538,25 +598,29 @@ def _prepare(setup: TrialSetup, seeds, weights: int = 1) -> Iterator[list[_Prepa
         chunk = seeds[start:start + size]
         flat = iter(_stream_states([seed + (tag,) for seed in chunk for tag in tags]))
         states = [{tag: next(flat) for tag in tags} for _ in chunk]
-        inputs = np.stack([_trial_inputs(setup, rng(trial, _STREAM_DATA)) for trial in states])
+        inputs = np.stack([_trial_inputs(setup, rng)
+                           for rng in streams(states, _STREAM_DATA)])
         knot_values = None
         if setup.scheme == "letcc":
             coded, knot_values, _ = coding._linear_encoder(grid, setup.lambda_e).apply(inputs)
         else:
             coded = baselines._encoder(grid, setup.scheme).apply(inputs)
-        prepared = []
-        for t, (seed, trial) in enumerate(zip(chunk, states)):
-            survivors = sample_stragglers(setup.stragglers, rng(trial, _STREAM_STRAGGLERS))
-            returns = apply_workers(func, CodedBatch(coded[t], None, grid), setup.noise,
-                                    survivors, rng(trial, _STREAM_NOISE))
-            truth = func.evaluate(inputs[t])
-            through = l_enc = None
-            if knot_values is not None:
-                # the encoder's values at the alphas, its knots
-                through = func.evaluate(knot_values[t])
-                l_enc = 2.0 * float(_mean_sq_dist(through, truth))
-            prepared.append(_Prepared(returns, truth, through, l_enc, seed))
-        yield prepared
+        indices = _survivor_stack(setup.stragglers, streams(states, _STREAM_STRAGGLERS))
+        outputs = _worker_stack(func, coded, setup.noise, indices,
+                                streams(states, _STREAM_NOISE))
+        truth = np.array([func.evaluate(trial_inputs) for trial_inputs in inputs])
+        through = l_enc = None
+        if knot_values is not None:
+            # the encoder's values at the alphas, its knots
+            through = np.array([func.evaluate(values) for values in knot_values])
+        for values, name in ((outputs, "survivor outputs"),
+                             (truth, "truth values f(x_k)"),
+                             (through, "through-encoder values f(u_enc(alpha_k))")):
+            if values is not None and not np.isfinite(values).all():
+                raise ValueError(f"{name} contain non-finite values")
+        if through is not None:  # of checked values: inf - inf would warn
+            l_enc = 2.0 * _mean_sq_dist(through, truth)
+        yield _Chunk(chunk, indices, outputs, truth, through, l_enc)
 
 
 def _mean_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -570,79 +634,83 @@ def _mean_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _lcc_degree(setup: TrialSetup) -> int:
-    """The polynomial degree lcc decodes ``setup``'s worker outputs at."""
-    return setup.f_degree if setup.f_degree is not None else setup.func.degree
+    """The checked polynomial degree lcc decodes ``setup``'s worker outputs at."""
+    return baselines._checked_degree(setup.f_degree if setup.f_degree is not None
+                                     else setup.func.degree)
 
 
-def _decode(setup: TrialSetup, prepared: _Prepared) -> coding.DecodeResult:
-    """Decode one prepared trial with the setup's scheme and decoder weight."""
-    grid = setup.grid
-    if setup.scheme == "letcc":
-        return coding.decode(prepared.returns, grid, setup.lambda_d)
-    if setup.scheme == "bacc":
-        return baselines.bacc_decode(prepared.returns, grid)
-    return baselines.lcc_decode(prepared.returns, grid, _lcc_degree(setup))
-
-
-def _decode_chunk(setup: TrialSetup, chunk: list[_Prepared],
+def _decode_chunk(setup: TrialSetup, chunk: _Chunk,
                   lambdas: tuple[float, ...]) -> list[list[coding.DecodeResult]]:
-    """:func:`_decode` of each trial of a prepared chunk, one list per weight of ``lambdas``.
+    """The decodes of a chunk's trials, one list per weight of ``lambdas``.
 
-    Every scheme decodes the whole chunk in one batch; bacc and lcc take
-    one weight, which they ignore.
+    Every scheme decodes the whole chunk in one batch, its stacked
+    survivors going straight into the scheme's decode body; bacc and lcc
+    take one weight, which they ignore.
     """
-    returns = [prepared.returns for prepared in chunk]
+    grid, indices, outputs = setup.grid, chunk.indices, chunk.outputs
     if setup.scheme == "letcc":
-        return coding.decode_batch(returns, setup.grid, lambdas)
+        return coding._decode_stack(grid, indices, outputs, lambdas)
     if setup.scheme == "bacc":
-        return [baselines.bacc_decode_batch(returns, setup.grid)]
-    return [baselines.lcc_decode_batch(returns, setup.grid, _lcc_degree(setup))]
+        return [baselines._bacc_decode_stack(grid, indices, outputs)]
+    return [baselines._lcc_decode_stack(grid, indices, outputs, _lcc_degree(setup))]
 
 
-def _score(setup: TrialSetup, prepared: Sequence[_Prepared],
+def _score(setup: TrialSetup, chunk: _Chunk,
            results: Sequence[coding.DecodeResult]) -> list[TrialMetrics]:
-    """The metrics of each decode ``results[i]`` of the trial ``prepared[i]``.
+    """The metrics of each trial of ``chunk``, ``results[i]`` being trial i's decode.
 
-    The distances of a chunk's trials at one decoder weight run once on
-    the stack of all estimates, each reduced as on its own.  A letcc result
-    whose risk exceeds its decomposition bound raises.
+    The distances, bounds and class agreement of all trials at one decoder
+    weight run once on the stack of their estimates, each trial reduced as
+    on its own.  A letcc result whose risk exceeds its decomposition bound
+    raises.
     """
     estimates = np.array([result.estimates for result in results])
-    risks = _mean_sq_dist(estimates, np.array([trial.truth for trial in prepared])).tolist()
-    l_decs = [None] * len(results)
+    risks = _mean_sq_dist(estimates, chunk.truth)
+    l_decs = l_encs = relaccs = [None] * len(results)
     if setup.scheme == "letcc":
-        through = np.array([trial.through_encoder for trial in prepared])
-        l_decs = (2.0 * _mean_sq_dist(estimates, through)).tolist()
-        for risk, l_dec, trial in zip(risks, l_decs, prepared):
-            bound = l_dec + trial.l_enc
-            if risk > bound + 1e-9 * (1.0 + bound):
-                raise RiskBoundViolation(
-                    f"risk decomposition violated: {risk} > {l_dec} + {trial.l_enc}"
-                )
-
-    classes = estimates.shape[-1] >= 2  # relacc is defined for vector outputs only
+        l_decs = 2.0 * _mean_sq_dist(estimates, chunk.through_encoder)
+        bounds = l_decs + chunk.l_enc
+        over = np.flatnonzero(risks > bounds + 1e-9 * (1.0 + bounds))
+        if over.size:
+            t = over[0]
+            raise RiskBoundViolation(
+                f"risk decomposition violated: {float(risks[t])} > "
+                f"{float(l_decs[t])} + {float(chunk.l_enc[t])}")
+        l_decs, l_encs = l_decs.tolist(), chunk.l_enc.tolist()
+    if estimates.shape[-1] >= 2:  # relacc is defined for vector outputs only
+        relaccs = _agreement(estimates, chunk.truth).tolist()
     return [TrialMetrics(
         scheme=setup.scheme,
         empirical_risk=risk,
         l_dec=l_dec,
-        l_enc=trial.l_enc,
+        l_enc=l_enc,
         rmse=sqrt(risk),
-        relacc=relacc(result.estimates, trial.truth) if classes else None,
+        relacc=agreement,
         survivor_count=result.survivor_count,
         degraded=result.degraded,
-        seed=trial.seed,
-    ) for risk, l_dec, trial, result in zip(risks, l_decs, prepared, results, strict=True)]
+        seed=seed,
+    ) for risk, l_dec, l_enc, agreement, result, seed
+        in zip(risks.tolist(), l_decs, l_encs, relaccs, results, chunk.seeds, strict=True)]
 
 
 def run_trial(setup: TrialSetup, seed) -> TrialMetrics:
     """Run the full encode/compute/decode pipeline once.
 
     ``seed`` (int or tuple of ints) fully determines the trial: identical
-    seeds give bit-identical metrics.  A letcc trial decodes through one
-    :func:`letcc.coding.decode` call.
+    seeds give bit-identical metrics.  The trial is a chunk of one, decoded
+    through the scheme's public one-trial decode: a letcc trial through one
+    :func:`letcc.coding.decode` call, whose survivors expose ``indices``
+    and ``outputs``.
     """
-    (prepared,), = _prepare(setup, [seed])
-    return _score(setup, [prepared], [_decode(setup, prepared)])[0]
+    chunk, = _prepare(setup, [seed])
+    returns = WorkerReturns(chunk.indices[0], chunk.outputs[0])
+    if setup.scheme == "letcc":
+        result = coding.decode(returns, setup.grid, setup.lambda_d)
+    elif setup.scheme == "bacc":
+        result = baselines.bacc_decode(returns, setup.grid)
+    else:
+        result = baselines.lcc_decode(returns, setup.grid, _lcc_degree(setup))
+    return _score(setup, chunk, [result])[0]
 
 
 @dataclass(frozen=True)
@@ -731,4 +799,9 @@ def relacc(estimates: np.ndarray, truth: np.ndarray) -> float | None:
         raise ValueError("estimates and truth must have matching shapes")
     if estimates.shape[1] < 2:
         return None
-    return float(np.mean(estimates.argmax(axis=1) == truth.argmax(axis=1)))
+    return float(_agreement(estimates, truth))
+
+
+def _agreement(estimates: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Argmax agreement fraction of (K, m) arrays, one per array of a (..., K, m) stack."""
+    return np.mean(estimates.argmax(axis=-1) == truth.argmax(axis=-1), axis=-1)

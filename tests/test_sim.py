@@ -231,36 +231,38 @@ class TestRunTrial:
 def test_letcc_trials_decode_once_each(monkeypatch):
     # run_trial makes one coding.decode(returns, grid, <float>) call per
     # letcc trial, the call a caller hooks to see a trial's decoder input
-    # and result; monte_carlo decodes every trial exactly once, through
-    # coding.decode_batch at the setup's one weight
-    singles, batches = [], []
-    decode, decode_batch = sim.coding.decode, sim.coding.decode_batch
+    # and result; monte_carlo decodes every trial exactly once, a chunk's
+    # trials in one stacked decode at the setup's one weight
+    singles, stacks = [], []
+    decode, decode_stack = sim.coding.decode, sim.coding._decode_stack
 
     def counted(survivors, grid, lambda_d):
         singles.append(lambda_d)
         return decode(survivors, grid, lambda_d)
 
-    def counted_batch(survivors, grid, lambdas):
+    def counted_stack(grid, indices, outputs, lambdas):
         (lambda_d,) = lambdas
-        batches.append((list(survivors), lambda_d))
-        return decode_batch(survivors, grid, lambdas)
+        stacks.append((indices, outputs, lambda_d))
+        return decode_stack(grid, indices, outputs, lambdas)
 
     monkeypatch.setattr(sim.coding, "decode", counted)
-    monkeypatch.setattr(sim.coding, "decode_batch", counted_batch)
+    monkeypatch.setattr(sim.coding, "_decode_stack", counted_stack)
     setup = _setup(sigma0=0.1, lambda_d=1e-5)
     run_trial(setup, 3)
-    assert singles == [1e-5] and batches == []
+    assert singles == [1e-5]
+    assert [len(indices) for indices, _, _ in stacks] == [1]  # decode is a stack of one
+    stacks.clear()
     monte_carlo(setup, 4, 7)
     assert singles == [1e-5]
-    assert all(lam == 1e-5 for _, lam in batches)
-    assert all(type(lam) is float for lam in singles + [lam for _, lam in batches])
-    seen = [returns for survivors, _ in batches for returns in survivors]
-    assert len(batches) == 1  # one prepared chunk, one batch
-    assert len(seen) == 4 and len({id(returns) for returns in seen}) == 4
-    for t, returns in enumerate(seen):  # in trial order, each its trial's survivors
-        (prepared,), = sim._prepare(setup, [(7, t)])
-        assert np.array_equal(returns.indices, prepared.returns.indices)
-        assert np.array_equal(returns.outputs, prepared.returns.outputs)
+    assert all(lam == 1e-5 for _, _, lam in stacks)
+    assert all(type(lam) is float for lam in singles + [lam for _, _, lam in stacks])
+    assert len(stacks) == 1  # one prepared chunk, one stacked decode
+    (indices, outputs, _), = stacks
+    assert len(indices) == len(outputs) == 4
+    for t in range(4):  # in trial order, each its trial's survivors
+        (alone,) = sim._prepare(setup, [(7, t)])
+        assert np.array_equal(indices[t], alone.indices[0])
+        assert np.array_equal(outputs[t], alone.outputs[0])
 
 
 @pytest.mark.parametrize("worker", ["sin_pi", "tanh_net"])
@@ -270,13 +272,13 @@ def test_scores_of_a_decode_stack_equal_each_decode_alone(worker):
     setup = _setup(k=16, n=64, s=5, sigma0=0.1, lambda_e=1e-3, func=make_worker(worker),
                    data_rule="uniform")
     (chunk,) = sim._prepare(setup, [(5, t) for t in range(4)])
-    returns = [prepared.returns for prepared in chunk]
-    for results in sim.coding.decode_batch(returns, setup.grid, (0.0, 1e-9, 1e-4, 1.0, 1e16)):
+    alone = [trial for t in range(4) for trial in sim._prepare(setup, [(5, t)])]
+    for results in sim._decode_chunk(setup, chunk, (0.0, 1e-9, 1e-4, 1.0, 1e16)):
         stacked = sim._score(setup, chunk, results)
-        for prepared, result, metrics in zip(chunk, results, stacked, strict=True):
-            assert metrics == sim._score(setup, [prepared], [result])[0]
-            for value, target in ((metrics.empirical_risk, prepared.truth),
-                                  (metrics.l_dec / 2.0, prepared.through_encoder)):
+        for t, (result, metrics) in enumerate(zip(results, stacked, strict=True)):
+            assert metrics == sim._score(setup, alone[t], [result])[0]
+            for value, target in ((metrics.empirical_risk, chunk.truth[t]),
+                                  (metrics.l_dec / 2.0, chunk.through_encoder[t])):
                 assert value == float(np.mean(np.sum((result.estimates - target) ** 2,
                                                      axis=1)))
 
@@ -327,7 +329,7 @@ class TestMonteCarlo:
         for scheme, sizes in (("bacc", [2, 2, 1]), ("letcc", [5])):
             setup = _setup(scheme, k=5, n=23, s=4, sigma0=0.1)
             chunks = list(sim._prepare(setup, [(9, t) for t in range(5)]))
-            assert [len(chunk) for chunk in chunks] == sizes
+            assert [len(chunk.seeds) for chunk in chunks] == sizes
             for t, metrics in enumerate(monte_carlo(setup, 5, 9).metrics):
                 assert metrics == run_trial(setup, (9, t))
 
@@ -335,14 +337,13 @@ class TestMonteCarlo:
         # K = 5 and cubic f: lcc's batched decode factors a (19, 13 + 1)
         # augmented matrix per trial, so its chunks hold N x 14 values per trial
         monkeypatch.setattr(sim, "_CHUNK_VALUES", 2 * 23 * 14)
-        sizes, decode_batch = [], sim.baselines.lcc_decode_batch
+        sizes, decode_stack = [], sim.baselines._lcc_decode_stack
 
-        def counted_batch(survivors, grid, f_degree):
-            survivors = list(survivors)
-            sizes.append(len(survivors))
-            return decode_batch(survivors, grid, f_degree)
+        def counted_stack(grid, indices, outputs, f_degree):
+            sizes.append(len(indices))
+            return decode_stack(grid, indices, outputs, f_degree)
 
-        monkeypatch.setattr(sim.baselines, "lcc_decode_batch", counted_batch)
+        monkeypatch.setattr(sim.baselines, "_lcc_decode_stack", counted_stack)
         setup = _setup("lcc", k=5, n=23, s=4, sigma0=0.1, func=make_worker("cubic"))
         agg = monte_carlo(setup, 5, 9)
         assert sizes == [2, 2, 1]
@@ -441,14 +442,13 @@ class TestMonteCarloLambdas:
         # a decode at L weights holds L fits per trial: 2 trials of N x d
         # values at 5 weights fill a chunk
         monkeypatch.setattr(sim, "_CHUNK_VALUES", 2 * 23 * 5)
-        sizes, decode_batch = [], sim.coding.decode_batch
+        sizes, decode_stack = [], sim.coding._decode_stack
 
-        def counted_batch(survivors, grid, lambdas):
-            survivors = list(survivors)
-            sizes.append((len(survivors), len(lambdas)))
-            return decode_batch(survivors, grid, lambdas)
+        def counted_stack(grid, indices, outputs, lambdas):
+            sizes.append((len(indices), len(lambdas)))
+            return decode_stack(grid, indices, outputs, lambdas)
 
-        monkeypatch.setattr(sim.coding, "decode_batch", counted_batch)
+        monkeypatch.setattr(sim.coding, "_decode_stack", counted_stack)
         monte_carlo_lambdas(_setup(k=5, n=23, s=4, sigma0=0.1), 5, 9, (1e-6,) * 5)
         assert sizes == [(2, 5), (2, 5), (1, 5)]
 
@@ -505,21 +505,29 @@ class TestStreamSeeder:
             monte_carlo(_setup(), 2, -3)
         assert str(got.value) == str(reference.value)
 
+    @pytest.mark.parametrize("stragglers", [
+        {"s": 4},
+        {"s": 4, "mode": "fixed", "fixed_stragglers": (0, 7, 8, 22)},
+        {"s": 0},
+    ])
     @pytest.mark.parametrize("chunk_values", [None, 2 * 23])
-    def test_trials_draw_their_own_streams(self, chunk_values, monkeypatch):
+    def test_trials_draw_their_own_streams(self, chunk_values, stragglers, monkeypatch):
         # a trial's data and stragglers are those of trial_rng on its seed,
         # whatever chunk it is prepared in
         if chunk_values is not None:  # two trials per prepared chunk
             monkeypatch.setattr(sim, "_CHUNK_VALUES", chunk_values)
-        setup = _setup(k=5, n=23, s=4, sigma0=0.1)
+        setup = _setup(k=5, n=23, sigma0=0.1, **stragglers)
         chunks = list(sim._prepare(setup, [(9, t) for t in range(5)]))
-        assert [len(chunk) for chunk in chunks] == ([5] if chunk_values is None else [2, 2, 1])
-        for t, trial in enumerate(p for chunk in chunks for p in chunk):
+        assert [len(chunk.seeds) for chunk in chunks] == ([5] if chunk_values is None
+                                                         else [2, 2, 1])
+        trials = [(chunk, i) for chunk in chunks for i in range(len(chunk.seeds))]
+        for t, (chunk, i) in enumerate(trials):
             inputs = trial_rng((9, t), sim._STREAM_DATA).uniform(-1.0, 1.0, (5, 1))
             survivors = sample_stragglers(setup.stragglers,
                                           trial_rng((9, t), sim._STREAM_STRAGGLERS))
-            assert np.array_equal(trial.returns.indices, survivors)
-            assert np.array_equal(trial.truth, setup.func.evaluate(inputs))
+            assert chunk.seeds[i] == (9, t)
+            assert np.array_equal(chunk.indices[i], survivors)
+            assert np.array_equal(chunk.truth[i], setup.func.evaluate(inputs))
 
 
 class TestInputRules:
@@ -540,6 +548,49 @@ class TestInputRules:
         assert sorted(rows) == [8] * 5 * (2 if scheme == "letcc" else 1) + [20] * 5
         for t, metrics in enumerate(agg.metrics):
             assert metrics == run_trial(setup, (3, t))
+
+
+class TestNonFiniteValues:
+    # K = 8 first-kind alphas and N = 24 second-kind betas share no point,
+    # so a cubic that is NaN at the alphas alone is finite at every coded value
+    ALPHAS = chebyshev_grid(8, 24).alphas
+
+    @pytest.mark.parametrize("scheme", sim.SCHEMES)
+    @pytest.mark.parametrize("where, message", [
+        ("alphas", r"truth values f\(x_k\) contain"),
+        ("elsewhere", "survivor outputs contain"),
+    ])
+    def test_monte_carlo_and_run_trial_raise(self, scheme, where, message):
+        def fn(x):
+            at_alphas = np.isin(x, self.ALPHAS)
+            return np.where(at_alphas if where == "alphas" else ~at_alphas, np.nan, x**3)
+
+        func = WorkerFunction("nan_cubic", fn, 1, 1, degree=3)
+        setup = _setup(scheme, k=8, n=24, s=4, func=func, data_rule="identity")
+        with pytest.raises(ValueError, match=message + " non-finite values"):
+            monte_carlo(setup, 3, 0)
+        with pytest.raises(ValueError, match=message + " non-finite values"):
+            run_trial(setup, 0)
+
+    def test_letcc_through_encoder_values_raise(self):
+        # f is NaN at the smoothing encoder's values at the alphas alone,
+        # finite at the inputs and at every coded value
+        grid = chebyshev_grid(8, 24)
+        data = Dataset(np.sin(3.0 * self.ALPHAS)[:, None])
+        knots = sim.coding.encode(data, grid, 1e-3).encoder_fit.coefficients
+
+        def fn(x):
+            return np.where(np.isclose(x, knots.T, rtol=0.0, atol=1e-12).any(axis=1,
+                                                                             keepdims=True),
+                            np.nan, x**3)
+
+        setup = _setup(k=8, n=24, s=4, lambda_e=1e-3, data=data,
+                       func=WorkerFunction("nan_cubic", fn, 1, 1))
+        message = r"through-encoder values f\(u_enc\(alpha_k\)\) contain non-finite values"
+        with pytest.raises(ValueError, match=message):
+            monte_carlo(setup, 3, 0)
+        with pytest.raises(ValueError, match=message):
+            run_trial(setup, 0)
 
 
 class TestRelacc:

@@ -29,7 +29,6 @@ from .coding import (
     DecodeFailure,
     DecodeResult,
     decode,
-    decode_batch,
     encode,
     encoder_training_error,
 )
@@ -37,10 +36,8 @@ from .baselines import (
     BerrutInterpolant,
     LagrangeCodec,
     bacc_decode,
-    bacc_decode_batch,
     bacc_encode,
     lcc_decode,
-    lcc_decode_batch,
     lcc_encode,
 )
 from .sim import (
@@ -48,6 +45,7 @@ from .sim import (
     NoiseModel,
     RiskBoundViolation,
     StragglerModel,
+    TrialColumns,
     TrialMetrics,
     TrialSetup,
     WorkerFunction,

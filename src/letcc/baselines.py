@@ -20,12 +20,14 @@ Both decoders run through one body on a stack of T trials' survivors, all
 of one count.  Berrut's takes every trial to the alphas with one
 barycentric map on the T node sets; Lagrange's solves the T least-squares
 fits with one stacked QR factorisation of the augmented matrices [V | Y]
-and one stacked triangular solve.  :func:`bacc_decode_batch` and
-:func:`lcc_decode_batch` are those bodies behind the checks an outside
-caller's survivors need (the Monte-Carlo harness hands its own stacked
-survivors to the bodies directly); :func:`bacc_decode` and
-:func:`lcc_decode` are one trial.  Each trial's result equals its own
-one-trial decode bit for bit.
+and one stacked triangular solve.  The bodies give arrays only (lcc's
+also its Chebyshev coefficients and degraded flag); the Monte-Carlo
+harness hands its own stacked survivors to them directly.
+:func:`bacc_decode` and :func:`lcc_decode`, one trial each, are the
+entries for outside callers and the only places a
+:class:`~letcc.coding.DecodeResult` and a :class:`BerrutInterpolant`
+decoder are built.  Each trial's estimates equal its own one-trial decode
+bit for bit.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .coding import (
     Dataset,
     DecodeResult,
     _cached_encoder,
-    _stack_survivors,
     normalize_survivors,
 )
 from .points import InterpolationGrid
@@ -51,10 +52,8 @@ __all__ = [
     "LagrangeCodec",
     "bacc_encode",
     "bacc_decode",
-    "bacc_decode_batch",
     "lcc_encode",
     "lcc_decode",
-    "lcc_decode_batch",
 ]
 
 _NODE_HIT_TOL = 1e-14
@@ -207,37 +206,24 @@ def bacc_encode(data: Dataset, grid: InterpolationGrid) -> CodedBatch:
 def bacc_decode(survivors, grid: InterpolationGrid) -> DecodeResult:
     """Berrut interpolant through surviving (beta, output) pairs, at alphas.
 
-    A batch of one trial of :func:`bacc_decode_batch`, after
+    A stack of one trial of the decode body, after
     :func:`letcc.coding.normalize_survivors`.
     """
     indices, outputs = normalize_survivors(survivors, grid.n)
-    return _bacc_decode_stack(grid, indices[None], outputs[None])[0]
-
-
-def bacc_decode_batch(survivors, grid: InterpolationGrid) -> list[DecodeResult]:
-    """:func:`bacc_decode` of each trial's survivors in ``survivors``, in one batch.
-
-    Each result equals the trial's own :func:`bacc_decode` bit for bit.
-    The survivors take the form of :func:`letcc.coding.decode_batch`.
-    """
-    survivors = list(survivors)
-    if not survivors:
-        return []
-    return _bacc_decode_stack(grid, *_stack_survivors(survivors, grid.n))
+    estimates = _bacc_decode_stack(grid, indices[None], outputs[None])
+    return DecodeResult(estimates=estimates[0],
+                        decoder_fit=BerrutInterpolant(grid.betas[indices], outputs),
+                        survivor_count=indices.size)
 
 
 def _bacc_decode_stack(grid: InterpolationGrid, indices: np.ndarray,
-                       outputs: np.ndarray) -> list[DecodeResult]:
-    """Berrut decodes of T trials' checked (T, v) indices and (T, v, m) outputs.
+                       outputs: np.ndarray) -> np.ndarray:
+    """Berrut estimates (T, K, m) of T trials' checked (T, v) indices and (T, v, m) outputs.
 
     One barycentric map on the T node sets takes every trial to the alphas.
     """
-    nodes = grid.betas[indices]
-    count = indices.shape[1]
-    estimates = _BarycentricMap.build(nodes, _berrut_weights(count), grid.alphas).apply(outputs)
-    return [DecodeResult(estimates=est, decoder_fit=BerrutInterpolant(knots, values),
-                         survivor_count=count)
-            for est, knots, values in zip(estimates, nodes, outputs)]
+    return _BarycentricMap.build(grid.betas[indices], _berrut_weights(indices.shape[1]),
+                                 grid.alphas).apply(outputs)
 
 
 def lcc_encode(data: Dataset, grid: InterpolationGrid) -> CodedBatch:
@@ -274,30 +260,23 @@ def lcc_decode(survivors, grid: InterpolationGrid, f_degree: int) -> DecodeResul
     ``decoder_fit`` holds the Chebyshev coefficients, one column per output.
     Below the threshold it fits the highest degree the survivor count
     supports and flags the result as degraded.  ``f_degree`` must be a
-    nonnegative integer.  A batch of one trial of :func:`lcc_decode_batch`,
-    after :func:`letcc.coding.normalize_survivors`.
+    nonnegative integer.  A stack of one trial of the decode body, after
+    :func:`letcc.coding.normalize_survivors`.
     """
     degree = _checked_degree(f_degree)
     indices, outputs = normalize_survivors(survivors, grid.n)
-    return _lcc_decode_stack(grid, indices[None], outputs[None], degree)[0]
-
-
-def lcc_decode_batch(survivors, grid: InterpolationGrid, f_degree: int) -> list[DecodeResult]:
-    """:func:`lcc_decode` of each trial's survivors in ``survivors``, in one batch.
-
-    Each result equals the trial's own :func:`lcc_decode` bit for bit.
-    The survivors take the form of :func:`letcc.coding.decode_batch`.
-    """
-    degree = _checked_degree(f_degree)
-    survivors = list(survivors)
-    if not survivors:
-        return []
-    return _lcc_decode_stack(grid, *_stack_survivors(survivors, grid.n), degree)
+    estimates, coef, degraded = _lcc_decode_stack(grid, indices[None], outputs[None], degree)
+    return DecodeResult(estimates=estimates[0], decoder_fit=coef[0],
+                        survivor_count=indices.size, degraded=degraded)
 
 
 def _lcc_decode_stack(grid: InterpolationGrid, indices: np.ndarray, outputs: np.ndarray,
-                      f_degree: int) -> list[DecodeResult]:
+                      f_degree: int) -> tuple[np.ndarray, np.ndarray, bool]:
     """Lagrange decodes of T trials' checked (T, v) indices and (T, v, m) outputs.
+
+    Gives the (T, K, m) estimates, the (T, deg + 1, m) Chebyshev
+    coefficients and whether the fits are degraded, below the survivor
+    count that pins down the target degree.
 
     The least-squares fit of each trial's outputs Y on its Chebyshev
     Vandermonde V comes from one QR factorisation of [V | Y]: the top-right
@@ -317,8 +296,4 @@ def _lcc_decode_stack(grid: InterpolationGrid, indices: np.ndarray, outputs: np.
                  _chebyshev_vandermonde(grid.alphas, deg)))
     r = np.linalg.qr(np.concatenate([at_betas[indices], outputs], axis=-1), mode="r")
     coef = np.linalg.solve(r[:, :deg + 1, :deg + 1], r[:, :deg + 1, deg + 1:])
-    estimates = np.matmul(at_alphas, coef)
-    degraded = count < codec.min_survivors
-    return [DecodeResult(estimates=est, decoder_fit=c, survivor_count=count,
-                         degraded=degraded)
-            for est, c in zip(estimates, coef)]
+    return np.matmul(at_alphas, coef), coef, count < codec.min_survivors

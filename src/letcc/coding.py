@@ -30,12 +30,14 @@ one set of array operations and solves them one LAPACK call per trial
 (:func:`letcc.spline.NaturalSplineBasis` on a (T, n) knot stack); the
 weights share the basis and its lambda-free band entries, and one set of
 stacked evaluation weights takes all T x L fits to the alphas.
-:func:`decode_batch` is that body behind the checks an outside caller's
-survivors need; the Monte-Carlo harness hands its own stacked survivors
-to the body directly.  :func:`decode` is one trial at one weight.  Each
-trial's result at each weight equals its own :func:`decode` bit for bit:
-every operation is elementwise across trials and weights, or runs per
-trial.
+The body gives arrays only: the (L, T, K, m) estimates and each weight's
+knot values and second derivatives.  The Monte-Carlo harness hands its
+own stacked survivors to it directly; :func:`decode`, one trial at one
+weight, is the one entry for outside callers and the only place a
+:class:`DecodeResult` and its :class:`letcc.spline.SplineFit` are built.
+Each trial's estimates at each weight equal its own :func:`decode` bit
+for bit: every operation is elementwise across trials and weights, or
+runs per trial.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ __all__ = [
     "encode",
     "encoder_training_error",
     "decode",
-    "decode_batch",
     "normalize_survivors",
 ]
 
@@ -179,16 +180,17 @@ def encoder_training_error(batch: CodedBatch, data: Dataset) -> float:
     return float(np.mean(np.sum((fitted - data.inputs) ** 2, axis=1)))
 
 
-def _integral_indices(indices) -> np.ndarray:
-    """Survivor ``indices`` as a new int array; a fractional or non-finite one raises.
+def _integral_indices(indices, what: str = "survivor index") -> np.ndarray:
+    """Worker ``indices`` as a new int array; a fractional or non-finite one raises.
 
-    Integral values stored as floats are taken as they are.
+    Integral values stored as floats are taken as they are.  ``what``
+    names an index in the error.
     """
     indices = np.asarray(indices)
     if indices.dtype.kind not in "iu":
         integral = np.isfinite(indices) & (np.floor(indices) == indices)
         if not integral.all():
-            raise ValueError(f"survivor index {indices[~integral][0]} is not an integer")
+            raise ValueError(f"{what} {indices[~integral][0]} is not an integer")
     return indices.astype(int)
 
 
@@ -239,88 +241,46 @@ def normalize_survivors(survivors, n: int):
     return unique, outputs
 
 
-def _stack_survivors(survivors, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The survivors of T trials as (T, v) indices and (T, v, m) outputs.
-
-    Checks the form :func:`decode_batch` asks for and raises
-    ``ValueError`` where it is not met; zero survivors raise
-    :class:`DecodeFailure`.
-    """
-    counts = {np.size(s.indices) for s in survivors}
-    if len(counts) > 1:
-        raise ValueError(f"a batch needs one survivor count, got {sorted(counts)}")
-    indices = _integral_indices([s.indices for s in survivors])
-    outputs = np.array([s.outputs for s in survivors], dtype=float)
-    if outputs.ndim != 3 or outputs.shape[:2] != indices.shape:
-        raise ValueError(f"survivor outputs of shape {outputs.shape[1:]} "
-                         f"for {indices.shape[1]} indices")
-    if not indices.shape[1]:
-        raise DecodeFailure("no survivor outputs to decode from")
-    outside = (indices < 0) | (indices >= n)
-    if outside.any():
-        raise ValueError(f"survivor index {indices[outside][0]} outside [0, {n})")
-    if not (indices[:, 1:] > indices[:, :-1]).all():
-        raise ValueError("batched survivor indices must be sorted and unique")
-    if not np.isfinite(outputs).all():
-        raise ValueError("survivor outputs contain non-finite values")
-    return indices, outputs
-
-
 def decode(survivors, grid: InterpolationGrid, lambda_d: float) -> DecodeResult:
     """Fit the decoder spline through surviving (beta, output) pairs.
 
     Fewer than three survivors degrade to the penalty null space (affine
     through two points, constant through one); the result is flagged.  Zero
-    survivors raise :class:`DecodeFailure`.  A batch of one trial of
-    :func:`decode_batch`, after :func:`normalize_survivors`.
+    survivors raise :class:`DecodeFailure`.  A stack of one trial at one
+    weight of the decode body, after :func:`normalize_survivors`.
     """
     indices, outputs = normalize_survivors(survivors, grid.n)
-    return _decode_stack(grid, indices[None], outputs[None], (lambda_d,))[0][0]
-
-
-def decode_batch(survivors, grid: InterpolationGrid, lambdas) -> list[list[DecodeResult]]:
-    """:func:`decode` of each trial's survivors at each weight of ``lambdas``, in one batch.
-
-    One list of T results per weight of the sequence ``lambdas`` (a scalar
-    raises ``TypeError``), each equal to the trial's own :func:`decode` at
-    that weight bit for bit.  Every trial's survivors expose ``indices``
-    and ``outputs`` (a :class:`letcc.sim.WorkerReturns`) in the form
-    :func:`normalize_survivors` gives: sorted, unique indices in [0, N)
-    with one finite output row each.  All trials need the same survivor
-    count, as the survivors of uniform or fixed stragglers on one grid
-    have; anything else raises ``ValueError``.
-    """
-    survivors = list(survivors)
-    if not survivors:
-        return [[] for _ in spline._checked_lams(lambdas)]
-    return _decode_stack(grid, *_stack_survivors(survivors, grid.n), lambdas)
+    estimates, ((values, second_derivs),), degraded = _decode_stack(
+        grid, indices[None], outputs[None], (lambda_d,))
+    fit = spline.SplineFit(grid.betas[indices], values[0], second_derivs[0],
+                           float(lambda_d), degenerate=degraded)
+    return DecodeResult(estimates=estimates[0, 0], decoder_fit=fit,
+                        survivor_count=indices.size, degraded=degraded)
 
 
 def _decode_stack(grid: InterpolationGrid, indices: np.ndarray, outputs: np.ndarray,
-                  lambdas) -> list[list[DecodeResult]]:
+                  lambdas) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], bool]:
     """Decodes of T trials' checked survivors at each weight of ``lambdas``.
 
-    ``indices`` (T, v) and ``outputs`` (T, v, m) are as
-    :func:`_stack_survivors` or a Monte-Carlo chunk gives them.  The T
-    fits at a weight share one set of band operations
-    (:func:`letcc.spline._fit_stack`), and one set of evaluation weights
-    takes all fits to the alphas.  Returns one list
-    of T results per weight.
+    ``indices`` (T, v) are sorted, unique and in range, and ``outputs``
+    (T, v, m) finite, as :func:`normalize_survivors` or a Monte-Carlo
+    chunk gives them.  The T fits at a weight share one set of band
+    operations (:func:`letcc.spline._fit_stack`), and one set of
+    evaluation weights takes all fits to the alphas.  Gives the (L, T, K, m)
+    estimates, each weight's (T, v, m) knot values and second derivatives,
+    and whether the fits are degraded: fewer than three survivors fit the
+    penalty null space.
     """
     lams = spline._checked_lams(lambdas)
     knots = grid.betas[indices]
-    stack = spline._fit_stack(knots, outputs, lams)
+    fits = spline._fit_stack(knots, outputs, lams)
     weights = spline.evaluation_weights(knots, grid.alphas)
-    if len(stack) == 1:
+    if len(fits) == 1:
         # one weight, as in every decode but a crossval's: stacking its fits
         # would copy them, ~8% of a codec_batch decode (K = 32, m = 64)
-        (values, second_derivs, _), = stack
+        (values, second_derivs), = fits
         estimates = weights.apply(values, second_derivs)[None]
     else:
-        estimates = weights.apply(np.stack([values for values, _, _ in stack]),
-                                  np.stack([second_derivs for _, second_derivs, _ in stack]))
-    count = indices.shape[1]
-    return [[DecodeResult(estimates=est, decoder_fit=dec, survivor_count=count,
-                          degraded=dec.degenerate)
-             for est, dec in zip(trial_estimates, fits)]
-            for trial_estimates, (_, _, fits) in zip(estimates, stack)]
+        estimates = weights.apply(np.stack([values for values, _ in fits]),
+                                  np.stack([second_derivs for _, second_derivs in fits]))
+    return estimates, fits, indices.shape[1] < 3

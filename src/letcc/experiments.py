@@ -280,13 +280,12 @@ def straggler_sweep(config: StragglerSweepConfig) -> StragglerSweepReport:
     for s, (point_rows, aggs) in zip(config.s_values, _run_points(
             config, [(s, config.n, s) for s in config.s_values])):
         entry = {"S": s}
-        base_rmses = np.array([m.rmse for m in aggs[0].metrics])
         for scheme, agg in zip(config.schemes, aggs):
             entry[f"{scheme}_mean_rmse"] = agg.mean_rmse
             entry[f"{scheme}_mean_relacc"] = agg.mean_relacc
             if scheme != base:
-                rmses = np.array([m.rmse for m in agg.metrics])
-                entry[f"{base}_wins_vs_{scheme}"] = float(np.mean(base_rmses <= rmses))
+                wins = np.less_equal(aggs[0].columns.rmse, agg.columns.rmse)
+                entry[f"{base}_wins_vs_{scheme}"] = float(np.mean(wins))
         table.append(entry)
         rows.extend(point_rows)
     return StragglerSweepReport(config=config, table=tuple(table), rows=tuple(rows))

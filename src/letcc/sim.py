@@ -25,14 +25,17 @@ finiteness check of survivor outputs, truth and through-encoder values,
 and l_enc.  A chunk is (T, N - S) survivor indices, (T, N - S, m)
 outputs, (T, K, m) truth and, for letcc, (T, K, m) through-encoder
 values and (T,) l_enc.  The second half decodes and scores: those arrays
-go straight into each scheme's decode body, letcc's at every weight of
-the call (:func:`letcc.coding.decode_batch`'s body), bacc's and lcc's at
-none (the bodies of :func:`letcc.baselines.bacc_decode_batch` and of
-:func:`letcc.baselines.lcc_decode_batch`, one stacked QR least-squares
-solve); the chunk is then scored on one stack per weight.  The public
-one-trial :func:`sample_stragglers` and :func:`apply_workers` are
+go straight into each scheme's decode body (``coding._decode_stack``,
+letcc's, at every weight of the call; ``baselines._bacc_decode_stack``
+and ``_lcc_decode_stack`` at none), which gives stacked estimates, and
+each weight's stack is scored into one :class:`TrialColumns` record of
+(T,) columns.  A call joins each weight's records into the one that
+:func:`aggregate` reads and :class:`MonteCarloResult` keeps: no
+per-trial object is built between a decode body and the aggregate.  The
+public one-trial :func:`sample_stragglers` and :func:`apply_workers` are
 chunks of one of the same draw and workers, and :func:`run_trial` is a
-chunk of one decoded through the scheme's public one-trial decode.
+chunk of one decoded through the scheme's public one-trial decode, its
+:class:`TrialMetrics` the one row of its columns.
 :func:`monte_carlo` is the call at the setup's own lambda_d.  Every step
 does the same arithmetic on a trial's values alone as in any batch, so a
 trial's metrics are bit-identical whether it runs through
@@ -41,8 +44,9 @@ trial's metrics are bit-identical whether it runs through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache
+from itertools import chain
 from math import sqrt
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -59,6 +63,7 @@ __all__ = [
     "WorkerFunction",
     "WorkerReturns",
     "TrialMetrics",
+    "TrialColumns",
     "TrialSetup",
     "MonteCarloResult",
     "sample_stragglers",
@@ -241,7 +246,8 @@ class StragglerModel:
 
     ``uniform`` samples exactly S stragglers uniformly over all C(N, S)
     subsets.  ``fixed`` erases the same declared index set every trial,
-    which pairs schemes against identical failure patterns.
+    which pairs schemes against identical failure patterns; its indices
+    are integers, or integral floats, and only ``fixed`` mode takes them.
     """
 
     n: int
@@ -254,10 +260,14 @@ class StragglerModel:
             raise ValueError(f"need 0 <= S < N, got S={self.s}, N={self.n}")
         if self.mode not in ("uniform", "fixed"):
             raise ValueError(f"unknown straggler mode {self.mode!r}")
+        if self.mode != "fixed" and self.fixed_stragglers is not None:
+            raise ValueError(f"fixed_stragglers given for mode {self.mode!r}; "
+                             "only mode 'fixed' uses them")
         if self.mode == "fixed":
             if self.fixed_stragglers is None:
                 raise ValueError("fixed mode requires fixed_stragglers")
-            idx = tuple(sorted(int(i) for i in self.fixed_stragglers))
+            idx = tuple(sorted(coding._integral_indices(self.fixed_stragglers,
+                                                        "straggler index").tolist()))
             if len(set(idx)) != len(idx):
                 raise ValueError("fixed_stragglers contains duplicates")
             if idx and (idx[0] < 0 or idx[-1] >= self.n):
@@ -482,6 +492,45 @@ class TrialMetrics:
 
 
 @dataclass(frozen=True)
+class TrialColumns:
+    """The :class:`TrialMetrics` of a run of trials as columns, entry t for trial t.
+
+    Every field but ``scheme`` is a tuple of Python values, one per trial,
+    or None where the metric is None for every trial (``l_dec`` and
+    ``l_enc`` of the baselines, ``relacc`` of 1-D outputs); ``==``
+    compares every value.
+    """
+
+    scheme: str
+    empirical_risk: tuple[float, ...]
+    l_dec: tuple[float, ...] | None
+    l_enc: tuple[float, ...] | None
+    rmse: tuple[float, ...]
+    relacc: tuple[float, ...] | None
+    survivor_count: tuple[int, ...]
+    degraded: tuple[bool, ...]
+    seed: tuple[tuple[int, ...], ...]
+
+    def rows(self) -> tuple[TrialMetrics, ...]:
+        """Trial t's :class:`TrialMetrics` at index t, built on each call."""
+        absent = (None,) * len(self.seed)
+        return tuple(TrialMetrics(self.scheme, *row)
+                     for row in zip(*(getattr(self, name) or absent for name in _COLUMNS)))
+
+    @classmethod
+    def concat(cls, parts: Sequence[TrialColumns]) -> TrialColumns:
+        """The columns of ``parts``, runs of trials of one setup, one after another."""
+        return cls(parts[0].scheme, *(
+            None if getattr(parts[0], name) is None
+            else tuple(chain.from_iterable(getattr(part, name) for part in parts))
+            for name in _COLUMNS))
+
+
+# the metrics of a trial, in the field order of both views
+_COLUMNS = [f.name for f in fields(TrialMetrics) if f.name != "scheme"]
+
+
+@dataclass(frozen=True)
 class TrialSetup:
     """Everything but the seed needed to run one trial.
 
@@ -640,33 +689,35 @@ def _lcc_degree(setup: TrialSetup) -> int:
 
 
 def _decode_chunk(setup: TrialSetup, chunk: _Chunk,
-                  lambdas: tuple[float, ...]) -> list[list[coding.DecodeResult]]:
-    """The decodes of a chunk's trials, one list per weight of ``lambdas``.
+                  lambdas: tuple[float, ...]) -> tuple[np.ndarray, bool]:
+    """The (L, T, K, m) estimates of a chunk's trials at each weight of ``lambdas``.
 
     Every scheme decodes the whole chunk in one batch, its stacked
     survivors going straight into the scheme's decode body; bacc and lcc
-    take one weight, which they ignore.
+    take one weight, which they ignore.  Also gives whether the decodes
+    are degraded, which the survivor count alone decides.
     """
     grid, indices, outputs = setup.grid, chunk.indices, chunk.outputs
     if setup.scheme == "letcc":
-        return coding._decode_stack(grid, indices, outputs, lambdas)
+        estimates, _, degraded = coding._decode_stack(grid, indices, outputs, lambdas)
+        return estimates, degraded
     if setup.scheme == "bacc":
-        return [baselines._bacc_decode_stack(grid, indices, outputs)]
-    return [baselines._lcc_decode_stack(grid, indices, outputs, _lcc_degree(setup))]
+        return baselines._bacc_decode_stack(grid, indices, outputs)[None], False
+    estimates, _, degraded = baselines._lcc_decode_stack(grid, indices, outputs,
+                                                         _lcc_degree(setup))
+    return estimates[None], degraded
 
 
-def _score(setup: TrialSetup, chunk: _Chunk,
-           results: Sequence[coding.DecodeResult]) -> list[TrialMetrics]:
-    """The metrics of each trial of ``chunk``, ``results[i]`` being trial i's decode.
+def _score(setup: TrialSetup, chunk: _Chunk, estimates: np.ndarray,
+           degraded: bool) -> TrialColumns:
+    """The metric columns of ``chunk``'s trials, from their (T, K, m) ``estimates``.
 
-    The distances, bounds and class agreement of all trials at one decoder
-    weight run once on the stack of their estimates, each trial reduced as
-    on its own.  A letcc result whose risk exceeds its decomposition bound
-    raises.
+    The distances, bounds and class agreement of all trials run once on
+    the stack, each trial reduced as on its own.  A letcc trial whose risk
+    exceeds its decomposition bound raises.
     """
-    estimates = np.array([result.estimates for result in results])
     risks = _mean_sq_dist(estimates, chunk.truth)
-    l_decs = l_encs = relaccs = [None] * len(results)
+    l_dec = l_enc = agreement = None
     if setup.scheme == "letcc":
         l_decs = 2.0 * _mean_sq_dist(estimates, chunk.through_encoder)
         bounds = l_decs + chunk.l_enc
@@ -676,21 +727,14 @@ def _score(setup: TrialSetup, chunk: _Chunk,
             raise RiskBoundViolation(
                 f"risk decomposition violated: {float(risks[t])} > "
                 f"{float(l_decs[t])} + {float(chunk.l_enc[t])}")
-        l_decs, l_encs = l_decs.tolist(), chunk.l_enc.tolist()
+        l_dec, l_enc = tuple(l_decs.tolist()), tuple(chunk.l_enc.tolist())
     if estimates.shape[-1] >= 2:  # relacc is defined for vector outputs only
-        relaccs = _agreement(estimates, chunk.truth).tolist()
-    return [TrialMetrics(
-        scheme=setup.scheme,
-        empirical_risk=risk,
-        l_dec=l_dec,
-        l_enc=l_enc,
-        rmse=sqrt(risk),
-        relacc=agreement,
-        survivor_count=result.survivor_count,
-        degraded=result.degraded,
-        seed=seed,
-    ) for risk, l_dec, l_enc, agreement, result, seed
-        in zip(risks.tolist(), l_decs, l_encs, relaccs, results, chunk.seeds, strict=True)]
+        agreement = tuple(_agreement(estimates, chunk.truth).tolist())
+    trials = len(chunk.seeds)
+    return TrialColumns(setup.scheme, tuple(risks.tolist()), l_dec, l_enc,
+                        tuple(np.sqrt(risks).tolist()), agreement,
+                        (chunk.indices.shape[1],) * trials, (degraded,) * trials,
+                        tuple(chunk.seeds))
 
 
 def run_trial(setup: TrialSetup, seed) -> TrialMetrics:
@@ -710,12 +754,18 @@ def run_trial(setup: TrialSetup, seed) -> TrialMetrics:
         result = baselines.bacc_decode(returns, setup.grid)
     else:
         result = baselines.lcc_decode(returns, setup.grid, _lcc_degree(setup))
-    return _score(setup, chunk, [result])[0]
+    return _score(setup, chunk, result.estimates[None], result.degraded).rows()[0]
 
 
 @dataclass(frozen=True)
 class MonteCarloResult:
-    """Aggregate over trials with a normal-approximation 95% interval."""
+    """Aggregate over trials with a normal-approximation 95% interval.
+
+    ``columns`` keeps every trial's metrics, one tuple per metric in trial
+    order (:class:`TrialColumns`): ``empirical_risk``, ``l_dec``,
+    ``l_enc``, ``rmse``, ``relacc``, ``survivor_count``, ``degraded`` and
+    ``seed``.  ``metrics`` gives them as :class:`TrialMetrics` rows.
+    """
 
     mean_mse: float
     std_mse: float
@@ -725,32 +775,35 @@ class MonteCarloResult:
     mean_relacc: float | None
     trials: int
     degenerate_ci: bool
-    metrics: tuple[TrialMetrics, ...]
+    columns: TrialColumns
+
+    @property
+    def metrics(self) -> tuple[TrialMetrics, ...]:
+        """Trial t's metrics at index t, equal to its :func:`run_trial` bit for bit."""
+        return self.columns.rows()
 
 
-def aggregate(metrics: Sequence[TrialMetrics]) -> MonteCarloResult:
-    """Mean, spread and 95% interval of trial metrics, in the given order."""
-    trials = len(metrics)
+def aggregate(columns: TrialColumns) -> MonteCarloResult:
+    """Mean, spread and 95% interval of the trials in ``columns``, in their order."""
+    trials = len(columns.seed)
     if trials < 1:
         raise ValueError("need at least one trial")
-    mses = np.array([m.empirical_risk for m in metrics])
+    mses = np.array(columns.empirical_risk)
     mean = float(mses.mean())
     # shifted by a sample, so identical trials give exactly zero spread even
     # when their mean rounds away from the common value
     std = float((mses - mses[0]).std(ddof=1)) if trials > 1 else 0.0
     half = 1.96 * std / sqrt(trials)
-    relaccs = [m.relacc for m in metrics]
-    mean_relacc = float(np.mean(relaccs)) if relaccs[0] is not None else None
     return MonteCarloResult(
         mean_mse=mean,
         std_mse=std,
         ci95_lo=mean - half,
         ci95_hi=mean + half,
-        mean_rmse=float(np.mean([m.rmse for m in metrics])),
-        mean_relacc=mean_relacc,
+        mean_rmse=float(np.mean(columns.rmse)),
+        mean_relacc=None if columns.relacc is None else float(np.mean(columns.relacc)),
         trials=trials,
         degenerate_ci=trials == 1,
-        metrics=tuple(metrics),
+        columns=columns,
     )
 
 
@@ -780,12 +833,15 @@ def monte_carlo_lambdas(setup: TrialSetup, trials: int, master_seed,
         raise ValueError(f"{setup.scheme} has no decoder weight; "
                          f"give one lambda_d, not {len(lams)}")
     spline._checked_lams(lams)
+    if trials < 1:
+        raise ValueError("need at least one trial")
     entropy = _entropy(master_seed)
     by_weight = [[] for _ in lams]
     for chunk in _prepare(setup, [entropy + (t,) for t in range(trials)], len(lams)):
-        for metrics, results in zip(by_weight, _decode_chunk(setup, chunk, lams), strict=True):
-            metrics.extend(_score(setup, chunk, results))
-    return [aggregate(metrics) for metrics in by_weight]
+        estimates, degraded = _decode_chunk(setup, chunk, lams)
+        for parts, at_weight in zip(by_weight, estimates, strict=True):
+            parts.append(_score(setup, chunk, at_weight, degraded))
+    return [aggregate(TrialColumns.concat(parts)) for parts in by_weight]
 
 
 def relacc(estimates: np.ndarray, truth: np.ndarray) -> float | None:

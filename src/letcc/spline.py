@@ -43,8 +43,10 @@ LU runs once per set, so every set's fit equals its own fit bit for bit.
 :func:`fit` is the one public fit, of one knot set at one weight; the
 decoder fits T sets at several weights on one basis through the same
 body, ``_fit_stack``, which shares the knot spacings and the skeleton
-across weights and repeats only the lam-scaled rows and the solve.  A
-fit keeps no basis: its roughness is computed from its own knots.
+across weights and repeats only the lam-scaled rows and the solve.  That
+body gives arrays only, the (T, n, m) knot values and second derivatives
+at each weight; :class:`SplineFit` is built by :func:`fit` alone.  A fit
+keeps no basis: its roughness is computed from its own knots.
 
 Evaluation at q query points runs in two steps.  The first depends only on
 the knots and the queries (:func:`evaluation_weights`): for each query row
@@ -334,24 +336,23 @@ def fit(t, y, lam: float) -> SplineFit:
         raise ValueError("cannot fit on zero points")
     if n > 1 and not (t[1:] > t[:-1]).all():
         raise ValueError("t must be strictly increasing")
-    (_, _, (result,)), = _fit_stack(t[None], y[None], [lam], scalar)
-    return result
+    ((values, second_derivs),) = _fit_stack(t[None], y[None], [lam])
+    return SplineFit(t, values[0], second_derivs[0], lam, degenerate=n < 3, _scalar=scalar)
 
 
-def _fit_stack(t: np.ndarray, y: np.ndarray, lams: list[float],
-               scalar: bool = False) -> list[tuple[np.ndarray, np.ndarray, list[SplineFit]]]:
+def _fit_stack(t: np.ndarray, y: np.ndarray,
+               lams: list[float]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Fits of each knot set of a (T, n) stack to its data (T, n, m), at each weight.
 
     The knots and data are checked by the caller, ``lams`` by
     :func:`_checked_lams`.  Gives, per weight, the (T, n, m) knot values
-    and second derivatives of all sets and the T :class:`SplineFit` views
-    into them.  Every set gets the arithmetic, and the memory layout, of a
-    fit on its own: the bands of all sets are built at once, and each
-    solve runs per set.  Fewer than three knots fit the penalty null space
-    exactly (affine for n=2, constant for n=1) regardless of lam, and are
-    flagged degenerate.
+    and second derivatives of all sets.  Every set gets the arithmetic,
+    and the memory layout, of a fit on its own: the bands of all sets are
+    built at once, and each solve runs per set.  Fewer than three knots
+    fit the penalty null space exactly (affine for n=2, constant for n=1)
+    regardless of lam; :func:`fit` flags such a fit degenerate.
     """
-    count, n = t.shape
+    n = t.shape[1]
     basis = NaturalSplineBasis(t) if n >= 3 else None
     out = []
     for lam in lams:
@@ -367,9 +368,7 @@ def _fit_stack(t: np.ndarray, y: np.ndarray, lams: list[float],
             g, gam_int = basis.smooth(y, lamn)
             gam = np.zeros_like(g)
             gam[:, 1:-1] = gam_int
-        out.append((g, gam, [SplineFit(t[i], g[i], gam[i], lam, degenerate=basis is None,
-                                       _scalar=scalar)
-                             for i in range(count)]))
+        out.append((g, gam))
     return out
 
 

@@ -9,10 +9,10 @@ from letcc.baselines import (
     BerrutInterpolant,
     LagrangeCodec,
     LagrangePolynomial,
+    _lcc_decode_stack,
     bacc_decode,
     bacc_encode,
     lcc_decode,
-    lcc_decode_batch,
     lcc_encode,
 )
 from letcc.coding import Dataset, DecodeFailure
@@ -262,29 +262,29 @@ def _lcc_trials(grid, count, trials, rng):
     return returns
 
 
-class TestLagrangeDecodeBatch:
+def _lcc_stack(grid, returns, f_degree):
+    """``_lcc_decode_stack`` of trials of one survivor count, as a chunk holds them."""
+    return _lcc_decode_stack(grid, np.array([r.indices for r in returns]),
+                             np.array([r.outputs for r in returns]), f_degree)
+
+
+class TestLagrangeDecodeStack:
     # K = 8 and cubic f: target degree 21.  One and two survivors fit
     # degree 0 and 1, 14 a degraded degree 13, and 56 the full degree.
     @pytest.mark.parametrize("count", [1, 2, 14, 56])
-    def test_each_result_equals_its_own_decode_bit_for_bit(self, count, rng):
+    def test_each_trial_equals_its_own_decode_bit_for_bit(self, count, rng):
         grid = chebyshev_grid(8, 64)
         returns = _lcc_trials(grid, count, 5, rng)
-        batch = lcc_decode_batch(returns, grid, 3)
-        assert len(batch) == len(returns)
-        for trial, got in zip(returns, batch):
+        estimates, coef, degraded = _lcc_stack(grid, returns, 3)
+        assert estimates.shape == (len(returns), 8, 2)
+        assert coef.shape == (len(returns), min(21, count - 1) + 1, 2)
+        assert degraded is (count < 22)
+        for t, trial in enumerate(returns):
             own = lcc_decode(trial, grid, 3)
-            assert np.array_equal(got.estimates, own.estimates)
-            assert np.array_equal(got.decoder_fit, own.decoder_fit)
-            assert got.decoder_fit.shape == (min(21, count - 1) + 1, 2)
-            assert got.survivor_count == own.survivor_count == count
-            assert got.degraded == own.degraded == (count < 22)
-
-    def test_empty_batch_and_zero_survivors(self):
-        grid = chebyshev_grid(3, 10)
-        assert lcc_decode_batch([], grid, 2) == []
-        with pytest.raises(DecodeFailure):
-            lcc_decode_batch([WorkerReturns(np.zeros(0, dtype=int), np.zeros((0, 1)))],
-                             grid, 2)
+            assert np.array_equal(estimates[t], own.estimates)
+            assert np.array_equal(coef[t], own.decoder_fit)
+            assert own.survivor_count == count
+            assert own.degraded == degraded
 
     @pytest.mark.parametrize("k, n, s", [(8, 64, 8), (16, 64, 4), (101, 320, 8)])
     def test_estimates_match_lstsq_oracle(self, k, n, s, rng):
@@ -292,11 +292,12 @@ class TestLagrangeDecodeBatch:
         grid = chebyshev_grid(k, n)
         deg = 3 * (k - 1)
         returns = _lcc_trials(grid, n - s, 3, rng)
-        for trial, got in zip(returns, lcc_decode_batch(returns, grid, 3)):
+        estimates, _, _ = _lcc_stack(grid, returns, 3)
+        for trial, got in zip(returns, estimates, strict=True):
             coef, *_ = np.linalg.lstsq(chebvander(grid.betas[trial.indices], deg),
                                        trial.outputs, rcond=None)
             oracle = chebvander(grid.alphas, deg) @ coef
-            assert np.abs(got.estimates - oracle).max() <= 1e-12 * np.abs(oracle).max()
+            assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     @pytest.mark.parametrize("f_degree", [True, np.True_, False, 1.5, -1, np.nan, np.inf,
                                           "3", None])
@@ -305,9 +306,6 @@ class TestLagrangeDecodeBatch:
         pairs = [(0, [1.0]), (4, [0.5]), (9, [0.25])]
         with pytest.raises(ValueError, match="f_degree must be a nonnegative integer"):
             lcc_decode(pairs, grid, f_degree)
-        with pytest.raises(ValueError, match="f_degree must be a nonnegative integer"):
-            lcc_decode_batch([WorkerReturns(np.array([0, 4, 9]), np.ones((3, 1)))],
-                             grid, f_degree)
 
     def test_integral_float_degree_is_that_integer(self, rng):
         grid = chebyshev_grid(8, 64)

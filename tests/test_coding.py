@@ -8,8 +8,8 @@ from letcc.coding import (
     CodedBatch,
     Dataset,
     DecodeFailure,
+    _decode_stack,
     decode,
-    decode_batch,
     encode,
     encoder_training_error,
     normalize_survivors,
@@ -332,7 +332,13 @@ def _decode_quietly(survivors, grid, lam):
         return decode(survivors, grid, lam)
 
 
-class TestDecodeBatchAtManyWeights:
+def _stacked(survivors):
+    """(T, v) indices and (T, v, m) outputs of survivors of one count, as a chunk holds them."""
+    return (np.array([s.indices for s in survivors]),
+            np.array([s.outputs for s in survivors], dtype=float))
+
+
+class TestDecodeStackAtManyWeights:
     @settings(max_examples=60, deadline=None)
     @given(lams=_LAMBDA_LISTS, m=st.sampled_from([1, 3]),
            count=st.sampled_from([1, 2, 3, None]), n=st.integers(8, 80),
@@ -344,15 +350,18 @@ class TestDecodeBatchAtManyWeights:
             count = n - int(rng.integers(0, n // 4 + 1))
         survivors = [WorkerReturns(np.sort(rng.choice(n, count, replace=False)),
                                    rng.normal(size=(count, m))) for _ in range(trials)]
-        results = decode_batch(survivors, grid, lams)
-        assert len(results) == len(lams)
-        for lam, at_weight in zip(lams, results):
-            for s, got in zip(survivors, at_weight, strict=True):
+        estimates, fits, degraded = _decode_stack(grid, *_stacked(survivors), lams)
+        assert estimates.shape == (len(lams), trials, 5, m)
+        assert len(fits) == len(lams)
+        assert degraded is (count < 3)
+        for lam, at_weight, (values, second_derivs) in zip(lams, estimates, fits):
+            for t, s in enumerate(survivors):
                 want = _decode_quietly(s, grid, lam)
-                assert np.array_equal(got.estimates, want.estimates)
-                assert got.survivor_count == want.survivor_count == count
-                assert got.degraded == want.degraded == (count < 3)
-                assert got.decoder_fit.lam == lam
+                assert np.array_equal(at_weight[t], want.estimates)
+                assert np.array_equal(values[t], want.decoder_fit.coefficients)
+                assert np.array_equal(second_derivs[t], want.decoder_fit.second_derivs)
+                assert want.survivor_count == count
+                assert want.degraded == degraded
 
     @pytest.mark.parametrize("bad, message", [(-1e-3, "finite nonnegative"),
                                               (np.nan, "finite nonnegative"),
@@ -366,21 +375,13 @@ class TestDecodeBatchAtManyWeights:
         with pytest.raises(ValueError, match=message) as want:
             spline.fit(grid.betas[indices], outputs, bad)
         with pytest.raises(ValueError) as got:
-            decode_batch([WorkerReturns(indices, outputs)], grid, [1e-6, bad, 0.0])
+            _decode_stack(grid, indices[None], outputs[None], [1e-6, bad, 0.0])
         assert str(got.value) == str(want.value)
 
     def test_empty_weight_list_rejected(self):
         survivors = [WorkerReturns(np.array([0, 3, 6]), np.array([[1.0], [2.0], [0.0]]))]
-        for batch in (survivors, []):
-            with pytest.raises(ValueError, match="at least one"):
-                decode_batch(batch, chebyshev_grid(3, 7), [])
-
-    def test_scalar_weight_rejected(self):
-        survivors = [WorkerReturns(np.array([0, 3, 6]), np.array([[1.0], [2.0], [0.0]]))]
-        for lam in (1e-3, np.float64(1e-3)):
-            for batch in (survivors, []):
-                with pytest.raises(TypeError):
-                    decode_batch(batch, chebyshev_grid(3, 7), lam)
+        with pytest.raises(ValueError, match="at least one"):
+            _decode_stack(chebyshev_grid(3, 7), *_stacked(survivors), [])
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -405,35 +406,37 @@ def _survivor_batch(grid, count, trials, m, fixed, rng):
     return batch
 
 
-class TestDecodeBatch:
+class TestDecodeStack:
     # grid (3, 7) puts the alpha 0.0 on the beta 0.0 (index 3): the bacc
     # node hit of every trial whose survivors hold index 3
     @pytest.mark.parametrize("k, n, count", [(5, 21, 1), (5, 21, 2), (5, 21, 3),
                                              (5, 21, 17), (5, 21, 21), (3, 7, 4)])
     @pytest.mark.parametrize("m", [1, 3])
     @pytest.mark.parametrize("fixed", [False, True])
-    def test_each_result_equals_its_own_decode(self, k, n, count, m, fixed):
+    def test_each_trial_equals_its_own_decode(self, k, n, count, m, fixed):
         grid = chebyshev_grid(k, n)
         rng = np.random.default_rng([k, n, count, m, fixed])
         survivors = _survivor_batch(grid, count, 12, m, fixed, rng)
+        indices, outputs = _stacked(survivors)
         lams = (0.0, 1e-13, float(n) ** -4, 1e16)
         for group in [lams] + [(lam,) for lam in lams]:  # all weights at once, and each alone
-            for lam, at_weight in zip(group, decode_batch(survivors, grid, group), strict=True):
-                for s, got in zip(survivors, at_weight, strict=True):
+            estimates, fits, degraded = _decode_stack(grid, indices, outputs, group)
+            assert degraded is (count < 3)
+            for lam, at_weight, (values, second_derivs) in zip(group, estimates, fits,
+                                                               strict=True):
+                for t, s in enumerate(survivors):
                     want = decode(s, grid, lam)
-                    assert _same_bits(got.estimates, want.estimates)
-                    assert _same_bits(got.decoder_fit.coefficients, want.decoder_fit.coefficients)
-                    assert _same_bits(got.decoder_fit.second_derivs,
-                                      want.decoder_fit.second_derivs)
-                    assert got.decoder_fit.roughness() == want.decoder_fit.roughness()
-                    assert (got.survivor_count, got.degraded) == (count, count < 3)
+                    assert _same_bits(at_weight[t], want.estimates)
+                    assert _same_bits(values[t], want.decoder_fit.coefficients)
+                    assert _same_bits(second_derivs[t], want.decoder_fit.second_derivs)
                     assert (want.survivor_count, want.degraded) == (count, count < 3)
         hits = 0
-        for s, got in zip(survivors, baselines.bacc_decode_batch(survivors, grid), strict=True):
+        stacked = baselines._bacc_decode_stack(grid, indices, outputs)
+        assert len(stacked) == len(survivors)
+        for s, got in zip(survivors, stacked):
             want = baselines.bacc_decode(s, grid)
-            assert _same_bits(got.estimates, want.estimates)
-            assert _same_bits(got.decoder_fit.nodes, want.decoder_fit.nodes)
-            assert got.survivor_count == want.survivor_count == count
+            assert _same_bits(got, want.estimates)
+            assert want.survivor_count == count
             hits += 3 in s.indices
         if (k, n) == (3, 7):
             assert 0 < hits < len(survivors) or fixed
@@ -443,23 +446,14 @@ class TestDecodeBatch:
         assert grid.alphas[1] == grid.betas[3] == 0.0
         survivors = [WorkerReturns(np.array([1, 3, 5]), np.array([[1.0], [7.0], [2.0]])),
                      WorkerReturns(np.array([1, 2, 5]), np.array([[1.0], [7.0], [2.0]]))]
-        hit, miss = baselines.bacc_decode_batch(survivors, grid)
-        assert hit.estimates[1, 0] == 7.0
-        assert miss.estimates[1, 0] != 7.0
-
-    def test_unequal_survivor_counts_raise(self):
-        grid = chebyshev_grid(5, 21)
-        survivors = [WorkerReturns(np.arange(6), np.zeros((6, 1))),
-                     WorkerReturns(np.arange(5), np.zeros((5, 1)))]
-        with pytest.raises(ValueError, match="one survivor count"):
-            decode_batch(survivors, grid, (1e-4,))
-        with pytest.raises(ValueError, match="one survivor count"):
-            baselines.bacc_decode_batch(survivors, grid)
+        hit, miss = baselines._bacc_decode_stack(grid, *_stacked(survivors))
+        assert hit[1, 0] == 7.0
+        assert miss[1, 0] != 7.0
 
     def test_overflow_names_the_first_trial_that_overflows(self, rng):
         # survivor sets whose smallest gaps shrink from trial to trial: at
         # this weight trial 0 fits, and trials 1 and 2 overflow with their
-        # own largest 1/h weights; the batch raises trial 1's error
+        # own largest 1/h weights; the stack raises trial 1's error
         grid = chebyshev_grid(4, 256)
         indices = [np.arange(3, 253), np.arange(1, 251), np.arange(0, 250)]
         weights = []
@@ -475,35 +469,14 @@ class TestDecodeBatch:
                 decode(s, grid, lam)
         assert str(weights[1]) in str(want.value)
         with pytest.raises(ValueError) as got:
-            decode_batch(survivors, grid, (lam,))
+            _decode_stack(grid, *_stacked(survivors), (lam,))
         assert str(got.value) == str(want.value)
-
-    def test_malformed_survivors_raise(self):
-        grid = chebyshev_grid(5, 21)
-        for survivors, error in (
-                ([WorkerReturns(np.array([0, 21]), np.zeros((2, 1)))], "outside"),
-                ([WorkerReturns(np.array([3, 1]), np.zeros((2, 1)))], "sorted and unique"),
-                ([WorkerReturns(np.array([1, 1]), np.zeros((2, 1)))], "sorted and unique"),
-                ([WorkerReturns(np.array([1, 2]), np.full((2, 1), np.nan))], "non-finite"),
-                ([WorkerReturns(np.array([1, 2]), np.zeros((3, 1)))], "for 2 indices"),
-                ([WorkerReturns(np.array([0.5, 2.0]), np.zeros((2, 1)))],
-                 "survivor index 0.5 is not an integer")):
-            with pytest.raises(ValueError, match=error):
-                decode_batch(survivors, grid, (1e-4,))
-        with pytest.raises(DecodeFailure):
-            decode_batch([WorkerReturns(np.zeros(0, dtype=int), np.zeros((0, 1)))], grid, (0.0,))
-        (got,), = decode_batch([WorkerReturns(np.array([1.0, 3.0, 4.0]), np.ones((3, 1)))],
-                               grid, (1e-4,))
-        want = decode(WorkerReturns(np.array([1, 3, 4]), np.ones((3, 1))), grid, 1e-4)
-        assert np.array_equal(got.estimates, want.estimates)
-        assert decode_batch([], grid, (0.0, 1e-4)) == [[], []]
-        assert baselines.bacc_decode_batch([], grid) == []
 
     def test_bad_lambda_raises_as_decode_does(self):
         grid = chebyshev_grid(5, 21)
-        survivors = [WorkerReturns(np.arange(4), np.zeros((4, 1)))]
+        indices, outputs = np.arange(4)[None], np.zeros((1, 4, 1))
         for lam in (-1e-3, np.nan, np.inf):
             with pytest.raises(ValueError, match="lam must be"):
-                decode_batch(survivors, grid, (lam,))
+                _decode_stack(grid, indices, outputs, (lam,))
         with pytest.raises(ValueError, match="lam too large"):
-            decode_batch([WorkerReturns(np.arange(21), np.zeros((21, 1)))], grid, (1e306,))
+            _decode_stack(grid, np.arange(21)[None], np.zeros((1, 21, 1)), (1e306,))

@@ -67,6 +67,23 @@ class TestStragglerModel:
         with pytest.raises(ValueError):
             StragglerModel(n=8, s=2, mode="fixed", fixed_stragglers=(1, 9))
 
+    @pytest.mark.parametrize("stragglers", [(0, 1), (0, 0, 0), ()])
+    def test_fixed_stragglers_only_in_fixed_mode(self, stragglers):
+        # uniform mode would draw its own stragglers and let these survive
+        with pytest.raises(ValueError, match="fixed_stragglers given for mode 'uniform'"):
+            StragglerModel(n=8, s=2, fixed_stragglers=stragglers)
+
+    @pytest.mark.parametrize("bad", [0.7, 1.2, np.nan, np.inf])
+    def test_fractional_fixed_stragglers_raise(self, bad):
+        with pytest.raises(ValueError, match=f"straggler index {bad} is not an integer"):
+            StragglerModel(n=8, s=2, mode="fixed", fixed_stragglers=(bad, 3))
+
+    def test_integral_float_fixed_stragglers_are_those_integers(self):
+        model = StragglerModel(n=8, s=2, mode="fixed", fixed_stragglers=(5.0, np.float64(1.0)))
+        assert model.fixed_stragglers == (1, 5)
+        assert all(type(i) is int for i in model.fixed_stragglers)
+        assert sample_stragglers(model, None).tolist() == [0, 2, 3, 4, 6, 7]
+
 
 class TestNoiseAndWorkers:
     def test_negative_sigma_rejected(self):
@@ -273,14 +290,55 @@ def test_scores_of_a_decode_stack_equal_each_decode_alone(worker):
                    data_rule="uniform")
     (chunk,) = sim._prepare(setup, [(5, t) for t in range(4)])
     alone = [trial for t in range(4) for trial in sim._prepare(setup, [(5, t)])]
-    for results in sim._decode_chunk(setup, chunk, (0.0, 1e-9, 1e-4, 1.0, 1e16)):
-        stacked = sim._score(setup, chunk, results)
-        for t, (result, metrics) in enumerate(zip(results, stacked, strict=True)):
-            assert metrics == sim._score(setup, alone[t], [result])[0]
+    lams = (0.0, 1e-9, 1e-4, 1.0, 1e16)
+    estimates, degraded = sim._decode_chunk(setup, chunk, lams)
+    for lam, at_weight in zip(lams, estimates, strict=True):
+        stacked = sim._score(setup, chunk, at_weight, degraded)
+        each = [sim._score(setup, alone[t], at_weight[t][None], degraded) for t in range(4)]
+        assert stacked == sim.TrialColumns.concat(each)
+        for t, metrics in enumerate(stacked.rows()):
+            assert metrics == each[t].rows()[0]
+            assert metrics.seed == (5, t) and metrics.survivor_count == 59
+            decoded = sim.coding.decode(WorkerReturns(chunk.indices[t], chunk.outputs[t]),
+                                        setup.grid, lam).estimates
             for value, target in ((metrics.empirical_risk, chunk.truth[t]),
                                   (metrics.l_dec / 2.0, chunk.through_encoder[t])):
-                assert value == float(np.mean(np.sum((result.estimates - target) ** 2,
-                                                     axis=1)))
+                assert value == float(np.mean(np.sum((decoded - target) ** 2, axis=1)))
+
+
+def _count_constructions(monkeypatch, classes) -> dict:
+    """Count the instances of each of ``classes`` built while the patch holds."""
+    counts = dict.fromkeys(classes, 0)
+    for cls in classes:
+        def counted(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            counts[_cls] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    return counts
+
+
+def test_monte_carlo_builds_no_per_trial_objects(monkeypatch):
+    # from the stacked decode bodies to the aggregate, a chunk's trials are
+    # arrays and columns only; the one-trial views are built on demand
+    letcc = _setup(k=5, n=23, s=4, sigma0=0.1, lambda_e=1e-3, func=make_worker("tanh_net"))
+    bacc = _setup("bacc", k=5, n=23, s=4, sigma0=0.1)
+    lcc = _setup("lcc", k=5, n=23, s=4, sigma0=0.1, func=make_worker("cubic"))
+    lams = (1e-8, 1e-6, 1e-4)
+    for setup in (letcc, bacc, lcc):  # warm the grids' encoder caches
+        monte_carlo(setup, 1, 0)
+    classes = (sim.spline.SplineFit, sim.coding.DecodeResult,
+               sim.baselines.BerrutInterpolant, sim.TrialMetrics)
+    none = dict.fromkeys(classes, 0)
+    counts = _count_constructions(monkeypatch, classes)
+    runs = [*zip((replace(letcc, lambda_d=lam) for lam in lams),
+                 monte_carlo_lambdas(letcc, 6, 2, lams)),
+            (bacc, monte_carlo(bacc, 6, 2)), (lcc, monte_carlo(lcc, 6, 2))]
+    assert counts == none
+    for setup, agg in runs:
+        metrics = agg.metrics
+        assert counts == {**none, sim.TrialMetrics: 6}
+        assert metrics == tuple(run_trial(setup, (2, t)) for t in range(6))
+        counts.update(none)
 
 
 class TestMonteCarlo:

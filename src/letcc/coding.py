@@ -12,14 +12,24 @@ and second derivatives of the encoder fitted to X, and the evaluation
 weights of the alphas at the betas (:func:`letcc.spline.evaluation_weights`)
 turn those into the coded batch.  Both are computed once per grid object
 and encoder weight ``lambda_e`` and kept on the grid, in O(N + K^2)
-memory; later encodes on the same grid object cost two K x K products and
-one O(N d) weighted gather.  The same cache holds the Berrut and Lagrange
-encoders of :mod:`letcc.baselines`, keyed by scheme, so each of the three
-schemes encodes through one fixed linear map per grid, and the Lagrange
-decoder's Chebyshev bases at the betas and the alphas, keyed by degree.
-Reuse the grid object to benefit: an equal but separately built grid
-starts without encoders and computes the same ones, so its coded batches
-are identical.
+memory, plus N x K once an input at least K wide is encoded; later
+encodes on the same grid object cost two K x K products and either one
+weighted gather of four N x d terms or one (N, K) x (K, d) product.
+The gather makes eleven memory-bound passes over N x d; the product is
+one BLAS call.  The dense map E of the product is the gather applied
+once to G and Gamma, a gather of d = K columns, so for d >= K building E
+costs no more than the gather it replaces: the first wide encode on a
+grid pays at most one extra product, and every later one saves the
+gather.  So inputs with d >= K are coded as E X, and narrower inputs,
+such as the Monte-Carlo harness's scalar ones on a fresh grid per sweep
+point, keep the gather and never build E.  The rule reads only (K, d),
+so a set codes to the same bits alone or in a stack.  The same cache
+holds the Berrut and Lagrange encoders of :mod:`letcc.baselines`, keyed
+by scheme, so each of the three schemes encodes through one fixed linear
+map per grid, and the Lagrange decoder's Chebyshev bases at the betas
+and the alphas, keyed by degree.  Reuse the grid object to benefit: an
+equal but separately built grid starts without encoders and computes the
+same ones, so its coded batches are identical.
 A cached encoder also applies to a stack (T, K, d) of T input sets at
 once, with the same arithmetic per set as on its own.
 
@@ -42,6 +52,7 @@ runs per trial.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, replace
 
@@ -128,15 +139,27 @@ class _LinearEncoder:
     unit: spline.SplineFit
     at_betas: spline.EvaluationWeights
 
+    @functools.cached_property
+    def dense(self) -> np.ndarray:
+        """The (N, K) coded batch of the identity: coded = dense @ X."""
+        return self.at_betas.apply(self.unit.coefficients, self.unit.second_derivs)
+
     def apply(self, inputs: np.ndarray):
         """Coded values, knot values and knot second derivatives of the encoder.
 
         ``inputs`` is (K, d), or a stack (..., K, d) that gives stacks of
         each; a stacked matmul runs the product of each set on its own.
+        Inputs at least K wide are coded through :attr:`dense`, narrower
+        ones by the weighted gather of their knot values and second
+        derivatives (see the module docstring).
         """
         values = np.matmul(self.unit.coefficients, inputs)
         second_derivs = np.matmul(self.unit.second_derivs, inputs)
-        return self.at_betas.apply(values, second_derivs), values, second_derivs
+        if inputs.shape[-1] >= inputs.shape[-2]:
+            coded = np.matmul(self.dense, inputs)
+        else:
+            coded = self.at_betas.apply(values, second_derivs)
+        return coded, values, second_derivs
 
 
 def _cached_encoder(grid: InterpolationGrid, key, build):
@@ -181,13 +204,17 @@ def encoder_training_error(batch: CodedBatch, data: Dataset) -> float:
 
 
 def _integral_indices(indices, what: str = "survivor index") -> np.ndarray:
-    """Worker ``indices`` as a new int array; a fractional or non-finite one raises.
+    """Worker ``indices`` as a new int array; a boolean or fractional one raises.
 
-    Integral values stored as floats are taken as they are.  ``what``
-    names an index in the error.
+    Integral values stored as floats are taken as they are; NaN and inf
+    are fractional.  Booleans raise: a mask read as indices 0 and 1 would
+    pick the wrong workers.
+    ``what`` names the value in the error.
     """
     indices = np.asarray(indices)
-    if indices.dtype.kind not in "iu":
+    if indices.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be an integer, got {indices.dtype} values")
+    if indices.dtype.kind == "f":
         integral = np.isfinite(indices) & (np.floor(indices) == indices)
         if not integral.all():
             raise ValueError(f"{what} {indices[~integral][0]} is not an integer")
@@ -200,7 +227,8 @@ def normalize_survivors(survivors, n: int):
     Accepts an iterable of pairs or an object exposing ``indices`` and
     ``outputs`` arrays.  Outputs are coerced to a 2-D (count, m) array.
     Duplicate indices keep the first occurrence and emit a warning.  An
-    index must be an integer in [0, n), or an integral float.
+    index must be an integer in [0, n), or an integral float, and not a
+    boolean.
     """
     if hasattr(survivors, "indices") and hasattr(survivors, "outputs"):
         indices = _integral_indices(survivors.indices)

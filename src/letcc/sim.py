@@ -248,6 +248,7 @@ class StragglerModel:
     subsets.  ``fixed`` erases the same declared index set every trial,
     which pairs schemes against identical failure patterns; its indices
     are integers, or integral floats, and only ``fixed`` mode takes them.
+    N and S are integers too, or integral floats, which are kept as ints.
     """
 
     n: int
@@ -256,6 +257,9 @@ class StragglerModel:
     fixed_stragglers: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        for name in ("n", "s"):
+            value = coding._integral_indices(getattr(self, name), f"StragglerModel {name}")
+            object.__setattr__(self, name, int(value))
         if not 0 <= self.s < self.n:
             raise ValueError(f"need 0 <= S < N, got S={self.s}, N={self.n}")
         if self.mode not in ("uniform", "fixed"):
@@ -438,8 +442,8 @@ def apply_workers(func: WorkerFunction, batch: CodedBatch, noise: NoiseModel,
 
     ``rng`` draws the noise; it is not used, and may be None, when
     ``noise.sigma0`` is 0.  A survivor index must be an integer in [0, N),
-    or an integral float.  A batch of one trial of the harness's chunk
-    workers, after these checks.
+    or an integral float, and not a boolean.  A batch of one trial of the
+    harness's chunk workers, after these checks.
     """
     survivors = coding._integral_indices(survivors)
     if survivors.size and (survivors.min() < 0 or survivors.max() >= batch.n):

@@ -9,6 +9,7 @@ from letcc.coding import (
     Dataset,
     DecodeFailure,
     _decode_stack,
+    _linear_encoder,
     decode,
     encode,
     encoder_training_error,
@@ -117,10 +118,11 @@ class TestEncoderCache:
         monkeypatch.setattr(spline, "fit", counted)
         return calls
 
-    def test_repeat_and_fresh_grid_encode_identically(self, rng, monkeypatch):
+    @pytest.mark.parametrize("d", [3, 6, 9])  # narrower than K = 6, as wide, wider
+    def test_repeat_and_fresh_grid_encode_identically(self, d, rng, monkeypatch):
         calls = self._count_fits(monkeypatch)
         grid = chebyshev_grid(6, 20)
-        data = Dataset(rng.uniform(-1, 1, (6, 3)))
+        data = Dataset(rng.uniform(-1, 1, (6, d)))
         first = encode(data, grid, 1e-3)
         repeat = encode(data, grid, 1e-3)
         assert len(calls) == 1
@@ -164,6 +166,42 @@ class TestEncoderCache:
             with pytest.raises(ValueError):
                 encode(data, grid, bad)
         assert list(grid._encoders) == [("letcc", 0.0)]
+
+    @pytest.mark.parametrize("k, n", [(1, 5), (3, 7), (8, 64), (32, 512)])
+    @pytest.mark.parametrize("lam", [0.0, 1e-6, 1.0, 1e6])
+    def test_dense_map_agrees_with_gather(self, k, n, lam, rng):
+        # the two paths sum the same terms in another order: measured gaps
+        # are <= 4.7e-16 of 1 + max |coded| over these grids and weights
+        encoder = _linear_encoder(chebyshev_grid(k, n), lam)
+        for d in (k, 2 * k + 1):
+            x = rng.uniform(-1, 1, (k, d))
+            coded, values, second_derivs = encoder.apply(x)
+            gathered = encoder.at_betas.apply(values, second_derivs)
+            scale = 1.0 + np.abs(gathered).max()
+            assert np.abs(coded - gathered).max() <= 1e-14 * scale
+        assert encoder.dense.shape == (n, k)
+
+    @pytest.mark.parametrize("d", [2, 5, 8])  # K = 5: gather, dense, dense
+    def test_stacked_encode_matches_each_set_alone(self, d, rng):
+        grid = chebyshev_grid(5, 40)
+        stack = rng.uniform(-1, 1, (4, 5, d))
+        encoder = _linear_encoder(grid, 1e-3)
+        for got, x in zip(zip(*encoder.apply(stack)), stack):
+            batch = encode(Dataset(x), grid, 1e-3)
+            want = (batch.coded, batch.encoder_fit.coefficients,
+                    batch.encoder_fit.second_derivs)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+    def test_dense_map_built_only_for_wide_inputs(self, rng):
+        grid = chebyshev_grid(6, 20)
+        encoder = _linear_encoder(grid, 1e-3)
+        for d in range(1, 6):
+            encode(Dataset(rng.uniform(-1, 1, (6, d))), grid, 1e-3)
+            encoder.apply(rng.uniform(-1, 1, (3, 6, d)))
+        assert "dense" not in vars(encoder)
+        encode(Dataset(rng.uniform(-1, 1, (6, 6))), grid, 1e-3)
+        assert vars(encoder)["dense"].shape == (20, 6)
 
     def test_one_cache_holds_every_scheme(self, rng):
         grid = chebyshev_grid(4, 9)
@@ -283,6 +321,15 @@ class TestDecode:
                           WorkerReturns(np.array([0.0, 1.0, 2.0]), [[1.0], [2.0], [0.0]])):
             got = decode(survivors, grid, 1e-3)
             assert np.array_equal(got.estimates, want.estimates)
+
+    def test_boolean_indices_raise(self):
+        # a mask is not a set of indices: read as 0 and 1 it would decode
+        # the wrong workers
+        grid = chebyshev_grid(3, 7)
+        with pytest.raises(ValueError, match="survivor index must be an integer, got bool"):
+            decode(WorkerReturns(np.array([False, True, True]), np.ones((3, 1))), grid, 0.0)
+        with pytest.raises(ValueError, match="survivor index must be an integer, got bool"):
+            normalize_survivors([(True, [1.0]), (False, [2.0])], 7)
 
     def test_normalize_rejects_length_mismatch(self):
         grid = chebyshev_grid(4, 8)

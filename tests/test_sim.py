@@ -78,6 +78,23 @@ class TestStragglerModel:
         with pytest.raises(ValueError, match=f"straggler index {bad} is not an integer"):
             StragglerModel(n=8, s=2, mode="fixed", fixed_stragglers=(bad, 3))
 
+    def test_boolean_fixed_stragglers_raise(self):
+        with pytest.raises(ValueError, match="straggler index must be an integer, got bool"):
+            StragglerModel(n=8, s=2, mode="fixed", fixed_stragglers=(True, False))
+
+    @pytest.mark.parametrize("field, n, s", [("s", 8, 2.5), ("n", 8.5, 2),
+                                             ("s", 8, np.nan), ("n", np.inf, 2),
+                                             ("n", True, 0), ("s", 8, np.bool_(True))])
+    def test_non_integer_n_or_s_raise(self, field, n, s):
+        with pytest.raises(ValueError, match=f"StragglerModel {field} "):
+            StragglerModel(n, s)
+
+    def test_integral_float_n_and_s_are_those_integers(self):
+        model = StragglerModel(8.0, np.float64(2.0))
+        assert (model.n, model.s) == (8, 2)
+        assert type(model.n) is int and type(model.s) is int
+        assert sample_stragglers(model, trial_rng(3, 1)).size == 6
+
     def test_integral_float_fixed_stragglers_are_those_integers(self):
         model = StragglerModel(n=8, s=2, mode="fixed", fixed_stragglers=(5.0, np.float64(1.0)))
         assert model.fixed_stragglers == (1, 5)
@@ -128,6 +145,8 @@ class TestNoiseAndWorkers:
         func = make_worker("sin_pi")
         with pytest.raises(ValueError, match="survivor index 0.5 is not an integer"):
             apply_workers(func, batch, NoiseModel(0.0), [0.5, 1.7, 2.2], None)
+        with pytest.raises(ValueError, match="survivor index must be an integer, got bool"):
+            apply_workers(func, batch, NoiseModel(0.0), np.arange(9) < 3, None)
         returns = apply_workers(func, batch, NoiseModel(0.0), [0.0, 2.0, 5.0], None)
         assert returns.indices.dtype.kind == "i"
         assert np.array_equal(returns.indices, [0, 2, 5])

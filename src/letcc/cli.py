@@ -321,9 +321,8 @@ def write_matrix(path, matrix: np.ndarray) -> None:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     lines = [f"dims {matrix.shape[0]} {matrix.shape[1]}"]
     for row in matrix:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        lines.append(" ".join(map(experiments._dump_json, row)))
+    experiments._write(path, "\n".join(lines) + "\n")
 
 
 def cmd_codec_encode(args) -> int:

@@ -53,6 +53,7 @@ runs per trial.
 from __future__ import annotations
 
 import functools
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -203,22 +204,33 @@ def encoder_training_error(batch: CodedBatch, data: Dataset) -> float:
     return float(np.mean(np.sum((fitted - data.inputs) ** 2, axis=1)))
 
 
-def _integral_indices(indices, what: str = "survivor index") -> np.ndarray:
-    """Worker ``indices`` as a new int array; a boolean or fractional one raises.
+def _integral_indices(values, what: str = "survivor index", n: int | None = None) -> np.ndarray:
+    """Worker indices from outside, ``values``, as a new int array: their one check.
 
-    Integral values stored as floats are taken as they are; NaN and inf
-    are fractional.  Booleans raise: a mask read as indices 0 and 1 would
-    pick the wrong workers.
-    ``what`` names the value in the error.
+    An index is an integer, or an integral float (not NaN or inf), and
+    never a boolean: a mask read as indices 0 and 1 would pick the wrong
+    workers.  A list or tuple is checked item by item, as numpy reads
+    ``[True, 2]`` as ``[1, 2]``; a nested sequence raises, so a caller
+    asking for one integer passes a list of one.  Given ``n``, every index
+    must lie in [0, n).  ``what`` names the value in the error.
     """
-    indices = np.asarray(indices)
+    if isinstance(values, (list, tuple)):
+        for kind in set(map(type, values)):
+            if issubclass(kind, bool) or not issubclass(kind, numbers.Real):
+                raise ValueError(f"{what} must be an integer, got {kind.__name__}")
+    indices = np.asarray(values)
     if indices.dtype.kind not in "iuf":
         raise ValueError(f"{what} must be an integer, got {indices.dtype} values")
     if indices.dtype.kind == "f":
         integral = np.isfinite(indices) & (np.floor(indices) == indices)
         if not integral.all():
             raise ValueError(f"{what} {indices[~integral][0]} is not an integer")
-    return indices.astype(int)
+    indices = indices.astype(int)
+    if n is not None:
+        outside = (indices < 0) | (indices >= n)
+        if outside.any():
+            raise ValueError(f"{what} {indices[outside][0]} outside [0, {n})")
+    return indices
 
 
 def normalize_survivors(survivors, n: int):
@@ -226,12 +238,12 @@ def normalize_survivors(survivors, n: int):
 
     Accepts an iterable of pairs or an object exposing ``indices`` and
     ``outputs`` arrays.  Outputs are coerced to a 2-D (count, m) array.
-    Duplicate indices keep the first occurrence and emit a warning.  An
-    index must be an integer in [0, n), or an integral float, and not a
-    boolean.
+    Duplicate indices keep the first occurrence and emit a warning.  The
+    indices pass :func:`_integral_indices` with ``n``: each an integer in
+    [0, n), or an integral float, and not a boolean.
     """
     if hasattr(survivors, "indices") and hasattr(survivors, "outputs"):
-        indices = _integral_indices(survivors.indices)
+        indices = _integral_indices(survivors.indices, n=n)
         rows = np.atleast_2d(np.asarray(survivors.outputs, dtype=float))
         if indices.size and indices.size != rows.shape[0]:
             raise ValueError(f"{indices.size} survivor indices for "
@@ -239,15 +251,12 @@ def normalize_survivors(survivors, n: int):
         count = indices.size
     else:
         pairs = [(i, np.atleast_1d(np.asarray(v, dtype=float))) for i, v in survivors]
-        indices = _integral_indices([i for i, _ in pairs])
+        indices = _integral_indices([i for i, _ in pairs], n=n)
         rows = [v for _, v in pairs]
         count = len(pairs)
     if not count:
         raise DecodeFailure("no survivor outputs to decode from")
 
-    outside = ~((indices >= 0) & (indices < n))
-    if outside.any():
-        raise ValueError(f"survivor index {indices[outside.argmax()]} outside [0, {n})")
     if not isinstance(rows, list) and (indices[1:] > indices[:-1]).all():
         # sorted and unique already, as workers report: every row in place
         outputs = rows.reshape(count, -1).copy()

@@ -362,7 +362,7 @@ def crossval_lambda(lambda_e_grid, lambda_d_grid, config: CrossvalConfig) -> Cro
 
 
 # ---------------------------------------------------------------------------
-# Report emission.  Floats carry 17 significant digits everywhere.
+# Report emission.  Floats carry 17 significant digits everywhere (_dump_json).
 
 CSV_HEADER = ("scheme,f,K,N,S,sigma0,lambda_e,lambda_d,trials,"
               "mean_mse,std_mse,ci95_lo,ci95_hi,mean_rmse,mean_relacc,seed")
@@ -371,23 +371,23 @@ _CSV_FIELDS = CSV_HEADER.split(",")
 
 
 def _fmt(value) -> str:
+    """A CSV cell: None is empty, a string bare, anything else as in JSON."""
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
+    return value if isinstance(value, str) else _dump_json(value)
+
+
+def _write(path, text: str) -> None:
+    """Write ``text`` to ``path`` as it is: no newline translation."""
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
 def write_csv(path, rows) -> None:
     lines = [CSV_HEADER]
     for row in rows:
         lines.append(",".join(_fmt(row.get(f)) for f in _CSV_FIELDS))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _dump_json(obj, indent=0) -> str:
@@ -418,8 +418,7 @@ def _dump_json(obj, indent=0) -> str:
 
 
 def write_json(path, obj) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(_dump_json(obj) + "\n")
+    _write(path, _dump_json(obj) + "\n")
 
 
 def report_to_dict(report) -> dict:
@@ -457,8 +456,7 @@ _MARGIN = 60
 
 
 def write_svg(path, report: SweepReport) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(render_svg(report))
+    _write(path, render_svg(report))
 
 
 def render_svg(report: SweepReport) -> str:

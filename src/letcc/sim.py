@@ -44,7 +44,7 @@ trial's metrics are bit-identical whether it runs through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cache
 from itertools import chain
 from math import sqrt
@@ -246,9 +246,10 @@ class StragglerModel:
 
     ``uniform`` samples exactly S stragglers uniformly over all C(N, S)
     subsets.  ``fixed`` erases the same declared index set every trial,
-    which pairs schemes against identical failure patterns; its indices
-    are integers, or integral floats, and only ``fixed`` mode takes them.
-    N and S are integers too, or integral floats, which are kept as ints.
+    which pairs schemes against identical failure patterns; only ``fixed``
+    mode takes them, exactly S distinct ones.  N, S and these indices are
+    integers, or integral floats kept as ints, never booleans, and S and
+    the indices lie in [0, N): :func:`letcc.coding._integral_indices`.
     """
 
     n: int
@@ -257,11 +258,10 @@ class StragglerModel:
     fixed_stragglers: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        for name in ("n", "s"):
-            value = coding._integral_indices(getattr(self, name), f"StragglerModel {name}")
-            object.__setattr__(self, name, int(value))
-        if not 0 <= self.s < self.n:
-            raise ValueError(f"need 0 <= S < N, got S={self.s}, N={self.n}")
+        n, = coding._integral_indices([self.n], "StragglerModel n").tolist()
+        s, = coding._integral_indices([self.s], "StragglerModel s", n).tolist()
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "s", s)
         if self.mode not in ("uniform", "fixed"):
             raise ValueError(f"unknown straggler mode {self.mode!r}")
         if self.mode != "fixed" and self.fixed_stragglers is not None:
@@ -271,11 +271,9 @@ class StragglerModel:
             if self.fixed_stragglers is None:
                 raise ValueError("fixed mode requires fixed_stragglers")
             idx = tuple(sorted(coding._integral_indices(self.fixed_stragglers,
-                                                        "straggler index").tolist()))
+                                                        "straggler index", n).tolist()))
             if len(set(idx)) != len(idx):
                 raise ValueError("fixed_stragglers contains duplicates")
-            if idx and (idx[0] < 0 or idx[-1] >= self.n):
-                raise ValueError("fixed_stragglers outside worker range")
             if len(idx) != self.s:
                 raise ValueError("fixed_stragglers size must equal S")
             object.__setattr__(self, "fixed_stragglers", idx)
@@ -441,13 +439,11 @@ def apply_workers(func: WorkerFunction, batch: CodedBatch, noise: NoiseModel,
     """Evaluate f on the surviving coded points and add worker noise.
 
     ``rng`` draws the noise; it is not used, and may be None, when
-    ``noise.sigma0`` is 0.  A survivor index must be an integer in [0, N),
-    or an integral float, and not a boolean.  A batch of one trial of the
-    harness's chunk workers, after these checks.
+    ``noise.sigma0`` is 0.  The survivors are checked by
+    :func:`letcc.coding._integral_indices`, in [0, N).  A batch of one
+    trial of the harness's chunk workers, after that check.
     """
-    survivors = coding._integral_indices(survivors)
-    if survivors.size and (survivors.min() < 0 or survivors.max() >= batch.n):
-        raise ValueError("survivor indices outside worker range")
+    survivors = coding._integral_indices(survivors, n=batch.n)
     outputs = _worker_stack(func, batch.coded[None], noise, survivors[None], [rng])[0]
     return WorkerReturns(indices=survivors, outputs=outputs)
 
@@ -540,7 +536,8 @@ class TrialSetup:
 
     Every field is checked on construction; ``lambda_e`` and ``lambda_d``
     must be finite and nonnegative, and ``f_degree`` (or, for lcc without
-    one, the worker's declared degree) a nonnegative integer.
+    one, the worker's declared degree) a nonnegative integer, which is
+    resolved once, here (``dataclasses.replace`` resolves it again).
     """
 
     scheme: str
@@ -553,6 +550,7 @@ class TrialSetup:
     f_degree: int | None = None
     data: Dataset | None = None
     data_rule: str = "uniform"
+    _lcc_degree: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -565,10 +563,11 @@ class TrialSetup:
             raise ValueError(f"unknown data rule {self.data_rule!r}")
         if self.data is None and self.data_rule == "identity" and self.func.in_dim != 1:
             raise ValueError("identity data rule requires a 1-D worker function")
-        if self.scheme == "lcc" and self.f_degree is None and self.func.degree is None:
-            raise ValueError("lcc needs a declared polynomial degree")
         if self.scheme == "lcc" or self.f_degree is not None:
-            _lcc_degree(self)  # raises on a bad degree
+            degree = self.func.degree if self.f_degree is None else self.f_degree
+            if degree is None:
+                raise ValueError("lcc needs a declared polynomial degree")
+            object.__setattr__(self, "_lcc_degree", baselines._checked_degree(degree))
         spline._checked_lams((self.lambda_e, self.lambda_d))
 
 
@@ -644,7 +643,7 @@ def _prepare(setup: TrialSetup, seeds, weights: int = 1) -> Iterator[_Chunk]:
     if setup.scheme == "bacc":
         width = max(width, grid.k)
     elif setup.scheme == "lcc":
-        columns = baselines.LagrangeCodec(grid.k, _lcc_degree(setup)).target_degree + 1
+        columns = baselines.LagrangeCodec(grid.k, setup._lcc_degree).target_degree + 1
         width = max(width, min(columns, grid.n) + func.out_dim)
     size = max(1, _CHUNK_VALUES // (grid.n * width * weights))
     for start in range(0, len(seeds), size):
@@ -686,12 +685,6 @@ def _mean_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.add.reduce((a - b) ** 2, axis=-1), axis=-1) / a.shape[-2]
 
 
-def _lcc_degree(setup: TrialSetup) -> int:
-    """The checked polynomial degree lcc decodes ``setup``'s worker outputs at."""
-    return baselines._checked_degree(setup.f_degree if setup.f_degree is not None
-                                     else setup.func.degree)
-
-
 def _decode_chunk(setup: TrialSetup, chunk: _Chunk,
                   lambdas: tuple[float, ...]) -> tuple[np.ndarray, bool]:
     """The (L, T, K, m) estimates of a chunk's trials at each weight of ``lambdas``.
@@ -708,7 +701,7 @@ def _decode_chunk(setup: TrialSetup, chunk: _Chunk,
     if setup.scheme == "bacc":
         return baselines._bacc_decode_stack(grid, indices, outputs)[None], False
     estimates, _, degraded = baselines._lcc_decode_stack(grid, indices, outputs,
-                                                         _lcc_degree(setup))
+                                                         setup._lcc_degree)
     return estimates[None], degraded
 
 
@@ -757,7 +750,7 @@ def run_trial(setup: TrialSetup, seed) -> TrialMetrics:
     elif setup.scheme == "bacc":
         result = baselines.bacc_decode(returns, setup.grid)
     else:
-        result = baselines.lcc_decode(returns, setup.grid, _lcc_degree(setup))
+        result = baselines.lcc_decode(returns, setup.grid, setup._lcc_degree)
     return _score(setup, chunk, result.estimates[None], result.degraded).rows()[0]
 
 

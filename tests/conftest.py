@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -16,6 +18,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def understated_l_enc(monkeypatch):
+    """Zero the encoder term of every prepared chunk's risk bound, a numerical fault.
+
+    The bound risk <= l_dec + l_enc holds for any estimates, so a fault in
+    the decode alone cannot break it; a wrong l_enc can.
+    """
+    from letcc import sim
+
+    prepare = sim._prepare
+    monkeypatch.setattr(sim, "_prepare", lambda *args: (
+        replace(chunk, l_enc=0.0 * chunk.l_enc) for chunk in prepare(*args)))
 
 
 def ols_affine(t, y):

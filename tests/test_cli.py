@@ -65,7 +65,7 @@ class TestTrial:
         code, _, err = run_cli(capsys, "trial", "--scheme", "letcc",
                                "--f", "sin_pi", "--k", "16", "--n", "8", "--s", "8")
         assert code == 1
-        assert "S < N" in err
+        assert err == "error: StragglerModel s 8 outside [0, 8)\n"
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "trial.json"
@@ -140,6 +140,13 @@ class TestTrial:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("risk bound failure: risk decomposition violated")
+
+    def test_risk_bound_violation_of_a_real_trial_exits_three(self, capsys,
+                                                              understated_l_enc):
+        code, out, err = run_cli(capsys, *TRIAL_ARGS, "--lambda-e", "1e-2")
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1
+        assert err.startswith("risk bound failure: risk decomposition violated: ")
 
 
 def _sweep_config(tmp_path, **overrides):
@@ -262,6 +269,17 @@ _MALFORMED = [
      "'lambda_d_grid': expected a number, got '1e-3'"),
     ("boolean in float grid", "crossval", {"lambda_e_grid": [True]},
      "'lambda_e_grid': expected a number, got True"),
+    ("empty schemes", "n_sweep", {"schemes": []}, "at least one scheme required"),
+    ("S not below N", "n_sweep", {"s": 16}, "S must stay below N (N=16, S=16)"),
+    ("no trials", "n_sweep", {"trials": 0}, "trials must be >= 1"),
+    ("unknown lambda_d rule", "n_sweep", {"lambda_d_rule": "n**-2"},
+     "unknown lambda_d rule 'n**-2'; choices: ['fixed', 'n**-4', 'survivors**-0.8']"),
+    ("empty schemes", "straggler", {"schemes": []}, "at least one scheme required"),
+    ("empty s_values", "straggler", {"s_values": []}, "s_values must be nonempty"),
+    ("S not below N", "straggler", {"s_values": [2, 24]}, "every S must satisfy 0 <= S < N"),
+    ("no trials", "straggler", {"trials": 0}, "trials must be >= 1"),
+    ("unknown lambda_d rule", "straggler", {"lambda_d_rule": "n**-2"},
+     "unknown lambda_d rule 'n**-2'"),
 ]
 
 
@@ -330,6 +348,38 @@ class TestFailsBeforeFirstTrial:
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+class TestConfigFile:
+    @pytest.mark.parametrize("command", ["trial", "sweep", "crossval"])
+    @pytest.mark.parametrize("text, message", [
+        (None, "error: cannot read config {path}: "),
+        ('{"kind": "n_sweep",', "error: config {path} is not valid JSON: "),
+        ('["n_sweep"]', "error: config {path} must be a JSON object\n"),
+    ], ids=["unreadable", "not JSON", "not an object"])
+    def test_bad_file_exits_one_and_writes_nothing(self, capsys, tmp_path, command, text,
+                                                   message):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        argv = ([command, "--config", str(path)] if command == "trial"
+                else [command, str(path), "--out", str(tmp_path / "out")])
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(message.format(path=path)) and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ([] if text is None else ["cfg.json"])
+
+    def test_seed_flag_overrides_the_config_seed(self, capsys, tmp_path):
+        outs = []
+        for seed, flag in ((5, ["--seed", "9"]), (9, []), (5, [])):
+            out = tmp_path / f"out{len(outs)}"
+            path = tmp_path / f"cfg{len(outs)}.json"
+            path.write_text(json.dumps(dict(_KIND_CONFIGS["n_sweep"], seed=seed,
+                                            sigma0=0.1)))
+            code, _, _ = run_cli(capsys, "sweep", str(path), "--out", str(out), *flag)
+            assert code == 0
+            outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outs[0] == outs[1] != outs[2]
+
+
 class TestReportConfigBlock:
     # the key order of "config" is the field order of the config dataclass
     def test_sweep_json_key_order(self, capsys, tmp_path):
@@ -367,6 +417,17 @@ class TestCrossvalCommand:
         payload = json.loads(out)
         assert payload["best_lambda_d"] in cfg["lambda_d_grid"]
         assert len(payload["table"]) == 3
+
+    def test_out_writes_the_printed_table(self, capsys, tmp_path):
+        path = tmp_path / "cv.json"
+        path.write_text(json.dumps(_KIND_CONFIGS["crossval"]))
+        out = tmp_path / "o"
+        code, stdout, err = run_cli(capsys, "crossval", str(path), "--out", str(out))
+        assert code == 0
+        assert err == f"crossval: table written to {out}\n"
+        assert [p.name for p in out.iterdir()] == ["crossval.json"]
+        assert (out / "crossval.json").read_text() == stdout
+        assert json.loads(stdout)["best_lambda_d"] == 1e-4
 
     def test_unknown_format_exits_one_and_writes_nothing(self, capsys, tmp_path):
         cfg = {"kind": "crossval", "f": "sin_pi", "k": 8, "n": 24, "s": 2,
@@ -475,6 +536,50 @@ class TestCodec:
                                "--n", "5", "--out", str(tmp_path / "c.mat"))
         assert code == 1
         assert ":3:" in err
+
+    def test_matrix_cells_carry_17_significant_digits(self, tmp_path):
+        matrix = np.array([[0.1, -0.0, 1e-300], [np.pi, -2.5, 123456789.0]])
+        path = tmp_path / "m.mat"
+        cli.write_matrix(path, matrix)
+        rows = ["dims 2 3"] + [" ".join(f"{v:.17g}" for v in row) for row in matrix.tolist()]
+        assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+        assert np.array_equal(cli.read_matrix(path), matrix)
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read {path}: "),
+        ("dims 2\n1\n2\n", "{path}:1: expected header 'dims R C', got 'dims 2'\n"),
+        ("dims 2 x\n1\n2\n", "{path}:1: non-integer dimensions in header\n"),
+        ("dims 0 1\n", "{path}:1: dimensions must be positive\n"),
+        ("dims 2 1\n1\n2\n3\n", "{path}:4: more than 2 data rows\n"),
+        ("dims 2 1\n1\n2 3\n", "{path}:3: expected 1 values, got 2\n"),
+        ("dims 3 1\n1\n\n2\n", "{path}:5: expected 3 data rows, got 2\n"),
+        ("dims 2 1\n1\n0x1\n", "{path}:3: non-numeric value\n"),
+    ], ids=["unreadable", "header", "dimensions", "positive", "too many rows",
+            "columns", "too few rows", "non-numeric"])
+    def test_bad_matrix_exits_one_and_writes_nothing(self, capsys, tmp_path, text, message):
+        data = tmp_path / "d.mat"
+        if text is not None:
+            data.write_text(text)
+        code, out, err = run_cli(capsys, "codec", "encode", str(data),
+                                 "--n", "5", "--out", str(tmp_path / "c.mat"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: " + message.format(path=data)) and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ([] if text is None else ["d.mat"])
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--survivors", "0,x,2"], "error: --survivors must be comma-separated integers\n"),
+        ([], "error: 3 output rows for N=9 workers: pass --survivors with the beta "
+             "indices of the surviving rows\n"),
+        (["--survivors", "0,1,9"], "error: survivor index 9 outside [0, 9)\n"),
+    ], ids=["not integers", "short without survivors", "outside workers"])
+    def test_bad_survivors_exit_one_and_write_nothing(self, capsys, tmp_path, flags,
+                                                      message):
+        outs = tmp_path / "o.mat"
+        write_matrix_file(outs, np.zeros((3, 1)))
+        code, out, err = run_cli(capsys, "codec", "decode", str(outs), "--k", "2",
+                                 "--n", "9", *flags, "--out", str(tmp_path / "e.mat"))
+        assert (code, out, err) == (1, "", message)
+        assert [p.name for p in tmp_path.iterdir()] == ["o.mat"]
 
     def test_decode_survivor_count_mismatch_exits_one(self, capsys, tmp_path):
         outs = tmp_path / "o.mat"

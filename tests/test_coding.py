@@ -331,6 +331,19 @@ class TestDecode:
         with pytest.raises(ValueError, match="survivor index must be an integer, got bool"):
             normalize_survivors([(True, [1.0]), (False, [2.0])], 7)
 
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_boolean_among_integer_indices_raises(self, flag):
+        # numpy reads [True, 2, 3] as the integers [1, 2, 3], which would
+        # decode worker 1: every item of a list is checked on its own
+        grid = chebyshev_grid(3, 7)
+        pairs = [(flag, [1.0]), (2, [2.0]), (3, [0.0])]
+        returns = WorkerReturns([flag, 2, 3], [[1.0], [2.0], [0.0]])
+        for survivors in (pairs, returns):
+            with pytest.raises(ValueError, match="survivor index must be an integer, got bool"):
+                normalize_survivors(survivors, 7)
+            with pytest.raises(ValueError, match="survivor index must be an integer, got bool"):
+                decode(survivors, grid, 0.0)
+
     def test_normalize_rejects_length_mismatch(self):
         grid = chebyshev_grid(4, 8)
         with pytest.raises(ValueError, match="4 survivor indices for 2 output rows"):

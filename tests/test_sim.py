@@ -82,6 +82,30 @@ class TestStragglerModel:
         with pytest.raises(ValueError, match="straggler index must be an integer, got bool"):
             StragglerModel(n=8, s=2, mode="fixed", fixed_stragglers=(True, False))
 
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_boolean_among_integer_fixed_stragglers_raises(self, flag):
+        # numpy reads (True, 3) as (1, 3)
+        with pytest.raises(ValueError, match="straggler index must be an integer, got bool"):
+            StragglerModel(n=8, s=2, mode="fixed", fixed_stragglers=(flag, 3))
+
+    def test_fixed_stragglers_outside_workers_raise(self):
+        with pytest.raises(ValueError, match=r"^straggler index 8 outside \[0, 8\)$"):
+            StragglerModel(n=8, s=2, mode="fixed", fixed_stragglers=(8, 3))
+        with pytest.raises(ValueError, match=r"^straggler index -1 outside \[0, 8\)$"):
+            StragglerModel(n=8, s=2, mode="fixed", fixed_stragglers=(3, -1))
+
+    @pytest.mark.parametrize("field, n, s", [("n", [8], 2), ("n", [8, 9], 2),
+                                             ("n", np.array([8]), 2), ("s", 8, (2,))])
+    def test_sequence_n_or_s_raise(self, field, n, s):
+        # one integer each: a sequence, even of one, is not read as its item
+        with pytest.raises(ValueError, match=f"StragglerModel {field} must be an integer"):
+            StragglerModel(n, s)
+
+    @pytest.mark.parametrize("n, s", [(4, 4), (4, 5), (4, -1), (0, 0)])
+    def test_s_outside_workers_raise(self, n, s):
+        with pytest.raises(ValueError, match=rf"^StragglerModel s {s} outside \[0, {n}\)$"):
+            StragglerModel(n, s)
+
     @pytest.mark.parametrize("field, n, s", [("s", 8, 2.5), ("n", 8.5, 2),
                                              ("s", 8, np.nan), ("n", np.inf, 2),
                                              ("n", True, 0), ("s", 8, np.bool_(True))])
@@ -151,6 +175,16 @@ class TestNoiseAndWorkers:
         assert returns.indices.dtype.kind == "i"
         assert np.array_equal(returns.indices, [0, 2, 5])
 
+    def test_boolean_among_integer_survivors_raises(self):
+        # numpy reads [True, 2, 3] as [1, 2, 3]
+        grid = chebyshev_grid(4, 9)
+        batch = CodedBatch(coded=np.linspace(-1, 1, 9)[:, None], encoder_fit=None, grid=grid)
+        func = make_worker("sin_pi")
+        with pytest.raises(ValueError, match="survivor index must be an integer, got bool"):
+            apply_workers(func, batch, NoiseModel(0.0), [True, 2, 3], None)
+        with pytest.raises(ValueError, match=r"^survivor index 9 outside \[0, 9\)$"):
+            apply_workers(func, batch, NoiseModel(0.0), [0, 9], None)
+
     def test_builtin_functions_have_expected_shapes(self):
         x = np.linspace(-1, 1, 7)[:, None]
         for name in ("sin_pi", "cubic", "softplus"):
@@ -213,6 +247,16 @@ class TestRunTrial:
         with pytest.raises(ValueError, match="f_degree must be a nonnegative integer"):
             _setup(scheme="lcc", func=half)
         _setup(scheme="lcc", func=half, f_degree=3)
+
+    def test_replace_resolves_the_lcc_degree_again(self):
+        cubic = _setup(scheme="lcc", func=make_worker("cubic"))
+        affine = replace(cubic, func=make_worker("affine"))
+        assert run_trial(affine, 3) == run_trial(
+            _setup(scheme="lcc", func=make_worker("affine")), 3)
+        assert run_trial(replace(affine, f_degree=3), 3) == run_trial(
+            _setup(scheme="lcc", func=make_worker("affine"), f_degree=3), 3)
+        with pytest.raises(ValueError, match="lcc needs a declared polynomial degree"):
+            replace(cubic, func=make_worker("sin_pi"))
 
     @pytest.mark.parametrize("weight", ["lambda_e", "lambda_d"])
     @pytest.mark.parametrize("value", [-1e-9, np.inf, np.nan])
@@ -358,6 +402,16 @@ def test_monte_carlo_builds_no_per_trial_objects(monkeypatch):
         assert counts == {**none, sim.TrialMetrics: 6}
         assert metrics == tuple(run_trial(setup, (2, t)) for t in range(6))
         counts.update(none)
+
+
+def test_risk_bound_violation_raises(understated_l_enc):
+    setup = _setup(lambda_e=1e-2, lambda_d=1e-6)
+    with pytest.raises(sim.RiskBoundViolation, match=r"risk decomposition violated: .* \+ 0\.0$"):
+        run_trial(setup, 3)
+    with pytest.raises(sim.RiskBoundViolation, match="risk decomposition violated"):
+        monte_carlo(setup, 5, 1)
+    with pytest.raises(sim.RiskBoundViolation, match="risk decomposition violated"):
+        monte_carlo_lambdas(setup, 5, 1, (1e-6, 1e-3))
 
 
 class TestMonteCarlo:

@@ -39,15 +39,15 @@ decoder weights.  It builds the T interleaved band systems of a weight in
 one set of array operations and solves them one LAPACK call per trial
 (:func:`letcc.spline.NaturalSplineBasis` on a (T, n) knot stack); the
 weights share the basis and its lambda-free band entries, and one set of
-stacked evaluation weights takes all T x L fits to the alphas.
-The body gives arrays only: the (L, T, K, m) estimates and each weight's
-knot values and second derivatives.  The Monte-Carlo harness hands its
-own stacked survivors to it directly; :func:`decode`, one trial at one
-weight, is the one entry for outside callers and the only place a
-:class:`DecodeResult` and its :class:`letcc.spline.SplineFit` are built.
-Each trial's estimates at each weight equal its own :func:`decode` bit
-for bit: every operation is elementwise across trials and weights, or
-runs per trial.
+stacked evaluation weights takes all L x T fits to the alphas, for one
+weight or many.  The body gives arrays only: the (L, T, K, m) estimates
+and the (L, T, v, m) knot values and second derivatives.  The
+Monte-Carlo harness hands its own stacked survivors to it directly;
+:func:`decode`, one trial at one weight, is the one entry for outside
+callers and the only place a :class:`DecodeResult` and its
+:class:`letcc.spline.SplineFit` are built.  Each trial's estimates at
+each weight equal its own :func:`decode` bit for bit: every operation is
+elementwise across trials and weights, or runs per trial.
 """
 
 from __future__ import annotations
@@ -211,14 +211,17 @@ def _integral_indices(values, what: str = "survivor index", n: int | None = None
     never a boolean: a mask read as indices 0 and 1 would pick the wrong
     workers.  A list or tuple is checked item by item, as numpy reads
     ``[True, 2]`` as ``[1, 2]``; a nested sequence raises, so a caller
-    asking for one integer passes a list of one.  Given ``n``, every index
-    must lie in [0, n).  ``what`` names the value in the error.
+    asking for one integer passes a list of one.  An array of indices is
+    one-dimensional: a column or a 0-d array raises.  Given ``n``, every
+    index must lie in [0, n).  ``what`` names the value in the error.
     """
     if isinstance(values, (list, tuple)):
         for kind in set(map(type, values)):
             if issubclass(kind, bool) or not issubclass(kind, numbers.Real):
                 raise ValueError(f"{what} must be an integer, got {kind.__name__}")
     indices = np.asarray(values)
+    if indices.ndim != 1:
+        raise ValueError(f"{what} array must be one-dimensional, got shape {indices.shape}")
     if indices.dtype.kind not in "iuf":
         raise ValueError(f"{what} must be an integer, got {indices.dtype} values")
     if indices.dtype.kind == "f":
@@ -287,16 +290,16 @@ def decode(survivors, grid: InterpolationGrid, lambda_d: float) -> DecodeResult:
     weight of the decode body, after :func:`normalize_survivors`.
     """
     indices, outputs = normalize_survivors(survivors, grid.n)
-    estimates, ((values, second_derivs),), degraded = _decode_stack(
+    estimates, (values, second_derivs), degraded = _decode_stack(
         grid, indices[None], outputs[None], (lambda_d,))
-    fit = spline.SplineFit(grid.betas[indices], values[0], second_derivs[0],
+    fit = spline.SplineFit(grid.betas[indices], values[0, 0], second_derivs[0, 0],
                            float(lambda_d), degenerate=degraded)
     return DecodeResult(estimates=estimates[0, 0], decoder_fit=fit,
                         survivor_count=indices.size, degraded=degraded)
 
 
 def _decode_stack(grid: InterpolationGrid, indices: np.ndarray, outputs: np.ndarray,
-                  lambdas) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], bool]:
+                  lambdas) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], bool]:
     """Decodes of T trials' checked survivors at each weight of ``lambdas``.
 
     ``indices`` (T, v) are sorted, unique and in range, and ``outputs``
@@ -304,20 +307,11 @@ def _decode_stack(grid: InterpolationGrid, indices: np.ndarray, outputs: np.ndar
     chunk gives them.  The T fits at a weight share one set of band
     operations (:func:`letcc.spline._fit_stack`), and one set of
     evaluation weights takes all fits to the alphas.  Gives the (L, T, K, m)
-    estimates, each weight's (T, v, m) knot values and second derivatives,
-    and whether the fits are degraded: fewer than three survivors fit the
+    estimates, the (L, T, v, m) knot values and second derivatives, and
+    whether the fits are degraded: fewer than three survivors fit the
     penalty null space.
     """
-    lams = spline._checked_lams(lambdas)
     knots = grid.betas[indices]
-    fits = spline._fit_stack(knots, outputs, lams)
-    weights = spline.evaluation_weights(knots, grid.alphas)
-    if len(fits) == 1:
-        # one weight, as in every decode but a crossval's: stacking its fits
-        # would copy them, ~8% of a codec_batch decode (K = 32, m = 64)
-        (values, second_derivs), = fits
-        estimates = weights.apply(values, second_derivs)[None]
-    else:
-        estimates = weights.apply(np.stack([values for values, _ in fits]),
-                                  np.stack([second_derivs for _, second_derivs in fits]))
+    fits = spline._fit_stack(knots, outputs, spline._checked_lams(lambdas))
+    estimates = spline.evaluation_weights(knots, grid.alphas).apply(*fits)
     return estimates, fits, indices.shape[1] < 3

@@ -33,19 +33,18 @@ for all output dimensions.  The dense ``Phi`` and basis matrix are built
 only on request, as test oracles.
 
 Most entries of that band (the ones of the g rows, Q^T and -R) do not
-depend on lam.  A basis builds them once, as a band skeleton, on its first
-smooth; each solve fills a copy of the skeleton with its four lam-scaled
-rows of Q and runs one LU.  A basis holds a (T, n) stack of knot sets of
-one size, such as the survivor knots of T Monte-Carlo trials, and one
-knot set is the stack T = 1: its methods take and give (T, n, m) stacks.
-The bands of all sets are built in one set of array operations and the
-LU runs once per set, so every set's fit equals its own fit bit for bit.
-:func:`fit` is the one public fit, of one knot set at one weight; the
-decoder fits T sets at several weights on one basis through the same
-body, ``_fit_stack``, which shares the knot spacings and the skeleton
-across weights and repeats only the lam-scaled rows and the solve.  That
-body gives arrays only, the (T, n, m) knot values and second derivatives
-at each weight; :class:`SplineFit` is built by :func:`fit` alone.  A fit
+depend on lam.  A smooth at L weights builds them once; every weight but
+the last fills a reused copy with its four lam-scaled rows of Q and runs
+one LU, and the last fills and solves the lam-free band itself.  A basis
+holds a (T, n) stack of knot sets of one size, such as the survivor knots
+of T Monte-Carlo trials, and one knot set is the stack T = 1: its methods
+take (T, n, m) stacks, and a smooth gives (L, T, n, m) ones.  The bands of
+all sets are built in one set of array operations and the LU runs once per
+set, so every set's fit equals its own fit bit for bit.  :func:`fit` is
+the one public fit, of one knot set at one weight; the decoder fits T sets
+at several weights on one basis through the same body, ``_fit_stack``,
+which gives arrays only, the (L, T, n, m) knot values and second
+derivatives; :class:`SplineFit` is built by :func:`fit` alone.  A fit
 keeps no basis: its roughness is computed from its own knots.
 
 Evaluation at q query points runs in two steps.  The first depends only on
@@ -65,7 +64,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solveh_banded
@@ -147,78 +145,77 @@ class NaturalSplineBasis:
         return np.stack([solveh_banded(r, rhs, overwrite_ab=True)
                          for r, rhs in zip(_r_band(self._h), self.apply_qt(values))])
 
-    @cached_property
-    def _q_max(self) -> list[float]:
-        """|qb| = 1/h[:-1] + 1/h[1:], the largest entry of Q, of each set."""
-        return (-self._qb.min(axis=1)).tolist()
+    def smooth(self, y: np.ndarray, lamns: list[float]) -> tuple[np.ndarray, np.ndarray]:
+        """Fitted knot values and second derivatives, (L, T, n, m) each, at L weights.
 
-    @cached_property
-    def _skeleton(self) -> np.ndarray:
-        """The lam-free entries of the bands that :meth:`smooth` solves.
-
-        A (T, 2n-2, 10) C-ordered array: the transpose of each set's slice
-        is its (10, 2n-2) band, Fortran-ordered, the layout LAPACK takes
-        without a copy of its own.  In that band entry (row, col) of the
-        system sits at [6 + row - col, col]; the top three rows hold the
-        fill-in of the pivoting LU.  g_i is unknown max(2i - 1, 0) and
-        gam_j (interior knot j + 1) is unknown 2j + 2.  The slots of lamn Q
-        in the g rows stay zero.
-        """
-        n = self.basis_dim
-        qa, qb, qc = self._qa, self._qb, self._qc
-        r = _r_band(self._h)
-        skeleton = np.zeros((qa.shape[0], 2 * n - 2, 10))
-        band = skeleton.transpose(0, 2, 1)
-        band[:, 6, 0] = band[:, 6, 1::2] = 1.0                    # g_i in its own row
-        band[:, 8, 0], band[:, 9, 1:-4:2] = qa[:, 0], qa[:, 1:]   # Q^T, gam rows
-        band[:, 7, 1:-2:2] = qb
-        band[:, 5, 3::2] = qc
-        band[:, 6, 2::2] = -r[:, 2]                               # -R, gam rows
-        band[:, 4, 4::2] = band[:, 8, 2:-3:2] = -r[:, 1, 1:]
-        return skeleton
-
-    def smooth(self, y: np.ndarray, lamn: float) -> tuple[np.ndarray, np.ndarray]:
-        """Fitted knot values (T, n, m) and interior second derivatives (T, n-2, m).
-
-        For data ``y`` (T, n, m) and ``lamn > 0``, solves the equations of
-        the fit,  g + lamn * Q gam = y  and  Q^T g - R gam = 0,  as one band
-        system in the interleaved unknowns
-        (g_0, g_1, gam_1, g_2, ..., gam_{n-2}, g_{n-1}) by banded LU with
-        partial pivoting (LAPACK ``dgbsv``, once per knot set); the
-        bandwidth is 3 on both sides.  The bands are a copy of the basis's
-        skeleton with the lamn Q entries filled in.  Eliminating g instead
+        For data ``y`` (T, n, m) and each weight ``lamn`` of ``lamns``,
+        finite and > 0, solves the equations of the fit,
+        g + lamn * Q gam = y  and  Q^T g - R gam = 0,  as one band system in
+        the interleaved unknowns (g_0, g_1, gam_1, g_2, ..., gam_{n-2},
+        g_{n-1}) by banded LU with partial pivoting (LAPACK ``dgbsv``, once
+        per knot set and weight); the bandwidth is 3 on both sides.  The
+        second derivatives are zero at the end knots.  Eliminating g instead
         leaves the Reinsch system (R + lamn Q^T Q) gam = Q^T y, which
         squares the conditioning: on meshes whose gaps alternate between 1
         and 1e4 its Cholesky solution misses the exact fit by up to 8e-5 for
         unit-scale data, where this solve stays below 1e-10.
+
+        The lam-free entries of the bands (the g rows, Q^T and -R) are built
+        once per call.  Every weight but the last is solved in one work
+        copy of them, and the last in place.
         """
         count, n, m = y.shape
         qa, qb, qc = self._qa, self._qb, self._qc
         # bounds every lamn-scaled entry of a set's band (in Python floats,
         # which overflow to inf without a warning); the first set that
         # overflows is named, as a loop of single fits would
-        for q_max in self._q_max:
-            if not math.isfinite(lamn * q_max):
-                raise ValueError(f"lam too large for these knots: n*lam = {lamn} times "
-                                 f"the largest 1/h weight {q_max} overflows")
-        band = self._skeleton.copy().transpose(0, 2, 1)
-        band[:, 4, 2], band[:, 3, 4::2] = lamn * qa[:, 0], lamn * qa[:, 1:]  # lamn Q, g rows
-        band[:, 5, 2::2] = lamn * qb
-        band[:, 7, 2::2] = lamn * qc
-        # each set's (2n-2, m) right-hand side Fortran-ordered, as dgbsv takes it
-        rhs = np.zeros((count, m, 2 * n - 2)).transpose(0, 2, 1)
-        rhs[:, 0], rhs[:, 1::2] = y[:, 0], y[:, 1:]
-        for ab, b in zip(band, rhs):
-            _, _, sol, info = dgbsv(3, 3, ab, b, overwrite_ab=True, overwrite_b=True)
-            if info:  # > 0 singular, which distinct knots rule out; < 0 a bad argument
-                raise NumericalFitError(f"smoothing system not solved: dgbsv info {info}")
-            if sol is not b:
-                b[...] = sol
-        # knot values g_0, g_1, ..., g_{n-1} are unknowns 0, 1, 3, ..., 2n-3;
-        # each set's (n, m) values Fortran-ordered like its solution
-        g = np.empty((count, m, n)).transpose(0, 2, 1)
-        g[:, 0], g[:, 1:] = rhs[:, 0], rhs[:, 1::2]
-        return g, rhs[:, 2:-1:2]
+        q_maxes = (-qb.min(axis=1)).tolist()
+        for lamn in lamns:
+            if not (math.isfinite(lamn) and lamn > 0):
+                raise ValueError(f"smoothing weight n*lam must be finite and > 0, got {lamn}")
+            for q_max in q_maxes:
+                if not math.isfinite(lamn * q_max):
+                    raise ValueError(f"lam too large for these knots: n*lam = {lamn} times "
+                                     f"the largest 1/h weight {q_max} overflows")
+        # each set's (10, 2n-2) band is the transpose of a C-ordered
+        # (2n-2, 10) slice, so Fortran-ordered, the layout LAPACK takes
+        # without a copy of its own.  Entry (row, col) of the system sits at
+        # [6 + row - col, col]; the top three rows hold the fill-in of the
+        # pivoting LU.  g_i is unknown max(2i - 1, 0) and gam_j (interior
+        # knot j + 1) is unknown 2j + 2.
+        r = _r_band(self._h)
+        lam_free = np.zeros((count, 2 * n - 2, 10)).transpose(0, 2, 1)
+        lam_free[:, 6, 0] = lam_free[:, 6, 1::2] = 1.0                # g_i in its own row
+        lam_free[:, 8, 0], lam_free[:, 9, 1:-4:2] = qa[:, 0], qa[:, 1:]  # Q^T, gam rows
+        lam_free[:, 7, 1:-2:2] = qb
+        lam_free[:, 5, 3::2] = qc
+        lam_free[:, 6, 2::2] = -r[:, 2]                               # -R, gam rows
+        lam_free[:, 4, 4::2] = lam_free[:, 8, 2:-3:2] = -r[:, 1, 1:]
+        work = np.empty_like(lam_free) if len(lamns) > 1 else None
+        # each set's (n, m) values and (2n-2, m) right-hand side
+        # Fortran-ordered, as dgbsv gives and takes them
+        values = np.empty((len(lamns), count, m, n)).transpose(0, 1, 3, 2)
+        second_derivs = np.zeros_like(values)
+        rhs = np.empty((count, m, 2 * n - 2)).transpose(0, 2, 1)
+        for i, lamn in enumerate(lamns):
+            band = lam_free  # the last weight overwrites the lam-free entries
+            if i < len(lamns) - 1:
+                band = work
+                np.copyto(band, lam_free)
+            band[:, 4, 2], band[:, 3, 4::2] = lamn * qa[:, 0], lamn * qa[:, 1:]  # lamn Q, g rows
+            band[:, 5, 2::2] = lamn * qb
+            band[:, 7, 2::2] = lamn * qc
+            rhs[:, 0], rhs[:, 1::2], rhs[:, 2::2] = y[:, 0], y[:, 1:], 0.0
+            for ab, b in zip(band, rhs):
+                _, _, sol, info = dgbsv(3, 3, ab, b, overwrite_ab=True, overwrite_b=True)
+                if info:  # > 0 singular, which distinct knots rule out; < 0 a bad argument
+                    raise NumericalFitError(f"smoothing system not solved: dgbsv info {info}")
+                if sol is not b:
+                    b[...] = sol
+            # knot values g_0, g_1, ..., g_{n-1} are unknowns 0, 1, 3, ..., 2n-3
+            values[i, :, 0], values[i, :, 1:] = rhs[:, 0], rhs[:, 1::2]
+            second_derivs[i, :, 1:-1] = rhs[:, 2:-1:2]
+        return values, second_derivs
 
     def penalty_matrix(self) -> np.ndarray:
         """Gram matrix Phi of basis second derivatives, Phi_ij = int b_i'' b_j''.
@@ -336,40 +333,42 @@ def fit(t, y, lam: float) -> SplineFit:
         raise ValueError("cannot fit on zero points")
     if n > 1 and not (t[1:] > t[:-1]).all():
         raise ValueError("t must be strictly increasing")
-    ((values, second_derivs),) = _fit_stack(t[None], y[None], [lam])
-    return SplineFit(t, values[0], second_derivs[0], lam, degenerate=n < 3, _scalar=scalar)
+    values, second_derivs = _fit_stack(t[None], y[None], [lam])
+    return SplineFit(t, values[0, 0], second_derivs[0, 0], lam, degenerate=n < 3,
+                     _scalar=scalar)
 
 
 def _fit_stack(t: np.ndarray, y: np.ndarray,
-               lams: list[float]) -> list[tuple[np.ndarray, np.ndarray]]:
+               lams: list[float]) -> tuple[np.ndarray, np.ndarray]:
     """Fits of each knot set of a (T, n) stack to its data (T, n, m), at each weight.
 
     The knots and data are checked by the caller, ``lams`` by
-    :func:`_checked_lams`.  Gives, per weight, the (T, n, m) knot values
-    and second derivatives of all sets.  Every set gets the arithmetic,
-    and the memory layout, of a fit on its own: the bands of all sets are
-    built at once, and each solve runs per set.  Fewer than three knots
-    fit the penalty null space exactly (affine for n=2, constant for n=1)
-    regardless of lam; :func:`fit` flags such a fit degenerate.
+    :func:`_checked_lams`.  Gives the (L, T, n, m) knot values and second
+    derivatives of all sets at the L weights.  Every set gets the
+    arithmetic, and the memory layout, of a fit on its own: the bands of all
+    sets are built at once, and each solve runs per set.  Fewer than three
+    knots fit the penalty null space exactly (affine for n=2, constant for
+    n=1) regardless of lam; :func:`fit` flags such a fit degenerate.  At
+    lam = 0 the knot values are the data, and the second derivatives those
+    of the natural interpolant.
     """
     n = t.shape[1]
-    basis = NaturalSplineBasis(t) if n >= 3 else None
-    out = []
+    if n < 3:
+        return np.repeat(y[None], len(lams), axis=0), np.zeros((len(lams),) + y.shape)
     for lam in lams:
-        lamn = n * lam
-        if basis is None or lamn == 0.0:
-            g = y.copy()
-            gam = np.zeros_like(g)
-            if basis is not None:
-                gam[:, 1:-1] = basis.interior_second_derivs(g)
-        elif not math.isfinite(lamn):
+        if not math.isfinite(n * lam):
             raise ValueError(f"lam = {lam} overflows: n*lam is not finite for n = {n} knots")
-        else:
-            g, gam_int = basis.smooth(y, lamn)
-            gam = np.zeros_like(g)
-            gam[:, 1:-1] = gam_int
-        out.append((g, gam))
-    return out
+    basis = NaturalSplineBasis(t)
+    smoothed = [i for i, lam in enumerate(lams) if lam]
+    if len(smoothed) == len(lams):
+        return basis.smooth(y, [n * lam for lam in lams])
+    values = np.repeat(y[None], len(lams), axis=0)
+    second_derivs = np.zeros_like(values)
+    second_derivs[:, :, 1:-1] = basis.interior_second_derivs(y)
+    if smoothed:
+        values[smoothed], second_derivs[smoothed] = basis.smooth(
+            y, [n * lams[i] for i in smoothed])
+    return values, second_derivs
 
 
 def _checked_lam(lam) -> float:

@@ -344,6 +344,19 @@ class TestDecode:
             with pytest.raises(ValueError, match="survivor index must be an integer, got bool"):
                 decode(survivors, grid, 0.0)
 
+    def test_column_of_indices_raises(self):
+        # a (v, 1) column would reach the fit as a stack of v knot sets
+        grid = chebyshev_grid(3, 7)
+        with pytest.raises(ValueError, match=r"^survivor index array must be one-dimensional, "
+                                             r"got shape \(3, 1\)$"):
+            decode(WorkerReturns(np.array([[0], [2], [4]]), np.ones((3, 1))), grid, 0.0)
+
+    def test_zero_dimensional_indices_raise(self):
+        grid = chebyshev_grid(3, 7)
+        with pytest.raises(ValueError, match=r"^survivor index array must be one-dimensional, "
+                                             r"got shape \(\)$"):
+            decode(WorkerReturns(np.array(3), np.ones((1, 1))), grid, 0.0)
+
     def test_normalize_rejects_length_mismatch(self):
         grid = chebyshev_grid(4, 8)
         with pytest.raises(ValueError, match="4 survivor indices for 2 output rows"):
@@ -412,9 +425,9 @@ class TestDecodeStackAtManyWeights:
                                    rng.normal(size=(count, m))) for _ in range(trials)]
         estimates, fits, degraded = _decode_stack(grid, *_stacked(survivors), lams)
         assert estimates.shape == (len(lams), trials, 5, m)
-        assert len(fits) == len(lams)
+        assert fits[0].shape == fits[1].shape == (len(lams), trials, count, m)
         assert degraded is (count < 3)
-        for lam, at_weight, (values, second_derivs) in zip(lams, estimates, fits):
+        for lam, at_weight, values, second_derivs in zip(lams, estimates, *fits):
             for t, s in enumerate(survivors):
                 want = _decode_quietly(s, grid, lam)
                 assert np.array_equal(at_weight[t], want.estimates)
@@ -482,8 +495,8 @@ class TestDecodeStack:
         for group in [lams] + [(lam,) for lam in lams]:  # all weights at once, and each alone
             estimates, fits, degraded = _decode_stack(grid, indices, outputs, group)
             assert degraded is (count < 3)
-            for lam, at_weight, (values, second_derivs) in zip(group, estimates, fits,
-                                                               strict=True):
+            for lam, at_weight, values, second_derivs in zip(group, estimates, *fits,
+                                                             strict=True):
                 for t, s in enumerate(survivors):
                     want = decode(s, grid, lam)
                     assert _same_bits(at_weight[t], want.estimates)
@@ -500,6 +513,21 @@ class TestDecodeStack:
             hits += 3 in s.indices
         if (k, n) == (3, 7):
             assert 0 < hits < len(survivors) or fixed
+
+    def test_weights_in_either_order_equal_their_own_decodes(self, rng):
+        # every weight but a call's last is solved in a copy of the lam-free
+        # band entries, and the last in place: no solve may see another's
+        grid = chebyshev_grid(5, 41)
+        survivors = _survivor_batch(grid, 30, 4, 2, False, rng)
+        for group in ((0.0, 1e-6, 1e-3), (1e-3, 1e-6, 0.0)):
+            estimates, fits, _ = _decode_stack(grid, *_stacked(survivors), group)
+            for lam, at_weight, values, second_derivs in zip(group, estimates, *fits,
+                                                             strict=True):
+                for t, s in enumerate(survivors):
+                    want = decode(s, grid, lam)
+                    assert _same_bits(at_weight[t], want.estimates)
+                    assert _same_bits(values[t], want.decoder_fit.coefficients)
+                    assert _same_bits(second_derivs[t], want.decoder_fit.second_derivs)
 
     def test_bacc_node_hit_reads_the_node_value(self):
         grid = chebyshev_grid(3, 7)

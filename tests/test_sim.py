@@ -88,6 +88,11 @@ class TestStragglerModel:
         with pytest.raises(ValueError, match="straggler index must be an integer, got bool"):
             StragglerModel(n=8, s=2, mode="fixed", fixed_stragglers=(flag, 3))
 
+    def test_column_of_fixed_stragglers_raises(self):
+        with pytest.raises(ValueError, match=r"^straggler index array must be one-dimensional, "
+                                             r"got shape \(2, 1\)$"):
+            StragglerModel(8, 2, mode="fixed", fixed_stragglers=np.array([[1], [3]]))
+
     def test_fixed_stragglers_outside_workers_raise(self):
         with pytest.raises(ValueError, match=r"^straggler index 8 outside \[0, 8\)$"):
             StragglerModel(n=8, s=2, mode="fixed", fixed_stragglers=(8, 3))

@@ -258,6 +258,19 @@ class TestLargeN:
             assert peak < 64 * 2**20
             assert np.abs(f.evaluate(t) - y).max() <= 1e-10 * np.abs(y).max()
 
+    def test_one_weight_fit_peaks_below_two_bands(self):
+        # a fit builds the lam-free entries of its (2n-2) x 10 band once and
+        # solves its one weight in place in them, with no second band
+        n = 32768
+        t = chebyshev_second(n)
+        tracemalloc.start()
+        try:
+            fit(t, np.sin(3.0 * t), 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (2 * n - 2) * 10 * 8
+
 
 class TestDegenerateFits:
     def test_two_points_affine_interpolation(self):
@@ -312,14 +325,14 @@ class TestFitValidation:
         assert fit([0.0, 1.0], [1.0, 2.0], 1e308).degenerate
 
 
-class TestBandSkeleton:
-    def test_skeleton_is_not_changed_by_a_solve(self, rng):
+class TestSmoothWeights:
+    @pytest.mark.parametrize("lamns", [[-0.5], [0.0], [np.nan], [np.inf], [0.5, -0.5]])
+    def test_weight_not_finite_and_positive_rejected(self, rng, lamns):
+        # a negative weight solved as given would fit no smoothing spline,
+        # and a NaN one is no size at all
         t = np.sort(rng.uniform(-1, 1, 12))
-        basis = NaturalSplineBasis(t)
-        basis.smooth(rng.normal(size=(1, 12, 1)), 0.5)
-        skeleton = basis._skeleton.copy()
-        basis.smooth(rng.normal(size=(1, 12, 2)), 3.0)
-        assert np.array_equal(basis._skeleton, skeleton)
+        with pytest.raises(ValueError, match=r"^smoothing weight n\*lam must be finite and > 0"):
+            NaturalSplineBasis(t).smooth(rng.normal(size=(1, 12, 1)), lamns)
 
 
 class TestStackedBasis:
@@ -331,16 +344,20 @@ class TestStackedBasis:
         assert stack.basis_dim == 9
         qt = stack.apply_qt(y)
         gam0 = stack.interior_second_derivs(y)
-        g, gam = stack.smooth(y, 0.7)
+        lamns = [0.7, 3.0]
+        g, gam = stack.smooth(y, lamns)
         assert (qt.shape, gam0.shape, g.shape, gam.shape) == (
-            (5, 7, m), (5, 7, m), (5, 9, m), (5, 7, m))
+            (5, 7, m), (5, 7, m), (2, 5, 9, m), (2, 5, 9, m))
+        assert not gam[..., [0, -1], :].any()
         for i in range(5):
             alone = NaturalSplineBasis(knots[i])
             one = y[i:i + 1]  # a single knot set takes a stack of one
             assert np.array_equal(qt[i:i + 1], alone.apply_qt(one))
             assert np.array_equal(gam0[i:i + 1], alone.interior_second_derivs(one))
-            g_i, gam_i = alone.smooth(one, 0.7)
-            assert np.array_equal(g[i:i + 1], g_i) and np.array_equal(gam[i:i + 1], gam_i)
+            for w, lamn in enumerate(lamns):  # each weight as on its own
+                g_i, gam_i = alone.smooth(one, [lamn])
+                assert np.array_equal(g[w:w + 1, i:i + 1], g_i)
+                assert np.array_equal(gam[w:w + 1, i:i + 1], gam_i)
 
     def test_knots_beyond_two_dimensions_rejected(self):
         with pytest.raises(ValueError, match="one-dimensional"):

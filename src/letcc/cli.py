@@ -8,11 +8,19 @@ bound (a numerical fault).
 
 Matrix files use a plain text format: a header line ``dims R C`` followed
 by R whitespace-separated rows of C decimal floats.
+
+Notes (not part of ``--help``): an ``--out`` that exists and is not a
+directory, or lies under a file, is refused before the first trial, and an
+OSError from creating ``--out`` or writing a report or matrix file exits 1
+with one ``error: cannot write PATH: ...`` line.  ``main`` parses with one
+argparse tree per process (``build_parser`` is cached, and parsing never
+changes the tree), so repeated in-process calls pay for their work only.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -175,8 +183,25 @@ def cmd_trial(args) -> int:
     return EXIT_OK
 
 
+def _output(write, path, *args, **kwargs) -> None:
+    """``write(path, ...)``, with an OSError turned into a ConfigError naming ``path``."""
+    try:
+        write(path, *args, **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _check_outdir(path) -> None:
+    """Refuse an ``--out`` that cannot be made a directory, creating nothing."""
+    head = path
+    while head and not os.path.exists(head):
+        head = os.path.dirname(head)
+    if head and not os.path.isdir(head):
+        raise ConfigError(f"cannot write {path}: {head} is not a directory")
+
+
 def _outdir(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
+    _output(os.makedirs, args.out, exist_ok=True)
     return args.out
 
 
@@ -194,11 +219,11 @@ def _write_reports(args, stem: str, report) -> str:
     out = _outdir(args)
     fmts = _formats(args)
     if "csv" in fmts:
-        write_csv(os.path.join(out, f"{stem}.csv"), report.rows)
+        _output(write_csv, os.path.join(out, f"{stem}.csv"), report.rows)
     if "json" in fmts:
-        write_json(os.path.join(out, f"{stem}.json"), report_to_dict(report))
+        _output(write_json, os.path.join(out, f"{stem}.json"), report_to_dict(report))
     if "svg" in fmts and isinstance(report, SweepReport):
-        write_svg(os.path.join(out, f"{stem}.svg"), report)
+        _output(write_svg, os.path.join(out, f"{stem}.svg"), report)
     return out
 
 
@@ -238,6 +263,8 @@ def _run_kind(kind: str, raw: dict, args) -> int:
                              if key in cfg})
     if kind != "crossval" and not args.out:
         raise ConfigError("--out directory is required")
+    if args.out:
+        _check_outdir(args.out)
     return run(config, args, **{key: cfg.get(key, default)
                                 for key, default in extra.items()})
 
@@ -261,7 +288,7 @@ def _run_crossval(config: CrossvalConfig, args, lambda_e_grid, lambda_d_grid) ->
     payload = report_to_dict(result)
     if args.out:
         out = _outdir(args)
-        write_json(os.path.join(out, "crossval.json"), payload)
+        _output(write_json, os.path.join(out, "crossval.json"), payload)
         sys.stderr.write(f"crossval: table written to {out}\n")
     sys.stdout.write(experiments._dump_json(payload) + "\n")
     return EXIT_OK
@@ -329,7 +356,7 @@ def cmd_codec_encode(args) -> int:
     inputs = read_matrix(args.input)
     grid = chebyshev_grid(inputs.shape[0], args.n)
     batch = encode(Dataset(inputs), grid, args.lambda_e)
-    write_matrix(args.out, batch.coded)
+    _output(write_matrix, args.out, batch.coded)
     sys.stderr.write(f"encoded {inputs.shape[0]} inputs to {batch.n} coded rows\n")
     return EXIT_OK
 
@@ -352,14 +379,16 @@ def cmd_codec_decode(args) -> int:
         raise ConfigError(f"{len(indices)} survivor indices for "
                           f"{outputs.shape[0]} output rows")
     result = decode(list(zip(indices, outputs)), grid, args.lambda_d)
-    write_matrix(args.out, result.estimates)
+    _output(write_matrix, args.out, result.estimates)
     sys.stderr.write(f"decoded {result.survivor_count} survivor rows to "
                      f"{result.estimates.shape[0]} estimates\n")
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
-    parser = _Parser(prog="letcc", description=__doc__,
+    """The CLI's parser, built once per process and never changed by parsing."""
+    parser = _Parser(prog="letcc", description=(__doc__ or "").partition("\n\nNotes")[0],
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -42,10 +42,10 @@ import scipy.linalg
 
 __all__ = ["sobolev_kernel", "KernelFit", "kernel_fit"]
 
-# refinement steps of the saddle-point solve, and the rows of the Gram
+# refinement steps of the saddle-point solve, and the columns of the Gram
 # matrix computed at once (bounds its temporaries)
 _REFINEMENT_STEPS = 3
-_GRAM_ROWS = 64
+_GRAM_COLS = 64
 # Dekker's splitter 2**27 + 1: a double times it splits into two 26-bit halves
 _SPLIT = 134217729.0
 
@@ -111,7 +111,8 @@ def kernel_fit(t, y, lam: float) -> KernelFit:
     lamn = n * float(lam)
     rhs = np.zeros((n + 2, m))
     rhs[:n] = y
-    lu = scipy.linalg.lu_factor(_system(t, lamn), overwrite_a=True)
+    # the F-ordered system is factored in place: the fit holds one dense copy
+    lu = scipy.linalg.lu_factor(_system(t, lamn), overwrite_a=True, check_finite=False)
     sol = scipy.linalg.lu_solve(lu, rhs)
     # Iterative refinement with the residual in double-double: the double
     # rounding of Sigma limits the plain solve (on gaps 1165, 1, 1 at
@@ -125,10 +126,11 @@ def kernel_fit(t, y, lam: float) -> KernelFit:
 def _system(t: np.ndarray, lamn: float) -> np.ndarray:
     """The saddle-point matrix [[Sigma + lamn I, T], [T^T, 0]], rounded to float64."""
     n = t.size
-    system = np.zeros((n + 2, n + 2))
-    for start in range(0, n, _GRAM_ROWS):
-        rows = slice(start, min(start + _GRAM_ROWS, n))
-        system[rows, :n] = sobolev_kernel(t[rows, None], t[None, :])
+    system = np.zeros((n + 2, n + 2), order="F")
+    # Sigma is symmetric, so columns are filled: contiguous in Fortran order
+    for start in range(0, n, _GRAM_COLS):
+        cols = slice(start, min(start + _GRAM_COLS, n))
+        system[:n, cols] = sobolev_kernel(t[:, None], t[None, cols])
     system[np.arange(n), np.arange(n)] += lamn
     system[:n, n] = system[n, :n] = 1.0
     system[:n, n + 1] = system[n + 1, :n] = t

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -590,3 +591,95 @@ class TestCodec:
                                "--out", str(tmp_path / "e.mat"))
         assert code == 1
         assert "survivor" in err
+
+
+class TestUnusableOut:
+    @pytest.mark.parametrize("command", ["sweep", "crossval"])
+    @pytest.mark.parametrize("under", [False, True], ids=["a file", "under a file"])
+    def test_file_as_out_exits_one_before_any_trial(self, capsys, tmp_path, monkeypatch,
+                                                   command, under):
+        calls = []
+        monte_carlo = cli.experiments.monte_carlo
+        monkeypatch.setattr(cli.experiments, "monte_carlo",
+                            lambda *a: calls.append(a) or monte_carlo(*a))
+        kind = "crossval" if command == "crossval" else "n_sweep"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(_KIND_CONFIGS[kind]))
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / "sub" if under else afile
+        code, stdout, err = run_cli(capsys, command, str(cfg), "--out", str(out))
+        assert (code, stdout, calls) == (1, "", [])
+        assert err == f"error: cannot write {out}: {afile} is not a directory\n"
+        assert afile.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "cfg.json"]
+
+    def test_unwritable_report_exits_one(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        (out / "sweep.json").mkdir(parents=True)
+        code, stdout, err = run_cli(capsys, "sweep", str(_sweep_config(tmp_path)),
+                                    "--out", str(out), "--format", "json")
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"error: cannot write {out / 'sweep.json'}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["encode", "decode"])
+    def test_codec_out_in_a_missing_directory_exits_one(self, capsys, tmp_path, command):
+        data = tmp_path / "d.mat"
+        write_matrix_file(data, np.array([[-0.8], [0.0], [0.8]]))
+        flags = ["--n", "3"] + (["--k", "3"] if command == "decode" else [])
+        out = tmp_path / "missing" / "x.mat"
+        code, stdout, err = run_cli(capsys, "codec", command, str(data), *flags,
+                                    "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["d.mat"]
+
+
+class TestParserOncePerProcess:
+    def _parsers_built(self, capsys, monkeypatch, argvs):
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **kw: built.append(self) or init(self, *a, **kw))
+        cli.build_parser.cache_clear()
+        for argv in argvs:
+            assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.undo()
+        cli.build_parser.cache_clear()
+        return len(built)
+
+    def test_three_calls_build_no_more_parsers_than_one(self, capsys, tmp_path,
+                                                        monkeypatch):
+        data = tmp_path / "d.mat"
+        write_matrix_file(data, np.array([[-0.8], [0.0], [0.8]]))
+        one = self._parsers_built(capsys, monkeypatch, [TRIAL_ARGS])
+        three = self._parsers_built(capsys, monkeypatch, [
+            TRIAL_ARGS,
+            ["sweep", str(_sweep_config(tmp_path)), "--out", str(tmp_path / "out")],
+            ["codec", "encode", str(data), "--n", "5", "--out", str(tmp_path / "c.mat")],
+        ])
+        assert 0 < three <= one
+
+    def test_usage_error_leaves_later_calls_unchanged(self, capsys):
+        cli.build_parser.cache_clear()
+        first = run_cli(capsys, *TRIAL_ARGS)
+        cli.build_parser.cache_clear()
+        # options parsed before the bad one must not leak into the next call
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["trial", "--sigma0", "0.5", "--lambda-d", "1e-3", "--k", "x"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.endswith("error: argument --k: invalid int value: 'x'\n")
+        assert run_cli(capsys, *TRIAL_ARGS) == first
+
+    def test_help_twice_is_identical(self, capsys):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        # the module docstring up to its notes
+        assert texts[0].startswith("usage: letcc") and "Matrix files use" in texts[0]
+        assert "Notes" not in texts[0]

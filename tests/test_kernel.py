@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -89,6 +90,19 @@ class TestKernelFit:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             kernel_fit([-1, 0, 1], [0.0, 1.0, 2.0], -1.0)
+
+    def test_fit_holds_one_dense_copy(self):
+        # the Fortran-ordered saddle-point matrix is LU-factored in place; a
+        # C-ordered one would be copied, peaking at two dense copies
+        n = 896
+        t = chebyshev_second(n)
+        tracemalloc.start()
+        try:
+            kernel_fit(t, np.sin(3.0 * t)[:, None].repeat(3, axis=1), 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (n + 2) ** 2 * 8
 
 
 def _exact_kernel(t, s) -> Fraction:

@@ -41,7 +41,6 @@ from .coding import (
     CodedBatch,
     Dataset,
     DecodeResult,
-    _cached_encoder,
     normalize_survivors,
 )
 from .points import InterpolationGrid
@@ -123,7 +122,7 @@ def _encoder(grid: InterpolationGrid, scheme: str) -> _BarycentricMap:
         weights = (_berrut_weights(alphas.size) if scheme == "bacc"
                    else _lagrange_weights(alphas))
         return _BarycentricMap.build(alphas, weights, grid.betas)
-    return _cached_encoder(grid, (scheme, None), build)
+    return grid._cached((scheme, None), build)
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,10 +289,8 @@ def _lcc_decode_stack(grid: InterpolationGrid, indices: np.ndarray, outputs: np.
     codec = LagrangeCodec(grid.k, f_degree)
     count = indices.shape[1]
     deg = min(codec.target_degree, count - 1)
-    at_betas, at_alphas = _cached_encoder(
-        grid, ("lcc_decode", deg),
-        lambda: (_chebyshev_vandermonde(grid.betas, deg),
-                 _chebyshev_vandermonde(grid.alphas, deg)))
+    at_betas, at_alphas = grid._cached(("lcc_decode", deg), lambda: (
+        _chebyshev_vandermonde(grid.betas, deg), _chebyshev_vandermonde(grid.alphas, deg)))
     r = np.linalg.qr(np.concatenate([at_betas[indices], outputs], axis=-1), mode="r")
     coef = np.linalg.solve(r[:, :deg + 1, :deg + 1], r[:, :deg + 1, deg + 1:])
     return np.matmul(at_alphas, coef), coef, count < codec.min_survivors

@@ -15,6 +15,8 @@ OSError from creating ``--out`` or writing a report or matrix file exits 1
 with one ``error: cannot write PATH: ...`` line.  ``main`` parses with one
 argparse tree per process (``build_parser`` is cached, and parsing never
 changes the tree), so repeated in-process calls pay for their work only.
+A non-finite result (a trial's risk, a number bound for stdout or a file)
+exits 1 with one ``error:`` line, no stdout payload and no file.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import MISSING, asdict, fields
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -177,9 +179,7 @@ def cmd_trial(args) -> int:
         data_rule=cfg.get("data", "uniform"),
     )
     metrics = run_trial(setup, cfg.get("seed", 0))
-    payload = asdict(metrics)
-    payload["seed"] = list(metrics.seed)
-    sys.stdout.write(experiments._dump_json(payload) + "\n")
+    sys.stdout.write(experiments._dump_json(metrics) + "\n")
     return EXIT_OK
 
 

@@ -23,9 +23,10 @@ grid pays at most one extra product, and every later one saves the
 gather.  So inputs with d >= K are coded as E X, and narrower inputs,
 such as the Monte-Carlo harness's scalar ones on a fresh grid per sweep
 point, keep the gather and never build E.  The rule reads only (K, d),
-so a set codes to the same bits alone or in a stack.  The same cache
-holds the Berrut and Lagrange encoders of :mod:`letcc.baselines`, keyed
-by scheme, so each of the three schemes encodes through one fixed linear
+so a set codes to the same bits alone or in a stack.  The cache is the
+grid's (:meth:`letcc.points.InterpolationGrid._cached`) and also holds
+the Berrut and Lagrange encoders of :mod:`letcc.baselines`, keyed by
+scheme, so each of the three schemes encodes through one fixed linear
 map per grid, and the Lagrange decoder's Chebyshev bases at the betas
 and the alphas, keyed by degree.  Reuse the grid object to benefit: an
 equal but separately built grid starts without encoders and computes the
@@ -45,7 +46,9 @@ and the (L, T, v, m) knot values and second derivatives.  The
 Monte-Carlo harness hands its own stacked survivors to it directly;
 :func:`decode`, one trial at one weight, is the one entry for outside
 callers and the only place a :class:`DecodeResult` and its
-:class:`letcc.spline.SplineFit` are built.  Each trial's estimates at
+:class:`letcc.spline.SplineFit` are built; its survivors, pairs or
+``indices`` and ``outputs`` arrays alike, take the one check and sort of
+:func:`normalize_survivors`.  Each trial's estimates at
 each weight equal its own :func:`decode` bit for bit: every operation is
 elementwise across trials and weights, or runs per trial.
 """
@@ -163,18 +166,10 @@ class _LinearEncoder:
         return coded, values, second_derivs
 
 
-def _cached_encoder(grid: InterpolationGrid, key, build):
-    """The encoder kept on ``grid`` under ``key``, built by ``build()`` on first use."""
-    encoder = grid._encoders.get(key)
-    if encoder is None:
-        encoder = grid._encoders[key] = build()
-    return encoder
-
-
 def _linear_encoder(grid: InterpolationGrid, lambda_e: float) -> _LinearEncoder:
     """The grid's letcc encoder for ``lambda_e``, built and kept on first use."""
     lam = float(lambda_e)
-    return _cached_encoder(grid, ("letcc", lam), lambda: _LinearEncoder(
+    return grid._cached(("letcc", lam), lambda: _LinearEncoder(
         spline.fit(grid.alphas, np.eye(grid.k), lam),
         spline.evaluation_weights(grid.alphas, grid.betas)))
 
@@ -239,46 +234,38 @@ def _integral_indices(values, what: str = "survivor index", n: int | None = None
 def normalize_survivors(survivors, n: int):
     """Sort survivor (beta_index, output) pairs by index; drop duplicates.
 
-    Accepts an iterable of pairs or an object exposing ``indices`` and
-    ``outputs`` arrays.  Outputs are coerced to a 2-D (count, m) array.
-    Duplicate indices keep the first occurrence and emit a warning.  The
-    indices pass :func:`_integral_indices` with ``n``: each an integer in
-    [0, n), or an integral float, and not a boolean.
+    Accepts an iterable of pairs, read first as indices and rows, or an
+    object exposing ``indices`` and ``outputs`` arrays.  Outputs are coerced
+    to a 2-D (count, m) array.  Duplicate indices keep the first occurrence
+    and emit a warning.  The indices pass :func:`_integral_indices` with
+    ``n``: each an integer in [0, n), or an integral float, and not a boolean.
     """
     if hasattr(survivors, "indices") and hasattr(survivors, "outputs"):
-        indices = _integral_indices(survivors.indices, n=n)
-        rows = np.atleast_2d(np.asarray(survivors.outputs, dtype=float))
-        if indices.size and indices.size != rows.shape[0]:
-            raise ValueError(f"{indices.size} survivor indices for "
-                             f"{rows.shape[0]} output rows")
-        count = indices.size
+        indices, rows = survivors.indices, survivors.outputs
     else:
-        pairs = [(i, np.atleast_1d(np.asarray(v, dtype=float))) for i, v in survivors]
-        indices = _integral_indices([i for i, _ in pairs], n=n)
-        rows = [v for _, v in pairs]
-        count = len(pairs)
+        pairs = list(survivors)
+        indices = [i for i, _ in pairs]
+        rows = [np.ravel(np.asarray(v, dtype=float)) for _, v in pairs]
+    indices = _integral_indices(indices, n=n)
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    count = indices.size
+    if count and count != rows.shape[0]:
+        raise ValueError(f"{count} survivor indices for {rows.shape[0]} output rows")
     if not count:
         raise DecodeFailure("no survivor outputs to decode from")
 
-    if not isinstance(rows, list) and (indices[1:] > indices[:-1]).all():
+    if (indices[1:] > indices[:-1]).all():
         # sorted and unique already, as workers report: every row in place
         outputs = rows.reshape(count, -1).copy()
-        if not np.isfinite(outputs).all():
-            raise ValueError("survivor outputs contain non-finite values")
-        return indices, outputs
-    unique, first = np.unique(indices, return_index=True)
-    if unique.size < count:
+    else:
+        unique, first = np.unique(indices, return_index=True)
         for idx in np.delete(indices, first):
             warnings.warn(f"duplicate survivor index {idx}; keeping first report",
                           stacklevel=3)
-
-    if isinstance(rows, list):
-        outputs = np.vstack([np.ravel(rows[p]) for p in first])
-    else:
-        outputs = rows[first].reshape(first.size, -1)
+        indices, outputs = unique, rows[first].reshape(unique.size, -1)
     if not np.isfinite(outputs).all():
         raise ValueError("survivor outputs contain non-finite values")
-    return unique, outputs
+    return indices, outputs
 
 
 def decode(survivors, grid: InterpolationGrid, lambda_d: float) -> DecodeResult:

@@ -11,7 +11,7 @@ cross-validation one :func:`letcc.sim.monte_carlo_lambdas` per lambda_e.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -262,8 +262,8 @@ class StragglerSweepConfig:
 @dataclass(frozen=True)
 class StragglerSweepReport:
     config: StragglerSweepConfig
-    table: tuple[dict, ...]
     rows: tuple[dict, ...]
+    table: tuple[dict, ...]
 
 
 def straggler_sweep(config: StragglerSweepConfig) -> StragglerSweepReport:
@@ -288,7 +288,7 @@ def straggler_sweep(config: StragglerSweepConfig) -> StragglerSweepReport:
                 entry[f"{base}_wins_vs_{scheme}"] = float(np.mean(wins))
         table.append(entry)
         rows.extend(point_rows)
-    return StragglerSweepReport(config=config, table=tuple(table), rows=tuple(rows))
+    return StragglerSweepReport(config=config, rows=tuple(rows), table=tuple(table))
 
 
 @dataclass(frozen=True)
@@ -362,7 +362,9 @@ def crossval_lambda(lambda_e_grid, lambda_d_grid, config: CrossvalConfig) -> Cro
 
 
 # ---------------------------------------------------------------------------
-# Report emission.  Floats carry 17 significant digits everywhere (_dump_json).
+# Report emission.  Floats carry 17 significant digits everywhere (_dump_json);
+# NaN and inf, which JSON cannot hold, are refused before any file is opened.
+# A dataclass at any depth is written as its report_to_dict.
 
 CSV_HEADER = ("scheme,f,K,N,S,sigma0,lambda_e,lambda_d,trials,"
               "mean_mse,std_mse,ci95_lo,ci95_hi,mean_rmse,mean_relacc,seed")
@@ -400,6 +402,8 @@ def _dump_json(obj, indent=0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot write the non-finite number {float(obj)}")
         return f"{float(obj):.17g}"
     if isinstance(obj, str):
         escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
@@ -414,6 +418,8 @@ def _dump_json(obj, indent=0) -> str:
             return "{}"
         items = [f'{inner}"{k}": ' + _dump_json(v, indent + 1) for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if is_dataclass(obj):
+        return _dump_json(report_to_dict(obj), indent)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -422,28 +428,8 @@ def write_json(path, obj) -> None:
 
 
 def report_to_dict(report) -> dict:
-    """JSON-ready dictionary for any of the three report kinds."""
-    if isinstance(report, CrossvalResult):
-        return {
-            "best_lambda_e": report.best_lambda_e,
-            "best_lambda_d": report.best_lambda_d,
-            "best_rmse": report.best_rmse,
-            "table": list(report.table),
-        }
-    out = {"config": asdict(report.config)}
-    if isinstance(report, SweepReport):
-        out["rows"] = list(report.rows)
-        out["slopes"] = {
-            scheme: (None if sf is None else asdict(sf))
-            for scheme, sf in report.slopes.items()
-        }
-        out["excluded"] = report.excluded
-    elif isinstance(report, StragglerSweepReport):
-        out["rows"] = list(report.rows)
-        out["table"] = list(report.table)
-    else:
-        raise TypeError(f"unknown report type {type(report)!r}")
-    return out
+    """The fields of ``report`` in order, uncopied: the keys of its JSON."""
+    return {f.name: getattr(report, f.name) for f in fields(report)}
 
 
 # ---------------------------------------------------------------------------

@@ -56,10 +56,10 @@ class InterpolationGrid:
     worker grid may include the endpoints (the second-kind Chebyshev grid
     does); the spline machinery is well defined on the closed interval.
 
-    A grid also holds the linear encoders built on it, one per scheme and
-    encoder smoothing weight (see :mod:`letcc.coding`), and keeps read-only
-    copies of its points so that those encoders cannot go stale.  Grids
-    compare by identity, like the encoders they hold.
+    A grid also holds the maps built on it (:meth:`_cached`): encoders per
+    scheme and smoothing weight (see :mod:`letcc.coding`) and Lagrange
+    decoder bases per degree.  Its points are read-only copies, so those
+    maps cannot go stale.  Grids compare by identity, like the maps.
     """
 
     alphas: np.ndarray
@@ -74,6 +74,13 @@ class InterpolationGrid:
         object.__setattr__(self, "betas", betas)
         _check_points("alphas", alphas, minimum=1)
         _check_points("betas", betas, minimum=3)
+
+    def _cached(self, key, build):
+        """The map kept under ``key``, built by ``build()`` on first use."""
+        value = self._encoders.get(key)
+        if value is None:
+            value = self._encoders[key] = build()
+        return value
 
     @property
     def k(self) -> int:

@@ -382,6 +382,8 @@ def _softplus() -> WorkerFunction:
 
 def _tanh_net(d: int = 4, m: int = 3, hidden: int = 16) -> WorkerFunction:
     """Fixed-weight 2-layer tanh network with a softmax head over m >= 2 classes."""
+    if d < 1:
+        raise ValueError(f"tanh_net needs d >= 1 inputs, got d={d}")
     if m < 2:
         # a softmax over one class is the constant 1
         raise ValueError(f"tanh_net needs m >= 2 outputs, got m={m}")
@@ -710,10 +712,16 @@ def _score(setup: TrialSetup, chunk: _Chunk, estimates: np.ndarray,
     """The metric columns of ``chunk``'s trials, from their (T, K, m) ``estimates``.
 
     The distances, bounds and class agreement of all trials run once on
-    the stack, each trial reduced as on its own.  A letcc trial whose risk
-    exceeds its decomposition bound raises.
+    the stack, each trial reduced as on its own.  A trial whose risk is
+    not finite raises ValueError, and then a letcc trial whose risk exceeds
+    its decomposition bound raises :class:`RiskBoundViolation`.
     """
     risks = _mean_sq_dist(estimates, chunk.truth)
+    bad = np.flatnonzero(~np.isfinite(risks))
+    if bad.size:
+        t = bad[0]
+        raise ValueError(f"{setup.scheme} trial with seed {chunk.seeds[t]} has "
+                         f"non-finite risk {float(risks[t])}")
     l_dec = l_enc = agreement = None
     if setup.scheme == "letcc":
         l_decs = 2.0 * _mean_sq_dist(estimates, chunk.through_encoder)

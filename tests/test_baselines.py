@@ -130,6 +130,22 @@ class TestCachedEncoders:
             assert np.array_equal(out, encode(Dataset(x), grid).coded)
 
 
+    @pytest.mark.parametrize("encode", [bacc_encode, lcc_encode])
+    def test_k_mismatch_raises_before_building(self, encode):
+        grid = chebyshev_grid(4, 10)
+        with pytest.raises(ValueError, match="^dataset has 3 rows but grid has 4 alphas$"):
+            encode(Dataset(np.zeros((3, 1))), grid)
+        assert grid._encoders == {}
+
+    def test_lcc_decode_keeps_one_basis_pair_per_degree(self, rng):
+        grid = chebyshev_grid(3, 12)
+        for count in (12, 12, 5):
+            indices = np.sort(rng.choice(12, count, replace=False))
+            lcc_decode(WorkerReturns(indices, rng.normal(size=(count, 1))), grid, 3)
+        # target degree (K - 1) * 3 = 6 from 12 survivors, degree 4 from 5
+        assert list(grid._encoders) == [("lcc_decode", 6), ("lcc_decode", 4)]
+
+
 class TestLagrangeEncode:
     def test_single_input_broadcasts(self):
         grid = chebyshev_grid(1, 6)

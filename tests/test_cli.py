@@ -328,6 +328,12 @@ _EARLY_FAILURES = [
      "error: lcc needs a declared polynomial degree"),
     ("lcc without degree", "straggler", {"schemes": ["letcc", "lcc"]}, True,
      "error: lcc needs a declared polynomial degree"),
+    ("tanh_net without inputs", "n_sweep", {"f": "tanh_net", "data": "uniform", "d": 0,
+                                            "m": 3}, True,
+     "error: tanh_net needs d >= 1 inputs, got d=0"),
+    ("tanh_net without inputs", "crossval", {"f": "tanh_net", "data": "uniform", "d": -1,
+                                             "m": 3}, False,
+     "error: tanh_net needs d >= 1 inputs, got d=-1"),
 ]
 
 
@@ -591,6 +597,48 @@ class TestCodec:
                                "--out", str(tmp_path / "e.mat"))
         assert code == 1
         assert "survivor" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteResults:
+    # stdout and report files are JSON, which holds no NaN or inf
+
+    @pytest.mark.parametrize("scheme, f", [("letcc", "sin_pi"), ("bacc", "sin_pi"),
+                                           ("lcc", "cubic")])
+    @pytest.mark.parametrize("sigma0", ["1e200", "1e308"])
+    def test_trial_exits_one_without_a_payload(self, capsys, scheme, f, sigma0):
+        code, out, err = run_cli(capsys, "trial", "--scheme", scheme, "--f", f, "--k", "4",
+                                 "--n", "16", "--s", "2", "--sigma0", sigma0,
+                                 "--lambda-d", "1e-6")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {scheme} trial with seed (0,) has non-finite risk ")
+        assert err.count("\n") == 1
+
+    def test_sweep_exits_one_and_writes_no_report(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, "sweep", str(_sweep_config(tmp_path, sigma0=1e200)),
+                                    "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: letcc trial with seed (5, 16, 0) has non-finite risk ")
+        assert not out.exists()
+
+    def test_overflowing_decode_exits_one_and_writes_no_file(self, capsys, tmp_path):
+        data = tmp_path / "o.mat"
+        write_matrix_file(data, np.array([[1e307], [-1e307], [1e307], [-1e307]]))
+        out = tmp_path / "e.mat"
+        code, stdout, err = run_cli(capsys, "codec", "decode", str(data), "--k", "3",
+                                    "--n", "4", "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: cannot write the non-finite number ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_tanh_net_without_inputs_exits_one(self, capsys, d):
+        code, out, err = run_cli(capsys, "trial", "--scheme", "letcc", "--f", "tanh_net",
+                                 "--d", d, "--k", "4", "--n", "16", "--s", "2")
+        assert (code, out) == (1, "")
+        assert err == f"error: tanh_net needs d >= 1 inputs, got d={d}\n"
 
 
 class TestUnusableOut:

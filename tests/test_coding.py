@@ -303,6 +303,42 @@ class TestDecode:
             assert got_idx.tolist() == keys
             assert np.array_equal(got_out, np.vstack([first[i] for i in keys]))
 
+    @pytest.mark.parametrize("order", ["sorted", "unsorted", "duplicates"])
+    @pytest.mark.parametrize("shape", [(3,), ()], ids=["rows", "scalars"])
+    def test_pairs_and_returns_normalize_to_the_same_bits(self, rng, order, shape):
+        indices = rng.choice(20, 9, replace=False)
+        outputs = rng.normal(size=(9, *shape))
+        if order == "sorted":
+            indices.sort()
+        elif order == "duplicates":
+            indices, outputs = np.append(indices, indices[:2]), np.concatenate(
+                [outputs, outputs[:2] + 1.0])
+        got = []
+        # scalar outputs are a column: a 1-D outputs array would be one row
+        returns = WorkerReturns(indices, outputs.reshape(indices.size, -1))
+        for survivors in (list(zip(indices, outputs)), returns):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                idx, out = normalize_survivors(survivors, 20)
+            got.append((idx, out, [str(w.message) for w in caught]))
+        (idx, out, messages), (idx2, out2, messages2) = got
+        assert idx.dtype == idx2.dtype == np.array([0]).dtype
+        assert _same_bits(idx, idx2) and _same_bits(out, out2) and messages == messages2
+        assert idx.tolist() == sorted(set(indices.tolist()))
+        assert out.shape == (idx.size, shape[0] if shape else 1)
+        assert len(messages) == (2 if order == "duplicates" else 0)
+
+    @pytest.mark.parametrize("indices", [[0, 2, 5], [5, 0, 2], [0, 5, 0, 2]],
+                             ids=["sorted", "unsorted", "duplicates"])
+    def test_non_finite_outputs_refused_on_every_path(self, indices):
+        outputs = np.arange(len(indices), dtype=float)[:, None]
+        outputs[1] = np.inf
+        for survivors in (list(zip(indices, outputs)), WorkerReturns(indices, outputs)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                with pytest.raises(ValueError, match="^survivor outputs contain non-finite"):
+                    normalize_survivors(survivors, 8)
+
     def test_normalize_rejects_out_of_range_and_non_finite(self):
         with pytest.raises(ValueError, match="survivor index 7 outside"):
             normalize_survivors([(1, [0.0]), (7, [1.0]), (-1, [2.0])], 7)

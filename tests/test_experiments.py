@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -271,6 +272,41 @@ class TestReportEmission:
         assert "slope" in data["slopes"]["letcc"]
         assert set(data["slopes"]["letcc"]) == {"slope", "intercept", "r2",
                                                 "points_used"}
+
+    def test_json_keys_are_report_fields_in_order(self, tmp_path):
+        sweep = sweep_n(_sweep_config(n_values=(16, 24)))
+        straggler = straggler_sweep(StragglerSweepConfig(
+            schemes=("letcc", "bacc"), func="sin_pi", k=4, n=12, s_values=(1,), trials=2))
+        crossval = crossval_lambda((0.0,), (1e-6, 1e-4),
+                                   CrossvalConfig(func="sin_pi", k=4, n=12, s=1, trials=2))
+        path = tmp_path / "r.json"
+        for report, keys in ((sweep, ["config", "rows", "slopes", "excluded"]),
+                             (straggler, ["config", "rows", "table"]),
+                             (crossval, ["best_lambda_e", "best_lambda_d", "best_rmse",
+                                         "table"])):
+            payload = report_to_dict(report)
+            assert list(payload) == keys == [f.name for f in fields(report)]
+            assert all(payload[key] is getattr(report, key) for key in keys)
+            write_json(path, payload)
+            assert list(json.loads(path.read_text())) == keys
+        # nested dataclasses are written by the same rule
+        write_json(path, report_to_dict(sweep))
+        data = json.loads(path.read_text())
+        assert list(data["config"]) == [f.name for f in fields(SweepConfig)]
+        assert list(data["slopes"]["letcc"]) == ["slope", "intercept", "r2", "points_used"]
+        with pytest.raises(TypeError):
+            report_to_dict(sweep.rows)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64(-np.inf)])
+    def test_non_finite_numbers_are_refused_before_any_file(self, tmp_path, bad):
+        # NaN and inf are not JSON: a report holding one fails, and no file is made
+        row = dict(_monte_carlo_row(_sweep_config(trials=2), "letcc", 16, 16, 2),
+                   mean_mse=bad)
+        for write, path, payload in ((write_json, tmp_path / "r.json", {"rows": [row]}),
+                                     (write_csv, tmp_path / "r.csv", [row])):
+            with pytest.raises(ValueError, match="non-finite number"):
+                write(path, payload)
+        assert list(tmp_path.iterdir()) == []
 
     def test_rerun_byte_identical(self, tmp_path):
         config = _sweep_config()

@@ -133,6 +133,15 @@ class TestInterpolationGrid:
         assert (a == b) is False and (a == a) is True
         assert len({a, b}) == 2
 
+    def test_cached_builds_each_key_once(self):
+        grid = chebyshev_grid(3, 7)
+        built = []
+        for key in ("a", "b", "a", "b"):
+            value = grid._cached(key, lambda: built.append(key) or [key])
+            assert value is grid._cached(key, lambda: [None])
+        assert built == ["a", "b"] and list(grid._encoders) == ["a", "b"]
+        assert chebyshev_grid(3, 7)._encoders == {}
+
     def test_points_are_read_only_copies(self):
         alphas = np.array([-0.5, 0.5])
         grid = InterpolationGrid(alphas, [-1.0, 0.0, 1.0])

@@ -67,6 +67,15 @@ class TestStragglerModel:
         with pytest.raises(ValueError):
             StragglerModel(n=8, s=2, mode="fixed", fixed_stragglers=(1, 9))
 
+    @pytest.mark.parametrize("kw, message", [
+        ({"mode": "bursty"}, "unknown straggler mode 'bursty'"),
+        ({"mode": "fixed"}, "fixed mode requires fixed_stragglers"),
+        ({"mode": "fixed", "fixed_stragglers": (3, 3)}, "fixed_stragglers contains duplicates"),
+    ])
+    def test_mode_and_fixed_set_messages(self, kw, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            StragglerModel(n=8, s=2, **kw)
+
     @pytest.mark.parametrize("stragglers", [(0, 1), (0, 0, 0), ()])
     def test_fixed_stragglers_only_in_fixed_mode(self, stragglers):
         # uniform mode would draw its own stragglers and let these survive
@@ -210,6 +219,23 @@ class TestNoiseAndWorkers:
         with pytest.raises(ValueError, match="m >= 2"):
             make_worker("tanh_net", d=2, m=m)
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_tanh_net_needs_an_input(self, d):
+        # d = 0 would divide by zero and d < 0 fail inside numpy's seeding
+        for build in (lambda: make_worker("tanh_net", d=d, m=3),
+                      lambda: sim.worker_for("tanh_net", d, 3)):
+            with pytest.raises(ValueError, match=rf"^tanh_net needs d >= 1 inputs, got d={d}$"):
+                build()
+
+    def test_evaluate_checks_input_dim_and_output_shape(self):
+        net = make_worker("tanh_net", d=3, m=4)
+        with pytest.raises(ValueError, match=r"^tanh_net_3_4 expects inputs of dim 3, got 2$"):
+            net.evaluate(np.zeros((5, 2)))
+        wide = WorkerFunction("wide", lambda x: np.hstack([x, x]), 1, 1)
+        with pytest.raises(ValueError, match=r"^wide returned shape \(5, 2\), "
+                                             r"expected \(5, 1\)$"):
+            wide.evaluate(np.zeros((5, 1)))
+
 
 def _setup(scheme="letcc", k=8, n=24, s=4, sigma0=0.0, lambda_e=0.0,
            lambda_d=0.0, func=None, data=None, data_rule="uniform", f_degree=None,
@@ -234,6 +260,22 @@ class TestRunTrial:
                                curvature=0.0)
         metrics = run_trial(_setup(func=ident, s=0, data_rule="identity"), seed=3)
         assert metrics.empirical_risk <= 1e-12
+
+    def test_mismatched_or_unknown_setup_fields_rejected(self):
+        grid = chebyshev_grid(4, 12)
+        base = dict(scheme="letcc", func=make_worker("sin_pi"), grid=grid,
+                    stragglers=StragglerModel(12, 2), noise=NoiseModel(0.0))
+        cases = [
+            ({"stragglers": StragglerModel(13, 2)},
+             "straggler model N must match grid worker count"),
+            ({"data": Dataset(np.zeros((5, 1)))}, "dataset K must match grid alpha count"),
+            ({"data_rule": "gaussian"}, "unknown data rule 'gaussian'"),
+            ({"data_rule": "identity", "func": make_worker("tanh_net", d=2, m=3)},
+             "identity data rule requires a 1-D worker function"),
+        ]
+        for change, message in cases:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                TrialSetup(**dict(base, **change))
 
     def test_lcc_without_degree_rejected_at_setup(self):
         with pytest.raises(ValueError, match="lcc needs a declared polynomial degree"):
@@ -568,6 +610,10 @@ class TestMonteCarloLambdas:
         with pytest.raises(TypeError):
             monte_carlo_lambdas(_setup(), 2, 0, 1e-3)
 
+    def test_zero_trials_raise(self):
+        with pytest.raises(ValueError, match="^need at least one trial$"):
+            monte_carlo_lambdas(_setup(), 0, 2, (1e-3,))
+
     @pytest.mark.parametrize("lams", [(1e-3, -1.0), (np.inf,), (np.nan, 0.0)])
     def test_bad_weight_raises_before_any_trial(self, lams, monkeypatch):
         monkeypatch.setattr(sim, "_prepare", lambda *a: pytest.fail("a trial was prepared"))
@@ -728,8 +774,23 @@ class TestNonFiniteValues:
         with pytest.raises(ValueError, match=message):
             run_trial(setup, 0)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scheme", sim.SCHEMES)
+    def test_non_finite_risk_raises_naming_scheme_and_seed(self, scheme):
+        # worker noise of 1e200 overflows the squared error to inf
+        setup = _setup(scheme, sigma0=1e200, lambda_d=1e-6, func=make_worker("cubic"))
+        with pytest.raises(ValueError, match=rf"^{scheme} trial with seed \(4,\) has "
+                                             r"non-finite risk (inf|nan)$"):
+            run_trial(setup, 4)
+        with pytest.raises(ValueError, match=rf"^{scheme} trial with seed \(9, 0\) has "):
+            monte_carlo(setup, 3, 9)
+
 
 class TestRelacc:
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError, match="matching shapes"):
+            relacc(np.zeros((4, 3)), np.zeros((4, 2)))
+
     def test_perfect_agreement(self, rng):
         x = rng.uniform(0, 1, (10, 4))
         assert relacc(x, x) == 1.0

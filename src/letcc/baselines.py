@@ -41,6 +41,7 @@ from .coding import (
     CodedBatch,
     Dataset,
     DecodeResult,
+    _rows,
     normalize_survivors,
 )
 from .points import InterpolationGrid
@@ -127,18 +128,19 @@ def _encoder(grid: InterpolationGrid, scheme: str) -> _BarycentricMap:
 
 @dataclass(frozen=True, eq=False)
 class BerrutInterpolant:
-    """Berrut first rational form on distinct nodes with weights (-1)^j."""
+    """Berrut first rational form on distinct nodes with weights (-1)^j.
+
+    ``values`` are read as :func:`letcc.coding._rows` reads outputs at points.
+    """
 
     nodes: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
         nodes = np.atleast_1d(np.asarray(self.nodes, dtype=float))
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
         if nodes.size == 0:
             raise ValueError("Berrut interpolant needs at least one node")
-        if values.shape[0] != nodes.size:
-            raise ValueError("one value row per node required")
+        values = _rows(self.values, nodes.size, "Berrut nodes")
         if nodes.size > 1 and not (nodes[1:] > nodes[:-1]).all():
             raise ValueError("nodes must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)
@@ -154,16 +156,24 @@ class BerrutInterpolant:
 
 @dataclass(frozen=True, eq=False)
 class LagrangePolynomial:
-    """Interpolating polynomial in barycentric second form (true weights)."""
+    """Interpolating polynomial in barycentric second form (true weights).
+
+    ``values`` are read as :func:`letcc.coding._rows` reads outputs at points.
+    """
 
     nodes: np.ndarray
     values: np.ndarray
     weights: np.ndarray
 
+    def __post_init__(self):
+        nodes = np.atleast_1d(np.asarray(self.nodes, dtype=float))
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "values", _rows(self.values, nodes.size, "Lagrange nodes"))
+
     @classmethod
     def through(cls, nodes, values) -> "LagrangePolynomial":
+        """The interpolant of ``values`` at ``nodes``, with its barycentric weights."""
         nodes = np.atleast_1d(np.asarray(nodes, dtype=float))
-        values = np.atleast_2d(np.asarray(values, dtype=float))
         return cls(nodes, values, _lagrange_weights(nodes))
 
     def evaluate(self, query) -> np.ndarray:

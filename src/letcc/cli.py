@@ -12,11 +12,14 @@ by R whitespace-separated rows of C decimal floats.
 Notes (not part of ``--help``): an ``--out`` that exists and is not a
 directory, or lies under a file, is refused before the first trial, and an
 OSError from creating ``--out`` or writing a report or matrix file exits 1
-with one ``error: cannot write PATH: ...`` line.  ``main`` parses with one
-argparse tree per process (``build_parser`` is cached, and parsing never
-changes the tree), so repeated in-process calls pay for their work only.
+with one ``error: cannot write PATH: ...`` line, as does a non-finite number
+bound for a file.  ``main`` parses with one argparse tree per process
+(``build_parser`` is cached, and parsing never changes the tree), so
+repeated in-process calls pay for their work only.
 A non-finite result (a trial's risk, a number bound for stdout or a file)
-exits 1 with one ``error:`` line, no stdout payload and no file.
+exits 1 with one ``error:`` line, no stdout payload and no file; numpy's
+overflow and invalid-value warnings are off, as each such result is refused
+explicitly, and a library warning prints as one ``warning: ...`` line.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -54,6 +58,7 @@ from .sim import (
     StragglerModel,
     TrialSetup,
     WORKER_FUNCTIONS,
+    WorkerReturns,
     run_trial,
     worker_for,
 )
@@ -184,11 +189,13 @@ def cmd_trial(args) -> int:
 
 
 def _output(write, path, *args, **kwargs) -> None:
-    """``write(path, ...)``, with an OSError turned into a ConfigError naming ``path``."""
+    """``write(path, ...)``; an OSError or ValueError becomes a ConfigError naming ``path``."""
     try:
         write(path, *args, **kwargs)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _check_outdir(path) -> None:
@@ -375,10 +382,7 @@ def cmd_codec_decode(args) -> int:
                 f"{outputs.shape[0]} output rows for N={args.n} workers: "
                 "pass --survivors with the beta indices of the surviving rows")
         indices = list(range(args.n))
-    if len(indices) != outputs.shape[0]:
-        raise ConfigError(f"{len(indices)} survivor indices for "
-                          f"{outputs.shape[0]} output rows")
-    result = decode(list(zip(indices, outputs)), grid, args.lambda_d)
+    result = decode(WorkerReturns(indices, outputs), grid, args.lambda_d)
     _output(write_matrix, args.out, result.estimates)
     sys.stderr.write(f"decoded {result.survivor_count} survivor rows to "
                      f"{result.estimates.shape[0]} estimates\n")
@@ -455,11 +459,18 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Show a library warning as one ``warning:`` line on stderr."""
+    sys.stderr.write(f"warning: {message}\n")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except DecodeFailure as exc:
         sys.stderr.write(f"decode failure: {exc}\n")
         return EXIT_DECODE

@@ -193,9 +193,11 @@ def encode(data: Dataset, grid: InterpolationGrid, lambda_e: float) -> CodedBatc
 def encoder_training_error(batch: CodedBatch, data: Dataset) -> float:
     """Mean squared encoder residual, (1/K) sum_k ||u_enc(alpha_k) - x_k||^2.
 
-    A spline's values at its knots are its coefficients.
+    Any scheme's encoder fit is evaluated at the alphas: a spline gives
+    its knot values exactly there, and the Berrut and Lagrange
+    interpolants their node values, so theirs is 0.0.
     """
-    fitted = batch.encoder_fit.coefficients
+    fitted = batch.encoder_fit.evaluate(batch.grid.alphas)
     return float(np.mean(np.sum((fitted - data.inputs) ** 2, axis=1)))
 
 
@@ -231,14 +233,31 @@ def _integral_indices(values, what: str = "survivor index", n: int | None = None
     return indices
 
 
+def _rows(values, count: int, what: str) -> np.ndarray:
+    """Outputs ``values`` at ``count`` points as an array of ``count`` rows.
+
+    A 1-D array is one value per point, or the values of the one point
+    when ``count`` is 1; any other array keeps its rows.  Another row count
+    raises, naming the ``count`` points as ``what``.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim < 2:
+        values = values.reshape((1, -1) if count == 1 else (-1, 1))
+    if values.shape[0] != count:
+        raise ValueError(f"{count} {what} for {values.shape[0]} output rows")
+    return values
+
+
 def normalize_survivors(survivors, n: int):
     """Sort survivor (beta_index, output) pairs by index; drop duplicates.
 
     Accepts an iterable of pairs, read first as indices and rows, or an
-    object exposing ``indices`` and ``outputs`` arrays.  Outputs are coerced
-    to a 2-D (count, m) array.  Duplicate indices keep the first occurrence
-    and emit a warning.  The indices pass :func:`_integral_indices` with
-    ``n``: each an integer in [0, n), or an integral float, and not a boolean.
+    object exposing ``indices`` and ``outputs`` arrays.  Outputs become a
+    2-D (count, m) array by the one rule of :func:`_rows`: a 1-D
+    ``outputs`` array is one value per survivor, as scalar pair values are.
+    Duplicate indices keep the first occurrence and emit a warning.  The
+    indices pass :func:`_integral_indices` with ``n``: each an integer in
+    [0, n), or an integral float, and not a boolean.
     """
     if hasattr(survivors, "indices") and hasattr(survivors, "outputs"):
         indices, rows = survivors.indices, survivors.outputs
@@ -247,12 +266,10 @@ def normalize_survivors(survivors, n: int):
         indices = [i for i, _ in pairs]
         rows = [np.ravel(np.asarray(v, dtype=float)) for _, v in pairs]
     indices = _integral_indices(indices, n=n)
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
     count = indices.size
-    if count and count != rows.shape[0]:
-        raise ValueError(f"{count} survivor indices for {rows.shape[0]} output rows")
     if not count:
         raise DecodeFailure("no survivor outputs to decode from")
+    rows = _rows(rows, count, "survivor indices")
 
     if (indices[1:] > indices[:-1]).all():
         # sorted and unique already, as workers report: every row in place

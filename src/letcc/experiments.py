@@ -403,7 +403,7 @@ def _dump_json(obj, indent=0) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         if not math.isfinite(obj):
-            raise ValueError(f"cannot write the non-finite number {float(obj)}")
+            raise ValueError(f"non-finite number {float(obj)}")
         return f"{float(obj):.17g}"
     if isinstance(obj, str):
         escaped = obj.replace("\\", "\\\\").replace('"', '\\"')

@@ -332,7 +332,8 @@ class WorkerFunction:
     call, which would make a trial's bits depend on its batch.  The
     optional ``lipschitz`` and ``curvature`` bounds are declared over
     [-2, 2]; ``degree`` is the polynomial degree used by the Lagrange
-    baseline.
+    baseline.  A 1-D result is read as :func:`letcc.coding._rows` reads
+    outputs: q values of one column, or the one row's m values if q is 1.
     """
 
     name: str
@@ -351,7 +352,7 @@ class WorkerFunction:
             raise ValueError(f"{self.name} expects inputs of dim {self.in_dim}, got {x.shape[1]}")
         out = np.asarray(self.fn(x), dtype=float)
         if out.ndim != 2:
-            out = np.atleast_2d(out)
+            out = coding._rows(out, x.shape[0], f"{self.name} inputs")
         if out.shape != (x.shape[0], self.out_dim):
             raise ValueError(f"{self.name} returned shape {out.shape}, "
                              f"expected {(x.shape[0], self.out_dim)}")

@@ -9,6 +9,7 @@ from letcc.baselines import (
     BerrutInterpolant,
     LagrangeCodec,
     LagrangePolynomial,
+    _lagrange_weights,
     _lcc_decode_stack,
     bacc_decode,
     bacc_encode,
@@ -78,6 +79,10 @@ class TestBerrut:
     def test_single_node_is_constant(self):
         interp = BerrutInterpolant(np.array([0.2]), np.array([[3.0]]))
         assert interp.evaluate([-0.7, 0.8]) == pytest.approx(np.array([[3.0], [3.0]]))
+
+    def test_non_increasing_nodes_rejected(self):
+        with pytest.raises(ValueError, match="^nodes must be strictly increasing$"):
+            BerrutInterpolant(np.array([0.5, -0.5]), np.ones((2, 1)))
 
 
 class TestBacc:
@@ -337,3 +342,32 @@ class TestLagrangePolynomial:
         poly = LagrangePolynomial.through(nodes, values)
         q = np.linspace(-1, 1, 41)
         assert np.abs(poly.evaluate(q)[:, 0] - (2 * q**3 - q + 0.5)).max() < 1e-12
+
+
+class TestOutputsAtNodes:
+    # the one rule for outputs at points: a 1-D array is one value per node,
+    # or the values of the one node; any other array keeps its rows
+    @pytest.mark.parametrize("build", [
+        BerrutInterpolant, LagrangePolynomial.through,
+        lambda nodes, values: LagrangePolynomial(nodes, values, _lagrange_weights(nodes)),
+    ], ids=["berrut", "lagrange", "lagrange constructor"])
+    def test_one_value_per_node_evaluates_as_its_column(self, rng, build):
+        # flat values taken as given would broadcast q queries to a (q, q) result
+        nodes = chebyshev_second(7)
+        column = rng.normal(size=(7, 1))
+        q = np.linspace(-1, 1, 23)
+        got = build(nodes, column[:, 0]).evaluate(q)
+        assert got.shape == (23, 1)
+        assert np.array_equal(got, build(nodes, column).evaluate(q))
+
+    @pytest.mark.parametrize("build", [BerrutInterpolant, LagrangePolynomial.through],
+                             ids=["berrut", "lagrange"])
+    def test_one_node_reads_a_flat_array_as_its_row(self, build):
+        assert build([0.2], np.array([1.0, 2.0, 3.0])).values.tolist() == [[1.0, 2.0, 3.0]]
+
+    @pytest.mark.parametrize("build, what", [(BerrutInterpolant, "Berrut"),
+                                             (LagrangePolynomial.through, "Lagrange")])
+    @pytest.mark.parametrize("values, rows", [(np.ones(5), 5), (np.ones((3, 2)), 3)])
+    def test_row_count_mismatch_raises_one_message(self, build, what, values, rows):
+        with pytest.raises(ValueError, match=rf"^7 {what} nodes for {rows} output rows$"):
+            build(chebyshev_second(7), values)

@@ -1,5 +1,10 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -578,7 +583,10 @@ class TestCodec:
         ([], "error: 3 output rows for N=9 workers: pass --survivors with the beta "
              "indices of the surviving rows\n"),
         (["--survivors", "0,1,9"], "error: survivor index 9 outside [0, 9)\n"),
-    ], ids=["not integers", "short without survivors", "outside workers"])
+        (["--survivors", "0,1"], "error: 2 survivor indices for 3 output rows\n"),
+        (["--survivors", "0,1,2,3"], "error: 4 survivor indices for 3 output rows\n"),
+    ], ids=["not integers", "short without survivors", "outside workers", "fewer indices",
+            "more indices"])
     def test_bad_survivors_exit_one_and_write_nothing(self, capsys, tmp_path, flags,
                                                       message):
         outs = tmp_path / "o.mat"
@@ -587,6 +595,19 @@ class TestCodec:
                                  "--n", "9", *flags, "--out", str(tmp_path / "e.mat"))
         assert (code, out, err) == (1, "", message)
         assert [p.name for p in tmp_path.iterdir()] == ["o.mat"]
+
+    def test_duplicate_survivor_is_one_warning_line(self, capsys, tmp_path):
+        outs = tmp_path / "o.mat"
+        write_matrix_file(outs, np.array([[1.0], [2.0], [3.0]]))
+        code, _, err = run_cli(capsys, "codec", "decode", str(outs), "--k", "2", "--n", "9",
+                               "--survivors", "3,1,3", "--out", str(tmp_path / "dup.mat"))
+        assert (code, err) == (0, "warning: duplicate survivor index 3; keeping first report\n"
+                                  "decoded 2 survivor rows to 2 estimates\n")
+        # the first report of each index, in index order
+        write_matrix_file(outs, np.array([[2.0], [1.0]]))
+        run_cli(capsys, "codec", "decode", str(outs), "--k", "2", "--n", "9",
+                "--survivors", "1,3", "--out", str(tmp_path / "one.mat"))
+        assert (tmp_path / "dup.mat").read_bytes() == (tmp_path / "one.mat").read_bytes()
 
     def test_decode_survivor_count_mismatch_exits_one(self, capsys, tmp_path):
         outs = tmp_path / "o.mat"
@@ -599,9 +620,10 @@ class TestCodec:
         assert "survivor" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNonFiniteResults:
-    # stdout and report files are JSON, which holds no NaN or inf
+    # stdout and report files are JSON, which holds no NaN or inf; each
+    # failure is one stderr line, with no numpy RuntimeWarning before it
 
     @pytest.mark.parametrize("scheme, f", [("letcc", "sin_pi"), ("bacc", "sin_pi"),
                                            ("lcc", "cubic")])
@@ -629,9 +651,33 @@ class TestNonFiniteResults:
         code, stdout, err = run_cli(capsys, "codec", "decode", str(data), "--k", "3",
                                     "--n", "4", "--out", str(out))
         assert (code, stdout) == (1, "")
-        assert err.startswith("error: cannot write the non-finite number ")
+        assert err.startswith(f"error: cannot write {out}: non-finite number ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    def test_overflowing_encode_exits_one_and_writes_no_file(self, capsys, tmp_path):
+        data = tmp_path / "d.mat"
+        write_matrix_file(data, np.array([[1e308, 1e308], [1e308, -1e308], [1e308, 1e308]]))
+        out = tmp_path / "c.mat"
+        code, stdout, err = run_cli(capsys, "codec", "encode", str(data), "--n", "9",
+                                    "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"error: cannot write {out}: non-finite number ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_overflow_raises_no_runtime_warning(self, capsys, tmp_path):
+        data = tmp_path / "o.mat"
+        write_matrix_file(data, np.array([[1e307], [-1e307], [1e307], [-1e307]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            trial = run_cli(capsys, "trial", "--scheme", "letcc", "--f", "sin_pi", "--k", "4",
+                            "--n", "16", "--s", "2", "--sigma0", "1e200")
+            decoded = run_cli(capsys, "codec", "decode", str(data), "--k", "3", "--n", "4",
+                              "--out", str(tmp_path / "e.mat"))
+        for code, stdout, err in (trial, decoded):
+            assert (code, stdout, err.count("\n")) == (1, "", 1)
+            assert err.startswith("error: ")
 
     @pytest.mark.parametrize("d", ["0", "-1"])
     def test_tanh_net_without_inputs_exits_one(self, capsys, d):
@@ -731,3 +777,28 @@ class TestParserOncePerProcess:
         # the module docstring up to its notes
         assert texts[0].startswith("usage: letcc") and "Matrix files use" in texts[0]
         assert "Notes" not in texts[0]
+
+
+class TestModuleEntry:
+    def _run(self, *argv, cwd):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "letcc.cli", *argv], cwd=cwd,
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120)
+
+    def test_exit_code_and_one_stderr_line_per_outcome(self, tmp_path):
+        # python -m letcc.cli exits with main's code; a library warning and
+        # an overflow each print one line, as in a console-script process
+        help_run = self._run("--help", cwd=tmp_path)
+        assert help_run.returncode == 0 and help_run.stdout.startswith("usage: letcc")
+        write_matrix_file(tmp_path / "o.mat", np.array([[1.0], [2.0], [3.0]]))
+        dup = self._run("codec", "decode", "o.mat", "--k", "2", "--n", "9",
+                        "--survivors", "3,1,3", "--out", "e.mat", cwd=tmp_path)
+        assert (dup.returncode, dup.stdout) == (0, "")
+        assert dup.stderr == ("warning: duplicate survivor index 3; keeping first report\n"
+                              "decoded 2 survivor rows to 2 estimates\n")
+        trial = self._run("trial", "--scheme", "letcc", "--f", "sin_pi", "--k", "4",
+                          "--n", "16", "--s", "2", "--sigma0", "1e200", cwd=tmp_path)
+        assert (trial.returncode, trial.stdout) == (1, "")
+        assert trial.stderr == "error: letcc trial with seed (0,) has non-finite risk inf\n"

@@ -35,6 +35,10 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.array([[np.inf]]))
 
+    def test_three_dimensional_rejected(self):
+        with pytest.raises(ValueError, match=r"^inputs must be a \(K, d\) matrix"):
+            Dataset(np.zeros((2, 2, 2)))
+
 
 # every frozen dataclass that holds arrays
 _ARRAY_HOLDERS = {
@@ -604,3 +608,48 @@ class TestDecodeStack:
                 _decode_stack(grid, indices, outputs, (lam,))
         with pytest.raises(ValueError, match="lam too large"):
             _decode_stack(grid, np.arange(21)[None], np.zeros((1, 21, 1)), (1e306,))
+
+
+class TestEncoderTrainingError:
+    def test_baselines_interpolate_their_inputs(self, rng):
+        grid = chebyshev_grid(6, 20)
+        data = Dataset(rng.uniform(-1, 1, (6, 3)))
+        for encode_with in (baselines.bacc_encode, baselines.lcc_encode):
+            assert encoder_training_error(encode_with(data, grid), data) == 0.0
+
+    @pytest.mark.parametrize("k, d, lam", [(1, 1, 0.0), (2, 3, 1.0), (8, 70, 1e-3),
+                                           (16, 16, 0.0), (64, 5, 10.0)])
+    def test_letcc_is_the_residual_at_the_knots(self, rng, k, d, lam):
+        # a spline evaluated at its knots gives its knot values exactly
+        grid = chebyshev_grid(k, k + 8)
+        data = Dataset(rng.uniform(-1, 1, (k, d)))
+        batch = encode(data, grid, lam)
+        residual = batch.encoder_fit.coefficients - data.inputs
+        assert encoder_training_error(batch, data) == float(np.mean(np.sum(residual**2, axis=1)))
+
+
+class TestOutputsAtPoints:
+    # one rule reads outputs at n known points: a 1-D array is one value per
+    # point, or the values of the one point when n is 1; others keep their rows
+    INDICES = np.array([0, 2, 3, 5, 7, 8, 10, 11])
+
+    def test_one_value_per_survivor_decodes_as_its_column(self, rng):
+        grid = chebyshev_grid(5, 12)
+        column = rng.normal(size=(8, 1))
+        for indices in (self.INDICES, self.INDICES[::-1]):
+            want = decode(WorkerReturns(indices, column), grid, 1e-4).estimates
+            got = decode(WorkerReturns(indices, column[:, 0]), grid, 1e-4).estimates
+            assert got.shape == (5, 1) and _same_bits(got, want)
+        pairs = decode(list(zip(self.INDICES, column[:, 0])), grid, 1e-4).estimates
+        assert _same_bits(pairs, decode(WorkerReturns(self.INDICES, column), grid,
+                                        1e-4).estimates)
+
+    def test_one_survivor_reads_a_flat_array_as_its_row(self):
+        indices, outputs = normalize_survivors(WorkerReturns([3], np.array([1.0, 2.0, 3.0])), 8)
+        assert indices.tolist() == [3] and outputs.tolist() == [[1.0, 2.0, 3.0]]
+
+    @pytest.mark.parametrize("outputs, rows", [(np.ones(5), 5), (np.ones((3, 2)), 3),
+                                               (np.float64(1.0), 1), (np.ones((1, 8)), 1)])
+    def test_row_count_mismatch_raises_one_message(self, outputs, rows):
+        with pytest.raises(ValueError, match=rf"^8 survivor indices for {rows} output rows$"):
+            normalize_survivors(WorkerReturns(self.INDICES, outputs), 12)

@@ -11,6 +11,8 @@ from letcc.experiments import (
     DEFAULT_LAMBDA_GRID,
     StragglerSweepConfig,
     SweepConfig,
+    SweepReport,
+    _dump_json,
     _resolve_lambda_d,
     _row,
     crossval_lambda,
@@ -58,6 +60,11 @@ class TestSlopeFit:
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):
             fit_loglog_slope([(10, 1.0)])
+
+    def test_every_point_equal_fits_exactly(self):
+        # ln(mse) has no variance to explain: r2 is 1 for the exact fit
+        sf = fit_loglog_slope([(16, 0.25), (16, 0.25)])
+        assert sf.r2 == 1.0 and sf.points_used == 2
 
 
 def _monte_carlo_row(config, scheme, key, n, s):
@@ -315,6 +322,18 @@ class TestReportEmission:
         write_csv(a, sweep_n(config).rows)
         write_csv(b, sweep_n(config).rows)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_svg_without_a_positive_point_says_so(self):
+        rows = tuple({"scheme": "letcc", "N": n, "mean_mse": 0.0} for n in (16, 32))
+        report = SweepReport(_sweep_config(), rows, slopes={}, excluded={})
+        svg = render_svg(report)
+        assert svg.startswith("<svg") and "no positive points" in svg
+        assert "<circle" not in svg
+
+    def test_dump_json_of_an_empty_dict_and_an_unsupported_object(self):
+        assert _dump_json({}) == "{}"
+        with pytest.raises(TypeError, match="^cannot serialize <class 'object'>$"):
+            _dump_json({"x": object()})
 
     def test_svg_renders_points_and_slopes(self, tmp_path):
         report = sweep_n(_sweep_config(schemes=("letcc", "bacc")))

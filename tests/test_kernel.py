@@ -91,6 +91,22 @@ class TestKernelFit:
         with pytest.raises(ValueError):
             kernel_fit([-1, 0, 1], [0.0, 1.0, 2.0], -1.0)
 
+    @pytest.mark.parametrize("t, y, message", [
+        ([[-1.0, 0.0, 1.0]], [0.0, 1.0, 2.0], "t must be 1-D with one row of y per node"),
+        ([-1.0, 0.0, 1.0], [0.0, 1.0], "t must be 1-D with one row of y per node"),
+        ([-1.0, np.nan, 1.0], [0.0, 1.0, 2.0], "non-finite values in fit inputs"),
+        ([], [], "cannot fit on zero points"),
+        ([-1.0, 1.0, 0.0], [0.0, 1.0, 2.0], "t must be strictly increasing"),
+    ], ids=["2-D t", "row mismatch", "non-finite", "zero points", "non-increasing"])
+    def test_bad_inputs_rejected(self, t, y, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            kernel_fit(t, y, 1e-3)
+
+    def test_non_finite_query_rejected(self):
+        f = kernel_fit([-1.0, 0.0, 1.0], [0.0, 1.0, 2.0], 1e-3)
+        with pytest.raises(ValueError, match="^query contains non-finite values$"):
+            f.evaluate([0.0, np.nan])
+
     def test_fit_holds_one_dense_copy(self):
         # the Fortran-ordered saddle-point matrix is LU-factored in place; a
         # C-ordered one would be copied, peaking at two dense copies

@@ -128,6 +128,14 @@ class TestInterpolationGrid:
         with pytest.raises(ValueError):
             InterpolationGrid(alphas=[0.0], betas=[-1, 1])
 
+    def test_two_dimensional_points_rejected(self):
+        with pytest.raises(ValueError, match="^alphas must be one-dimensional$"):
+            InterpolationGrid(alphas=[[0.0]], betas=[-1, 0, 1])
+
+    def test_non_finite_points_rejected(self):
+        with pytest.raises(ValueError, match="^betas contains non-finite values$"):
+            InterpolationGrid(alphas=[0.0], betas=[-1, np.nan, 1])
+
     def test_equality_is_identity(self):
         a, b = chebyshev_grid(3, 7), chebyshev_grid(3, 7)
         assert (a == b) is False and (a == a) is True

@@ -236,6 +236,21 @@ class TestNoiseAndWorkers:
                                              r"expected \(5, 1\)$"):
             wide.evaluate(np.zeros((5, 1)))
 
+    def test_flat_outputs_are_one_value_per_input(self):
+        # the one rule for outputs at points: q > 1 flat values are a column,
+        # and the flat values of one input are its row
+        x = np.linspace(-1, 1, 6)[:, None]
+        flat = WorkerFunction("flat", lambda x: np.sin(np.pi * x[:, 0]), 1, 1)
+        assert np.array_equal(flat.evaluate(x), make_worker("sin_pi").evaluate(x))
+        pair = WorkerFunction("pair", lambda x: np.array([1.0, 2.0]), 1, 2)
+        assert pair.evaluate(np.zeros(1)).tolist() == [[1.0, 2.0]]  # a flat input is a row
+
+    @pytest.mark.parametrize("fn, rows", [(lambda x: np.zeros(x.shape[0] - 1), 4),
+                                          (lambda x: 0.0, 1)], ids=["short", "scalar"])
+    def test_output_row_mismatch_raises_one_message(self, fn, rows):
+        with pytest.raises(ValueError, match=rf"^5 bad inputs for {rows} output rows$"):
+            WorkerFunction("bad", fn, 1, 1).evaluate(np.zeros((5, 1)))
+
 
 def _setup(scheme="letcc", k=8, n=24, s=4, sigma0=0.0, lambda_e=0.0,
            lambda_d=0.0, func=None, data=None, data_rule="uniform", f_degree=None,
@@ -575,6 +590,12 @@ class TestMonteCarlo:
             means.append(agg.mean_mse)
         inversions = sum(b > a for a, b in zip(means, means[1:]))
         assert inversions <= 1
+
+
+def test_aggregate_of_zero_trials_raises():
+    empty = sim.TrialColumns("letcc", (), None, None, (), None, (), (), ())
+    with pytest.raises(ValueError, match="^need at least one trial$"):
+        sim.aggregate(empty)
 
 
 class TestMonteCarloLambdas:

@@ -302,6 +302,14 @@ class TestFitValidation:
         with pytest.raises(ValueError):
             fit([-1, 0, 1], [0.0, 1.0], 0.0)
 
+    def test_two_dimensional_t_rejected(self):
+        with pytest.raises(ValueError, match="^t must be one-dimensional$"):
+            fit([[-1, 0, 1]], [0.0, 1.0, 2.0], 0.0)
+
+    def test_non_increasing_t_rejected(self):
+        with pytest.raises(ValueError, match="^t must be strictly increasing$"):
+            fit([-1, 1, 0], [0.0, 1.0, 2.0], 1e-3)
+
     @pytest.mark.parametrize("lam", [0.0, 1e-3])
     @pytest.mark.parametrize("shape", [(), (3, 2, 2)])
     def test_y_of_zero_or_three_dims_rejected(self, lam, shape):
@@ -363,6 +371,10 @@ class TestStackedBasis:
         with pytest.raises(ValueError, match="one-dimensional"):
             NaturalSplineBasis(np.zeros((2, 2, 3)))
 
+    def test_non_finite_knots_rejected(self):
+        with pytest.raises(ValueError, match="^knots contain non-finite values$"):
+            NaturalSplineBasis(np.array([-1.0, np.inf, 1.0]))
+
 
 class TestDirectLapackSolve:
     def test_same_bytes_as_solve_banded(self, rng, monkeypatch):
@@ -386,6 +398,23 @@ class TestDirectLapackSolve:
                 assert np.array_equal(f.coefficients, g)
                 assert np.array_equal(f.second_derivs[1:-1],
                                       sol[2:-1:2].reshape(f.second_derivs[1:-1].shape))
+
+    def test_solution_returned_in_a_new_array_is_copied_back(self, rng, monkeypatch):
+        # dgbsv hands back b itself when it solves in place; were it a new
+        # array, smooth copies it into its right-hand side
+        original = spline.dgbsv
+
+        def copying(kl, ku, ab, b, **kwargs):
+            lu, piv, sol, info = original(kl, ku, ab, b.copy(), **kwargs)
+            return lu, piv, sol.copy(), info
+
+        t = np.sort(rng.uniform(-1, 1, 20))
+        y = rng.normal(size=(20, 2))
+        want = fit(t, y, 1e-3)
+        monkeypatch.setattr(spline, "dgbsv", copying)
+        got = fit(t, y, 1e-3)
+        assert np.array_equal(got.coefficients, want.coefficients)
+        assert np.array_equal(got.second_derivs, want.second_derivs)
 
     @pytest.mark.parametrize("info", [3, -4])
     def test_lapack_failure_raises(self, info, monkeypatch):

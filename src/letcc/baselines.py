@@ -32,7 +32,6 @@ bit for bit.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,7 @@ from .coding import (
     _rows,
     normalize_survivors,
 )
-from .points import InterpolationGrid
+from .points import InterpolationGrid, _check_points, _integer
 
 __all__ = [
     "BerrutInterpolant",
@@ -128,7 +127,7 @@ def _encoder(grid: InterpolationGrid, scheme: str) -> _BarycentricMap:
 
 @dataclass(frozen=True, eq=False)
 class BerrutInterpolant:
-    """Berrut first rational form on distinct nodes with weights (-1)^j.
+    """Berrut first rational form on strictly increasing nodes with weights (-1)^j.
 
     ``values`` are read as :func:`letcc.coding._rows` reads outputs at points.
     """
@@ -138,13 +137,9 @@ class BerrutInterpolant:
 
     def __post_init__(self):
         nodes = np.atleast_1d(np.asarray(self.nodes, dtype=float))
-        if nodes.size == 0:
-            raise ValueError("Berrut interpolant needs at least one node")
-        values = _rows(self.values, nodes.size, "Berrut nodes")
-        if nodes.size > 1 and not (nodes[1:] > nodes[:-1]).all():
-            raise ValueError("nodes must be strictly increasing")
+        _check_points("nodes", nodes)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _rows(self.values, nodes.size, "Berrut nodes"))
 
     @property
     def weights(self) -> np.ndarray:
@@ -156,25 +151,28 @@ class BerrutInterpolant:
 
 @dataclass(frozen=True, eq=False)
 class LagrangePolynomial:
-    """Interpolating polynomial in barycentric second form (true weights).
+    """Interpolating polynomial on strictly increasing nodes, barycentric second form.
 
     ``values`` are read as :func:`letcc.coding._rows` reads outputs at points.
+    The true barycentric weights are computed when not given.
     """
 
     nodes: np.ndarray
     values: np.ndarray
-    weights: np.ndarray
+    weights: np.ndarray | None = None
 
     def __post_init__(self):
         nodes = np.atleast_1d(np.asarray(self.nodes, dtype=float))
+        _check_points("nodes", nodes)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", _rows(self.values, nodes.size, "Lagrange nodes"))
+        if self.weights is None:
+            object.__setattr__(self, "weights", _lagrange_weights(nodes))
 
     @classmethod
     def through(cls, nodes, values) -> "LagrangePolynomial":
         """The interpolant of ``values`` at ``nodes``, with its barycentric weights."""
-        nodes = np.atleast_1d(np.asarray(nodes, dtype=float))
-        return cls(nodes, values, _lagrange_weights(nodes))
+        return cls(nodes, values)
 
     def evaluate(self, query) -> np.ndarray:
         return _BarycentricMap.build(self.nodes, self.weights, query).apply(self.values)
@@ -255,11 +253,11 @@ def _chebyshev_vandermonde(x: np.ndarray, deg: int) -> np.ndarray:
 
 
 def _checked_degree(f_degree) -> int:
-    """``f_degree`` as an int; a boolean, fractional, non-finite or negative one raises."""
-    if (isinstance(f_degree, (bool, np.bool_)) or not isinstance(f_degree, numbers.Real)
-            or not float(f_degree).is_integer() or f_degree < 0):
-        raise ValueError(f"f_degree must be a nonnegative integer, got {f_degree!r}")
-    return int(f_degree)
+    """``f_degree`` as an int by :func:`letcc.points._integer`; a negative one raises."""
+    degree = _integer(f_degree, "f_degree")
+    if degree < 0:
+        raise ValueError(f"f_degree must be a nonnegative integer, got {degree}")
+    return degree
 
 
 def lcc_decode(survivors, grid: InterpolationGrid, f_degree: int) -> DecodeResult:

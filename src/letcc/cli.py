@@ -50,7 +50,7 @@ from .experiments import (
     write_json,
     write_svg,
 )
-from .points import chebyshev_grid
+from .points import _integer, chebyshev_grid
 from .sim import (
     NoiseModel,
     RiskBoundViolation,
@@ -118,12 +118,8 @@ def _check_config(raw: dict, allowed) -> dict:
     return out
 
 
-def _int(value) -> int:
-    """int() of an integral JSON number: booleans, strings and fractions are refused."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or (isinstance(value, float) and not value.is_integer())):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+# an integral JSON number, by the library's one rule for integers
+_int = functools.partial(_integer, what="value")
 
 
 def _float(value) -> float:

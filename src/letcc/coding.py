@@ -56,14 +56,13 @@ elementwise across trials and weights, or runs per trial.
 from __future__ import annotations
 
 import functools
-import numbers
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import spline
-from .points import InterpolationGrid
+from .points import InterpolationGrid, _integral_indices
 
 __all__ = [
     "DecodeFailure",
@@ -201,38 +200,6 @@ def encoder_training_error(batch: CodedBatch, data: Dataset) -> float:
     return float(np.mean(np.sum((fitted - data.inputs) ** 2, axis=1)))
 
 
-def _integral_indices(values, what: str = "survivor index", n: int | None = None) -> np.ndarray:
-    """Worker indices from outside, ``values``, as a new int array: their one check.
-
-    An index is an integer, or an integral float (not NaN or inf), and
-    never a boolean: a mask read as indices 0 and 1 would pick the wrong
-    workers.  A list or tuple is checked item by item, as numpy reads
-    ``[True, 2]`` as ``[1, 2]``; a nested sequence raises, so a caller
-    asking for one integer passes a list of one.  An array of indices is
-    one-dimensional: a column or a 0-d array raises.  Given ``n``, every
-    index must lie in [0, n).  ``what`` names the value in the error.
-    """
-    if isinstance(values, (list, tuple)):
-        for kind in set(map(type, values)):
-            if issubclass(kind, bool) or not issubclass(kind, numbers.Real):
-                raise ValueError(f"{what} must be an integer, got {kind.__name__}")
-    indices = np.asarray(values)
-    if indices.ndim != 1:
-        raise ValueError(f"{what} array must be one-dimensional, got shape {indices.shape}")
-    if indices.dtype.kind not in "iuf":
-        raise ValueError(f"{what} must be an integer, got {indices.dtype} values")
-    if indices.dtype.kind == "f":
-        integral = np.isfinite(indices) & (np.floor(indices) == indices)
-        if not integral.all():
-            raise ValueError(f"{what} {indices[~integral][0]} is not an integer")
-    indices = indices.astype(int)
-    if n is not None:
-        outside = (indices < 0) | (indices >= n)
-        if outside.any():
-            raise ValueError(f"{what} {indices[outside][0]} outside [0, {n})")
-    return indices
-
-
 def _rows(values, count: int, what: str) -> np.ndarray:
     """Outputs ``values`` at ``count`` points as an array of ``count`` rows.
 
@@ -256,8 +223,8 @@ def normalize_survivors(survivors, n: int):
     2-D (count, m) array by the one rule of :func:`_rows`: a 1-D
     ``outputs`` array is one value per survivor, as scalar pair values are.
     Duplicate indices keep the first occurrence and emit a warning.  The
-    indices pass :func:`_integral_indices` with ``n``: each an integer in
-    [0, n), or an integral float, and not a boolean.
+    indices pass :func:`letcc.points._integral_indices` with ``n``: each an
+    integer in [0, n), or an integral float, and not a boolean.
     """
     if hasattr(survivors, "indices") and hasattr(survivors, "outputs"):
         indices, rows = survivors.indices, survivors.outputs
@@ -265,7 +232,7 @@ def normalize_survivors(survivors, n: int):
         pairs = list(survivors)
         indices = [i for i, _ in pairs]
         rows = [np.ravel(np.asarray(v, dtype=float)) for _, v in pairs]
-    indices = _integral_indices(indices, n=n)
+    indices = _integral_indices(indices, "survivor index", n)
     count = indices.size
     if not count:
         raise DecodeFailure("no survivor outputs to decode from")

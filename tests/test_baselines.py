@@ -320,12 +320,21 @@ class TestLagrangeDecodeStack:
             oracle = chebvander(grid.alphas, deg) @ coef
             assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
-    @pytest.mark.parametrize("f_degree", [True, np.True_, False, 1.5, -1, np.nan, np.inf,
-                                          "3", None])
-    def test_degree_must_be_a_nonnegative_integer(self, f_degree):
+    @pytest.mark.parametrize("f_degree, message", [
+        (True, "f_degree must be an integer, got bool"),
+        (np.True_, "f_degree must be an integer, got bool_?"),  # bool_ before numpy 2
+        (False, "f_degree must be an integer, got bool"),
+        (1.5, "f_degree 1.5 is not an integer"),
+        (-1, "f_degree must be a nonnegative integer, got -1"),
+        (np.nan, "f_degree nan is not an integer"),
+        (np.inf, "f_degree inf is not an integer"),
+        ("3", "f_degree must be an integer, got str"),
+        (None, "f_degree must be an integer, got NoneType"),
+    ])
+    def test_degree_must_be_a_nonnegative_integer(self, f_degree, message):
         grid = chebyshev_grid(3, 10)
         pairs = [(0, [1.0]), (4, [0.5]), (9, [0.25])]
-        with pytest.raises(ValueError, match="f_degree must be a nonnegative integer"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             lcc_decode(pairs, grid, f_degree)
 
     def test_integral_float_degree_is_that_integer(self, rng):

@@ -66,6 +66,13 @@ class TestSlopeFit:
         sf = fit_loglog_slope([(16, 0.25), (16, 0.25)])
         assert sf.r2 == 1.0 and sf.points_used == 2
 
+    @pytest.mark.parametrize("mse", [0.25, 0.5, 1e-10])
+    def test_flat_sweep_fits_exactly_at_any_scale(self, mse):
+        # three equal mse over distinct N: ln(mse) is flat to rounding, which
+        # leaves residuals that grow with |ln(mse)|
+        sf = fit_loglog_slope([(16, mse), (32, mse), (64, mse)])
+        assert sf.r2 == 1.0 and abs(sf.slope) < 1e-12 and sf.points_used == 3
+
 
 def _monte_carlo_row(config, scheme, key, n, s):
     """The report row of ``scheme`` at one point, straight from monte_carlo."""

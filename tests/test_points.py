@@ -2,6 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from letcc import cli
+from letcc.baselines import BerrutInterpolant, LagrangePolynomial, lcc_decode
+from letcc.experiments import (
+    CrossvalConfig,
+    StragglerSweepConfig,
+    SweepConfig,
+    crossval_lambda,
+)
 from letcc.points import (
     InterpolationGrid,
     chebyshev_first,
@@ -9,6 +17,16 @@ from letcc.points import (
     chebyshev_second,
     mesh_stats,
 )
+from letcc.sim import (
+    NoiseModel,
+    StragglerModel,
+    TrialSetup,
+    make_worker,
+    monte_carlo,
+    monte_carlo_lambdas,
+    run_trial,
+)
+from letcc.spline import fit
 
 
 class TestChebyshevFirst:
@@ -158,3 +176,105 @@ class TestInterpolationGrid:
         for points in (grid.alphas, grid.betas):
             with pytest.raises(ValueError):
                 points[0] = 0.0
+
+
+def _setup(scheme="letcc", f_degree=None):
+    return TrialSetup(scheme=scheme, func=make_worker("cubic"), grid=chebyshev_grid(3, 10),
+                      stragglers=StragglerModel(10, 1), noise=NoiseModel(0.0),
+                      f_degree=f_degree)
+
+
+def _tanh(d, m):
+    worker = make_worker("tanh_net", d=d, m=m)
+    outputs = worker.evaluate(np.full((2, worker.in_dim), 0.25))
+    return worker.name, worker.lipschitz, outputs.tobytes()
+
+
+def _crossval(**change):
+    config = CrossvalConfig(**dict(dict(func="sin_pi", k=3, n=9, s=1, trials=2), **change))
+    return crossval_lambda((0.0,), (1e-4,), config)
+
+
+# every public entry that takes a count from outside: (field the error starts
+# with, the entry at a count c); each result's repr, or array, is compared
+_COUNTS = {
+    "chebyshev_first": ("k", chebyshev_first),
+    "chebyshev_second": ("n", chebyshev_second),
+    "SweepConfig n_values": ("n_values", lambda c: SweepConfig(("letcc",), "sin_pi", 2,
+                                                               (c, 8), s=1)),
+    "SweepConfig trials": ("trials", lambda c: SweepConfig(("letcc",), "sin_pi", 2, (8,),
+                                                           s=1, trials=c)),
+    "StragglerSweepConfig s_values": ("s_values", lambda c: StragglerSweepConfig(
+        ("letcc",), "sin_pi", 2, 8, (1, c))),
+    "StragglerSweepConfig trials": ("trials", lambda c: StragglerSweepConfig(
+        ("letcc",), "sin_pi", 2, 8, (1,), trials=c)),
+    "StragglerModel n": ("StragglerModel n", lambda c: StragglerModel(c, 1)),
+    "StragglerModel s": ("StragglerModel s", lambda c: StragglerModel(8, c)),
+    "monte_carlo trials": ("trials", lambda c: monte_carlo(_setup(), c, 0)),
+    "monte_carlo_lambdas trials": ("trials", lambda c: monte_carlo_lambdas(
+        _setup(), c, 0, (0.0, 1e-4))),
+    "crossval_lambda k": ("k", lambda c: _crossval(k=c)),
+    "crossval_lambda trials": ("trials", lambda c: _crossval(trials=c)),
+    "tanh_net d": ("d", lambda c: _tanh(c, 2)),
+    "tanh_net m": ("m", lambda c: _tanh(2, c)),
+    "lcc_decode f_degree": ("f_degree", lambda c: lcc_decode(
+        [(0, [1.0]), (4, [0.5]), (9, [0.25])], chebyshev_grid(3, 10), c).estimates),
+    "TrialSetup f_degree": ("f_degree", lambda c: run_trial(_setup("lcc", c), 5)),
+    "CLI JSON integer": ("config key 'k': value",
+                         lambda c: cli._check_config({"k": c}, ["k"])),
+    "CLI JSON integer list": ("config key 'n_values': value",
+                              lambda c: cli._check_config({"n_values": [c, 8]},
+                                                          ["n_values"])),
+}
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return repr(a) == repr(b)
+
+
+class TestCountsFromOutside:
+    # one rule for every count: an int or an integral float, never a
+    # boolean, a string or NaN, and the error names the field
+    @pytest.mark.parametrize("bad", [2.5, True, "3", np.nan], ids=repr)
+    @pytest.mark.parametrize("entry", list(_COUNTS))
+    def test_non_integer_rejected_naming_the_field(self, entry, bad):
+        field, call = _COUNTS[entry]
+        with pytest.raises(ValueError, match=rf"^{field}\b"):
+            call(bad)
+
+    @pytest.mark.parametrize("same", [3.0, np.int64(3)], ids=repr)
+    @pytest.mark.parametrize("entry", list(_COUNTS))
+    def test_integral_values_give_the_result_of_the_int(self, entry, same):
+        _, call = _COUNTS[entry]
+        assert _same(call(same), call(3))
+
+
+# every constructor of an interpolant or fit through nodes from outside
+_NODE_SETS = {
+    "BerrutInterpolant": ("nodes", lambda x: BerrutInterpolant(x, np.ones(len(x)))),
+    "LagrangePolynomial.through": ("nodes", lambda x: LagrangePolynomial.through(
+        x, np.ones(len(x)))),
+    "LagrangePolynomial": ("nodes", lambda x: LagrangePolynomial(x, np.ones(len(x)),
+                                                                 np.ones(len(x)))),
+    "spline.fit": ("t", lambda x: fit(x, np.ones(len(x)), 0.0)),
+}
+
+
+class TestNodesFromOutside:
+    @pytest.mark.parametrize("nodes, message", [
+        ([], "needs at least 1 points, got 0"),
+        ([-0.5, 0.25, 0.25, 0.5], "must be strictly increasing"),
+        ([-0.5, np.nan, 0.5], "contains non-finite values"),
+    ], ids=["empty", "duplicate", "nan"])
+    @pytest.mark.parametrize("entry", list(_NODE_SETS))
+    def test_bad_nodes_rejected_naming_the_field(self, entry, nodes, message):
+        field, build = _NODE_SETS[entry]
+        with pytest.raises(ValueError, match=f"^{field} {message}$"):
+            build(np.array(nodes))
+
+    def test_nodes_need_not_lie_in_the_unit_interval(self):
+        # only grids and mesh statistics bound their points
+        poly = LagrangePolynomial.through([1.0, 2.0, 4.0], [1.0, 4.0, 16.0])
+        assert poly.evaluate([3.0])[0, 0] == pytest.approx(9.0)

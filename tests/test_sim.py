@@ -299,14 +299,19 @@ class TestRunTrial:
         _setup(scheme="lcc", func=make_worker("cubic"))
 
     @pytest.mark.parametrize("scheme", sim.SCHEMES)
-    @pytest.mark.parametrize("f_degree", [True, 1.5, -1, np.nan])
-    def test_bad_degree_rejected_at_setup(self, scheme, f_degree):
-        with pytest.raises(ValueError, match="f_degree must be a nonnegative integer"):
+    @pytest.mark.parametrize("f_degree, message", [
+        (True, "f_degree must be an integer, got bool"),
+        (1.5, "f_degree 1.5 is not an integer"),
+        (-1, "f_degree must be a nonnegative integer, got -1"),
+        (np.nan, "f_degree nan is not an integer"),
+    ])
+    def test_bad_degree_rejected_at_setup(self, scheme, f_degree, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             _setup(scheme=scheme, func=make_worker("cubic"), f_degree=f_degree)
 
     def test_bad_declared_degree_rejected_for_lcc(self):
         half = WorkerFunction("half_cubic", make_worker("cubic").fn, 1, 1, degree=1.5)
-        with pytest.raises(ValueError, match="f_degree must be a nonnegative integer"):
+        with pytest.raises(ValueError, match="^f_degree 1.5 is not an integer$"):
             _setup(scheme="lcc", func=half)
         _setup(scheme="lcc", func=half, f_degree=3)
 

@@ -372,7 +372,7 @@ class TestStackedBasis:
             NaturalSplineBasis(np.zeros((2, 2, 3)))
 
     def test_non_finite_knots_rejected(self):
-        with pytest.raises(ValueError, match="^knots contain non-finite values$"):
+        with pytest.raises(ValueError, match="^knots contains non-finite values$"):
             NaturalSplineBasis(np.array([-1.0, np.inf, 1.0]))
 
 

@@ -50,7 +50,7 @@ from .experiments import (
     write_json,
     write_svg,
 )
-from .points import _integer, chebyshev_grid
+from .points import _integer, _real, chebyshev_grid
 from .sim import (
     NoiseModel,
     RiskBoundViolation,
@@ -118,15 +118,10 @@ def _check_config(raw: dict, allowed) -> dict:
     return out
 
 
-# an integral JSON number, by the library's one rule for integers
+# an integral JSON number, and a finite nonnegative one, by the library's
+# rules for integers and reals
 _int = functools.partial(_integer, what="value")
-
-
-def _float(value) -> float:
-    """float() of a JSON number only: booleans and strings are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
+_float = functools.partial(_real, what="value")
 
 
 def _str(value) -> str:
@@ -230,16 +225,25 @@ def _write_reports(args, stem: str, report) -> str:
     return out
 
 
+def _kind(raw: dict, default: str) -> str:
+    """The config's kind, ``default`` if not given or null.
+
+    Checked first, as the kind decides which other keys are allowed.
+    """
+    return _check_config({"kind": raw.get("kind")}, ("kind",)).get("kind", default)
+
+
 def cmd_sweep(args) -> int:
     raw = _read_config(args.config)
-    # checked first, as the kind decides which other keys are allowed; a
-    # null kind counts as not given
-    kind = _check_config({"kind": raw.get("kind")}, ("kind",)).get("kind", "n_sweep")
-    return _run_kind(kind, raw, args)
+    return _run_kind(_kind(raw, "n_sweep"), raw, args)
 
 
 def cmd_crossval(args) -> int:
-    return _run_kind("crossval", _read_config(args.config), args)
+    raw = _read_config(args.config)
+    kind = _kind(raw, "crossval")
+    if kind != "crossval":
+        raise ConfigError(f"crossval runs kind 'crossval' configs, got kind {kind!r}")
+    return _run_kind(kind, raw, args)
 
 
 def _run_kind(kind: str, raw: dict, args) -> int:

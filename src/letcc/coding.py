@@ -62,7 +62,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import spline
-from .points import InterpolationGrid, _integral_indices
+from .points import InterpolationGrid, _integral_indices, _real
 
 __all__ = [
     "DecodeFailure",
@@ -166,10 +166,9 @@ class _LinearEncoder:
 
 
 def _linear_encoder(grid: InterpolationGrid, lambda_e: float) -> _LinearEncoder:
-    """The grid's letcc encoder for ``lambda_e``, built and kept on first use."""
-    lam = float(lambda_e)
-    return grid._cached(("letcc", lam), lambda: _LinearEncoder(
-        spline.fit(grid.alphas, np.eye(grid.k), lam),
+    """The grid's letcc encoder for a checked ``lambda_e``, built and kept on first use."""
+    return grid._cached(("letcc", lambda_e), lambda: _LinearEncoder(
+        spline.fit(grid.alphas, np.eye(grid.k), lambda_e),
         spline.evaluation_weights(grid.alphas, grid.betas)))
 
 
@@ -183,7 +182,7 @@ def encode(data: Dataset, grid: InterpolationGrid, lambda_e: float) -> CodedBatc
     """
     if data.k != grid.k:
         raise ValueError(f"dataset has {data.k} rows but grid has {grid.k} alphas")
-    encoder = _linear_encoder(grid, lambda_e)
+    encoder = _linear_encoder(grid, _real(lambda_e, "lambda_e"))
     coded, values, second_derivs = encoder.apply(data.inputs)
     enc = replace(encoder.unit, coefficients=values, second_derivs=second_derivs)
     return CodedBatch(coded=coded, encoder_fit=enc, grid=grid)
@@ -260,11 +259,12 @@ def decode(survivors, grid: InterpolationGrid, lambda_d: float) -> DecodeResult:
     survivors raise :class:`DecodeFailure`.  A stack of one trial at one
     weight of the decode body, after :func:`normalize_survivors`.
     """
+    lam = _real(lambda_d, "lambda_d")
     indices, outputs = normalize_survivors(survivors, grid.n)
     estimates, (values, second_derivs), degraded = _decode_stack(
-        grid, indices[None], outputs[None], (lambda_d,))
+        grid, indices[None], outputs[None], (lam,))
     fit = spline.SplineFit(grid.betas[indices], values[0, 0], second_derivs[0, 0],
-                           float(lambda_d), degenerate=degraded)
+                           lam, degenerate=degraded)
     return DecodeResult(estimates=estimates[0, 0], decoder_fit=fit,
                         survivor_count=indices.size, degraded=degraded)
 
@@ -275,14 +275,15 @@ def _decode_stack(grid: InterpolationGrid, indices: np.ndarray, outputs: np.ndar
 
     ``indices`` (T, v) are sorted, unique and in range, and ``outputs``
     (T, v, m) finite, as :func:`normalize_survivors` or a Monte-Carlo
-    chunk gives them.  The T fits at a weight share one set of band
-    operations (:func:`letcc.spline._fit_stack`), and one set of
+    chunk gives them; each weight is a float checked by
+    :func:`letcc.points._real`.  The T fits at a weight share one set of
+    band operations (:func:`letcc.spline._fit_stack`), and one set of
     evaluation weights takes all fits to the alphas.  Gives the (L, T, K, m)
     estimates, the (L, T, v, m) knot values and second derivatives, and
     whether the fits are degraded: fewer than three survivors fit the
     penalty null space.
     """
     knots = grid.betas[indices]
-    fits = spline._fit_stack(knots, outputs, spline._checked_lams(lambdas))
+    fits = spline._fit_stack(knots, outputs, lambdas)
     estimates = spline.evaluation_weights(knots, grid.alphas).apply(*fits)
     return estimates, fits, indices.shape[1] < 3

@@ -15,8 +15,7 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from . import spline
-from .points import _check_points, _integer, _integral_indices, chebyshev_grid
+from .points import _check_points, _integer, _integral_indices, _real, chebyshev_grid
 from .sim import (
     NoiseModel,
     StragglerModel,
@@ -73,6 +72,12 @@ def _resolve_lambda_d(rule: str, scale: float, n: int, s: int) -> float:
     return scale * LAMBDA_RULES[rule](n, s)
 
 
+def _normalise_reals(config, names) -> None:
+    """Keep each field of ``names`` of a frozen ``config`` as :func:`_real` gives it."""
+    for name in names:
+        object.__setattr__(config, name, _real(getattr(config, name), name))
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Mean-error-versus-N sweep over one or more schemes."""
@@ -100,6 +105,8 @@ class SweepConfig:
         _check_points("n_values", n_values)
         object.__setattr__(self, "n_values", tuple(n_values.tolist()))
         object.__setattr__(self, "trials", _integer(self.trials, "trials"))
+        _normalise_reals(self, ("sigma0", "lambda_e", "lambda_d_scale")
+                         + (("s_ratio",) if self.s_ratio is not None else ()))
         if not self.schemes:
             raise ValueError("at least one scheme required")
         if (self.s is None) == (self.s_ratio is None):
@@ -251,6 +258,7 @@ class StragglerSweepConfig:
         s_values = _integral_indices(tuple(self.s_values), "s_values", self.n)
         object.__setattr__(self, "s_values", tuple(s_values.tolist()))
         object.__setattr__(self, "trials", _integer(self.trials, "trials"))
+        _normalise_reals(self, ("sigma0", "lambda_e", "lambda_d_scale"))
         if not self.schemes:
             raise ValueError("at least one scheme required")
         if not self.s_values:
@@ -306,6 +314,11 @@ class CrossvalConfig:
     func_d: int = 1
     func_m: int = 1
 
+    def __post_init__(self):
+        for name in ("k", "n", "s", "trials"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        _normalise_reals(self, ("sigma0",))
+
 
 @dataclass(frozen=True)
 class CrossvalResult:
@@ -320,18 +333,17 @@ def crossval_lambda(lambda_e_grid, lambda_d_grid, config: CrossvalConfig) -> Cro
 
     Every pair is scored on the same seeded trials (identical stragglers,
     noise, data), so the comparison is paired.  Both grids are checked
-    (nonempty, every weight finite and >= 0) before any trial runs; then
-    each lambda_e makes one :func:`letcc.sim.monte_carlo_lambdas` call at
-    the whole lambda_d grid.  Near-ties (within a small relative epsilon
-    of the minimum, which happens when the problem is solved exactly for
-    many pairs) break toward the most regularized pair: largest lambda_d,
+    (nonempty, every weight by :func:`letcc.points._real`) before any trial
+    runs; then each lambda_e makes one :func:`letcc.sim.monte_carlo_lambdas`
+    call at the whole lambda_d grid.  Near-ties (within a small relative
+    epsilon of the minimum, which happens when the problem is solved exactly
+    for many pairs) break toward the most regularized pair: largest lambda_d,
     then largest lambda_e.
     """
-    e_grid = tuple(float(v) for v in lambda_e_grid)
-    d_grid = tuple(float(v) for v in lambda_d_grid)
+    e_grid = tuple(_real(v, "lambda_e") for v in lambda_e_grid)
+    d_grid = tuple(_real(v, "lambda_d") for v in lambda_d_grid)
     if not e_grid or not d_grid:
         raise ValueError("lambda grids must be nonempty")
-    spline._checked_lams(e_grid + d_grid)
     func = worker_for(config.func, config.func_d, config.func_m)
     grid = chebyshev_grid(config.k, config.n)
     table = []

@@ -6,13 +6,17 @@ encoder points ``alphas`` (one per input vector) and the worker points
 are the defaults; both generators return ascending arrays so downstream
 spline code can assume sorted knots.
 
-The module also owns the two rules for input from outside: every count or
-index passes :func:`_integral_indices` (:func:`_integer` for one), each
-caller keeping its own minimum, and every point set :func:`_check_points`.
+The module also owns the three rules for input from outside: every count
+or index passes :func:`_integral_indices` (:func:`_integer` for one), each
+caller keeping its own minimum; every real parameter (a smoothing weight,
+a noise level, a scale or ratio) passes :func:`_real`; and every point set
+:func:`_check_points`.  Seeds take the integer rule without its int64
+limit (:func:`letcc.sim._entropy`).
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -161,8 +165,8 @@ def _integral_indices(values, what: str, n: int | None = None) -> np.ndarray:
     Each is an int or an integral float (not NaN or inf), never a boolean
     (a mask read as indices 0 and 1 picks the wrong workers) or a string.
     A list or tuple is checked item by item, as numpy reads ``[True, 2]`` as
-    ``[1, 2]``; an array must be one-dimensional.  Given ``n``, every value
-    lies in [0, n).
+    ``[1, 2]``; an array must be one-dimensional.  Every value lies in
+    [0, n) given ``n``, else in the int64 range.
     """
     if isinstance(values, (list, tuple)):
         for kind in set(map(type, values)):
@@ -177,14 +181,34 @@ def _integral_indices(values, what: str, n: int | None = None) -> np.ndarray:
         integral = np.isfinite(indices) & (np.floor(indices) == indices)
         if not integral.all():
             raise ValueError(f"{what} {indices[~integral][0]} is not an integer")
-    indices = indices.astype(int)
-    if n is not None:
-        outside = (indices < 0) | (indices >= n)
+    if n is not None or indices.dtype.kind != "i":
+        # checked before the cast, which wraps values beyond int64 around
+        lo, hi = (0, n) if n is not None else (-2**63, 2**63)
+        outside = (indices < lo) | (indices >= hi)
         if outside.any():
-            raise ValueError(f"{what} {indices[outside][0]} outside [0, {n})")
-    return indices
+            bounds = f"[0, {n})" if n is not None else "the int64 range"
+            raise ValueError(f"{what} {indices[outside][0]} outside {bounds}")
+    return indices.astype(int)
 
 
 def _integer(value, what: str, n: int | None = None) -> int:
     """One integer from outside as an int, by the rule of :func:`_integral_indices`."""
     return _integral_indices([value], what, n).item()
+
+
+def _real(value, what: str) -> float:
+    """One real parameter from outside, ``value`` named ``what``, as a float.
+
+    It is an int or a float, numpy scalars included, finite and
+    nonnegative; never a boolean (``True`` would run as 1.0), a string or
+    None.
+    """
+    real = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            real = float(value)
+        except OverflowError:  # an int beyond every float
+            pass
+    if not (math.isfinite(real) and real >= 0):
+        raise ValueError(f"{what} must be a finite nonnegative real, got {value!r}")
+    return real

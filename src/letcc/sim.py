@@ -44,7 +44,8 @@ trial's metrics are bit-identical whether it runs through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import numbers
+from dataclasses import dataclass, fields
 from functools import cache
 from itertools import chain
 from math import sqrt
@@ -52,9 +53,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import baselines, coding, spline
+from . import baselines, coding
 from .coding import CodedBatch, Dataset
-from .points import InterpolationGrid, _integer, _integral_indices
+from .points import InterpolationGrid, _integer, _integral_indices, _real
 
 __all__ = [
     "RiskBoundViolation",
@@ -107,16 +108,24 @@ class RiskBoundViolation(ArithmeticError):
 def trial_rng(seed, stream: int) -> np.random.Generator:
     """Generator for one substream of one trial.
 
-    ``seed`` may be an int or a sequence of ints (e.g. (master, trial)).
-    The Monte-Carlo harness loads the same states into a reused generator
-    (:func:`_stream_states`); this is their reference.
+    ``seed`` may be an int or a sequence of ints (e.g. (master, trial)),
+    checked by :func:`_entropy`.  The Monte-Carlo harness loads the same
+    states into a reused generator (:func:`_stream_states`); this is their
+    reference.
     """
     return np.random.default_rng([*_entropy(seed), stream])
 
 
 def _entropy(seed) -> tuple[int, ...]:
-    """``seed``, an int or a sequence of ints, as a tuple of ints."""
-    return tuple(int(s) for s in (seed if isinstance(seed, tuple) else np.atleast_1d(seed)))
+    """``seed``, an int or a sequence of ints, as a tuple of ints.
+
+    Each entry takes the integer rule of :func:`letcc.points._integer`,
+    named ``seed``, without its int64 limit, as numpy's seeding takes ints
+    of any size; :func:`_words` refuses a negative one as numpy does.
+    """
+    entries = seed if isinstance(seed, (tuple, list)) else np.atleast_1d(seed).tolist()
+    return tuple(int(s) if isinstance(s, numbers.Integral) and not isinstance(s, bool)
+                 else _integer(s, "seed") for s in entries)
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
@@ -307,13 +316,15 @@ def _survivor_stack(model: StragglerModel, rngs: Iterable) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Zero-mean i.i.d. Gaussian noise per worker per output coordinate."""
+    """Zero-mean i.i.d. Gaussian noise per worker per output coordinate.
+
+    ``sigma0`` is kept as a float, checked by :func:`letcc.points._real`.
+    """
 
     sigma0: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma0) and self.sigma0 >= 0):
-            raise ValueError(f"sigma0 must be a finite nonnegative real, got {self.sigma0}")
+        object.__setattr__(self, "sigma0", _real(self.sigma0, "sigma0"))
 
 
 @dataclass(frozen=True)
@@ -532,14 +543,19 @@ class TrialColumns:
 _COLUMNS = [f.name for f in fields(TrialMetrics) if f.name != "scheme"]
 
 
+class _DeclaredDegree(int):
+    """An lcc degree taken from the worker, which ``dataclasses.replace`` resolves again."""
+
+
 @dataclass(frozen=True)
 class TrialSetup:
     """Everything but the seed needed to run one trial.
 
     Every field is checked on construction; ``lambda_e`` and ``lambda_d``
-    must be finite and nonnegative, and ``f_degree`` (or, for lcc without
-    one, the worker's declared degree) a nonnegative integer, which is
-    resolved once, here (``dataclasses.replace`` resolves it again).
+    are kept as floats, checked by :func:`letcc.points._real`.
+    ``f_degree``, given or, for lcc without one, the worker's declared
+    degree, is resolved into that field once, here, as a nonnegative
+    integer (``dataclasses.replace`` resolves it again).
     """
 
     scheme: str
@@ -552,7 +568,6 @@ class TrialSetup:
     f_degree: int | None = None
     data: Dataset | None = None
     data_rule: str = "uniform"
-    _lcc_degree: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -565,12 +580,16 @@ class TrialSetup:
             raise ValueError(f"unknown data rule {self.data_rule!r}")
         if self.data is None and self.data_rule == "identity" and self.func.in_dim != 1:
             raise ValueError("identity data rule requires a 1-D worker function")
-        if self.scheme == "lcc" or self.f_degree is not None:
-            degree = self.func.degree if self.f_degree is None else self.f_degree
-            if degree is None:
+        degree = None if type(self.f_degree) is _DeclaredDegree else self.f_degree
+        if degree is not None:
+            degree = baselines._checked_degree(degree)
+        elif self.scheme == "lcc":
+            if self.func.degree is None:
                 raise ValueError("lcc needs a declared polynomial degree")
-            object.__setattr__(self, "_lcc_degree", baselines._checked_degree(degree))
-        spline._checked_lams((self.lambda_e, self.lambda_d))
+            degree = _DeclaredDegree(baselines._checked_degree(self.func.degree))
+        object.__setattr__(self, "f_degree", degree)
+        object.__setattr__(self, "lambda_e", _real(self.lambda_e, "lambda_e"))
+        object.__setattr__(self, "lambda_d", _real(self.lambda_d, "lambda_d"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -617,10 +636,10 @@ def _prepare(setup: TrialSetup, seeds, weights: int = 1) -> Iterator[_Chunk]:
     every value of all its trials at once.  f runs once per trial on
     each of that trial's row sets: survivors, inputs and, for letcc, the
     encoder's values at the alphas.  A non-finite value raises
-    ``ValueError`` naming which of the three it is.
+    ``ValueError`` naming which of the three it is.  Each seed is a tuple
+    of ints, as :func:`_entropy` gives it.
     """
     grid, func = setup.grid, setup.func
-    seeds = [_entropy(seed) for seed in seeds]
     tags = [tag for tag, used in ((_STREAM_DATA, setup.data is None
                                    and setup.data_rule == "uniform"),
                                   (_STREAM_STRAGGLERS, setup.stragglers.mode == "uniform"),
@@ -645,7 +664,7 @@ def _prepare(setup: TrialSetup, seeds, weights: int = 1) -> Iterator[_Chunk]:
     if setup.scheme == "bacc":
         width = max(width, grid.k)
     elif setup.scheme == "lcc":
-        columns = baselines.LagrangeCodec(grid.k, setup._lcc_degree).target_degree + 1
+        columns = baselines.LagrangeCodec(grid.k, setup.f_degree).target_degree + 1
         width = max(width, min(columns, grid.n) + func.out_dim)
     size = max(1, _CHUNK_VALUES // (grid.n * width * weights))
     for start in range(0, len(seeds), size):
@@ -703,7 +722,7 @@ def _decode_chunk(setup: TrialSetup, chunk: _Chunk,
     if setup.scheme == "bacc":
         return baselines._bacc_decode_stack(grid, indices, outputs)[None], False
     estimates, _, degraded = baselines._lcc_decode_stack(grid, indices, outputs,
-                                                         setup._lcc_degree)
+                                                         setup.f_degree)
     return estimates[None], degraded
 
 
@@ -745,20 +764,20 @@ def _score(setup: TrialSetup, chunk: _Chunk, estimates: np.ndarray,
 def run_trial(setup: TrialSetup, seed) -> TrialMetrics:
     """Run the full encode/compute/decode pipeline once.
 
-    ``seed`` (int or tuple of ints) fully determines the trial: identical
-    seeds give bit-identical metrics.  The trial is a chunk of one, decoded
+    ``seed`` (int or tuple of ints, by :func:`_entropy`) fully determines
+    the trial: identical seeds give bit-identical metrics.  The trial is a chunk of one, decoded
     through the scheme's public one-trial decode: a letcc trial through one
     :func:`letcc.coding.decode` call, whose survivors expose ``indices``
     and ``outputs``.
     """
-    chunk, = _prepare(setup, [seed])
+    chunk, = _prepare(setup, [_entropy(seed)])
     returns = WorkerReturns(chunk.indices[0], chunk.outputs[0])
     if setup.scheme == "letcc":
         result = coding.decode(returns, setup.grid, setup.lambda_d)
     elif setup.scheme == "bacc":
         result = baselines.bacc_decode(returns, setup.grid)
     else:
-        result = baselines.lcc_decode(returns, setup.grid, setup._lcc_degree)
+        result = baselines.lcc_decode(returns, setup.grid, setup.f_degree)
     return _score(setup, chunk, result.estimates[None], result.degraded).rows()[0]
 
 
@@ -829,7 +848,8 @@ def monte_carlo_lambdas(setup: TrialSetup, trials: int, master_seed,
     trials, master_seed)`` bit for bit, but each trial is prepared once and
     each chunk of trials decoded at every weight together (see the module
     docstring).  bacc and lcc have no decoder weight and take exactly one.
-    Every weight is checked, finite and nonnegative, before any trial runs.
+    Every weight is checked by :func:`letcc.points._real`, named
+    ``lambda_d``, and the seed by :func:`_entropy`, before any trial runs.
     """
     lams = tuple(lambdas)
     if not lams:
@@ -837,7 +857,7 @@ def monte_carlo_lambdas(setup: TrialSetup, trials: int, master_seed,
     if len(lams) > 1 and setup.scheme != "letcc":
         raise ValueError(f"{setup.scheme} has no decoder weight; "
                          f"give one lambda_d, not {len(lams)}")
-    spline._checked_lams(lams)
+    lams = tuple(_real(lam, "lambda_d") for lam in lams)
     trials = _integer(trials, "trials")
     if trials < 1:
         raise ValueError("need at least one trial")

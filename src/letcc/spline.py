@@ -69,7 +69,7 @@ import numpy as np
 from scipy.linalg import solveh_banded
 from scipy.linalg.lapack import dgbsv
 
-from .points import _check_points
+from .points import _check_points, _real
 
 __all__ = [
     "DegenerateBasisError",
@@ -320,7 +320,7 @@ def fit(t, y, lam: float) -> SplineFit:
         raise ValueError(f"y has {y.shape[0]} rows for {t.size} knots")
     if not np.isfinite(y).all():
         raise ValueError("non-finite values in fit inputs")
-    lam = _checked_lam(lam)
+    lam = _real(lam, "lam")
     values, second_derivs = _fit_stack(t[None], y[None], [lam])
     return SplineFit(t, values[0, 0], second_derivs[0, 0], lam, degenerate=t.size < 3,
                      _scalar=scalar)
@@ -330,9 +330,9 @@ def _fit_stack(t: np.ndarray, y: np.ndarray,
                lams: list[float]) -> tuple[np.ndarray, np.ndarray]:
     """Fits of each knot set of a (T, n) stack to its data (T, n, m), at each weight.
 
-    The knots and data are checked by the caller, ``lams`` by
-    :func:`_checked_lams`.  Gives the (L, T, n, m) knot values and second
-    derivatives of all sets at the L weights.  Every set gets the
+    The knots and data are checked by the caller, each of ``lams`` by
+    :func:`letcc.points._real`.  Gives the (L, T, n, m) knot values and
+    second derivatives of all sets at the L weights.  Every set gets the
     arithmetic, and the memory layout, of a fit on its own: the bands of all
     sets are built at once, and each solve runs per set.  Fewer than three
     knots fit the penalty null space exactly (affine for n=2, constant for
@@ -357,19 +357,6 @@ def _fit_stack(t: np.ndarray, y: np.ndarray,
         values[smoothed], second_derivs[smoothed] = basis.smooth(
             y, [n * lams[i] for i in smoothed])
     return values, second_derivs
-
-
-def _checked_lam(lam) -> float:
-    if not (np.isfinite(lam) and lam >= 0):
-        raise ValueError(f"lam must be a finite nonnegative real, got {lam}")
-    return float(lam)
-
-
-def _checked_lams(lams) -> list[float]:
-    lams = [_checked_lam(lam) for lam in lams]
-    if not lams:
-        raise ValueError("need at least one lam")
-    return lams
 
 
 @dataclass(frozen=True, eq=False)

@@ -111,7 +111,8 @@ class TestTrial:
             assert code == 0
             return
         assert (code, out) == (1, "")
-        assert err == f"error: config key {key!r}: expected a number, got {shown}\n"
+        assert err == (f"error: config key {key!r}: value must be a finite nonnegative "
+                       f"real, got {shown}\n")
 
     @pytest.mark.parametrize("key, value, message", [
         ("k", 16.7, "value 16.7 is not an integer"),
@@ -245,6 +246,9 @@ _KIND_CONFIGS = {
                  "trials": 2, "lambda_d_grid": [1e-4]},
 }
 
+# the owner's message for a real, after the key
+_REAL = "value must be a finite nonnegative real, got"
+
 _MALFORMED = [
     ("missing required key", "n_sweep", {"n_values": None}, "'n_values' is required"),
     ("null required key", "n_sweep", {"schemes": None}, "'schemes' is required"),
@@ -253,31 +257,31 @@ _MALFORMED = [
     ("boolean integer", "n_sweep", {"trials": True},
      "'trials': value must be an integer, got bool"),
     ("k zero", "n_sweep", {"k": 0}, "k=0"),
-    ("boolean float", "n_sweep", {"sigma0": True}, "'sigma0': expected a number, got True"),
+    ("boolean float", "n_sweep", {"sigma0": True}, f"'sigma0': {_REAL} True"),
     ("string float", "n_sweep", {"lambda_e": "1e-3"},
-     "'lambda_e': expected a number, got '1e-3'"),
+     f"'lambda_e': {_REAL} '1e-3'"),
     ("string float", "n_sweep", {"s": None, "s_ratio": "0.1"},
-     "'s_ratio': expected a number, got '0.1'"),
+     f"'s_ratio': {_REAL} '0.1'"),
     ("boolean float", "n_sweep", {"lambda_d_scale": False},
-     "'lambda_d_scale': expected a number, got False"),
+     f"'lambda_d_scale': {_REAL} False"),
     ("tanh_net without m", "n_sweep", {"f": "tanh_net", "data": "uniform"}, "m >= 2"),
     ("missing required key", "straggler", {"s_values": None}, "'s_values' is required"),
     ("null required key", "straggler", {"n": None}, "'n' is required"),
     ("wrong type", "straggler", {"n": [24]}, "config key 'n'"),
     ("k zero", "straggler", {"k": 0}, "k=0"),
-    ("boolean float", "straggler", {"sigma0": True}, "'sigma0': expected a number, got True"),
+    ("boolean float", "straggler", {"sigma0": True}, f"'sigma0': {_REAL} True"),
     ("string float", "straggler", {"lambda_e": "1e-6"},
-     "'lambda_e': expected a number, got '1e-6'"),
+     f"'lambda_e': {_REAL} '1e-6'"),
     ("missing required key", "crossval", {"n": None}, "'n' is required"),
     ("null required key", "crossval", {"f": None}, "'f' is required"),
     ("wrong type", "crossval", {"lambda_d_grid": 1e-4}, "config key 'lambda_d_grid'"),
     ("fractional integer", "crossval", {"k": 16.7}, "'k': value 16.7 is not an integer"),
     ("k zero", "crossval", {"k": 0}, "k=0"),
-    ("string float", "crossval", {"sigma0": "0.1"}, "'sigma0': expected a number, got '0.1'"),
+    ("string float", "crossval", {"sigma0": "0.1"}, f"'sigma0': {_REAL} '0.1'"),
     ("string in float grid", "crossval", {"lambda_d_grid": [1e-4, "1e-3"]},
-     "'lambda_d_grid': expected a number, got '1e-3'"),
+     f"'lambda_d_grid': {_REAL} '1e-3'"),
     ("boolean in float grid", "crossval", {"lambda_e_grid": [True]},
-     "'lambda_e_grid': expected a number, got True"),
+     f"'lambda_e_grid': {_REAL} True"),
     ("empty schemes", "n_sweep", {"schemes": []}, "at least one scheme required"),
     ("S not below N", "n_sweep", {"s": 16}, "S must stay below N (N=16, S=16)"),
     ("no trials", "n_sweep", {"trials": 0}, "trials must be >= 1"),
@@ -457,6 +461,25 @@ class TestCrossvalCommand:
         assert "bogus" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["n_sweep", "straggler", "bogus"])
+    def test_other_kind_exits_one_before_any_trial(self, capsys, tmp_path, monkeypatch,
+                                                   kind):
+        prepared, prepare = [], sim._prepare
+        monkeypatch.setattr(sim, "_prepare", lambda *a: prepared.append(a) or prepare(*a))
+        path = tmp_path / "cv.json"
+        path.write_text(json.dumps(dict(_KIND_CONFIGS["crossval"], kind=kind)))
+        code, out, err = run_cli(capsys, "crossval", str(path), "--out", str(tmp_path / "o"))
+        assert (code, out, prepared) == (1, "", [])
+        assert err == f"error: crossval runs kind 'crossval' configs, got kind {kind!r}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cv.json"]
+
+    def test_null_kind_runs_a_crossval(self, capsys, tmp_path):
+        path = tmp_path / "cv.json"
+        path.write_text(json.dumps(dict(_KIND_CONFIGS["crossval"], kind=None)))
+        code, out, _ = run_cli(capsys, "crossval", str(path))
+        assert code == 0
+        assert json.loads(out)["best_lambda_d"] == 1e-4
+
     # a bad second entry of either grid, a negative lambda_d rule scale or
     # lambda_e in a sweep, or a negative --lambda-d: no trial is prepared,
     # not even at the first lambda_e or the first point
@@ -480,8 +503,13 @@ class TestCrossvalCommand:
                     "--out", str(tmp_path / "out")]
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, prepared) == (1, "", [])
-        bad = -(16.0 ** -4) if kind == "n_sweep" else -1.0  # the first point has N = 16
-        assert err == f"error: lam must be a finite nonnegative real, got {bad}\n"
+        if kind == "trial":  # a flag reaches the trial setup, which names its field
+            want = "lambda_d must be a finite nonnegative real, got -1.0"
+        else:  # a config value is refused as it is read, naming its key
+            key, = set(change) - {"kind"}
+            bad = change[key][-1] if isinstance(change[key], list) else change[key]
+            want = f"config key {key!r}: value must be a finite nonnegative real, got {bad!r}"
+        assert err == f"error: {want}\n"
         assert [p.name for p in tmp_path.iterdir()] == ([] if kind == "trial" else ["cv.json"])
 
 

@@ -476,10 +476,9 @@ class TestDecodeStackAtManyWeights:
                 assert want.survivor_count == count
                 assert want.degraded == degraded
 
-    @pytest.mark.parametrize("bad, message", [(-1e-3, "finite nonnegative"),
-                                              (np.nan, "finite nonnegative"),
-                                              (np.inf, "finite nonnegative"),
-                                              (1e307, "n[*]lam is not finite"),
+    # a weight too large for the knots; a negative or non-finite one is
+    # refused before the stack, by letcc.points._real (test_points.py)
+    @pytest.mark.parametrize("bad, message", [(1e307, "n[*]lam is not finite"),
                                               (1e305, "too large for these knots")])
     def test_refuses_a_weight_as_fit_does(self, rng, bad, message):
         grid = chebyshev_grid(4, 256)
@@ -490,11 +489,9 @@ class TestDecodeStackAtManyWeights:
         with pytest.raises(ValueError) as got:
             _decode_stack(grid, indices[None], outputs[None], [1e-6, bad, 0.0])
         assert str(got.value) == str(want.value)
-
-    def test_empty_weight_list_rejected(self):
-        survivors = [WorkerReturns(np.array([0, 3, 6]), np.array([[1.0], [2.0], [0.0]]))]
-        with pytest.raises(ValueError, match="at least one"):
-            _decode_stack(chebyshev_grid(3, 7), *_stacked(survivors), [])
+        with pytest.raises(ValueError) as got:
+            decode(WorkerReturns(indices, outputs), grid, bad)
+        assert str(got.value) == str(want.value)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -589,7 +586,7 @@ class TestDecodeStack:
             h = np.diff(grid.betas[idx])
             weights.append(float((1.0 / h[:-1] + 1.0 / h[1:]).max()))
         assert weights[0] < weights[1] < weights[2]
-        lam = np.finfo(float).max / np.sqrt(weights[0] * weights[1]) / 250
+        lam = float(np.finfo(float).max / np.sqrt(weights[0] * weights[1]) / 250)
         survivors = [WorkerReturns(idx, rng.normal(size=(250, 1))) for idx in indices]
         decode(survivors[0], grid, lam)
         with pytest.raises(ValueError, match="too large for these knots") as want:
@@ -604,8 +601,8 @@ class TestDecodeStack:
         grid = chebyshev_grid(5, 21)
         indices, outputs = np.arange(4)[None], np.zeros((1, 4, 1))
         for lam in (-1e-3, np.nan, np.inf):
-            with pytest.raises(ValueError, match="lam must be"):
-                _decode_stack(grid, indices, outputs, (lam,))
+            with pytest.raises(ValueError, match="^lambda_d must be"):
+                decode(WorkerReturns(indices[0], outputs[0]), grid, lam)
         with pytest.raises(ValueError, match="lam too large"):
             _decode_stack(grid, np.arange(21)[None], np.zeros((1, 21, 1)), (1e306,))
 

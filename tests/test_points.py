@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from letcc import cli
+from letcc import cli, sim
 from letcc.baselines import BerrutInterpolant, LagrangePolynomial, lcc_decode
+from letcc.coding import Dataset, decode, encode, normalize_survivors
 from letcc.experiments import (
     CrossvalConfig,
     StragglerSweepConfig,
@@ -25,6 +26,8 @@ from letcc.sim import (
     monte_carlo,
     monte_carlo_lambdas,
     run_trial,
+    sample_stragglers,
+    trial_rng,
 )
 from letcc.spline import fit
 
@@ -178,10 +181,11 @@ class TestInterpolationGrid:
                 points[0] = 0.0
 
 
-def _setup(scheme="letcc", f_degree=None):
-    return TrialSetup(scheme=scheme, func=make_worker("cubic"), grid=chebyshev_grid(3, 10),
-                      stragglers=StragglerModel(10, 1), noise=NoiseModel(0.0),
-                      f_degree=f_degree)
+def _setup(scheme="letcc", f_degree=None, **change):
+    return TrialSetup(**dict(dict(
+        scheme=scheme, func=make_worker("cubic"), grid=chebyshev_grid(3, 10),
+        stragglers=StragglerModel(10, 1), noise=NoiseModel(0.0), f_degree=f_degree),
+        **change))
 
 
 def _tanh(d, m):
@@ -190,9 +194,9 @@ def _tanh(d, m):
     return worker.name, worker.lipschitz, outputs.tobytes()
 
 
-def _crossval(**change):
+def _crossval(e_grid=(0.0,), d_grid=(1e-4,), **change):
     config = CrossvalConfig(**dict(dict(func="sin_pi", k=3, n=9, s=1, trials=2), **change))
-    return crossval_lambda((0.0,), (1e-4,), config)
+    return crossval_lambda(e_grid, d_grid, config)
 
 
 # every public entry that takes a count from outside: (field the error starts
@@ -249,6 +253,141 @@ class TestCountsFromOutside:
     def test_integral_values_give_the_result_of_the_int(self, entry, same):
         _, call = _COUNTS[entry]
         assert _same(call(same), call(3))
+
+    # numpy casts values past int64 around to negative ones; each is refused
+    # before the cast, as given, and nothing runs at such a count
+    @pytest.mark.parametrize("huge", [np.uint64(2**63), 2.0**63], ids=repr)
+    @pytest.mark.parametrize("entry", list(_COUNTS))
+    def test_values_past_int64_refused_as_given(self, entry, huge):
+        field, call = _COUNTS[entry]
+        shown = r"(9223372036854775808|9\.223372036854776e\+18)"
+        with pytest.raises(ValueError, match=rf"^{field} {shown} outside "):
+            call(huge)
+
+    def test_index_past_int64_refused_as_given(self):
+        index = np.array([2**64 - 1], dtype=np.uint64)
+        message = "^{} 18446744073709551615 outside \\[0, 16\\)$"
+        with pytest.raises(ValueError, match=message.format("survivor index")):
+            normalize_survivors(sim.WorkerReturns(index, np.ones((1, 1))), 16)
+        with pytest.raises(ValueError, match=message.format("straggler index")):
+            StragglerModel(16, 1, mode="fixed", fixed_stragglers=index)
+
+
+def _sweep(**change):
+    return SweepConfig(**dict(dict(schemes=("letcc",), func="sin_pi", k=2, n_values=(8,),
+                                   s=1), **change))
+
+
+def _straggler_sweep(**change):
+    return StragglerSweepConfig(**dict(dict(schemes=("letcc",), func="sin_pi", k=2, n=8,
+                                            s_values=(1,)), **change))
+
+
+_DATA = Dataset(np.array([[0.5], [-0.25], [1.0]]))
+_PAIRS = [(0, [1.0]), (4, [0.5]), (9, [0.25])]
+
+# every public entry that takes a real parameter from outside: (field the
+# error starts with, the entry at a value v); compared as _COUNTS' results
+_REALS = {
+    "NoiseModel sigma0": ("sigma0", NoiseModel),
+    "TrialSetup lambda_e": ("lambda_e", lambda v: run_trial(_setup(lambda_e=v), 5)),
+    "TrialSetup lambda_d": ("lambda_d", lambda v: run_trial(_setup(lambda_d=v), 5)),
+    "spline.fit lam": ("lam", lambda v: fit([-0.5, 0.0, 0.5, 0.75],
+                                            [1.0, 0.0, 2.0, 1.0], v).coefficients),
+    "encode lambda_e": ("lambda_e", lambda v: encode(_DATA, chebyshev_grid(3, 10), v).coded),
+    "decode lambda_d": ("lambda_d", lambda v: decode(_PAIRS, chebyshev_grid(3, 10),
+                                                     v).estimates),
+    "monte_carlo_lambdas lambdas": ("lambda_d", lambda v: monte_carlo_lambdas(
+        _setup(), 2, 0, (1e-4, v))),
+    "crossval_lambda lambda_e_grid": ("lambda_e", lambda v: _crossval(e_grid=(0.0, v))),
+    "crossval_lambda lambda_d_grid": ("lambda_d", lambda v: _crossval(d_grid=(1e-4, v))),
+    "SweepConfig sigma0": ("sigma0", lambda v: _sweep(sigma0=v)),
+    "SweepConfig lambda_e": ("lambda_e", lambda v: _sweep(lambda_e=v)),
+    "SweepConfig lambda_d_scale": ("lambda_d_scale", lambda v: _sweep(lambda_d_scale=v)),
+    "SweepConfig s_ratio": ("s_ratio", lambda v: _sweep(s=None, s_ratio=v)),
+    "StragglerSweepConfig sigma0": ("sigma0", lambda v: _straggler_sweep(sigma0=v)),
+    "StragglerSweepConfig lambda_e": ("lambda_e", lambda v: _straggler_sweep(lambda_e=v)),
+    "StragglerSweepConfig lambda_d_scale": ("lambda_d_scale", lambda v: _straggler_sweep(
+        lambda_d_scale=v)),
+    "CrossvalConfig sigma0": ("sigma0", lambda v: _crossval(sigma0=v)),
+    "CLI JSON real": ("config key 'sigma0': value",
+                      lambda v: cli._check_config({"sigma0": v}, ["sigma0"])),
+    "CLI JSON real list": ("config key 'lambda_d_grid': value",
+                           lambda v: cli._check_config({"lambda_d_grid": [1e-4, v]},
+                                                       ["lambda_d_grid"])),
+}
+
+_BAD_REALS = [True, np.True_, "0.1", None, np.nan, np.inf, -1.0]
+# where None means not given: an unset s_ratio, a JSON null
+_NONE_UNSET = {"SweepConfig s_ratio", "CLI JSON real"}
+
+
+class TestRealsFromOutside:
+    # one rule for every real parameter: an int or a float, numpy scalars
+    # included, finite and nonnegative, kept as a float; the error names the
+    # field and shows the value
+    @pytest.mark.parametrize("entry, bad", [
+        (entry, bad) for entry in _REALS for bad in _BAD_REALS
+        if not (entry in _NONE_UNSET and bad is None)], ids=repr)
+    def test_bad_value_rejected_naming_the_field(self, entry, bad):
+        field, call = _REALS[entry]
+        with pytest.raises(ValueError) as got:
+            call(bad)
+        assert str(got.value).endswith(f"must be a finite nonnegative real, got {bad!r}")
+        assert str(got.value).startswith(f"{field} must")
+
+    @pytest.mark.parametrize("same, real", [(0, 0.0), (np.int64(0), 0.0),
+                                            (np.float64(1e-3), 1e-3)], ids=repr)
+    @pytest.mark.parametrize("entry", list(_REALS))
+    def test_numbers_give_the_result_of_the_float(self, entry, same, real):
+        _, call = _REALS[entry]
+        assert _same(call(same), call(real))
+
+
+# every public entry that takes a seed from outside: (field the error
+# starts with, the entry at a seed s); compared as _COUNTS' results
+_SEEDS = {
+    "trial_rng": ("seed", lambda s: trial_rng(s, 101).bit_generator.state),
+    "trial_rng entry": ("seed", lambda s: trial_rng((1, s), 101).bit_generator.state),
+    "run_trial": ("seed", lambda s: run_trial(_setup(), s)),
+    "run_trial entry": ("seed", lambda s: run_trial(_setup(), (s, 2))),
+    "monte_carlo": ("seed", lambda s: monte_carlo(_setup(), 2, s).columns),
+    "monte_carlo_lambdas": ("seed", lambda s: monte_carlo_lambdas(_setup(), 2, s,
+                                                                  (0.0, 1e-4))),
+    "crossval_lambda master_seed": ("seed", lambda s: _crossval(master_seed=s)),
+    "CLI JSON seed": ("config key 'seed': value",
+                      lambda s: cli._check_config({"seed": s}, ["seed"])),
+}
+
+
+class TestSeedsFromOutside:
+    # a seed entry takes the integer rule; the error names the seed
+    @pytest.mark.parametrize("bad", [2.5, True, "3", None], ids=repr)
+    @pytest.mark.parametrize("entry", list(_SEEDS))
+    def test_non_integer_rejected_naming_the_seed(self, entry, bad):
+        field, call = _SEEDS[entry]
+        if entry == "CLI JSON seed" and bad is None:
+            bad = [7]  # null counts as not given; a list is no integer either
+        with pytest.raises(ValueError, match=rf"^{field}\b"):
+            call(bad)
+
+    @pytest.mark.parametrize("same", [7.0, np.int64(7)], ids=repr)
+    @pytest.mark.parametrize("entry", list(_SEEDS))
+    def test_integral_values_give_the_columns_of_the_int(self, entry, same):
+        _, call = _SEEDS[entry]
+        assert _same(call(same), call(7))
+
+    def test_seeds_past_int64_are_taken_whole(self):
+        # numpy's seeding takes any nonnegative int; so does the harness
+        big = 2**64 + 5
+        setup = _setup(data_rule="uniform")
+        agg = monte_carlo(setup, 2, big)
+        assert agg.columns.seed == ((big, 0), (big, 1))
+        assert agg.metrics[1] == run_trial(setup, (big, 1))
+        chunk, = sim._prepare(setup, [sim._entropy((big, 1))])
+        want = sample_stragglers(setup.stragglers,
+                                 trial_rng((big, 1), sim._STREAM_STRAGGLERS))
+        assert np.array_equal(chunk.indices[0], want)
 
 
 # every constructor of an interpolant or fit through nodes from outside

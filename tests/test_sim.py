@@ -1,10 +1,10 @@
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from letcc import sim
+from letcc import sim, spline
 from letcc.coding import CodedBatch, Dataset
 from letcc.points import chebyshev_grid
 from letcc.sim import (
@@ -298,6 +298,14 @@ class TestRunTrial:
         _setup(scheme="lcc", f_degree=3)
         _setup(scheme="lcc", func=make_worker("cubic"))
 
+    def test_f_degree_holds_the_resolved_degree(self):
+        cubic = make_worker("cubic")
+        assert _setup(scheme="lcc", func=cubic).f_degree == 3
+        assert _setup(scheme="lcc", func=cubic, f_degree=2.0).f_degree == 2
+        assert _setup(func=cubic).f_degree is None  # letcc resolves none
+        assert _setup(func=cubic, f_degree=np.int64(1)).f_degree == 1
+        assert [f.name for f in fields(TrialSetup) if "degree" in f.name] == ["f_degree"]
+
     @pytest.mark.parametrize("scheme", sim.SCHEMES)
     @pytest.mark.parametrize("f_degree, message", [
         (True, "f_degree must be an integer, got bool"),
@@ -328,7 +336,7 @@ class TestRunTrial:
     @pytest.mark.parametrize("weight", ["lambda_e", "lambda_d"])
     @pytest.mark.parametrize("value", [-1e-9, np.inf, np.nan])
     def test_bad_weight_rejected_at_setup(self, weight, value):
-        with pytest.raises(ValueError, match="lam must be a finite nonnegative real"):
+        with pytest.raises(ValueError, match=f"^{weight} must be a finite nonnegative real"):
             _setup(**{weight: value})
 
     def test_same_seed_bit_identical(self):
@@ -456,7 +464,7 @@ def test_monte_carlo_builds_no_per_trial_objects(monkeypatch):
     lams = (1e-8, 1e-6, 1e-4)
     for setup in (letcc, bacc, lcc):  # warm the grids' encoder caches
         monte_carlo(setup, 1, 0)
-    classes = (sim.spline.SplineFit, sim.coding.DecodeResult,
+    classes = (spline.SplineFit, sim.coding.DecodeResult,
                sim.baselines.BerrutInterpolant, sim.TrialMetrics)
     none = dict.fromkeys(classes, 0)
     counts = _count_constructions(monkeypatch, classes)
@@ -643,7 +651,7 @@ class TestMonteCarloLambdas:
     @pytest.mark.parametrize("lams", [(1e-3, -1.0), (np.inf,), (np.nan, 0.0)])
     def test_bad_weight_raises_before_any_trial(self, lams, monkeypatch):
         monkeypatch.setattr(sim, "_prepare", lambda *a: pytest.fail("a trial was prepared"))
-        with pytest.raises(ValueError, match="lam must be a finite nonnegative real"):
+        with pytest.raises(ValueError, match="^lambda_d must be a finite nonnegative real"):
             monte_carlo_lambdas(_setup(), 2, 0, lams)
 
     def test_chunks_bound_the_values_of_every_weight(self, monkeypatch):

@@ -50,7 +50,7 @@ from .experiments import (
     write_json,
     write_svg,
 )
-from .points import _integer, _real, chebyshev_grid
+from .points import _integer, _real, _seed, chebyshev_grid
 from .sim import (
     NoiseModel,
     RiskBoundViolation,
@@ -143,10 +143,10 @@ def _list(convert):
 _CONVERTERS = {
     "kind": _str, "scheme": _str, "schemes": _list(_str), "f": _str, "data": _str,
     "lambda_d_rule": _str, "k": _int, "n": _int, "s": _int, "d": _int, "m": _int,
-    "f_degree": _int, "trials": _int, "seed": _int, "n_values": _list(_int),
-    "s_values": _list(_int), "sigma0": _float, "s_ratio": _float, "lambda_e": _float,
-    "lambda_d": _float, "lambda_d_scale": _float, "lambda_e_grid": _list(_float),
-    "lambda_d_grid": _list(_float),
+    "f_degree": _int, "trials": _int, "seed": functools.partial(_seed, what="value"),
+    "n_values": _list(_int), "s_values": _list(_int), "sigma0": _float, "s_ratio": _float,
+    "lambda_e": _float, "lambda_d": _float, "lambda_d_scale": _float,
+    "lambda_e_grid": _list(_float), "lambda_d_grid": _list(_float),
 }
 
 # Config dataclass fields whose config key is named otherwise.
@@ -381,7 +381,7 @@ def cmd_codec_decode(args) -> int:
             raise ConfigError(
                 f"{outputs.shape[0]} output rows for N={args.n} workers: "
                 "pass --survivors with the beta indices of the surviving rows")
-        indices = list(range(args.n))
+        indices = np.arange(args.n)
     result = decode(WorkerReturns(indices, outputs), grid, args.lambda_d)
     _output(write_matrix, args.out, result.estimates)
     sys.stderr.write(f"decoded {result.survivor_count} survivor rows to "

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, is_dataclass
+from functools import partial
 
 import numpy as np
 
-from .points import _check_points, _integer, _integral_indices, _real, chebyshev_grid
+from .points import _check_points, _integer, _integral_indices, _real, _seed, chebyshev_grid
 from .sim import (
     NoiseModel,
     StragglerModel,
@@ -72,10 +73,21 @@ def _resolve_lambda_d(rule: str, scale: float, n: int, s: int) -> float:
     return scale * LAMBDA_RULES[rule](n, s)
 
 
-def _normalise_reals(config, names) -> None:
-    """Keep each field of ``names`` of a frozen ``config`` as :func:`_real` gives it."""
-    for name in names:
-        object.__setattr__(config, name, _real(getattr(config, name), name))
+# The rule of each count, real and seed field; the others are strings or lists.
+_FIELD_RULES = {name: partial(rule, what=name) for rule, names in (
+    (_integer, ("k", "n", "s", "f_degree", "trials", "func_d", "func_m")),
+    (_real, ("sigma0", "s_ratio", "lambda_e", "lambda_d_scale"))) for name in names}
+_FIELD_RULES["master_seed"] = partial(_seed, what="seed")
+
+
+def _check_fields(config) -> None:
+    """Put ``config``'s fields through their rules (a None default stays); trials >= 1."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.name in _FIELD_RULES and not (value is None and f.default is None):
+            object.__setattr__(config, f.name, _FIELD_RULES[f.name](value))
+    if config.trials < 1:
+        raise ValueError("trials must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -100,27 +112,21 @@ class SweepConfig:
     func_m: int = 1
 
     def __post_init__(self):
+        _check_fields(self)
         object.__setattr__(self, "schemes", tuple(self.schemes))
         n_values = _integral_indices(tuple(self.n_values), "n_values")
         _check_points("n_values", n_values)
         object.__setattr__(self, "n_values", tuple(n_values.tolist()))
-        object.__setattr__(self, "trials", _integer(self.trials, "trials"))
-        _normalise_reals(self, ("sigma0", "lambda_e", "lambda_d_scale")
-                         + (("s_ratio",) if self.s_ratio is not None else ()))
         if not self.schemes:
             raise ValueError("at least one scheme required")
         if (self.s is None) == (self.s_ratio is None):
             raise ValueError("give exactly one of s or s_ratio")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         for n in self.n_values:
             if self.s_for(n) >= n:
                 raise ValueError(f"S must stay below N (N={n}, S={self.s_for(n)})")
 
     def s_for(self, n: int) -> int:
-        if self.s is not None:
-            return self.s
-        return int(round(self.s_ratio * n))
+        return self.s if self.s is not None else round(self.s_ratio * n)
 
 
 @dataclass(frozen=True)
@@ -254,17 +260,14 @@ class StragglerSweepConfig:
     func_m: int = 1
 
     def __post_init__(self):
+        _check_fields(self)
         object.__setattr__(self, "schemes", tuple(self.schemes))
         s_values = _integral_indices(tuple(self.s_values), "s_values", self.n)
         object.__setattr__(self, "s_values", tuple(s_values.tolist()))
-        object.__setattr__(self, "trials", _integer(self.trials, "trials"))
-        _normalise_reals(self, ("sigma0", "lambda_e", "lambda_d_scale"))
         if not self.schemes:
             raise ValueError("at least one scheme required")
         if not self.s_values:
             raise ValueError("s_values must be nonempty")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -314,10 +317,7 @@ class CrossvalConfig:
     func_d: int = 1
     func_m: int = 1
 
-    def __post_init__(self):
-        for name in ("k", "n", "s", "trials"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        _normalise_reals(self, ("sigma0",))
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)

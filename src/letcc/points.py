@@ -6,12 +6,12 @@ encoder points ``alphas`` (one per input vector) and the worker points
 are the defaults; both generators return ascending arrays so downstream
 spline code can assume sorted knots.
 
-The module also owns the three rules for input from outside: every count
+The module also owns the four rules for input from outside: every count
 or index passes :func:`_integral_indices` (:func:`_integer` for one), each
 caller keeping its own minimum; every real parameter (a smoothing weight,
-a noise level, a scale or ratio) passes :func:`_real`; and every point set
-:func:`_check_points`.  Seeds take the integer rule without its int64
-limit (:func:`letcc.sim._entropy`).
+a noise level, a scale or ratio) passes :func:`_real`; every point set
+:func:`_check_points`; and every seed entry :func:`_seed`, the integer
+rule without its int64 limit.
 """
 
 from __future__ import annotations
@@ -164,14 +164,13 @@ def _integral_indices(values, what: str, n: int | None = None) -> np.ndarray:
 
     Each is an int or an integral float (not NaN or inf), never a boolean
     (a mask read as indices 0 and 1 picks the wrong workers) or a string.
-    A list or tuple is checked item by item, as numpy reads ``[True, 2]`` as
-    ``[1, 2]``; an array must be one-dimensional.  Every value lies in
-    [0, n) given ``n``, else in the int64 range.
+    A list or tuple is read item by item by :func:`_integer`, exactly, as
+    numpy reads ``[True, 2]`` as ``[1, 2]`` and a numpy uint64 among ints
+    through float64; an array must be one-dimensional.  Every value lies
+    in [0, n) given ``n``, else in the int64 range.
     """
     if isinstance(values, (list, tuple)):
-        for kind in set(map(type, values)):
-            if issubclass(kind, bool) or not issubclass(kind, numbers.Real):
-                raise ValueError(f"{what} must be an integer, got {kind.__name__}")
+        return np.array([_integer(v, what, n) for v in values], dtype=int)
     indices = np.asarray(values)
     if indices.ndim != 1:
         raise ValueError(f"{what} array must be one-dimensional, got shape {indices.shape}")
@@ -186,14 +185,44 @@ def _integral_indices(values, what: str, n: int | None = None) -> np.ndarray:
         lo, hi = (0, n) if n is not None else (-2**63, 2**63)
         outside = (indices < lo) | (indices >= hi)
         if outside.any():
-            bounds = f"[0, {n})" if n is not None else "the int64 range"
-            raise ValueError(f"{what} {indices[outside][0]} outside {bounds}")
+            raise _outside(what, indices[outside][0], n)
     return indices.astype(int)
 
 
 def _integer(value, what: str, n: int | None = None) -> int:
     """One integer from outside as an int, by the rule of :func:`_integral_indices`."""
-    return _integral_indices([value], what, n).item()
+    exact = value
+    if type(value) is not int:  # a plain int, the common case, needs no type check
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{what} must be an integer, got {type(value).__name__}")
+        if isinstance(value, numbers.Integral):
+            exact = int(value)
+        elif float(value).is_integer():
+            exact = float(value)
+        else:
+            raise ValueError(f"{what} {value} is not an integer")
+    lo, hi = (0, n) if n is not None else (-2**63, 2**63)
+    if not lo <= exact < hi:
+        raise _outside(what, value, n)
+    return int(exact)
+
+
+def _outside(what: str, value, n: int | None) -> ValueError:
+    """The refusal of ``value``, not in [0, n) given ``n``, else not in the int64 range."""
+    bounds = f"[0, {n})" if n is not None else "the int64 range"
+    return ValueError(f"{what} {value} outside {bounds}")
+
+
+def _seed(value, what: str) -> int:
+    """One seed entry from outside, ``value`` named ``what``, as an int.
+
+    An integer that is not a boolean is taken whole, as numpy's seeding
+    takes ints of any size (a negative one is refused there, with numpy's
+    message); anything else takes the rule of :func:`_integer`.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    return _integer(value, what)
 
 
 def _real(value, what: str) -> float:

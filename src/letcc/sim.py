@@ -44,7 +44,6 @@ trial's metrics are bit-identical whether it runs through
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, fields
 from functools import cache
 from itertools import chain
@@ -55,7 +54,7 @@ import numpy as np
 
 from . import baselines, coding
 from .coding import CodedBatch, Dataset
-from .points import InterpolationGrid, _integer, _integral_indices, _real
+from .points import InterpolationGrid, _integer, _integral_indices, _real, _seed
 
 __all__ = [
     "RiskBoundViolation",
@@ -119,13 +118,11 @@ def trial_rng(seed, stream: int) -> np.random.Generator:
 def _entropy(seed) -> tuple[int, ...]:
     """``seed``, an int or a sequence of ints, as a tuple of ints.
 
-    Each entry takes the integer rule of :func:`letcc.points._integer`,
-    named ``seed``, without its int64 limit, as numpy's seeding takes ints
-    of any size; :func:`_words` refuses a negative one as numpy does.
+    Each entry takes the seed rule :func:`letcc.points._seed`, named
+    ``seed``; :func:`_words` refuses a negative one as numpy does.
     """
     entries = seed if isinstance(seed, (tuple, list)) else np.atleast_1d(seed).tolist()
-    return tuple(int(s) if isinstance(s, numbers.Integral) and not isinstance(s, bool)
-                 else _integer(s, "seed") for s in entries)
+    return tuple(_seed(s, "seed") for s in entries)
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
@@ -343,6 +340,8 @@ class WorkerFunction:
     [-2, 2]; ``degree`` is the polynomial degree used by the Lagrange
     baseline.  A 1-D result is read as :func:`letcc.coding._rows` reads
     outputs: q values of one column, or the one row's m values if q is 1.
+    The dimensions ``in_dim`` (d) and ``out_dim`` (m) are counts of at
+    least 1, by :func:`letcc.points._integer`.
     """
 
     name: str
@@ -352,6 +351,13 @@ class WorkerFunction:
     lipschitz: float | None = None
     curvature: float | None = None
     degree: int | None = None
+
+    def __post_init__(self):
+        for name in ("in_dim", "out_dim"):
+            dim = _integer(getattr(self, name), name)
+            if dim < 1:
+                raise ValueError(f"{name} must be >= 1, got {dim}")
+            object.__setattr__(self, name, dim)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -1,8 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from letcc import cli, sim
+from letcc import cli, experiments, sim
 from letcc.baselines import BerrutInterpolant, LagrangePolynomial, lcc_decode
 from letcc.coding import Dataset, decode, encode, normalize_survivors
 from letcc.experiments import (
@@ -13,6 +15,7 @@ from letcc.experiments import (
 )
 from letcc.points import (
     InterpolationGrid,
+    _integral_indices,
     chebyshev_first,
     chebyshev_grid,
     chebyshev_second,
@@ -22,6 +25,7 @@ from letcc.sim import (
     NoiseModel,
     StragglerModel,
     TrialSetup,
+    WorkerFunction,
     make_worker,
     monte_carlo,
     monte_carlo_lambdas,
@@ -194,9 +198,22 @@ def _tanh(d, m):
     return worker.name, worker.lipschitz, outputs.tobytes()
 
 
+def _crossval_config(**change):
+    return CrossvalConfig(**dict(dict(func="sin_pi", k=3, n=9, s=1, trials=2), **change))
+
+
 def _crossval(e_grid=(0.0,), d_grid=(1e-4,), **change):
-    config = CrossvalConfig(**dict(dict(func="sin_pi", k=3, n=9, s=1, trials=2), **change))
-    return crossval_lambda(e_grid, d_grid, config)
+    return crossval_lambda(e_grid, d_grid, _crossval_config(**change))
+
+
+def _sweep(**change):
+    return SweepConfig(**dict(dict(schemes=("letcc",), func="sin_pi", k=2, n_values=(8,),
+                                   s=1), **change))
+
+
+def _straggler_sweep(**change):
+    return StragglerSweepConfig(**dict(dict(schemes=("letcc",), func="sin_pi", k=2, n=8,
+                                            s_values=(1,)), **change))
 
 
 # every public entry that takes a count from outside: (field the error starts
@@ -208,10 +225,18 @@ _COUNTS = {
                                                                (c, 8), s=1)),
     "SweepConfig trials": ("trials", lambda c: SweepConfig(("letcc",), "sin_pi", 2, (8,),
                                                            s=1, trials=c)),
+    **{f"SweepConfig {name}": (name, lambda c, name=name: _sweep(**{name: c}))
+       for name in ("k", "s", "f_degree", "func_d", "func_m")},
     "StragglerSweepConfig s_values": ("s_values", lambda c: StragglerSweepConfig(
         ("letcc",), "sin_pi", 2, 8, (1, c))),
     "StragglerSweepConfig trials": ("trials", lambda c: StragglerSweepConfig(
         ("letcc",), "sin_pi", 2, 8, (1,), trials=c)),
+    **{f"StragglerSweepConfig {name}": (name, lambda c, name=name: _straggler_sweep(
+        **{name: c})) for name in ("k", "n", "f_degree", "func_d", "func_m")},
+    **{f"CrossvalConfig {name}": (name, lambda c, name=name: _crossval_config(**{name: c}))
+       for name in ("func_d", "func_m")},
+    "WorkerFunction in_dim": ("in_dim", lambda c: WorkerFunction("neg", np.negative, c, 1)),
+    "WorkerFunction out_dim": ("out_dim", lambda c: WorkerFunction("neg", np.negative, 1, c)),
     "StragglerModel n": ("StragglerModel n", lambda c: StragglerModel(c, 1)),
     "StragglerModel s": ("StragglerModel s", lambda c: StragglerModel(8, c)),
     "monte_carlo trials": ("trials", lambda c: monte_carlo(_setup(), c, 0)),
@@ -264,6 +289,19 @@ class TestCountsFromOutside:
         with pytest.raises(ValueError, match=rf"^{field} {shown} outside "):
             call(huge)
 
+    def test_list_items_read_exactly(self):
+        # numpy reads a uint64 among Python ints through float64
+        got = _integral_indices([np.uint64(2**53 + 1), 8], "n_values")
+        assert got.tolist() == [2**53 + 1, 8]
+        message = "^n_values 18446744073709551615 outside the int64 range$"
+        with pytest.raises(ValueError, match=message):
+            _integral_indices([np.uint64(2**64 - 1), 8], "n_values")
+
+    @pytest.mark.parametrize("dim", ["in_dim", "out_dim"])
+    def test_worker_dimensions_at_least_one(self, dim):
+        with pytest.raises(ValueError, match=f"^{dim} must be >= 1, got 0$"):
+            WorkerFunction("neg", np.negative, **dict(dict(in_dim=1, out_dim=1), **{dim: 0}))
+
     def test_index_past_int64_refused_as_given(self):
         index = np.array([2**64 - 1], dtype=np.uint64)
         message = "^{} 18446744073709551615 outside \\[0, 16\\)$"
@@ -271,16 +309,6 @@ class TestCountsFromOutside:
             normalize_survivors(sim.WorkerReturns(index, np.ones((1, 1))), 16)
         with pytest.raises(ValueError, match=message.format("straggler index")):
             StragglerModel(16, 1, mode="fixed", fixed_stragglers=index)
-
-
-def _sweep(**change):
-    return SweepConfig(**dict(dict(schemes=("letcc",), func="sin_pi", k=2, n_values=(8,),
-                                   s=1), **change))
-
-
-def _straggler_sweep(**change):
-    return StragglerSweepConfig(**dict(dict(schemes=("letcc",), func="sin_pi", k=2, n=8,
-                                            s_values=(1,)), **change))
 
 
 _DATA = Dataset(np.array([[0.5], [-0.25], [1.0]]))
@@ -355,6 +383,9 @@ _SEEDS = {
     "monte_carlo_lambdas": ("seed", lambda s: monte_carlo_lambdas(_setup(), 2, s,
                                                                   (0.0, 1e-4))),
     "crossval_lambda master_seed": ("seed", lambda s: _crossval(master_seed=s)),
+    "SweepConfig master_seed": ("seed", lambda s: _sweep(master_seed=s)),
+    "StragglerSweepConfig master_seed": ("seed", lambda s: _straggler_sweep(master_seed=s)),
+    "CrossvalConfig master_seed": ("seed", lambda s: _crossval_config(master_seed=s)),
     "CLI JSON seed": ("config key 'seed': value",
                       lambda s: cli._check_config({"seed": s}, ["seed"])),
 }
@@ -388,6 +419,35 @@ class TestSeedsFromOutside:
         want = sample_stragglers(setup.stragglers,
                                  trial_rng((big, 1), sim._STREAM_STRAGGLERS))
         assert np.array_equal(chunk.indices[0], want)
+        assert _sweep(master_seed=big).master_seed == big
+        assert cli._check_config({"seed": big}, ["seed"]) == {"seed": big}
+
+
+class TestConfigFields:
+    # every count, real and seed field of a config passes its rule at
+    # construction, before any trial runs; its config checks every other
+    def test_every_field_has_a_rule_or_is_a_string_or_list(self):
+        strings_and_lists = {"schemes", "func", "n_values", "s_values", "lambda_d_rule",
+                             "data_rule"}
+        for config in (SweepConfig, StragglerSweepConfig, CrossvalConfig):
+            for f in fields(config):
+                assert (f.name in experiments._FIELD_RULES) != (f.name in strings_and_lists), \
+                    f"{config.__name__}.{f.name}"
+
+    @pytest.mark.parametrize("build", [_sweep, _straggler_sweep, _crossval_config])
+    def test_trials_at_least_one(self, build):
+        with pytest.raises(ValueError, match="^trials must be >= 1$"):
+            build(trials=0)
+
+    def test_count_checked_before_it_bounds_another_field(self):
+        with pytest.raises(ValueError, match="^n 24.5 is not an integer$"):
+            _straggler_sweep(n=24.5, s_values=(1, 24))
+
+    def test_none_means_not_given_only_where_it_is_the_default(self):
+        assert _sweep(f_degree=None).f_degree is None
+        assert _sweep(s=None, s_ratio=0.25).s is None
+        with pytest.raises(ValueError, match="^func_d must be an integer, got NoneType$"):
+            _sweep(func_d=None)
 
 
 # every constructor of an interpolant or fit through nodes from outside

@@ -164,14 +164,22 @@ def _integral_indices(values, what: str, n: int | None = None) -> np.ndarray:
 
     Each is an int or an integral float (not NaN or inf), never a boolean
     (a mask read as indices 0 and 1 picks the wrong workers) or a string.
-    A list or tuple is read item by item by :func:`_integer`, exactly, as
-    numpy reads ``[True, 2]`` as ``[1, 2]`` and a numpy uint64 among ints
-    through float64; an array must be one-dimensional.  Every value lies
-    in [0, n) given ``n``, else in the int64 range.
+    A list or tuple of ints and numpy signed integers that numpy reads as
+    signed integers is read through one array; any other is read item by
+    item by :func:`_integer`, exactly, as numpy reads ``[True, 2]`` as
+    ``[1, 2]`` and a numpy uint64 among ints through float64.  An array
+    must be one-dimensional.  Every value lies in [0, n) given ``n``, else
+    in the int64 range.
     """
+    indices = None
     if isinstance(values, (list, tuple)):
-        return np.array([_integer(v, what, n) for v in values], dtype=int)
-    indices = np.asarray(values)
+        if all(kind is int or issubclass(kind, np.signedinteger)
+               for kind in set(map(type, values))):
+            indices = np.array(values)
+        if indices is None or indices.dtype.kind != "i":
+            return np.array([_integer(v, what, n) for v in values], dtype=int)
+    else:
+        indices = np.asarray(values)
     if indices.ndim != 1:
         raise ValueError(f"{what} array must be one-dimensional, got shape {indices.shape}")
     if indices.dtype.kind not in "iuf":
@@ -217,12 +225,16 @@ def _seed(value, what: str) -> int:
     """One seed entry from outside, ``value`` named ``what``, as an int.
 
     An integer that is not a boolean is taken whole, as numpy's seeding
-    takes ints of any size (a negative one is refused there, with numpy's
-    message); anything else takes the rule of :func:`_integer`.
+    takes ints of any size; anything else takes the rule of
+    :func:`_integer`.  Either is at least 0, as numpy's seeding needs.
     """
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    return _integer(value, what)
+        seed = int(value)
+    else:
+        seed = _integer(value, what)
+    if seed < 0:
+        raise ValueError(f"{what} must be a nonnegative integer, got {seed}")
+    return seed
 
 
 def _real(value, what: str) -> float:

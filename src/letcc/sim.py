@@ -7,24 +7,29 @@ A stream a trial does not use (noise at sigma0 = 0, stragglers in
 ``fixed`` mode, data when it is given or ``identity``) is never seeded.
 :func:`trial_rng` builds one such generator; the harness computes the
 same states for all streams of many trials in one vectorised pass
-(numpy's SeedSequence mixing in uint32 arrays, PCG64's seeding in Python
-ints) and loads each, just before its draws, into one reused generator.
+(numpy's SeedSequence mixing in uint32 arrays, PCG64's seeding step on
+the 64-bit halves of its 128-bit state), as one (rows, 4) uint64 array.
 
 A trial runs in two halves, and the harness runs both on chunks of
 trials held as stacked arrays.  The first half, independent of the
 decoder weight lambda_d, draws the data, encodes, samples the stragglers
 and runs the workers; :func:`monte_carlo_lambdas` prepares all trials of
-a call together, in chunks of a bounded number of values.  What stays
-per trial is what a trial owns: its draws, each on its own stream (the
-data's ``uniform``, the stragglers' ``choice``, the noise's ``normal``),
-and the worker function, called once on each of the trial's row sets and
-never on the rows of several trials.  Everything else runs once per
-chunk: the encode (one stacked product through the grid's cached
-encoder), the straggler mask, the survivor gather, the noise add, the
-finiteness check of survivor outputs, truth and through-encoder values,
-and l_enc.  A chunk is (T, N - S) survivor indices, (T, N - S, m)
-outputs, (T, K, m) truth and, for letcc, (T, K, m) through-encoder
-values and (T,) l_enc.  The second half decodes and scores: those arrays
+a call together, in chunks of a bounded number of values.  Each trial
+draws on its own streams, and a chunk of enough trials takes its data
+and straggler draws from one vectorised pass: PCG64's first outputs of
+every such stream by jump-ahead, turned into what ``Generator.uniform``
+and the Floyd sampling of ``Generator.choice`` give on them.  What stays
+per trial is the noise's ``normal``, any draw of a smaller chunk or one
+the pass does not reproduce, each on the trial's stream loaded into one
+reused generator, and a worker function not declared elementwise,
+called once on each of the trial's row sets and never on the rows of
+several trials; an elementwise one runs once per row set of the chunk.
+Everything else runs once per chunk: the encode (one stacked product
+through the grid's cached encoder), the straggler mask, the survivor
+gather, the noise add, the finiteness check of survivor outputs, truth
+and through-encoder values, and l_enc.  A chunk is (T, N - S) survivor
+indices, (T, N - S, m) outputs, (T, K, m) truth and, for letcc, (T, K,
+m) through-encoder values and (T,) l_enc.  The second half decodes and scores: those arrays
 go straight into each scheme's decode body (``coding._decode_stack``,
 letcc's, at every weight of the call; ``baselines._bacc_decode_stack``
 and ``_lcc_decode_stack`` at none), which gives stacked estimates, and
@@ -108,9 +113,9 @@ def trial_rng(seed, stream: int) -> np.random.Generator:
     """Generator for one substream of one trial.
 
     ``seed`` may be an int or a sequence of ints (e.g. (master, trial)),
-    checked by :func:`_entropy`.  The Monte-Carlo harness loads the same
-    states into a reused generator (:func:`_stream_states`); this is their
-    reference.
+    checked by :func:`_entropy`.  The Monte-Carlo harness computes the
+    same states (:func:`_stream_states`) and draws from them vectorised or
+    on a reused generator; this is their reference.
     """
     return np.random.default_rng([*_entropy(seed), stream])
 
@@ -119,7 +124,7 @@ def _entropy(seed) -> tuple[int, ...]:
     """``seed``, an int or a sequence of ints, as a tuple of ints.
 
     Each entry takes the seed rule :func:`letcc.points._seed`, named
-    ``seed``; :func:`_words` refuses a negative one as numpy does.
+    ``seed``, which refuses a negative one.
     """
     entries = seed if isinstance(seed, (tuple, list)) else np.atleast_1d(seed).tolist()
     return tuple(_seed(s, "seed") for s in entries)
@@ -134,9 +139,18 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
-# a word count needs _VECTOR_ROWS rows for the vectorised pass to beat
-# numpy's own SeedSequence per row
-_VECTOR_ROWS = 4
+# A word count needs _VECTOR_ROWS entropy rows for the vectorised seeding
+# to beat numpy's own SeedSequence and a Python-int seeding step per row,
+# and a chunk _VECTOR_DRAWS trials for its vectorised data and straggler
+# draws to beat a state load and a draw per trial; a stream's vectorised
+# draws read at most _VECTOR_OUTPUTS 64-bit outputs per trial, past which
+# numpy's own draw per trial costs less than the ~25 uint64 operations of
+# a jump-ahead per output.  Each breaks even at about that count (10-12
+# rows and 8 trials at K = 8 or 16 and N = 64 or 256; 100 outputs for S =
+# 200 stragglers, 150-250 for K x d data values; on a 2-core Xeon).
+_VECTOR_ROWS = 12
+_VECTOR_DRAWS = 8
+_VECTOR_OUTPUTS = 100
 # the state of the reused generator is replaced before every draw
 _ANY_SEED = np.random.SeedSequence(0)
 
@@ -170,14 +184,14 @@ def _hashmix(values: np.ndarray, consts: np.ndarray, step: int) -> np.ndarray:
     return out
 
 
-def _seed_words(entropy: np.ndarray) -> list[list[int]]:
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
     """PCG64 seed and increment words of ``default_rng(row)`` for each row.
 
     ``entropy`` is (R, w) uint32, the words of R entropy rows of one length
     w.  SeedSequence's pool mixing and ``generate_state(4, uint64)`` run on
     all rows at once, on a word-major (4, R) pool: their hash constants
-    depend on the step only, not on the data.  Gives R rows of (seed high,
-    seed low, inc high, inc low).
+    depend on the step only, not on the data.  Gives (R, 4) uint64 rows of
+    (seed high, seed low, inc high, inc low).
     """
     rows, width = entropy.shape
     consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE ** 2 + _POOL_SIZE * width)
@@ -198,7 +212,7 @@ def _seed_words(entropy: np.ndarray) -> list[list[int]]:
         pool ^= pool >> np.uint32(16)
         step += _POOL_SIZE
     words = _hashmix(pool[_STATE_WORDS], _CONSTS_B, 0).astype(np.uint64)
-    return (words[0::2] | words[1::2] << np.uint64(32)).T.tolist()
+    return (words[0::2] | words[1::2] << np.uint64(32)).T
 
 
 def _words(row: tuple[int, ...]) -> list[int]:
@@ -215,35 +229,128 @@ def _words(row: tuple[int, ...]) -> list[int]:
     return words
 
 
-def _stream_states(rows: Sequence[tuple[int, ...]]) -> list[dict]:
-    """``default_rng(row).bit_generator.state`` for each entropy row, in order.
+# 128-bit integers mod 2**128 as uint64 (high, low) halves, elementwise
+_MASK64 = 2**64 - 1
+_U1, _U11, _U32, _U58, _U63 = (np.uint64(b) for b in (1, 11, 32, 58, 63))
+_LOW32 = np.uint64(_MASK32)
+_PCG64_MULT_HALVES = (np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & _MASK64))
 
-    Vectorised over all rows of one word count: SeedSequence's mixing runs
-    in uint32 numpy, PCG64's two seeding steps in Python ints.  A word
-    count with fewer than ``_VECTOR_ROWS`` rows takes numpy's own
-    SeedSequence per row instead, which costs less than the fixed cost of
-    the vectorised pass (~12 us a row against ~60-90 us for 1 to 8 rows, on
-    a 2-core Xeon).  A row that ``trial_rng`` refuses raises its error.
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    low = a_lo + b_lo
+    high = a_hi + b_hi
+    high += low < a_lo
+    return high, low
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo):
+    # the low halves' 128-bit product from 32-bit limbs, then the cross terms
+    a0, a1, b0, b1 = a_lo & _LOW32, a_lo >> _U32, b_lo & _LOW32, b_lo >> _U32
+    middle, cross = a0 * b1, a1 * b0
+    middle += cross
+    low, shifted = a0 * b0, middle << _U32
+    low += shifted
+    high = a1 * b1
+    high += middle >> _U32
+    high += (middle < cross).astype(np.uint64) << _U32
+    high += low < shifted
+    high += a_lo * b_hi
+    high += a_hi * b_lo
+    return high, low
+
+
+def _stream_states(rows: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """The PCG64 state of ``default_rng(row)`` for each entropy row, in order.
+
+    Gives (R, 4) uint64 rows of (state high, state low, increment high,
+    increment low).  SeedSequence's mixing runs vectorised over all rows
+    of one word count in uint32 numpy and PCG64's seeding step on their
+    64-bit halves.  A word count with fewer than ``_VECTOR_ROWS`` rows
+    takes numpy's own SeedSequence and the seeding step in Python ints per
+    row instead, which costs less than the fixed cost of the vectorised
+    pass.  A row that ``trial_rng`` refuses raises its error.
     """
+    states = np.empty((len(rows), 4), dtype=np.uint64)
+    for index, words in _word_groups(rows):
+        if len(words) >= _VECTOR_ROWS:
+            seed_hi, seed_lo, inc_hi, inc_lo = _seed_words(words).T
+            # inc = 2 * inc + 1; from state 0: one step, add the seed, one more step
+            inc = (inc_hi << _U1 | inc_lo >> _U63, inc_lo << _U1 | _U1)
+            state = _add128(*_mul128(*_add128(*inc, seed_hi, seed_lo), *_PCG64_MULT_HALVES),
+                            *inc)
+            states[index] = np.stack([*state, *inc], axis=1)
+            continue
+        for i, row in zip(index, words):
+            seed_hi, seed_lo, inc_hi, inc_lo = (np.random.SeedSequence(row)
+                                                .generate_state(4, np.uint64).tolist())
+            inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+            state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
+            states[i] = state >> 64, state & _MASK64, inc >> 64, inc & _MASK64
+    return states
+
+
+def _word_groups(rows: Sequence[tuple[int, ...]]) -> list[tuple[Sequence[int], np.ndarray]]:
+    """The rows of each word count, as (row positions, (R, w) uint32 words) pairs.
+
+    At least ``_VECTOR_ROWS`` rows of one length whose entries are all
+    ints in [0, 2**32), the rows of a chunk, are one word per entry and
+    read through one array.
+    """
+    if len(rows) >= _VECTOR_ROWS and len(set(map(len, rows))) == 1:
+        entries = np.array(rows)
+        if entries.dtype.kind in "iu":
+            words = entries.astype(np.uint32)
+            if (words == entries).all():
+                return [(range(len(rows)), words)]
     words = [_words(row) for row in rows]
     widths = {}
     for i, row_words in enumerate(words):
         widths.setdefault(len(row_words), []).append(i)
-    states = [None] * len(rows)
-    for index in widths.values():
-        if len(index) < _VECTOR_ROWS:
-            # the same words, which SeedSequence takes as they are
-            seeded = [np.random.SeedSequence(np.array(words[i], dtype=np.uint32))
-                      .generate_state(4, np.uint64).tolist() for i in index]
-        else:
-            seeded = _seed_words(np.array([words[i] for i in index], dtype=np.uint32))
-        for i, (seed_hi, seed_lo, inc_hi, inc_lo) in zip(index, seeded):
-            inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-            # from state 0: one step, add the seed, one more step
-            state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
-            states[i] = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                         "has_uint32": 0, "uinteger": 0}
-    return states
+    return [(index, np.array([words[i] for i in index], dtype=np.uint32))
+            for index in widths.values()]
+
+
+def _state_dict(state_hi: int, state_lo: int, inc_hi: int, inc_lo: int) -> dict:
+    """``bit_generator.state`` of a fresh PCG64 at one row of :func:`_stream_states`."""
+    return {"bit_generator": "PCG64",
+            "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+            "has_uint32": 0, "uinteger": 0}
+
+
+@cache
+def _jumps(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Halves of M**j and sum_{i<j} M**i mod 2**128, M PCG64's multiplier, j = 1 to count.
+
+    After j steps the LCG is at state * M**j + inc * sum_{i<j} M**i.  Gives
+    the high and the low halves, each (2, 1, count): the two factors' rows.
+    """
+    scales, shifts = [1], [0]
+    for _ in range(count):
+        scales.append(scales[-1] * _PCG64_MULT & _MASK128)
+        shifts.append((shifts[-1] * _PCG64_MULT + 1) & _MASK128)
+    factors = np.array([scales[1:], shifts[1:]], dtype=object)[:, None, :]
+    return (factors >> 64).astype(np.uint64), (factors & _MASK64).astype(np.uint64)
+
+
+def _pcg64_outputs(states: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` 64-bit outputs of each fresh PCG64 of ``states``, (R, count).
+
+    ``states`` are rows of :func:`_stream_states`.  Output j is PCG64's
+    XSL-RR output of the state after j + 1 steps, each reached by one jump
+    from the start, in blocks of at most ``_CHUNK_VALUES`` outputs.
+    """
+    jump_hi, jump_lo = _jumps(count)
+    outputs = np.empty((len(states), count), dtype=np.uint64)
+    block = max(1, _CHUNK_VALUES // count)
+    for start in range(0, len(states), block):
+        # (state, inc) x (high, low) x rows x 1, times (scale, shift)
+        factors = np.ascontiguousarray(states[start:start + block].T).reshape(2, 2, -1, 1)
+        high, low = _mul128(factors[:, 0], factors[:, 1], jump_hi, jump_lo)
+        high, low = _add128(high[0], low[0], high[1], low[1])
+        low ^= high  # XSL-RR: the halves' xor rotated right by the top 6 bits
+        high >>= _U58
+        outputs[start:start + block] = low >> high | low << (-high & _U63)
+    return outputs
 
 
 @dataclass(frozen=True)
@@ -292,23 +399,91 @@ def sample_stragglers(model: StragglerModel, rng: np.random.Generator | None) ->
     return _survivor_stack(model, [rng])[0]
 
 
-def _survivor_stack(model: StragglerModel, rngs: Iterable) -> np.ndarray:
+def _survivor_stack(model: StragglerModel, rngs: Sequence,
+                    words: np.ndarray | None = None) -> np.ndarray:
     """Sorted survivor indices of T trials, (T, N - S).
 
-    ``rngs`` yields each trial's stragglers stream in turn, ready for its
-    draw (None in ``fixed`` mode, where none is used).  Each trial draws
-    its S stragglers on its own stream; one mask over all T trials turns
-    them into survivors.
+    ``rngs[t]`` is trial t's stragglers stream, ready for its draw (None in
+    ``fixed`` mode, where none is used).  Each trial draws its S
+    stragglers on its own stream: ``Generator.choice(N, S,
+    replace=False)``, or, given ``words`` (T, w), the first w 32-bit words
+    of every trial's stream, the same sets from those words by
+    :func:`_floyd_sets`, a trial whose draw there would reject taking
+    ``choice``.  One mask over all T trials turns them into survivors.
     """
+    trials = len(rngs)
     if model.mode == "fixed":
-        stragglers = [model.fixed_stragglers for _ in rngs]
+        stragglers = np.array([model.fixed_stragglers] * trials, dtype=int)
     else:
-        stragglers = [rng.choice(model.n, size=model.s, replace=False) for rng in rngs]
-    stragglers = np.array(stragglers, dtype=int)
-    trials = len(stragglers)
+        redo = range(trials)
+        if words is not None:
+            stragglers, drawn = _floyd_sets(words, model.n, model.s)
+            redo = np.flatnonzero(~drawn)
+        else:
+            stragglers = np.empty((trials, model.s), dtype=int)
+        for t in redo:
+            stragglers[t] = rngs[t].choice(model.n, size=model.s, replace=False)
     survivors = np.ones((trials, model.n), dtype=bool)
     survivors[np.arange(trials)[:, None], stragglers] = False
     return np.nonzero(survivors)[1].reshape(trials, model.n - model.s)
+
+
+# Generator.choice(n, s, replace=False) draws by Floyd's algorithm unless
+# n > 10000 and s > n // 50 (numpy/random/_generator.pyx); up to n = 2**32 - 1
+# each of its draws, on [0, j] for j < 2**32 - 1, takes one 32-bit word
+_FLOYD_MAX_N = 10000
+_FLOYD_CUTOFF = 50
+_LEMIRE_MAX_N = 2**32 - 1
+
+
+def _floyd_words(n: int, s: int) -> int | None:
+    """The 32-bit words ``choice(n, s, replace=False)`` reads by Floyd's draws, else None.
+
+    None where numpy shuffles instead, or where a draw takes 64-bit words.
+    Floyd draws on [0, j] for j = n - s to n - 1; j = 0 takes no word.
+    """
+    if (n > _FLOYD_MAX_N and s > n // _FLOYD_CUTOFF) or n > _LEMIRE_MAX_N:
+        return None
+    return s - (n == s > 0)
+
+
+def _floyd_sets(words: np.ndarray, n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The straggler sets ``choice(n, s, replace=False)`` draws from ``words``, (T, s).
+
+    ``words`` (T, w) are the first :func:`_floyd_words` 32-bit words of each
+    trial's stream, in the order numpy reads them.  Floyd's step i draws
+    v_i on [0, j_i], j_i = n - s + i, by Lemire's method, and adds v_i to
+    the set, or j_i if v_i is in it already: after an earlier equal v, or
+    after j_k, k < i, was added for v_k.  So the set is every v_i, plus j_i
+    wherever v_i repeats an earlier v or equals a j_k so added.  Also gives
+    (T,) whether each trial's draws were taken as drawn: False where
+    Lemire's method would reject a word and draw again, a set the caller
+    draws by ``choice`` instead.  Only the set agrees with ``choice``, whose
+    order is shuffled.
+    """
+    trials = len(words)
+    tops = np.arange(n - s, n)
+    skip = s - words.shape[1]  # a draw on [0, 0] reads no word
+    bounds = tops[skip:].astype(np.uint64) + _U1
+    scaled = words * bounds
+    drawn = ~((scaled & _LOW32) < np.uint64(2**32) % bounds).any(axis=1)
+    values = np.zeros((trials, s), dtype=int)
+    values[:, skip:] = scaled >> _U32
+    rows = np.arange(trials)[:, None]
+    order = np.argsort(values, axis=1, kind="stable")
+    ordered = values[rows, order]
+    repeat = np.zeros((trials, s), dtype=bool)
+    repeat[rows, order[:, 1:]] = ordered[:, 1:] == ordered[:, :-1]
+    # v_i = j_k for an earlier k: taken if j_k was, resolved to a fixed point
+    step = values - (n - s)
+    earlier = (step >= 0) & (step < np.arange(s))
+    step[~earlier] = 0
+    taken = repeat
+    while True:
+        grown = repeat | earlier & taken[rows, step]
+        if np.array_equal(grown, taken):
+            return np.where(taken, tops, values), drawn
+        taken = grown
 
 
 @dataclass(frozen=True)
@@ -331,9 +506,13 @@ class WorkerFunction:
     ``fn`` maps a (q, d) batch to (q, m) outputs, one row per worker, and
     must be row-wise pure: row i of the output depends on row i of the
     input alone, and equal inputs give equal outputs.  The harness calls
-    it once per trial on that trial's surviving coded rows, once on its
-    inputs and, for letcc, once on the encoder's values at the alphas, and
-    never on the rows of several trials together: a BLAS product such as
+    it on each trial's surviving coded rows, on its inputs and, for letcc,
+    on the encoder's values at the alphas.  A function declared
+    ``elementwise`` gives every value the same bits whatever the other
+    rows of the call and their number, as a numpy ufunc applied value by
+    value does: the harness calls it once on the stacked rows of all
+    trials of a chunk.  Any other is called once per trial and never on
+    the rows of several trials together: a BLAS product such as
     tanh_net's can round a row differently with the number of rows in the
     call, which would make a trial's bits depend on its batch.  The
     optional ``lipschitz`` and ``curvature`` bounds are declared over
@@ -351,6 +530,7 @@ class WorkerFunction:
     lipschitz: float | None = None
     curvature: float | None = None
     degree: int | None = None
+    elementwise: bool = False
 
     def __post_init__(self):
         for name in ("in_dim", "out_dim"):
@@ -377,23 +557,23 @@ class WorkerFunction:
 def _affine() -> WorkerFunction:
     # in both penalty null spaces: the pipeline recovers it exactly
     return WorkerFunction("affine", lambda x: 2.0 * x - 0.5, 1, 1,
-                          lipschitz=2.0, curvature=0.0, degree=1)
+                          lipschitz=2.0, curvature=0.0, degree=1, elementwise=True)
 
 
 def _sin_pi() -> WorkerFunction:
     return WorkerFunction("sin_pi", lambda x: np.sin(np.pi * x), 1, 1,
-                          lipschitz=np.pi, curvature=np.pi**2)
+                          lipschitz=np.pi, curvature=np.pi**2, elementwise=True)
 
 
 def _cubic() -> WorkerFunction:
     # |3x^2| <= 12 and |6x| <= 12 on [-2, 2].
     return WorkerFunction("cubic", lambda x: x**3, 1, 1,
-                          lipschitz=12.0, curvature=12.0, degree=3)
+                          lipschitz=12.0, curvature=12.0, degree=3, elementwise=True)
 
 
 def _softplus() -> WorkerFunction:
     return WorkerFunction("softplus", lambda x: np.logaddexp(0.0, x), 1, 1,
-                          lipschitz=1.0, curvature=0.25)
+                          lipschitz=1.0, curvature=0.25, elementwise=True)
 
 
 def _tanh_net(d: int = 4, m: int = 3, hidden: int = 16) -> WorkerFunction:
@@ -472,16 +652,27 @@ def _worker_stack(func: WorkerFunction, coded: np.ndarray, noise: NoiseModel,
     """Worker outputs (T, v, m) of T trials at their survivors, with noise.
 
     ``coded`` (T, N, d) holds each trial's coded rows and ``indices`` (T, v)
-    its checked survivors.  The rows of all trials are gathered at once; f
-    runs once per trial, on exactly that trial's rows (see
-    :class:`WorkerFunction`).  ``rngs`` yields each trial's noise stream in
-    turn, ready for its draw; it is not used when ``noise.sigma0`` is 0.
+    its checked survivors.  The rows of all trials are gathered at once and
+    f runs on them by :func:`_evaluate_stack`.  ``rngs`` yields each
+    trial's noise stream in turn, ready for its draw; it is not used when
+    ``noise.sigma0`` is 0.
     """
-    rows = coded[np.arange(len(indices))[:, None], indices]
-    outputs = np.array([func.evaluate(trial_rows) for trial_rows in rows])
+    outputs = _evaluate_stack(func, coded[np.arange(len(indices))[:, None], indices])
     if noise.sigma0 > 0:
         outputs += np.array([rng.normal(0.0, noise.sigma0, outputs.shape[1:]) for rng in rngs])
     return outputs
+
+
+def _evaluate_stack(func: WorkerFunction, rows: np.ndarray) -> np.ndarray:
+    """f at the (T, q, d) rows of T trials, (T, q, m).
+
+    An elementwise f runs once on all T * q rows, any other once per
+    trial on exactly that trial's rows (see :class:`WorkerFunction`).
+    """
+    if func.elementwise:
+        trials, count = rows.shape[:2]
+        return func.evaluate(rows.reshape(trials * count, -1)).reshape(trials, count, -1)
+    return np.array([func.evaluate(trial_rows) for trial_rows in rows])
 
 
 @dataclass(frozen=True)
@@ -627,6 +818,42 @@ def _trial_inputs(setup: TrialSetup, rng: np.random.Generator | None) -> np.ndar
     return rng.uniform(-1.0, 1.0, (setup.grid.k, setup.func.in_dim))
 
 
+class _Streams:
+    """One stream of each trial of a chunk, from its (T, 4) :func:`_stream_states` rows.
+
+    Item t is one reused generator, loaded with trial t's state as it is
+    asked for, so each trial must draw before the next is asked for.
+    """
+
+    def __init__(self, states: np.ndarray, gen: np.random.Generator):
+        self._rows, self._gen = states.tolist(), gen
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, t) -> np.random.Generator:
+        self._gen.bit_generator.state = _state_dict(*self._rows[t])
+        return self._gen
+
+    def __iter__(self) -> Iterator[np.random.Generator]:
+        return map(self.__getitem__, range(len(self._rows)))
+
+
+def _first_draws(states: dict[int, np.ndarray], counts: dict[int, int]) -> dict[int, np.ndarray]:
+    """The first ``counts[tag]`` 64-bit outputs (T, count) of each trial's stream ``tag``.
+
+    ``states`` holds the (T, 4) states of each stream a chunk draws; those
+    of ``counts`` run through one :func:`_pcg64_outputs` pass.
+    """
+    tags = [tag for tag in counts if tag in states]
+    count = max((counts[tag] for tag in tags), default=0)
+    if count == 0:
+        return {tag: np.empty((len(states[tag]), 0), dtype=np.uint64) for tag in tags}
+    outputs = _pcg64_outputs(np.concatenate([states[tag] for tag in tags]), count)
+    trials = len(outputs) // len(tags)
+    return {tag: outputs[i * trials:(i + 1) * trials, :counts[tag]] for i, tag in enumerate(tags)}
+
+
 def _prepare(setup: TrialSetup, seeds, weights: int = 1) -> Iterator[_Chunk]:
     """The prepared trials of ``seeds``, in order, one :class:`_Chunk` at a time.
 
@@ -634,37 +861,37 @@ def _prepare(setup: TrialSetup, seeds, weights: int = 1) -> Iterator[_Chunk]:
     each of the ``weights`` it is decoded at (N x max(d, K) for bacc, whose
     decode weights are K x N, and N x max(d, deg + 1 + m) for lcc, whose
     decode factors the survivors' augmented Vandermonde), or one trial.
-    Its random streams are seeded in one vectorised pass; each trial's
-    draws (data, stragglers, noise) run on its own stream, loaded just
-    before them into one reused generator.  The chunk encodes its trials'
+    Its random streams are seeded in one vectorised pass.  A chunk of at
+    least ``_VECTOR_DRAWS`` trials computes the first outputs of its data
+    and straggler streams in one more, each stream's up to
+    ``_VECTOR_OUTPUTS`` a trial, and takes from them what
+    ``Generator.uniform`` and ``Generator.choice`` draw: the inputs, as
+    -1 + 2 * (u >> 11) * 2**-53, and the straggler sets by
+    :func:`_floyd_sets`.  Every other draw (a smaller chunk's, a longer
+    stream's, the noise's ``normal``, a straggler set ``choice`` shuffles
+    for or rejects a word of) runs on the trial's own stream, loaded just
+    before it into one reused generator.  The chunk encodes its trials'
     inputs in one product through the grid's cached encoder, masks the
     stragglers, gathers the survivors' rows, adds the noise and checks
-    every value of all its trials at once.  f runs once per trial on
-    each of that trial's row sets: survivors, inputs and, for letcc, the
-    encoder's values at the alphas.  A non-finite value raises
+    every value of all its trials at once.  f runs by
+    :func:`_evaluate_stack` on each row set: survivors, inputs and, for
+    letcc, the encoder's values at the alphas.  A non-finite value raises
     ``ValueError`` naming which of the three it is.  Each seed is a tuple
     of ints, as :func:`_entropy` gives it.
     """
-    grid, func = setup.grid, setup.func
+    grid, func, model = setup.grid, setup.func, setup.stragglers
     tags = [tag for tag, used in ((_STREAM_DATA, setup.data is None
                                    and setup.data_rule == "uniform"),
-                                  (_STREAM_STRAGGLERS, setup.stragglers.mode == "uniform"),
+                                  (_STREAM_STRAGGLERS, model.mode == "uniform"),
                                   (_STREAM_NOISE, setup.noise.sigma0 > 0)) if used]
     # one generator, loaded with each stream's state just before its draws
     gen = np.random.Generator(np.random.PCG64(_ANY_SEED)) if tags else None
-
-    def streams(states: list[dict], tag: int) -> Iterator[np.random.Generator | None]:
-        """Each trial's stream ``tag`` in turn, None if the setup draws none.
-
-        A trial's state is loaded as the next one is asked for, so each must
-        draw before the next.
-        """
-        for trial in states:
-            if tag not in trial:
-                yield None
-                continue
-            gen.bit_generator.state = trial[tag]
-            yield gen
+    # the 64-bit outputs a chunk's vectorised draws read, per stream
+    words = _floyd_words(model.n, model.s)
+    counts = {tag: count for tag, count in (
+        (_STREAM_DATA, grid.k * func.in_dim),
+        (_STREAM_STRAGGLERS, None if words is None else (words + 1) // 2))
+        if count is not None and count <= _VECTOR_OUTPUTS}
 
     width = func.in_dim
     if setup.scheme == "bacc":
@@ -675,23 +902,38 @@ def _prepare(setup: TrialSetup, seeds, weights: int = 1) -> Iterator[_Chunk]:
     size = max(1, _CHUNK_VALUES // (grid.n * width * weights))
     for start in range(0, len(seeds), size):
         chunk = seeds[start:start + size]
-        flat = iter(_stream_states([seed + (tag,) for seed in chunk for tag in tags]))
-        states = [{tag: next(flat) for tag in tags} for _ in chunk]
-        inputs = np.stack([_trial_inputs(setup, rng)
-                           for rng in streams(states, _STREAM_DATA)])
+        trials = len(chunk)
+        streams = dict.fromkeys((_STREAM_DATA, _STREAM_STRAGGLERS, _STREAM_NOISE),
+                                [None] * trials)
+        draws = {}
+        if tags:
+            states = _stream_states([seed + (tag,) for seed in chunk for tag in tags])
+            states = {tag: states[i::len(tags)] for i, tag in enumerate(tags)}
+            streams.update((tag, _Streams(rows, gen)) for tag, rows in states.items())
+            if trials >= _VECTOR_DRAWS:
+                draws = _first_draws(states, counts)
+        if _STREAM_DATA in draws:
+            inputs = (-1.0 + 2.0 * ((draws[_STREAM_DATA] >> _U11) * 2.0**-53)).reshape(
+                trials, grid.k, func.in_dim)
+        else:
+            inputs = np.stack([_trial_inputs(setup, rng) for rng in streams[_STREAM_DATA]])
         knot_values = None
         if setup.scheme == "letcc":
             coded, knot_values, _ = coding._linear_encoder(grid, setup.lambda_e).apply(inputs)
         else:
             coded = baselines._encoder(grid, setup.scheme).apply(inputs)
-        indices = _survivor_stack(setup.stragglers, streams(states, _STREAM_STRAGGLERS))
-        outputs = _worker_stack(func, coded, setup.noise, indices,
-                                streams(states, _STREAM_NOISE))
-        truth = np.array([func.evaluate(trial_inputs) for trial_inputs in inputs])
+        straggler_words = None
+        if _STREAM_STRAGGLERS in draws:  # 32-bit words, low half first
+            halves = draws[_STREAM_STRAGGLERS]
+            straggler_words = np.stack([halves & _LOW32, halves >> _U32], axis=2).reshape(
+                trials, -1)[:, :words]
+        indices = _survivor_stack(model, streams[_STREAM_STRAGGLERS], straggler_words)
+        outputs = _worker_stack(func, coded, setup.noise, indices, streams[_STREAM_NOISE])
+        truth = _evaluate_stack(func, inputs)
         through = l_enc = None
         if knot_values is not None:
             # the encoder's values at the alphas, its knots
-            through = np.array([func.evaluate(values) for values in knot_values])
+            through = _evaluate_stack(func, knot_values)
         for values, name in ((outputs, "survivor outputs"),
                              (truth, "truth values f(x_k)"),
                              (through, "through-encoder values f(u_enc(alpha_k))")):

@@ -67,6 +67,11 @@ class TestTrial:
         assert captured.out == ""
         assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
 
+    def test_negative_seed_exits_one_naming_the_seed(self, capsys):
+        code, out, err = run_cli(capsys, *TRIAL_ARGS[:-1], "-3")
+        assert (code, out) == (1, "")
+        assert err == "error: seed must be a nonnegative integer, got -3\n"
+
     def test_s_equal_n_exits_one(self, capsys):
         code, _, err = run_cli(capsys, "trial", "--scheme", "letcc",
                                "--f", "sin_pi", "--k", "16", "--n", "8", "--s", "8")

@@ -297,6 +297,25 @@ class TestCountsFromOutside:
         with pytest.raises(ValueError, match=message):
             _integral_indices([np.uint64(2**64 - 1), 8], "n_values")
 
+    def test_signed_integer_lists_read_as_their_items(self):
+        # a list numpy reads as signed integers goes through one array:
+        # the same values, refusals and messages as item by item
+        items = [np.int64(7), 3, np.int32(5), np.int8(0)] * 1024
+        got = _integral_indices(items, "survivor index", 8)
+        assert got.dtype == int and got.tolist() == [int(v) for v in items]
+        assert _integral_indices((), "survivor index", 8).tolist() == []
+        for bad, shown in (([np.int64(3), -1], "-1 outside \\[0, 8\\)"),
+                           ([2, np.int64(8)], "8 outside \\[0, 8\\)")):
+            with pytest.raises(ValueError, match=f"^survivor index {shown}$"):
+                _integral_indices(bad, "survivor index", 8)
+        # items of other types, which numpy would read as integers too, are
+        # read one by one: a boolean (bool_ before numpy 2) and a 0-d array
+        # are no integers
+        for bad, kind in (([2, np.True_], "bool_?"), ([np.array(5), 2], "ndarray")):
+            with pytest.raises(ValueError, match=f"^survivor index must be an integer, "
+                                                 f"got {kind}$"):
+                _integral_indices(bad, "survivor index", 8)
+
     @pytest.mark.parametrize("dim", ["in_dim", "out_dim"])
     def test_worker_dimensions_at_least_one(self, dim):
         with pytest.raises(ValueError, match=f"^{dim} must be >= 1, got 0$"):
@@ -400,6 +419,14 @@ class TestSeedsFromOutside:
         if entry == "CLI JSON seed" and bad is None:
             bad = [7]  # null counts as not given; a list is no integer either
         with pytest.raises(ValueError, match=rf"^{field}\b"):
+            call(bad)
+
+    @pytest.mark.parametrize("bad", [-1, -3.0, np.int64(-2), -2**70], ids=repr)
+    @pytest.mark.parametrize("entry", list(_SEEDS))
+    def test_negative_rejected_naming_the_seed(self, entry, bad):
+        field, call = _SEEDS[entry]
+        with pytest.raises(ValueError, match=rf"^{field} must be a nonnegative integer, "
+                                             rf"got {int(bad)}$"):
             call(bad)
 
     @pytest.mark.parametrize("same", [7.0, np.int64(7)], ids=repr)

@@ -702,7 +702,8 @@ class TestStreamSeeder:
         assert {len(sim._words(row)) for row in rows} >= set(range(1, 7))
         states = sim._stream_states(rows)  # all widths in one call
         gen = np.random.Generator(np.random.PCG64())
-        for row, state in zip(rows, states, strict=True):
+        for row, halves in zip(rows, states.tolist(), strict=True):
+            state = sim._state_dict(*halves)
             reference = trial_rng(row[:-1], row[-1])
             assert state == reference.bit_generator.state
             gen.bit_generator.state = state
@@ -710,16 +711,24 @@ class TestStreamSeeder:
             assert np.array_equal(gen.normal(size=3), reference.normal(size=3))
 
     def test_negative_entropy_raises_as_trial_rng(self, monkeypatch):
+        # a seed entry from outside is refused by the seed rule, naming the
+        # seed; an internal entropy row, by the seeder, as numpy refuses it
         with pytest.raises(ValueError) as reference:
             trial_rng((5, -1), 101)
+        assert str(reference.value) == "seed must be a nonnegative integer, got -1"
+        with pytest.raises(ValueError) as got:
+            monte_carlo(_setup(), 2, (5, -1))
+        assert str(got.value) == str(reference.value)
+        with pytest.raises(ValueError) as got:
+            monte_carlo(_setup(), 2, -3)
+        assert str(got.value) == "seed must be a nonnegative integer, got -3"
+        with pytest.raises(ValueError) as numpy_refusal:
+            np.random.default_rng([5, -1, 101])
         for vector_rows in (1, 10**9):
             monkeypatch.setattr(sim, "_VECTOR_ROWS", vector_rows)
             with pytest.raises(ValueError) as got:
                 sim._stream_states([(7, 0, 303), (5, -1, 101)])
-            assert str(got.value) == str(reference.value)
-        with pytest.raises(ValueError) as got:
-            monte_carlo(_setup(), 2, -3)
-        assert str(got.value) == str(reference.value)
+            assert str(got.value) == str(numpy_refusal.value)
 
     @pytest.mark.parametrize("stragglers", [
         {"s": 4},
@@ -744,6 +753,187 @@ class TestStreamSeeder:
             assert chunk.seeds[i] == (9, t)
             assert np.array_equal(chunk.indices[i], survivors)
             assert np.array_equal(chunk.truth[i], setup.func.evaluate(inputs))
+
+
+def _floyd_reference(words, n, s):
+    """``choice(n, s, replace=False)``'s set by Floyd's draws on 32-bit ``words``.
+
+    Each draw on [0, j] takes Lemire's method, drawing again where it
+    rejects a word; also gives whether any word was rejected.
+    """
+    words = iter(np.asarray(words).tolist())  # Python ints: exact products
+    chosen, rejected = set(), False
+    for j in range(n - s, n):
+        value = 0
+        while j:  # a draw on [0, 0] reads no word
+            scaled = next(words) * (j + 1)
+            if scaled & 0xFFFFFFFF >= 2**32 % (j + 1):
+                value = scaled >> 32
+                break
+            rejected = True
+        chosen.add(j if value in chosen else value)
+    return chosen, rejected
+
+
+def _raw_words(seed, count):
+    """The first ``count`` 32-bit words of trial ``seed``'s stragglers stream, low half first."""
+    raw = trial_rng(seed, sim._STREAM_STRAGGLERS).bit_generator.random_raw((count + 1) // 2)
+    return np.stack([raw & 0xFFFFFFFF, raw >> np.uint64(32)], axis=1).reshape(-1)[:count]
+
+
+class TestChunkDraws:
+    # a chunk of at least _VECTOR_DRAWS trials draws its data and
+    # stragglers from its streams' first PCG64 outputs, as numpy would
+
+    @pytest.mark.parametrize("count", [1, 2, 8, 33])
+    def test_pcg64_outputs_equal_random_raw(self, count, monkeypatch):
+        monkeypatch.setattr(sim, "_CHUNK_VALUES", 3 * count)  # blocks of three rows
+        rng = np.random.default_rng(4)
+        rows = [tuple(int(v) for v in rng.integers(2**32, size=3)) for _ in range(13)]
+        outputs = sim._pcg64_outputs(sim._stream_states(rows), count)
+        for row, got in zip(rows, outputs, strict=True):
+            assert np.array_equal(got, np.random.default_rng(row).bit_generator.random_raw(count))
+
+    @pytest.mark.parametrize("n, s", [
+        # numpy's branch boundary: Floyd up to n = 10000, or s <= n // 50
+        (10000, 199), (10000, 200), (10000, 201), (10001, 199), (10001, 200),
+        (64, 0), (64, 1), (64, 63), (64, 64), (1, 1), (2, 2),
+        (2**20, 1000), (2**20, 2**20 // 50), (2**31 - 1, 8), (2**32 - 1, 5),
+        (2**31 + 2**30, 2),  # a draw on [0, j] rejects a word with chance ~1/4
+    ])
+    def test_floyd_sets_equal_choice(self, n, s):
+        seeds = [(13, t) for t in range(16)]
+        width = sim._floyd_words(n, s)
+        assert width == s - (n == s > 0)
+        words = np.array([_raw_words(seed, width) for seed in seeds]).reshape(len(seeds), width)
+        sets, drawn = sim._floyd_sets(words, n, s)
+        assert sets.shape == (len(seeds), s)
+        for t, seed in enumerate(seeds):
+            choice = trial_rng(seed, sim._STREAM_STRAGGLERS).choice(n, size=s, replace=False)
+            reference, rejected = _floyd_reference(_raw_words(seed, width + 64), n, s)
+            assert reference == set(choice.tolist())
+            assert drawn[t] == (not rejected)
+            if drawn[t]:
+                assert sorted(sets[t].tolist()) == sorted(reference)
+        if n == 2**31 + 2**30:  # trials of both kinds
+            assert 0 < drawn.sum() < len(seeds)
+        elif n * s < 2**26:  # a rejection has chance below n * s / 2**33
+            assert drawn.all()
+
+    @pytest.mark.parametrize("n, s", [(10001, 201), (2**32, 1), (2**40, 3)])
+    def test_floyd_words_refuse_what_choice_shuffles_or_draws_wide(self, n, s):
+        assert sim._floyd_words(n, s) is None
+
+    @pytest.mark.parametrize("n, s", [(10000, 199), (10000, 201), (10001, 200), (10001, 201),
+                                      (24, 0), (24, 1), (24, 23)])
+    def test_chunk_straggler_sets_equal_choice(self, n, s, monkeypatch):
+        monkeypatch.setattr(sim, "_VECTOR_DRAWS", 1)
+        setup = _setup(k=4, n=n, s=s, sigma0=0.1)
+        seeds = [(21, t) for t in range(9)]
+        indices = np.concatenate([chunk.indices for chunk in sim._prepare(setup, seeds)])
+        for got, seed in zip(indices, seeds, strict=True):
+            want = sample_stragglers(setup.stragglers, trial_rng(seed, sim._STREAM_STRAGGLERS))
+            assert np.array_equal(got, want)
+
+    def test_a_rejected_draw_takes_choice(self, monkeypatch):
+        # trials whose words the set helper refuses draw by choice on their
+        # own stream; the refused rows' sets are never read
+        floyd_sets = sim._floyd_sets
+
+        def refusing(words, n, s):
+            sets, drawn = floyd_sets(words, n, s)
+            sets[1::3], drawn[1::3] = -1, False
+            return sets, drawn
+
+        monkeypatch.setattr(sim, "_floyd_sets", refusing)
+        monkeypatch.setattr(sim, "_VECTOR_DRAWS", 1)
+        setup = _setup(k=5, n=23, s=4, sigma0=0.1)
+        agg = monte_carlo(setup, 10, 8)
+        (chunk,) = sim._prepare(setup, [(8, t) for t in range(10)])
+        for t in range(10):
+            want = sample_stragglers(setup.stragglers, trial_rng((8, t), sim._STREAM_STRAGGLERS))
+            assert np.array_equal(chunk.indices[t], want)
+            assert agg.metrics[t] == run_trial(setup, (8, t))
+
+    # K = 5 data values and S = 4 stragglers (2 outputs) a trial: only the
+    # streams within the cap take the jump-ahead pass, as (rows, count)
+    @pytest.mark.parametrize("cap, want", [(1, []), (2, [(6, 2)]), (4, [(6, 2)]),
+                                           (5, [(12, 5)])])
+    def test_streams_past_the_output_cap_draw_per_trial(self, cap, want, monkeypatch):
+        passes, outputs = [], sim._pcg64_outputs
+
+        def counted(states, count):
+            passes.append((len(states), count))
+            return outputs(states, count)
+
+        monkeypatch.setattr(sim, "_pcg64_outputs", counted)
+        monkeypatch.setattr(sim, "_VECTOR_DRAWS", 1)
+        monkeypatch.setattr(sim, "_VECTOR_OUTPUTS", cap)
+        setup = _setup(k=5, n=23, s=4, sigma0=0.1)
+        (chunk,) = sim._prepare(setup, [(9, t) for t in range(6)])
+        assert passes == want
+        for t in range(6):
+            inputs = trial_rng((9, t), sim._STREAM_DATA).uniform(-1.0, 1.0, (5, 1))
+            survivors = sample_stragglers(setup.stragglers,
+                                          trial_rng((9, t), sim._STREAM_STRAGGLERS))
+            assert np.array_equal(chunk.indices[t], survivors)
+            assert np.array_equal(chunk.truth[t], setup.func.evaluate(inputs))
+
+    @pytest.mark.parametrize("worker", ["affine", "tanh_net"])
+    def test_uniform_inputs_equal_trial_rng(self, worker, monkeypatch):
+        monkeypatch.setattr(sim, "_VECTOR_DRAWS", 1)
+        func = make_worker(worker)  # tanh_net takes d = 4 inputs
+        setup = _setup(k=6, n=23, s=3, func=func)
+        chunks = list(sim._prepare(setup, [(17, t) for t in range(9)]))
+        truth = np.concatenate([chunk.truth for chunk in chunks])
+        for t in range(9):
+            inputs = trial_rng((17, t), sim._STREAM_DATA).uniform(-1.0, 1.0, (6, func.in_dim))
+            assert np.array_equal(truth[t], func.evaluate(inputs))
+
+    @pytest.mark.parametrize("sigma0", [0.0, 0.1])
+    @pytest.mark.parametrize("worker", sorted(sim.WORKER_FUNCTIONS))
+    @pytest.mark.parametrize("scheme", sim.SCHEMES)
+    def test_vectorised_draws_at_every_chunk_size_equal_run_trial(self, scheme, worker, sigma0,
+                                                                   monkeypatch):
+        # chunks of 3, 3, 3 and 1 trials, each seeded and drawn vectorised
+        monkeypatch.setattr(sim, "_VECTOR_DRAWS", 1)
+        monkeypatch.setattr(sim, "_VECTOR_ROWS", 1)
+        monkeypatch.setattr(sim, "_CHUNK_VALUES", 3 * 23)
+        func = make_worker(worker)
+        setup = _setup(scheme=scheme, k=5, n=23, s=4, sigma0=sigma0, lambda_d=1e-6,
+                       lambda_e=1e-3, func=func, f_degree=2 if func.degree is None else None)
+        agg = monte_carlo(setup, 10, 31)
+        monkeypatch.setattr(sim, "_VECTOR_DRAWS", 10**9)
+        monkeypatch.setattr(sim, "_VECTOR_ROWS", 10**9)
+        assert agg.columns == monte_carlo(setup, 10, 31).columns
+        for t, metrics in enumerate(agg.metrics):
+            assert metrics == run_trial(setup, (31, t))
+
+    def test_elementwise_builtins_stack_bit_for_bit(self):
+        declared = {name for name in sim.WORKER_FUNCTIONS if make_worker(name).elementwise}
+        assert declared == {"affine", "sin_pi", "cubic", "softplus"}
+        rng = np.random.default_rng(6)
+        for name in sorted(declared):
+            func = make_worker(name)
+            for rows in range(1, 71):
+                for trials in (2, 3):
+                    stack = rng.uniform(-2.5, 2.5, (trials, rows, func.in_dim))
+                    stacked = sim._evaluate_stack(func, stack)
+                    for t in range(trials):
+                        assert np.array_equal(stacked[t], func.evaluate(stack[t]))
+
+    @pytest.mark.parametrize("scheme", sim.SCHEMES)
+    def test_elementwise_worker_runs_once_per_row_set_of_a_chunk(self, scheme):
+        rows = []
+        cubic = make_worker("cubic")
+        func = WorkerFunction("counted_cubic", lambda x: rows.append(len(x)) or cubic.fn(x),
+                              1, 1, degree=3, elementwise=True)
+        setup = _setup(scheme, k=8, n=24, s=4, sigma0=0.1, lambda_e=1e-3, func=func)
+        agg = monte_carlo(setup, 5, 3)
+        # survivors, inputs and, for letcc, the encoder's knot values
+        assert sorted(rows) == sorted([5 * 20, 5 * 8] + ([5 * 8] if scheme == "letcc" else []))
+        for t, metrics in enumerate(agg.metrics):
+            assert metrics == run_trial(setup, (3, t))
 
 
 class TestInputRules:

@@ -16,8 +16,8 @@ decoder weight lambda_d, draws the data, encodes, samples the stragglers
 and runs the workers; :func:`monte_carlo_lambdas` prepares all trials of
 a call together, in chunks of a bounded number of values.  Each trial
 draws on its own streams, and a chunk of enough trials takes its data
-and straggler draws from one vectorised pass: PCG64's first outputs of
-every such stream by jump-ahead, turned into what ``Generator.uniform``
+and straggler draws from vectorised passes, one per output count:
+PCG64's first outputs of every such stream by jump-ahead, turned into what ``Generator.uniform``
 and the Floyd sampling of ``Generator.choice`` give on them.  What stays
 per trial is the noise's ``normal``, any draw of a smaller chunk or one
 the pass does not reproduce, each on the trial's stream loaded into one
@@ -142,15 +142,11 @@ _PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
 # A word count needs _VECTOR_ROWS entropy rows for the vectorised seeding
 # to beat numpy's own SeedSequence and a Python-int seeding step per row,
 # and a chunk _VECTOR_DRAWS trials for its vectorised data and straggler
-# draws to beat a state load and a draw per trial; a stream's vectorised
-# draws read at most _VECTOR_OUTPUTS 64-bit outputs per trial, past which
-# numpy's own draw per trial costs less than the ~25 uint64 operations of
-# a jump-ahead per output.  Each breaks even at about that count (10-12
-# rows and 8 trials at K = 8 or 16 and N = 64 or 256; 100 outputs for S =
-# 200 stragglers, 150-250 for K x d data values; on a 2-core Xeon).
+# draws to beat a state load and a draw per trial.  Each breaks even at
+# about that count (10-12 rows and 8 trials at K = 8 or 16 and N = 64 or
+# 256, on a 2-core Xeon).
 _VECTOR_ROWS = 12
 _VECTOR_DRAWS = 8
-_VECTOR_OUTPUTS = 100
 # the state of the reused generator is replaced before every draw
 _ANY_SEED = np.random.SeedSequence(0)
 
@@ -341,7 +337,7 @@ def _pcg64_outputs(states: np.ndarray, count: int) -> np.ndarray:
     """
     jump_hi, jump_lo = _jumps(count)
     outputs = np.empty((len(states), count), dtype=np.uint64)
-    block = max(1, _CHUNK_VALUES // count)
+    block = max(1, _CHUNK_VALUES // max(count, 1))
     for start in range(0, len(states), block):
         # (state, inc) x (high, low) x rows x 1, times (scale, shift)
         factors = np.ascontiguousarray(states[start:start + block].T).reshape(2, 2, -1, 1)
@@ -842,16 +838,20 @@ class _Streams:
 def _first_draws(states: dict[int, np.ndarray], counts: dict[int, int]) -> dict[int, np.ndarray]:
     """The first ``counts[tag]`` 64-bit outputs (T, count) of each trial's stream ``tag``.
 
-    ``states`` holds the (T, 4) states of each stream a chunk draws; those
-    of ``counts`` run through one :func:`_pcg64_outputs` pass.
+    ``states`` holds the (T, 4) states of each stream a chunk draws; the
+    streams of ``counts`` that read one count run through one
+    :func:`_pcg64_outputs` pass at that count.
     """
-    tags = [tag for tag in counts if tag in states]
-    count = max((counts[tag] for tag in tags), default=0)
-    if count == 0:
-        return {tag: np.empty((len(states[tag]), 0), dtype=np.uint64) for tag in tags}
-    outputs = _pcg64_outputs(np.concatenate([states[tag] for tag in tags]), count)
-    trials = len(outputs) // len(tags)
-    return {tag: outputs[i * trials:(i + 1) * trials, :counts[tag]] for i, tag in enumerate(tags)}
+    groups = {}
+    for tag, count in counts.items():
+        if tag in states:
+            groups.setdefault(count, []).append(tag)
+    draws = {}
+    for count, tags in groups.items():
+        outputs = _pcg64_outputs(np.concatenate([states[tag] for tag in tags]), count)
+        trials = len(outputs) // len(tags)
+        draws.update((tag, outputs[i * trials:(i + 1) * trials]) for i, tag in enumerate(tags))
+    return draws
 
 
 def _prepare(setup: TrialSetup, seeds, weights: int = 1) -> Iterator[_Chunk]:
@@ -863,13 +863,13 @@ def _prepare(setup: TrialSetup, seeds, weights: int = 1) -> Iterator[_Chunk]:
     decode factors the survivors' augmented Vandermonde), or one trial.
     Its random streams are seeded in one vectorised pass.  A chunk of at
     least ``_VECTOR_DRAWS`` trials computes the first outputs of its data
-    and straggler streams in one more, each stream's up to
-    ``_VECTOR_OUTPUTS`` a trial, and takes from them what
+    and straggler streams in one more pass per output count, and takes
+    from them what
     ``Generator.uniform`` and ``Generator.choice`` draw: the inputs, as
     -1 + 2 * (u >> 11) * 2**-53, and the straggler sets by
-    :func:`_floyd_sets`.  Every other draw (a smaller chunk's, a longer
-    stream's, the noise's ``normal``, a straggler set ``choice`` shuffles
-    for or rejects a word of) runs on the trial's own stream, loaded just
+    :func:`_floyd_sets`.  Every other draw (a smaller chunk's, the noise's
+    ``normal``, a straggler set ``choice`` shuffles for or rejects a word
+    of) runs on the trial's own stream, loaded just
     before it into one reused generator.  The chunk encodes its trials'
     inputs in one product through the grid's cached encoder, masks the
     stragglers, gathers the survivors' rows, adds the noise and checks
@@ -888,10 +888,9 @@ def _prepare(setup: TrialSetup, seeds, weights: int = 1) -> Iterator[_Chunk]:
     gen = np.random.Generator(np.random.PCG64(_ANY_SEED)) if tags else None
     # the 64-bit outputs a chunk's vectorised draws read, per stream
     words = _floyd_words(model.n, model.s)
-    counts = {tag: count for tag, count in (
-        (_STREAM_DATA, grid.k * func.in_dim),
-        (_STREAM_STRAGGLERS, None if words is None else (words + 1) // 2))
-        if count is not None and count <= _VECTOR_OUTPUTS}
+    counts = {_STREAM_DATA: grid.k * func.in_dim}
+    if words is not None:
+        counts[_STREAM_STRAGGLERS] = (words + 1) // 2
 
     width = func.in_dim
     if setup.scheme == "bacc":

@@ -855,11 +855,11 @@ class TestChunkDraws:
             assert np.array_equal(chunk.indices[t], want)
             assert agg.metrics[t] == run_trial(setup, (8, t))
 
-    # K = 5 data values and S = 4 stragglers (2 outputs) a trial: only the
-    # streams within the cap take the jump-ahead pass, as (rows, count)
-    @pytest.mark.parametrize("cap, want", [(1, []), (2, [(6, 2)]), (4, [(6, 2)]),
-                                           (5, [(12, 5)])])
-    def test_streams_past_the_output_cap_draw_per_trial(self, cap, want, monkeypatch):
+    # each stream's jump-ahead pass runs at its own output count, as
+    # (rows, count): K = 5 data values and S = 4 stragglers (2 outputs) a
+    # trial take two passes, K = 4 and S = 8 (4 outputs each) one
+    @pytest.mark.parametrize("k, s, want", [(5, 4, [(6, 5), (6, 2)]), (4, 8, [(12, 4)])])
+    def test_streams_take_one_pass_per_output_count(self, k, s, want, monkeypatch):
         passes, outputs = [], sim._pcg64_outputs
 
         def counted(states, count):
@@ -868,12 +868,11 @@ class TestChunkDraws:
 
         monkeypatch.setattr(sim, "_pcg64_outputs", counted)
         monkeypatch.setattr(sim, "_VECTOR_DRAWS", 1)
-        monkeypatch.setattr(sim, "_VECTOR_OUTPUTS", cap)
-        setup = _setup(k=5, n=23, s=4, sigma0=0.1)
+        setup = _setup(k=k, n=23, s=s, sigma0=0.1)
         (chunk,) = sim._prepare(setup, [(9, t) for t in range(6)])
         assert passes == want
         for t in range(6):
-            inputs = trial_rng((9, t), sim._STREAM_DATA).uniform(-1.0, 1.0, (5, 1))
+            inputs = trial_rng((9, t), sim._STREAM_DATA).uniform(-1.0, 1.0, (k, 1))
             survivors = sample_stragglers(setup.stragglers,
                                           trial_rng((9, t), sim._STREAM_STRAGGLERS))
             assert np.array_equal(chunk.indices[t], survivors)

@@ -17,8 +17,9 @@ and runs the workers; :func:`monte_carlo_lambdas` prepares all trials of
 a call together, in chunks of a bounded number of values.  Each trial
 draws on its own streams, and a chunk of enough trials takes its data
 and straggler draws from vectorised passes, one per output count:
-PCG64's first outputs of every such stream by jump-ahead, turned into what ``Generator.uniform``
-and the Floyd sampling of ``Generator.choice`` give on them.  What stays
+PCG64's first outputs of every such stream by jump-ahead, turned into
+what ``Generator.uniform`` and the Floyd sampling of
+``Generator.choice`` give on them.  What stays
 per trial is the noise's ``normal``, any draw of a smaller chunk or one
 the pass does not reproduce, each on the trial's stream loaded into one
 reused generator, and a worker function not declared elementwise,
@@ -864,13 +865,12 @@ def _prepare(setup: TrialSetup, seeds, weights: int = 1) -> Iterator[_Chunk]:
     Its random streams are seeded in one vectorised pass.  A chunk of at
     least ``_VECTOR_DRAWS`` trials computes the first outputs of its data
     and straggler streams in one more pass per output count, and takes
-    from them what
-    ``Generator.uniform`` and ``Generator.choice`` draw: the inputs, as
-    -1 + 2 * (u >> 11) * 2**-53, and the straggler sets by
+    from them what ``Generator.uniform`` and ``Generator.choice`` draw:
+    the inputs, as -1 + 2 * (u >> 11) * 2**-53, and the straggler sets by
     :func:`_floyd_sets`.  Every other draw (a smaller chunk's, the noise's
     ``normal``, a straggler set ``choice`` shuffles for or rejects a word
-    of) runs on the trial's own stream, loaded just
-    before it into one reused generator.  The chunk encodes its trials'
+    of) runs on the trial's own stream, loaded just before it into one
+    reused generator.  The chunk encodes its trials'
     inputs in one product through the grid's cached encoder, masks the
     stragglers, gathers the survivors' rows, adds the noise and checks
     every value of all its trials at once.  f runs by

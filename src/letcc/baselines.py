@@ -20,7 +20,10 @@ Both decoders run through one body on a stack of T trials' survivors, all
 of one count.  Berrut's takes every trial to the alphas with one
 barycentric map on the T node sets; Lagrange's solves the T least-squares
 fits with one stacked QR factorisation of the augmented matrices [V | Y]
-and one stacked triangular solve.  The bodies give arrays only (lcc's
+and one stacked triangular solve.  It builds all T of them with one row
+gather from the grid's cached basis at the betas, stored with zero
+columns for the outputs, and one write of the outputs into those
+columns.  The bodies give arrays only (lcc's
 also its Chebyshev coefficients and degraded flag); the Monte-Carlo
 harness hands its own stacked survivors to them directly.
 :func:`bacc_decode` and :func:`lcc_decode`, one trial each, are the
@@ -290,15 +293,21 @@ def _lcc_decode_stack(grid: InterpolationGrid, indices: np.ndarray, outputs: np.
     block of its R is Q^T Y, so Q is never formed, and the coefficients
     solve the (deg + 1)-square triangular block against it.  The stacked
     ``qr``, ``solve`` and ``matmul`` each run per trial, so a trial gets the
-    same bits in a batch of any size.  The basis at every beta and at the
-    alphas is kept on the grid, by degree, beside its encoders: a trial's V
-    is the rows of its survivors, gathered for the whole stack at once.
+    same bits in a batch of any size.  The basis at every beta, followed by
+    m zero columns, and the basis at the alphas are kept on the grid, by
+    degree and output width m, beside its encoders: the whole stack's
+    [V | Y] is one gather of its survivors' rows, with each trial's
+    outputs written into the last m columns.
     """
     codec = LagrangeCodec(grid.k, f_degree)
-    count = indices.shape[1]
+    count, width = indices.shape[1], outputs.shape[-1]
     deg = min(codec.target_degree, count - 1)
-    at_betas, at_alphas = grid._cached(("lcc_decode", deg), lambda: (
-        _chebyshev_vandermonde(grid.betas, deg), _chebyshev_vandermonde(grid.alphas, deg)))
-    r = np.linalg.qr(np.concatenate([at_betas[indices], outputs], axis=-1), mode="r")
+    augmented, at_alphas = grid._cached(("lcc_decode", deg, width), lambda: (
+        np.concatenate([_chebyshev_vandermonde(grid.betas, deg), np.zeros((grid.n, width))],
+                       axis=1),
+        _chebyshev_vandermonde(grid.alphas, deg)))
+    stack = augmented[indices]
+    stack[..., deg + 1:] = outputs
+    r = np.linalg.qr(stack, mode="r")
     coef = np.linalg.solve(r[:, :deg + 1, :deg + 1], r[:, :deg + 1, deg + 1:])
     return np.matmul(at_alphas, coef), coef, count < codec.min_survivors

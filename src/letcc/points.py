@@ -69,8 +69,9 @@ class InterpolationGrid:
 
     A grid also holds the maps built on it (:meth:`_cached`): encoders per
     scheme and smoothing weight (see :mod:`letcc.coding`) and Lagrange
-    decoder bases per degree.  Its points are read-only copies, so those
-    maps cannot go stale.  Grids compare by identity, like the maps.
+    decoder bases per degree and output width.  Its points are read-only
+    copies, so those maps cannot go stale.  Grids compare by identity,
+    like the maps.
     """
 
     alphas: np.ndarray

@@ -14,21 +14,22 @@ A trial runs in two halves, and the harness runs both on chunks of
 trials held as stacked arrays.  The first half, independent of the
 decoder weight lambda_d, draws the data, encodes, samples the stragglers
 and runs the workers; :func:`monte_carlo_lambdas` prepares all trials of
-a call together, in chunks of a bounded number of values.  Each trial
-draws on its own streams, and a chunk of enough trials takes its data
-and straggler draws from vectorised passes, one per output count:
-PCG64's first outputs of every such stream by jump-ahead, turned into
-what ``Generator.uniform`` and the Floyd sampling of
-``Generator.choice`` give on them.  What stays
-per trial is the noise's ``normal``, any draw of a smaller chunk or one
-the pass does not reproduce, each on the trial's stream loaded into one
-reused generator, and a worker function not declared elementwise,
-called once on each of the trial's row sets and never on the rows of
-several trials; an elementwise one runs once per row set of the chunk.
-Everything else runs once per chunk: the encode (one stacked product
-through the grid's cached encoder), the straggler mask, the survivor
-gather, the noise add, the finiteness check of survivor outputs, truth
-and through-encoder values, and l_enc.  A chunk is (T, N - S) survivor
+a call together, in as few chunks as a bound on their values allows,
+of even sizes.  Each trial draws on its own streams, and a chunk of
+enough trials takes its data and straggler draws from vectorised
+passes, one per output count: PCG64's first outputs of every such stream
+by jump-ahead, turned into what ``Generator.uniform`` and the Floyd
+sampling of ``Generator.choice`` give on them.  What stays per trial is
+the noise's ``standard_normal`` into the trial's rows of one buffer for
+the chunk, any draw of a smaller chunk or one the pass does not
+reproduce, each on the trial's stream loaded into one reused generator,
+and a worker function not declared elementwise, called once on each of
+the trial's row sets and never on the rows of several trials; an
+elementwise one runs once per row set of the chunk.  Everything else
+runs once per chunk: the encode (one stacked product through the grid's
+cached encoder), the straggler mask, the survivor gather, the noise's
+scaling and add, the finiteness check of survivor outputs, truth and
+through-encoder values, and l_enc.  A chunk is (T, N - S) survivor
 indices, (T, N - S, m) outputs, (T, K, m) truth and, for letcc, (T, K,
 m) through-encoder values and (T,) l_enc.  The second half decodes and scores: those arrays
 go straight into each scheme's decode body (``coding._decode_stack``,
@@ -652,11 +653,18 @@ def _worker_stack(func: WorkerFunction, coded: np.ndarray, noise: NoiseModel,
     its checked survivors.  The rows of all trials are gathered at once and
     f runs on them by :func:`_evaluate_stack`.  ``rngs`` yields each
     trial's noise stream in turn, ready for its draw; it is not used when
-    ``noise.sigma0`` is 0.
+    ``noise.sigma0`` is 0.  Each trial's standard normals fill its rows of
+    one (T, v, m) buffer, which is scaled once.
     """
     outputs = _evaluate_stack(func, coded[np.arange(len(indices))[:, None], indices])
     if noise.sigma0 > 0:
-        outputs += np.array([rng.normal(0.0, noise.sigma0, outputs.shape[1:]) for rng in rngs])
+        # what normal(0.0, sigma0, (v, m)) draws: 0.0 + sigma0 * z for each z
+        draws = np.empty(outputs.shape)
+        for row, rng in zip(draws, rngs):
+            rng.standard_normal(out=row)
+        draws *= noise.sigma0
+        draws += 0.0
+        outputs += draws
     return outputs
 
 
@@ -862,15 +870,20 @@ def _prepare(setup: TrialSetup, seeds, weights: int = 1) -> Iterator[_Chunk]:
     each of the ``weights`` it is decoded at (N x max(d, K) for bacc, whose
     decode weights are K x N, and N x max(d, deg + 1 + m) for lcc, whose
     decode factors the survivors' augmented Vandermonde), or one trial.
+    The trials split into as few chunks as that bound allows, whose sizes
+    differ by at most one, the larger first: T trials at a bound of b make
+    ceil(T / b) chunks, and no runt chunk of a few trials pays a chunk's
+    fixed costs or falls below ``_VECTOR_DRAWS`` on its own.
     Its random streams are seeded in one vectorised pass.  A chunk of at
     least ``_VECTOR_DRAWS`` trials computes the first outputs of its data
     and straggler streams in one more pass per output count, and takes
     from them what ``Generator.uniform`` and ``Generator.choice`` draw:
     the inputs, as -1 + 2 * (u >> 11) * 2**-53, and the straggler sets by
     :func:`_floyd_sets`.  Every other draw (a smaller chunk's, the noise's
-    ``normal``, a straggler set ``choice`` shuffles for or rejects a word
-    of) runs on the trial's own stream, loaded just before it into one
-    reused generator.  The chunk encodes its trials'
+    standard normals, a straggler set ``choice`` shuffles for or rejects a
+    word of) runs on the trial's own stream, loaded just before it into
+    one reused generator, the noise's into one buffer of the chunk
+    (:func:`_worker_stack`).  The chunk encodes its trials'
     inputs in one product through the grid's cached encoder, masks the
     stragglers, gathers the survivors' rows, adds the noise and checks
     every value of all its trials at once.  f runs by
@@ -899,9 +912,11 @@ def _prepare(setup: TrialSetup, seeds, weights: int = 1) -> Iterator[_Chunk]:
         columns = baselines.LagrangeCodec(grid.k, setup.f_degree).target_degree + 1
         width = max(width, min(columns, grid.n) + func.out_dim)
     size = max(1, _CHUNK_VALUES // (grid.n * width * weights))
-    for start in range(0, len(seeds), size):
-        chunk = seeds[start:start + size]
-        trials = len(chunk)
+    count, start = -(-len(seeds) // size), 0  # as few chunks as the bound allows
+    for c in range(count):
+        trials = -(-(len(seeds) - start) // (count - c))  # sizes within one, larger first
+        chunk = seeds[start:start + trials]
+        start += trials
         streams = dict.fromkeys((_STREAM_DATA, _STREAM_STRAGGLERS, _STREAM_NOISE),
                                 [None] * trials)
         draws = {}

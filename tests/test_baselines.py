@@ -147,8 +147,24 @@ class TestCachedEncoders:
         for count in (12, 12, 5):
             indices = np.sort(rng.choice(12, count, replace=False))
             lcc_decode(WorkerReturns(indices, rng.normal(size=(count, 1))), grid, 3)
-        # target degree (K - 1) * 3 = 6 from 12 survivors, degree 4 from 5
-        assert list(grid._encoders) == [("lcc_decode", 6), ("lcc_decode", 4)]
+        # target degree (K - 1) * 3 = 6 from 12 survivors, degree 4 from 5;
+        # one output column
+        assert list(grid._encoders) == [("lcc_decode", 6, 1), ("lcc_decode", 4, 1)]
+
+    def test_lcc_decode_basis_per_output_width_gives_fresh_grid_bits(self, rng):
+        # m = 1, then 3, then 1 again on one grid: each width keeps its own
+        # augmented basis, whose output columns every decode overwrites
+        grid = chebyshev_grid(3, 12)
+        indices = np.sort(rng.choice(12, 9, replace=False))
+        for m in (1, 3, 1):
+            outputs = rng.normal(size=(9, m))
+            got = lcc_decode(WorkerReturns(indices, outputs), grid, 3)
+            fresh = lcc_decode(WorkerReturns(indices, outputs), chebyshev_grid(3, 12), 3)
+            assert np.array_equal(got.estimates, fresh.estimates)
+            assert np.array_equal(got.decoder_fit, fresh.decoder_fit)
+        assert list(grid._encoders) == [("lcc_decode", 6, 1), ("lcc_decode", 6, 3)]
+        augmented, _ = grid._encoders[("lcc_decode", 6, 3)]
+        assert not augmented[:, 7:].any()  # the cached output columns stay zero
 
 
 class TestLagrangeEncode:

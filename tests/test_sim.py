@@ -516,7 +516,7 @@ class TestMonteCarlo:
     def test_each_trial_equals_run_trial_bit_for_bit(self, scheme, worker, sigma0, mode,
                                                      chunk_values, monkeypatch):
         # K = 5 and 19 survivors: row counts off every power-of-two block
-        if chunk_values is not None:  # three trials per prepared chunk
+        if chunk_values is not None:  # chunks of 3, 3, 2 and 2 trials
             monkeypatch.setattr(sim, "_CHUNK_VALUES", chunk_values)
         func = make_worker(worker)
         kw = {"mode": "fixed", "fixed_stragglers": (0, 7, 8, 22)} if mode == "fixed" else {}
@@ -614,7 +614,7 @@ def test_aggregate_of_zero_trials_raises():
 class TestMonteCarloLambdas:
     LAMS = (0.0, 1e-9, 1e-5, 1.0)
 
-    # one chunk, three trials a chunk, one trial a chunk
+    # one chunk, chunks of 3, 2 and 2 trials, one trial a chunk
     @pytest.mark.parametrize("chunk_values", [None, 3 * 23 * 4, 1])
     @pytest.mark.parametrize("worker", ["sin_pi", "tanh_net"])
     @pytest.mark.parametrize("mode", ["uniform", "fixed"])
@@ -753,6 +753,107 @@ class TestStreamSeeder:
             assert chunk.seeds[i] == (9, t)
             assert np.array_equal(chunk.indices[i], survivors)
             assert np.array_equal(chunk.truth[i], setup.func.evaluate(inputs))
+
+
+def _chunk_sizes(setup, trials, weights=1):
+    return [len(chunk.seeds)
+            for chunk in sim._prepare(setup, [(9, t) for t in range(trials)], weights)]
+
+
+class TestChunkSplit:
+    # a call's trials split into as few chunks as the bound allows, of
+    # sizes within one of each other, the larger first
+
+    def test_mc_small_lcc_call_splits_evenly(self):
+        # K = 8 and cubic f: N x 23 values a trial, 44 trials a chunk at most
+        setup = _setup("lcc", k=8, n=64, s=8, sigma0=0.1, func=make_worker("cubic"))
+        assert _chunk_sizes(setup, 50) == [25, 25]
+        for t, metrics in enumerate(monte_carlo(setup, 50, 9).metrics):
+            assert metrics == run_trial(setup, (9, t))
+
+    def test_crossval_noisy_call_splits_evenly(self):
+        # N = 256 values a trial at each of 14 weights: 18 trials a chunk at most
+        setup = _setup(k=16, n=256, s=32, sigma0=0.1)
+        lams = tuple(10.0 ** -e for e in range(13, -1, -1))
+        assert _chunk_sizes(setup, 20, len(lams)) == [10, 10]
+        aggs = monte_carlo_lambdas(setup, 20, 9, lams)
+        for lam, agg in zip(lams, aggs):
+            at_weight = replace(setup, lambda_d=lam)
+            for t, metrics in enumerate(agg.metrics):
+                assert metrics == run_trial(at_weight, (9, t))
+
+    def test_nine_trials_at_a_bound_of_eight(self, monkeypatch):
+        monkeypatch.setattr(sim, "_CHUNK_VALUES", 8 * 24)
+        setup = _setup(sigma0=0.1)
+        assert _chunk_sizes(setup, 9) == [5, 4]
+        for t, metrics in enumerate(monte_carlo(setup, 9, 9).metrics):
+            assert metrics == run_trial(setup, (9, t))
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 5, 8])
+    def test_sizes_within_one_larger_first(self, bound, monkeypatch):
+        monkeypatch.setattr(sim, "_CHUNK_VALUES", bound * 24)
+        setup = _setup(s=2, mode="fixed", fixed_stragglers=(3, 17), data_rule="identity")
+        for trials in range(1, 18):
+            sizes = _chunk_sizes(setup, trials)
+            assert sum(sizes) == trials and len(sizes) == -(-trials // bound)
+            assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
+
+
+def _zero_worker(m):
+    return WorkerFunction(f"zero_{m}", lambda x: np.zeros((len(x), m)), 1, m,
+                          elementwise=True)
+
+
+class TestNoiseBuffer:
+    # each trial's noise is drawn into one buffer of the chunk and scaled
+    # once, bit for bit what normal(0.0, sigma0) draws on its stream
+
+    @pytest.mark.parametrize("trials", [1, sim._VECTOR_DRAWS + 1])
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("sigma0", [1e-300, 0.1, 3.0])
+    def test_chunk_noise_equals_normal(self, sigma0, m, trials):
+        # f = 0, so a survivor's output is its noise alone
+        setup = _setup(k=5, n=23, s=4, sigma0=sigma0, func=_zero_worker(m))
+        chunk, = sim._prepare(setup, [(4, t) for t in range(trials)])
+        assert len(chunk.seeds) == trials
+        for seed, outputs in zip(chunk.seeds, chunk.outputs):
+            noise = trial_rng(seed, sim._STREAM_NOISE).normal(0.0, sigma0, (19, m))
+            assert outputs.tobytes() == noise.tobytes()
+
+    @pytest.mark.parametrize("trials", [1, sim._VECTOR_DRAWS + 1])
+    @pytest.mark.parametrize("sigma0", [1e-300, 0.1, 3.0])
+    def test_tanh_net_chunk_adds_normal(self, sigma0, trials):
+        # m = 3 outputs of a worker called once per trial
+        setup = _setup(k=5, n=23, s=4, sigma0=sigma0, func=make_worker("tanh_net"))
+        seeds = [(4, t) for t in range(trials)]
+        chunk, = sim._prepare(setup, seeds)
+        clean, = sim._prepare(replace(setup, noise=NoiseModel(0.0)), seeds)
+        for seed, outputs, values in zip(seeds, chunk.outputs, clean.outputs):
+            noise = trial_rng(seed, sim._STREAM_NOISE).normal(0.0, sigma0, (19, 3))
+            assert outputs.tobytes() == (values + noise).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("sigma0", [1e-300, 0.1, 3.0])
+    def test_apply_workers_noise_equals_normal(self, sigma0, m, rng):
+        grid = chebyshev_grid(4, 16)
+        batch = CodedBatch(coded=rng.uniform(-1, 1, (16, 1)), encoder_fit=None, grid=grid)
+        survivors = np.array([0, 3, 4, 9, 15])
+        returns = apply_workers(_zero_worker(m), batch, NoiseModel(sigma0), survivors,
+                                trial_rng(4, sim._STREAM_NOISE))
+        noise = trial_rng(4, sim._STREAM_NOISE).normal(0.0, sigma0, (5, m))
+        assert returns.outputs.tobytes() == noise.tobytes()
+
+    @pytest.mark.parametrize("sigma0", [1e-300, 0.1, 3.0])
+    def test_tanh_net_apply_workers_adds_normal(self, sigma0, rng):
+        grid = chebyshev_grid(4, 16)
+        survivors = np.array([0, 3, 4, 9, 15])
+        func = make_worker("tanh_net")
+        batch = CodedBatch(coded=rng.uniform(-1, 1, (16, 4)), encoder_fit=None, grid=grid)
+        returns = apply_workers(func, batch, NoiseModel(sigma0), survivors,
+                                trial_rng(4, sim._STREAM_NOISE))
+        noise = trial_rng(4, sim._STREAM_NOISE).normal(0.0, sigma0, (5, 3))
+        expected = func.evaluate(batch.coded[survivors]) + noise
+        assert returns.outputs.tobytes() == expected.tobytes()
 
 
 def _floyd_reference(words, n, s):
@@ -894,7 +995,7 @@ class TestChunkDraws:
     @pytest.mark.parametrize("scheme", sim.SCHEMES)
     def test_vectorised_draws_at_every_chunk_size_equal_run_trial(self, scheme, worker, sigma0,
                                                                    monkeypatch):
-        # chunks of 3, 3, 3 and 1 trials, each seeded and drawn vectorised
+        # chunks of 3, 3, 2 and 2 trials, each seeded and drawn vectorised
         monkeypatch.setattr(sim, "_VECTOR_DRAWS", 1)
         monkeypatch.setattr(sim, "_VECTOR_ROWS", 1)
         monkeypatch.setattr(sim, "_CHUNK_VALUES", 3 * 23)

@@ -80,14 +80,23 @@ class _BarycentricMap:
 
     @classmethod
     def build(cls, nodes, weights, query) -> "_BarycentricMap":
+        """The map of ``weights`` over (query - node) in one (..., q, v) buffer.
+
+        The differences are tested for node hits, then divided into in place.
+        The hit rows and their first hit nodes come from the flat positions
+        of the hits, which are in row order.
+        """
         x = np.atleast_1d(np.asarray(query, dtype=float))
         diff = x[:, None] - nodes[..., None, :]
-        hits = np.abs(diff) < _NODE_HIT_TOL
+        # |diff| < tol, without an array for |diff|
+        flat = np.flatnonzero(np.less(diff, _NODE_HIT_TOL) & (diff > -_NODE_HIT_TOL))
+        count = diff.shape[-1]
+        rows, first = np.unique(flat // count, return_index=True)
+        hit = np.unravel_index(rows, diff.shape[:-1])
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = weights / diff
+            ratios = np.divide(weights, diff, out=diff)
             den = ratios.sum(axis=-1, keepdims=True)
-        hit = np.nonzero(hits.any(axis=-1))
-        return cls(weights, ratios, den, hit, np.argmax(hits[hit], axis=-1))
+        return cls(weights, ratios, den, hit, flat[first] % count)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Values (n, m), or a stack (..., n, m), at the queries.
@@ -107,7 +116,9 @@ class _BarycentricMap:
 
 def _berrut_weights(n: int) -> np.ndarray:
     """Berrut's alternating weights (-1)^j for n sorted nodes."""
-    return (-1.0) ** np.arange(n)
+    weights = np.ones(n)
+    weights[1::2] = -1.0
+    return weights
 
 
 def _lagrange_weights(nodes: np.ndarray) -> np.ndarray:

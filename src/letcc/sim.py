@@ -25,7 +25,14 @@ the chunk, any draw of a smaller chunk or one the pass does not
 reproduce, each on the trial's stream loaded into one reused generator,
 and a worker function not declared elementwise, called once on each of
 the trial's row sets and never on the rows of several trials; an
-elementwise one runs once per row set of the chunk.  Everything else
+elementwise one runs once per row set of the chunk.  A chunk's draws
+(inputs, survivor indices and the noise's unscaled standard normals)
+depend on no scheme, so the draws of the chunk drawn last stay in a
+one-slot memo (:func:`_chunk_draws`): a chunk of the same draw key whose
+seeds are a contiguous run of the kept ones takes their slices, as when
+letcc, bacc and lcc run in turn on one master seed, and any other chunk
+draws afresh and takes the slot.  The kept arrays are read-only, and
+what stays in memory after a call is one chunk's draws.  Everything else
 runs once per chunk: the encode (one stacked product through the grid's
 cached encoder), the straggler mask, the survivor gather, the noise's
 scaling and add, the finiteness check of survivor outputs, truth and
@@ -55,7 +62,7 @@ from dataclasses import dataclass, fields
 from functools import cache
 from itertools import chain
 from math import sqrt
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -641,30 +648,29 @@ def apply_workers(func: WorkerFunction, batch: CodedBatch, noise: NoiseModel,
     trial of the harness's chunk workers, after that check.
     """
     survivors = _integral_indices(survivors, "survivor index", batch.n)
-    outputs = _worker_stack(func, batch.coded[None], noise, survivors[None], [rng])[0]
+    normals = None
+    if noise.sigma0 > 0:
+        normals = rng.standard_normal((1, survivors.size, func.out_dim))
+    outputs = _worker_stack(func, batch.coded[None], survivors[None], noise.sigma0, normals)[0]
     return WorkerReturns(indices=survivors, outputs=outputs)
 
 
-def _worker_stack(func: WorkerFunction, coded: np.ndarray, noise: NoiseModel,
-                  indices: np.ndarray, rngs: Iterable) -> np.ndarray:
+def _worker_stack(func: WorkerFunction, coded: np.ndarray, indices: np.ndarray,
+                  sigma0: float, normals: np.ndarray | None) -> np.ndarray:
     """Worker outputs (T, v, m) of T trials at their survivors, with noise.
 
     ``coded`` (T, N, d) holds each trial's coded rows and ``indices`` (T, v)
     its checked survivors.  The rows of all trials are gathered at once and
-    f runs on them by :func:`_evaluate_stack`.  ``rngs`` yields each
-    trial's noise stream in turn, ready for its draw; it is not used when
-    ``noise.sigma0`` is 0.  Each trial's standard normals fill its rows of
-    one (T, v, m) buffer, which is scaled once.
+    f runs on them by :func:`_evaluate_stack`.  ``normals`` (T, v, m) are
+    the trials' standard normals, None when ``sigma0`` is 0; they are
+    scaled into a new array, never written.
     """
     outputs = _evaluate_stack(func, coded[np.arange(len(indices))[:, None], indices])
-    if noise.sigma0 > 0:
+    if normals is not None:
         # what normal(0.0, sigma0, (v, m)) draws: 0.0 + sigma0 * z for each z
-        draws = np.empty(outputs.shape)
-        for row, rng in zip(draws, rngs):
-            rng.standard_normal(out=row)
-        draws *= noise.sigma0
-        draws += 0.0
-        outputs += draws
+        noise = normals * sigma0
+        noise += 0.0
+        outputs += noise
     return outputs
 
 
@@ -863,6 +869,113 @@ def _first_draws(states: dict[int, np.ndarray], counts: dict[int, int]) -> dict[
     return draws
 
 
+# the draws of the chunk drawn last, which a chunk on a contiguous run of its
+# seeds reuses (see _chunk_draws): (key, seed positions, seeds, inputs,
+# survivor indices, normals), or None
+_last_draws = None
+
+
+def _draw_key(setup: TrialSetup) -> tuple:
+    """What a chunk's draws depend on besides its seeds, and nothing scheme-specific.
+
+    K, d and m, the straggler model (by value), whether noise is drawn,
+    and where the inputs come from: the data rule, the bytes of the
+    alphas for the identity rule, or the bytes of a given
+    :class:`~letcc.coding.Dataset`'s inputs, an array the caller may
+    still hold and write into.
+    """
+    if setup.data is not None:
+        source = ("given", setup.data.inputs.tobytes())
+    elif setup.data_rule == "identity":
+        source = ("identity", setup.grid.alphas.tobytes())
+    else:
+        source = (setup.data_rule, None)
+    return (setup.grid.k, setup.func.in_dim, setup.func.out_dim, setup.stragglers,
+            setup.noise.sigma0 > 0, source)
+
+
+def _chunk_draws(setup: TrialSetup, chunk: list[tuple[int, ...]]) -> tuple:
+    """The random draws of the trials of ``chunk``, read-only, as stacks.
+
+    Gives the (T, K, d) inputs, the (T, v) sorted survivor indices and the
+    (T, v, m) unscaled standard normals of the noise, None at sigma0 = 0.
+    The draws of the chunk drawn last stay in a one-slot memo, keyed by
+    :func:`_draw_key`: a chunk of an equal key whose seeds are a
+    contiguous run of its seeds takes their slices, so schemes run in turn
+    on the same seeds draw once, whatever their chunk sizes.  Any other
+    chunk is drawn by :func:`_fresh_draws` and replaces the slot.
+    """
+    global _last_draws
+    key, memo = _draw_key(setup), _last_draws
+    if memo is not None and memo[0] == key:
+        _, positions, seeds, *draws = memo
+        start = positions.get(chunk[0])
+        if start is not None and seeds[start:start + len(chunk)] == chunk:
+            return tuple(None if a is None else a[start:start + len(chunk)] for a in draws)
+    _last_draws = None  # the slot's arrays may go before the new ones are drawn
+    draws = _fresh_draws(setup, chunk)
+    for array in draws:
+        if array is not None:
+            array.flags.writeable = False
+    _last_draws = (key, {seed: t for t, seed in enumerate(chunk)}, list(chunk), *draws)
+    return draws
+
+
+def _fresh_draws(setup: TrialSetup, chunk: list[tuple[int, ...]]) -> tuple:
+    """The inputs, survivor indices and normals of :func:`_chunk_draws`, drawn.
+
+    The trials' streams are seeded in one vectorised pass.  At least
+    ``_VECTOR_DRAWS`` trials compute the first outputs of their data and
+    straggler streams in one more pass per output count, and take from
+    them what ``Generator.uniform`` and ``Generator.choice`` draw: the
+    inputs, as -1 + 2 * (u >> 11) * 2**-53, and the straggler sets by
+    :func:`_floyd_sets`.  Every other draw (a smaller chunk's, the noise's
+    standard normals, a straggler set ``choice`` shuffles for or rejects a
+    word of) runs on the trial's own stream, loaded just before it into
+    one reused generator, the normals into the trial's rows of one
+    buffer.
+    """
+    grid, func, model = setup.grid, setup.func, setup.stragglers
+    trials = len(chunk)
+    tags = [tag for tag, used in ((_STREAM_DATA, setup.data is None
+                                   and setup.data_rule == "uniform"),
+                                  (_STREAM_STRAGGLERS, model.mode == "uniform"),
+                                  (_STREAM_NOISE, setup.noise.sigma0 > 0)) if used]
+    streams = dict.fromkeys((_STREAM_DATA, _STREAM_STRAGGLERS, _STREAM_NOISE),
+                            [None] * trials)
+    # the 64-bit outputs the vectorised draws read, per stream
+    words = _floyd_words(model.n, model.s)
+    counts = {_STREAM_DATA: grid.k * func.in_dim}
+    if words is not None:
+        counts[_STREAM_STRAGGLERS] = (words + 1) // 2
+    draws = {}
+    if tags:
+        # one generator, loaded with each stream's state just before its draws
+        gen = np.random.Generator(np.random.PCG64(_ANY_SEED))
+        states = _stream_states([seed + (tag,) for seed in chunk for tag in tags])
+        states = {tag: states[i::len(tags)] for i, tag in enumerate(tags)}
+        streams.update((tag, _Streams(rows, gen)) for tag, rows in states.items())
+        if trials >= _VECTOR_DRAWS:
+            draws = _first_draws(states, counts)
+    if _STREAM_DATA in draws:
+        inputs = (-1.0 + 2.0 * ((draws[_STREAM_DATA] >> _U11) * 2.0**-53)).reshape(
+            trials, grid.k, func.in_dim)
+    else:
+        inputs = np.stack([_trial_inputs(setup, rng) for rng in streams[_STREAM_DATA]])
+    straggler_words = None
+    if _STREAM_STRAGGLERS in draws:  # 32-bit words, low half first
+        halves = draws[_STREAM_STRAGGLERS]
+        straggler_words = np.stack([halves & _LOW32, halves >> _U32], axis=2).reshape(
+            trials, -1)[:, :words]
+    indices = _survivor_stack(model, streams[_STREAM_STRAGGLERS], straggler_words)
+    normals = None
+    if setup.noise.sigma0 > 0:
+        normals = np.empty((trials, model.n - model.s, func.out_dim))
+        for row, rng in zip(normals, streams[_STREAM_NOISE]):
+            rng.standard_normal(out=row)
+    return inputs, indices, normals
+
+
 def _prepare(setup: TrialSetup, seeds, weights: int = 1) -> Iterator[_Chunk]:
     """The prepared trials of ``seeds``, in order, one :class:`_Chunk` at a time.
 
@@ -874,37 +987,19 @@ def _prepare(setup: TrialSetup, seeds, weights: int = 1) -> Iterator[_Chunk]:
     differ by at most one, the larger first: T trials at a bound of b make
     ceil(T / b) chunks, and no runt chunk of a few trials pays a chunk's
     fixed costs or falls below ``_VECTOR_DRAWS`` on its own.
-    Its random streams are seeded in one vectorised pass.  A chunk of at
-    least ``_VECTOR_DRAWS`` trials computes the first outputs of its data
-    and straggler streams in one more pass per output count, and takes
-    from them what ``Generator.uniform`` and ``Generator.choice`` draw:
-    the inputs, as -1 + 2 * (u >> 11) * 2**-53, and the straggler sets by
-    :func:`_floyd_sets`.  Every other draw (a smaller chunk's, the noise's
-    standard normals, a straggler set ``choice`` shuffles for or rejects a
-    word of) runs on the trial's own stream, loaded just before it into
-    one reused generator, the noise's into one buffer of the chunk
-    (:func:`_worker_stack`).  The chunk encodes its trials'
-    inputs in one product through the grid's cached encoder, masks the
-    stragglers, gathers the survivors' rows, adds the noise and checks
-    every value of all its trials at once.  f runs by
-    :func:`_evaluate_stack` on each row set: survivors, inputs and, for
-    letcc, the encoder's values at the alphas.  A non-finite value raises
-    ``ValueError`` naming which of the three it is.  Each seed is a tuple
-    of ints, as :func:`_entropy` gives it.
+    A chunk's random draws come from :func:`_chunk_draws`: drawn, or
+    sliced from the memo of the chunk drawn last when that one, of another
+    scheme or call, ran on the same seeds and draws the same way.  The
+    chunk encodes its trials' inputs in one product through the grid's
+    cached encoder, gathers the survivors' rows, adds the noise, sigma0
+    times the normals plus 0.0 (what ``normal(0.0, sigma0)`` computes),
+    and checks every value of all its trials at once; the memo's arrays
+    are read only.  f runs by :func:`_evaluate_stack` on each row set:
+    survivors, inputs and, for letcc, the encoder's values at the alphas.
+    A non-finite value raises ``ValueError`` naming which of the three it
+    is.  Each seed is a tuple of ints, as :func:`_entropy` gives it.
     """
-    grid, func, model = setup.grid, setup.func, setup.stragglers
-    tags = [tag for tag, used in ((_STREAM_DATA, setup.data is None
-                                   and setup.data_rule == "uniform"),
-                                  (_STREAM_STRAGGLERS, model.mode == "uniform"),
-                                  (_STREAM_NOISE, setup.noise.sigma0 > 0)) if used]
-    # one generator, loaded with each stream's state just before its draws
-    gen = np.random.Generator(np.random.PCG64(_ANY_SEED)) if tags else None
-    # the 64-bit outputs a chunk's vectorised draws read, per stream
-    words = _floyd_words(model.n, model.s)
-    counts = {_STREAM_DATA: grid.k * func.in_dim}
-    if words is not None:
-        counts[_STREAM_STRAGGLERS] = (words + 1) // 2
-
+    grid, func = setup.grid, setup.func
     width = func.in_dim
     if setup.scheme == "bacc":
         width = max(width, grid.k)
@@ -917,32 +1012,13 @@ def _prepare(setup: TrialSetup, seeds, weights: int = 1) -> Iterator[_Chunk]:
         trials = -(-(len(seeds) - start) // (count - c))  # sizes within one, larger first
         chunk = seeds[start:start + trials]
         start += trials
-        streams = dict.fromkeys((_STREAM_DATA, _STREAM_STRAGGLERS, _STREAM_NOISE),
-                                [None] * trials)
-        draws = {}
-        if tags:
-            states = _stream_states([seed + (tag,) for seed in chunk for tag in tags])
-            states = {tag: states[i::len(tags)] for i, tag in enumerate(tags)}
-            streams.update((tag, _Streams(rows, gen)) for tag, rows in states.items())
-            if trials >= _VECTOR_DRAWS:
-                draws = _first_draws(states, counts)
-        if _STREAM_DATA in draws:
-            inputs = (-1.0 + 2.0 * ((draws[_STREAM_DATA] >> _U11) * 2.0**-53)).reshape(
-                trials, grid.k, func.in_dim)
-        else:
-            inputs = np.stack([_trial_inputs(setup, rng) for rng in streams[_STREAM_DATA]])
+        inputs, indices, normals = _chunk_draws(setup, chunk)
         knot_values = None
         if setup.scheme == "letcc":
             coded, knot_values, _ = coding._linear_encoder(grid, setup.lambda_e).apply(inputs)
         else:
             coded = baselines._encoder(grid, setup.scheme).apply(inputs)
-        straggler_words = None
-        if _STREAM_STRAGGLERS in draws:  # 32-bit words, low half first
-            halves = draws[_STREAM_STRAGGLERS]
-            straggler_words = np.stack([halves & _LOW32, halves >> _U32], axis=2).reshape(
-                trials, -1)[:, :words]
-        indices = _survivor_stack(model, streams[_STREAM_STRAGGLERS], straggler_words)
-        outputs = _worker_stack(func, coded, setup.noise, indices, streams[_STREAM_NOISE])
+        outputs = _worker_stack(func, coded, indices, setup.noise.sigma0, normals)
         truth = _evaluate_stack(func, inputs)
         through = l_enc = None
         if knot_values is not None:

@@ -15,6 +15,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+@pytest.fixture(autouse=True)
+def empty_draw_memo():
+    """Start every test with no chunk draws memoised, whatever ran before it."""
+    from letcc import sim
+
+    sim._last_draws = None
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -9,6 +9,8 @@ from letcc.baselines import (
     BerrutInterpolant,
     LagrangeCodec,
     LagrangePolynomial,
+    _BarycentricMap,
+    _berrut_weights,
     _lagrange_weights,
     _lcc_decode_stack,
     bacc_decode,
@@ -83,6 +85,75 @@ class TestBerrut:
     def test_non_increasing_nodes_rejected(self):
         with pytest.raises(ValueError, match="^nodes must be strictly increasing$"):
             BerrutInterpolant(np.array([0.5, -0.5]), np.ones((2, 1)))
+
+
+def _reference_build(nodes, weights, query):
+    """``_BarycentricMap.build``'s fields, from a hit mask and a ratio array of their own."""
+    x = np.atleast_1d(np.asarray(query, dtype=float))
+    diff = x[:, None] - nodes[..., None, :]
+    hits = np.abs(diff) < 1e-14
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = weights / diff
+        den = ratios.sum(axis=-1, keepdims=True)
+    hit = np.nonzero(hits.any(axis=-1))
+    return ratios, den, hit, np.argmax(hits[hit], axis=-1)
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestBarycentricMapBuild:
+    # one (..., q, v) buffer gives the fields of separate hit and ratio arrays, bit for bit
+
+    def _check(self, nodes, weights, query):
+        built = _BarycentricMap.build(nodes, weights, query)
+        ratios, den, hit, hit_nodes = _reference_build(nodes, weights, query)
+        assert _same_bits(built.ratios, ratios) and _same_bits(built.den, den)
+        assert len(built.hit) == len(hit)
+        assert all(_same_bits(got, want) for got, want in zip(built.hit, hit))
+        assert _same_bits(built.hit_nodes, hit_nodes)
+        return built
+
+    @pytest.mark.parametrize("k, n", [(5, 9), (7, 15), (1, 3), (8, 64), (16, 4096)])
+    def test_grid_encoders(self, k, n):
+        # odd K and odd N put 0.0 among both the alphas and the betas
+        grid = chebyshev_grid(k, n)
+        for weights in (_berrut_weights(k), _lagrange_weights(grid.alphas)):
+            built = self._check(grid.alphas, weights, grid.betas)
+            assert (built.hit_nodes.size > 0) == bool(k % 2 and n % 2)
+
+    def test_single_set_with_unsorted_queries_on_nodes(self, rng):
+        nodes = chebyshev_second(9)
+        query = rng.permutation(np.concatenate([nodes, rng.uniform(-1, 1, 20), nodes[::3]]))
+        built = self._check(nodes, _berrut_weights(9), query)
+        assert built.hit_nodes.size == 12
+
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_stacked_survivor_sets(self, k, rng):
+        grid = chebyshev_grid(k, 15)  # beta 7 is 0.0, an alpha for odd K
+        indices = np.sort(np.array([rng.choice(15, 11, replace=False) for _ in range(6)]))
+        indices[0] = np.arange(11)  # holds beta 7
+        built = self._check(grid.betas[indices], _berrut_weights(11), grid.alphas)
+        assert (built.hit_nodes.size > 0) == (k % 2 == 1)
+
+    def test_nodes_within_1e_15_hit_their_first_node(self):
+        nodes = np.array([-0.5, 0.0, 1e-16, 5e-16, 0.5])
+        stacked = np.stack([nodes, nodes[::-1], np.array([-0.5, -1e-15, 0.0, 9e-16, 0.5])])
+        query = np.array([3e-16, 0.25, 0.0, -2e-16, 0.5])
+        for node_set in (nodes, stacked):
+            built = self._check(node_set, _berrut_weights(5), query)
+            assert built.hit_nodes.size > 0
+
+    def test_no_hits(self):
+        # a query exactly 1e-14 from a node is not on it
+        query = np.array([0.1, 0.2, 1e-14, -1e-14])
+        built = self._check(chebyshev_second(7), _berrut_weights(7), query)
+        assert built.hit_nodes.size == 0
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 3584])
+    def test_berrut_weights_alternate_from_plus_one(self, n):
+        assert _same_bits(_berrut_weights(n), (-1.0) ** np.arange(n))
 
 
 class TestBacc:

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -6,7 +8,7 @@ import pytest
 
 from letcc import sim, spline
 from letcc.coding import CodedBatch, Dataset
-from letcc.points import chebyshev_grid
+from letcc.points import InterpolationGrid, chebyshev_grid
 from letcc.sim import (
     NoiseModel,
     StragglerModel,
@@ -1034,6 +1036,175 @@ class TestChunkDraws:
         assert sorted(rows) == sorted([5 * 20, 5 * 8] + ([5 * 8] if scheme == "letcc" else []))
         for t, metrics in enumerate(agg.metrics):
             assert metrics == run_trial(setup, (3, t))
+
+
+def _counted_draws(monkeypatch) -> tuple[list, list]:
+    """The trial counts of every chunk asked for draws, and of every one drawn afresh."""
+    asked, drawn = [], []
+    chunk_draws, fresh_draws = sim._chunk_draws, sim._fresh_draws
+    monkeypatch.setattr(sim, "_chunk_draws", lambda setup, chunk: (
+        asked.append(len(chunk)) or chunk_draws(setup, chunk)))
+    monkeypatch.setattr(sim, "_fresh_draws", lambda setup, chunk: (
+        drawn.append(len(chunk)) or fresh_draws(setup, chunk)))
+    return asked, drawn
+
+
+def _on_empty_memo(call, *args):
+    sim._last_draws = None
+    return call(*args)
+
+
+class TestDrawMemo:
+    # the draws of the chunk drawn last are kept, and a chunk on a
+    # contiguous run of its seeds with the same draw key takes their slices
+
+    @pytest.mark.parametrize("sigma0", [0.0, 0.1])
+    def test_schemes_in_turn_equal_each_on_an_empty_memo(self, sigma0, monkeypatch):
+        asked, drawn = _counted_draws(monkeypatch)
+        setups = [_setup(scheme, k=8, n=64, s=8, sigma0=sigma0, lambda_d=64.0 ** -4,
+                         func=make_worker("cubic")) for scheme in sim.SCHEMES]
+        paired = [monte_carlo(setup, 50, 5) for setup in setups]
+        # letcc draws its one chunk of 50; bacc's chunk and lcc's 25 + 25 are its slices
+        assert asked == [50, 50, 25, 25] and drawn == [50]
+        inside = [run_trial(setup, (5, 30)) for setup in setups]
+        assert drawn == [50]
+        prefix = monte_carlo(setups[2], 20, 5)
+        assert drawn == [50]
+        outside = [run_trial(setup, (5, 50)) for setup in setups]
+        assert drawn == [50, 1]
+        for setup, agg, trial, late in zip(setups, paired, inside, outside, strict=True):
+            assert agg.columns == _on_empty_memo(monte_carlo, setup, 50, 5).columns
+            assert trial == agg.metrics[30] == _on_empty_memo(run_trial, setup, (5, 30))
+            assert late == _on_empty_memo(run_trial, setup, (5, 50))
+        assert prefix.columns == _on_empty_memo(monte_carlo, setups[2], 20, 5).columns
+
+    def test_runs_that_are_not_contiguous_in_the_stored_seeds_miss(self, monkeypatch):
+        asked, drawn = _counted_draws(monkeypatch)
+        setup = _setup(k=5, n=23, s=4, sigma0=0.1)
+        monte_carlo(setup, 10, 3)
+        chunk, = sim._prepare(setup, [(3, 2), (3, 4)])
+        later, = sim._prepare(setup, [(3, 9), (3, 10)])
+        assert drawn == [10, 2, 2]
+        for got, seeds in ((chunk, [(3, 2), (3, 4)]), (later, [(3, 9), (3, 10)])):
+            sim._last_draws = None
+            want, = sim._prepare(setup, seeds)
+            assert np.array_equal(got.outputs, want.outputs)
+            assert np.array_equal(got.truth, want.truth)
+
+    @pytest.mark.parametrize("first, second", [
+        (dict(s=4), dict(s=5)),
+        (dict(s=2), dict(s=2, mode="fixed", fixed_stragglers=(0, 7))),
+        (dict(s=2, mode="fixed", fixed_stragglers=(0, 7)),
+         dict(s=2, mode="fixed", fixed_stragglers=(1, 7))),
+        (dict(func=make_worker("tanh_net", d=2, m=2)),
+         dict(func=make_worker("tanh_net", d=3, m=2))),
+        (dict(func=make_worker("tanh_net", d=2, m=2)),
+         dict(func=make_worker("tanh_net", d=2, m=3))),
+        (dict(sigma0=0.0), dict(sigma0=0.1)),
+        (dict(sigma0=0.1), dict(sigma0=0.0)),
+        (dict(data_rule="uniform"), dict(data_rule="identity")),
+        (dict(data=Dataset(np.linspace(-0.5, 0.5, 6)[:, None])),
+         dict(data=Dataset(np.linspace(-0.5, 0.6, 6)[:, None]))),
+        (dict(data=Dataset(np.linspace(-0.5, 0.5, 6)[:, None])), dict(data_rule="uniform")),
+    ])
+    @pytest.mark.parametrize("scheme", ["letcc", "bacc"])
+    def test_each_key_field_misses_when_it_changes(self, scheme, first, second, monkeypatch):
+        _, drawn = _counted_draws(monkeypatch)
+        setups = [_setup(scheme, k=6, n=23, **({"sigma0": 0.1} | kw))
+                  for kw in (first, second)]
+        monte_carlo(setups[0], 9, 4)
+        agg = monte_carlo(setups[1], 9, 4)
+        assert drawn == [9, 9]
+        assert agg.columns == _on_empty_memo(monte_carlo, setups[1], 9, 4).columns
+
+    def test_identity_data_on_grids_of_other_alphas_misses(self, monkeypatch):
+        _, drawn = _counted_draws(monkeypatch)
+        betas = chebyshev_grid(6, 23).betas
+        grids = [chebyshev_grid(6, 23), InterpolationGrid(np.linspace(-0.9, 0.9, 6), betas),
+                 InterpolationGrid(np.linspace(-0.9, 0.9, 6), betas)]
+        setups = [replace(_setup(k=6, n=23, sigma0=0.1, data_rule="identity"), grid=grid)
+                  for grid in grids]
+        aggs = [monte_carlo(setup, 9, 4) for setup in setups]
+        assert drawn == [9, 9]  # the third grid has the second's alphas
+        for setup, agg in zip(setups, aggs):
+            assert agg.columns == _on_empty_memo(monte_carlo, setup, 9, 4).columns
+
+    def test_a_dataset_written_into_between_calls_misses(self, monkeypatch):
+        _, drawn = _counted_draws(monkeypatch)
+        inputs = np.linspace(-0.5, 0.5, 6)[:, None]
+        setup = _setup(k=6, n=23, sigma0=0.1, data=Dataset(inputs))
+        assert setup.data.inputs is inputs  # the caller's array, not a copy
+        monte_carlo(setup, 9, 4)
+        inputs[2] = 0.9
+        agg = monte_carlo(setup, 9, 4)
+        assert drawn == [9, 9]
+        assert agg.columns == _on_empty_memo(monte_carlo, setup, 9, 4).columns
+
+    def test_stored_and_sliced_draws_are_read_only(self):
+        setup = _setup(k=5, n=23, s=4, sigma0=0.1)
+        seeds = [(6, t) for t in range(9)]
+        drawn = sim._chunk_draws(setup, seeds)
+        sliced = sim._chunk_draws(setup, seeds[3:7])
+        stored = sim._last_draws[3:]
+        assert len(drawn) == len(sliced) == len(stored) == 3
+        for arrays in (drawn, sliced, stored):
+            for array in arrays:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0.0
+        for whole, part in zip(drawn, sliced):
+            assert np.shares_memory(whole, part) and np.array_equal(whole[3:7], part)
+
+    def test_noise_levels_on_one_entry_scale_the_same_normals(self, monkeypatch):
+        _, drawn = _counted_draws(monkeypatch)
+        seeds = [(4, t) for t in range(9)]
+        chunks = [next(sim._prepare(_setup(k=5, n=23, s=4, sigma0=sigma0,
+                                           func=_zero_worker(2)), seeds))
+                  for sigma0 in (0.1, 0.3)]
+        assert drawn == [9]
+        normals = sim._last_draws[-1]
+        for sigma0, chunk in zip((0.1, 0.3), chunks):
+            assert chunk.outputs.tobytes() == (normals * sigma0 + 0.0).tobytes()
+            for seed, outputs in zip(seeds, chunk.outputs):
+                noise = trial_rng(seed, sim._STREAM_NOISE).normal(0.0, sigma0, (19, 2))
+                assert outputs.tobytes() == noise.tobytes()
+
+    def test_memo_holds_one_chunk(self, monkeypatch):
+        # 50 lcc trials at K = 8, N = 64 run as 25 + 25: the slot keeps the second
+        _, drawn = _counted_draws(monkeypatch)
+        setup = _setup("lcc", k=8, n=64, s=8, sigma0=0.1, func=make_worker("cubic"))
+        monte_carlo(setup, 50, 2)
+        assert drawn == [25, 25]
+        key, _, seeds, inputs, indices, normals = sim._last_draws
+        assert seeds == [(2, t) for t in range(25, 50)]
+        assert (inputs.shape, indices.shape, normals.shape) == ((25, 8, 1), (25, 56), (25, 56, 1))
+
+    def test_threads_sharing_the_slot_get_their_own_draws(self):
+        # calls of two draw keys and two seeds in turn, on more threads than
+        # cores, each equal to its call on an empty memo
+        setups = [_setup(scheme, k=6, n=23, s=s, sigma0=0.1, func=make_worker("cubic"))
+                  for scheme in ("letcc", "lcc") for s in (3, 4)]
+        calls = [(setup, seed) for setup in setups for seed in (1, 2)]
+        want = [_on_empty_memo(monte_carlo, setup, 9, seed).columns for setup, seed in calls]
+        wrong, switch = [], sys.getswitchinterval()
+
+        def work(offset):
+            for i in range(3 * len(calls)):
+                j = (i + offset) % len(calls)
+                if monte_carlo(calls[j][0], 9, calls[j][1]).columns != want[j]:
+                    wrong.append(j)
+
+        threads = [threading.Thread(target=work, args=(offset,)) for offset in range(4)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 class TestInputRules:

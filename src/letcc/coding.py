@@ -86,12 +86,15 @@ class Dataset:
 
     A 1-D array is one row: ``Dataset(np.zeros(3))`` holds a single
     3-dimensional input, not three scalars.  Pass K scalars as shape (K, 1).
+    The inputs are kept as a read-only float copy, so a later write into
+    the caller's array does not change them.
     """
 
     inputs: np.ndarray
 
     def __post_init__(self):
-        inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
+        inputs = np.array(self.inputs, dtype=float, ndmin=2)
+        inputs.flags.writeable = False
         object.__setattr__(self, "inputs", inputs)
         if inputs.ndim != 2 or inputs.shape[0] < 1 or inputs.shape[1] < 1:
             raise ValueError("inputs must be a (K, d) matrix with K, d >= 1")

@@ -571,8 +571,10 @@ def _sin_pi() -> WorkerFunction:
 
 
 def _cubic() -> WorkerFunction:
-    # |3x^2| <= 12 and |6x| <= 12 on [-2, 2].
-    return WorkerFunction("cubic", lambda x: x**3, 1, 1,
+    # |3x^2| <= 12 and |6x| <= 12 on [-2, 2].  Cubed by multiplication:
+    # correctly rounded and exactly odd, where numpy's power takes a slow
+    # scalar path for negative bases and its bits follow the CPU dispatch
+    return WorkerFunction("cubic", lambda x: x * x * x, 1, 1,
                           lipschitz=12.0, curvature=12.0, degree=3, elementwise=True)
 
 
@@ -880,12 +882,13 @@ def _draw_key(setup: TrialSetup) -> tuple:
 
     K, d and m, the straggler model (by value), whether noise is drawn,
     and where the inputs come from: the data rule, the bytes of the
-    alphas for the identity rule, or the bytes of a given
-    :class:`~letcc.coding.Dataset`'s inputs, an array the caller may
-    still hold and write into.
+    alphas for the identity rule, or a given
+    :class:`~letcc.coding.Dataset` itself, which compares by identity and
+    holds read-only inputs; the memo's reference to it keeps its identity
+    from being reused.
     """
     if setup.data is not None:
-        source = ("given", setup.data.inputs.tobytes())
+        source = ("given", setup.data)
     elif setup.data_rule == "identity":
         source = ("identity", setup.grid.alphas.tobytes())
     else:

@@ -446,8 +446,9 @@ def evaluation_weights(knots: np.ndarray, x: np.ndarray) -> EvaluationWeights:
     b /= h
     h2_6 = h * h / 6.0
     left, right = x < knots[..., :1], x > knots[..., -1:]
-    np.multiply(np.where(left, -2.0 * b, np.where(right, -a, a**3 - a)), h2_6,
+    # cubes as products: np.power's float64 bits follow numpy's CPU dispatch
+    np.multiply(np.where(left, -2.0 * b, np.where(right, -a, a * a * a - a)), h2_6,
                 out=weights[2])
-    np.multiply(np.where(left, -b, np.where(right, -2.0 * a, b**3 - b)), h2_6,
+    np.multiply(np.where(left, -b, np.where(right, -2.0 * a, b * b * b - b)), h2_6,
                 out=weights[3])
     return EvaluationWeights(lo, hi, weights)

@@ -11,6 +11,7 @@ from letcc.baselines import (
     LagrangePolynomial,
     _BarycentricMap,
     _berrut_weights,
+    _chebyshev_vandermonde,
     _lagrange_weights,
     _lcc_decode_stack,
     bacc_decode,
@@ -429,6 +430,42 @@ class TestLagrangeDecodeStack:
         trial, = _lcc_trials(grid, 56, 1, rng)
         assert np.array_equal(lcc_decode(trial, grid, 3.0).estimates,
                               lcc_decode(trial, grid, np.int64(3)).estimates)
+
+
+def _exact_chebyshev(x: float, deg: int) -> list[tuple[int, int]]:
+    """T_0(x) .. T_deg(x) exactly, each as (p, e) for the dyadic rational p / 2**e.
+
+    With x = m / 2**e, T_j(x) = P_j / 2**(j e) for the integers
+    P_j = 2 m P_{j-1} - 2**(2e) P_{j-2}.
+    """
+    m, den = x.as_integer_ratio()
+    e = den.bit_length() - 1
+    p = [1, m]
+    for _ in range(2, deg + 1):
+        p.append(2 * m * p[-1] - (p[-2] << 2 * e))
+    return [(pj, j * e) for j, pj in enumerate(p[:deg + 1])]
+
+
+class TestChebyshevVandermonde:
+    def test_equals_chebvander_bit_for_bit(self):
+        x = chebyshev_grid(16, 4096).betas
+        for deg in (0, 1, 2, 45, 300):
+            got = _chebyshev_vandermonde(x, deg)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, chebvander(x, deg))
+
+    def test_within_2e_14_of_exact_values_at_degree_300(self):
+        # 40 of the 4096 betas, ends included; every |T_j| <= 1
+        x = chebyshev_grid(16, 4096).betas[::105]
+        got = _chebyshev_vandermonde(x, 300)
+        worst = 0.0
+        for row, point in zip(got, x):
+            for value, (p, e) in zip(row, _exact_chebyshev(float(point), 300), strict=True):
+                a, den = float(value).as_integer_ratio()
+                c = den.bit_length() - 1
+                # |a / 2**c - p / 2**e|, in integers, then correctly rounded
+                worst = max(worst, abs((a << e) - (p << c)) / (1 << (e + c)))
+        assert worst <= 2e-14
 
 
 class TestLagrangePolynomial:

@@ -441,6 +441,7 @@ class TestSeedsFromOutside:
         setup = _setup(data_rule="uniform")
         agg = monte_carlo(setup, 2, big)
         assert agg.columns.seed == ((big, 0), (big, 1))
+        sim._last_draws = None  # the trial draws its own inputs, not the call's
         assert agg.metrics[1] == run_trial(setup, (big, 1))
         chunk, = sim._prepare(setup, [sim._entropy((big, 1))])
         want = sample_stragglers(setup.stragglers,

@@ -26,6 +26,12 @@ from letcc.sim import (
 )
 
 
+def _on_empty_memo(call, *args):
+    """``call(*args)`` with no chunk draws memoised, so it draws its own."""
+    sim._last_draws = None
+    return call(*args)
+
+
 class TestStragglerModel:
     def test_s_equal_n_rejected(self):
         with pytest.raises(ValueError):
@@ -211,6 +217,14 @@ class TestNoiseAndWorkers:
         assert out.shape == (5, 4)
         assert out.sum(axis=1) == pytest.approx(np.ones(5))
         assert net.lipschitz is not None
+
+    def test_cubic_is_exactly_odd_and_cubes_by_multiplication(self):
+        # numpy's power sends negative bases down another path than positive ones
+        cubic = make_worker("cubic")
+        x = np.random.default_rng(3).uniform(0.0, 1.0, (4096, 1))
+        assert np.array_equal(cubic.evaluate(-x), -cubic.evaluate(x))
+        stack = np.random.default_rng(4).uniform(-2.0, 2.0, (3, 700, 1))
+        assert np.array_equal(sim._evaluate_stack(cubic, stack), stack * stack * stack)
 
     def test_unknown_function_rejected(self):
         with pytest.raises(ValueError):
@@ -477,7 +491,7 @@ def test_monte_carlo_builds_no_per_trial_objects(monkeypatch):
     for setup, agg in runs:
         metrics = agg.metrics
         assert counts == {**none, sim.TrialMetrics: 6}
-        assert metrics == tuple(run_trial(setup, (2, t)) for t in range(6))
+        assert metrics == tuple(_on_empty_memo(run_trial, setup, (2, t)) for t in range(6))
         counts.update(none)
 
 
@@ -528,7 +542,7 @@ class TestMonteCarlo:
                        f_degree=2 if func.degree is None else None, **kw)
         agg = monte_carlo(setup, 10, 31)
         for t, metrics in enumerate(agg.metrics):
-            assert metrics == run_trial(setup, (31, t))
+            assert metrics == _on_empty_memo(run_trial, setup, (31, t))
 
     def test_bacc_chunks_bound_its_decode_weights(self, monkeypatch):
         # bacc's batched decode holds (K, N) weights per trial, so its
@@ -539,7 +553,7 @@ class TestMonteCarlo:
             chunks = list(sim._prepare(setup, [(9, t) for t in range(5)]))
             assert [len(chunk.seeds) for chunk in chunks] == sizes
             for t, metrics in enumerate(monte_carlo(setup, 5, 9).metrics):
-                assert metrics == run_trial(setup, (9, t))
+                assert metrics == _on_empty_memo(run_trial, setup, (9, t))
 
     def test_lcc_chunks_bound_its_augmented_vandermonde(self, monkeypatch):
         # K = 5 and cubic f: lcc's batched decode factors a (19, 13 + 1)
@@ -556,7 +570,7 @@ class TestMonteCarlo:
         agg = monte_carlo(setup, 5, 9)
         assert sizes == [2, 2, 1]
         for t, metrics in enumerate(agg.metrics):
-            assert metrics == run_trial(setup, (9, t))
+            assert metrics == _on_empty_memo(run_trial, setup, (9, t))
 
     def test_unused_generators_are_not_built(self, monkeypatch):
         # the streams requested from the seeder, and the generators built
@@ -771,7 +785,7 @@ class TestChunkSplit:
         setup = _setup("lcc", k=8, n=64, s=8, sigma0=0.1, func=make_worker("cubic"))
         assert _chunk_sizes(setup, 50) == [25, 25]
         for t, metrics in enumerate(monte_carlo(setup, 50, 9).metrics):
-            assert metrics == run_trial(setup, (9, t))
+            assert metrics == _on_empty_memo(run_trial, setup, (9, t))
 
     def test_crossval_noisy_call_splits_evenly(self):
         # N = 256 values a trial at each of 14 weights: 18 trials a chunk at most
@@ -782,14 +796,14 @@ class TestChunkSplit:
         for lam, agg in zip(lams, aggs):
             at_weight = replace(setup, lambda_d=lam)
             for t, metrics in enumerate(agg.metrics):
-                assert metrics == run_trial(at_weight, (9, t))
+                assert metrics == _on_empty_memo(run_trial, at_weight, (9, t))
 
     def test_nine_trials_at_a_bound_of_eight(self, monkeypatch):
         monkeypatch.setattr(sim, "_CHUNK_VALUES", 8 * 24)
         setup = _setup(sigma0=0.1)
         assert _chunk_sizes(setup, 9) == [5, 4]
         for t, metrics in enumerate(monte_carlo(setup, 9, 9).metrics):
-            assert metrics == run_trial(setup, (9, t))
+            assert metrics == _on_empty_memo(run_trial, setup, (9, t))
 
     @pytest.mark.parametrize("bound", [1, 2, 3, 5, 8])
     def test_sizes_within_one_larger_first(self, bound, monkeypatch):
@@ -956,7 +970,7 @@ class TestChunkDraws:
         for t in range(10):
             want = sample_stragglers(setup.stragglers, trial_rng((8, t), sim._STREAM_STRAGGLERS))
             assert np.array_equal(chunk.indices[t], want)
-            assert agg.metrics[t] == run_trial(setup, (8, t))
+            assert agg.metrics[t] == _on_empty_memo(run_trial, setup, (8, t))
 
     # each stream's jump-ahead pass runs at its own output count, as
     # (rows, count): K = 5 data values and S = 4 stragglers (2 outputs) a
@@ -1009,7 +1023,7 @@ class TestChunkDraws:
         monkeypatch.setattr(sim, "_VECTOR_ROWS", 10**9)
         assert agg.columns == monte_carlo(setup, 10, 31).columns
         for t, metrics in enumerate(agg.metrics):
-            assert metrics == run_trial(setup, (31, t))
+            assert metrics == _on_empty_memo(run_trial, setup, (31, t))
 
     def test_elementwise_builtins_stack_bit_for_bit(self):
         declared = {name for name in sim.WORKER_FUNCTIONS if make_worker(name).elementwise}
@@ -1035,7 +1049,7 @@ class TestChunkDraws:
         # survivors, inputs and, for letcc, the encoder's knot values
         assert sorted(rows) == sorted([5 * 20, 5 * 8] + ([5 * 8] if scheme == "letcc" else []))
         for t, metrics in enumerate(agg.metrics):
-            assert metrics == run_trial(setup, (3, t))
+            assert metrics == _on_empty_memo(run_trial, setup, (3, t))
 
 
 def _counted_draws(monkeypatch) -> tuple[list, list]:
@@ -1047,11 +1061,6 @@ def _counted_draws(monkeypatch) -> tuple[list, list]:
     monkeypatch.setattr(sim, "_fresh_draws", lambda setup, chunk: (
         drawn.append(len(chunk)) or fresh_draws(setup, chunk)))
     return asked, drawn
-
-
-def _on_empty_memo(call, *args):
-    sim._last_draws = None
-    return call(*args)
 
 
 class TestDrawMemo:
@@ -1129,16 +1138,20 @@ class TestDrawMemo:
         for setup, agg in zip(setups, aggs):
             assert agg.columns == _on_empty_memo(monte_carlo, setup, 9, 4).columns
 
-    def test_a_dataset_written_into_between_calls_misses(self, monkeypatch):
+    def test_a_write_into_the_callers_array_leaves_the_trials(self, monkeypatch):
+        # a Dataset keeps a read-only copy, so it keys the memo by itself
         _, drawn = _counted_draws(monkeypatch)
         inputs = np.linspace(-0.5, 0.5, 6)[:, None]
         setup = _setup(k=6, n=23, sigma0=0.1, data=Dataset(inputs))
-        assert setup.data.inputs is inputs  # the caller's array, not a copy
-        monte_carlo(setup, 9, 4)
+        before = monte_carlo(setup, 9, 4)
         inputs[2] = 0.9
         agg = monte_carlo(setup, 9, 4)
-        assert drawn == [9, 9]
-        assert agg.columns == _on_empty_memo(monte_carlo, setup, 9, 4).columns
+        assert drawn == [9]
+        unwritten = _setup(k=6, n=23, sigma0=0.1, data=Dataset(np.linspace(-0.5, 0.5, 6)[:, None]))
+        assert agg.columns == before.columns == _on_empty_memo(monte_carlo, unwritten, 9, 4).columns
+        assert not setup.data.inputs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            setup.data.inputs[2] = 0.9
 
     def test_stored_and_sliced_draws_are_read_only(self):
         setup = _setup(k=5, n=23, s=4, sigma0=0.1)
@@ -1224,7 +1237,7 @@ class TestInputRules:
         # knot values), then at its 20 survivors
         assert sorted(rows) == [8] * 5 * (2 if scheme == "letcc" else 1) + [20] * 5
         for t, metrics in enumerate(agg.metrics):
-            assert metrics == run_trial(setup, (3, t))
+            assert metrics == _on_empty_memo(run_trial, setup, (3, t))
 
 
 class TestNonFiniteValues:

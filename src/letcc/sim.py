@@ -41,15 +41,17 @@ indices, (T, N - S, m) outputs, (T, K, m) truth and, for letcc, (T, K,
 m) through-encoder values and (T,) l_enc.  The second half decodes and scores: those arrays
 go straight into each scheme's decode body (``coding._decode_stack``,
 letcc's, at every weight of the call; ``baselines._bacc_decode_stack``
-and ``_lcc_decode_stack`` at none), which gives stacked estimates, and
-each weight's stack is scored into one :class:`TrialColumns` record of
-(T,) columns.  A call joins each weight's records into the one that
-:func:`aggregate` reads and :class:`MonteCarloResult` keeps: no
-per-trial object is built between a decode body and the aggregate.  The
-public one-trial :func:`sample_stragglers` and :func:`apply_workers` are
-chunks of one of the same draw and workers, and :func:`run_trial` is a
-chunk of one decoded through the scheme's public one-trial decode, its
-:class:`TrialMetrics` the one row of its columns.
+and ``_lcc_decode_stack`` at none), which gives (L, T, K, m) estimates
+at the call's L weights, and the whole stack is scored at once into
+(L, T) metric arrays.  After the last chunk a call joins each chunk's
+arrays once, reads every weight's :class:`TrialColumns` off the joined
+rows, and reduces every weight's rows into its :class:`MonteCarloResult`
+in one pass, the one aggregation path that :func:`aggregate` takes too:
+no per-trial object is built between a decode body and the aggregate.
+The public one-trial :func:`sample_stragglers` and :func:`apply_workers`
+are chunks of one of the same draw and workers, and :func:`run_trial` is
+a chunk of one at one weight decoded through the scheme's public one-trial
+decode, its :class:`TrialMetrics` the one row of its columns.
 :func:`monte_carlo` is the call at the setup's own lambda_d.  Every step
 does the same arithmetic on a trial's values alone as in any batch, so a
 trial's metrics are bit-identical whether it runs through
@@ -740,14 +742,6 @@ class TrialColumns:
         return tuple(TrialMetrics(self.scheme, *row)
                      for row in zip(*(getattr(self, name) or absent for name in _COLUMNS)))
 
-    @classmethod
-    def concat(cls, parts: Sequence[TrialColumns]) -> TrialColumns:
-        """The columns of ``parts``, runs of trials of one setup, one after another."""
-        return cls(parts[0].scheme, *(
-            None if getattr(parts[0], name) is None
-            else tuple(chain.from_iterable(getattr(part, name) for part in parts))
-            for name in _COLUMNS))
-
 
 # the metrics of a trial, in the field order of both views
 _COLUMNS = [f.name for f in fields(TrialMetrics) if f.name != "scheme"]
@@ -1067,39 +1061,65 @@ def _decode_chunk(setup: TrialSetup, chunk: _Chunk,
     return estimates[None], degraded
 
 
-def _score(setup: TrialSetup, chunk: _Chunk, estimates: np.ndarray,
-           degraded: bool) -> TrialColumns:
-    """The metric columns of ``chunk``'s trials, from their (T, K, m) ``estimates``.
+def _score(setup: TrialSetup, chunk: _Chunk, estimates: np.ndarray, degraded: bool) -> tuple:
+    """The metrics of ``chunk``'s trials at L weights, from their (L, T, K, m) ``estimates``.
 
-    The distances, bounds and class agreement of all trials run once on
-    the stack, each trial reduced as on its own.  A trial whose risk is
-    not finite raises ValueError, and then a letcc trial whose risk exceeds
-    its decomposition bound raises :class:`RiskBoundViolation`.
+    Gives (L, T) risks, l_dec terms and class agreements, then the trials'
+    (T,) l_enc terms, and lists of their survivor counts, degraded flags
+    and seeds: the fields of :class:`TrialColumns` but ``rmse``, which
+    :func:`_results` takes from the risks; l_dec and l_enc are None but
+    for letcc, and the agreements None for 1-D outputs.  The distances,
+    bounds and class agreement of every trial at every weight run once on
+    the stack, each reduced as on its own.  The first weight with a trial
+    whose risk is not finite or, for letcc, exceeds its decomposition bound
+    raises: ValueError naming the first trial of the first kind, else
+    :class:`RiskBoundViolation` for the first of the second.
     """
     risks = _mean_sq_dist(estimates, chunk.truth)
-    bad = np.flatnonzero(~np.isfinite(risks))
-    if bad.size:
-        t = bad[0]
-        raise ValueError(f"{setup.scheme} trial with seed {chunk.seeds[t]} has "
-                         f"non-finite risk {float(risks[t])}")
-    l_dec = l_enc = agreement = None
+    bad = ~np.isfinite(risks)
+    failed = bad.any(axis=1)
+    l_decs = agreement = None
     if setup.scheme == "letcc":
         l_decs = 2.0 * _mean_sq_dist(estimates, chunk.through_encoder)
         bounds = l_decs + chunk.l_enc
-        over = np.flatnonzero(risks > bounds + 1e-9 * (1.0 + bounds))
-        if over.size:
-            t = over[0]
-            raise RiskBoundViolation(
-                f"risk decomposition violated: {float(risks[t])} > "
-                f"{float(l_decs[t])} + {float(chunk.l_enc[t])}")
-        l_dec, l_enc = tuple(l_decs.tolist()), tuple(chunk.l_enc.tolist())
+        over = risks > bounds + 1e-9 * (1.0 + bounds)
+        failed |= over.any(axis=1)
+    if failed.any():
+        j = np.flatnonzero(failed)[0]  # the first weight, as a loop over weights finds it
+        if bad[j].any():
+            t = np.flatnonzero(bad[j])[0]
+            raise ValueError(f"{setup.scheme} trial with seed {chunk.seeds[t]} has "
+                             f"non-finite risk {float(risks[j, t])}")
+        t = np.flatnonzero(over[j])[0]
+        raise RiskBoundViolation(
+            f"risk decomposition violated: {float(risks[j, t])} > "
+            f"{float(l_decs[j, t])} + {float(chunk.l_enc[t])}")
     if estimates.shape[-1] >= 2:  # relacc is defined for vector outputs only
-        agreement = tuple(_agreement(estimates, chunk.truth).tolist())
+        agreement = _agreement(estimates, chunk.truth)
     trials = len(chunk.seeds)
-    return TrialColumns(setup.scheme, tuple(risks.tolist()), l_dec, l_enc,
-                        tuple(np.sqrt(risks).tolist()), agreement,
-                        (chunk.indices.shape[1],) * trials, (degraded,) * trials,
-                        tuple(chunk.seeds))
+    return (risks, l_decs, chunk.l_enc, agreement,
+            [chunk.indices.shape[1]] * trials, [degraded] * trials, chunk.seeds)
+
+
+def _results(scheme: str, scores: Sequence[tuple]) -> list[MonteCarloResult]:
+    """The :class:`MonteCarloResult` at each weight, from the :func:`_score` of each chunk.
+
+    Each part of the chunks' scores is joined once, in trial order, and
+    every weight's :class:`TrialColumns` is read off the joined (L, T)
+    rows, which :func:`_aggregate` reduces together.
+    """
+    parts = list(zip(*scores))
+    risks, l_decs, l_enc, agreement = (None if part[0] is None
+                                       else np.concatenate(part, axis=-1)
+                                       for part in parts[:4])
+    per_trial = [tuple(chain.from_iterable(part)) for part in parts[4:]]
+    rmses = np.sqrt(risks)
+    l_enc = None if l_enc is None else tuple(l_enc.tolist())
+    rows = [[None] * len(risks) if stack is None else [tuple(row) for row in stack.tolist()]
+            for stack in (risks, l_decs, rmses, agreement)]
+    columns = [TrialColumns(scheme, risk, l_dec, l_enc, rmse, relacc, *per_trial)
+               for risk, l_dec, rmse, relacc in zip(*rows)]
+    return _aggregate(columns, risks, rmses, agreement)
 
 
 def run_trial(setup: TrialSetup, seed) -> TrialMetrics:
@@ -1119,7 +1139,8 @@ def run_trial(setup: TrialSetup, seed) -> TrialMetrics:
         result = baselines.bacc_decode(returns, setup.grid)
     else:
         result = baselines.lcc_decode(returns, setup.grid, setup.f_degree)
-    return _score(setup, chunk, result.estimates[None], result.degraded).rows()[0]
+    scores = _score(setup, chunk, result.estimates[None, None], result.degraded)
+    return _results(setup.scheme, [scores])[0].metrics[0]
 
 
 @dataclass(frozen=True)
@@ -1150,26 +1171,48 @@ class MonteCarloResult:
 
 def aggregate(columns: TrialColumns) -> MonteCarloResult:
     """Mean, spread and 95% interval of the trials in ``columns``, in their order."""
-    trials = len(columns.seed)
+    rows = [columns.empirical_risk, columns.rmse]
+    if columns.relacc is not None:
+        rows.append(columns.relacc)
+    return _aggregate([columns], *(np.array([row]) for row in rows))[0]
+
+
+def _aggregate(columns: Sequence[TrialColumns], risks: np.ndarray, rmses: np.ndarray,
+               agreement: np.ndarray | None = None) -> list[MonteCarloResult]:
+    """The :func:`aggregate` of each of ``columns``, from their values as (L, T) rows.
+
+    Row l of ``risks``, ``rmses`` and ``agreement`` holds the empirical
+    risks, rmses and class agreements of ``columns[l]``; every row is
+    reduced in one pass, each as on its own (a C-ordered row reduces as the
+    1-D array of its values).
+    """
+    trials = risks.shape[1]
     if trials < 1:
         raise ValueError("need at least one trial")
-    mses = np.array(columns.empirical_risk)
-    mean = float(mses.mean())
+    means = risks.mean(axis=1).tolist()
     # shifted by a sample, so identical trials give exactly zero spread even
     # when their mean rounds away from the common value
-    std = float((mses - mses[0]).std(ddof=1)) if trials > 1 else 0.0
-    half = 1.96 * std / sqrt(trials)
-    return MonteCarloResult(
-        mean_mse=mean,
-        std_mse=std,
-        ci95_lo=mean - half,
-        ci95_hi=mean + half,
-        mean_rmse=float(np.mean(columns.rmse)),
-        mean_relacc=None if columns.relacc is None else float(np.mean(columns.relacc)),
-        trials=trials,
-        degenerate_ci=trials == 1,
-        columns=columns,
-    )
+    stds = [0.0] * len(risks)
+    if trials > 1:
+        stds = (risks - risks[:, :1]).std(axis=1, ddof=1).tolist()
+    mean_rmses = rmses.mean(axis=1).tolist()
+    mean_relaccs = [None] * len(risks) if agreement is None else agreement.mean(axis=1).tolist()
+    results = []
+    for cols, mean, std, mean_rmse, mean_relacc in zip(columns, means, stds, mean_rmses,
+                                                       mean_relaccs, strict=True):
+        half = 1.96 * std / sqrt(trials)
+        results.append(MonteCarloResult(
+            mean_mse=mean,
+            std_mse=std,
+            ci95_lo=mean - half,
+            ci95_hi=mean + half,
+            mean_rmse=mean_rmse,
+            mean_relacc=mean_relacc,
+            trials=trials,
+            degenerate_ci=trials == 1,
+            columns=cols,
+        ))
+    return results
 
 
 def monte_carlo(setup: TrialSetup, trials: int, master_seed: int) -> MonteCarloResult:
@@ -1203,12 +1246,9 @@ def monte_carlo_lambdas(setup: TrialSetup, trials: int, master_seed,
     if trials < 1:
         raise ValueError("need at least one trial")
     entropy = _entropy(master_seed)
-    by_weight = [[] for _ in lams]
-    for chunk in _prepare(setup, [entropy + (t,) for t in range(trials)], len(lams)):
-        estimates, degraded = _decode_chunk(setup, chunk, lams)
-        for parts, at_weight in zip(by_weight, estimates, strict=True):
-            parts.append(_score(setup, chunk, at_weight, degraded))
-    return [aggregate(TrialColumns.concat(parts)) for parts in by_weight]
+    return _results(setup.scheme, [
+        _score(setup, chunk, *_decode_chunk(setup, chunk, lams))
+        for chunk in _prepare(setup, [entropy + (t,) for t in range(trials)], len(lams))])
 
 
 def relacc(estimates: np.ndarray, truth: np.ndarray) -> float | None:

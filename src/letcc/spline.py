@@ -23,9 +23,11 @@ satisfies
 
 which is algebraically the dense normal equations ``(I + n*lam*Phi) g = y``
 of the cardinal basis, with Phi = Q R^{-1} Q^T.  Only band diagonals are
-stored: the two equations, with g and gam interleaved, form one band
-system of bandwidth three, solved by LAPACK's banded LU in O(n) time and
-memory per output dimension (:meth:`NaturalSplineBasis.smooth`); ``lam = 0``
+stored: the two equations, with g and gam interleaved and each gam
+equation ahead of the g equation of its knot, form one band system with
+two diagonals below the main one and three above, solved by LAPACK's
+banded LU in O(n) time and memory per output dimension
+(:meth:`NaturalSplineBasis.smooth`); ``lam = 0``
 keeps g = y and solves the tridiagonal R for gam.  No n x n array is
 formed.  Affine data gives Q^T y = 0, hence gam = 0 and exact
 reproduction for every lam.  Vector-valued data reuses one factorization
@@ -147,12 +149,27 @@ class NaturalSplineBasis:
         g + lamn * Q gam = y  and  Q^T g - R gam = 0,  as one band system in
         the interleaved unknowns (g_0, g_1, gam_1, g_2, ..., gam_{n-2},
         g_{n-1}) by banded LU with partial pivoting (LAPACK ``dgbsv``, once
-        per knot set and weight); the bandwidth is 3 on both sides.  The
-        second derivatives are zero at the end knots.  Eliminating g instead
-        leaves the Reinsch system (R + lamn Q^T Q) gam = Q^T y, which
-        squares the conditioning: on meshes whose gaps alternate between 1
-        and 1e4 its Cholesky solution misses the exact fit by up to 8e-5 for
-        unit-scale data, where this solve stays below 1e-10.
+        per knot set and weight).  The second derivatives are zero at the
+        end knots.
+
+        The equations run g_0, gam_1, g_1, gam_2, g_2, ..., gam_{n-2},
+        g_{n-2}, g_{n-1}: each interior g_i equation sits one row below the
+        gam equation of its knot.  That band reaches two diagonals below the
+        main one and three above, where the order of the unknowns (g_i's
+        equation in g_i's row) reaches three below, so LAPACK factors 8 band
+        rows, not 10.  The reordering keeps the fit's bits: in each column
+        partial pivoting picks the candidate of largest magnitude, the same
+        equation in either order, so the LU applies the same operations to
+        the same values.  It can differ in two cases: an exact tie in
+        magnitude, where LAPACK takes the first row, so meshes of equal
+        spacings (gaps of 2, say) may pivot otherwise and round differently;
+        and the sign of a fitted value that is exactly zero.
+
+        Eliminating g instead leaves the Reinsch system
+        (R + lamn Q^T Q) gam = Q^T y, which squares the conditioning: on
+        meshes whose gaps alternate between 1 and 1e4 its Cholesky solution
+        misses the exact fit by up to 8e-5 for unit-scale data, where this
+        solve stays below 1e-10.
 
         The lam-free entries of the bands (the g rows, Q^T and -R) are built
         once per call.  Every weight but the last is solved in one work
@@ -171,20 +188,22 @@ class NaturalSplineBasis:
                 if not math.isfinite(lamn * q_max):
                     raise ValueError(f"lam too large for these knots: n*lam = {lamn} times "
                                      f"the largest 1/h weight {q_max} overflows")
-        # each set's (10, 2n-2) band is the transpose of a C-ordered
-        # (2n-2, 10) slice, so Fortran-ordered, the layout LAPACK takes
+        # each set's (8, 2n-2) band is the transpose of a C-ordered
+        # (2n-2, 8) slice, so Fortran-ordered, the layout LAPACK takes
         # without a copy of its own.  Entry (row, col) of the system sits at
-        # [6 + row - col, col]; the top three rows hold the fill-in of the
+        # [5 + row - col, col]; the top two rows hold the fill-in of the
         # pivoting LU.  g_i is unknown max(2i - 1, 0) and gam_j (interior
-        # knot j + 1) is unknown 2j + 2.
+        # knot j + 1) is unknown 2j + 2.  The g_0 and g_{n-1} equations are
+        # rows 0 and 2n-3, gam_j's is row 2j + 1 and g_i's row 2i between
+        # them: two rows below, three above the diagonal.
         r = _r_band(self._h)
-        lam_free = np.zeros((count, 2 * n - 2, 10)).transpose(0, 2, 1)
-        lam_free[:, 6, 0] = lam_free[:, 6, 1::2] = 1.0                # g_i in its own row
-        lam_free[:, 8, 0], lam_free[:, 9, 1:-4:2] = qa[:, 0], qa[:, 1:]  # Q^T, gam rows
-        lam_free[:, 7, 1:-2:2] = qb
-        lam_free[:, 5, 3::2] = qc
-        lam_free[:, 6, 2::2] = -r[:, 2]                               # -R, gam rows
-        lam_free[:, 4, 4::2] = lam_free[:, 8, 2:-3:2] = -r[:, 1, 1:]
+        lam_free = np.zeros((count, 2 * n - 2, 8)).transpose(0, 2, 1)
+        lam_free[:, 5, 0] = lam_free[:, 6, 1:-2:2] = lam_free[:, 5, -1] = 1.0  # g_i in its row
+        lam_free[:, 6, 0], lam_free[:, 7, 1:-4:2] = qa[:, 0], qa[:, 1:]        # Q^T, gam rows
+        lam_free[:, 5, 1:-2:2] = qb
+        lam_free[:, 3, 3::2] = qc
+        lam_free[:, 4, 2::2] = -r[:, 2]                                       # -R, gam rows
+        lam_free[:, 2, 4::2] = lam_free[:, 6, 2:-3:2] = -r[:, 1, 1:]
         work = np.empty_like(lam_free) if len(lamns) > 1 else None
         # each set's (n, m) values and (2n-2, m) right-hand side
         # Fortran-ordered, as dgbsv gives and takes them
@@ -196,12 +215,12 @@ class NaturalSplineBasis:
             if i < len(lamns) - 1:
                 band = work
                 np.copyto(band, lam_free)
-            band[:, 4, 2], band[:, 3, 4::2] = lamn * qa[:, 0], lamn * qa[:, 1:]  # lamn Q, g rows
-            band[:, 5, 2::2] = lamn * qb
-            band[:, 7, 2::2] = lamn * qc
-            rhs[:, 0], rhs[:, 1::2], rhs[:, 2::2] = y[:, 0], y[:, 1:], 0.0
+            band[:, 3, 2::2], band[:, 5, 2::2] = lamn * qa, lamn * qb      # lamn Q, g rows
+            band[:, 7, 2:-3:2], band[:, 6, -2] = lamn * qc[:, :-1], lamn * qc[:, -1]
+            rhs[:, 0], rhs[:, 2:-1:2], rhs[:, -1], rhs[:, 1:-1:2] = (
+                y[:, 0], y[:, 1:-1], y[:, -1], 0.0)
             for ab, b in zip(band, rhs):
-                _, _, sol, info = dgbsv(3, 3, ab, b, overwrite_ab=True, overwrite_b=True)
+                _, _, sol, info = dgbsv(2, 3, ab, b, overwrite_ab=True, overwrite_b=True)
                 if info:  # > 0 singular, which distinct knots rule out; < 0 a bad argument
                     raise NumericalFitError(f"smoothing system not solved: dgbsv info {info}")
                 if sol is not b:

@@ -446,12 +446,24 @@ def test_scores_of_a_decode_stack_equal_each_decode_alone(worker):
     alone = [trial for t in range(4) for trial in sim._prepare(setup, [(5, t)])]
     lams = (0.0, 1e-9, 1e-4, 1.0, 1e16)
     estimates, degraded = sim._decode_chunk(setup, chunk, lams)
-    for lam, at_weight in zip(lams, estimates, strict=True):
-        stacked = sim._score(setup, chunk, at_weight, degraded)
-        each = [sim._score(setup, alone[t], at_weight[t][None], degraded) for t in range(4)]
-        assert stacked == sim.TrialColumns.concat(each)
-        for t, metrics in enumerate(stacked.rows()):
-            assert metrics == each[t].rows()[0]
+    scores = sim._score(setup, chunk, estimates, degraded)
+    stacked = sim._results(setup.scheme, [scores])
+    for j, (lam, result) in enumerate(zip(lams, stacked, strict=True)):
+        # the (L, T) stack equals each weight alone, and each trial alone
+        at_weight = sim._score(setup, chunk, estimates[j:j + 1], degraded)
+        assert result == sim._results(setup.scheme, [at_weight])[0]
+        each = [sim._score(setup, alone[t], estimates[j:j + 1, t:t + 1], degraded)
+                for t in range(4)]
+        for t in range(4):
+            # risks, l_dec terms, l_enc terms and agreements, bit for bit
+            for part, single in zip(scores[:4], each[t][:4], strict=True):
+                if part is None:
+                    assert single is None
+                else:
+                    index = (j, t) if part.ndim == 2 else (t,)
+                    assert part[index].tobytes() == single.flat[0].tobytes()
+        for t, metrics in enumerate(result.metrics):
+            assert metrics == sim._results(setup.scheme, [each[t]])[0].metrics[0]
             assert metrics.seed == (5, t) and metrics.survivor_count == 59
             decoded = sim.coding.decode(WorkerReturns(chunk.indices[t], chunk.outputs[t]),
                                         setup.grid, lam).estimates
@@ -645,6 +657,7 @@ class TestMonteCarloLambdas:
         assert len(aggs) == len(self.LAMS)
         for lam, agg in zip(self.LAMS, aggs):
             assert agg == monte_carlo(replace(setup, lambda_d=lam), 7, 31)
+            assert agg == sim.aggregate(agg.columns)  # the weights' one pass, each alone
 
     @pytest.mark.parametrize("scheme", ["bacc", "lcc"])
     def test_baselines_take_one_weight(self, scheme):

@@ -259,7 +259,7 @@ class TestLargeN:
             assert np.abs(f.evaluate(t) - y).max() <= 1e-10 * np.abs(y).max()
 
     def test_one_weight_fit_peaks_below_two_bands(self):
-        # a fit builds the lam-free entries of its (2n-2) x 10 band once and
+        # a fit builds the lam-free entries of its (2n-2) x 8 band once and
         # solves its one weight in place in them, with no second band
         n = 32768
         t = chebyshev_second(n)
@@ -269,7 +269,7 @@ class TestLargeN:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * (2 * n - 2) * 10 * 8
+        assert peak < 2 * (2 * n - 2) * 8 * 8
 
 
 class TestDegenerateFits:
@@ -378,13 +378,15 @@ class TestStackedBasis:
 
 class TestDirectLapackSolve:
     def test_same_bytes_as_solve_banded(self, rng, monkeypatch):
-        # smooth hands dgbsv the seven band rows of the system plus three
-        # fill-in rows: exactly what scipy's solve_banded builds for it
+        # smooth hands dgbsv the six band rows of the system, two below the
+        # diagonal and three above, plus two fill-in rows: exactly what
+        # scipy's solve_banded builds for it
         seen = []
         original = spline.dgbsv
 
         def capture(kl, ku, ab, b, **kwargs):
-            seen.append((ab[3:].copy(), b.copy()))
+            seen.append(((kl, ku), ab.copy(), b.copy()))
+            assert not ab[:2].any()  # the fill-in rows start empty
             return original(kl, ku, ab, b, **kwargs)
 
         monkeypatch.setattr(spline, "dgbsv", capture)
@@ -392,12 +394,73 @@ class TestDirectLapackSolve:
         for y in (rng.normal(size=40), rng.normal(size=(40, 3))):
             for lam in (1e-8, 1e-2, 1e4):
                 f = fit(t, y, lam)
-                band, rhs = seen.pop()
-                sol = solve_banded((3, 3), band, rhs)
+                (kl_ku, ab, rhs), = seen
+                seen.clear()
+                assert kl_ku == (2, 3) and ab.shape == (8, 78)
+                sol = solve_banded((2, 3), ab[2:], rhs)
                 g = np.concatenate((sol[:1], sol[1::2])).reshape(f.coefficients.shape)
-                assert np.array_equal(f.coefficients, g)
-                assert np.array_equal(f.second_derivs[1:-1],
-                                      sol[2:-1:2].reshape(f.second_derivs[1:-1].shape))
+                gam = sol[2:-1:2].reshape(f.second_derivs[1:-1].shape)
+                assert f.coefficients.tobytes() == g.tobytes()
+                assert f.second_derivs[1:-1].tobytes() == gam.tobytes()
+
+    @staticmethod
+    def _mesh(kind, n, rng):
+        if kind == "uniform":
+            return np.sort(rng.uniform(-1, 1, n))
+        if kind == "chebyshev":
+            return np.sort(rng.choice(chebyshev_second(3 * n), n, replace=False))
+        if kind == "alternating":  # gaps 1, 1e-4, 1, ... or 1e-4, 1, 1e-4, ...
+            gaps = np.resize([1.0, 1e-4][::rng.choice([1, -1])], n - 1)
+        else:  # log-uniform gaps from 1e-8 to 1
+            gaps = 10.0 ** rng.uniform(-8, 0, n - 1)
+        return rng.uniform(-1, 1) + np.concatenate(([0.0], np.cumsum(gaps)))
+
+    @pytest.mark.parametrize("kind", ["uniform", "chebyshev", "alternating", "log_uniform"])
+    def test_same_bits_as_the_unknowns_row_order(self, kind, monkeypatch):
+        # with each equation in the row of its namesake unknown the band has
+        # three diagonals below the main one; solve_banded((3, 3)) of that
+        # order, rebuilt here from the entries smooth hands dgbsv, gives
+        # every bit of smooth's knot values and second derivatives
+        seen = []
+        original = spline.dgbsv
+
+        def capture(kl, ku, ab, b, **kwargs):
+            seen.append((ab.copy(), b.copy()))
+            return original(kl, ku, ab, b, **kwargs)
+
+        monkeypatch.setattr(spline, "dgbsv", capture)
+        rng = np.random.default_rng(["alternating", "chebyshev", "log_uniform",
+                                     "uniform"].index(kind))
+        for _ in range(100):
+            n, count, lams = int(rng.integers(3, 41)), int(rng.integers(1, 6)), int(rng.integers(1, 5))
+            m = int(rng.choice([1, 3, 10]))
+            t = np.stack([self._mesh(kind, n, rng) for _ in range(count)])
+            y = rng.normal(size=(count, n, m))
+            lam = list(10.0 ** rng.uniform(-16, 16, lams))
+            values, second_derivs = spline._fit_stack(t, y, lam)
+            size = 2 * n - 2
+            # new row r holds the equation of old row swap[r]: the g_i and
+            # gam_{i-1} equations trade rows 2i - 1 and 2i, for 0 < i < n - 1
+            swap = np.arange(size)
+            swap[1:-1] = swap[1:-1] + np.resize([1, -1], size - 2)
+            for i, (ab, rhs) in enumerate(seen):
+                dense = np.zeros((size, size))
+                for d in range(-2, 4):  # entry (r, r + d) at ab[5 - d, r + d]
+                    r = np.arange(max(0, -d), min(size, size - d))
+                    dense[r, r + d] = ab[5 - d, r + d]
+                old = np.zeros((size, size))
+                old[swap] = dense
+                old_band = np.zeros((7, size))
+                for d in range(-3, 4):  # solve_banded's (3, 3) layout
+                    r = np.arange(max(0, -d), min(size, size - d))
+                    old_band[3 - d, r + d] = old[r, r + d]
+                old_rhs = np.empty_like(rhs)
+                old_rhs[swap] = rhs
+                sol = solve_banded((3, 3), old_band, old_rhs)
+                w, s = divmod(i, count)
+                assert values[w, s].tobytes() == np.concatenate((sol[:1], sol[1::2])).tobytes()
+                assert second_derivs[w, s, 1:-1].tobytes() == sol[2:-1:2].tobytes()
+            seen.clear()
 
     def test_solution_returned_in_a_new_array_is_copied_back(self, rng, monkeypatch):
         # dgbsv hands back b itself when it solves in place; were it a new

@@ -9,13 +9,16 @@ bound (a numerical fault).
 Matrix files use a plain text format: a header line ``dims R C`` followed
 by R whitespace-separated rows of C decimal floats.
 
-Notes (not part of ``--help``): an ``--out`` that exists and is not a
-directory, or lies under a file, is refused before the first trial, and an
-OSError from creating ``--out`` or writing a report or matrix file exits 1
-with one ``error: cannot write PATH: ...`` line, as does a non-finite number
-bound for a file.  ``main`` parses with one argparse tree per process
-(``build_parser`` is cached, and parsing never changes the tree), so
-repeated in-process calls pay for their work only.
+Notes (not part of ``--help``): the CLI checks a config file's keys
+(unknown ones, null as not given, the kind, required ones) and the library
+checks its values: each goes as read to the object it configures, whose
+rule refuses a bad one in an error naming its key.  An ``--out`` that
+exists and is not a directory, or lies under a file, is refused before the
+first trial, and an OSError from creating ``--out`` or writing a report or
+matrix file exits 1 with one ``error: cannot write PATH: ...`` line, as
+does a non-finite number bound for a file.  ``main`` parses with one
+argparse tree per process (``build_parser`` is cached, and parsing never
+changes the tree), so repeated in-process calls pay for their work only.
 A non-finite result (a trial's risk, a number bound for stdout or a file)
 exits 1 with one ``error:`` line, no stdout payload and no file; numpy's
 overflow and invalid-value warnings are off, as each such result is refused
@@ -50,7 +53,7 @@ from .experiments import (
     write_json,
     write_svg,
 )
-from .points import _integer, _real, _seed, chebyshev_grid
+from .points import _string, chebyshev_grid
 from .sim import (
     NoiseModel,
     RiskBoundViolation,
@@ -99,64 +102,23 @@ def _read_config(path) -> dict:
 
 
 def _check_config(raw: dict, allowed) -> dict:
-    """Strict config check: unknown keys are rejected, values converted.
+    """Strict config check: unknown keys are rejected, the values kept as read.
 
-    A null value counts as not given, as an unset flag does.
+    A null value counts as not given, as an unset flag does.  Each value is
+    checked by the library object it configures, whose error names its key.
     """
     unknown = set(raw) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}; "
                           f"allowed: {sorted(allowed)}")
-    out = {}
-    for key, value in raw.items():
-        if value is None:
-            continue
-        try:
-            out[key] = _CONVERTERS[key](value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from exc
-    return out
-
-
-# an integral JSON number, and a finite nonnegative one, by the library's
-# rules for integers and reals
-_int = functools.partial(_integer, what="value")
-_float = functools.partial(_real, what="value")
-
-
-def _str(value) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"expected a string, got {value!r}")
-    return value
-
-
-def _list(convert):
-    """Converter of a JSON array to a tuple, each item through ``convert``."""
-    def converter(value):
-        if not isinstance(value, list):
-            raise ValueError(f"expected a list, got {value!r}")
-        return tuple(convert(x) for x in value)
-    return converter
-
-
-# Every config key of every command, with its converter.
-_CONVERTERS = {
-    "kind": _str, "scheme": _str, "schemes": _list(_str), "f": _str, "data": _str,
-    "lambda_d_rule": _str, "k": _int, "n": _int, "s": _int, "d": _int, "m": _int,
-    "f_degree": _int, "trials": _int, "seed": functools.partial(_seed, what="value"),
-    "n_values": _list(_int), "s_values": _list(_int), "sigma0": _float, "s_ratio": _float,
-    "lambda_e": _float, "lambda_d": _float, "lambda_d_scale": _float,
-    "lambda_e_grid": _list(_float), "lambda_d_grid": _list(_float),
-}
-
-# Config dataclass fields whose config key is named otherwise.
-_CONFIG_KEYS = {"func": "f", "master_seed": "seed", "data_rule": "data",
-                "func_d": "d", "func_m": "m"}
+    return {key: value for key, value in raw.items() if value is not None}
 
 
 def cmd_trial(args) -> int:
-    # the trial's config keys are its flags; a given flag overrides the file
-    flags = {key: value for key, value in vars(args).items() if key in _CONVERTERS}
+    # the trial's config keys are its flags but --config and --threads (and
+    # argparse's command and func); a given flag overrides the file
+    flags = {key: value for key, value in vars(args).items()
+             if key not in ("command", "config", "threads", "func")}
     cfg = _check_config(_read_config(args.config), flags) if args.config else {}
     cfg.update((key, value) for key, value in flags.items() if value is not None)
     for required in ("scheme", "f", "k", "n", "s"):
@@ -174,7 +136,8 @@ def cmd_trial(args) -> int:
         f_degree=cfg.get("f_degree"),
         data_rule=cfg.get("data", "uniform"),
     )
-    metrics = run_trial(setup, cfg.get("seed", 0))
+    # one seed entry: run_trial would read a list from the file as several
+    metrics = run_trial(setup, (cfg.get("seed", 0),))
     sys.stdout.write(experiments._dump_json(metrics) + "\n")
     return EXIT_OK
 
@@ -230,7 +193,7 @@ def _kind(raw: dict, default: str) -> str:
 
     Checked first, as the kind decides which other keys are allowed.
     """
-    return _check_config({"kind": raw.get("kind")}, ("kind",)).get("kind", default)
+    return default if raw.get("kind") is None else _string(raw["kind"], "kind")
 
 
 def cmd_sweep(args) -> int:
@@ -258,7 +221,8 @@ def _run_kind(kind: str, raw: dict, args) -> int:
         raise ConfigError(f"unknown sweep kind {kind!r}; "
                           f"choices: {list(_SWEEP_KINDS)}")
     config_class, extra, run = _SWEEP_KINDS[kind]
-    by_key = {_CONFIG_KEYS.get(f.name, f.name): f for f in fields(config_class)}
+    by_key = {experiments._CONFIG_KEYS.get(f.name, f.name): f
+              for f in fields(config_class)}
     cfg = _check_config(raw, {"kind", *by_key, *extra})
     if args.seed is not None:
         cfg["seed"] = args.seed

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, is_dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
-from .points import _check_points, _integer, _integral_indices, _real, _seed, chebyshev_grid
+from .points import _check_points, _integer, _items, _real, _seed, _string, chebyshev_grid
 from .sim import (
     NoiseModel,
     StragglerModel,
@@ -73,11 +73,20 @@ def _resolve_lambda_d(rule: str, scale: float, n: int, s: int) -> float:
     return scale * LAMBDA_RULES[rule](n, s)
 
 
-# The rule of each count, real and seed field; the others are strings or lists.
-_FIELD_RULES = {name: partial(rule, what=name) for rule, names in (
+# Config fields whose config key is named otherwise.
+_CONFIG_KEYS = {"func": "f", "master_seed": "seed", "data_rule": "data",
+                "func_d": "d", "func_m": "m"}
+
+# The rule of each config field, naming it by its config key: a count, real,
+# seed or name rule, or the list rule with its items' rule.  s_values, whose
+# items lie below the checked n, is checked by its config.
+_FIELD_RULES = {name: partial(rule, what=_CONFIG_KEYS.get(name, name)) for rule, names in (
     (_integer, ("k", "n", "s", "f_degree", "trials", "func_d", "func_m")),
-    (_real, ("sigma0", "s_ratio", "lambda_e", "lambda_d_scale"))) for name in names}
-_FIELD_RULES["master_seed"] = partial(_seed, what="seed")
+    (_real, ("sigma0", "s_ratio", "lambda_e", "lambda_d_scale")),
+    (_seed, ("master_seed",)),
+    (_string, ("func", "lambda_d_rule", "data_rule")),
+    (partial(_items, rule=_string), ("schemes",)),
+    (partial(_items, rule=_integer), ("n_values",))) for name in names}
 
 
 def _check_fields(config) -> None:
@@ -113,10 +122,7 @@ class SweepConfig:
 
     def __post_init__(self):
         _check_fields(self)
-        object.__setattr__(self, "schemes", tuple(self.schemes))
-        n_values = _integral_indices(tuple(self.n_values), "n_values")
-        _check_points("n_values", n_values)
-        object.__setattr__(self, "n_values", tuple(n_values.tolist()))
+        _check_points("n_values", np.array(self.n_values))
         if not self.schemes:
             raise ValueError("at least one scheme required")
         if (self.s is None) == (self.s_ratio is None):
@@ -198,13 +204,15 @@ def _run_points(config, points):
 
     Yields one (rows, aggregates) pair per point, each a list in the order
     of ``config.schemes``.  A point's schemes share one grid and one
-    lambda_d, and all their setups are built before any trial runs.
+    lambda_d, and all their setups are built before any trial runs; points
+    of one N share one grid, and the encoders cached on it.
     Trial t of a point uses seed (master, key, t) for every scheme.
     """
     func = worker_for(config.func, config.func_d, config.func_m)
+    grid_for = cache(partial(chebyshev_grid, config.k))
     for key, n, s in points:
         lambda_d = _resolve_lambda_d(config.lambda_d_rule, config.lambda_d_scale, n, s)
-        grid = chebyshev_grid(config.k, n)
+        grid = grid_for(n)
         setups = [TrialSetup(scheme=scheme, func=func, grid=grid,
                              stragglers=StragglerModel(n, s),
                              noise=NoiseModel(config.sigma0), lambda_e=config.lambda_e,
@@ -261,9 +269,8 @@ class StragglerSweepConfig:
 
     def __post_init__(self):
         _check_fields(self)
-        object.__setattr__(self, "schemes", tuple(self.schemes))
-        s_values = _integral_indices(tuple(self.s_values), "s_values", self.n)
-        object.__setattr__(self, "s_values", tuple(s_values.tolist()))
+        object.__setattr__(self, "s_values", _items(self.s_values, "s_values",
+                                                    partial(_integer, n=self.n)))
         if not self.schemes:
             raise ValueError("at least one scheme required")
         if not self.s_values:
@@ -333,15 +340,16 @@ def crossval_lambda(lambda_e_grid, lambda_d_grid, config: CrossvalConfig) -> Cro
 
     Every pair is scored on the same seeded trials (identical stragglers,
     noise, data), so the comparison is paired.  Both grids are checked
-    (nonempty, every weight by :func:`letcc.points._real`) before any trial
-    runs; then each lambda_e makes one :func:`letcc.sim.monte_carlo_lambdas`
-    call at the whole lambda_d grid.  Near-ties (within a small relative
+    (lists by :func:`letcc.points._items`, nonempty, every weight by
+    :func:`letcc.points._real`) before any trial runs; then each lambda_e
+    makes one :func:`letcc.sim.monte_carlo_lambdas` call at the whole
+    lambda_d grid.  Near-ties (within a small relative
     epsilon of the minimum, which happens when the problem is solved exactly
     for many pairs) break toward the most regularized pair: largest lambda_d,
     then largest lambda_e.
     """
-    e_grid = tuple(_real(v, "lambda_e") for v in lambda_e_grid)
-    d_grid = tuple(_real(v, "lambda_d") for v in lambda_d_grid)
+    e_grid = _items(lambda_e_grid, "lambda_e_grid", _real)
+    d_grid = _items(lambda_d_grid, "lambda_d_grid", _real)
     if not e_grid or not d_grid:
         raise ValueError("lambda grids must be nonempty")
     func = worker_for(config.func, config.func_d, config.func_m)

@@ -6,18 +6,20 @@ encoder points ``alphas`` (one per input vector) and the worker points
 are the defaults; both generators return ascending arrays so downstream
 spline code can assume sorted knots.
 
-The module also owns the four rules for input from outside: every count
-or index passes :func:`_integral_indices` (:func:`_integer` for one), each
+The module also owns the rules for input from outside: every count or
+index passes :func:`_integral_indices` (:func:`_integer` for one), each
 caller keeping its own minimum; every real parameter (a smoothing weight,
 a noise level, a scale or ratio) passes :func:`_real`; every point set
-:func:`_check_points`; and every seed entry :func:`_seed`, the integer
-rule without its int64 limit.
+:func:`_check_points`; every seed entry :func:`_seed`, the integer rule
+without its int64 limit; every name :func:`_string`; and every list of
+names, counts or reals :func:`_items`, each item by its own rule.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -254,3 +256,23 @@ def _real(value, what: str) -> float:
     if not (math.isfinite(real) and real >= 0):
         raise ValueError(f"{what} must be a finite nonnegative real, got {value!r}")
     return real
+
+
+def _string(value, what: str) -> str:
+    """One name from outside, ``value`` named ``what``: a str, never a number or a list."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _items(values, what: str, rule) -> tuple:
+    """A list from outside, ``values`` named ``what``, as a tuple of its items by ``rule``.
+
+    A sequence or a one-dimensional array; never a string, whose characters
+    would be read as items, or a number.  Each item passes ``rule(item, what)``.
+    """
+    if (isinstance(values, (str, bytes))
+            or not (isinstance(values, Sequence)
+                    or isinstance(values, np.ndarray) and values.ndim == 1)):
+        raise ValueError(f"{what} must be a list, got {values!r}")
+    return tuple(rule(value, what) for value in values)

@@ -70,7 +70,7 @@ import numpy as np
 
 from . import baselines, coding
 from .coding import CodedBatch, Dataset
-from .points import InterpolationGrid, _integer, _integral_indices, _real, _seed
+from .points import InterpolationGrid, _integer, _integral_indices, _real, _seed, _string
 
 __all__ = [
     "RiskBoundViolation",
@@ -620,15 +620,16 @@ WORKER_FUNCTIONS = {
 
 
 def make_worker(name: str, **kwargs) -> WorkerFunction:
-    """Instantiate a built-in worker function by name."""
-    if name not in WORKER_FUNCTIONS:
+    """Instantiate a built-in worker function by name, a string named ``f`` in errors."""
+    if _string(name, "f") not in WORKER_FUNCTIONS:
         raise ValueError(f"unknown worker function {name!r}; "
                          f"choices: {sorted(WORKER_FUNCTIONS)}")
     return WORKER_FUNCTIONS[name](**kwargs)
 
 
 def worker_for(name: str, d: int, m: int) -> WorkerFunction:
-    """Built-in worker ``name``; the dimensions ``d`` and ``m`` size tanh_net only."""
+    """Built-in worker ``name``; ``d`` and ``m``, integers for any worker, size tanh_net only."""
+    d, m = _integer(d, "d"), _integer(m, "m")
     if name == "tanh_net":
         return make_worker(name, d=d, m=m)
     return make_worker(name)
@@ -756,7 +757,8 @@ class TrialSetup:
     """Everything but the seed needed to run one trial.
 
     Every field is checked on construction; ``lambda_e`` and ``lambda_d``
-    are kept as floats, checked by :func:`letcc.points._real`.
+    are kept as floats, checked by :func:`letcc.points._real`, and the
+    names ``scheme`` and ``data_rule`` (``data`` in errors) are strings.
     ``f_degree``, given or, for lcc without one, the worker's declared
     degree, is resolved into that field once, here, as a nonnegative
     integer (``dataclasses.replace`` resolves it again).
@@ -774,13 +776,13 @@ class TrialSetup:
     data_rule: str = "uniform"
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
+        if _string(self.scheme, "scheme") not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choices: {SCHEMES}")
         if self.stragglers.n != self.grid.n:
             raise ValueError("straggler model N must match grid worker count")
         if self.data is not None and self.data.k != self.grid.k:
             raise ValueError("dataset K must match grid alpha count")
-        if self.data is None and self.data_rule not in ("uniform", "identity"):
+        if self.data is None and _string(self.data_rule, "data") not in ("uniform", "identity"):
             raise ValueError(f"unknown data rule {self.data_rule!r}")
         if self.data is None and self.data_rule == "identity" and self.func.in_dim != 1:
             raise ValueError("identity data rule requires a 1-D worker function")

@@ -116,14 +116,13 @@ class TestTrial:
             assert code == 0
             return
         assert (code, out) == (1, "")
-        assert err == (f"error: config key {key!r}: value must be a finite nonnegative "
-                       f"real, got {shown}\n")
+        assert err == f"error: {key} must be a finite nonnegative real, got {shown}\n"
 
     @pytest.mark.parametrize("key, value, message", [
-        ("k", 16.7, "value 16.7 is not an integer"),
-        ("seed", True, "value must be an integer, got bool"),
+        ("k", 16.7, "k 16.7 is not an integer"),
+        ("seed", True, "seed must be an integer, got bool"),
         ("n", 64.0, None),
-        ("n", "64", "value must be an integer, got str"),
+        ("n", "64", "n must be an integer, got str"),
     ])
     def test_integer_keys_must_be_integral(self, capsys, tmp_path, key, value, message):
         cfg = tmp_path / "trial.json"
@@ -134,7 +133,7 @@ class TestTrial:
             assert code == 0
             return
         assert (code, out) == (1, "")
-        assert err == f"error: config key {key!r}: {message}\n"
+        assert err == f"error: {message}\n"
 
     def test_decode_failure_exits_two(self, capsys, monkeypatch):
         def boom(setup, seed):
@@ -252,41 +251,37 @@ _KIND_CONFIGS = {
 }
 
 # the owner's message for a real, after the key
-_REAL = "value must be a finite nonnegative real, got"
+_REAL = "must be a finite nonnegative real, got"
 
 _MALFORMED = [
     ("missing required key", "n_sweep", {"n_values": None}, "'n_values' is required"),
     ("null required key", "n_sweep", {"schemes": None}, "'schemes' is required"),
-    ("wrong type", "n_sweep", {"n_values": ["x"]}, "config key 'n_values'"),
-    ("fractional integer", "n_sweep", {"s": 2.5}, "'s': value 2.5 is not an integer"),
-    ("boolean integer", "n_sweep", {"trials": True},
-     "'trials': value must be an integer, got bool"),
+    ("wrong type", "n_sweep", {"n_values": ["x"]}, "n_values must be an integer, got str"),
+    ("fractional integer", "n_sweep", {"s": 2.5}, "s 2.5 is not an integer"),
+    ("boolean integer", "n_sweep", {"trials": True}, "trials must be an integer, got bool"),
     ("k zero", "n_sweep", {"k": 0}, "k=0"),
-    ("boolean float", "n_sweep", {"sigma0": True}, f"'sigma0': {_REAL} True"),
-    ("string float", "n_sweep", {"lambda_e": "1e-3"},
-     f"'lambda_e': {_REAL} '1e-3'"),
-    ("string float", "n_sweep", {"s": None, "s_ratio": "0.1"},
-     f"'s_ratio': {_REAL} '0.1'"),
-    ("boolean float", "n_sweep", {"lambda_d_scale": False},
-     f"'lambda_d_scale': {_REAL} False"),
+    ("boolean float", "n_sweep", {"sigma0": True}, f"sigma0 {_REAL} True"),
+    ("string float", "n_sweep", {"lambda_e": "1e-3"}, f"lambda_e {_REAL} '1e-3'"),
+    ("string float", "n_sweep", {"s": None, "s_ratio": "0.1"}, f"s_ratio {_REAL} '0.1'"),
+    ("boolean float", "n_sweep", {"lambda_d_scale": False}, f"lambda_d_scale {_REAL} False"),
     ("tanh_net without m", "n_sweep", {"f": "tanh_net", "data": "uniform"}, "m >= 2"),
     ("missing required key", "straggler", {"s_values": None}, "'s_values' is required"),
     ("null required key", "straggler", {"n": None}, "'n' is required"),
-    ("wrong type", "straggler", {"n": [24]}, "config key 'n'"),
+    ("wrong type", "straggler", {"n": [24]}, "n must be an integer, got list"),
     ("k zero", "straggler", {"k": 0}, "k=0"),
-    ("boolean float", "straggler", {"sigma0": True}, f"'sigma0': {_REAL} True"),
-    ("string float", "straggler", {"lambda_e": "1e-6"},
-     f"'lambda_e': {_REAL} '1e-6'"),
+    ("boolean float", "straggler", {"sigma0": True}, f"sigma0 {_REAL} True"),
+    ("string float", "straggler", {"lambda_e": "1e-6"}, f"lambda_e {_REAL} '1e-6'"),
     ("missing required key", "crossval", {"n": None}, "'n' is required"),
     ("null required key", "crossval", {"f": None}, "'f' is required"),
-    ("wrong type", "crossval", {"lambda_d_grid": 1e-4}, "config key 'lambda_d_grid'"),
-    ("fractional integer", "crossval", {"k": 16.7}, "'k': value 16.7 is not an integer"),
+    ("wrong type", "crossval", {"lambda_d_grid": 1e-4},
+     "lambda_d_grid must be a list, got 0.0001"),
+    ("fractional integer", "crossval", {"k": 16.7}, "k 16.7 is not an integer"),
     ("k zero", "crossval", {"k": 0}, "k=0"),
-    ("string float", "crossval", {"sigma0": "0.1"}, f"'sigma0': {_REAL} '0.1'"),
+    ("string float", "crossval", {"sigma0": "0.1"}, f"sigma0 {_REAL} '0.1'"),
     ("string in float grid", "crossval", {"lambda_d_grid": [1e-4, "1e-3"]},
-     f"'lambda_d_grid': {_REAL} '1e-3'"),
+     f"lambda_d_grid {_REAL} '1e-3'"),
     ("boolean in float grid", "crossval", {"lambda_e_grid": [True]},
-     f"'lambda_e_grid': {_REAL} True"),
+     f"lambda_e_grid {_REAL} True"),
     ("empty schemes", "n_sweep", {"schemes": []}, "at least one scheme required"),
     ("S not below N", "n_sweep", {"s": 16}, "S must stay below N (N=16, S=16)"),
     ("no trials", "n_sweep", {"trials": 0}, "trials must be >= 1"),
@@ -326,17 +321,19 @@ _EARLY_FAILURES = [
     ("no out", "n_sweep", {}, False, "error: --out directory is required"),
     ("no out", "straggler", {}, False, "error: --out directory is required"),
     ("string as list", "n_sweep", {"schemes": "letcc"}, True,
-     "error: config key 'schemes': expected a list, got 'letcc'"),
+     "error: schemes must be a list, got 'letcc'"),
     ("string as list", "n_sweep", {"n_values": "128"}, True,
-     "error: config key 'n_values': expected a list, got '128'"),
+     "error: n_values must be a list, got '128'"),
     ("string as list", "straggler", {"s_values": "2"}, True,
-     "error: config key 's_values': expected a list, got '2'"),
-    ("number as string", "n_sweep", {"f": 16}, True,
-     "error: config key 'f': expected a string, got 16"),
+     "error: s_values must be a list, got '2'"),
+    ("number as string", "n_sweep", {"f": 16}, True, "error: f must be a string, got 16"),
     ("number in string list", "n_sweep", {"schemes": ["letcc", 5]}, True,
-     "error: config key 'schemes': expected a string, got 5"),
-    ("number as kind", "n_sweep", {"kind": 5}, True,
-     "error: config key 'kind': expected a string, got 5"),
+     "error: schemes must be a string, got 5"),
+    ("number as kind", "n_sweep", {"kind": 5}, True, "error: kind must be a string, got 5"),
+    ("list as name", "n_sweep", {"lambda_d_rule": ["n**-4"]}, True,
+     "error: lambda_d_rule must be a string, got ['n**-4']"),
+    ("string as integer", "n_sweep", {"d": "1"}, True, "error: d must be an integer, got str"),
+    ("number as name", "straggler", {"data": 5}, True, "error: data must be a string, got 5"),
     ("bad second scheme", "n_sweep", {"schemes": ["letcc", "nope"]}, True,
      "error: unknown scheme 'nope'"),
     ("bad second scheme", "straggler", {"schemes": ["letcc", "nope"]}, True,
@@ -508,13 +505,10 @@ class TestCrossvalCommand:
                     "--out", str(tmp_path / "out")]
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, prepared) == (1, "", [])
-        if kind == "trial":  # a flag reaches the trial setup, which names its field
-            want = "lambda_d must be a finite nonnegative real, got -1.0"
-        else:  # a config value is refused as it is read, naming its key
-            key, = set(change) - {"kind"}
-            bad = change[key][-1] if isinstance(change[key], list) else change[key]
-            want = f"config key {key!r}: value must be a finite nonnegative real, got {bad!r}"
-        assert err == f"error: {want}\n"
+        # a flag or a config value reaches its owner, which names its key
+        key, = set(change) - {"kind"} or {"lambda_d"}
+        bad = change[key][-1] if isinstance(change.get(key), list) else change.get(key, -1.0)
+        assert err == f"error: {key} must be a finite nonnegative real, got {bad!r}\n"
         assert [p.name for p in tmp_path.iterdir()] == ([] if kind == "trial" else ["cv.json"])
 
 

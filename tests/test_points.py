@@ -1,4 +1,10 @@
+import io
+import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +38,7 @@ from letcc.sim import (
     run_trial,
     sample_stragglers,
     trial_rng,
+    worker_for,
 )
 from letcc.spline import fit
 
@@ -216,6 +223,37 @@ def _straggler_sweep(**change):
                                             s_values=(1,)), **change))
 
 
+_CLI_CONFIGS = {
+    "trial": {"scheme": "letcc", "f": "sin_pi", "k": 3, "n": 10, "s": 1},
+    "sweep": {"schemes": ["letcc"], "f": "sin_pi", "k": 2, "n_values": [8], "s": 1,
+              "trials": 2},
+    "crossval": {"f": "sin_pi", "k": 3, "n": 9, "s": 1, "trials": 2, "lambda_d_grid": [1e-4]},
+}
+
+
+def _cli(command, **change):
+    """``letcc command`` end to end on a config file of its small config with ``change``.
+
+    Gives the stdout and the report files; a refusal, exit 1 with one
+    ``error:`` line and no report, raises that line as a ValueError.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
+        with open(path, "w") as fh:  # a numpy scalar as the JSON number it reads as
+            json.dump(dict(_CLI_CONFIGS[command], **change), fh, default=lambda v: v.item())
+        argv = ["trial", "--config", path] if command == "trial" else [command, path,
+                                                                       "--out", out]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = cli.main(argv)
+        reports = {p.name: p.read_text() for p in sorted(Path(out).glob("*"))}
+        if code:
+            err = stderr.getvalue()
+            assert (code, err[:7], err.count("\n"), reports) == (1, "error: ", 1, {})
+            raise ValueError(err[7:-1])
+        return stdout.getvalue(), reports
+
+
 # every public entry that takes a count from outside: (field the error starts
 # with, the entry at a count c); each result's repr, or array, is compared
 _COUNTS = {
@@ -225,16 +263,18 @@ _COUNTS = {
                                                                (c, 8), s=1)),
     "SweepConfig trials": ("trials", lambda c: SweepConfig(("letcc",), "sin_pi", 2, (8,),
                                                            s=1, trials=c)),
-    **{f"SweepConfig {name}": (name, lambda c, name=name: _sweep(**{name: c}))
-       for name in ("k", "s", "f_degree", "func_d", "func_m")},
+    **{f"SweepConfig {name}": (key, lambda c, name=name: _sweep(**{name: c}))
+       for name, key in (("k", "k"), ("s", "s"), ("f_degree", "f_degree"),
+                         ("func_d", "d"), ("func_m", "m"))},
     "StragglerSweepConfig s_values": ("s_values", lambda c: StragglerSweepConfig(
         ("letcc",), "sin_pi", 2, 8, (1, c))),
     "StragglerSweepConfig trials": ("trials", lambda c: StragglerSweepConfig(
         ("letcc",), "sin_pi", 2, 8, (1,), trials=c)),
-    **{f"StragglerSweepConfig {name}": (name, lambda c, name=name: _straggler_sweep(
-        **{name: c})) for name in ("k", "n", "f_degree", "func_d", "func_m")},
-    **{f"CrossvalConfig {name}": (name, lambda c, name=name: _crossval_config(**{name: c}))
-       for name in ("func_d", "func_m")},
+    **{f"StragglerSweepConfig {name}": (key, lambda c, name=name: _straggler_sweep(
+        **{name: c})) for name, key in (("k", "k"), ("n", "n"), ("f_degree", "f_degree"),
+                                        ("func_d", "d"), ("func_m", "m"))},
+    **{f"CrossvalConfig {name}": (key, lambda c, name=name: _crossval_config(**{name: c}))
+       for name, key in (("func_d", "d"), ("func_m", "m"))},
     "WorkerFunction in_dim": ("in_dim", lambda c: WorkerFunction("neg", np.negative, c, 1)),
     "WorkerFunction out_dim": ("out_dim", lambda c: WorkerFunction("neg", np.negative, 1, c)),
     "StragglerModel n": ("StragglerModel n", lambda c: StragglerModel(c, 1)),
@@ -246,14 +286,14 @@ _COUNTS = {
     "crossval_lambda trials": ("trials", lambda c: _crossval(trials=c)),
     "tanh_net d": ("d", lambda c: _tanh(c, 2)),
     "tanh_net m": ("m", lambda c: _tanh(2, c)),
+    "worker_for d": ("d", lambda c: worker_for("sin_pi", c, 1).name),
+    "worker_for m": ("m", lambda c: worker_for("cubic", 1, c).name),
     "lcc_decode f_degree": ("f_degree", lambda c: lcc_decode(
         [(0, [1.0]), (4, [0.5]), (9, [0.25])], chebyshev_grid(3, 10), c).estimates),
     "TrialSetup f_degree": ("f_degree", lambda c: run_trial(_setup("lcc", c), 5)),
-    "CLI JSON integer": ("config key 'k': value",
-                         lambda c: cli._check_config({"k": c}, ["k"])),
-    "CLI JSON integer list": ("config key 'n_values': value",
-                              lambda c: cli._check_config({"n_values": [c, 8]},
-                                                          ["n_values"])),
+    "CLI trial k": ("k", lambda c: _cli("trial", k=c)),
+    "CLI trial d": ("d", lambda c: _cli("trial", d=c)),
+    "CLI sweep n_values": ("n_values", lambda c: _cli("sweep", n_values=[c, 8])),
 }
 
 
@@ -346,8 +386,10 @@ _REALS = {
                                                      v).estimates),
     "monte_carlo_lambdas lambdas": ("lambda_d", lambda v: monte_carlo_lambdas(
         _setup(), 2, 0, (1e-4, v))),
-    "crossval_lambda lambda_e_grid": ("lambda_e", lambda v: _crossval(e_grid=(0.0, v))),
-    "crossval_lambda lambda_d_grid": ("lambda_d", lambda v: _crossval(d_grid=(1e-4, v))),
+    "crossval_lambda lambda_e_grid": ("lambda_e_grid", lambda v: _crossval(
+        e_grid=(0.0, v))),
+    "crossval_lambda lambda_d_grid": ("lambda_d_grid", lambda v: _crossval(
+        d_grid=(1e-4, v))),
     "SweepConfig sigma0": ("sigma0", lambda v: _sweep(sigma0=v)),
     "SweepConfig lambda_e": ("lambda_e", lambda v: _sweep(lambda_e=v)),
     "SweepConfig lambda_d_scale": ("lambda_d_scale", lambda v: _sweep(lambda_d_scale=v)),
@@ -357,16 +399,14 @@ _REALS = {
     "StragglerSweepConfig lambda_d_scale": ("lambda_d_scale", lambda v: _straggler_sweep(
         lambda_d_scale=v)),
     "CrossvalConfig sigma0": ("sigma0", lambda v: _crossval(sigma0=v)),
-    "CLI JSON real": ("config key 'sigma0': value",
-                      lambda v: cli._check_config({"sigma0": v}, ["sigma0"])),
-    "CLI JSON real list": ("config key 'lambda_d_grid': value",
-                           lambda v: cli._check_config({"lambda_d_grid": [1e-4, v]},
-                                                       ["lambda_d_grid"])),
+    "CLI trial sigma0": ("sigma0", lambda v: _cli("trial", sigma0=v)),
+    "CLI crossval lambda_d_grid": ("lambda_d_grid", lambda v: _cli(
+        "crossval", lambda_d_grid=[1e-4, v])),
 }
 
 _BAD_REALS = [True, np.True_, "0.1", None, np.nan, np.inf, -1.0]
 # where None means not given: an unset s_ratio, a JSON null
-_NONE_UNSET = {"SweepConfig s_ratio", "CLI JSON real"}
+_NONE_UNSET = {"SweepConfig s_ratio", "CLI trial sigma0"}
 
 
 class TestRealsFromOutside:
@@ -380,6 +420,8 @@ class TestRealsFromOutside:
         field, call = _REALS[entry]
         with pytest.raises(ValueError) as got:
             call(bad)
+        if entry.startswith("CLI"):  # a config file holds np.True_ as true
+            bad = bad.item() if isinstance(bad, np.generic) else bad
         assert str(got.value).endswith(f"must be a finite nonnegative real, got {bad!r}")
         assert str(got.value).startswith(f"{field} must")
 
@@ -405,8 +447,8 @@ _SEEDS = {
     "SweepConfig master_seed": ("seed", lambda s: _sweep(master_seed=s)),
     "StragglerSweepConfig master_seed": ("seed", lambda s: _straggler_sweep(master_seed=s)),
     "CrossvalConfig master_seed": ("seed", lambda s: _crossval_config(master_seed=s)),
-    "CLI JSON seed": ("config key 'seed': value",
-                      lambda s: cli._check_config({"seed": s}, ["seed"])),
+    "CLI trial seed": ("seed", lambda s: _cli("trial", seed=s)),
+    "CLI sweep seed": ("seed", lambda s: _cli("sweep", seed=s)),
 }
 
 
@@ -416,7 +458,7 @@ class TestSeedsFromOutside:
     @pytest.mark.parametrize("entry", list(_SEEDS))
     def test_non_integer_rejected_naming_the_seed(self, entry, bad):
         field, call = _SEEDS[entry]
-        if entry == "CLI JSON seed" and bad is None:
+        if entry.startswith("CLI") and bad is None:
             bad = [7]  # null counts as not given; a list is no integer either
         with pytest.raises(ValueError, match=rf"^{field}\b"):
             call(bad)
@@ -448,19 +490,90 @@ class TestSeedsFromOutside:
                                  trial_rng((big, 1), sim._STREAM_STRAGGLERS))
         assert np.array_equal(chunk.indices[0], want)
         assert _sweep(master_seed=big).master_seed == big
-        assert cli._check_config({"seed": big}, ["seed"]) == {"seed": big}
+        assert json.loads(_cli("trial", seed=big)[0])["seed"] == [big]
+
+
+# every public entry that takes a name from outside: (field the error starts
+# with, the entry at a name v)
+_NAMES = {
+    "make_worker": ("f", make_worker),
+    "worker_for": ("f", lambda v: worker_for(v, 1, 1)),
+    "TrialSetup scheme": ("scheme", lambda v: _setup(scheme=v)),
+    "TrialSetup data_rule": ("data", lambda v: _setup(data_rule=v)),
+    **{f"{build.__name__[1:]} {name}": (key, lambda v, build=build, name=name: build(
+        **{name: v})) for build in (_sweep, _straggler_sweep, _crossval_config)
+       for name, key in (("func", "f"), ("lambda_d_rule", "lambda_d_rule"),
+                         ("data_rule", "data"))
+       if name != "lambda_d_rule" or build is not _crossval_config},
+    "sweep schemes item": ("schemes", lambda v: _sweep(schemes=("letcc", v))),
+    "straggler_sweep schemes item": ("schemes", lambda v: _straggler_sweep(
+        schemes=("letcc", v))),
+    "CLI trial f": ("f", lambda v: _cli("trial", f=v)),
+    "CLI trial scheme": ("scheme", lambda v: _cli("trial", scheme=v)),
+    "CLI sweep kind": ("kind", lambda v: _cli("sweep", kind=v)),
+    "CLI crossval kind": ("kind", lambda v: _cli("crossval", kind=v)),
+}
+
+# every public entry that takes a list from outside: (field the error starts
+# with, the entry at a list v)
+_LISTS = {
+    "sweep schemes": ("schemes", lambda v: _sweep(schemes=v)),
+    "sweep n_values": ("n_values", lambda v: _sweep(n_values=v)),
+    "straggler_sweep schemes": ("schemes", lambda v: _straggler_sweep(schemes=v)),
+    "straggler_sweep s_values": ("s_values", lambda v: _straggler_sweep(s_values=v)),
+    "crossval_lambda lambda_e_grid": ("lambda_e_grid", lambda v: _crossval(e_grid=v)),
+    "crossval_lambda lambda_d_grid": ("lambda_d_grid", lambda v: _crossval(d_grid=v)),
+    "CLI sweep schemes": ("schemes", lambda v: _cli("sweep", schemes=v)),
+    "CLI sweep n_values": ("n_values", lambda v: _cli("sweep", n_values=v)),
+    "CLI crossval lambda_d_grid": ("lambda_d_grid", lambda v: _cli("crossval",
+                                                                   lambda_d_grid=v)),
+}
+
+
+class TestNamesAndListsFromOutside:
+    # a name is a string and a list a list, tuple or 1-D array of items;
+    # anything else is refused as given, naming the field, never read as
+    # something else: a string's characters as items, or a list as a key
+    @pytest.mark.parametrize("bad", [5, 2.5, True, ["sin_pi"]], ids=repr)
+    @pytest.mark.parametrize("entry", list(_NAMES))
+    def test_non_string_name_rejected_naming_the_field(self, entry, bad):
+        field, call = _NAMES[entry]
+        with pytest.raises(ValueError) as got:
+            call(bad)
+        assert str(got.value) == f"{field} must be a string, got {bad!r}"
+
+    @pytest.mark.parametrize("bad", ["letcc", "1", 8, 1e-4, True], ids=repr)
+    @pytest.mark.parametrize("entry", list(_LISTS))
+    def test_non_list_rejected_naming_the_field(self, entry, bad):
+        field, call = _LISTS[entry]
+        with pytest.raises(ValueError) as got:
+            call(bad)
+        assert str(got.value) == f"{field} must be a list, got {bad!r}"
+
+    @pytest.mark.parametrize("entry", ["sweep n_values", "straggler_sweep s_values",
+                                       "crossval_lambda lambda_d_grid"])
+    def test_lists_tuples_and_arrays_give_the_same_result(self, entry):
+        _, call = _LISTS[entry]
+        values = {"sweep n_values": [6, 8], "straggler_sweep s_values": [1, 2],
+                  "crossval_lambda lambda_d_grid": [1e-4, 1e-2]}[entry]
+        got = [repr(call(kind(values))) for kind in (list, tuple, np.array)]
+        assert got[0] == got[1] == got[2]
+        with pytest.raises(ValueError, match=" must be a list, got "):
+            call(np.array([values]))
 
 
 class TestConfigFields:
-    # every count, real and seed field of a config passes its rule at
-    # construction, before any trial runs; its config checks every other
-    def test_every_field_has_a_rule_or_is_a_string_or_list(self):
-        strings_and_lists = {"schemes", "func", "n_values", "s_values", "lambda_d_rule",
-                             "data_rule"}
+    # every field of a config passes its rule at construction, before any
+    # trial runs, but s_values, which its config checks against n
+    def test_every_field_but_s_values_has_a_rule_naming_its_key(self):
         for config in (SweepConfig, StragglerSweepConfig, CrossvalConfig):
             for f in fields(config):
-                assert (f.name in experiments._FIELD_RULES) != (f.name in strings_and_lists), \
-                    f"{config.__name__}.{f.name}"
+                if f.name == "s_values":
+                    assert f.name not in experiments._FIELD_RULES
+                    continue
+                key = experiments._CONFIG_KEYS.get(f.name, f.name)
+                with pytest.raises(ValueError, match=f"^{key} must be "):
+                    experiments._FIELD_RULES[f.name](object())
 
     @pytest.mark.parametrize("build", [_sweep, _straggler_sweep, _crossval_config])
     def test_trials_at_least_one(self, build):
@@ -474,7 +587,7 @@ class TestConfigFields:
     def test_none_means_not_given_only_where_it_is_the_default(self):
         assert _sweep(f_degree=None).f_degree is None
         assert _sweep(s=None, s_ratio=0.25).s is None
-        with pytest.raises(ValueError, match="^func_d must be an integer, got NoneType$"):
+        with pytest.raises(ValueError, match="^d must be an integer, got NoneType$"):
             _sweep(func_d=None)
 
 

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
+from letcc import streams
+from letcc.points import chebyshev_grid
+from letcc.sim import NoiseModel, StragglerModel, TrialSetup, WorkerFunction, make_worker
+
 # one line per acceptance criterion, echoed after the test summary
 ACCEPTANCE_LINES = []
 
@@ -15,12 +19,38 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def on_empty_memo(call, *args):
+    """``call(*args)`` with no chunk draws memoised, so it draws its own."""
+    streams._last_draws = None
+    return call(*args)
+
+
 @pytest.fixture(autouse=True)
 def empty_draw_memo():
     """Start every test with no chunk draws memoised, whatever ran before it."""
-    from letcc import sim
+    on_empty_memo(lambda: None)
 
-    sim._last_draws = None
+
+def trial_setup(scheme="letcc", k=8, n=24, s=4, sigma0=0.0, lambda_e=0.0,
+                lambda_d=0.0, func=None, data=None, data_rule="uniform", f_degree=None,
+                **kw):
+    return TrialSetup(
+        scheme=scheme,
+        func=func or make_worker("sin_pi"),
+        grid=chebyshev_grid(k, n),
+        stragglers=StragglerModel(n, s, **kw),
+        noise=NoiseModel(sigma0),
+        lambda_e=lambda_e,
+        lambda_d=lambda_d,
+        f_degree=f_degree,
+        data=data,
+        data_rule=data_rule,
+    )
+
+
+def zero_worker(m):
+    return WorkerFunction(f"zero_{m}", lambda x: np.zeros((len(x), m)), 1, m,
+                          elementwise=True)
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@ import importlib
 import pytest
 
 MODULES = ["letcc.baselines", "letcc.cli", "letcc.coding", "letcc.experiments",
-           "letcc.kernel", "letcc.points", "letcc.sim", "letcc.spline"]
+           "letcc.kernel", "letcc.points", "letcc.sim", "letcc.spline", "letcc.streams"]
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from letcc import cli, experiments, sim
+from conftest import on_empty_memo
+from letcc import cli, experiments, sim, streams
 from letcc.baselines import BerrutInterpolant, LagrangePolynomial, lcc_decode
 from letcc.coding import Dataset, decode, encode, normalize_survivors
 from letcc.experiments import (
@@ -483,11 +484,10 @@ class TestSeedsFromOutside:
         setup = _setup(data_rule="uniform")
         agg = monte_carlo(setup, 2, big)
         assert agg.columns.seed == ((big, 0), (big, 1))
-        sim._last_draws = None  # the trial draws its own inputs, not the call's
-        assert agg.metrics[1] == run_trial(setup, (big, 1))
-        chunk, = sim._prepare(setup, [sim._entropy((big, 1))])
-        want = sample_stragglers(setup.stragglers,
-                                 trial_rng((big, 1), sim._STREAM_STRAGGLERS))
+        # the trial draws its own inputs, not the call's
+        assert agg.metrics[1] == on_empty_memo(run_trial, setup, (big, 1))
+        chunk, = sim._prepare(setup, [streams._entropy((big, 1))])
+        want = sample_stragglers(setup.stragglers, trial_rng((big, 1), streams._STRAGGLERS))
         assert np.array_equal(chunk.indices[0], want)
         assert _sweep(master_seed=big).master_seed == big
         assert json.loads(_cli("trial", seed=big)[0])["seed"] == [big]

@@ -1,14 +1,13 @@
-import sys
-import threading
 import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from letcc import sim, spline
+from conftest import on_empty_memo, trial_setup, zero_worker
+from letcc import sim, spline, streams
 from letcc.coding import CodedBatch, Dataset
-from letcc.points import InterpolationGrid, chebyshev_grid
+from letcc.points import chebyshev_grid
 from letcc.sim import (
     NoiseModel,
     StragglerModel,
@@ -24,12 +23,6 @@ from letcc.sim import (
     sample_stragglers,
     trial_rng,
 )
-
-
-def _on_empty_memo(call, *args):
-    """``call(*args)`` with no chunk draws memoised, so it draws its own."""
-    sim._last_draws = None
-    return call(*args)
 
 
 class TestStragglerModel:
@@ -268,28 +261,11 @@ class TestNoiseAndWorkers:
             WorkerFunction("bad", fn, 1, 1).evaluate(np.zeros((5, 1)))
 
 
-def _setup(scheme="letcc", k=8, n=24, s=4, sigma0=0.0, lambda_e=0.0,
-           lambda_d=0.0, func=None, data=None, data_rule="uniform", f_degree=None,
-           **kw):
-    return TrialSetup(
-        scheme=scheme,
-        func=func or make_worker("sin_pi"),
-        grid=chebyshev_grid(k, n),
-        stragglers=StragglerModel(n, s, **kw),
-        noise=NoiseModel(sigma0),
-        lambda_e=lambda_e,
-        lambda_d=lambda_d,
-        f_degree=f_degree,
-        data=data,
-        data_rule=data_rule,
-    )
-
-
 class TestRunTrial:
     def test_identity_function_near_machine_floor(self):
         ident = WorkerFunction("identity", lambda x: x, 1, 1, lipschitz=1.0,
                                curvature=0.0)
-        metrics = run_trial(_setup(func=ident, s=0, data_rule="identity"), seed=3)
+        metrics = run_trial(trial_setup(func=ident, s=0, data_rule="identity"), seed=3)
         assert metrics.empirical_risk <= 1e-12
 
     def test_mismatched_or_unknown_setup_fields_rejected(self):
@@ -310,16 +286,16 @@ class TestRunTrial:
 
     def test_lcc_without_degree_rejected_at_setup(self):
         with pytest.raises(ValueError, match="lcc needs a declared polynomial degree"):
-            _setup(scheme="lcc")  # sin_pi declares no degree
-        _setup(scheme="lcc", f_degree=3)
-        _setup(scheme="lcc", func=make_worker("cubic"))
+            trial_setup(scheme="lcc")  # sin_pi declares no degree
+        trial_setup(scheme="lcc", f_degree=3)
+        trial_setup(scheme="lcc", func=make_worker("cubic"))
 
     def test_f_degree_holds_the_resolved_degree(self):
         cubic = make_worker("cubic")
-        assert _setup(scheme="lcc", func=cubic).f_degree == 3
-        assert _setup(scheme="lcc", func=cubic, f_degree=2.0).f_degree == 2
-        assert _setup(func=cubic).f_degree is None  # letcc resolves none
-        assert _setup(func=cubic, f_degree=np.int64(1)).f_degree == 1
+        assert trial_setup(scheme="lcc", func=cubic).f_degree == 3
+        assert trial_setup(scheme="lcc", func=cubic, f_degree=2.0).f_degree == 2
+        assert trial_setup(func=cubic).f_degree is None  # letcc resolves none
+        assert trial_setup(func=cubic, f_degree=np.int64(1)).f_degree == 1
         assert [f.name for f in fields(TrialSetup) if "degree" in f.name] == ["f_degree"]
 
     @pytest.mark.parametrize("scheme", sim.SCHEMES)
@@ -331,21 +307,21 @@ class TestRunTrial:
     ])
     def test_bad_degree_rejected_at_setup(self, scheme, f_degree, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            _setup(scheme=scheme, func=make_worker("cubic"), f_degree=f_degree)
+            trial_setup(scheme=scheme, func=make_worker("cubic"), f_degree=f_degree)
 
     def test_bad_declared_degree_rejected_for_lcc(self):
         half = WorkerFunction("half_cubic", make_worker("cubic").fn, 1, 1, degree=1.5)
         with pytest.raises(ValueError, match="^f_degree 1.5 is not an integer$"):
-            _setup(scheme="lcc", func=half)
-        _setup(scheme="lcc", func=half, f_degree=3)
+            trial_setup(scheme="lcc", func=half)
+        trial_setup(scheme="lcc", func=half, f_degree=3)
 
     def test_replace_resolves_the_lcc_degree_again(self):
-        cubic = _setup(scheme="lcc", func=make_worker("cubic"))
+        cubic = trial_setup(scheme="lcc", func=make_worker("cubic"))
         affine = replace(cubic, func=make_worker("affine"))
         assert run_trial(affine, 3) == run_trial(
-            _setup(scheme="lcc", func=make_worker("affine")), 3)
+            trial_setup(scheme="lcc", func=make_worker("affine")), 3)
         assert run_trial(replace(affine, f_degree=3), 3) == run_trial(
-            _setup(scheme="lcc", func=make_worker("affine"), f_degree=3), 3)
+            trial_setup(scheme="lcc", func=make_worker("affine"), f_degree=3), 3)
         with pytest.raises(ValueError, match="lcc needs a declared polynomial degree"):
             replace(cubic, func=make_worker("sin_pi"))
 
@@ -353,26 +329,26 @@ class TestRunTrial:
     @pytest.mark.parametrize("value", [-1e-9, np.inf, np.nan])
     def test_bad_weight_rejected_at_setup(self, weight, value):
         with pytest.raises(ValueError, match=f"^{weight} must be a finite nonnegative real"):
-            _setup(**{weight: value})
+            trial_setup(**{weight: value})
 
     def test_same_seed_bit_identical(self):
-        a = run_trial(_setup(sigma0=0.1, lambda_d=1e-5), seed=11)
-        b = run_trial(_setup(sigma0=0.1, lambda_d=1e-5), seed=11)
+        a = run_trial(trial_setup(sigma0=0.1, lambda_d=1e-5), seed=11)
+        b = run_trial(trial_setup(sigma0=0.1, lambda_d=1e-5), seed=11)
         assert a == b
 
     def test_lcc_exact_when_threshold_met(self):
-        setup = _setup(scheme="lcc", func=make_worker("cubic"), k=3, n=10, s=2)
+        setup = trial_setup(scheme="lcc", func=make_worker("cubic"), k=3, n=10, s=2)
         metrics = run_trial(setup, seed=5)
         assert metrics.empirical_risk <= 1e-10
         assert metrics.l_dec is None and metrics.l_enc is None
 
     def test_letcc_reports_decomposition_terms(self):
-        metrics = run_trial(_setup(sigma0=0.1, lambda_d=1e-4), seed=2)
+        metrics = run_trial(trial_setup(sigma0=0.1, lambda_d=1e-4), seed=2)
         assert metrics.l_dec is not None and metrics.l_enc is not None
         assert metrics.empirical_risk <= metrics.l_dec + metrics.l_enc + 1e-9
 
     def test_bacc_trial_runs(self):
-        metrics = run_trial(_setup(scheme="bacc"), seed=8)
+        metrics = run_trial(trial_setup(scheme="bacc"), seed=8)
         assert np.isfinite(metrics.empirical_risk)
         assert metrics.l_dec is None
 
@@ -381,7 +357,7 @@ class TestRunTrial:
         # threshold: matching argmax rows give relacc 1.0
         poly2 = WorkerFunction("vec_quad", lambda x: np.hstack([x**2, 1.0 - x**2]),
                                1, 2, degree=2)
-        setup = _setup(scheme="lcc", func=poly2, k=3, n=12, s=3)
+        setup = trial_setup(scheme="lcc", func=poly2, k=3, n=12, s=3)
         metrics = run_trial(setup, seed=6)
         assert metrics.empirical_risk <= 1e-10
         assert metrics.relacc == 1.0
@@ -418,7 +394,7 @@ def test_letcc_trials_decode_once_each(monkeypatch):
 
     monkeypatch.setattr(sim.coding, "decode", counted)
     monkeypatch.setattr(sim.coding, "_decode_stack", counted_stack)
-    setup = _setup(sigma0=0.1, lambda_d=1e-5)
+    setup = trial_setup(sigma0=0.1, lambda_d=1e-5)
     run_trial(setup, 3)
     assert singles == [1e-5]
     assert [len(indices) for indices, _, _ in stacks] == [1]  # decode is a stack of one
@@ -440,7 +416,7 @@ def test_letcc_trials_decode_once_each(monkeypatch):
 def test_scores_of_a_decode_stack_equal_each_decode_alone(worker):
     # the reference reduces each decode's (K, m) rows on their own; K = 16
     # rows are enough that a reduction in another order rounds differently
-    setup = _setup(k=16, n=64, s=5, sigma0=0.1, lambda_e=1e-3, func=make_worker(worker),
+    setup = trial_setup(k=16, n=64, s=5, sigma0=0.1, lambda_e=1e-3, func=make_worker(worker),
                    data_rule="uniform")
     (chunk,) = sim._prepare(setup, [(5, t) for t in range(4)])
     alone = [trial for t in range(4) for trial in sim._prepare(setup, [(5, t)])]
@@ -486,9 +462,9 @@ def _count_constructions(monkeypatch, classes) -> dict:
 def test_monte_carlo_builds_no_per_trial_objects(monkeypatch):
     # from the stacked decode bodies to the aggregate, a chunk's trials are
     # arrays and columns only; the one-trial views are built on demand
-    letcc = _setup(k=5, n=23, s=4, sigma0=0.1, lambda_e=1e-3, func=make_worker("tanh_net"))
-    bacc = _setup("bacc", k=5, n=23, s=4, sigma0=0.1)
-    lcc = _setup("lcc", k=5, n=23, s=4, sigma0=0.1, func=make_worker("cubic"))
+    letcc = trial_setup(k=5, n=23, s=4, sigma0=0.1, lambda_e=1e-3, func=make_worker("tanh_net"))
+    bacc = trial_setup("bacc", k=5, n=23, s=4, sigma0=0.1)
+    lcc = trial_setup("lcc", k=5, n=23, s=4, sigma0=0.1, func=make_worker("cubic"))
     lams = (1e-8, 1e-6, 1e-4)
     for setup in (letcc, bacc, lcc):  # warm the grids' encoder caches
         monte_carlo(setup, 1, 0)
@@ -503,12 +479,12 @@ def test_monte_carlo_builds_no_per_trial_objects(monkeypatch):
     for setup, agg in runs:
         metrics = agg.metrics
         assert counts == {**none, sim.TrialMetrics: 6}
-        assert metrics == tuple(_on_empty_memo(run_trial, setup, (2, t)) for t in range(6))
+        assert metrics == tuple(on_empty_memo(run_trial, setup, (2, t)) for t in range(6))
         counts.update(none)
 
 
 def test_risk_bound_violation_raises(understated_l_enc):
-    setup = _setup(lambda_e=1e-2, lambda_d=1e-6)
+    setup = trial_setup(lambda_e=1e-2, lambda_d=1e-6)
     with pytest.raises(sim.RiskBoundViolation, match=r"risk decomposition violated: .* \+ 0\.0$"):
         run_trial(setup, 3)
     with pytest.raises(sim.RiskBoundViolation, match="risk decomposition violated"):
@@ -519,20 +495,20 @@ def test_risk_bound_violation_raises(understated_l_enc):
 
 class TestMonteCarlo:
     def test_single_trial_flagged_degenerate(self):
-        agg = monte_carlo(_setup(), trials=1, master_seed=0)
+        agg = monte_carlo(trial_setup(), trials=1, master_seed=0)
         assert agg.degenerate_ci
         assert agg.std_mse == 0.0
         assert agg.ci95_lo == agg.ci95_hi == agg.mean_mse
 
     def test_deterministic_scheme_zero_std(self, rng):
         data = Dataset(rng.uniform(-1, 1, (8, 1)))
-        setup = _setup(s=2, data=data, mode="fixed", fixed_stragglers=(3, 17))
+        setup = trial_setup(s=2, data=data, mode="fixed", fixed_stragglers=(3, 17))
         agg = monte_carlo(setup, trials=10, master_seed=1)
         assert agg.std_mse == 0.0
 
     def test_bit_exact_reproducibility(self):
-        a = monte_carlo(_setup(sigma0=0.1), trials=20, master_seed=99)
-        b = monte_carlo(_setup(sigma0=0.1), trials=20, master_seed=99)
+        a = monte_carlo(trial_setup(sigma0=0.1), trials=20, master_seed=99)
+        b = monte_carlo(trial_setup(sigma0=0.1), trials=20, master_seed=99)
         assert a.mean_mse == b.mean_mse
         assert a.metrics == b.metrics
 
@@ -549,23 +525,42 @@ class TestMonteCarlo:
         func = make_worker(worker)
         kw = {"mode": "fixed", "fixed_stragglers": (0, 7, 8, 22)} if mode == "fixed" else {}
         # lcc needs a degree for the workers that declare none
-        setup = _setup(scheme=scheme, k=5, n=23, s=4, sigma0=sigma0, lambda_d=1e-6,
+        setup = trial_setup(scheme=scheme, k=5, n=23, s=4, sigma0=sigma0, lambda_d=1e-6,
                        lambda_e=1e-3, func=func,
                        f_degree=2 if func.degree is None else None, **kw)
         agg = monte_carlo(setup, 10, 31)
         for t, metrics in enumerate(agg.metrics):
-            assert metrics == _on_empty_memo(run_trial, setup, (31, t))
+            assert metrics == on_empty_memo(run_trial, setup, (31, t))
+
+    @pytest.mark.parametrize("sigma0", [0.0, 0.1])
+    @pytest.mark.parametrize("worker", sorted(sim.WORKER_FUNCTIONS))
+    @pytest.mark.parametrize("scheme", sim.SCHEMES)
+    def test_vectorised_draws_at_every_chunk_size_equal_run_trial(self, scheme, worker, sigma0,
+                                                                   monkeypatch):
+        # chunks of 3, 3, 2 and 2 trials, each seeded and drawn vectorised
+        monkeypatch.setattr(streams, "_VECTOR_DRAWS", 1)
+        monkeypatch.setattr(streams, "_VECTOR_ROWS", 1)
+        monkeypatch.setattr(sim, "_CHUNK_VALUES", 3 * 23)
+        func = make_worker(worker)
+        setup = trial_setup(scheme=scheme, k=5, n=23, s=4, sigma0=sigma0, lambda_d=1e-6,
+                            lambda_e=1e-3, func=func, f_degree=2 if func.degree is None else None)
+        agg = monte_carlo(setup, 10, 31)
+        monkeypatch.setattr(streams, "_VECTOR_DRAWS", 10**9)
+        monkeypatch.setattr(streams, "_VECTOR_ROWS", 10**9)
+        assert agg.columns == on_empty_memo(monte_carlo, setup, 10, 31).columns
+        for t, metrics in enumerate(agg.metrics):
+            assert metrics == on_empty_memo(run_trial, setup, (31, t))
 
     def test_bacc_chunks_bound_its_decode_weights(self, monkeypatch):
         # bacc's batched decode holds (K, N) weights per trial, so its
         # chunks hold N x K values per trial where letcc's hold N x d
         monkeypatch.setattr(sim, "_CHUNK_VALUES", 2 * 23 * 5)
         for scheme, sizes in (("bacc", [2, 2, 1]), ("letcc", [5])):
-            setup = _setup(scheme, k=5, n=23, s=4, sigma0=0.1)
+            setup = trial_setup(scheme, k=5, n=23, s=4, sigma0=0.1)
             chunks = list(sim._prepare(setup, [(9, t) for t in range(5)]))
             assert [len(chunk.seeds) for chunk in chunks] == sizes
             for t, metrics in enumerate(monte_carlo(setup, 5, 9).metrics):
-                assert metrics == _on_empty_memo(run_trial, setup, (9, t))
+                assert metrics == on_empty_memo(run_trial, setup, (9, t))
 
     def test_lcc_chunks_bound_its_augmented_vandermonde(self, monkeypatch):
         # K = 5 and cubic f: lcc's batched decode factors a (19, 13 + 1)
@@ -578,40 +573,15 @@ class TestMonteCarlo:
             return decode_stack(grid, indices, outputs, f_degree)
 
         monkeypatch.setattr(sim.baselines, "_lcc_decode_stack", counted_stack)
-        setup = _setup("lcc", k=5, n=23, s=4, sigma0=0.1, func=make_worker("cubic"))
+        setup = trial_setup("lcc", k=5, n=23, s=4, sigma0=0.1, func=make_worker("cubic"))
         agg = monte_carlo(setup, 5, 9)
         assert sizes == [2, 2, 1]
         for t, metrics in enumerate(agg.metrics):
-            assert metrics == _on_empty_memo(run_trial, setup, (9, t))
-
-    def test_unused_generators_are_not_built(self, monkeypatch):
-        # the streams requested from the seeder, and the generators built
-        rows, built = [], []
-        states, pcg64 = sim._stream_states, np.random.PCG64
-
-        def counted(entropy_rows):
-            rows.extend(entropy_rows)
-            return states(entropy_rows)
-
-        def counted_pcg64(*args):
-            built.append(args)
-            return pcg64(*args)
-
-        monkeypatch.setattr(sim, "_stream_states", counted)
-        monkeypatch.setattr(np.random, "PCG64", counted_pcg64)
-        quiet = _setup(s=2, mode="fixed", fixed_stragglers=(3, 17), data_rule="identity")
-        monte_carlo(quiet, 5, 0)
-        assert rows == [] and built == []
-        monte_carlo(_setup(sigma0=0.1), 5, 0)
-        assert sorted(rows) == sorted((0, t, stream) for t in range(5)
-                                      for stream in (sim._STREAM_DATA,
-                                                     sim._STREAM_STRAGGLERS,
-                                                     sim._STREAM_NOISE))
-        assert len(built) == 1  # one generator serves every stream of the call
+            assert metrics == on_empty_memo(run_trial, setup, (9, t))
 
     def test_memory_at_65536_workers_does_not_grow_with_trials(self):
         # 8-dimensional inputs: 32 trials' coded values alone take 128 MB
-        setup = _setup(k=8, n=65536, s=64, sigma0=0.1, lambda_d=65536.0 ** -4,
+        setup = trial_setup(k=8, n=65536, s=64, sigma0=0.1, lambda_d=65536.0 ** -4,
                        func=make_worker("tanh_net", d=8, m=2))
         peaks = []
         for trials in (1, 32):
@@ -626,7 +596,7 @@ class TestMonteCarlo:
     def test_risk_trend_improves_with_fewer_stragglers(self):
         means = []
         for s in (32, 24, 16, 8, 0):
-            setup = _setup(k=16, n=64, s=s, lambda_d=64.0**-4, data_rule="identity")
+            setup = trial_setup(k=16, n=64, s=s, lambda_d=64.0**-4, data_rule="identity")
             agg = monte_carlo(setup, trials=200, master_seed=(77, s))
             means.append(agg.mean_mse)
         inversions = sum(b > a for a, b in zip(means, means[1:]))
@@ -651,7 +621,7 @@ class TestMonteCarloLambdas:
         if chunk_values is not None:
             monkeypatch.setattr(sim, "_CHUNK_VALUES", chunk_values)
         kw = {"mode": "fixed", "fixed_stragglers": (0, 7, 8, 22)} if mode == "fixed" else {}
-        setup = _setup(k=5, n=23, s=4, sigma0=0.1, lambda_e=1e-3, func=make_worker(worker),
+        setup = trial_setup(k=5, n=23, s=4, sigma0=0.1, lambda_e=1e-3, func=make_worker(worker),
                        **kw)
         aggs = monte_carlo_lambdas(setup, 7, 31, self.LAMS)
         assert len(aggs) == len(self.LAMS)
@@ -661,7 +631,7 @@ class TestMonteCarloLambdas:
 
     @pytest.mark.parametrize("scheme", ["bacc", "lcc"])
     def test_baselines_take_one_weight(self, scheme):
-        setup = _setup(scheme, k=5, n=23, s=4, sigma0=0.1, func=make_worker("cubic"))
+        setup = trial_setup(scheme, k=5, n=23, s=4, sigma0=0.1, func=make_worker("cubic"))
         (agg,) = monte_carlo_lambdas(setup, 4, 2, (1e-3,))
         assert agg == monte_carlo(setup, 4, 2)
         with pytest.raises(ValueError, match="no decoder weight"):
@@ -669,19 +639,19 @@ class TestMonteCarloLambdas:
 
     def test_weights_are_a_nonempty_sequence(self):
         with pytest.raises(ValueError, match="at least one"):
-            monte_carlo_lambdas(_setup(), 2, 0, ())
+            monte_carlo_lambdas(trial_setup(), 2, 0, ())
         with pytest.raises(TypeError):
-            monte_carlo_lambdas(_setup(), 2, 0, 1e-3)
+            monte_carlo_lambdas(trial_setup(), 2, 0, 1e-3)
 
     def test_zero_trials_raise(self):
         with pytest.raises(ValueError, match="^need at least one trial$"):
-            monte_carlo_lambdas(_setup(), 0, 2, (1e-3,))
+            monte_carlo_lambdas(trial_setup(), 0, 2, (1e-3,))
 
     @pytest.mark.parametrize("lams", [(1e-3, -1.0), (np.inf,), (np.nan, 0.0)])
     def test_bad_weight_raises_before_any_trial(self, lams, monkeypatch):
         monkeypatch.setattr(sim, "_prepare", lambda *a: pytest.fail("a trial was prepared"))
         with pytest.raises(ValueError, match="^lambda_d must be a finite nonnegative real"):
-            monte_carlo_lambdas(_setup(), 2, 0, lams)
+            monte_carlo_lambdas(trial_setup(), 2, 0, lams)
 
     def test_chunks_bound_the_values_of_every_weight(self, monkeypatch):
         # a decode at L weights holds L fits per trial: 2 trials of N x d
@@ -694,11 +664,11 @@ class TestMonteCarloLambdas:
             return decode_stack(grid, indices, outputs, lambdas)
 
         monkeypatch.setattr(sim.coding, "_decode_stack", counted_stack)
-        monte_carlo_lambdas(_setup(k=5, n=23, s=4, sigma0=0.1), 5, 9, (1e-6,) * 5)
+        monte_carlo_lambdas(trial_setup(k=5, n=23, s=4, sigma0=0.1), 5, 9, (1e-6,) * 5)
         assert sizes == [(2, 5), (2, 5), (1, 5)]
 
     def test_memory_at_65536_workers_does_not_grow_with_trials(self):
-        setup = _setup(k=8, n=65536, s=64, sigma0=0.1)
+        setup = trial_setup(k=8, n=65536, s=64, sigma0=0.1)
         lams = tuple(65536.0 ** -4 * 10.0 ** e for e in range(4))
         peaks = []
         for trials in (1, 8):
@@ -709,79 +679,6 @@ class TestMonteCarloLambdas:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 2 * peaks[0]
-
-
-class TestStreamSeeder:
-    # one-word, word-boundary and multi-word entropy values: 2**32 and
-    # 2**64 + 5 take two and three SeedSequence words, 0 takes one
-    VALUES = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 101, 202, 303)
-
-    @pytest.mark.parametrize("vector_rows", [1, 10**9])
-    def test_states_and_draws_equal_trial_rng(self, vector_rows, monkeypatch):
-        # every word count through the vectorised pass, or none of them
-        monkeypatch.setattr(sim, "_VECTOR_ROWS", vector_rows)
-        rng = np.random.default_rng(11)
-        # and a row of 71 words, with its own table of hash constants
-        rows = [(0,), (2**32 - 1,), (2**32,), (2**64 + 5,), (0,) * 6, (2**32,) * 3,
-                (2**(32 * 70) + 9, 3)]
-        for width in range(1, 7):
-            for _ in range(30):
-                rows.append(tuple(int(rng.choice(self.VALUES)) if rng.random() < 0.5
-                                  else int(rng.integers(2**32)) for _ in range(width)))
-        assert {len(sim._words(row)) for row in rows} >= set(range(1, 7))
-        states = sim._stream_states(rows)  # all widths in one call
-        gen = np.random.Generator(np.random.PCG64())
-        for row, halves in zip(rows, states.tolist(), strict=True):
-            state = sim._state_dict(*halves)
-            reference = trial_rng(row[:-1], row[-1])
-            assert state == reference.bit_generator.state
-            gen.bit_generator.state = state
-            assert np.array_equal(gen.random(4), reference.random(4))
-            assert np.array_equal(gen.normal(size=3), reference.normal(size=3))
-
-    def test_negative_entropy_raises_as_trial_rng(self, monkeypatch):
-        # a seed entry from outside is refused by the seed rule, naming the
-        # seed; an internal entropy row, by the seeder, as numpy refuses it
-        with pytest.raises(ValueError) as reference:
-            trial_rng((5, -1), 101)
-        assert str(reference.value) == "seed must be a nonnegative integer, got -1"
-        with pytest.raises(ValueError) as got:
-            monte_carlo(_setup(), 2, (5, -1))
-        assert str(got.value) == str(reference.value)
-        with pytest.raises(ValueError) as got:
-            monte_carlo(_setup(), 2, -3)
-        assert str(got.value) == "seed must be a nonnegative integer, got -3"
-        with pytest.raises(ValueError) as numpy_refusal:
-            np.random.default_rng([5, -1, 101])
-        for vector_rows in (1, 10**9):
-            monkeypatch.setattr(sim, "_VECTOR_ROWS", vector_rows)
-            with pytest.raises(ValueError) as got:
-                sim._stream_states([(7, 0, 303), (5, -1, 101)])
-            assert str(got.value) == str(numpy_refusal.value)
-
-    @pytest.mark.parametrize("stragglers", [
-        {"s": 4},
-        {"s": 4, "mode": "fixed", "fixed_stragglers": (0, 7, 8, 22)},
-        {"s": 0},
-    ])
-    @pytest.mark.parametrize("chunk_values", [None, 2 * 23])
-    def test_trials_draw_their_own_streams(self, chunk_values, stragglers, monkeypatch):
-        # a trial's data and stragglers are those of trial_rng on its seed,
-        # whatever chunk it is prepared in
-        if chunk_values is not None:  # two trials per prepared chunk
-            monkeypatch.setattr(sim, "_CHUNK_VALUES", chunk_values)
-        setup = _setup(k=5, n=23, sigma0=0.1, **stragglers)
-        chunks = list(sim._prepare(setup, [(9, t) for t in range(5)]))
-        assert [len(chunk.seeds) for chunk in chunks] == ([5] if chunk_values is None
-                                                         else [2, 2, 1])
-        trials = [(chunk, i) for chunk in chunks for i in range(len(chunk.seeds))]
-        for t, (chunk, i) in enumerate(trials):
-            inputs = trial_rng((9, t), sim._STREAM_DATA).uniform(-1.0, 1.0, (5, 1))
-            survivors = sample_stragglers(setup.stragglers,
-                                          trial_rng((9, t), sim._STREAM_STRAGGLERS))
-            assert chunk.seeds[i] == (9, t)
-            assert np.array_equal(chunk.indices[i], survivors)
-            assert np.array_equal(chunk.truth[i], setup.func.evaluate(inputs))
 
 
 def _chunk_sizes(setup, trials, weights=1):
@@ -795,249 +692,63 @@ class TestChunkSplit:
 
     def test_mc_small_lcc_call_splits_evenly(self):
         # K = 8 and cubic f: N x 23 values a trial, 44 trials a chunk at most
-        setup = _setup("lcc", k=8, n=64, s=8, sigma0=0.1, func=make_worker("cubic"))
+        setup = trial_setup("lcc", k=8, n=64, s=8, sigma0=0.1, func=make_worker("cubic"))
         assert _chunk_sizes(setup, 50) == [25, 25]
         for t, metrics in enumerate(monte_carlo(setup, 50, 9).metrics):
-            assert metrics == _on_empty_memo(run_trial, setup, (9, t))
+            assert metrics == on_empty_memo(run_trial, setup, (9, t))
 
     def test_crossval_noisy_call_splits_evenly(self):
         # N = 256 values a trial at each of 14 weights: 18 trials a chunk at most
-        setup = _setup(k=16, n=256, s=32, sigma0=0.1)
+        setup = trial_setup(k=16, n=256, s=32, sigma0=0.1)
         lams = tuple(10.0 ** -e for e in range(13, -1, -1))
         assert _chunk_sizes(setup, 20, len(lams)) == [10, 10]
         aggs = monte_carlo_lambdas(setup, 20, 9, lams)
         for lam, agg in zip(lams, aggs):
             at_weight = replace(setup, lambda_d=lam)
             for t, metrics in enumerate(agg.metrics):
-                assert metrics == _on_empty_memo(run_trial, at_weight, (9, t))
+                assert metrics == on_empty_memo(run_trial, at_weight, (9, t))
 
     def test_nine_trials_at_a_bound_of_eight(self, monkeypatch):
         monkeypatch.setattr(sim, "_CHUNK_VALUES", 8 * 24)
-        setup = _setup(sigma0=0.1)
+        setup = trial_setup(sigma0=0.1)
         assert _chunk_sizes(setup, 9) == [5, 4]
         for t, metrics in enumerate(monte_carlo(setup, 9, 9).metrics):
-            assert metrics == _on_empty_memo(run_trial, setup, (9, t))
+            assert metrics == on_empty_memo(run_trial, setup, (9, t))
 
     @pytest.mark.parametrize("bound", [1, 2, 3, 5, 8])
     def test_sizes_within_one_larger_first(self, bound, monkeypatch):
         monkeypatch.setattr(sim, "_CHUNK_VALUES", bound * 24)
-        setup = _setup(s=2, mode="fixed", fixed_stragglers=(3, 17), data_rule="identity")
+        setup = trial_setup(s=2, mode="fixed", fixed_stragglers=(3, 17), data_rule="identity")
         for trials in range(1, 18):
             sizes = _chunk_sizes(setup, trials)
             assert sum(sizes) == trials and len(sizes) == -(-trials // bound)
             assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
 
 
-def _zero_worker(m):
-    return WorkerFunction(f"zero_{m}", lambda x: np.zeros((len(x), m)), 1, m,
-                          elementwise=True)
-
-
-class TestNoiseBuffer:
-    # each trial's noise is drawn into one buffer of the chunk and scaled
-    # once, bit for bit what normal(0.0, sigma0) draws on its stream
-
-    @pytest.mark.parametrize("trials", [1, sim._VECTOR_DRAWS + 1])
-    @pytest.mark.parametrize("m", [1, 3])
-    @pytest.mark.parametrize("sigma0", [1e-300, 0.1, 3.0])
-    def test_chunk_noise_equals_normal(self, sigma0, m, trials):
-        # f = 0, so a survivor's output is its noise alone
-        setup = _setup(k=5, n=23, s=4, sigma0=sigma0, func=_zero_worker(m))
-        chunk, = sim._prepare(setup, [(4, t) for t in range(trials)])
-        assert len(chunk.seeds) == trials
-        for seed, outputs in zip(chunk.seeds, chunk.outputs):
-            noise = trial_rng(seed, sim._STREAM_NOISE).normal(0.0, sigma0, (19, m))
-            assert outputs.tobytes() == noise.tobytes()
-
-    @pytest.mark.parametrize("trials", [1, sim._VECTOR_DRAWS + 1])
-    @pytest.mark.parametrize("sigma0", [1e-300, 0.1, 3.0])
-    def test_tanh_net_chunk_adds_normal(self, sigma0, trials):
-        # m = 3 outputs of a worker called once per trial
-        setup = _setup(k=5, n=23, s=4, sigma0=sigma0, func=make_worker("tanh_net"))
+@pytest.mark.parametrize("func", [zero_worker(1), zero_worker(3), make_worker("tanh_net")],
+                         ids=lambda func: func.name)
+@pytest.mark.parametrize("sigma0", [1e-300, 0.1, 3.0])
+def test_noise_adds_what_normal_draws(sigma0, func, rng):
+    # chunks of one and nine trials, and apply_workers: f plus, bit for bit,
+    # normal(0.0, sigma0) on the trial's noise stream
+    setup = trial_setup(k=5, n=23, s=4, sigma0=sigma0, func=func)
+    for trials in (1, 9):
         seeds = [(4, t) for t in range(trials)]
         chunk, = sim._prepare(setup, seeds)
         clean, = sim._prepare(replace(setup, noise=NoiseModel(0.0)), seeds)
-        for seed, outputs, values in zip(seeds, chunk.outputs, clean.outputs):
-            noise = trial_rng(seed, sim._STREAM_NOISE).normal(0.0, sigma0, (19, 3))
+        for seed, outputs, values in zip(seeds, chunk.outputs, clean.outputs, strict=True):
+            noise = trial_rng(seed, streams._NOISE).normal(0.0, sigma0, (19, func.out_dim))
             assert outputs.tobytes() == (values + noise).tobytes()
-
-    @pytest.mark.parametrize("m", [1, 3])
-    @pytest.mark.parametrize("sigma0", [1e-300, 0.1, 3.0])
-    def test_apply_workers_noise_equals_normal(self, sigma0, m, rng):
-        grid = chebyshev_grid(4, 16)
-        batch = CodedBatch(coded=rng.uniform(-1, 1, (16, 1)), encoder_fit=None, grid=grid)
-        survivors = np.array([0, 3, 4, 9, 15])
-        returns = apply_workers(_zero_worker(m), batch, NoiseModel(sigma0), survivors,
-                                trial_rng(4, sim._STREAM_NOISE))
-        noise = trial_rng(4, sim._STREAM_NOISE).normal(0.0, sigma0, (5, m))
-        assert returns.outputs.tobytes() == noise.tobytes()
-
-    @pytest.mark.parametrize("sigma0", [1e-300, 0.1, 3.0])
-    def test_tanh_net_apply_workers_adds_normal(self, sigma0, rng):
-        grid = chebyshev_grid(4, 16)
-        survivors = np.array([0, 3, 4, 9, 15])
-        func = make_worker("tanh_net")
-        batch = CodedBatch(coded=rng.uniform(-1, 1, (16, 4)), encoder_fit=None, grid=grid)
-        returns = apply_workers(func, batch, NoiseModel(sigma0), survivors,
-                                trial_rng(4, sim._STREAM_NOISE))
-        noise = trial_rng(4, sim._STREAM_NOISE).normal(0.0, sigma0, (5, 3))
-        expected = func.evaluate(batch.coded[survivors]) + noise
-        assert returns.outputs.tobytes() == expected.tobytes()
+    batch = CodedBatch(coded=rng.uniform(-1, 1, (16, func.in_dim)), encoder_fit=None,
+                       grid=chebyshev_grid(4, 16))
+    survivors = np.array([0, 3, 4, 9, 15])
+    returns = apply_workers(func, batch, NoiseModel(sigma0), survivors,
+                            trial_rng(4, streams._NOISE))
+    noise = trial_rng(4, streams._NOISE).normal(0.0, sigma0, (5, func.out_dim))
+    assert returns.outputs.tobytes() == (func.evaluate(batch.coded[survivors]) + noise).tobytes()
 
 
-def _floyd_reference(words, n, s):
-    """``choice(n, s, replace=False)``'s set by Floyd's draws on 32-bit ``words``.
-
-    Each draw on [0, j] takes Lemire's method, drawing again where it
-    rejects a word; also gives whether any word was rejected.
-    """
-    words = iter(np.asarray(words).tolist())  # Python ints: exact products
-    chosen, rejected = set(), False
-    for j in range(n - s, n):
-        value = 0
-        while j:  # a draw on [0, 0] reads no word
-            scaled = next(words) * (j + 1)
-            if scaled & 0xFFFFFFFF >= 2**32 % (j + 1):
-                value = scaled >> 32
-                break
-            rejected = True
-        chosen.add(j if value in chosen else value)
-    return chosen, rejected
-
-
-def _raw_words(seed, count):
-    """The first ``count`` 32-bit words of trial ``seed``'s stragglers stream, low half first."""
-    raw = trial_rng(seed, sim._STREAM_STRAGGLERS).bit_generator.random_raw((count + 1) // 2)
-    return np.stack([raw & 0xFFFFFFFF, raw >> np.uint64(32)], axis=1).reshape(-1)[:count]
-
-
-class TestChunkDraws:
-    # a chunk of at least _VECTOR_DRAWS trials draws its data and
-    # stragglers from its streams' first PCG64 outputs, as numpy would
-
-    @pytest.mark.parametrize("count", [1, 2, 8, 33])
-    def test_pcg64_outputs_equal_random_raw(self, count, monkeypatch):
-        monkeypatch.setattr(sim, "_CHUNK_VALUES", 3 * count)  # blocks of three rows
-        rng = np.random.default_rng(4)
-        rows = [tuple(int(v) for v in rng.integers(2**32, size=3)) for _ in range(13)]
-        outputs = sim._pcg64_outputs(sim._stream_states(rows), count)
-        for row, got in zip(rows, outputs, strict=True):
-            assert np.array_equal(got, np.random.default_rng(row).bit_generator.random_raw(count))
-
-    @pytest.mark.parametrize("n, s", [
-        # numpy's branch boundary: Floyd up to n = 10000, or s <= n // 50
-        (10000, 199), (10000, 200), (10000, 201), (10001, 199), (10001, 200),
-        (64, 0), (64, 1), (64, 63), (64, 64), (1, 1), (2, 2),
-        (2**20, 1000), (2**20, 2**20 // 50), (2**31 - 1, 8), (2**32 - 1, 5),
-        (2**31 + 2**30, 2),  # a draw on [0, j] rejects a word with chance ~1/4
-    ])
-    def test_floyd_sets_equal_choice(self, n, s):
-        seeds = [(13, t) for t in range(16)]
-        width = sim._floyd_words(n, s)
-        assert width == s - (n == s > 0)
-        words = np.array([_raw_words(seed, width) for seed in seeds]).reshape(len(seeds), width)
-        sets, drawn = sim._floyd_sets(words, n, s)
-        assert sets.shape == (len(seeds), s)
-        for t, seed in enumerate(seeds):
-            choice = trial_rng(seed, sim._STREAM_STRAGGLERS).choice(n, size=s, replace=False)
-            reference, rejected = _floyd_reference(_raw_words(seed, width + 64), n, s)
-            assert reference == set(choice.tolist())
-            assert drawn[t] == (not rejected)
-            if drawn[t]:
-                assert sorted(sets[t].tolist()) == sorted(reference)
-        if n == 2**31 + 2**30:  # trials of both kinds
-            assert 0 < drawn.sum() < len(seeds)
-        elif n * s < 2**26:  # a rejection has chance below n * s / 2**33
-            assert drawn.all()
-
-    @pytest.mark.parametrize("n, s", [(10001, 201), (2**32, 1), (2**40, 3)])
-    def test_floyd_words_refuse_what_choice_shuffles_or_draws_wide(self, n, s):
-        assert sim._floyd_words(n, s) is None
-
-    @pytest.mark.parametrize("n, s", [(10000, 199), (10000, 201), (10001, 200), (10001, 201),
-                                      (24, 0), (24, 1), (24, 23)])
-    def test_chunk_straggler_sets_equal_choice(self, n, s, monkeypatch):
-        monkeypatch.setattr(sim, "_VECTOR_DRAWS", 1)
-        setup = _setup(k=4, n=n, s=s, sigma0=0.1)
-        seeds = [(21, t) for t in range(9)]
-        indices = np.concatenate([chunk.indices for chunk in sim._prepare(setup, seeds)])
-        for got, seed in zip(indices, seeds, strict=True):
-            want = sample_stragglers(setup.stragglers, trial_rng(seed, sim._STREAM_STRAGGLERS))
-            assert np.array_equal(got, want)
-
-    def test_a_rejected_draw_takes_choice(self, monkeypatch):
-        # trials whose words the set helper refuses draw by choice on their
-        # own stream; the refused rows' sets are never read
-        floyd_sets = sim._floyd_sets
-
-        def refusing(words, n, s):
-            sets, drawn = floyd_sets(words, n, s)
-            sets[1::3], drawn[1::3] = -1, False
-            return sets, drawn
-
-        monkeypatch.setattr(sim, "_floyd_sets", refusing)
-        monkeypatch.setattr(sim, "_VECTOR_DRAWS", 1)
-        setup = _setup(k=5, n=23, s=4, sigma0=0.1)
-        agg = monte_carlo(setup, 10, 8)
-        (chunk,) = sim._prepare(setup, [(8, t) for t in range(10)])
-        for t in range(10):
-            want = sample_stragglers(setup.stragglers, trial_rng((8, t), sim._STREAM_STRAGGLERS))
-            assert np.array_equal(chunk.indices[t], want)
-            assert agg.metrics[t] == _on_empty_memo(run_trial, setup, (8, t))
-
-    # each stream's jump-ahead pass runs at its own output count, as
-    # (rows, count): K = 5 data values and S = 4 stragglers (2 outputs) a
-    # trial take two passes, K = 4 and S = 8 (4 outputs each) one
-    @pytest.mark.parametrize("k, s, want", [(5, 4, [(6, 5), (6, 2)]), (4, 8, [(12, 4)])])
-    def test_streams_take_one_pass_per_output_count(self, k, s, want, monkeypatch):
-        passes, outputs = [], sim._pcg64_outputs
-
-        def counted(states, count):
-            passes.append((len(states), count))
-            return outputs(states, count)
-
-        monkeypatch.setattr(sim, "_pcg64_outputs", counted)
-        monkeypatch.setattr(sim, "_VECTOR_DRAWS", 1)
-        setup = _setup(k=k, n=23, s=s, sigma0=0.1)
-        (chunk,) = sim._prepare(setup, [(9, t) for t in range(6)])
-        assert passes == want
-        for t in range(6):
-            inputs = trial_rng((9, t), sim._STREAM_DATA).uniform(-1.0, 1.0, (k, 1))
-            survivors = sample_stragglers(setup.stragglers,
-                                          trial_rng((9, t), sim._STREAM_STRAGGLERS))
-            assert np.array_equal(chunk.indices[t], survivors)
-            assert np.array_equal(chunk.truth[t], setup.func.evaluate(inputs))
-
-    @pytest.mark.parametrize("worker", ["affine", "tanh_net"])
-    def test_uniform_inputs_equal_trial_rng(self, worker, monkeypatch):
-        monkeypatch.setattr(sim, "_VECTOR_DRAWS", 1)
-        func = make_worker(worker)  # tanh_net takes d = 4 inputs
-        setup = _setup(k=6, n=23, s=3, func=func)
-        chunks = list(sim._prepare(setup, [(17, t) for t in range(9)]))
-        truth = np.concatenate([chunk.truth for chunk in chunks])
-        for t in range(9):
-            inputs = trial_rng((17, t), sim._STREAM_DATA).uniform(-1.0, 1.0, (6, func.in_dim))
-            assert np.array_equal(truth[t], func.evaluate(inputs))
-
-    @pytest.mark.parametrize("sigma0", [0.0, 0.1])
-    @pytest.mark.parametrize("worker", sorted(sim.WORKER_FUNCTIONS))
-    @pytest.mark.parametrize("scheme", sim.SCHEMES)
-    def test_vectorised_draws_at_every_chunk_size_equal_run_trial(self, scheme, worker, sigma0,
-                                                                   monkeypatch):
-        # chunks of 3, 3, 2 and 2 trials, each seeded and drawn vectorised
-        monkeypatch.setattr(sim, "_VECTOR_DRAWS", 1)
-        monkeypatch.setattr(sim, "_VECTOR_ROWS", 1)
-        monkeypatch.setattr(sim, "_CHUNK_VALUES", 3 * 23)
-        func = make_worker(worker)
-        setup = _setup(scheme=scheme, k=5, n=23, s=4, sigma0=sigma0, lambda_d=1e-6,
-                       lambda_e=1e-3, func=func, f_degree=2 if func.degree is None else None)
-        agg = monte_carlo(setup, 10, 31)
-        monkeypatch.setattr(sim, "_VECTOR_DRAWS", 10**9)
-        monkeypatch.setattr(sim, "_VECTOR_ROWS", 10**9)
-        assert agg.columns == monte_carlo(setup, 10, 31).columns
-        for t, metrics in enumerate(agg.metrics):
-            assert metrics == _on_empty_memo(run_trial, setup, (31, t))
-
+class TestStackedWorkers:
     def test_elementwise_builtins_stack_bit_for_bit(self):
         declared = {name for name in sim.WORKER_FUNCTIONS if make_worker(name).elementwise}
         assert declared == {"affine", "sin_pi", "cubic", "softplus"}
@@ -1057,180 +768,12 @@ class TestChunkDraws:
         cubic = make_worker("cubic")
         func = WorkerFunction("counted_cubic", lambda x: rows.append(len(x)) or cubic.fn(x),
                               1, 1, degree=3, elementwise=True)
-        setup = _setup(scheme, k=8, n=24, s=4, sigma0=0.1, lambda_e=1e-3, func=func)
+        setup = trial_setup(scheme, k=8, n=24, s=4, sigma0=0.1, lambda_e=1e-3, func=func)
         agg = monte_carlo(setup, 5, 3)
         # survivors, inputs and, for letcc, the encoder's knot values
         assert sorted(rows) == sorted([5 * 20, 5 * 8] + ([5 * 8] if scheme == "letcc" else []))
         for t, metrics in enumerate(agg.metrics):
-            assert metrics == _on_empty_memo(run_trial, setup, (3, t))
-
-
-def _counted_draws(monkeypatch) -> tuple[list, list]:
-    """The trial counts of every chunk asked for draws, and of every one drawn afresh."""
-    asked, drawn = [], []
-    chunk_draws, fresh_draws = sim._chunk_draws, sim._fresh_draws
-    monkeypatch.setattr(sim, "_chunk_draws", lambda setup, chunk: (
-        asked.append(len(chunk)) or chunk_draws(setup, chunk)))
-    monkeypatch.setattr(sim, "_fresh_draws", lambda setup, chunk: (
-        drawn.append(len(chunk)) or fresh_draws(setup, chunk)))
-    return asked, drawn
-
-
-class TestDrawMemo:
-    # the draws of the chunk drawn last are kept, and a chunk on a
-    # contiguous run of its seeds with the same draw key takes their slices
-
-    @pytest.mark.parametrize("sigma0", [0.0, 0.1])
-    def test_schemes_in_turn_equal_each_on_an_empty_memo(self, sigma0, monkeypatch):
-        asked, drawn = _counted_draws(monkeypatch)
-        setups = [_setup(scheme, k=8, n=64, s=8, sigma0=sigma0, lambda_d=64.0 ** -4,
-                         func=make_worker("cubic")) for scheme in sim.SCHEMES]
-        paired = [monte_carlo(setup, 50, 5) for setup in setups]
-        # letcc draws its one chunk of 50; bacc's chunk and lcc's 25 + 25 are its slices
-        assert asked == [50, 50, 25, 25] and drawn == [50]
-        inside = [run_trial(setup, (5, 30)) for setup in setups]
-        assert drawn == [50]
-        prefix = monte_carlo(setups[2], 20, 5)
-        assert drawn == [50]
-        outside = [run_trial(setup, (5, 50)) for setup in setups]
-        assert drawn == [50, 1]
-        for setup, agg, trial, late in zip(setups, paired, inside, outside, strict=True):
-            assert agg.columns == _on_empty_memo(monte_carlo, setup, 50, 5).columns
-            assert trial == agg.metrics[30] == _on_empty_memo(run_trial, setup, (5, 30))
-            assert late == _on_empty_memo(run_trial, setup, (5, 50))
-        assert prefix.columns == _on_empty_memo(monte_carlo, setups[2], 20, 5).columns
-
-    def test_runs_that_are_not_contiguous_in_the_stored_seeds_miss(self, monkeypatch):
-        asked, drawn = _counted_draws(monkeypatch)
-        setup = _setup(k=5, n=23, s=4, sigma0=0.1)
-        monte_carlo(setup, 10, 3)
-        chunk, = sim._prepare(setup, [(3, 2), (3, 4)])
-        later, = sim._prepare(setup, [(3, 9), (3, 10)])
-        assert drawn == [10, 2, 2]
-        for got, seeds in ((chunk, [(3, 2), (3, 4)]), (later, [(3, 9), (3, 10)])):
-            sim._last_draws = None
-            want, = sim._prepare(setup, seeds)
-            assert np.array_equal(got.outputs, want.outputs)
-            assert np.array_equal(got.truth, want.truth)
-
-    @pytest.mark.parametrize("first, second", [
-        (dict(s=4), dict(s=5)),
-        (dict(s=2), dict(s=2, mode="fixed", fixed_stragglers=(0, 7))),
-        (dict(s=2, mode="fixed", fixed_stragglers=(0, 7)),
-         dict(s=2, mode="fixed", fixed_stragglers=(1, 7))),
-        (dict(func=make_worker("tanh_net", d=2, m=2)),
-         dict(func=make_worker("tanh_net", d=3, m=2))),
-        (dict(func=make_worker("tanh_net", d=2, m=2)),
-         dict(func=make_worker("tanh_net", d=2, m=3))),
-        (dict(sigma0=0.0), dict(sigma0=0.1)),
-        (dict(sigma0=0.1), dict(sigma0=0.0)),
-        (dict(data_rule="uniform"), dict(data_rule="identity")),
-        (dict(data=Dataset(np.linspace(-0.5, 0.5, 6)[:, None])),
-         dict(data=Dataset(np.linspace(-0.5, 0.6, 6)[:, None]))),
-        (dict(data=Dataset(np.linspace(-0.5, 0.5, 6)[:, None])), dict(data_rule="uniform")),
-    ])
-    @pytest.mark.parametrize("scheme", ["letcc", "bacc"])
-    def test_each_key_field_misses_when_it_changes(self, scheme, first, second, monkeypatch):
-        _, drawn = _counted_draws(monkeypatch)
-        setups = [_setup(scheme, k=6, n=23, **({"sigma0": 0.1} | kw))
-                  for kw in (first, second)]
-        monte_carlo(setups[0], 9, 4)
-        agg = monte_carlo(setups[1], 9, 4)
-        assert drawn == [9, 9]
-        assert agg.columns == _on_empty_memo(monte_carlo, setups[1], 9, 4).columns
-
-    def test_identity_data_on_grids_of_other_alphas_misses(self, monkeypatch):
-        _, drawn = _counted_draws(monkeypatch)
-        betas = chebyshev_grid(6, 23).betas
-        grids = [chebyshev_grid(6, 23), InterpolationGrid(np.linspace(-0.9, 0.9, 6), betas),
-                 InterpolationGrid(np.linspace(-0.9, 0.9, 6), betas)]
-        setups = [replace(_setup(k=6, n=23, sigma0=0.1, data_rule="identity"), grid=grid)
-                  for grid in grids]
-        aggs = [monte_carlo(setup, 9, 4) for setup in setups]
-        assert drawn == [9, 9]  # the third grid has the second's alphas
-        for setup, agg in zip(setups, aggs):
-            assert agg.columns == _on_empty_memo(monte_carlo, setup, 9, 4).columns
-
-    def test_a_write_into_the_callers_array_leaves_the_trials(self, monkeypatch):
-        # a Dataset keeps a read-only copy, so it keys the memo by itself
-        _, drawn = _counted_draws(monkeypatch)
-        inputs = np.linspace(-0.5, 0.5, 6)[:, None]
-        setup = _setup(k=6, n=23, sigma0=0.1, data=Dataset(inputs))
-        before = monte_carlo(setup, 9, 4)
-        inputs[2] = 0.9
-        agg = monte_carlo(setup, 9, 4)
-        assert drawn == [9]
-        unwritten = _setup(k=6, n=23, sigma0=0.1, data=Dataset(np.linspace(-0.5, 0.5, 6)[:, None]))
-        assert agg.columns == before.columns == _on_empty_memo(monte_carlo, unwritten, 9, 4).columns
-        assert not setup.data.inputs.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            setup.data.inputs[2] = 0.9
-
-    def test_stored_and_sliced_draws_are_read_only(self):
-        setup = _setup(k=5, n=23, s=4, sigma0=0.1)
-        seeds = [(6, t) for t in range(9)]
-        drawn = sim._chunk_draws(setup, seeds)
-        sliced = sim._chunk_draws(setup, seeds[3:7])
-        stored = sim._last_draws[3:]
-        assert len(drawn) == len(sliced) == len(stored) == 3
-        for arrays in (drawn, sliced, stored):
-            for array in arrays:
-                assert not array.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    array[...] = 0.0
-        for whole, part in zip(drawn, sliced):
-            assert np.shares_memory(whole, part) and np.array_equal(whole[3:7], part)
-
-    def test_noise_levels_on_one_entry_scale_the_same_normals(self, monkeypatch):
-        _, drawn = _counted_draws(monkeypatch)
-        seeds = [(4, t) for t in range(9)]
-        chunks = [next(sim._prepare(_setup(k=5, n=23, s=4, sigma0=sigma0,
-                                           func=_zero_worker(2)), seeds))
-                  for sigma0 in (0.1, 0.3)]
-        assert drawn == [9]
-        normals = sim._last_draws[-1]
-        for sigma0, chunk in zip((0.1, 0.3), chunks):
-            assert chunk.outputs.tobytes() == (normals * sigma0 + 0.0).tobytes()
-            for seed, outputs in zip(seeds, chunk.outputs):
-                noise = trial_rng(seed, sim._STREAM_NOISE).normal(0.0, sigma0, (19, 2))
-                assert outputs.tobytes() == noise.tobytes()
-
-    def test_memo_holds_one_chunk(self, monkeypatch):
-        # 50 lcc trials at K = 8, N = 64 run as 25 + 25: the slot keeps the second
-        _, drawn = _counted_draws(monkeypatch)
-        setup = _setup("lcc", k=8, n=64, s=8, sigma0=0.1, func=make_worker("cubic"))
-        monte_carlo(setup, 50, 2)
-        assert drawn == [25, 25]
-        key, _, seeds, inputs, indices, normals = sim._last_draws
-        assert seeds == [(2, t) for t in range(25, 50)]
-        assert (inputs.shape, indices.shape, normals.shape) == ((25, 8, 1), (25, 56), (25, 56, 1))
-
-    def test_threads_sharing_the_slot_get_their_own_draws(self):
-        # calls of two draw keys and two seeds in turn, on more threads than
-        # cores, each equal to its call on an empty memo
-        setups = [_setup(scheme, k=6, n=23, s=s, sigma0=0.1, func=make_worker("cubic"))
-                  for scheme in ("letcc", "lcc") for s in (3, 4)]
-        calls = [(setup, seed) for setup in setups for seed in (1, 2)]
-        want = [_on_empty_memo(monte_carlo, setup, 9, seed).columns for setup, seed in calls]
-        wrong, switch = [], sys.getswitchinterval()
-
-        def work(offset):
-            for i in range(3 * len(calls)):
-                j = (i + offset) % len(calls)
-                if monte_carlo(calls[j][0], 9, calls[j][1]).columns != want[j]:
-                    wrong.append(j)
-
-        threads = [threading.Thread(target=work, args=(offset,)) for offset in range(4)]
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(switch)
-        assert not any(thread.is_alive() for thread in threads)
-        assert wrong == []
+            assert metrics == on_empty_memo(run_trial, setup, (3, t))
 
 
 class TestInputRules:
@@ -1242,7 +785,7 @@ class TestInputRules:
         func = WorkerFunction("counted_cubic", lambda x: rows.append(len(x)) or cubic.fn(x),
                               1, 1, degree=3)
         data = Dataset(np.linspace(-0.9, 0.8, 8)[:, None]) if rule == "given" else None
-        setup = _setup(scheme, k=8, n=24, s=4, sigma0=0.1, lambda_e=1e-3, lambda_d=1e-5,
+        setup = trial_setup(scheme, k=8, n=24, s=4, sigma0=0.1, lambda_e=1e-3, lambda_d=1e-5,
                        func=func, data=data,
                        data_rule="identity" if rule == "identity" else "uniform")
         agg = monte_carlo(setup, 5, 3)
@@ -1250,7 +793,21 @@ class TestInputRules:
         # knot values), then at its 20 survivors
         assert sorted(rows) == [8] * 5 * (2 if scheme == "letcc" else 1) + [20] * 5
         for t, metrics in enumerate(agg.metrics):
-            assert metrics == _on_empty_memo(run_trial, setup, (3, t))
+            assert metrics == on_empty_memo(run_trial, setup, (3, t))
+
+    def test_a_write_into_the_callers_array_leaves_the_trials(self):
+        # a Dataset keeps a read-only copy, stacked into every chunk
+        inputs = np.linspace(-0.5, 0.5, 6)[:, None]
+        setup = trial_setup(k=6, n=23, sigma0=0.1, data=Dataset(inputs))
+        before = monte_carlo(setup, 9, 4)
+        inputs[2] = 0.9
+        agg = monte_carlo(setup, 9, 4)
+        unwritten = trial_setup(k=6, n=23, sigma0=0.1,
+                                data=Dataset(np.linspace(-0.5, 0.5, 6)[:, None]))
+        assert agg.columns == before.columns == on_empty_memo(monte_carlo, unwritten, 9, 4).columns
+        assert not setup.data.inputs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            setup.data.inputs[2] = 0.9
 
 
 class TestNonFiniteValues:
@@ -1269,7 +826,7 @@ class TestNonFiniteValues:
             return np.where(at_alphas if where == "alphas" else ~at_alphas, np.nan, x**3)
 
         func = WorkerFunction("nan_cubic", fn, 1, 1, degree=3)
-        setup = _setup(scheme, k=8, n=24, s=4, func=func, data_rule="identity")
+        setup = trial_setup(scheme, k=8, n=24, s=4, func=func, data_rule="identity")
         with pytest.raises(ValueError, match=message + " non-finite values"):
             monte_carlo(setup, 3, 0)
         with pytest.raises(ValueError, match=message + " non-finite values"):
@@ -1287,7 +844,7 @@ class TestNonFiniteValues:
                                                                              keepdims=True),
                             np.nan, x**3)
 
-        setup = _setup(k=8, n=24, s=4, lambda_e=1e-3, data=data,
+        setup = trial_setup(k=8, n=24, s=4, lambda_e=1e-3, data=data,
                        func=WorkerFunction("nan_cubic", fn, 1, 1))
         message = r"through-encoder values f\(u_enc\(alpha_k\)\) contain non-finite values"
         with pytest.raises(ValueError, match=message):
@@ -1299,7 +856,7 @@ class TestNonFiniteValues:
     @pytest.mark.parametrize("scheme", sim.SCHEMES)
     def test_non_finite_risk_raises_naming_scheme_and_seed(self, scheme):
         # worker noise of 1e200 overflows the squared error to inf
-        setup = _setup(scheme, sigma0=1e200, lambda_d=1e-6, func=make_worker("cubic"))
+        setup = trial_setup(scheme, sigma0=1e200, lambda_d=1e-6, func=make_worker("cubic"))
         with pytest.raises(ValueError, match=rf"^{scheme} trial with seed \(4,\) has "
                                              r"non-finite risk (inf|nan)$"):
             run_trial(setup, 4)

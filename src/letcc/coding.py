@@ -37,7 +37,8 @@ once, with the same arithmetic per set as on its own.
 Every decode runs through one body on a stack of T trials' survivors,
 all of one count (uniform and fixed stragglers both leave N - S), at L
 decoder weights.  It builds the T interleaved band systems of a weight in
-one set of array operations and solves them one LAPACK call per trial
+one set of array operations and solves them as one block-diagonal band,
+one LAPACK call per weight, with each trial's bits
 (:func:`letcc.spline.NaturalSplineBasis` on a (T, n) knot stack); the
 weights share the basis and its lambda-free band entries, and one set of
 stacked evaluation weights takes all L x T fits to the alphas, for one
@@ -50,7 +51,8 @@ callers and the only place a :class:`DecodeResult` and its
 ``indices`` and ``outputs`` arrays alike, take the one check and sort of
 :func:`normalize_survivors`.  Each trial's estimates at
 each weight equal its own :func:`decode` bit for bit: every operation is
-elementwise across trials and weights, or runs per trial.
+elementwise across trials and weights, or runs per trial, or is the band
+solve, where no entry of one trial's block reaches another's.
 """
 
 from __future__ import annotations

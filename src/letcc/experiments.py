@@ -21,6 +21,9 @@ from .sim import (
     NoiseModel,
     StragglerModel,
     TrialSetup,
+    _data_rule,
+    _scheme,
+    _worker_name,
     monte_carlo,
     monte_carlo_lambdas,
     worker_for,
@@ -67,9 +70,15 @@ DEFAULT_LAMBDA_GRID = tuple(10.0 ** -e for e in range(13, -1, -1))
 MSE_FLOOR = 1e-18
 
 
+def _lambda_rule(name, what: str) -> str:
+    """``name`` if it is one of ``LAMBDA_RULES``, a string named ``what`` in errors."""
+    if _string(name, what) not in LAMBDA_RULES:
+        raise ValueError(f"unknown lambda_d rule {name!r}; choices: {sorted(LAMBDA_RULES)}")
+    return name
+
+
 def _resolve_lambda_d(rule: str, scale: float, n: int, s: int) -> float:
-    if rule not in LAMBDA_RULES:
-        raise ValueError(f"unknown lambda_d rule {rule!r}; choices: {sorted(LAMBDA_RULES)}")
+    """lambda_d at (N, S) by ``rule``, which its config has checked, times ``scale``."""
     return scale * LAMBDA_RULES[rule](n, s)
 
 
@@ -77,15 +86,18 @@ def _resolve_lambda_d(rule: str, scale: float, n: int, s: int) -> float:
 _CONFIG_KEYS = {"func": "f", "master_seed": "seed", "data_rule": "data",
                 "func_d": "d", "func_m": "m"}
 
-# The rule of each config field, naming it by its config key: a count, real,
-# seed or name rule, or the list rule with its items' rule.  s_values, whose
+# The rule of each config field, naming it by its config key: a count, real
+# or seed rule, the rule of a name's choices (the one that refuses it where
+# the name is used), or the list rule with its items' rule.  s_values, whose
 # items lie below the checked n, is checked by its config.
 _FIELD_RULES = {name: partial(rule, what=_CONFIG_KEYS.get(name, name)) for rule, names in (
     (_integer, ("k", "n", "s", "f_degree", "trials", "func_d", "func_m")),
     (_real, ("sigma0", "s_ratio", "lambda_e", "lambda_d_scale")),
     (_seed, ("master_seed",)),
-    (_string, ("func", "lambda_d_rule", "data_rule")),
-    (partial(_items, rule=_string), ("schemes",)),
+    (_worker_name, ("func",)),
+    (_lambda_rule, ("lambda_d_rule",)),
+    (_data_rule, ("data_rule",)),
+    (partial(_items, rule=_scheme), ("schemes",)),
     (partial(_items, rule=_integer), ("n_values",))) for name in names}
 
 

@@ -270,12 +270,17 @@ WORKER_FUNCTIONS = {
 }
 
 
-def make_worker(name: str, **kwargs) -> WorkerFunction:
-    """Instantiate a built-in worker function by name, a string named ``f`` in errors."""
-    if _string(name, "f") not in WORKER_FUNCTIONS:
+def _worker_name(name, what: str = "f") -> str:
+    """``name`` if a built-in worker function has it, a string named ``what`` in errors."""
+    if _string(name, what) not in WORKER_FUNCTIONS:
         raise ValueError(f"unknown worker function {name!r}; "
                          f"choices: {sorted(WORKER_FUNCTIONS)}")
-    return WORKER_FUNCTIONS[name](**kwargs)
+    return name
+
+
+def make_worker(name: str, **kwargs) -> WorkerFunction:
+    """Instantiate a built-in worker function by name, a string named ``f`` in errors."""
+    return WORKER_FUNCTIONS[_worker_name(name)](**kwargs)
 
 
 def worker_for(name: str, d: int, m: int) -> WorkerFunction:
@@ -401,6 +406,20 @@ class TrialColumns:
 _COLUMNS = [f.name for f in fields(TrialMetrics) if f.name != "scheme"]
 
 
+def _scheme(name, what: str = "scheme") -> str:
+    """``name`` if it is one of ``SCHEMES``, a string named ``what`` in errors."""
+    if _string(name, what) not in SCHEMES:
+        raise ValueError(f"unknown scheme {name!r}; choices: {SCHEMES}")
+    return name
+
+
+def _data_rule(name, what: str = "data") -> str:
+    """``name`` if it is a data rule, ``uniform`` or ``identity``, named ``what`` in errors."""
+    if _string(name, what) not in ("uniform", "identity"):
+        raise ValueError(f"unknown data rule {name!r}")
+    return name
+
+
 class _DeclaredDegree(int):
     """An lcc degree taken from the worker, which ``dataclasses.replace`` resolves again."""
 
@@ -429,15 +448,13 @@ class TrialSetup:
     data_rule: str = "uniform"
 
     def __post_init__(self):
-        if _string(self.scheme, "scheme") not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; choices: {SCHEMES}")
+        _scheme(self.scheme)
         if self.stragglers.n != self.grid.n:
             raise ValueError("straggler model N must match grid worker count")
         if self.data is not None and self.data.k != self.grid.k:
             raise ValueError("dataset K must match grid alpha count")
-        if self.data is None and _string(self.data_rule, "data") not in ("uniform", "identity"):
-            raise ValueError(f"unknown data rule {self.data_rule!r}")
-        if self.data is None and self.data_rule == "identity" and self.func.in_dim != 1:
+        if (self.data is None and _data_rule(self.data_rule) == "identity"
+                and self.func.in_dim != 1):
             raise ValueError("identity data rule requires a 1-D worker function")
         degree = None if type(self.f_degree) is _DeclaredDegree else self.f_degree
         if degree is not None:

@@ -41,8 +41,9 @@ one LU, and the last fills and solves the lam-free band itself.  A basis
 holds a (T, n) stack of knot sets of one size, such as the survivor knots
 of T Monte-Carlo trials, and one knot set is the stack T = 1: its methods
 take (T, n, m) stacks, and a smooth gives (L, T, n, m) ones.  The bands of
-all sets are built in one set of array operations and the LU runs once per
-set, so every set's fit equals its own fit bit for bit.  :func:`fit` is
+all sets are built in one set of array operations and, side by side, are
+the band of one block-diagonal system: one LAPACK call per weight solves
+every set, and each set's fit equals its own fit bit for bit.  :func:`fit` is
 the one public fit, of one knot set at one weight; the decoder fits T sets
 at several weights on one basis through the same body, ``_fit_stack``,
 which gives arrays only, the (L, T, n, m) knot values and second
@@ -136,10 +137,12 @@ class NaturalSplineBasis:
     def interior_second_derivs(self, values: np.ndarray) -> np.ndarray:
         """Second derivatives at interior knots of the natural interpolant, (T, n-2, m).
 
-        R gam = Q^T values, one ``solveh_banded`` per knot set.
+        R gam = Q^T values, all sets in one ``solveh_banded`` call, which at
+        kd = 2 stays on LAPACK's unblocked ``dpbtf2`` (see :meth:`smooth`).
         """
-        return np.stack([solveh_banded(r, rhs, overwrite_ab=True)
-                         for r, rhs in zip(_r_band(self._h), self.apply_qt(values))])
+        rhs = self.apply_qt(values)
+        return solveh_banded(_r_band(self._h).reshape(3, -1), rhs.reshape(-1, rhs.shape[-1]),
+                             overwrite_ab=True).reshape(rhs.shape)
 
     def smooth(self, y: np.ndarray, lamns: list[float]) -> tuple[np.ndarray, np.ndarray]:
         """Fitted knot values and second derivatives, (L, T, n, m) each, at L weights.
@@ -148,32 +151,32 @@ class NaturalSplineBasis:
         finite and > 0, solves the equations of the fit,
         g + lamn * Q gam = y  and  Q^T g - R gam = 0,  as one band system in
         the interleaved unknowns (g_0, g_1, gam_1, g_2, ..., gam_{n-2},
-        g_{n-1}) by banded LU with partial pivoting (LAPACK ``dgbsv``, once
-        per knot set and weight).  The second derivatives are zero at the
-        end knots.
+        g_{n-1}) by banded LU with partial pivoting.  The second derivatives
+        are zero at the end knots.  One LAPACK ``dgbsv`` call per weight
+        solves all T sets as one block-diagonal band, with each set's bits:
+        the band slots outside a set's own rows hold zeros, so the pivot
+        search never picks another set's row and every update across a set's
+        edge adds an exact zero; and kl = 2 is below LAPACK's block size, so
+        the LU stays on the unblocked ``dgbtf2`` for any T.
 
         The equations run g_0, gam_1, g_1, gam_2, g_2, ..., gam_{n-2},
-        g_{n-2}, g_{n-1}: each interior g_i equation sits one row below the
-        gam equation of its knot.  That band reaches two diagonals below the
-        main one and three above, where the order of the unknowns (g_i's
-        equation in g_i's row) reaches three below, so LAPACK factors 8 band
-        rows, not 10.  The reordering keeps the fit's bits: in each column
-        partial pivoting picks the candidate of largest magnitude, the same
-        equation in either order, so the LU applies the same operations to
-        the same values.  It can differ in two cases: an exact tie in
-        magnitude, where LAPACK takes the first row, so meshes of equal
-        spacings (gaps of 2, say) may pivot otherwise and round differently;
-        and the sign of a fitted value that is exactly zero.
+        g_{n-2}, g_{n-1}: each interior g_i equation one row below its knot's
+        gam equation.  The band then reaches two diagonals below the main one
+        and three above (three below in the unknowns' own order), so LAPACK
+        factors 8 band rows, not 10, with the same bits: partial pivoting
+        picks the same equation in either order, so the LU applies the same
+        operations to the same values, save for exact ties in magnitude
+        (LAPACK takes the first row, so meshes of equal gaps may pivot and
+        round otherwise) and the sign of an exactly zero fitted value.
 
-        Eliminating g instead leaves the Reinsch system
-        (R + lamn Q^T Q) gam = Q^T y, which squares the conditioning: on
-        meshes whose gaps alternate between 1 and 1e4 its Cholesky solution
-        misses the exact fit by up to 8e-5 for unit-scale data, where this
-        solve stays below 1e-10.
+        Eliminating g leaves the Reinsch system (R + lamn Q^T Q) gam = Q^T y,
+        which squares the conditioning: on gaps alternating 1 and 1e4 its
+        Cholesky solution misses the exact fit by up to 8e-5 for unit-scale
+        data, and this solve by less than 1e-10.
 
         The lam-free entries of the bands (the g rows, Q^T and -R) are built
         once per call.  Every weight but the last is solved in one work
-        copy of them, and the last in place.
+        copy of them, and the last in place: two bands of T sets at most.
         """
         count, n, m = y.shape
         qa, qb, qc = self._qa, self._qb, self._qc
@@ -188,28 +191,28 @@ class NaturalSplineBasis:
                 if not math.isfinite(lamn * q_max):
                     raise ValueError(f"lam too large for these knots: n*lam = {lamn} times "
                                      f"the largest 1/h weight {q_max} overflows")
-        # each set's (8, 2n-2) band is the transpose of a C-ordered
-        # (2n-2, 8) slice, so Fortran-ordered, the layout LAPACK takes
-        # without a copy of its own.  Entry (row, col) of the system sits at
-        # [5 + row - col, col]; the top two rows hold the fill-in of the
-        # pivoting LU.  g_i is unknown max(2i - 1, 0) and gam_j (interior
-        # knot j + 1) is unknown 2j + 2.  The g_0 and g_{n-1} equations are
-        # rows 0 and 2n-3, gam_j's is row 2j + 1 and g_i's row 2i between
-        # them: two rows below, three above the diagonal.
+        # the sets' (8, 2n-2) bands are transposed C-ordered (2n-2, 8) slices
+        # of one array: side by side, the Fortran-ordered (8, T(2n-2)) band of
+        # their block-diagonal system, which LAPACK takes without a copy.  A
+        # set's entry (row, col) sits at [5 + row - col, col]; the top two
+        # rows hold the fill-in of the pivoting LU.  g_i is unknown
+        # max(2i - 1, 0) and gam_j (interior knot j + 1) is unknown 2j + 2.
+        # The g_0 and g_{n-1} equations are rows 0 and 2n-3, gam_j's is row
+        # 2j + 1 and g_i's row 2i between them: two rows below, three above.
         r = _r_band(self._h)
         lam_free = np.zeros((count, 2 * n - 2, 8)).transpose(0, 2, 1)
         lam_free[:, 5, 0] = lam_free[:, 6, 1:-2:2] = lam_free[:, 5, -1] = 1.0  # g_i in its row
         lam_free[:, 6, 0], lam_free[:, 7, 1:-4:2] = qa[:, 0], qa[:, 1:]        # Q^T, gam rows
         lam_free[:, 5, 1:-2:2] = qb
         lam_free[:, 3, 3::2] = qc
-        lam_free[:, 4, 2::2] = -r[:, 2]                                       # -R, gam rows
-        lam_free[:, 2, 4::2] = lam_free[:, 6, 2:-3:2] = -r[:, 1, 1:]
+        lam_free[:, 4, 2::2] = -r[2]                                          # -R, gam rows
+        lam_free[:, 2, 4::2] = lam_free[:, 6, 2:-3:2] = -r[1, :, 1:]
         work = np.empty_like(lam_free) if len(lamns) > 1 else None
-        # each set's (n, m) values and (2n-2, m) right-hand side
-        # Fortran-ordered, as dgbsv gives and takes them
+        # each set's (n, m) values Fortran-ordered, as a one-set solve gives them
         values = np.empty((len(lamns), count, m, n)).transpose(0, 1, 3, 2)
         second_derivs = np.zeros_like(values)
-        rhs = np.empty((count, m, 2 * n - 2)).transpose(0, 2, 1)
+        rhs = np.empty((count * (2 * n - 2), m), order="F")
+        b = rhs.reshape(count, -1, m)  # each set's (2n-2, m) rows, set after set
         for i, lamn in enumerate(lamns):
             band = lam_free  # the last weight overwrites the lam-free entries
             if i < len(lamns) - 1:
@@ -217,17 +220,14 @@ class NaturalSplineBasis:
                 np.copyto(band, lam_free)
             band[:, 3, 2::2], band[:, 5, 2::2] = lamn * qa, lamn * qb      # lamn Q, g rows
             band[:, 7, 2:-3:2], band[:, 6, -2] = lamn * qc[:, :-1], lamn * qc[:, -1]
-            rhs[:, 0], rhs[:, 2:-1:2], rhs[:, -1], rhs[:, 1:-1:2] = (
-                y[:, 0], y[:, 1:-1], y[:, -1], 0.0)
-            for ab, b in zip(band, rhs):
-                _, _, sol, info = dgbsv(2, 3, ab, b, overwrite_ab=True, overwrite_b=True)
-                if info:  # > 0 singular, which distinct knots rule out; < 0 a bad argument
-                    raise NumericalFitError(f"smoothing system not solved: dgbsv info {info}")
-                if sol is not b:
-                    b[...] = sol
-            # knot values g_0, g_1, ..., g_{n-1} are unknowns 0, 1, 3, ..., 2n-3
-            values[i, :, 0], values[i, :, 1:] = rhs[:, 0], rhs[:, 1::2]
-            second_derivs[i, :, 1:-1] = rhs[:, 2:-1:2]
+            b[:, 0], b[:, 2:-1:2], b[:, -1], b[:, 1:-1:2] = y[:, 0], y[:, 1:-1], y[:, -1], 0.0
+            _, _, sol, info = dgbsv(2, 3, band.transpose(0, 2, 1).reshape(-1, 8).T, rhs,
+                                    overwrite_ab=True, overwrite_b=True)
+            if info:  # > 0 singular, which distinct knots rule out; < 0 a bad argument
+                raise NumericalFitError(f"smoothing system not solved: dgbsv info {info}")
+            sol = sol.reshape(b.shape)
+            values[i, :, 0], values[i, :, 1:] = sol[:, 0], sol[:, 1::2]
+            second_derivs[i, :, 1:-1] = sol[:, 2:-1:2]
         return values, second_derivs
 
     def penalty_matrix(self) -> np.ndarray:
@@ -256,15 +256,15 @@ class NaturalSplineBasis:
 
 
 def _r_band(h: np.ndarray) -> np.ndarray:
-    """Upper band of each tridiagonal R in ``solveh_banded`` layout, (T, 3, n-2).
+    """Upper band of each tridiagonal R in ``solveh_banded`` layout, (3, T, n-2).
 
     ``h`` holds the (T, n-1) knot spacings of T knot sets.  Three rows with
     a zero top row: scipy's two-row (tridiagonal) path rejects the 1 x 1
     system of three knots.
     """
-    band = np.zeros((h.shape[0], 3, h.shape[1] - 1))
-    band[:, 2] = (h[:, :-1] + h[:, 1:]) / 3.0
-    band[:, 1, 1:] = h[:, 1:-1] / 6.0
+    band = np.zeros((3, h.shape[0], h.shape[1] - 1))
+    band[2] = (h[:, :-1] + h[:, 1:]) / 3.0
+    band[1, :, 1:] = h[:, 1:-1] / 6.0
     return band
 
 
@@ -307,7 +307,7 @@ class SplineFit:
         """
         if self.degenerate:
             return 0.0
-        band = _r_band(np.diff(self.knots)[None])[0]
+        band = _r_band(np.diff(self.knots)[None])[:, 0]
         gam = self.second_derivs[1:-1]
         return float(np.sum(band[2][:, None] * gam * gam)
                      + 2.0 * np.sum(band[1, 1:][:, None] * gam[:-1] * gam[1:]))
@@ -352,8 +352,8 @@ def _fit_stack(t: np.ndarray, y: np.ndarray,
     The knots and data are checked by the caller, each of ``lams`` by
     :func:`letcc.points._real`.  Gives the (L, T, n, m) knot values and
     second derivatives of all sets at the L weights.  Every set gets the
-    arithmetic, and the memory layout, of a fit on its own: the bands of all
-    sets are built at once, and each solve runs per set.  Fewer than three
+    arithmetic, and the memory layout, of a fit on its own (see
+    :meth:`NaturalSplineBasis.smooth`).  Fewer than three
     knots fit the penalty null space exactly (affine for n=2, constant for
     n=1) regardless of lam; :func:`fit` flags such a fit degenerate.  At
     lam = 0 the knot values are the data, and the second derivatives those

@@ -146,6 +146,46 @@ class TestSweepN:
         assert config.s_for(48) == 12
 
 
+# a valid config of each kind, and the names a run of it uses
+_NAMED_CONFIGS = {
+    SweepConfig: dict(schemes=("letcc",), func="sin_pi", k=2, n_values=(8,), s=1),
+    StragglerSweepConfig: dict(schemes=("letcc",), func="sin_pi", k=2, n=8, s_values=(1,)),
+    CrossvalConfig: dict(func="sin_pi", k=2, n=8),
+}
+_UNKNOWN_NAMES = {
+    "schemes": (("letcc", "nope"), "unknown scheme 'nope'; choices: ('letcc', 'bacc', 'lcc')"),
+    "func": ("bogus", "unknown worker function 'bogus'; "
+                      "choices: ['affine', 'cubic', 'sin_pi', 'softplus', 'tanh_net']"),
+    "lambda_d_rule": ("x", "unknown lambda_d rule 'x'; "
+                           "choices: ['fixed', 'n**-4', 'survivors**-0.8']"),
+    "data_rule": ("y", "unknown data rule 'y'"),
+}
+
+
+class TestConfigNames:
+    # a name no run can use is refused when its config is built, by the rule
+    # and in the words that refuse it where a run uses it
+    @pytest.mark.parametrize("config, name", [
+        (config, f.name) for config in _NAMED_CONFIGS for f in fields(config)
+        if f.name in _UNKNOWN_NAMES], ids=lambda v: getattr(v, "__name__", v))
+    def test_unknown_name_refused_at_construction(self, config, name):
+        base = _NAMED_CONFIGS[config]
+        value, message = _UNKNOWN_NAMES[name]
+        with pytest.raises(ValueError) as got:
+            config(**dict(base, **{name: value}))
+        assert str(got.value) == message
+        config(**base)
+
+    def test_the_first_unknown_field_is_named(self):
+        with pytest.raises(ValueError, match="^unknown scheme 'nope'"):
+            SweepConfig(schemes=("letcc", "nope"), func="bogus", k=2, n_values=(8,), s=1,
+                        lambda_d_rule="x", data_rule="y")
+        with pytest.raises(ValueError, match="^unknown worker function 'bogus'"):
+            CrossvalConfig(func="bogus", k=2, n=8, data_rule="zzz")
+        with pytest.raises(ValueError, match="^unknown data rule 'zzz'"):
+            CrossvalConfig(func="sin_pi", k=2, n=8, data_rule="zzz")
+
+
 class TestStragglerSweep:
     def test_table_has_one_row_per_s(self):
         config = StragglerSweepConfig(schemes=("letcc", "bacc"), func="sin_pi",

@@ -344,28 +344,52 @@ class TestSmoothWeights:
 
 
 class TestStackedBasis:
-    @pytest.mark.parametrize("m", [1, 3])
-    def test_each_set_equals_a_basis_on_it_alone(self, rng, m):
-        knots = np.sort(rng.uniform(-1, 1, (5, 9)), axis=1)
-        y = rng.normal(size=(5, 9, m))
-        stack = NaturalSplineBasis(knots)
-        assert stack.basis_dim == 9
-        qt = stack.apply_qt(y)
-        gam0 = stack.interior_second_derivs(y)
-        lamns = [0.7, 3.0]
-        g, gam = stack.smooth(y, lamns)
-        assert (qt.shape, gam0.shape, g.shape, gam.shape) == (
-            (5, 7, m), (5, 7, m), (2, 5, 9, m), (2, 5, 9, m))
-        assert not gam[..., [0, -1], :].any()
-        for i in range(5):
-            alone = NaturalSplineBasis(knots[i])
-            one = y[i:i + 1]  # a single knot set takes a stack of one
-            assert np.array_equal(qt[i:i + 1], alone.apply_qt(one))
-            assert np.array_equal(gam0[i:i + 1], alone.interior_second_derivs(one))
-            for w, lamn in enumerate(lamns):  # each weight as on its own
-                g_i, gam_i = alone.smooth(one, [lamn])
-                assert np.array_equal(g[w:w + 1, i:i + 1], g_i)
-                assert np.array_equal(gam[w:w + 1, i:i + 1], gam_i)
+    @pytest.mark.parametrize("kind", ["uniform", "chebyshev", "alternating", "log_uniform",
+                                      "equal"])
+    def test_each_set_equals_a_basis_on_it_alone(self, kind, monkeypatch):
+        # one dgbsv call per weight, and one solveh_banded call, solve all
+        # sets of a stack as one block-diagonal band; each set keeps the bits
+        # of a basis on it alone, also where pivots tie (equal gaps) and at
+        # extreme mesh ratios and weights
+        calls = {"dgbsv": 0, "solveh_banded": 0}
+        for name in calls:
+            def spy(*args, name=name, original=getattr(spline, name), **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(spline, name, spy)
+
+        def counted(call, *args):
+            calls.update(dgbsv=0, solveh_banded=0)
+            return call(*args), calls.copy()
+
+        rng = np.random.default_rng(["alternating", "chebyshev", "equal", "log_uniform",
+                                     "uniform"].index(kind))
+        for _ in range(40):
+            n, count = int(rng.integers(3, 41)), int(rng.integers(1, 7))
+            m = int(rng.choice([1, 3, 10]))
+            knots = np.stack([TestDirectLapackSolve._mesh(kind, n, rng) for _ in range(count)])
+            y = rng.normal(size=(count, n, m))
+            lamns = list(10.0 ** rng.uniform(-16, 16, int(rng.integers(1, 4))))
+            stack = NaturalSplineBasis(knots)
+            assert stack.basis_dim == n
+            qt = stack.apply_qt(y)
+            gam0, seen = counted(stack.interior_second_derivs, y)
+            assert seen == {"dgbsv": 0, "solveh_banded": 1}
+            (g, gam), seen = counted(stack.smooth, y, lamns)
+            assert seen == {"dgbsv": len(lamns), "solveh_banded": 0}
+            assert (qt.shape, gam0.shape, g.shape, gam.shape) == (
+                (count, n - 2, m), (count, n - 2, m), (len(lamns), count, n, m),
+                (len(lamns), count, n, m))
+            assert not gam[..., [0, -1], :].any()
+            for i in range(count):
+                alone = NaturalSplineBasis(knots[i])
+                one = y[i:i + 1]  # a single knot set takes a stack of one
+                assert np.array_equal(qt[i:i + 1], alone.apply_qt(one))
+                assert gam0[i:i + 1].tobytes() == alone.interior_second_derivs(one).tobytes()
+                for w, lamn in enumerate(lamns):  # each weight as on its own
+                    g_i, gam_i = alone.smooth(one, [lamn])
+                    assert g[w:w + 1, i:i + 1].tobytes() == g_i.tobytes()
+                    assert gam[w:w + 1, i:i + 1].tobytes() == gam_i.tobytes()
 
     def test_knots_beyond_two_dimensions_rejected(self):
         with pytest.raises(ValueError, match="one-dimensional"):
@@ -411,6 +435,8 @@ class TestDirectLapackSolve:
             return np.sort(rng.choice(chebyshev_second(3 * n), n, replace=False))
         if kind == "alternating":  # gaps 1, 1e-4, 1, ... or 1e-4, 1, 1e-4, ...
             gaps = np.resize([1.0, 1e-4][::rng.choice([1, -1])], n - 1)
+        elif kind == "equal":  # gaps of 2, where pivots tie
+            gaps = np.full(n - 1, 2.0)
         else:  # log-uniform gaps from 1e-8 to 1
             gaps = 10.0 ** rng.uniform(-8, 0, n - 1)
         return rng.uniform(-1, 1) + np.concatenate(([0.0], np.cumsum(gaps)))
@@ -419,8 +445,9 @@ class TestDirectLapackSolve:
     def test_same_bits_as_the_unknowns_row_order(self, kind, monkeypatch):
         # with each equation in the row of its namesake unknown the band has
         # three diagonals below the main one; solve_banded((3, 3)) of that
-        # order, rebuilt here from the entries smooth hands dgbsv, gives
-        # every bit of smooth's knot values and second derivatives
+        # order, rebuilt here from each set's block of the band and
+        # right-hand side smooth hands dgbsv, one call per weight, gives every
+        # bit of smooth's knot values and second derivatives
         seen = []
         original = spline.dgbsv
 
@@ -438,12 +465,20 @@ class TestDirectLapackSolve:
             y = rng.normal(size=(count, n, m))
             lam = list(10.0 ** rng.uniform(-16, 16, lams))
             values, second_derivs = spline._fit_stack(t, y, lam)
+            assert len(seen) == len(lam)
             size = 2 * n - 2
             # new row r holds the equation of old row swap[r]: the g_i and
             # gam_{i-1} equations trade rows 2i - 1 and 2i, for 0 < i < n - 1
             swap = np.arange(size)
             swap[1:-1] = swap[1:-1] + np.resize([1, -1], size - 2)
-            for i, (ab, rhs) in enumerate(seen):
+            # band slot [k, c] of a set's block holds its row c + k - 5: those
+            # outside the block's own rows are zero
+            slot_rows = np.arange(8)[:, None] + np.arange(size) - 5
+            outside = (slot_rows < 0) | (slot_rows >= size)
+            blocks = [(ab[:, s * size:(s + 1) * size], rhs[s * size:(s + 1) * size])
+                      for ab, rhs in seen for s in range(count)]
+            for i, (ab, rhs) in enumerate(blocks):
+                assert not ab[outside].any()
                 dense = np.zeros((size, size))
                 for d in range(-2, 4):  # entry (r, r + d) at ab[5 - d, r + d]
                     r = np.arange(max(0, -d), min(size, size - d))
@@ -462,22 +497,21 @@ class TestDirectLapackSolve:
                 assert second_derivs[w, s, 1:-1].tobytes() == sol[2:-1:2].tobytes()
             seen.clear()
 
-    def test_solution_returned_in_a_new_array_is_copied_back(self, rng, monkeypatch):
-        # dgbsv hands back b itself when it solves in place; were it a new
-        # array, smooth copies it into its right-hand side
+    def test_solution_returned_in_a_new_array_is_used(self, rng, monkeypatch):
+        # dgbsv hands back b itself when it solves in place; smooth reads
+        # what it hands back, so a new array gives the same fits
         original = spline.dgbsv
 
         def copying(kl, ku, ab, b, **kwargs):
             lu, piv, sol, info = original(kl, ku, ab, b.copy(), **kwargs)
             return lu, piv, sol.copy(), info
 
-        t = np.sort(rng.uniform(-1, 1, 20))
-        y = rng.normal(size=(20, 2))
-        want = fit(t, y, 1e-3)
+        basis = NaturalSplineBasis(np.sort(rng.uniform(-1, 1, (3, 20)), axis=1))
+        y = rng.normal(size=(3, 20, 2))
+        want = basis.smooth(y, [1e-3, 0.5])
         monkeypatch.setattr(spline, "dgbsv", copying)
-        got = fit(t, y, 1e-3)
-        assert np.array_equal(got.coefficients, want.coefficients)
-        assert np.array_equal(got.second_derivs, want.second_derivs)
+        got = basis.smooth(y, [1e-3, 0.5])
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     @pytest.mark.parametrize("info", [3, -4])
     def test_lapack_failure_raises(self, info, monkeypatch):

@@ -27,9 +27,10 @@ rows, and reduces every weight's rows into its :class:`MonteCarloResult`
 in one pass, the one aggregation path that :func:`aggregate` takes too:
 no per-trial object is built between a decode body and the aggregate.
 The public one-trial :func:`sample_stragglers` and :func:`apply_workers`
-are chunks of one of the same draw and workers, and :func:`run_trial` is
-a chunk of one at one weight decoded through the scheme's public one-trial
-decode, its :class:`TrialMetrics` the one row of its columns.
+take one trial's draw as its stream's row returns it to a chunk, and
+:func:`run_trial` is a chunk of one at one weight decoded through the
+scheme's public one-trial decode, its :class:`TrialMetrics` the one row
+of its columns.
 :func:`monte_carlo` is the call at the setup's own lambda_d.  Every step
 does the same arithmetic on a trial's values alone as in any batch, so a
 trial's metrics are bit-identical whether it runs through
@@ -133,15 +134,16 @@ class StragglerModel:
 def sample_stragglers(model: StragglerModel, rng: np.random.Generator | None) -> np.ndarray:
     """Sorted survivor indices for one trial.
 
-    ``rng`` is not used, and may be None, in ``fixed`` mode.  The draw of
-    one trial of the harness's chunk, on its stragglers stream.
+    ``uniform`` mode draws them on ``rng``, which must be given: the
+    stragglers row of :data:`letcc.streams._STREAMS` returns them, as for
+    a trial of the harness's chunk.  ``fixed`` mode, where ``rng`` may be
+    None, gives the survivors a chunk stacks for every trial.
     """
     if model.mode == "fixed":
         return streams._survivors(model.n, np.array([model.fixed_stragglers], dtype=int))[0]
-    stream = streams._STREAMS[streams._STRAGGLERS]
-    survivors = stream.empty(1, model.n, model.s)
-    stream.trial(rng, survivors[0], model.n, model.s)
-    return survivors[0]
+    if rng is None:
+        raise ValueError("uniform straggler mode needs an rng to draw the stragglers")
+    return streams._STREAMS[streams._STRAGGLERS].trial(rng, model.n, model.s)
 
 
 @dataclass(frozen=True)
@@ -303,17 +305,17 @@ def apply_workers(func: WorkerFunction, batch: CodedBatch, noise: NoiseModel,
                   survivors: np.ndarray, rng: np.random.Generator | None) -> WorkerReturns:
     """Evaluate f on the surviving coded points and add worker noise.
 
-    ``rng`` draws the noise; it is not used, and may be None, when
-    ``noise.sigma0`` is 0.  The survivors are checked by
-    :func:`letcc.points._integral_indices`, in [0, N).  A batch of one
-    trial of the harness's chunk workers, after that check.
+    The survivors are checked by :func:`letcc.points._integral_indices`,
+    in [0, N).  ``rng`` draws the noise, the normals the noise row of
+    :data:`letcc.streams._STREAMS` returns, as for a trial of the harness's
+    chunk workers; it must be given when ``noise.sigma0`` is above 0.
     """
     survivors = _integral_indices(survivors, "survivor index", batch.n)
     normals = None
     if noise.sigma0 > 0:
-        stream = streams._STREAMS[streams._NOISE]
-        normals = stream.empty(1, survivors.size, func.out_dim)
-        stream.trial(rng, normals[0], survivors.size, func.out_dim)
+        if rng is None:
+            raise ValueError("sigma0 > 0 needs an rng to draw the worker noise")
+        normals = streams._STREAMS[streams._NOISE].trial(rng, survivors.size, func.out_dim)[None]
     outputs = _worker_stack(func, batch.coded[None], survivors[None], noise.sigma0, normals)[0]
     return WorkerReturns(indices=survivors, outputs=outputs)
 
@@ -502,15 +504,16 @@ def _prepare(setup: TrialSetup, seeds, weights: int = 1) -> Iterator[_Chunk]:
     A chunk's random draws come from :func:`letcc.streams._chunk_draws`,
     read-only: drawn, or sliced from the memo of the chunk drawn last when
     that one, of another scheme or call, ran on the same seeds and drew the
-    same streams.  Given or ``identity`` inputs and the survivors of a
-    ``fixed`` straggler set are stacked here, one copy per trial.  The
+    same streams.  Given or ``identity`` inputs and the ``fixed`` survivors
+    of :func:`sample_stragglers` are stacked here, one copy per trial.  The
     chunk encodes its trials' inputs in one product through the grid's
     cached encoder, gathers the survivors' rows, adds the noise, sigma0
-    times the normals plus 0.0 (what ``normal(0.0, sigma0)`` computes),
-    and checks every value of all its trials at once.  f runs by :func:`_evaluate_stack` on each row set: survivors, inputs
-    and, for letcc, the encoder's values at the alphas.  A non-finite
-    value raises ``ValueError`` naming which of the three it is.  Each
-    seed is a tuple of ints, as :func:`letcc.streams._entropy` gives it.
+    times the normals plus 0.0 (what ``normal(0.0, sigma0)`` computes), and
+    checks every value of all its trials at once.  f runs by
+    :func:`_evaluate_stack` on each row set: survivors, inputs and, for
+    letcc, the encoder's values at the alphas.  A non-finite value raises
+    ``ValueError`` naming which of the three it is.  Each seed is a tuple of
+    ints, as :func:`letcc.streams._entropy` gives it.
     """
     grid, func = setup.grid, setup.func
     width = func.in_dim
@@ -531,9 +534,8 @@ def _prepare(setup: TrialSetup, seeds, weights: int = 1) -> Iterator[_Chunk]:
             inputs = np.stack([grid.alphas[:, None] if setup.data is None
                                else setup.data.inputs] * trials)
         indices = draws.get(streams._STRAGGLERS)
-        if indices is None:  # fixed mode: the same straggler set in every trial
-            fixed = np.array([setup.stragglers.fixed_stragglers] * trials, dtype=int)
-            indices = streams._survivors(grid.n, fixed)
+        if indices is None:  # fixed mode: the same survivors in every trial
+            indices = np.stack([sample_stragglers(setup.stragglers, None)] * trials)
         normals = draws.get(streams._NOISE)
         knot_values = None
         if setup.scheme == "letcc":

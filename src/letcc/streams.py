@@ -5,12 +5,12 @@ et al., "Parallel random numbers: as easy as 1, 2, 3" (SC 2011): every
 trial derives its generators from ``(master_seed, trial_index,
 stream_tag)``, so two schemes given the same seeds see identical straggler
 sets, data draws, and noise.  :func:`trial_rng` builds one such generator,
-the reference of every draw here.  One table, :data:`_STREAMS`, says for
-each stream tag when a trial draws on it, how many 64-bit outputs its
-vectorised draw reads, that draw, and the draw of one trial on its own
-generator.  A stream a trial does not use (noise at sigma0 = 0,
-stragglers in ``fixed`` mode, data when it is given or ``identity``) is
-never seeded.
+the reference of every draw here.  One table, :data:`_STREAMS`, has a
+row of four fields for each stream tag: when a trial draws on it, how
+many 64-bit outputs its vectorised draw reads, that draw, and a function
+that returns the draw of one trial on its own generator.  A stream a
+trial does not use (noise at sigma0 = 0, stragglers in ``fixed`` mode,
+data when it is given or ``identity``) is never seeded.
 
 :func:`_chunk_draws` draws the streams of a chunk of trials.  Their states
 come from one vectorised pass (numpy's SeedSequence mixing in uint32
@@ -20,14 +20,14 @@ and straggler draws from vectorised passes, one per output count: PCG64's
 first outputs of every such stream by jump-ahead, turned into what
 ``Generator.uniform`` and the Floyd sampling of ``Generator.choice`` give
 on them.  What stays per trial is the noise's ``standard_normal`` and any
-draw of a smaller chunk or one the pass does not reproduce, each on the
-trial's stream loaded into one reused generator.  A chunk's draws depend
-on no scheme, so the draws of the chunk drawn last stay in a one-slot
-memo: a chunk with the same draws whose seeds are a contiguous run of the
-kept ones takes their slices, as when letcc, bacc and lcc run in turn on
-one master seed, and any other chunk draws afresh and takes the slot.  The
-kept arrays are read-only, and what stays in memory after a call is one
-chunk's draws.
+draw of a smaller chunk or one the pass does not reproduce, each returned
+by the row on the trial's stream, loaded into one reused generator, and
+stacked.  A chunk's draws depend on no scheme, so the draws of the chunk
+drawn last stay in a one-slot memo: a chunk with the same draws whose
+seeds are a contiguous run of the kept ones takes their slices, as when
+letcc, bacc and lcc run in turn on one master seed, and any other chunk
+draws afresh and takes the slot.  The kept arrays are read-only, and what
+stays in memory after a call is one chunk's draws.
 """
 
 from __future__ import annotations
@@ -354,21 +354,20 @@ class _Stream(NamedTuple):
     arguments ``count`` gives the 64-bit outputs a trial's vectorised draw
     reads, None where the stream has no vectorised draw; ``vectorised``
     turns the (T, count) outputs of T trials into their stacked draws and
-    the trials it leaves to ``trial``, which draws one trial on its own
-    generator into its row of the stack, or of ``empty``'s stack of T.
+    the trials it leaves to ``trial``, which returns the draw of one trial
+    on its own generator.
     """
 
     args: Callable
     count: Callable
     vectorised: Callable | None
     trial: Callable
-    empty: Callable
 
 
 # A trial's stragglers draw is the sorted survivors of the set
-# Generator.choice(n, s, replace=False) draws, by Floyd's algorithm unless
-# n > 10000 and s > n // 50 (numpy/random/_generator.pyx).  Up to
-# n = 2**32 - 1 each of its s draws, on [0, j] for 0 < j < 2**32 - 1,
+# Generator.choice(n, size=(1, s), replace=False) draws, by Floyd's
+# algorithm unless n > 10000 and s > n // 50 (numpy/random/_generator.pyx).
+# Up to n = 2**32 - 1 each of its s draws, on [0, j] for 0 < j < 2**32 - 1,
 # reads one 32-bit word, two to an output.
 _STREAMS = {
     _DATA: _Stream(
@@ -376,23 +375,19 @@ _STREAMS = {
                        if setup.data is None and setup.data_rule == "uniform" else None),
         lambda k, d: k * d,
         _uniform_inputs,
-        lambda rng, out, k, d: np.copyto(out, rng.uniform(-1.0, 1.0, (k, d))),
-        lambda trials, k, d: np.empty((trials, k, d))),
+        lambda rng, k, d: rng.uniform(-1.0, 1.0, (k, d))),
     _STRAGGLERS: _Stream(
         lambda setup: ((setup.stragglers.n, setup.stragglers.s)
                        if setup.stragglers.mode == "uniform" else None),
         lambda n, s: None if n > 10000 and s > n // 50 or n > 2**32 - 1 else (s + 1) // 2,
         _floyd_survivors,
-        lambda rng, out, n, s: np.copyto(out, np.delete(
-            np.arange(n), rng.choice(n, size=s, replace=False))),
-        lambda trials, n, s: np.empty((trials, n - s), dtype=int)),
+        lambda rng, n, s: _survivors(n, rng.choice(n, size=(1, s), replace=False))[0]),
     _NOISE: _Stream(
         lambda setup: ((setup.stragglers.n - setup.stragglers.s, setup.func.out_dim)
                        if setup.noise.sigma0 > 0 else None),
         lambda v, m: None,
         None,
-        lambda rng, out, v, m: rng.standard_normal(out=out),
-        lambda trials, v, m: np.empty((trials, v, m))),
+        lambda rng, v, m: rng.standard_normal((v, m))),
 }
 
 
@@ -448,9 +443,10 @@ def _fresh_draws(drawn: dict[int, tuple], chunk: list[tuple[int, ...]]) -> dict[
     ``_VECTOR_DRAWS`` trials compute the first outputs of each stream with
     a vectorised draw, by :func:`_pcg64_outputs` in one more pass per
     output count, and take their draws from them.  Every other draw (a
-    smaller chunk's, the noise's, one the vectorised draw leaves over) runs
-    on the trial's own stream, loaded just before it into one reused
-    generator.
+    smaller chunk's, the noise's, one the vectorised draw leaves over) is
+    returned by the row's ``trial`` on the trial's own stream, loaded just
+    before it into one reused generator: into its row of a vectorised
+    stack, or stacked with the chunk's other returned draws by ``np.array``.
     """
     gen = np.random.Generator(np.random.PCG64(_ANY_SEED))
     states = _stream_states([seed + (tag,) for seed in chunk for tag in drawn])
@@ -468,10 +464,10 @@ def _fresh_draws(drawn: dict[int, tuple], chunk: list[tuple[int, ...]]) -> dict[
         stream, rows = _STREAMS[tag], states[tag].tolist()
         if tag in outputs:
             stack, redo = stream.vectorised(outputs[tag], *args)
+            for t in redo:
+                stack[t] = stream.trial(_loaded(gen, *rows[t]), *args)
         else:
-            stack, redo = stream.empty(len(chunk), *args), range(len(chunk))
-        for t in redo:
-            stream.trial(_loaded(gen, *rows[t]), stack[t], *args)
+            stack = np.array([stream.trial(_loaded(gen, *row), *args) for row in rows])
         stack.flags.writeable = False
         draws[tag] = stack
     return draws

@@ -190,6 +190,15 @@ class TestNoiseAndWorkers:
         assert returns.indices.dtype.kind == "i"
         assert np.array_equal(returns.indices, [0, 2, 5])
 
+    def test_draws_without_an_rng_raise_naming_it(self):
+        # the uniform straggler mode and noise above 0 are where a draw is needed
+        with pytest.raises(ValueError, match="rng"):
+            sample_stragglers(StragglerModel(8, 2), None)
+        grid = chebyshev_grid(4, 9)
+        batch = CodedBatch(coded=np.linspace(-1, 1, 9)[:, None], encoder_fit=None, grid=grid)
+        with pytest.raises(ValueError, match="rng"):
+            apply_workers(make_worker("sin_pi"), batch, NoiseModel(0.1), [0, 2, 5], None)
+
     def test_boolean_among_integer_survivors_raises(self):
         # numpy reads [True, 2, 3] as [1, 2, 3]
         grid = chebyshev_grid(4, 9)

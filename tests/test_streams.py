@@ -88,6 +88,10 @@ def test_chunk_draws_equal_numpys(case, vector_rows, monkeypatch):
         for seed, got in zip(seeds, draws[tag], strict=True):
             want = _REFERENCE[tag](trial_rng(seed, tag), setup)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            if tag == STRAGGLERS:  # the public one-trial draw is the chunk's row
+                one = sim.sample_stragglers(setup.stragglers, trial_rng(seed, STRAGGLERS))
+                assert (one.dtype, one.shape, one.tobytes()) == (got.dtype, got.shape,
+                                                                 got.tobytes())
     # only the streams drawn are seeded, one generator serving them all; the
     # vectorised draws run at a chunk of _VECTOR_DRAWS, one pass per count
     assert sorted(seeded) == sorted(seed + (tag,) for seed in seeds for tag in tags)
@@ -95,6 +99,11 @@ def test_chunk_draws_equal_numpys(case, vector_rows, monkeypatch):
     assert len(counts) == len(set(counts))
     assert bool(counts) == (len(seeds) >= streams._VECTOR_DRAWS and bool(set(tags) - {NOISE}))
     assert refused == ([] if refusals is None else [refusals])
+    if setup.stragglers.mode == "fixed":  # every trial stacks the public fixed survivors
+        fixed = sim.sample_stragglers(setup.stragglers, None)
+        for row in next(sim._prepare(setup, seeds)).indices:
+            assert (row.dtype, row.shape, row.tobytes()) == (fixed.dtype, fixed.shape,
+                                                             fixed.tobytes())
 
 
 @pytest.mark.parametrize("n, s", [(10001, 201), (2**32, 1), (2**40, 3)])

@@ -47,7 +47,7 @@ from .coding import (
     _rows,
     normalize_survivors,
 )
-from .points import InterpolationGrid, _check_points, _integer
+from .points import InterpolationGrid, _check_points, _integer, _query
 
 __all__ = [
     "BerrutInterpolant",
@@ -161,7 +161,8 @@ class BerrutInterpolant:
         return _berrut_weights(self.nodes.size)
 
     def evaluate(self, query) -> np.ndarray:
-        return _BarycentricMap.build(self.nodes, self.weights, query).apply(self.values)
+        """Values at ``query``, a scalar or 1-D array (see :func:`letcc.points._query`)."""
+        return _BarycentricMap.build(self.nodes, self.weights, _query(query)).apply(self.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,7 +191,8 @@ class LagrangePolynomial:
         return cls(nodes, values)
 
     def evaluate(self, query) -> np.ndarray:
-        return _BarycentricMap.build(self.nodes, self.weights, query).apply(self.values)
+        """Values at ``query``, a scalar or 1-D array (see :func:`letcc.points._query`)."""
+        return _BarycentricMap.build(self.nodes, self.weights, _query(query)).apply(self.values)
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,16 @@ through the surviving ``(beta_v, output_v)`` pairs and evaluates it at the
 ``alpha_k`` to estimate ``f(x_k)``.
 
 The encoder is linear in the data.  Its fit to the K x K identity gives
-matrices G and Gamma whose products with the inputs X are the knot values
-and second derivatives of the encoder fitted to X, and the evaluation
-weights of the alphas at the betas (:func:`letcc.spline.evaluation_weights`)
-turn those into the coded batch.  Both are computed once per grid object
-and encoder weight ``lambda_e`` and kept on the grid, in O(N + K^2)
-memory, plus N x K once an input at least K wide is encoded; later
-encodes on the same grid object cost two K x K products and either one
-weighted gather of four N x d terms or one (N, K) x (K, d) product.
+matrices G and Gamma, kept as one (2, K, K) array, whose products with
+the inputs X are the knot values and second derivatives of the encoder
+fitted to X, and the evaluation weights of the alphas at the betas
+(:func:`letcc.spline.evaluation_weights`) turn those into the coded
+batch.  Both are computed once per grid object and encoder weight
+``lambda_e`` and kept on the grid, in O(N + K^2) memory, plus N x K once
+an input at least K wide is encoded; later encodes on the same grid
+object cost one stacked product of the (2, K, K) array with X and
+either one weighted gather of four N x d terms or one (N, K) x (K, d)
+product.
 The gather makes eleven memory-bound passes over N x d; the product is
 one BLAS call.  The dense map E of the product is the gather applied
 once to G and Gamma, a gather of d = K columns, so for d >= K building E
@@ -43,8 +45,9 @@ one LAPACK call per weight, with each trial's bits
 weights share the basis and its lambda-free band entries, and one set of
 stacked evaluation weights takes all L x T fits to the alphas, for one
 weight or many.  The body gives arrays only: the (L, T, K, m) estimates
-and the (L, T, v, m) knot values and second derivatives.  The
-Monte-Carlo harness hands its own stacked survivors to it directly;
+and the fits' knot values and second derivatives, one (L, T, 2, v, m)
+stack.  The Monte-Carlo harness hands its own stacked survivors to it
+directly;
 :func:`decode`, one trial at one weight, is the one entry for outside
 callers and the only place a :class:`DecodeResult` and its
 :class:`letcc.spline.SplineFit` are built; its survivors, pairs or
@@ -59,7 +62,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,41 +142,41 @@ class DecodeResult:
 class _LinearEncoder:
     """The encoder of one grid at one ``lambda_e`` as a linear map.
 
-    ``unit`` is the encoder fitted to the K x K identity: its coefficients
-    G and second derivatives Gamma map inputs X to the encoder fit of X.
-    ``at_betas`` evaluates any spline on the alphas at the betas.
+    ``unit`` (2, K, K) is the knot data of the encoder fitted to the K x K
+    identity: its knot values G above its second derivatives Gamma, which
+    map inputs X to the encoder fit of X.  ``at_betas`` evaluates any
+    spline on the alphas at the betas.
     """
 
-    unit: spline.SplineFit
+    unit: np.ndarray
     at_betas: spline.EvaluationWeights
 
     @functools.cached_property
     def dense(self) -> np.ndarray:
         """The (N, K) coded batch of the identity: coded = dense @ X."""
-        return self.at_betas.apply(self.unit.coefficients, self.unit.second_derivs)
+        return self.at_betas.apply(self.unit)
 
     def apply(self, inputs: np.ndarray):
-        """Coded values, knot values and knot second derivatives of the encoder.
+        """Coded values and the (2, K, d) knot data of the encoder fitted to ``inputs``.
 
         ``inputs`` is (K, d), or a stack (..., K, d) that gives stacks of
-        each; a stacked matmul runs the product of each set on its own.
-        Inputs at least K wide are coded through :attr:`dense`, narrower
-        ones by the weighted gather of their knot values and second
-        derivatives (see the module docstring).
+        both; one stacked matmul gives the knot values and second
+        derivatives of every set, each product on its own.  Inputs at least
+        K wide are coded through :attr:`dense`, narrower ones by the
+        weighted gather of their knot data (see the module docstring).
         """
-        values = np.matmul(self.unit.coefficients, inputs)
-        second_derivs = np.matmul(self.unit.second_derivs, inputs)
+        knot_data = np.matmul(self.unit, inputs[..., None, :, :])
         if inputs.shape[-1] >= inputs.shape[-2]:
             coded = np.matmul(self.dense, inputs)
         else:
-            coded = self.at_betas.apply(values, second_derivs)
-        return coded, values, second_derivs
+            coded = self.at_betas.apply(knot_data)
+        return coded, knot_data
 
 
 def _linear_encoder(grid: InterpolationGrid, lambda_e: float) -> _LinearEncoder:
     """The grid's letcc encoder for a checked ``lambda_e``, built and kept on first use."""
     return grid._cached(("letcc", lambda_e), lambda: _LinearEncoder(
-        spline.fit(grid.alphas, np.eye(grid.k), lambda_e),
+        spline.fit(grid.alphas, np.eye(grid.k), lambda_e).knot_data,
         spline.evaluation_weights(grid.alphas, grid.betas)))
 
 
@@ -187,9 +190,9 @@ def encode(data: Dataset, grid: InterpolationGrid, lambda_e: float) -> CodedBatc
     """
     if data.k != grid.k:
         raise ValueError(f"dataset has {data.k} rows but grid has {grid.k} alphas")
-    encoder = _linear_encoder(grid, _real(lambda_e, "lambda_e"))
-    coded, values, second_derivs = encoder.apply(data.inputs)
-    enc = replace(encoder.unit, coefficients=values, second_derivs=second_derivs)
+    lam = _real(lambda_e, "lambda_e")
+    coded, knot_data = _linear_encoder(grid, lam).apply(data.inputs)
+    enc = spline.SplineFit(grid.alphas, knot_data, lam, degenerate=grid.k < 3)
     return CodedBatch(coded=coded, encoder_fit=enc, grid=grid)
 
 
@@ -241,6 +244,8 @@ def normalize_survivors(survivors, n: int):
     if not count:
         raise DecodeFailure("no survivor outputs to decode from")
     rows = _rows(rows, count, "survivor indices")
+    if not rows.size:
+        raise ValueError("survivor outputs must have at least one column")
 
     if (indices[1:] > indices[:-1]).all():
         # sorted and unique already, as workers report: every row in place
@@ -266,16 +271,14 @@ def decode(survivors, grid: InterpolationGrid, lambda_d: float) -> DecodeResult:
     """
     lam = _real(lambda_d, "lambda_d")
     indices, outputs = normalize_survivors(survivors, grid.n)
-    estimates, (values, second_derivs), degraded = _decode_stack(
-        grid, indices[None], outputs[None], (lam,))
-    fit = spline.SplineFit(grid.betas[indices], values[0, 0], second_derivs[0, 0],
-                           lam, degenerate=degraded)
+    estimates, fits, degraded = _decode_stack(grid, indices[None], outputs[None], (lam,))
+    fit = spline.SplineFit(grid.betas[indices], fits[0, 0], lam, degenerate=degraded)
     return DecodeResult(estimates=estimates[0, 0], decoder_fit=fit,
                         survivor_count=indices.size, degraded=degraded)
 
 
 def _decode_stack(grid: InterpolationGrid, indices: np.ndarray, outputs: np.ndarray,
-                  lambdas) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], bool]:
+                  lambdas) -> tuple[np.ndarray, np.ndarray, bool]:
     """Decodes of T trials' checked survivors at each weight of ``lambdas``.
 
     ``indices`` (T, v) are sorted, unique and in range, and ``outputs``
@@ -284,11 +287,11 @@ def _decode_stack(grid: InterpolationGrid, indices: np.ndarray, outputs: np.ndar
     :func:`letcc.points._real`.  The T fits at a weight share one set of
     band operations (:func:`letcc.spline._fit_stack`), and one set of
     evaluation weights takes all fits to the alphas.  Gives the (L, T, K, m)
-    estimates, the (L, T, v, m) knot values and second derivatives, and
-    whether the fits are degraded: fewer than three survivors fit the
-    penalty null space.
+    estimates, the fits' knot values and second derivatives as one
+    (L, T, 2, v, m) stack, and whether the fits are degraded: fewer than
+    three survivors fit the penalty null space.
     """
     knots = grid.betas[indices]
     fits = spline._fit_stack(knots, outputs, lambdas)
-    estimates = spline.evaluation_weights(knots, grid.alphas).apply(*fits)
+    estimates = spline.evaluation_weights(knots, grid.alphas).apply(fits)
     return estimates, fits, indices.shape[1] < 3

@@ -40,6 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .points import _query
+
 __all__ = ["sobolev_kernel", "KernelFit", "kernel_fit"]
 
 # refinement steps of the saddle-point solve, and the columns of the Gram
@@ -75,9 +77,8 @@ class KernelFit:
     _scalar: bool = field(default=False, repr=False)
 
     def evaluate(self, query) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(query, dtype=float))
-        if not np.all(np.isfinite(x)):
-            raise ValueError("query contains non-finite values")
+        """Values at ``query``, a scalar or 1-D array (see :func:`letcc.points._query`)."""
+        x = _query(query)
         k = sobolev_kernel(x[:, None], self.nodes[None, :])
         out = self.d[0] + np.outer(x, self.d[1]) + k @ self.c
         return out[:, 0] if self._scalar else out

@@ -10,9 +10,10 @@ The module also owns the rules for input from outside: every count or
 index passes :func:`_integral_indices` (:func:`_integer` for one), each
 caller keeping its own minimum; every real parameter (a smoothing weight,
 a noise level, a scale or ratio) passes :func:`_real`; every point set
-:func:`_check_points`; every seed entry :func:`_seed`, the integer rule
-without its int64 limit; every name :func:`_string`; and every list of
-names, counts or reals :func:`_items`, each item by its own rule.
+:func:`_check_points`; every query of a fitted interpolant's ``evaluate``
+:func:`_query`; every seed entry :func:`_seed`, the integer rule without
+its int64 limit; every name :func:`_string`; and every list of names,
+counts or reals :func:`_items`, each item by its own rule.
 """
 
 from __future__ import annotations
@@ -160,6 +161,20 @@ def _check_points(name: str, pts: np.ndarray, minimum: int = 1, domain=None,
         raise ValueError(f"{name} must be strictly increasing")
     if domain is not None and not (domain[0] <= pts.min() and pts.max() <= domain[1]):
         raise ValueError(f"{name} must lie within [{domain[0]}, {domain[1]}]")
+
+
+def _query(query) -> np.ndarray:
+    """The points of ``query``, a scalar or a 1-D array, as a 1-D float array.
+
+    A scalar is one point.  Any other shape, or a non-finite point, raises
+    ``ValueError`` naming the query.
+    """
+    x = np.atleast_1d(np.asarray(query, dtype=float))
+    if x.ndim != 1:
+        raise ValueError(f"query must be a scalar or a 1-D array, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("query contains non-finite values")
+    return x
 
 
 def _integral_indices(values, what: str, n: int | None = None) -> np.ndarray:

@@ -6,8 +6,10 @@ decoder weight lambda_d, draws the data, encodes, samples the stragglers
 and runs the workers; :func:`monte_carlo_lambdas` prepares all trials of
 a call together, in as few chunks as a bound on their values allows,
 of even sizes.  Each trial draws on its own streams: a chunk takes its
-trials' random draws, stacked, from :mod:`letcc.streams`, and stacks
-given or ``identity`` inputs itself.  A worker function not declared
+trials' random draws, stacked, from :mod:`letcc.streams`.  Given or
+``identity`` inputs are one set for the whole chunk, encoded and run
+through f once, and its truth, through-encoder values and l_enc are
+broadcast to every trial.  A worker function not declared
 elementwise is called once on each of a trial's row sets and never on
 the rows of several trials; an elementwise one runs once per row set of
 the chunk.  Everything else runs once per chunk: the encode (one stacked
@@ -316,7 +318,7 @@ def apply_workers(func: WorkerFunction, batch: CodedBatch, noise: NoiseModel,
         if rng is None:
             raise ValueError("sigma0 > 0 needs an rng to draw the worker noise")
         normals = streams._STREAMS[streams._NOISE].trial(rng, survivors.size, func.out_dim)[None]
-    outputs = _worker_stack(func, batch.coded[None], survivors[None], noise.sigma0, normals)[0]
+    outputs = _worker_stack(func, batch.coded, survivors[None], noise.sigma0, normals)[0]
     return WorkerReturns(indices=survivors, outputs=outputs)
 
 
@@ -324,13 +326,18 @@ def _worker_stack(func: WorkerFunction, coded: np.ndarray, indices: np.ndarray,
                   sigma0: float, normals: np.ndarray | None) -> np.ndarray:
     """Worker outputs (T, v, m) of T trials at their survivors, with noise.
 
-    ``coded`` (T, N, d) holds each trial's coded rows and ``indices`` (T, v)
-    its checked survivors.  The rows of all trials are gathered at once and
-    f runs on them by :func:`_evaluate_stack`.  ``normals`` (T, v, m) are
-    the trials' standard normals, None when ``sigma0`` is 0; they are
-    scaled into a new array, never written.
+    ``coded`` (T, N, d) holds each trial's coded rows, or (N, d) the rows
+    all trials share, and ``indices`` (T, v) the trials' checked survivors.
+    The rows of all trials are gathered at once and f runs on them by
+    :func:`_evaluate_stack`.  ``normals`` (T, v, m) are the trials' standard
+    normals, None when ``sigma0`` is 0; they are scaled into a new array,
+    never written.
     """
-    outputs = _evaluate_stack(func, coded[np.arange(len(indices))[:, None], indices])
+    if coded.ndim == 2:  # the rows all trials share
+        rows = coded[indices]
+    else:
+        rows = coded[np.arange(len(indices))[:, None], indices]
+    outputs = _evaluate_stack(func, rows)
     if normals is not None:
         # what normal(0.0, sigma0, (v, m)) draws: 0.0 + sigma0 * z for each z
         noise = normals * sigma0
@@ -340,11 +347,13 @@ def _worker_stack(func: WorkerFunction, coded: np.ndarray, indices: np.ndarray,
 
 
 def _evaluate_stack(func: WorkerFunction, rows: np.ndarray) -> np.ndarray:
-    """f at the (T, q, d) rows of T trials, (T, q, m).
+    """f at the (T, q, d) rows of T trials, (T, q, m), or at one (q, d) row set, (q, m).
 
     An elementwise f runs once on all T * q rows, any other once per
     trial on exactly that trial's rows (see :class:`WorkerFunction`).
     """
+    if rows.ndim == 2:
+        return func.evaluate(rows)
     if func.elementwise:
         trials, count = rows.shape[:2]
         return func.evaluate(rows.reshape(trials * count, -1)).reshape(trials, count, -1)
@@ -479,7 +488,8 @@ class _Chunk:
     is f at each trial's inputs.  For letcc, ``through_encoder`` (T, K, m)
     is f at the encoder's values at the alphas and ``l_enc`` (T,) the
     encoder term of each trial's risk bound; both are None for the
-    baselines.  All values are finite.
+    baselines.  For given or identity inputs the three are read-only
+    broadcasts of the one input set's.  All values are finite.
     """
 
     seeds: list[tuple[int, ...]]
@@ -504,14 +514,19 @@ def _prepare(setup: TrialSetup, seeds, weights: int = 1) -> Iterator[_Chunk]:
     A chunk's random draws come from :func:`letcc.streams._chunk_draws`,
     read-only: drawn, or sliced from the memo of the chunk drawn last when
     that one, of another scheme or call, ran on the same seeds and drew the
-    same streams.  Given or ``identity`` inputs and the ``fixed`` survivors
-    of :func:`sample_stragglers` are stacked here, one copy per trial.  The
-    chunk encodes its trials' inputs in one product through the grid's
-    cached encoder, gathers the survivors' rows, adds the noise, sigma0
-    times the normals plus 0.0 (what ``normal(0.0, sigma0)`` computes), and
-    checks every value of all its trials at once.  f runs by
-    :func:`_evaluate_stack` on each row set: survivors, inputs and, for
-    letcc, the encoder's values at the alphas.  A non-finite value raises
+    same streams.  The ``fixed`` survivors of :func:`sample_stragglers` are
+    stacked here, one copy per trial.  The chunk encodes its trials' inputs
+    in one product through the grid's cached encoder, gathers the
+    survivors' rows, adds the noise, sigma0 times the normals plus 0.0
+    (what ``normal(0.0, sigma0)`` computes), and checks every value of all
+    its trials at once.  f runs by :func:`_evaluate_stack` on each row set:
+    survivors, inputs and, for letcc, the encoder's values at the alphas.
+    Given or ``identity`` inputs are one set for every trial: it is
+    encoded once, f runs once on its inputs and encoder values, l_enc is
+    computed once, and the chunk holds read-only broadcasts of them, one
+    per trial, with the bits of each trial's own (a worker function gives
+    equal outputs for equal rows); the survivor gather and the noise stay
+    per trial.  A non-finite value raises
     ``ValueError`` naming which of the three it is.  Each seed is a tuple of
     ints, as :func:`letcc.streams._entropy` gives it.
     """
@@ -530,16 +545,17 @@ def _prepare(setup: TrialSetup, seeds, weights: int = 1) -> Iterator[_Chunk]:
         start += trials
         draws = streams._chunk_draws(setup, chunk)
         inputs = draws.get(streams._DATA)
-        if inputs is None:  # given or identity inputs, the same in every trial
-            inputs = np.stack([grid.alphas[:, None] if setup.data is None
-                               else setup.data.inputs] * trials)
+        shared = inputs is None
+        if shared:  # given or identity inputs: one (K, d) set for every trial
+            inputs = grid.alphas[:, None] if setup.data is None else setup.data.inputs
         indices = draws.get(streams._STRAGGLERS)
         if indices is None:  # fixed mode: the same survivors in every trial
             indices = np.stack([sample_stragglers(setup.stragglers, None)] * trials)
         normals = draws.get(streams._NOISE)
         knot_values = None
         if setup.scheme == "letcc":
-            coded, knot_values, _ = coding._linear_encoder(grid, setup.lambda_e).apply(inputs)
+            coded, knot_data = coding._linear_encoder(grid, setup.lambda_e).apply(inputs)
+            knot_values = knot_data[..., 0, :, :]
         else:
             coded = baselines._encoder(grid, setup.scheme).apply(inputs)
         outputs = _worker_stack(func, coded, indices, setup.noise.sigma0, normals)
@@ -555,6 +571,10 @@ def _prepare(setup: TrialSetup, seeds, weights: int = 1) -> Iterator[_Chunk]:
                 raise ValueError(f"{name} contain non-finite values")
         if through is not None:  # of checked values: inf - inf would warn
             l_enc = 2.0 * _mean_sq_dist(through, truth)
+        if shared:  # the one set's values, read-only, for every trial
+            truth, through, l_enc = (None if a is None
+                                     else np.broadcast_to(a, (trials,) + np.shape(a))
+                                     for a in (truth, through, l_enc))
         yield _Chunk(chunk, indices, outputs, truth, through, l_enc)
 
 

@@ -40,24 +40,27 @@ the last fills a reused copy with its four lam-scaled rows of Q and runs
 one LU, and the last fills and solves the lam-free band itself.  A basis
 holds a (T, n) stack of knot sets of one size, such as the survivor knots
 of T Monte-Carlo trials, and one knot set is the stack T = 1: its methods
-take (T, n, m) stacks, and a smooth gives (L, T, n, m) ones.  The bands of
-all sets are built in one set of array operations and, side by side, are
-the band of one block-diagonal system: one LAPACK call per weight solves
-every set, and each set's fit equals its own fit bit for bit.  :func:`fit` is
-the one public fit, of one knot set at one weight; the decoder fits T sets
-at several weights on one basis through the same body, ``_fit_stack``,
-which gives arrays only, the (L, T, n, m) knot values and second
-derivatives; :class:`SplineFit` is built by :func:`fit` alone.  A fit
-keeps no basis: its roughness is computed from its own knots.
+take (T, n, m) stacks, and a smooth gives one (L, T, 2, n, m) stack, each
+fit a (2, n, m) array of its knot values above its second derivatives.
+The bands of all sets are built in one set of array operations and, side
+by side, are the band of one block-diagonal system: one LAPACK call per
+weight solves every set, and each set's fit equals its own fit bit for
+bit.  :func:`fit` is the one public fit, of one knot set at one weight;
+the decoder fits T sets at several weights on one basis through the same
+body, ``_fit_stack``, which gives arrays only, that (L, T, 2, n, m)
+stack; :class:`SplineFit` is built by :func:`fit` alone.  A fit keeps no
+basis: its roughness is computed from its own knots.
 
 Evaluation at q query points runs in two steps.  The first depends only on
 the knots and the queries (:func:`evaluation_weights`): for each query row
 it finds the knot interval and four weights, on the values and on the
 second derivatives at the interval's two ends; rows beyond the end knots
 get the weights of the linear extension instead, so no row takes a
-separate branch.  The second (:meth:`EvaluationWeights.apply`) is four
-weighted row gathers of the knot values and second derivatives, O(q m)
-for m output dimensions.  Spline fits evaluate through both steps; a
+separate branch.  The second (:meth:`EvaluationWeights.apply`) reads
+the four terms of every query row from the fit's one array of knot
+values and second derivatives in one gather, weights them in one
+product and adds them in a fixed order along an outer axis, O(q m) for
+m output dimensions.  Spline fits evaluate through both steps; a
 caller that evaluates many splines on the same knots at the same queries
 keeps the weights and repeats only the second step.  The weights of a
 stack of knot sets evaluate one spline per set in the same two steps.
@@ -72,7 +75,7 @@ import numpy as np
 from scipy.linalg import solveh_banded
 from scipy.linalg.lapack import dgbsv
 
-from .points import _check_points, _real
+from .points import _check_points, _query, _real
 
 __all__ = [
     "DegenerateBasisError",
@@ -144,16 +147,19 @@ class NaturalSplineBasis:
         return solveh_banded(_r_band(self._h).reshape(3, -1), rhs.reshape(-1, rhs.shape[-1]),
                              overwrite_ab=True).reshape(rhs.shape)
 
-    def smooth(self, y: np.ndarray, lamns: list[float]) -> tuple[np.ndarray, np.ndarray]:
-        """Fitted knot values and second derivatives, (L, T, n, m) each, at L weights.
+    def smooth(self, y: np.ndarray, lamns: list[float]) -> np.ndarray:
+        """Fitted knot values and second derivatives at L weights, one (L, T, 2, n, m) stack.
 
         For data ``y`` (T, n, m) and each weight ``lamn`` of ``lamns``,
         finite and > 0, solves the equations of the fit,
         g + lamn * Q gam = y  and  Q^T g - R gam = 0,  as one band system in
         the interleaved unknowns (g_0, g_1, gam_1, g_2, ..., gam_{n-2},
         g_{n-1}) by banded LU with partial pivoting.  The second derivatives
-        are zero at the end knots.  One LAPACK ``dgbsv`` call per weight
-        solves all T sets as one block-diagonal band, with each set's bits:
+        are zero at the end knots.  Each set's fit is a (2, n, m) block of the
+        stack, its knot values above its second derivatives, which
+        :meth:`EvaluationWeights.apply` reads in one gather.  One LAPACK
+        ``dgbsv`` call per weight solves all T sets as one block-diagonal
+        band, with each set's bits:
         the band slots outside a set's own rows hold zeros, so the pivot
         search never picks another set's row and every update across a set's
         edge adds an exact zero; and kl = 2 is below LAPACK's block size, so
@@ -208,9 +214,9 @@ class NaturalSplineBasis:
         lam_free[:, 4, 2::2] = -r[2]                                          # -R, gam rows
         lam_free[:, 2, 4::2] = lam_free[:, 6, 2:-3:2] = -r[1, :, 1:]
         work = np.empty_like(lam_free) if len(lamns) > 1 else None
-        # each set's (n, m) values Fortran-ordered, as a one-set solve gives them
-        values = np.empty((len(lamns), count, m, n)).transpose(0, 1, 3, 2)
-        second_derivs = np.zeros_like(values)
+        # each fit's (n, m) blocks Fortran-ordered, as a one-set solve gives them
+        fits = np.empty((len(lamns), count, 2, m, n)).transpose(0, 1, 2, 4, 3)
+        fits[:, :, 1, ::n - 1] = 0.0  # the natural ends
         rhs = np.empty((count * (2 * n - 2), m), order="F")
         b = rhs.reshape(count, -1, m)  # each set's (2n-2, m) rows, set after set
         for i, lamn in enumerate(lamns):
@@ -226,9 +232,9 @@ class NaturalSplineBasis:
             if info:  # > 0 singular, which distinct knots rule out; < 0 a bad argument
                 raise NumericalFitError(f"smoothing system not solved: dgbsv info {info}")
             sol = sol.reshape(b.shape)
-            values[i, :, 0], values[i, :, 1:] = sol[:, 0], sol[:, 1::2]
-            second_derivs[i, :, 1:-1] = sol[:, 2:-1:2]
-        return values, second_derivs
+            fits[i, :, 0, 0], fits[i, :, 0, 1:] = sol[:, 0], sol[:, 1::2]
+            fits[i, :, 1, 1:-1] = sol[:, 2:-1:2]
+        return fits
 
     def penalty_matrix(self) -> np.ndarray:
         """Gram matrix Phi of basis second derivatives, Phi_ij = int b_i'' b_j''.
@@ -248,11 +254,11 @@ class NaturalSplineBasis:
         Dense and built on each call; a test oracle, not used by fitting.
         """
         n = self.basis_dim
-        ident = np.eye(n)
-        gam = np.zeros((n, n))
-        gam[1:-1] = self.interior_second_derivs(ident[None])[0]
+        unit = np.zeros((2, n, n))
+        unit[0] = np.eye(n)
+        unit[1, 1:-1] = self.interior_second_derivs(unit[:1])[0]
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return evaluation_weights(self.knots, x).apply(ident, gam)
+        return evaluation_weights(self.knots, x).apply(unit)
 
 
 def _r_band(h: np.ndarray) -> np.ndarray:
@@ -272,11 +278,12 @@ def _r_band(h: np.ndarray) -> np.ndarray:
 class SplineFit:
     """A fitted vector-valued smoothing spline.
 
-    ``coefficients`` holds the fitted values at the knots, one column per
-    output dimension (the cardinal-basis coefficients).  ``second_derivs``
-    are the spline's second derivatives at the knots (zero at and beyond the
-    boundary).  Evaluation outside the knot range extrapolates linearly,
-    matching the natural boundary conditions.
+    ``knot_data`` (2, n, m) holds the fitted values at the knots above the
+    spline's second derivatives there, one column per output dimension.
+    Its halves are ``coefficients``, the cardinal-basis coefficients, and
+    ``second_derivs`` (zero at and beyond the boundary).  Evaluation
+    outside the knot range extrapolates linearly, matching the natural
+    boundary conditions.
 
     Fits on fewer than three points degrade gracefully: two points give the
     exact affine interpolant, one point a constant; such fits are flagged
@@ -284,19 +291,28 @@ class SplineFit:
     """
 
     knots: np.ndarray
-    coefficients: np.ndarray
-    second_derivs: np.ndarray
+    knot_data: np.ndarray
     lam: float
     degenerate: bool = False
     _scalar: bool = field(default=False, repr=False)
 
+    @property
+    def coefficients(self) -> np.ndarray:
+        """The fitted values at the knots, (n, m)."""
+        return self.knot_data[0]
+
+    @property
+    def second_derivs(self) -> np.ndarray:
+        """The second derivatives at the knots, (n, m)."""
+        return self.knot_data[1]
+
     def evaluate(self, query) -> np.ndarray:
-        """Values at ``query``; shape (q, m), or (q,) if fitted on 1-D data."""
-        x = np.atleast_1d(np.asarray(query, dtype=float))
-        if not np.isfinite(x).all():
-            raise ValueError("query contains non-finite values")
-        out = evaluation_weights(self.knots, x).apply(self.coefficients,
-                                                      self.second_derivs)
+        """Values at ``query``; shape (q, m), or (q,) if fitted on 1-D data.
+
+        ``query`` is a scalar or a 1-D array of q points
+        (:func:`letcc.points._query`).
+        """
+        out = evaluation_weights(self.knots, _query(query)).apply(self.knot_data)
         return out[:, 0] if self._scalar else out
 
     def roughness(self) -> float:
@@ -337,23 +353,25 @@ def fit(t, y, lam: float) -> SplineFit:
         y = y[:, None]
     if y.shape[0] != t.size:
         raise ValueError(f"y has {y.shape[0]} rows for {t.size} knots")
+    if not y.shape[1]:
+        raise ValueError(f"y must have at least one column, got shape {y.shape}")
     if not np.isfinite(y).all():
         raise ValueError("non-finite values in fit inputs")
     lam = _real(lam, "lam")
-    values, second_derivs = _fit_stack(t[None], y[None], [lam])
-    return SplineFit(t, values[0, 0], second_derivs[0, 0], lam, degenerate=t.size < 3,
-                     _scalar=scalar)
+    return SplineFit(t, _fit_stack(t[None], y[None], [lam])[0, 0], lam,
+                     degenerate=t.size < 3, _scalar=scalar)
 
 
-def _fit_stack(t: np.ndarray, y: np.ndarray,
-               lams: list[float]) -> tuple[np.ndarray, np.ndarray]:
+def _fit_stack(t: np.ndarray, y: np.ndarray, lams: list[float]) -> np.ndarray:
     """Fits of each knot set of a (T, n) stack to its data (T, n, m), at each weight.
 
     The knots and data are checked by the caller, each of ``lams`` by
-    :func:`letcc.points._real`.  Gives the (L, T, n, m) knot values and
-    second derivatives of all sets at the L weights.  Every set gets the
-    arithmetic, and the memory layout, of a fit on its own (see
-    :meth:`NaturalSplineBasis.smooth`).  Fewer than three
+    :func:`letcc.points._real`.  Gives the knot values and second
+    derivatives of all sets at the L weights as one (L, T, 2, n, m) stack.
+    Every set gets the arithmetic, and the memory layout, of a fit on its
+    own (see :meth:`NaturalSplineBasis.smooth`): Fortran-ordered (n, m)
+    blocks when every weight is smoothed, else C-ordered ones, the layout
+    of the data these fits keep.  Fewer than three
     knots fit the penalty null space exactly (affine for n=2, constant for
     n=1) regardless of lam; :func:`fit` flags such a fit degenerate.  At
     lam = 0 the knot values are the data, and the second derivatives those
@@ -361,7 +379,7 @@ def _fit_stack(t: np.ndarray, y: np.ndarray,
     """
     n = t.shape[1]
     if n < 3:
-        return np.repeat(y[None], len(lams), axis=0), np.zeros((len(lams),) + y.shape)
+        return _unsmoothed(y, len(lams))
     for lam in lams:
         if not math.isfinite(n * lam):
             raise ValueError(f"lam = {lam} overflows: n*lam is not finite for n = {n} knots")
@@ -369,58 +387,80 @@ def _fit_stack(t: np.ndarray, y: np.ndarray,
     smoothed = [i for i, lam in enumerate(lams) if lam]
     if len(smoothed) == len(lams):
         return basis.smooth(y, [n * lam for lam in lams])
-    values = np.repeat(y[None], len(lams), axis=0)
-    second_derivs = np.zeros_like(values)
-    second_derivs[:, :, 1:-1] = basis.interior_second_derivs(y)
+    fits = _unsmoothed(y, len(lams))
+    fits[:, :, 1, 1:-1] = basis.interior_second_derivs(y)
     if smoothed:
-        values[smoothed], second_derivs[smoothed] = basis.smooth(
-            y, [n * lams[i] for i in smoothed])
-    return values, second_derivs
+        fits[smoothed] = basis.smooth(y, [n * lams[i] for i in smoothed])
+    return fits
+
+
+def _unsmoothed(y: np.ndarray, weights: int) -> np.ndarray:
+    """The data (T, n, m) as the knot values of ``weights`` fits, (L, T, 2, n, m).
+
+    Their second derivatives are zero.  The (n, m) blocks are C-ordered, as
+    these fits always had: at lambda_e = 0 the encoder's one product of its
+    (2, K, K) unit fit with the inputs rounds by that layout.
+    """
+    fits = np.empty((weights,) + y.shape[:1] + (2,) + y.shape[1:])
+    fits[:, :, 0], fits[:, :, 1] = y, 0.0
+    return fits
 
 
 @dataclass(frozen=True, eq=False)
 class EvaluationWeights:
     """Where each query row of a spline evaluation reads, and with what weight.
 
-    For knot values ``v`` and knot second derivatives ``s``, query row r is
+    A spline's knot data is one (2, n, m) array, its knot values ``v``
+    above its knot second derivatives ``s`` (:attr:`SplineFit.knot_data`).
+    For the knot interval [lo[r], hi[r]] of query row r, the row is
 
-        weights[0, r] v[lo[r]] + weights[1, r] v[hi[r]]
-          + weights[2, r] s[lo[r]] + weights[3, r] s[hi[r]].
+        ((weights[0, r] v[lo[r]] + weights[1, r] v[hi[r]])
+          + weights[2, r] s[lo[r]]) + weights[3, r] s[hi[r]].
 
-    The weights depend on the knots and the queries only, so one instance
-    evaluates every spline on those knots at those queries.  Weights of a
-    (T, n) stack of knot sets have (T, q) rows; their ``lo`` and ``hi``
-    index the T * n knot rows of the stack, set after set.
+    ``index`` picks those four knot rows of every query row from the
+    knot data's (2, n) axes, in that order: the halves (4, 1) [0, 0, 1, 1]
+    and the knots (4, q) [lo, hi, lo, hi] (on one knot, lo = hi).  The
+    index arrays broadcast against each other.  The weights depend on the
+    knots and the queries only, so one instance evaluates every spline on
+    those knots at those queries.  Weights of a (T, n) stack of knot sets
+    have (T, q) rows and read a (T, 2, n, m) stack, one spline per set:
+    their ``index`` leads with the (T, 1) set of each row, and its knots
+    are (4, T, q).
     """
 
-    lo: np.ndarray
-    hi: np.ndarray
+    index: tuple[np.ndarray, ...]
     weights: np.ndarray
 
-    def apply(self, values: np.ndarray, second_derivs: np.ndarray) -> np.ndarray:
-        """The (q, m) values at the queries of the spline with these knot rows.
+    def apply(self, knot_data: np.ndarray) -> np.ndarray:
+        """The (q, m) values at the queries of the spline with this (2, n, m) knot data.
 
-        ``values`` and ``second_derivs`` are (n, m), or stacks (..., n, m) of
-        splines on the same knots, which give (..., q, m).  Weights of a
-        stack of knot sets take one spline per set, (..., T, n, m), and give
-        (..., T, q, m).  Each spline of a stack gets the same arithmetic as
-        on its own.
+        ``knot_data`` may be a stack (..., 2, n, m) of splines on the same
+        knots, which gives (..., q, m).  Weights of a stack of knot sets
+        take one spline per set, (..., T, 2, n, m), and give (..., T, q, m).
+        One gather reads the four terms of every row into (P, 4, [T,] q, m)
+        for the P splines of the stack, one product weights them, and three
+        adds along that outer axis of four sum them in the order of the
+        class docstring, elementwise, so the CPU dispatch cannot reorder the
+        sum and each spline of a stack gets the same arithmetic as on its
+        own.  The splines are an index of the gather too: after sliced
+        axes, numpy lays an index's result out in another memory order,
+        which every reduction over the values downstream would follow.
         """
-        if self.lo.ndim > 1:  # one spline per knot set: the sets' rows as one array
-            values = values.reshape(values.shape[:-3] + (-1, values.shape[-1]))
-            second_derivs = second_derivs.reshape(values.shape)
-        out = np.take(values, self.lo, axis=-2)
-        out *= self.weights[0, ..., None]
-        term = np.empty_like(out)
-        for w, rows, idx in ((self.weights[1], values, self.hi),
-                             (self.weights[2], second_derivs, self.lo),
-                             (self.weights[3], second_derivs, self.hi)):
-            # indices are in range by construction; "clip" lets take write
-            # into ``term`` without the buffering its "raise" mode needs
-            np.take(rows, idx, axis=-2, out=term, mode="clip")
-            term *= w[..., None]
-            out += term
-        return out
+        lead = knot_data.shape[:knot_data.ndim - len(self.index) - 1]
+        knot_data = knot_data.reshape((-1,) + knot_data.shape[len(lead):])
+        splines = np.arange(len(knot_data)).reshape((-1,) + (1,) * self.weights.ndim)
+        terms = knot_data[(splines,) + self.index]
+        terms *= self.weights[..., None]
+        out = terms[:, 0] + terms[:, 1]
+        out += terms[:, 2]
+        out += terms[:, 3]
+        return out.reshape(lead + out.shape[1:])
+
+
+# the knot data half and the interval end that each of a query row's four
+# terms reads: v[lo], v[hi], s[lo], s[hi]
+_HALVES = np.array([0, 0, 1, 1])
+_ENDS = np.array([0, 1, 0, 1])
 
 
 def evaluation_weights(knots: np.ndarray, x: np.ndarray) -> EvaluationWeights:
@@ -431,31 +471,35 @@ def evaluation_weights(knots: np.ndarray, x: np.ndarray) -> EvaluationWeights:
     (b^3 - b) h^2/6, the cubic of Press et al. (Numerical Recipes, 3.3).
     Beyond the ends the spline continues along its end tangent, which in
     the same a and b of the end interval is -b h^2/3 and -b h^2/6 on the
-    left and -a h^2/6 and -a h^2/3 on the right.  All-zero second
-    derivatives give piecewise-linear interpolation, the degenerate fit on
-    two knots; on one knot every query reads that knot's value.  Queries
-    need not be sorted.  ``knots`` may be a (T, n) stack of knot sets, each
-    evaluated at the same queries with the arithmetic of the set alone.
+    left and -a h^2/6 and -a h^2/3 on the right: every row takes the
+    in-range weights, and the rows beyond an end alone are then
+    overwritten.  All-zero second derivatives give piecewise-linear
+    interpolation, the degenerate fit on two knots; on one knot every
+    query reads that knot's value.  Queries need not be sorted.  ``knots``
+    may be a (T, n) stack of knot sets, each evaluated at the same queries
+    with the arithmetic of the set alone.
     """
     n = knots.shape[-1]
     # the number of interior knots at or left of x is the interval index,
     # 0 left of the first knot and n - 2 from the last knot on (0 for n < 3)
     if knots.ndim == 1:
-        lo = np.searchsorted(knots[1:-1], x, side="right")
-    elif len(knots) == 1:
-        # a single decode: no per-set loop or offsets (~4 us against ~12 us
-        # for the loop at 448 knots and 32 queries, on a 2-core Xeon)
-        lo = np.searchsorted(knots[0, 1:-1], x, side="right")[None]
-    else:  # one search per set, offset to the rows of the stack, set after set
-        lo = np.array([np.searchsorted(k[1:-1], x, side="right") for k in knots])
-        lo += n * np.arange(len(knots))[:, None]
+        sets, lo = (), np.searchsorted(knots[1:-1], x, side="right")
+    else:  # the set of each row, then the interval in it
+        sets = (np.arange(len(knots))[:, None],)
+        if len(knots) == 1:
+            # a single decode: no per-set loop (~4 us against ~12 us for the
+            # loop at 448 knots and 32 queries, on a 2-core Xeon)
+            lo = np.searchsorted(knots[0, 1:-1], x, side="right")[None]
+        else:
+            lo = np.array([np.searchsorted(k[1:-1], x, side="right") for k in knots])
+    terms = (4,) + (1,) * lo.ndim
+    halves = _HALVES.reshape(terms)
     if n == 1:
         weights = np.zeros((4,) + lo.shape)
         weights[0] = 1.0
-        return EvaluationWeights(lo, lo, weights)
+        return EvaluationWeights(sets + (halves, lo), weights)
     hi = lo + 1
-    flat = knots.reshape(-1)
-    k_lo, k_hi = flat[lo], flat[hi]
+    k_lo, k_hi = knots[sets + (lo,)], knots[sets + (hi,)]
     h = k_hi - k_lo
     weights = np.empty((4,) + lo.shape)
     a, b = weights[0], weights[1]
@@ -464,10 +508,17 @@ def evaluation_weights(knots: np.ndarray, x: np.ndarray) -> EvaluationWeights:
     np.subtract(x, k_lo, out=b)
     b /= h
     h2_6 = h * h / 6.0
-    left, right = x < knots[..., :1], x > knots[..., -1:]
     # cubes as products: np.power's float64 bits follow numpy's CPU dispatch
-    np.multiply(np.where(left, -2.0 * b, np.where(right, -a, a * a * a - a)), h2_6,
-                out=weights[2])
-    np.multiply(np.where(left, -b, np.where(right, -2.0 * a, b * b * b - b)), h2_6,
-                out=weights[3])
-    return EvaluationWeights(lo, hi, weights)
+    np.multiply(a * a * a - a, h2_6, out=weights[2])
+    np.multiply(b * b * b - b, h2_6, out=weights[3])
+    left = x < knots[..., :1]
+    if np.count_nonzero(left):  # along the left end tangent
+        b_left, h2_6_left = b[left], h2_6[left]
+        weights[2][left] = -2.0 * b_left * h2_6_left
+        weights[3][left] = -b_left * h2_6_left
+    right = x > knots[..., -1:]
+    if np.count_nonzero(right):  # along the right end tangent
+        a_right, h2_6_right = a[right], h2_6[right]
+        weights[2][right] = -a_right * h2_6_right
+        weights[3][right] = -2.0 * a_right * h2_6_right
+    return EvaluationWeights(sets + (halves, lo + _ENDS.reshape(terms)), weights)

@@ -179,8 +179,8 @@ class TestEncoderCache:
         encoder = _linear_encoder(chebyshev_grid(k, n), lam)
         for d in (k, 2 * k + 1):
             x = rng.uniform(-1, 1, (k, d))
-            coded, values, second_derivs = encoder.apply(x)
-            gathered = encoder.at_betas.apply(values, second_derivs)
+            coded, knot_data = encoder.apply(x)
+            gathered = encoder.at_betas.apply(knot_data)
             scale = 1.0 + np.abs(gathered).max()
             assert np.abs(coded - gathered).max() <= 1e-14 * scale
         assert encoder.dense.shape == (n, k)
@@ -192,8 +192,7 @@ class TestEncoderCache:
         encoder = _linear_encoder(grid, 1e-3)
         for got, x in zip(zip(*encoder.apply(stack)), stack):
             batch = encode(Dataset(x), grid, 1e-3)
-            want = (batch.coded, batch.encoder_fit.coefficients,
-                    batch.encoder_fit.second_derivs)
+            want = (batch.coded, batch.encoder_fit.knot_data)
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
 
@@ -391,6 +390,23 @@ class TestDecode:
                                              r"got shape \(3, 1\)$"):
             decode(WorkerReturns(np.array([[0], [2], [4]]), np.ones((3, 1))), grid, 0.0)
 
+    @pytest.mark.parametrize("form", ["arrays", "pairs"])
+    def test_outputs_with_zero_columns_raise_in_every_scheme(self, form):
+        # bacc and lcc would return (K, 0) estimates, and letcc's fit fail
+        # in a reshape; every scheme refuses them in normalize_survivors
+        grid = chebyshev_grid(3, 7)
+        indices = np.array([0, 2, 4, 6])
+        survivors = (WorkerReturns(indices, np.zeros((4, 0))) if form == "arrays"
+                     else [(i, np.zeros(0)) for i in indices])
+        message = "^survivor outputs must have at least one column$"
+        with pytest.raises(ValueError, match=message):
+            normalize_survivors(survivors, 7)
+        for run in (lambda: decode(survivors, grid, 1e-3),
+                    lambda: baselines.bacc_decode(survivors, grid),
+                    lambda: baselines.lcc_decode(survivors, grid, 1)):
+            with pytest.raises(ValueError, match=message):
+                run()
+
     def test_zero_dimensional_indices_raise(self):
         grid = chebyshev_grid(3, 7)
         with pytest.raises(ValueError, match=r"^survivor index array must be one-dimensional, "
@@ -465,14 +481,13 @@ class TestDecodeStackAtManyWeights:
                                    rng.normal(size=(count, m))) for _ in range(trials)]
         estimates, fits, degraded = _decode_stack(grid, *_stacked(survivors), lams)
         assert estimates.shape == (len(lams), trials, 5, m)
-        assert fits[0].shape == fits[1].shape == (len(lams), trials, count, m)
+        assert fits.shape == (len(lams), trials, 2, count, m)
         assert degraded is (count < 3)
-        for lam, at_weight, values, second_derivs in zip(lams, estimates, *fits):
+        for lam, at_weight, knot_data in zip(lams, estimates, fits):
             for t, s in enumerate(survivors):
                 want = _decode_quietly(s, grid, lam)
                 assert np.array_equal(at_weight[t], want.estimates)
-                assert np.array_equal(values[t], want.decoder_fit.coefficients)
-                assert np.array_equal(second_derivs[t], want.decoder_fit.second_derivs)
+                assert np.array_equal(knot_data[t], want.decoder_fit.knot_data)
                 assert want.survivor_count == count
                 assert want.degraded == degraded
 
@@ -532,13 +547,11 @@ class TestDecodeStack:
         for group in [lams] + [(lam,) for lam in lams]:  # all weights at once, and each alone
             estimates, fits, degraded = _decode_stack(grid, indices, outputs, group)
             assert degraded is (count < 3)
-            for lam, at_weight, values, second_derivs in zip(group, estimates, *fits,
-                                                             strict=True):
+            for lam, at_weight, knot_data in zip(group, estimates, fits, strict=True):
                 for t, s in enumerate(survivors):
                     want = decode(s, grid, lam)
                     assert _same_bits(at_weight[t], want.estimates)
-                    assert _same_bits(values[t], want.decoder_fit.coefficients)
-                    assert _same_bits(second_derivs[t], want.decoder_fit.second_derivs)
+                    assert _same_bits(knot_data[t], want.decoder_fit.knot_data)
                     assert (want.survivor_count, want.degraded) == (count, count < 3)
         hits = 0
         stacked = baselines._bacc_decode_stack(grid, indices, outputs)
@@ -558,13 +571,11 @@ class TestDecodeStack:
         survivors = _survivor_batch(grid, 30, 4, 2, False, rng)
         for group in ((0.0, 1e-6, 1e-3), (1e-3, 1e-6, 0.0)):
             estimates, fits, _ = _decode_stack(grid, *_stacked(survivors), group)
-            for lam, at_weight, values, second_derivs in zip(group, estimates, *fits,
-                                                             strict=True):
+            for lam, at_weight, knot_data in zip(group, estimates, fits, strict=True):
                 for t, s in enumerate(survivors):
                     want = decode(s, grid, lam)
                     assert _same_bits(at_weight[t], want.estimates)
-                    assert _same_bits(values[t], want.decoder_fit.coefficients)
-                    assert _same_bits(second_derivs[t], want.decoder_fit.second_derivs)
+                    assert _same_bits(knot_data[t], want.decoder_fit.knot_data)
 
     def test_bacc_node_hit_reads_the_node_value(self):
         grid = chebyshev_grid(3, 7)

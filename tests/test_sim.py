@@ -798,9 +798,40 @@ class TestInputRules:
                        func=func, data=data,
                        data_rule="identity" if rule == "identity" else "uniform")
         agg = monte_carlo(setup, 5, 3)
-        # per trial: f at its K inputs (and, for letcc, at the encoder's
-        # knot values), then at its 20 survivors
-        assert sorted(rows) == [8] * 5 * (2 if scheme == "letcc" else 1) + [20] * 5
+        # per trial: f at its 20 survivors, and at its K inputs (and, for
+        # letcc, at the encoder's knot values) when it draws them; the one
+        # set of given or identity inputs runs once for the chunk
+        sets = 5 if rule == "uniform" else 1
+        assert sorted(rows) == [8] * sets * (2 if scheme == "letcc" else 1) + [20] * 5
+        for t, metrics in enumerate(agg.metrics):
+            assert metrics == on_empty_memo(run_trial, setup, (3, t))
+
+    @pytest.mark.parametrize("scheme", sim.SCHEMES)
+    @pytest.mark.parametrize("rule", ["identity", "given"])
+    def test_one_input_set_runs_once_per_chunk(self, scheme, rule, monkeypatch):
+        # a worker that is not elementwise, on 9 trials in several chunks:
+        # f sees the truth rows (and, for letcc, the encoder's knot values)
+        # once per chunk, the survivors once per trial, and every trial's
+        # metrics are its own run_trial's; at N = 24 a trial holds N x 1
+        # values for letcc, N x 8 for bacc and N x 23 for lcc: 4 a chunk
+        width = {"letcc": 1, "bacc": 8, "lcc": 23}[scheme]
+        monkeypatch.setattr(sim, "_CHUNK_VALUES", 4 * 24 * width)
+        rows = []
+        cubic = make_worker("cubic")
+        func = WorkerFunction("counted_cubic", lambda x: rows.append(x.copy()) or cubic.fn(x),
+                              1, 1, degree=3)
+        data = Dataset(np.linspace(-0.9, 0.8, 8)[:, None]) if rule == "given" else None
+        setup = trial_setup(scheme, k=8, n=24, s=4, sigma0=0.1, lambda_e=1e-3, func=func,
+                            data=data, data_rule=rule if rule == "identity" else "uniform")
+        chunks = _chunk_sizes(setup, 9)
+        assert chunks == [3, 3, 3]
+        rows.clear()
+        agg = monte_carlo(setup, 9, 3)
+        inputs = setup.grid.alphas[:, None] if data is None else data.inputs
+        truth = [r for r in rows if np.array_equal(r, inputs)]
+        assert len(truth) == len(chunks)
+        assert sum(len(r) == 20 for r in rows) == 9
+        assert len(rows) == 9 + len(chunks) * (2 if scheme == "letcc" else 1)
         for t, metrics in enumerate(agg.metrics):
             assert metrics == on_empty_memo(run_trial, setup, (3, t))
 

@@ -7,6 +7,7 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from letcc import spline
+from letcc.baselines import BerrutInterpolant, LagrangePolynomial
 from letcc.kernel import kernel_fit
 from letcc.points import chebyshev_second, mesh_stats
 from letcc.spline import (
@@ -321,6 +322,11 @@ class TestFitValidation:
         with pytest.raises(ValueError):
             f.evaluate([np.inf])
 
+    def test_y_of_zero_columns_rejected(self):
+        t = np.linspace(-1, 1, 5)
+        with pytest.raises(ValueError, match=r"^y must have at least one column"):
+            fit(t, np.zeros((5, 0)), 0.1)
+
     def test_n_lambda_overflow_names_lambda(self, recwarn):
         t = chebyshev_second(64)
         with pytest.raises(ValueError, match="lam"):
@@ -331,6 +337,29 @@ class TestFitValidation:
         assert not recwarn.list
         # degenerate fits never build the band and accept any finite lam
         assert fit([0.0, 1.0], [1.0, 2.0], 1e308).degenerate
+
+
+_INTERPOLANTS = {
+    "spline": lambda t: fit(t, np.sin(t), 0.1),
+    "vector_spline": lambda t: fit(t, np.stack((np.sin(t), t), axis=1), 0.1),
+    "berrut": lambda t: BerrutInterpolant(t, np.sin(t)),
+    "lagrange": lambda t: LagrangePolynomial.through(t, np.sin(t)),
+    "kernel": lambda t: kernel_fit(t, np.sin(t), 0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INTERPOLANTS))
+def test_every_evaluate_takes_a_scalar_or_a_1d_query_only(name):
+    # a 2-D query once gave a spline the values at its first column only,
+    # and the others numpy's broadcast error
+    interp = _INTERPOLANTS[name](np.linspace(-1, 1, 7))
+    with pytest.raises(ValueError, match=r"^query must be a scalar or a 1-D array, "
+                                         r"got shape \(2, 2\)$"):
+        interp.evaluate([[0.1, 0.2], [0.3, 0.4]])
+    with pytest.raises(ValueError, match="^query contains non-finite values$"):
+        interp.evaluate([0.1, np.nan])
+    row = interp.evaluate([0.1, 0.3])
+    assert np.array_equal(interp.evaluate(0.3), row[1:])
 
 
 class TestSmoothWeights:
@@ -375,21 +404,18 @@ class TestStackedBasis:
             qt = stack.apply_qt(y)
             gam0, seen = counted(stack.interior_second_derivs, y)
             assert seen == {"dgbsv": 0, "solveh_banded": 1}
-            (g, gam), seen = counted(stack.smooth, y, lamns)
+            fits, seen = counted(stack.smooth, y, lamns)
             assert seen == {"dgbsv": len(lamns), "solveh_banded": 0}
-            assert (qt.shape, gam0.shape, g.shape, gam.shape) == (
-                (count, n - 2, m), (count, n - 2, m), (len(lamns), count, n, m),
-                (len(lamns), count, n, m))
-            assert not gam[..., [0, -1], :].any()
+            assert (qt.shape, gam0.shape, fits.shape) == (
+                (count, n - 2, m), (count, n - 2, m), (len(lamns), count, 2, n, m))
+            assert not fits[:, :, 1, [0, -1]].any()
             for i in range(count):
                 alone = NaturalSplineBasis(knots[i])
                 one = y[i:i + 1]  # a single knot set takes a stack of one
                 assert np.array_equal(qt[i:i + 1], alone.apply_qt(one))
                 assert gam0[i:i + 1].tobytes() == alone.interior_second_derivs(one).tobytes()
                 for w, lamn in enumerate(lamns):  # each weight as on its own
-                    g_i, gam_i = alone.smooth(one, [lamn])
-                    assert g[w:w + 1, i:i + 1].tobytes() == g_i.tobytes()
-                    assert gam[w:w + 1, i:i + 1].tobytes() == gam_i.tobytes()
+                    assert fits[w:w + 1, i:i + 1].tobytes() == alone.smooth(one, [lamn]).tobytes()
 
     def test_knots_beyond_two_dimensions_rejected(self):
         with pytest.raises(ValueError, match="one-dimensional"):
@@ -464,7 +490,7 @@ class TestDirectLapackSolve:
             t = np.stack([self._mesh(kind, n, rng) for _ in range(count)])
             y = rng.normal(size=(count, n, m))
             lam = list(10.0 ** rng.uniform(-16, 16, lams))
-            values, second_derivs = spline._fit_stack(t, y, lam)
+            fits = spline._fit_stack(t, y, lam)
             assert len(seen) == len(lam)
             size = 2 * n - 2
             # new row r holds the equation of old row swap[r]: the g_i and
@@ -493,8 +519,8 @@ class TestDirectLapackSolve:
                 old_rhs[swap] = rhs
                 sol = solve_banded((3, 3), old_band, old_rhs)
                 w, s = divmod(i, count)
-                assert values[w, s].tobytes() == np.concatenate((sol[:1], sol[1::2])).tobytes()
-                assert second_derivs[w, s, 1:-1].tobytes() == sol[2:-1:2].tobytes()
+                assert fits[w, s, 0].tobytes() == np.concatenate((sol[:1], sol[1::2])).tobytes()
+                assert fits[w, s, 1, 1:-1].tobytes() == sol[2:-1:2].tobytes()
             seen.clear()
 
     def test_solution_returned_in_a_new_array_is_used(self, rng, monkeypatch):
@@ -511,7 +537,7 @@ class TestDirectLapackSolve:
         want = basis.smooth(y, [1e-3, 0.5])
         monkeypatch.setattr(spline, "dgbsv", copying)
         got = basis.smooth(y, [1e-3, 0.5])
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("info", [3, -4])
     def test_lapack_failure_raises(self, info, monkeypatch):
@@ -522,13 +548,40 @@ class TestDirectLapackSolve:
 
 
 class TestStackedEvaluation:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), weights=st.integers(1, 3), count=st.integers(1, 5),
+           n=st.integers(1, 12), m=st.sampled_from([1, 3, 10]))
+    def test_one_gather_equals_each_spline_alone_and_the_four_terms(self, seed, weights,
+                                                                    count, n, m):
+        # L weights x T knot sets of differing ranges: the queries lie
+        # inside, on the knots of each set, and beyond both ends of some
+        # sets only
+        rng = np.random.default_rng(seed)
+        ends = np.stack((rng.uniform(-1.0, -0.2, count), rng.uniform(0.2, 1.0, count)), axis=1)
+        knots = np.stack([np.linspace(a, b, n) if n > 1 else np.array([a]) for a, b in ends])
+        x = np.concatenate((rng.uniform(-1.2, 1.2, 16), knots.ravel(), [-1.2, 1.2]))
+        data = rng.normal(size=(weights, count, 2, n, m))
+        stacked = evaluation_weights(knots, x)
+        got = stacked.apply(data)
+        assert got.shape == (weights, count, x.size, m) and got.flags.c_contiguous
+        for t in range(count):
+            alone = evaluation_weights(knots[t], x)
+            assert stacked.weights[:, t].tobytes() == alone.weights.tobytes()
+            w = alone.weights[..., None]
+            lo, hi = np.broadcast_to(alone.index[-1], (4, x.size))[:2]
+            assert alone.apply(data[:, t]).tobytes() == got[:, t].tobytes()
+            for j in range(weights):
+                v, s = data[j, t]
+                four = ((w[0] * v[lo] + w[1] * v[hi]) + w[2] * s[lo]) + w[3] * s[hi]
+                assert got[j, t].tobytes() == four.tobytes()
+                assert alone.apply(data[j, t]).tobytes() == four.tobytes()
+
     def test_stack_matches_each_spline_alone(self, rng):
         knots = np.sort(rng.uniform(-1, 1, 9))
         x = np.concatenate((rng.uniform(-1.5, 1.5, 30), knots[[0, 4, 8]]))
         weights = evaluation_weights(knots, x)
-        values = rng.normal(size=(5, 9, 2))
-        second = rng.normal(size=(5, 9, 2))
-        stacked = weights.apply(values, second)
+        knot_data = rng.normal(size=(5, 2, 9, 2))
+        stacked = weights.apply(knot_data)
         assert stacked.shape == (5, x.size, 2)
-        for v, s2, out in zip(values, second, stacked):
-            assert np.array_equal(out, weights.apply(v, s2))
+        for one, out in zip(knot_data, stacked):
+            assert np.array_equal(out, weights.apply(one))

@@ -16,6 +16,12 @@ Chebyshev basis, which stays well conditioned on the Chebyshev worker
 points at the degrees LCC needs; a monomial-basis fit does not (at K=16
 and cubic f, degree 45, its mean squared error is near 1e-3).
 
+:class:`BerrutInterpolant` and :class:`LagrangePolynomial` share one
+barycentric body and take their weights from their nodes alone: Berrut's
+(-1)^j, Lagrange's 1 / prod_{j != i} (x_i - x_j), on first use.  Both
+encoders check the dataset once and apply the grid's cached barycentric
+map of those weights from the alphas to the betas.
+
 Both decoders run through one body on a stack of T trials' survivors, all
 of one count.  Berrut's takes every trial to the alphas with one
 barycentric map on the T node sets; Lagrange's solves the T least-squares
@@ -23,9 +29,9 @@ fits with one stacked QR factorisation of the augmented matrices [V | Y]
 and one stacked triangular solve.  It builds all T of them with one row
 gather from the grid's cached basis at the betas, stored with zero
 columns for the outputs, and one write of the outputs into those
-columns.  The bodies give arrays only (lcc's
-also its Chebyshev coefficients and degraded flag); the Monte-Carlo
-harness hands its own stacked survivors to them directly.
+columns.  The bodies give arrays only (lcc's also its Chebyshev
+coefficients and degraded flag); the Monte-Carlo harness hands its own
+stacked survivors to them directly.
 :func:`bacc_decode` and :func:`lcc_decode`, one trial each, are the
 entries for outside callers and the only places a
 :class:`~letcc.coding.DecodeResult` and a :class:`BerrutInterpolant`
@@ -35,6 +41,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +51,7 @@ from .coding import (
     CodedBatch,
     Dataset,
     DecodeResult,
+    _check_rows,
     _rows,
     normalize_survivors,
 )
@@ -73,7 +81,6 @@ class _BarycentricMap:
     set, and ``hit`` holds the set and the query row of each node hit.
     """
 
-    weights: np.ndarray
     ratios: np.ndarray
     den: np.ndarray
     hit: tuple[np.ndarray, ...]
@@ -97,7 +104,7 @@ class _BarycentricMap:
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.divide(weights, diff, out=diff)
             den = ratios.sum(axis=-1, keepdims=True)
-        return cls(weights, ratios, den, hit, flat[first] % count)
+        return cls(ratios, den, hit, flat[first] % count)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Values (n, m), or a stack (..., n, m), at the queries.
@@ -115,100 +122,105 @@ class _BarycentricMap:
         return out
 
 
-def _berrut_weights(n: int) -> np.ndarray:
-    """Berrut's alternating weights (-1)^j for n sorted nodes."""
-    weights = np.ones(n)
+def _berrut_weights(nodes: np.ndarray) -> np.ndarray:
+    """Berrut's alternating weights (-1)^j for (..., n) sorted nodes: one set of n."""
+    weights = np.ones(nodes.shape[-1])
     weights[1::2] = -1.0
     return weights
 
 
 def _lagrange_weights(nodes: np.ndarray) -> np.ndarray:
     """True barycentric weights 1 / prod_{j != i} (nodes[i] - nodes[j])."""
-    w = np.ones(nodes.size)
-    for i in range(nodes.size):
-        w[i] = 1.0 / np.prod(np.delete(nodes[i] - nodes, i)) if nodes.size > 1 else 1.0
-    return w
+    return np.array([1.0 / np.prod(np.delete(node - nodes, i)) for i, node in enumerate(nodes)])
+
+
+@dataclass(frozen=True, eq=False)
+class _Barycentric:
+    """Barycentric interpolant of ``values`` on strictly increasing ``nodes``.
+
+    ``values`` are read as :func:`letcc.coding._rows` reads outputs at
+    points, naming the nodes as the class's ``_what``.  The weights are the
+    class's ``_weights_of(nodes)``, computed on first use: no caller gives them.
+    """
+
+    nodes: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        nodes = np.atleast_1d(np.asarray(self.nodes, dtype=float))
+        _check_points("nodes", nodes)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "values", _rows(self.values, nodes.size, self._what))
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """The barycentric weights of the nodes."""
+        return self._weights_of(self.nodes)
+
+    def evaluate(self, query) -> np.ndarray:
+        """Values at ``query``, a scalar or 1-D array (see :func:`letcc.points._query`)."""
+        return _BarycentricMap.build(self.nodes, self.weights, _query(query)).apply(self.values)
+
+
+class BerrutInterpolant(_Barycentric):
+    """Berrut first rational form on strictly increasing nodes with weights (-1)^j."""
+
+    _what = "Berrut nodes"
+    _weights_of = staticmethod(_berrut_weights)
+
+
+class LagrangePolynomial(_Barycentric):
+    """Interpolating polynomial on strictly increasing nodes, barycentric second form."""
+
+    _what = "Lagrange nodes"
+    _weights_of = staticmethod(_lagrange_weights)
+
+
+_INTERPOLANTS = {"bacc": BerrutInterpolant, "lcc": LagrangePolynomial}
 
 
 def _encoder(grid: InterpolationGrid, scheme: str) -> _BarycentricMap:
     """The grid's cached "bacc" or "lcc" encoder: interpolation at the betas."""
-    def build():
-        alphas = grid.alphas
-        weights = (_berrut_weights(alphas.size) if scheme == "bacc"
-                   else _lagrange_weights(alphas))
-        return _BarycentricMap.build(alphas, weights, grid.betas)
-    return grid._cached((scheme, None), build)
+    return grid._cached((scheme, None), lambda: _BarycentricMap.build(
+        grid.alphas, _INTERPOLANTS[scheme]._weights_of(grid.alphas), grid.betas))
 
 
-@dataclass(frozen=True, eq=False)
-class BerrutInterpolant:
-    """Berrut first rational form on strictly increasing nodes with weights (-1)^j.
-
-    ``values`` are read as :func:`letcc.coding._rows` reads outputs at points.
-    """
-
-    nodes: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.atleast_1d(np.asarray(self.nodes, dtype=float))
-        _check_points("nodes", nodes)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "values", _rows(self.values, nodes.size, "Berrut nodes"))
-
-    @property
-    def weights(self) -> np.ndarray:
-        return _berrut_weights(self.nodes.size)
-
-    def evaluate(self, query) -> np.ndarray:
-        """Values at ``query``, a scalar or 1-D array (see :func:`letcc.points._query`)."""
-        return _BarycentricMap.build(self.nodes, self.weights, _query(query)).apply(self.values)
+def _encode(data: Dataset, grid: InterpolationGrid, scheme: str) -> CodedBatch:
+    """The coded batch of ``scheme``'s cached encoder, with the interpolant of the data."""
+    _check_rows(data, grid)
+    return CodedBatch(coded=_encoder(grid, scheme).apply(data.inputs),
+                      encoder_fit=_INTERPOLANTS[scheme](grid.alphas, data.inputs), grid=grid)
 
 
-@dataclass(frozen=True, eq=False)
-class LagrangePolynomial:
-    """Interpolating polynomial on strictly increasing nodes, barycentric second form.
-
-    ``values`` are read as :func:`letcc.coding._rows` reads outputs at points.
-    The true barycentric weights are computed when not given.
-    """
-
-    nodes: np.ndarray
-    values: np.ndarray
-    weights: np.ndarray | None = None
-
-    def __post_init__(self):
-        nodes = np.atleast_1d(np.asarray(self.nodes, dtype=float))
-        _check_points("nodes", nodes)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "values", _rows(self.values, nodes.size, "Lagrange nodes"))
-        if self.weights is None:
-            object.__setattr__(self, "weights", _lagrange_weights(nodes))
-
-    @classmethod
-    def through(cls, nodes, values) -> "LagrangePolynomial":
-        """The interpolant of ``values`` at ``nodes``, with its barycentric weights."""
-        return cls(nodes, values)
-
-    def evaluate(self, query) -> np.ndarray:
-        """Values at ``query``, a scalar or 1-D array (see :func:`letcc.points._query`)."""
-        return _BarycentricMap.build(self.nodes, self.weights, _query(query)).apply(self.values)
+def _nonnegative(value, what: str) -> int:
+    """``value`` named ``what`` as an int by :func:`letcc.points._integer`; negative raises."""
+    number = _integer(value, what)
+    if number < 0:
+        raise ValueError(f"{what} must be a nonnegative integer, got {number}")
+    return number
 
 
 @dataclass(frozen=True)
 class LagrangeCodec:
-    """Degree bookkeeping for Lagrange coded computing."""
+    """Degree bookkeeping for Lagrange coded computing: integers k >= 1, f_degree >= 0."""
 
     k: int
     f_degree: int
+
+    def __post_init__(self):
+        k = _integer(self.k, "k")
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "f_degree", _nonnegative(self.f_degree, "f_degree"))
 
     @property
     def target_degree(self) -> int:
         return (self.k - 1) * self.f_degree
 
     def recovery_threshold(self, s: int) -> int:
-        """Minimum worker count N for exact recovery with S stragglers."""
-        return self.target_degree + s + 1
+        """Minimum worker count N for exact recovery with S >= 0 stragglers."""
+        return self.target_degree + _nonnegative(s, "s") + 1
 
     @property
     def min_survivors(self) -> int:
@@ -221,10 +233,7 @@ def bacc_encode(data: Dataset, grid: InterpolationGrid) -> CodedBatch:
 
     Applies the grid's cached Berrut encoder (see :mod:`letcc.coding`).
     """
-    if data.k != grid.k:
-        raise ValueError(f"dataset has {data.k} rows but grid has {grid.k} alphas")
-    return CodedBatch(coded=_encoder(grid, "bacc").apply(data.inputs),
-                      encoder_fit=BerrutInterpolant(grid.alphas, data.inputs), grid=grid)
+    return _encode(data, grid, "bacc")
 
 
 def bacc_decode(survivors, grid: InterpolationGrid) -> DecodeResult:
@@ -246,8 +255,8 @@ def _bacc_decode_stack(grid: InterpolationGrid, indices: np.ndarray,
 
     One barycentric map on the T node sets takes every trial to the alphas.
     """
-    return _BarycentricMap.build(grid.betas[indices], _berrut_weights(indices.shape[1]),
-                                 grid.alphas).apply(outputs)
+    knots = grid.betas[indices]
+    return _BarycentricMap.build(knots, _berrut_weights(knots), grid.alphas).apply(outputs)
 
 
 def lcc_encode(data: Dataset, grid: InterpolationGrid) -> CodedBatch:
@@ -255,13 +264,7 @@ def lcc_encode(data: Dataset, grid: InterpolationGrid) -> CodedBatch:
 
     Applies the grid's cached Lagrange encoder (see :mod:`letcc.coding`).
     """
-    if data.k != grid.k:
-        raise ValueError(f"dataset has {data.k} rows but grid has {grid.k} alphas")
-    encoder = _encoder(grid, "lcc")
-    return CodedBatch(coded=encoder.apply(data.inputs),
-                      encoder_fit=LagrangePolynomial(grid.alphas, data.inputs,
-                                                     encoder.weights),
-                      grid=grid)
+    return _encode(data, grid, "lcc")
 
 
 def _chebyshev_vandermonde(x: np.ndarray, deg: int) -> np.ndarray:
@@ -274,14 +277,6 @@ def _chebyshev_vandermonde(x: np.ndarray, deg: int) -> np.ndarray:
     return np.ascontiguousarray(chebvander(np.clip(x, -1.0, 1.0), deg))
 
 
-def _checked_degree(f_degree) -> int:
-    """``f_degree`` as an int by :func:`letcc.points._integer`; a negative one raises."""
-    degree = _integer(f_degree, "f_degree")
-    if degree < 0:
-        raise ValueError(f"f_degree must be a nonnegative integer, got {degree}")
-    return degree
-
-
 def lcc_decode(survivors, grid: InterpolationGrid, f_degree: int) -> DecodeResult:
     """Polynomial decode: exact once survivors reach (K-1)*deg(f)+1.
 
@@ -292,7 +287,7 @@ def lcc_decode(survivors, grid: InterpolationGrid, f_degree: int) -> DecodeResul
     nonnegative integer.  A stack of one trial of the decode body, after
     :func:`letcc.coding.normalize_survivors`.
     """
-    degree = _checked_degree(f_degree)
+    degree = _nonnegative(f_degree, "f_degree")
     indices, outputs = normalize_survivors(survivors, grid.n)
     estimates, coef, degraded = _lcc_decode_stack(grid, indices[None], outputs[None], degree)
     return DecodeResult(estimates=estimates[0], decoder_fit=coef[0],

@@ -188,12 +188,17 @@ def encode(data: Dataset, grid: InterpolationGrid, lambda_e: float) -> CodedBatc
     identity and the encoder interpolates the inputs exactly, so its
     training error vanishes.
     """
-    if data.k != grid.k:
-        raise ValueError(f"dataset has {data.k} rows but grid has {grid.k} alphas")
+    _check_rows(data, grid)
     lam = _real(lambda_e, "lambda_e")
     coded, knot_data = _linear_encoder(grid, lam).apply(data.inputs)
-    enc = spline.SplineFit(grid.alphas, knot_data, lam, degenerate=grid.k < 3)
-    return CodedBatch(coded=coded, encoder_fit=enc, grid=grid)
+    return CodedBatch(coded=coded, encoder_fit=spline.SplineFit(grid.alphas, knot_data, lam),
+                      grid=grid)
+
+
+def _check_rows(data: Dataset, grid: InterpolationGrid) -> None:
+    """Refuse ``data`` unless it has one row per alpha of ``grid``."""
+    if data.k != grid.k:
+        raise ValueError(f"dataset has {data.k} rows but grid has {grid.k} alphas")
 
 
 def encoder_training_error(batch: CodedBatch, data: Dataset) -> float:
@@ -201,9 +206,13 @@ def encoder_training_error(batch: CodedBatch, data: Dataset) -> float:
 
     Any scheme's encoder fit is evaluated at the alphas: a spline gives
     its knot values exactly there, and the Berrut and Lagrange
-    interpolants their node values, so theirs is 0.0.
+    interpolants their node values, so theirs is 0.0.  ``data`` must have
+    the batch's K rows and d columns.
     """
+    _check_rows(data, batch.grid)
     fitted = batch.encoder_fit.evaluate(batch.grid.alphas)
+    if fitted.shape[1] != data.d:
+        raise ValueError(f"dataset has {data.d} columns but batch has {fitted.shape[1]}")
     return float(np.mean(np.sum((fitted - data.inputs) ** 2, axis=1)))
 
 
@@ -272,7 +281,7 @@ def decode(survivors, grid: InterpolationGrid, lambda_d: float) -> DecodeResult:
     lam = _real(lambda_d, "lambda_d")
     indices, outputs = normalize_survivors(survivors, grid.n)
     estimates, fits, degraded = _decode_stack(grid, indices[None], outputs[None], (lam,))
-    fit = spline.SplineFit(grid.betas[indices], fits[0, 0], lam, degenerate=degraded)
+    fit = spline.SplineFit(grid.betas[indices], fits[0, 0], lam)
     return DecodeResult(estimates=estimates[0, 0], decoder_fit=fit,
                         survivor_count=indices.size, degraded=degraded)
 

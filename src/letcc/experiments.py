@@ -77,11 +77,6 @@ def _lambda_rule(name, what: str) -> str:
     return name
 
 
-def _resolve_lambda_d(rule: str, scale: float, n: int, s: int) -> float:
-    """lambda_d at (N, S) by ``rule``, which its config has checked, times ``scale``."""
-    return scale * LAMBDA_RULES[rule](n, s)
-
-
 # Config fields whose config key is named otherwise.
 _CONFIG_KEYS = {"func": "f", "master_seed": "seed", "data_rule": "data",
                 "func_d": "d", "func_m": "m"}
@@ -223,7 +218,7 @@ def _run_points(config, points):
     func = worker_for(config.func, config.func_d, config.func_m)
     grid_for = cache(partial(chebyshev_grid, config.k))
     for key, n, s in points:
-        lambda_d = _resolve_lambda_d(config.lambda_d_rule, config.lambda_d_scale, n, s)
+        lambda_d = config.lambda_d_scale * LAMBDA_RULES[config.lambda_d_rule](n, s)
         grid = grid_for(n)
         setups = [TrialSetup(scheme=scheme, func=func, grid=grid,
                              stragglers=StragglerModel(n, s),

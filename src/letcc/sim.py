@@ -51,7 +51,6 @@ import numpy as np
 from . import baselines, coding, streams
 from .coding import CodedBatch, Dataset
 from .points import InterpolationGrid, _integer, _integral_indices, _real, _string
-from .streams import trial_rng
 
 __all__ = [
     "RiskBoundViolation",
@@ -73,7 +72,6 @@ __all__ = [
     "make_worker",
     "worker_for",
     "WORKER_FUNCTIONS",
-    "trial_rng",
     "SCHEMES",
 ]
 
@@ -469,11 +467,11 @@ class TrialSetup:
             raise ValueError("identity data rule requires a 1-D worker function")
         degree = None if type(self.f_degree) is _DeclaredDegree else self.f_degree
         if degree is not None:
-            degree = baselines._checked_degree(degree)
+            degree = baselines._nonnegative(degree, "f_degree")
         elif self.scheme == "lcc":
             if self.func.degree is None:
                 raise ValueError("lcc needs a declared polynomial degree")
-            degree = _DeclaredDegree(baselines._checked_degree(self.func.degree))
+            degree = _DeclaredDegree(baselines._nonnegative(self.func.degree, "f_degree"))
         object.__setattr__(self, "f_degree", degree)
         object.__setattr__(self, "lambda_e", _real(self.lambda_e, "lambda_e"))
         object.__setattr__(self, "lambda_d", _real(self.lambda_d, "lambda_d"))

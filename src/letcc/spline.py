@@ -286,15 +286,19 @@ class SplineFit:
     boundary conditions.
 
     Fits on fewer than three points degrade gracefully: two points give the
-    exact affine interpolant, one point a constant; such fits are flagged
+    exact affine interpolant, one point a constant; such fits are
     ``degenerate`` and have zero roughness.
     """
 
     knots: np.ndarray
     knot_data: np.ndarray
     lam: float
-    degenerate: bool = False
     _scalar: bool = field(default=False, repr=False)
+
+    @property
+    def degenerate(self) -> bool:
+        """Whether the fit has fewer than three knots: the penalty null space."""
+        return self.knots.size < 3
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -358,8 +362,7 @@ def fit(t, y, lam: float) -> SplineFit:
     if not np.isfinite(y).all():
         raise ValueError("non-finite values in fit inputs")
     lam = _real(lam, "lam")
-    return SplineFit(t, _fit_stack(t[None], y[None], [lam])[0, 0], lam,
-                     degenerate=t.size < 3, _scalar=scalar)
+    return SplineFit(t, _fit_stack(t[None], y[None], [lam])[0, 0], lam, _scalar=scalar)
 
 
 def _fit_stack(t: np.ndarray, y: np.ndarray, lams: list[float]) -> np.ndarray:
@@ -371,11 +374,10 @@ def _fit_stack(t: np.ndarray, y: np.ndarray, lams: list[float]) -> np.ndarray:
     Every set gets the arithmetic, and the memory layout, of a fit on its
     own (see :meth:`NaturalSplineBasis.smooth`): Fortran-ordered (n, m)
     blocks when every weight is smoothed, else C-ordered ones, the layout
-    of the data these fits keep.  Fewer than three
-    knots fit the penalty null space exactly (affine for n=2, constant for
-    n=1) regardless of lam; :func:`fit` flags such a fit degenerate.  At
-    lam = 0 the knot values are the data, and the second derivatives those
-    of the natural interpolant.
+    of the data these fits keep.  Fewer than three knots fit the penalty
+    null space exactly (affine for n=2, constant for n=1) regardless of
+    lam; such a fit is degenerate.  At lam = 0 the knot values are the
+    data, and the second derivatives those of the natural interpolant.
     """
     n = t.shape[1]
     if n < 3:

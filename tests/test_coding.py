@@ -50,8 +50,7 @@ _ARRAY_HOLDERS = {
                                                            np.zeros(2)),
     "WorkerReturns": lambda: WorkerReturns(np.arange(2), np.ones((2, 1))),
     "BerrutInterpolant": lambda: baselines.BerrutInterpolant([0.0, 1.0], [[1.0], [2.0]]),
-    "LagrangePolynomial": lambda: baselines.LagrangePolynomial.through([0.0, 1.0],
-                                                                      [1.0, 2.0]),
+    "LagrangePolynomial": lambda: baselines.LagrangePolynomial([0.0, 1.0], [1.0, 2.0]),
     "KernelFit": lambda: kernel.kernel_fit([-1.0, 0.0, 1.0], [1.0, 2.0, 0.0], 1e-3),
 }
 
@@ -155,11 +154,12 @@ class TestEncoderCache:
     def test_small_k_matches_direct_fit(self, k, lam, rng):
         grid = chebyshev_grid(k, 9)
         x = rng.uniform(-1, 1, (k, 2))
-        expected = spline.fit(grid.alphas, x, lam).evaluate(grid.betas)
+        direct = spline.fit(grid.alphas, x, lam)
+        expected = direct.evaluate(grid.betas)
         batch = encode(Dataset(x), grid, lam)
         scale = 1.0 + np.abs(expected).max()
         assert np.abs(batch.coded - expected).max() <= 1e-12 * scale
-        assert batch.encoder_fit.degenerate == (k < 3)
+        assert batch.encoder_fit.degenerate is direct.degenerate is (k < 3)
 
     @pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf])
     def test_invalid_lambda_raises_and_caches_nothing(self, bad, rng):
@@ -553,6 +553,7 @@ class TestDecodeStack:
                     assert _same_bits(at_weight[t], want.estimates)
                     assert _same_bits(knot_data[t], want.decoder_fit.knot_data)
                     assert (want.survivor_count, want.degraded) == (count, count < 3)
+                    assert want.decoder_fit.degenerate is (count < 3)
         hits = 0
         stacked = baselines._bacc_decode_stack(grid, indices, outputs)
         assert len(stacked) == len(survivors)
@@ -624,6 +625,22 @@ class TestEncoderTrainingError:
         data = Dataset(rng.uniform(-1, 1, (6, 3)))
         for encode_with in (baselines.bacc_encode, baselines.lcc_encode):
             assert encoder_training_error(encode_with(data, grid), data) == 0.0
+
+    # a dataset of another K met numpy's broadcast error, and one of d = 1
+    # against a wider batch broadcast to a wrong answer
+    @pytest.mark.parametrize("shape, message", [
+        ((3, 2), "dataset has 3 rows but grid has 4 alphas"),
+        ((4, 3), "dataset has 3 columns but batch has 2"),
+        ((4, 1), "dataset has 1 columns but batch has 2"),
+    ])
+    @pytest.mark.parametrize("encode_with", [
+        lambda data, grid: encode(data, grid, 1e-3), baselines.bacc_encode, baselines.lcc_encode,
+    ], ids=["letcc", "bacc", "lcc"])
+    def test_dataset_of_another_shape_refused(self, rng, encode_with, shape, message):
+        grid = chebyshev_grid(4, 12)
+        batch = encode_with(Dataset(rng.uniform(-1, 1, (4, 2))), grid)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            encoder_training_error(batch, Dataset(np.ones(shape)))
 
     @pytest.mark.parametrize("k, d, lam", [(1, 1, 0.0), (2, 3, 1.0), (8, 70, 1e-3),
                                            (16, 16, 0.0), (64, 5, 10.0)])

@@ -9,11 +9,11 @@ from letcc.experiments import (
     CSV_HEADER,
     CrossvalConfig,
     DEFAULT_LAMBDA_GRID,
+    LAMBDA_RULES,
     StragglerSweepConfig,
     SweepConfig,
     SweepReport,
     _dump_json,
-    _resolve_lambda_d,
     _row,
     crossval_lambda,
     fit_loglog_slope,
@@ -76,7 +76,7 @@ class TestSlopeFit:
 
 def _monte_carlo_row(config, scheme, key, n, s):
     """The report row of ``scheme`` at one point, straight from monte_carlo."""
-    lambda_d = _resolve_lambda_d(config.lambda_d_rule, config.lambda_d_scale, n, s)
+    lambda_d = config.lambda_d_scale * LAMBDA_RULES[config.lambda_d_rule](n, s)
     setup = sim.TrialSetup(
         scheme=scheme,
         func=sim.worker_for(config.func, config.func_d, config.func_m),

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 from conftest import on_empty_memo
 from letcc import cli, experiments, sim, streams
-from letcc.baselines import BerrutInterpolant, LagrangePolynomial, lcc_decode
+from letcc.baselines import BerrutInterpolant, LagrangeCodec, LagrangePolynomial, lcc_decode
 from letcc.coding import Dataset, decode, encode, normalize_survivors
 from letcc.experiments import (
     CrossvalConfig,
@@ -38,10 +38,10 @@ from letcc.sim import (
     monte_carlo_lambdas,
     run_trial,
     sample_stragglers,
-    trial_rng,
     worker_for,
 )
-from letcc.spline import fit
+from letcc.spline import SplineFit, fit
+from letcc.streams import trial_rng
 
 
 class TestChebyshevFirst:
@@ -289,6 +289,9 @@ _COUNTS = {
     "tanh_net m": ("m", lambda c: _tanh(2, c)),
     "worker_for d": ("d", lambda c: worker_for("sin_pi", c, 1).name),
     "worker_for m": ("m", lambda c: worker_for("cubic", 1, c).name),
+    "LagrangeCodec k": ("k", lambda c: LagrangeCodec(c, 2)),
+    "LagrangeCodec f_degree": ("f_degree", lambda c: LagrangeCodec(3, c)),
+    "LagrangeCodec.recovery_threshold s": ("s", LagrangeCodec(3, 2).recovery_threshold),
     "lcc_decode f_degree": ("f_degree", lambda c: lcc_decode(
         [(0, [1.0]), (4, [0.5]), (9, [0.25])], chebyshev_grid(3, 10), c).estimates),
     "TrialSetup f_degree": ("f_degree", lambda c: run_trial(_setup("lcc", c), 5)),
@@ -357,10 +360,17 @@ class TestCountsFromOutside:
                                                  f"got {kind}$"):
                 _integral_indices(bad, "survivor index", 8)
 
-    @pytest.mark.parametrize("dim", ["in_dim", "out_dim"])
-    def test_worker_dimensions_at_least_one(self, dim):
-        with pytest.raises(ValueError, match=f"^{dim} must be >= 1, got 0$"):
-            WorkerFunction("neg", np.negative, **dict(dict(in_dim=1, out_dim=1), **{dim: 0}))
+    @pytest.mark.parametrize("entry, bad, message", [
+        ("WorkerFunction in_dim", 0, "in_dim must be >= 1, got 0"),
+        ("WorkerFunction out_dim", 0, "out_dim must be >= 1, got 0"),
+        ("LagrangeCodec k", 0, "k must be >= 1, got 0"),
+        ("LagrangeCodec f_degree", -1, "f_degree must be a nonnegative integer, got -1"),
+        ("LagrangeCodec.recovery_threshold s", -5, "s must be a nonnegative integer, got -5"),
+    ])
+    def test_counts_below_their_least_value_refused(self, entry, bad, message):
+        _, call = _COUNTS[entry]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(bad)
 
     def test_index_past_int64_refused_as_given(self):
         index = np.array([2**64 - 1], dtype=np.uint64)
@@ -594,11 +604,21 @@ class TestConfigFields:
 # every constructor of an interpolant or fit through nodes from outside
 _NODE_SETS = {
     "BerrutInterpolant": ("nodes", lambda x: BerrutInterpolant(x, np.ones(len(x)))),
-    "LagrangePolynomial.through": ("nodes", lambda x: LagrangePolynomial.through(
-        x, np.ones(len(x)))),
-    "LagrangePolynomial": ("nodes", lambda x: LagrangePolynomial(x, np.ones(len(x)),
-                                                                 np.ones(len(x)))),
+    "LagrangePolynomial": ("nodes", lambda x: LagrangePolynomial(x, np.ones(len(x)))),
     "spline.fit": ("t", lambda x: fit(x, np.ones(len(x)), 0.0)),
+}
+
+# what a fit's nodes decide, given as well: a wrong value gave a wrong answer
+_THREE_KNOTS = fit([0.0, 0.5, 1.0], [0.0, 1.0, 0.0], 0.0)
+_DECIDED_BY_NODES = {
+    "BerrutInterpolant weights": lambda: BerrutInterpolant([0.0, 1.0, 2.0], [1.0, 2.0, 5.0],
+                                                           weights=[1.0]),
+    # evaluated 8.0 at 0.5, where the polynomial is 1.25
+    "LagrangePolynomial weights": lambda: LagrangePolynomial([0.0, 1.0, 2.0], [1.0, 2.0, 5.0],
+                                                             weights=[1.0]),
+    # gave roughness 0.0 for a fit of roughness 48
+    "SplineFit degenerate": lambda: SplineFit(_THREE_KNOTS.knots, _THREE_KNOTS.knot_data,
+                                              _THREE_KNOTS.lam, degenerate=True),
 }
 
 
@@ -616,5 +636,10 @@ class TestNodesFromOutside:
 
     def test_nodes_need_not_lie_in_the_unit_interval(self):
         # only grids and mesh statistics bound their points
-        poly = LagrangePolynomial.through([1.0, 2.0, 4.0], [1.0, 4.0, 16.0])
+        poly = LagrangePolynomial([1.0, 2.0, 4.0], [1.0, 4.0, 16.0])
         assert poly.evaluate([3.0])[0, 0] == pytest.approx(9.0)
+
+    @pytest.mark.parametrize("entry", list(_DECIDED_BY_NODES))
+    def test_what_the_nodes_decide_is_not_taken(self, entry):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            _DECIDED_BY_NODES[entry]()

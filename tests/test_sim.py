@@ -21,8 +21,8 @@ from letcc.sim import (
     relacc,
     run_trial,
     sample_stragglers,
-    trial_rng,
 )
+from letcc.streams import trial_rng
 
 
 class TestStragglerModel:

@@ -139,10 +139,15 @@ class TestFit:
         t = chebyshev_second(8)
         assert fit(t, 3 * t - 1, 1e-2).roughness() < 1e-12
 
-    def test_roughness_matches_quadrature(self):
-        knots = chebyshev_second(16)
-        f = fit(knots, knots**2, 0.0)
+    @pytest.mark.parametrize("knots, y", [
+        (chebyshev_second(16), chebyshev_second(16) ** 2),
+        # the fewest knots a fit bends on: roughness 48, not a degenerate 0.0
+        (np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 0.0])),
+    ], ids=["chebyshev", "three knots"])
+    def test_roughness_matches_quadrature(self, knots, y):
+        f = fit(knots, y, 0.0)
         oracle = quadrature_roughness(f.evaluate, knots)
+        assert not f.degenerate
         assert f.roughness() == pytest.approx(oracle, rel=1e-6)
 
     def test_mean_squared_error_lambda_convention(self, rng):
@@ -343,7 +348,7 @@ _INTERPOLANTS = {
     "spline": lambda t: fit(t, np.sin(t), 0.1),
     "vector_spline": lambda t: fit(t, np.stack((np.sin(t), t), axis=1), 0.1),
     "berrut": lambda t: BerrutInterpolant(t, np.sin(t)),
-    "lagrange": lambda t: LagrangePolynomial.through(t, np.sin(t)),
+    "lagrange": lambda t: LagrangePolynomial(t, np.sin(t)),
     "kernel": lambda t: kernel_fit(t, np.sin(t), 0.1),
 }
 

@@ -9,7 +9,8 @@ from conftest import on_empty_memo, trial_setup, zero_worker
 from letcc import sim, streams
 from letcc.coding import Dataset
 from letcc.points import InterpolationGrid, chebyshev_grid
-from letcc.sim import make_worker, monte_carlo, run_trial, trial_rng
+from letcc.sim import make_worker, monte_carlo, run_trial
+from letcc.streams import trial_rng
 
 DATA, STRAGGLERS, NOISE = streams._DATA, streams._STRAGGLERS, streams._NOISE
 

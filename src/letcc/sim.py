@@ -460,9 +460,9 @@ class TrialSetup:
         _scheme(self.scheme)
         if self.stragglers.n != self.grid.n:
             raise ValueError("straggler model N must match grid worker count")
-        if self.data is not None and self.data.k != self.grid.k:
-            raise ValueError("dataset K must match grid alpha count")
-        if (self.data is None and _data_rule(self.data_rule) == "identity"
+        if self.data is not None:
+            coding._check_rows(self.data, self.grid)
+        if (_data_rule(self.data_rule) == "identity" and self.data is None
                 and self.func.in_dim != 1):
             raise ValueError("identity data rule requires a 1-D worker function")
         degree = None if type(self.f_degree) is _DeclaredDegree else self.f_degree

@@ -39,17 +39,17 @@ depend on lam.  A smooth at L weights builds them once; every weight but
 the last fills a reused copy with its four lam-scaled rows of Q and runs
 one LU, and the last fills and solves the lam-free band itself.  A basis
 holds a (T, n) stack of knot sets of one size, such as the survivor knots
-of T Monte-Carlo trials, and one knot set is the stack T = 1: its methods
-take (T, n, m) stacks, and a smooth gives one (L, T, 2, n, m) stack, each
-fit a (2, n, m) array of its knot values above its second derivatives.
-The bands of all sets are built in one set of array operations and, side
-by side, are the band of one block-diagonal system: one LAPACK call per
-weight solves every set, and each set's fit equals its own fit bit for
-bit.  :func:`fit` is the one public fit, of one knot set at one weight;
-the decoder fits T sets at several weights on one basis through the same
-body, ``_fit_stack``, which gives arrays only, that (L, T, 2, n, m)
-stack; :class:`SplineFit` is built by :func:`fit` alone.  A fit keeps no
-basis: its roughness is computed from its own knots.
+of T Monte-Carlo trials, and one knot set is the stack T = 1; its methods
+take (T, n, m) stacks.  The bands of all sets are built in one set of
+array operations and, side by side, are the band of one block-diagonal
+system: one LAPACK call per weight solves every set, and each set's fit
+equals its own fit bit for bit.  :func:`fit` is the one public fit, of
+one knot set at one weight; the decoder fits T sets at several weights
+on one basis through the same body, ``_fit_stack``.  Every fit has one
+form, made in that body alone: one C-ordered (L, T, 2, n, m) stack, each
+fit a (2, n, m) array of its knot values above its second derivatives,
+so no product or sum over a fit rounds by the path that built it.  A fit
+keeps no basis: its roughness is computed from its own knots.
 
 Evaluation at q query points runs in two steps.  The first depends only on
 the knots and the queries (:func:`evaluation_weights`): for each query row
@@ -147,19 +147,19 @@ class NaturalSplineBasis:
         return solveh_banded(_r_band(self._h).reshape(3, -1), rhs.reshape(-1, rhs.shape[-1]),
                              overwrite_ab=True).reshape(rhs.shape)
 
-    def smooth(self, y: np.ndarray, lamns: list[float]) -> np.ndarray:
+    def smooth(self, y: np.ndarray, lamns: list[float], out=None):
         """Fitted knot values and second derivatives at L weights, one (L, T, 2, n, m) stack.
 
         For data ``y`` (T, n, m) and each weight ``lamn`` of ``lamns``,
         finite and > 0, solves the equations of the fit,
         g + lamn * Q gam = y  and  Q^T g - R gam = 0,  as one band system in
         the interleaved unknowns (g_0, g_1, gam_1, g_2, ..., gam_{n-2},
-        g_{n-1}) by banded LU with partial pivoting.  The second derivatives
-        are zero at the end knots.  Each set's fit is a (2, n, m) block of the
-        stack, its knot values above its second derivatives, which
-        :meth:`EvaluationWeights.apply` reads in one gather.  One LAPACK
-        ``dgbsv`` call per weight solves all T sets as one block-diagonal
-        band, with each set's bits:
+        g_{n-1}) by banded LU with partial pivoting.  Each set's fit is a
+        (2, n, m) block of the stack, its knot values above its second
+        derivatives, which are zero at the end knots.  The stack is ``out``,
+        one slot per weight as :func:`_fit_stack` passes them, or new
+        C-ordered zeros.  One LAPACK ``dgbsv`` call per weight solves all T
+        sets as one block-diagonal band, with each set's bits:
         the band slots outside a set's own rows hold zeros, so the pivot
         search never picks another set's row and every update across a set's
         edge adds an exact zero; and kl = 2 is below LAPACK's block size, so
@@ -214,12 +214,11 @@ class NaturalSplineBasis:
         lam_free[:, 4, 2::2] = -r[2]                                          # -R, gam rows
         lam_free[:, 2, 4::2] = lam_free[:, 6, 2:-3:2] = -r[1, :, 1:]
         work = np.empty_like(lam_free) if len(lamns) > 1 else None
-        # each fit's (n, m) blocks Fortran-ordered, as a one-set solve gives them
-        fits = np.empty((len(lamns), count, 2, m, n)).transpose(0, 1, 2, 4, 3)
-        fits[:, :, 1, ::n - 1] = 0.0  # the natural ends
+        if out is None:
+            out = np.zeros((len(lamns), count, 2, n, m))
         rhs = np.empty((count * (2 * n - 2), m), order="F")
         b = rhs.reshape(count, -1, m)  # each set's (2n-2, m) rows, set after set
-        for i, lamn in enumerate(lamns):
+        for i, (lamn, slot) in enumerate(zip(lamns, out, strict=True)):
             band = lam_free  # the last weight overwrites the lam-free entries
             if i < len(lamns) - 1:
                 band = work
@@ -232,9 +231,9 @@ class NaturalSplineBasis:
             if info:  # > 0 singular, which distinct knots rule out; < 0 a bad argument
                 raise NumericalFitError(f"smoothing system not solved: dgbsv info {info}")
             sol = sol.reshape(b.shape)
-            fits[i, :, 0, 0], fits[i, :, 0, 1:] = sol[:, 0], sol[:, 1::2]
-            fits[i, :, 1, 1:-1] = sol[:, 2:-1:2]
-        return fits
+            slot[:, 0, 0], slot[:, 0, 1:] = sol[:, 0], sol[:, 1::2]
+            slot[:, 1, 1:-1] = sol[:, 2:-1:2]
+        return out
 
     def penalty_matrix(self) -> np.ndarray:
         """Gram matrix Phi of basis second derivatives, Phi_ij = int b_i'' b_j''.
@@ -287,13 +286,25 @@ class SplineFit:
 
     Fits on fewer than three points degrade gracefully: two points give the
     exact affine interpolant, one point a constant; such fits are
-    ``degenerate`` and have zero roughness.
+    ``degenerate`` and have zero roughness.  The knots must be finite and
+    strictly increasing, and ``knot_data`` (2, n, m) with m >= 1; both are
+    kept as float arrays.
     """
 
     knots: np.ndarray
     knot_data: np.ndarray
     lam: float
     _scalar: bool = field(default=False, repr=False)
+
+    def __post_init__(self):
+        knots = np.ascontiguousarray(self.knots, dtype=float)
+        _check_points("knots", knots)
+        data = np.asarray(self.knot_data, dtype=float)
+        if data.ndim != 3 or data.shape[:2] != (2, knots.size) or not data.shape[2]:
+            raise ValueError(f"knot_data must be (2, {knots.size}, m) with m >= 1, "
+                             f"got shape {data.shape}")
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "knot_data", data)
 
     @property
     def degenerate(self) -> bool:
@@ -370,41 +381,29 @@ def _fit_stack(t: np.ndarray, y: np.ndarray, lams: list[float]) -> np.ndarray:
 
     The knots and data are checked by the caller, each of ``lams`` by
     :func:`letcc.points._real`.  Gives the knot values and second
-    derivatives of all sets at the L weights as one (L, T, 2, n, m) stack.
-    Every set gets the arithmetic, and the memory layout, of a fit on its
-    own (see :meth:`NaturalSplineBasis.smooth`): Fortran-ordered (n, m)
-    blocks when every weight is smoothed, else C-ordered ones, the layout
-    of the data these fits keep.  Fewer than three knots fit the penalty
-    null space exactly (affine for n=2, constant for n=1) regardless of
-    lam; such a fit is degenerate.  At lam = 0 the knot values are the
-    data, and the second derivatives those of the natural interpolant.
+    derivatives of all sets at the L weights as one C-ordered (L, T, 2, n, m)
+    stack, allocated here with the data as knot values above zero second
+    derivatives and filled in place, each set with the arithmetic of a fit
+    on its own (see :meth:`NaturalSplineBasis.smooth`).  Fewer than three
+    knots fit the penalty null space exactly (affine for n=2, constant for
+    n=1) regardless of lam; such a fit is degenerate.  At lam = 0 the knot
+    values are the data, and the second derivatives those of the natural
+    interpolant.
     """
     n = t.shape[1]
+    fits = np.zeros((len(lams),) + y.shape[:1] + (2,) + y.shape[1:])
+    fits[:, :, 0] = y
     if n < 3:
-        return _unsmoothed(y, len(lams))
+        return fits
     for lam in lams:
         if not math.isfinite(n * lam):
             raise ValueError(f"lam = {lam} overflows: n*lam is not finite for n = {n} knots")
     basis = NaturalSplineBasis(t)
     smoothed = [i for i, lam in enumerate(lams) if lam]
-    if len(smoothed) == len(lams):
-        return basis.smooth(y, [n * lam for lam in lams])
-    fits = _unsmoothed(y, len(lams))
-    fits[:, :, 1, 1:-1] = basis.interior_second_derivs(y)
+    if len(smoothed) < len(lams):
+        fits[[not lam for lam in lams], :, 1, 1:-1] = basis.interior_second_derivs(y)
     if smoothed:
-        fits[smoothed] = basis.smooth(y, [n * lams[i] for i in smoothed])
-    return fits
-
-
-def _unsmoothed(y: np.ndarray, weights: int) -> np.ndarray:
-    """The data (T, n, m) as the knot values of ``weights`` fits, (L, T, 2, n, m).
-
-    Their second derivatives are zero.  The (n, m) blocks are C-ordered, as
-    these fits always had: at lambda_e = 0 the encoder's one product of its
-    (2, K, K) unit fit with the inputs rounds by that layout.
-    """
-    fits = np.empty((weights,) + y.shape[:1] + (2,) + y.shape[1:])
-    fits[:, :, 0], fits[:, :, 1] = y, 0.0
+        basis.smooth(y, [n * lams[i] for i in smoothed], [fits[i] for i in smoothed])
     return fits
 
 

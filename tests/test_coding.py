@@ -185,7 +185,7 @@ class TestEncoderCache:
             assert np.abs(coded - gathered).max() <= 1e-14 * scale
         assert encoder.dense.shape == (n, k)
 
-    @pytest.mark.parametrize("d", [2, 5, 8])  # K = 5: gather, dense, dense
+    @pytest.mark.parametrize("d", [1, 2, 5, 8])  # K = 5: gather, gather, dense, dense
     def test_stacked_encode_matches_each_set_alone(self, d, rng):
         grid = chebyshev_grid(5, 40)
         stack = rng.uniform(-1, 1, (4, 5, d))
@@ -194,7 +194,19 @@ class TestEncoderCache:
             batch = encode(Dataset(x), grid, 1e-3)
             want = (batch.coded, batch.encoder_fit.knot_data)
             for a, b in zip(got, want):
-                assert np.array_equal(a, b)
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-3])
+    @pytest.mark.parametrize("d", [1, 3, 9])  # K = 6: narrower, narrower, wider
+    def test_encoder_and_decoder_fits_are_c_ordered(self, lam, d, rng):
+        # one form for every fit: the unit fit multiplies every input in one
+        # layout at any lambda_e, and a decoder fit sums in one at any lambda_d
+        grid = chebyshev_grid(6, 20)
+        batch = encode(Dataset(rng.uniform(-1, 1, (6, d))), grid, lam)
+        assert _linear_encoder(grid, lam).unit.flags.c_contiguous
+        assert batch.encoder_fit.knot_data.flags.c_contiguous
+        result = decode(WorkerReturns(np.arange(0, 20, 2), rng.normal(size=(10, d))), grid, lam)
+        assert result.decoder_fit.knot_data.flags.c_contiguous
 
     def test_dense_map_built_only_for_wide_inputs(self, rng):
         grid = chebyshev_grid(6, 20)
@@ -482,6 +494,7 @@ class TestDecodeStackAtManyWeights:
         estimates, fits, degraded = _decode_stack(grid, *_stacked(survivors), lams)
         assert estimates.shape == (len(lams), trials, 5, m)
         assert fits.shape == (len(lams), trials, 2, count, m)
+        assert fits.flags.c_contiguous  # with or without 0 among the weights
         assert degraded is (count < 3)
         for lam, at_weight, knot_data in zip(lams, estimates, fits):
             for t, s in enumerate(survivors):

@@ -284,8 +284,12 @@ class TestRunTrial:
         cases = [
             ({"stragglers": StragglerModel(13, 2)},
              "straggler model N must match grid worker count"),
-            ({"data": Dataset(np.zeros((5, 1)))}, "dataset K must match grid alpha count"),
+            # the encoders' row rule and message, and the data rule checked
+            # also beside given data
+            ({"data": Dataset(np.zeros((5, 1)))}, "dataset has 5 rows but grid has 4 alphas"),
             ({"data_rule": "gaussian"}, "unknown data rule 'gaussian'"),
+            ({"data": Dataset(np.zeros((4, 1))), "data_rule": "bogus"},
+             "unknown data rule 'bogus'"),
             ({"data_rule": "identity", "func": make_worker("tanh_net", d=2, m=3)},
              "identity data rule requires a 1-D worker function"),
         ]

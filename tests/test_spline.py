@@ -14,6 +14,7 @@ from letcc.spline import (
     DegenerateBasisError,
     NaturalSplineBasis,
     NumericalFitError,
+    SplineFit,
     evaluation_weights,
     fit,
 )
@@ -134,6 +135,16 @@ class TestFit:
         for j in range(3):
             single = fit(t, y[:, j], lam)
             assert np.abs(joint.evaluate(q)[:, j] - single.evaluate(q)).max() < 1e-12
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 12])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_knot_data_is_c_ordered(self, rng, n, m, lam):
+        # one form for every fit, so no product or sum over its knot data
+        # rounds by the path that built it (an (n, 1) block is C-ordered in
+        # either layout)
+        f = fit(np.linspace(-1, 1, n), rng.normal(size=(n, m)), lam)
+        assert f.knot_data.shape == (2, n, m) and f.knot_data.flags.c_contiguous
 
     def test_roughness_zero_for_affine(self):
         t = chebyshev_second(8)
@@ -332,6 +343,33 @@ class TestFitValidation:
         with pytest.raises(ValueError, match=r"^y must have at least one column"):
             fit(t, np.zeros((5, 0)), 0.1)
 
+    @pytest.mark.parametrize("knots, knot_data, message", [
+        ([0.0, 1.0, 0.5], None, "^knots must be strictly increasing$"),
+        ([[0.0, 0.5, 1.0]], None, "^knots must be one-dimensional$"),
+        ([], np.zeros((2, 0, 1)), "^knots needs at least 1 points, got 0$"),
+        ([0.0, np.nan, 1.0], None, "^knots contains non-finite values$"),
+        ([0.0, 0.5, 1.0], np.zeros((2, 4, 1)), r"^knot_data must be \(2, 3, m\) with m >= 1, "
+                                               r"got shape \(2, 4, 1\)$"),
+        ([0.0, 0.5, 1.0], np.zeros((2, 3)), r"got shape \(2, 3\)$"),
+        ([0.0, 0.5, 1.0], np.zeros((2, 3, 0)), r"got shape \(2, 3, 0\)$"),
+        ([0.0, 0.5, 1.0], [[0.0, 1.0, 0.0]], r"got shape \(1, 3\)$"),
+    ], ids=["unsorted", "2d_knots", "no_knots", "nan_knot", "rows", "2d_data", "no_columns",
+            "list_data"])
+    def test_spline_fit_refuses_knots_or_knot_data_it_cannot_evaluate(self, knots, knot_data,
+                                                                      message):
+        # unsorted knots once evaluated 1.75 at 0.75 (true 0.6875) and gave
+        # roughness 24 (true 48), and list knots a raw AttributeError
+        f = fit([0.0, 0.5, 1.0], [0.0, 1.0, 0.0], 0.0)
+        if knot_data is None:
+            knot_data = f.knot_data
+        with pytest.raises(ValueError, match=message):
+            SplineFit(knots, knot_data, 0.0)
+        listed = SplineFit([0, 0.5, 1], f.knot_data.tolist(), 0.0)
+        assert listed.knots.dtype == listed.knot_data.dtype == float
+        assert listed.evaluate(0.75).tobytes() == f.evaluate(0.75).tobytes()
+        assert listed.roughness() == f.roughness() == pytest.approx(48.0)
+        assert SplineFit(f.knots, f.knot_data, 0.0).knot_data is f.knot_data
+
     def test_n_lambda_overflow_names_lambda(self, recwarn):
         t = chebyshev_second(64)
         with pytest.raises(ValueError, match="lam"):
@@ -413,6 +451,7 @@ class TestStackedBasis:
             assert seen == {"dgbsv": len(lamns), "solveh_banded": 0}
             assert (qt.shape, gam0.shape, fits.shape) == (
                 (count, n - 2, m), (count, n - 2, m), (len(lamns), count, 2, n, m))
+            assert fits.flags.c_contiguous  # the one form of every fit
             assert not fits[:, :, 1, [0, -1]].any()
             for i in range(count):
                 alone = NaturalSplineBasis(knots[i])

@@ -21,7 +21,7 @@ from .points import (
     chebyshev_second,
     mesh_stats,
 )
-from .spline import NaturalSplineBasis, SplineFit, fit
+from .spline import SplineFit, fit
 from .kernel import KernelFit, kernel_fit, sobolev_kernel
 from .coding import (
     CodedBatch,

@@ -40,14 +40,16 @@ Every decode runs through one body on a stack of T trials' survivors,
 all of one count (uniform and fixed stragglers both leave N - S), at L
 decoder weights.  It builds the T interleaved band systems of a weight in
 one set of array operations and solves them as one block-diagonal band,
-one LAPACK call per weight, with each trial's bits
-(:func:`letcc.spline.NaturalSplineBasis` on a (T, n) knot stack); the
-weights share the basis and its lambda-free band entries, and one set of
+one LAPACK call per weight, with each trial's bits (the one fit body,
+:func:`letcc.spline._fit_stack`, on a (T, v) knot stack); the weights
+share the knot spacings and the lambda-free band entries, and one set of
 stacked evaluation weights takes all L x T fits to the alphas, for one
-weight or many.  The body gives arrays only: the (L, T, K, m) estimates
-and the fits' knot values and second derivatives, one (L, T, 2, v, m)
-stack.  The Monte-Carlo harness hands its own stacked survivors to it
-directly;
+weight or many.  The body checks no knots: the survivor knots are grid
+points at indices already checked, so a decode checks its knots once, in
+its :class:`letcc.spline.SplineFit`, and a Monte-Carlo chunk not at
+all.  The body gives arrays only: the (L, T, K, m) estimates and the
+fits' knot values and second derivatives, one (L, T, 2, v, m) stack.
+The Monte-Carlo harness hands its own stacked survivors to it directly;
 :func:`decode`, one trial at one weight, is the one entry for outside
 callers and the only place a :class:`DecodeResult` and its
 :class:`letcc.spline.SplineFit` are built; its survivors, pairs or

@@ -143,21 +143,19 @@ def mesh_stats(points, domain=(-1.0, 1.0)) -> MeshStats:
     )
 
 
-def _check_points(name: str, pts: np.ndarray, minimum: int = 1, domain=None,
-                  stack: bool = False) -> None:
-    """Check ``pts``, one point set or with ``stack`` a (T, n) stack, named ``name``.
+def _check_points(name: str, pts: np.ndarray, minimum: int = 1, domain=None) -> None:
+    """Check the point set ``pts``, named ``name``.
 
-    Each set has ``minimum`` points or more, finite, strictly increasing
-    and, given a ``domain`` (lo, hi), inside it.
+    It is one-dimensional, with ``minimum`` points or more, finite,
+    strictly increasing and, given a ``domain`` (lo, hi), inside it.
     """
-    if pts.ndim not in ((1, 2) if stack else (1,)):
-        raise ValueError(f"{name} must be one-dimensional"
-                         + (", or a (T, n) stack of point sets" if stack else ""))
-    if pts.shape[-1] < minimum:
-        raise ValueError(f"{name} needs at least {minimum} points, got {pts.shape[-1]}")
+    if pts.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional")
+    if pts.size < minimum:
+        raise ValueError(f"{name} needs at least {minimum} points, got {pts.size}")
     if np.count_nonzero(np.isfinite(pts)) < pts.size:  # a third of the cost of .all()
         raise ValueError(f"{name} contains non-finite values")
-    if np.count_nonzero(pts[..., 1:] <= pts[..., :-1]):  # every point is finite here
+    if np.count_nonzero(pts[1:] <= pts[:-1]):  # every point is finite here
         raise ValueError(f"{name} must be strictly increasing")
     if domain is not None and not (domain[0] <= pts.min() and pts.max() <= domain[1]):
         raise ValueError(f"{name} must lie within [{domain[0]}, {domain[1]}]")

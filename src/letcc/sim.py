@@ -98,30 +98,22 @@ class RiskBoundViolation(ArithmeticError):
 class StragglerModel:
     """Straggler draw for N workers: at most (exactly) S fail per trial.
 
-    ``uniform`` samples exactly S stragglers uniformly over all C(N, S)
-    subsets.  ``fixed`` erases the same declared index set every trial,
-    which pairs schemes against identical failure patterns; only ``fixed``
-    mode takes them, exactly S distinct ones.  N, S and these indices are
-    integers, or integral floats kept as ints, never booleans, and S and
-    the indices lie in [0, N): :func:`letcc.points._integral_indices`.
+    Without ``fixed_stragglers`` a trial samples exactly S stragglers
+    uniformly over all C(N, S) subsets.  With them, every trial erases
+    that declared index set, exactly S distinct indices, which pairs
+    schemes against identical failure patterns.  N, S and these indices
+    are integers, or integral floats kept as ints, never booleans, and S
+    and the indices lie in [0, N): :func:`letcc.points._integral_indices`.
     """
 
     n: int
     s: int
-    mode: str = "uniform"
     fixed_stragglers: tuple[int, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "n", _integer(self.n, "StragglerModel n"))
         object.__setattr__(self, "s", _integer(self.s, "StragglerModel s", self.n))
-        if self.mode not in ("uniform", "fixed"):
-            raise ValueError(f"unknown straggler mode {self.mode!r}")
-        if self.mode != "fixed" and self.fixed_stragglers is not None:
-            raise ValueError(f"fixed_stragglers given for mode {self.mode!r}; "
-                             "only mode 'fixed' uses them")
-        if self.mode == "fixed":
-            if self.fixed_stragglers is None:
-                raise ValueError("fixed mode requires fixed_stragglers")
+        if self.fixed_stragglers is not None:
             idx = tuple(sorted(_integral_indices(self.fixed_stragglers,
                                                  "straggler index", self.n).tolist()))
             if len(set(idx)) != len(idx):
@@ -134,15 +126,15 @@ class StragglerModel:
 def sample_stragglers(model: StragglerModel, rng: np.random.Generator | None) -> np.ndarray:
     """Sorted survivor indices for one trial.
 
-    ``uniform`` mode draws them on ``rng``, which must be given: the
-    stragglers row of :data:`letcc.streams._STREAMS` returns them, as for
-    a trial of the harness's chunk.  ``fixed`` mode, where ``rng`` may be
-    None, gives the survivors a chunk stacks for every trial.
+    Without fixed stragglers they are drawn on ``rng``, which must be
+    given: the stragglers row of :data:`letcc.streams._STREAMS` returns
+    them, as for a trial of the harness's chunk.  With them, where ``rng``
+    may be None, they are the survivors a chunk stacks for every trial.
     """
-    if model.mode == "fixed":
+    if model.fixed_stragglers is not None:
         return streams._survivors(model.n, np.array([model.fixed_stragglers], dtype=int))[0]
     if rng is None:
-        raise ValueError("uniform straggler mode needs an rng to draw the stragglers")
+        raise ValueError("uniform stragglers need an rng to draw them")
     return streams._STREAMS[streams._STRAGGLERS].trial(rng, model.n, model.s)
 
 
@@ -547,7 +539,7 @@ def _prepare(setup: TrialSetup, seeds, weights: int = 1) -> Iterator[_Chunk]:
         if shared:  # given or identity inputs: one (K, d) set for every trial
             inputs = grid.alphas[:, None] if setup.data is None else setup.data.inputs
         indices = draws.get(streams._STRAGGLERS)
-        if indices is None:  # fixed mode: the same survivors in every trial
+        if indices is None:  # fixed stragglers: the same survivors in every trial
             indices = np.stack([sample_stragglers(setup.stragglers, None)] * trials)
         normals = draws.get(streams._NOISE)
         knot_values = None

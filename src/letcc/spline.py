@@ -26,29 +26,30 @@ of the cardinal basis, with Phi = Q R^{-1} Q^T.  Only band diagonals are
 stored: the two equations, with g and gam interleaved and each gam
 equation ahead of the g equation of its knot, form one band system with
 two diagonals below the main one and three above, solved by LAPACK's
-banded LU in O(n) time and memory per output dimension
-(:meth:`NaturalSplineBasis.smooth`); ``lam = 0``
+banded LU in O(n) time and memory per output dimension; ``lam = 0``
 keeps g = y and solves the tridiagonal R for gam.  No n x n array is
 formed.  Affine data gives Q^T y = 0, hence gam = 0 and exact
 reproduction for every lam.  Vector-valued data reuses one factorization
-for all output dimensions.  The dense ``Phi`` and basis matrix are built
-only on request, as test oracles.
+for all output dimensions.
 
-Most entries of that band (the ones of the g rows, Q^T and -R) do not
-depend on lam.  A smooth at L weights builds them once; every weight but
-the last fills a reused copy with its four lam-scaled rows of Q and runs
-one LU, and the last fills and solves the lam-free band itself.  A basis
-holds a (T, n) stack of knot sets of one size, such as the survivor knots
-of T Monte-Carlo trials, and one knot set is the stack T = 1; its methods
-take (T, n, m) stacks.  The bands of all sets are built in one set of
-array operations and, side by side, are the band of one block-diagonal
-system: one LAPACK call per weight solves every set, and each set's fit
-equals its own fit bit for bit.  :func:`fit` is the one public fit, of
-one knot set at one weight; the decoder fits T sets at several weights
-on one basis through the same body, ``_fit_stack``.  Every fit has one
-form, made in that body alone: one C-ordered (L, T, 2, n, m) stack, each
-fit a (2, n, m) array of its knot values above its second derivatives,
-so no product or sum over a fit rounds by the path that built it.  A fit
+One body, ``_fit_stack``, builds every fit: of a (T, n) stack of knot
+sets of one size, such as the survivor knots of T Monte-Carlo trials, to
+(T, n, m) data at L weights, one knot set being the stack T = 1.  It
+computes the spacings and Q's three diagonals once.  Most entries of the
+band (the ones of the g rows, Q^T and -R) do not depend on lam: they are
+built once, every weight but the last fills a reused copy with its four
+lam-scaled rows of Q and runs one LU, and the last fills and solves the
+lam-free band itself.  The bands of all sets, side by side, are the band
+of one block-diagonal system: one LAPACK call per weight solves every
+set, and each set's fit equals its own fit bit for bit.  :func:`fit` is
+the one public fit, of one knot set at one weight; the decoder fits T
+sets at several weights through the same body.  Every fit has one form,
+made in that body alone: one C-ordered (L, T, 2, n, m) stack, each fit a
+(2, n, m) array of its knot values above its second derivatives, so no
+product or sum over a fit rounds by the path that built it.  The body
+checks no knots: they are checked once, where they enter, as
+:func:`fit`'s ``t``, :class:`SplineFit`'s knots, the grid's points or
+the survivor indices of :func:`letcc.coding.normalize_survivors`.  A fit
 keeps no basis: its roughness is computed from its own knots.
 
 Evaluation at q query points runs in two steps.  The first depends only on
@@ -78,9 +79,7 @@ from scipy.linalg.lapack import dgbsv
 from .points import _check_points, _query, _real
 
 __all__ = [
-    "DegenerateBasisError",
     "NumericalFitError",
-    "NaturalSplineBasis",
     "SplineFit",
     "EvaluationWeights",
     "evaluation_weights",
@@ -88,176 +87,8 @@ __all__ = [
 ]
 
 
-class DegenerateBasisError(ValueError):
-    """Fewer than three knots: the natural cubic basis does not exist."""
-
-
 class NumericalFitError(RuntimeError):
     """The smoothing system could not be factorized."""
-
-
-class NaturalSplineBasis:
-    """Cardinal natural-cubic-spline basis on strictly increasing knot sets.
-
-    Basis function ``b_i`` is the natural cubic spline taking value 1 at
-    knot i and 0 at every other knot, so ``basis_dim`` equals the number of
-    knots and the design matrix at the knots is the identity.  Each ``b_i``
-    is linear beyond the boundary knots (second derivative zero there and
-    outside).
-
-    ``knots`` is one knot set, or a (T, n) stack of T knot sets of one
-    size.  :meth:`apply_qt`, :meth:`interior_second_derivs` and
-    :meth:`smooth` take and give (T, n, m) stacks, T = 1 for one knot set,
-    and treat each set with the same arithmetic as a basis on that set
-    alone.  The dense oracles need a single knot set.
-    """
-
-    def __init__(self, knots):
-        knots = np.ascontiguousarray(knots, dtype=float)
-        _check_points("knots", knots, minimum=0, stack=True)
-        if knots.shape[-1] < 3:
-            raise DegenerateBasisError(
-                f"natural cubic basis needs >= 3 knots, got {knots.shape[-1]}"
-            )
-        self.knots = knots
-        # Column j of Q (n x n-2) holds qa[j], qb[j], qc[j] in rows j, j+1,
-        # j+2: the second-difference operator on the knot values.  One row
-        # per knot set, also for a single set.
-        self._h = h = (knots[..., 1:] - knots[..., :-1]).reshape(-1, knots.shape[-1] - 1)
-        self._qa = 1.0 / h[:, :-1]
-        self._qc = 1.0 / h[:, 1:]
-        self._qb = -self._qa - self._qc
-
-    @property
-    def basis_dim(self) -> int:
-        return self.knots.shape[-1]
-
-    def apply_qt(self, values: np.ndarray) -> np.ndarray:
-        """Q^T @ values of each set, (T, n-2, m) for values (T, n, m)."""
-        return (self._qa[..., None] * values[:, :-2] + self._qb[..., None] * values[:, 1:-1]
-                + self._qc[..., None] * values[:, 2:])
-
-    def interior_second_derivs(self, values: np.ndarray) -> np.ndarray:
-        """Second derivatives at interior knots of the natural interpolant, (T, n-2, m).
-
-        R gam = Q^T values, all sets in one ``solveh_banded`` call, which at
-        kd = 2 stays on LAPACK's unblocked ``dpbtf2`` (see :meth:`smooth`).
-        """
-        rhs = self.apply_qt(values)
-        return solveh_banded(_r_band(self._h).reshape(3, -1), rhs.reshape(-1, rhs.shape[-1]),
-                             overwrite_ab=True).reshape(rhs.shape)
-
-    def smooth(self, y: np.ndarray, lamns: list[float], out=None):
-        """Fitted knot values and second derivatives at L weights, one (L, T, 2, n, m) stack.
-
-        For data ``y`` (T, n, m) and each weight ``lamn`` of ``lamns``,
-        finite and > 0, solves the equations of the fit,
-        g + lamn * Q gam = y  and  Q^T g - R gam = 0,  as one band system in
-        the interleaved unknowns (g_0, g_1, gam_1, g_2, ..., gam_{n-2},
-        g_{n-1}) by banded LU with partial pivoting.  Each set's fit is a
-        (2, n, m) block of the stack, its knot values above its second
-        derivatives, which are zero at the end knots.  The stack is ``out``,
-        one slot per weight as :func:`_fit_stack` passes them, or new
-        C-ordered zeros.  One LAPACK ``dgbsv`` call per weight solves all T
-        sets as one block-diagonal band, with each set's bits:
-        the band slots outside a set's own rows hold zeros, so the pivot
-        search never picks another set's row and every update across a set's
-        edge adds an exact zero; and kl = 2 is below LAPACK's block size, so
-        the LU stays on the unblocked ``dgbtf2`` for any T.
-
-        The equations run g_0, gam_1, g_1, gam_2, g_2, ..., gam_{n-2},
-        g_{n-2}, g_{n-1}: each interior g_i equation one row below its knot's
-        gam equation.  The band then reaches two diagonals below the main one
-        and three above (three below in the unknowns' own order), so LAPACK
-        factors 8 band rows, not 10, with the same bits: partial pivoting
-        picks the same equation in either order, so the LU applies the same
-        operations to the same values, save for exact ties in magnitude
-        (LAPACK takes the first row, so meshes of equal gaps may pivot and
-        round otherwise) and the sign of an exactly zero fitted value.
-
-        Eliminating g leaves the Reinsch system (R + lamn Q^T Q) gam = Q^T y,
-        which squares the conditioning: on gaps alternating 1 and 1e4 its
-        Cholesky solution misses the exact fit by up to 8e-5 for unit-scale
-        data, and this solve by less than 1e-10.
-
-        The lam-free entries of the bands (the g rows, Q^T and -R) are built
-        once per call.  Every weight but the last is solved in one work
-        copy of them, and the last in place: two bands of T sets at most.
-        """
-        count, n, m = y.shape
-        qa, qb, qc = self._qa, self._qb, self._qc
-        # bounds every lamn-scaled entry of a set's band (in Python floats,
-        # which overflow to inf without a warning); the first set that
-        # overflows is named, as a loop of single fits would
-        q_maxes = (-qb.min(axis=1)).tolist()
-        for lamn in lamns:
-            if not (math.isfinite(lamn) and lamn > 0):
-                raise ValueError(f"smoothing weight n*lam must be finite and > 0, got {lamn}")
-            for q_max in q_maxes:
-                if not math.isfinite(lamn * q_max):
-                    raise ValueError(f"lam too large for these knots: n*lam = {lamn} times "
-                                     f"the largest 1/h weight {q_max} overflows")
-        # the sets' (8, 2n-2) bands are transposed C-ordered (2n-2, 8) slices
-        # of one array: side by side, the Fortran-ordered (8, T(2n-2)) band of
-        # their block-diagonal system, which LAPACK takes without a copy.  A
-        # set's entry (row, col) sits at [5 + row - col, col]; the top two
-        # rows hold the fill-in of the pivoting LU.  g_i is unknown
-        # max(2i - 1, 0) and gam_j (interior knot j + 1) is unknown 2j + 2.
-        # The g_0 and g_{n-1} equations are rows 0 and 2n-3, gam_j's is row
-        # 2j + 1 and g_i's row 2i between them: two rows below, three above.
-        r = _r_band(self._h)
-        lam_free = np.zeros((count, 2 * n - 2, 8)).transpose(0, 2, 1)
-        lam_free[:, 5, 0] = lam_free[:, 6, 1:-2:2] = lam_free[:, 5, -1] = 1.0  # g_i in its row
-        lam_free[:, 6, 0], lam_free[:, 7, 1:-4:2] = qa[:, 0], qa[:, 1:]        # Q^T, gam rows
-        lam_free[:, 5, 1:-2:2] = qb
-        lam_free[:, 3, 3::2] = qc
-        lam_free[:, 4, 2::2] = -r[2]                                          # -R, gam rows
-        lam_free[:, 2, 4::2] = lam_free[:, 6, 2:-3:2] = -r[1, :, 1:]
-        work = np.empty_like(lam_free) if len(lamns) > 1 else None
-        if out is None:
-            out = np.zeros((len(lamns), count, 2, n, m))
-        rhs = np.empty((count * (2 * n - 2), m), order="F")
-        b = rhs.reshape(count, -1, m)  # each set's (2n-2, m) rows, set after set
-        for i, (lamn, slot) in enumerate(zip(lamns, out, strict=True)):
-            band = lam_free  # the last weight overwrites the lam-free entries
-            if i < len(lamns) - 1:
-                band = work
-                np.copyto(band, lam_free)
-            band[:, 3, 2::2], band[:, 5, 2::2] = lamn * qa, lamn * qb      # lamn Q, g rows
-            band[:, 7, 2:-3:2], band[:, 6, -2] = lamn * qc[:, :-1], lamn * qc[:, -1]
-            b[:, 0], b[:, 2:-1:2], b[:, -1], b[:, 1:-1:2] = y[:, 0], y[:, 1:-1], y[:, -1], 0.0
-            _, _, sol, info = dgbsv(2, 3, band.transpose(0, 2, 1).reshape(-1, 8).T, rhs,
-                                    overwrite_ab=True, overwrite_b=True)
-            if info:  # > 0 singular, which distinct knots rule out; < 0 a bad argument
-                raise NumericalFitError(f"smoothing system not solved: dgbsv info {info}")
-            sol = sol.reshape(b.shape)
-            slot[:, 0, 0], slot[:, 0, 1:] = sol[:, 0], sol[:, 1::2]
-            slot[:, 1, 1:-1] = sol[:, 2:-1:2]
-        return out
-
-    def penalty_matrix(self) -> np.ndarray:
-        """Gram matrix Phi of basis second derivatives, Phi_ij = int b_i'' b_j''.
-
-        Exact for the piecewise-linear second derivatives of the basis:
-        Phi = Q R^{-1} Q^T.  Symmetric positive semidefinite with null space
-        spanned by the knot values of affine functions.  Dense (n x n) and
-        built on each call; a test oracle, not used by fitting.
-        """
-        ident = np.eye(self.basis_dim)[None]
-        phi = self.apply_qt(ident)[0].T @ self.interior_second_derivs(ident)[0]
-        return (phi + phi.T) / 2.0
-
-    def basis_matrix(self, x) -> np.ndarray:
-        """Evaluate all basis functions at ``x``: returns (len(x), n).
-
-        Dense and built on each call; a test oracle, not used by fitting.
-        """
-        n = self.basis_dim
-        unit = np.zeros((2, n, n))
-        unit[0] = np.eye(n)
-        unit[1, 1:-1] = self.interior_second_derivs(unit[:1])[0]
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return evaluation_weights(self.knots, x).apply(unit)
 
 
 def _r_band(h: np.ndarray) -> np.ndarray:
@@ -287,8 +118,9 @@ class SplineFit:
     Fits on fewer than three points degrade gracefully: two points give the
     exact affine interpolant, one point a constant; such fits are
     ``degenerate`` and have zero roughness.  The knots must be finite and
-    strictly increasing, and ``knot_data`` (2, n, m) with m >= 1; both are
-    kept as float arrays.
+    strictly increasing, and ``knot_data`` (2, n, m) with m >= 1 and zero
+    second derivatives at the end knots, as :meth:`roughness` assumes;
+    both are kept as float arrays.
     """
 
     knots: np.ndarray
@@ -303,6 +135,9 @@ class SplineFit:
         if data.ndim != 3 or data.shape[:2] != (2, knots.size) or not data.shape[2]:
             raise ValueError(f"knot_data must be (2, {knots.size}, m) with m >= 1, "
                              f"got shape {data.shape}")
+        if np.count_nonzero(data[1, ::max(knots.size - 1, 1)]):  # its first and last knot
+            raise ValueError("knot_data must have zero second derivatives at the end knots, "
+                             "as a natural spline has")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "knot_data", data)
 
@@ -384,11 +219,43 @@ def _fit_stack(t: np.ndarray, y: np.ndarray, lams: list[float]) -> np.ndarray:
     derivatives of all sets at the L weights as one C-ordered (L, T, 2, n, m)
     stack, allocated here with the data as knot values above zero second
     derivatives and filled in place, each set with the arithmetic of a fit
-    on its own (see :meth:`NaturalSplineBasis.smooth`).  Fewer than three
-    knots fit the penalty null space exactly (affine for n=2, constant for
-    n=1) regardless of lam; such a fit is degenerate.  At lam = 0 the knot
-    values are the data, and the second derivatives those of the natural
-    interpolant.
+    on its own.  Fewer than three knots fit the penalty null space exactly
+    (affine for n=2, constant for n=1) regardless of lam; such a fit is
+    degenerate.  At lam = 0 the knot values are the data, and the second
+    derivatives those of the natural interpolant: R gam = Q^T y, all sets
+    in one ``solveh_banded`` call, which at kd = 2 stays on LAPACK's
+    unblocked ``dpbtf2`` (as ``dgbsv`` below stays on ``dgbtf2``).
+
+    At each other weight, with ``lamn`` = n * lam finite and > 0, the body
+    solves the equations of the fit, g + lamn * Q gam = y  and
+    Q^T g - R gam = 0,  as one band system in the interleaved unknowns
+    (g_0, g_1, gam_1, g_2, ..., gam_{n-2}, g_{n-1}) by banded LU with
+    partial pivoting, straight into that weight's slot of the stack.  One
+    LAPACK ``dgbsv`` call per weight solves all T sets as one
+    block-diagonal band, with each set's bits: the band slots outside a
+    set's own rows hold zeros, so the pivot search never picks another
+    set's row and every update across a set's edge adds an exact zero; and
+    kl = 2 is below LAPACK's block size, so the LU stays on the unblocked
+    ``dgbtf2`` for any T.
+
+    The equations run g_0, gam_1, g_1, gam_2, g_2, ..., gam_{n-2},
+    g_{n-2}, g_{n-1}: each interior g_i equation one row below its knot's
+    gam equation.  The band then reaches two diagonals below the main one
+    and three above (three below in the unknowns' own order), so LAPACK
+    factors 8 band rows, not 10, with the same bits: partial pivoting
+    picks the same equation in either order, so the LU applies the same
+    operations to the same values, save for exact ties in magnitude
+    (LAPACK takes the first row, so meshes of equal gaps may pivot and
+    round otherwise) and the sign of an exactly zero fitted value.
+
+    Eliminating g leaves the Reinsch system (R + lamn Q^T Q) gam = Q^T y,
+    which squares the conditioning: on gaps alternating 1 and 1e4 its
+    Cholesky solution misses the exact fit by up to 8e-5 for unit-scale
+    data, and this solve by less than 1e-10.
+
+    The lam-free entries of the bands (the g rows, Q^T and -R) are built
+    once per call.  Every weight but the last is solved in one work copy
+    of them, and the last in place: two bands of T sets at most.
     """
     n = t.shape[1]
     fits = np.zeros((len(lams),) + y.shape[:1] + (2,) + y.shape[1:])
@@ -398,12 +265,67 @@ def _fit_stack(t: np.ndarray, y: np.ndarray, lams: list[float]) -> np.ndarray:
     for lam in lams:
         if not math.isfinite(n * lam):
             raise ValueError(f"lam = {lam} overflows: n*lam is not finite for n = {n} knots")
-    basis = NaturalSplineBasis(t)
-    smoothed = [i for i, lam in enumerate(lams) if lam]
-    if len(smoothed) < len(lams):
-        fits[[not lam for lam in lams], :, 1, 1:-1] = basis.interior_second_derivs(y)
-    if smoothed:
-        basis.smooth(y, [n * lams[i] for i in smoothed], [fits[i] for i in smoothed])
+    count, m = y.shape[0], y.shape[2]
+    # Column j of Q (n x n-2) holds qa[j], qb[j], qc[j] in rows j, j+1,
+    # j+2: the second-difference operator on the knot values.  One row
+    # per knot set.
+    h = t[:, 1:] - t[:, :-1]
+    qa = 1.0 / h[:, :-1]
+    qc = 1.0 / h[:, 1:]
+    qb = -qa - qc
+    r = _r_band(h)
+    lamns = [n * lam for lam in lams if lam]
+    if lamns:
+        # bounds every lamn-scaled entry of a set's band (in Python floats,
+        # which overflow to inf without a warning); the first set that
+        # overflows is named, as a loop of single fits would
+        q_maxes = (-qb.min(axis=1)).tolist()
+        for lamn in lamns:
+            if not (math.isfinite(lamn) and lamn > 0):
+                raise ValueError(f"smoothing weight n*lam must be finite and > 0, got {lamn}")
+            for q_max in q_maxes:
+                if not math.isfinite(lamn * q_max):
+                    raise ValueError(f"lam too large for these knots: n*lam = {lamn} times "
+                                     f"the largest 1/h weight {q_max} overflows")
+        # the sets' (8, 2n-2) bands are transposed C-ordered (2n-2, 8) slices
+        # of one array: side by side, the Fortran-ordered (8, T(2n-2)) band of
+        # their block-diagonal system, which LAPACK takes without a copy.  A
+        # set's entry (row, col) sits at [5 + row - col, col]; the top two
+        # rows hold the fill-in of the pivoting LU.  g_i is unknown
+        # max(2i - 1, 0) and gam_j (interior knot j + 1) is unknown 2j + 2.
+        # The g_0 and g_{n-1} equations are rows 0 and 2n-3, gam_j's is row
+        # 2j + 1 and g_i's row 2i between them: two rows below, three above.
+        lam_free = np.zeros((count, 2 * n - 2, 8)).transpose(0, 2, 1)
+        lam_free[:, 5, 0] = lam_free[:, 6, 1:-2:2] = lam_free[:, 5, -1] = 1.0  # g_i in its row
+        lam_free[:, 6, 0], lam_free[:, 7, 1:-4:2] = qa[:, 0], qa[:, 1:]        # Q^T, gam rows
+        lam_free[:, 5, 1:-2:2] = qb
+        lam_free[:, 3, 3::2] = qc
+        lam_free[:, 4, 2::2] = -r[2]                                          # -R, gam rows
+        lam_free[:, 2, 4::2] = lam_free[:, 6, 2:-3:2] = -r[1, :, 1:]
+        work = np.empty_like(lam_free) if len(lamns) > 1 else None
+        rhs = np.empty((count * (2 * n - 2), m), order="F")
+        b = rhs.reshape(count, -1, m)  # each set's (2n-2, m) rows, set after set
+        slots = [slot for slot, lam in zip(fits, lams) if lam]
+        for i, (lamn, slot) in enumerate(zip(lamns, slots)):
+            band = lam_free  # the last weight overwrites the lam-free entries
+            if i < len(lamns) - 1:
+                band = work
+                np.copyto(band, lam_free)
+            band[:, 3, 2::2], band[:, 5, 2::2] = lamn * qa, lamn * qb      # lamn Q, g rows
+            band[:, 7, 2:-3:2], band[:, 6, -2] = lamn * qc[:, :-1], lamn * qc[:, -1]
+            b[:, 0], b[:, 2:-1:2], b[:, -1], b[:, 1:-1:2] = y[:, 0], y[:, 1:-1], y[:, -1], 0.0
+            _, _, sol, info = dgbsv(2, 3, band.transpose(0, 2, 1).reshape(-1, 8).T, rhs,
+                                    overwrite_ab=True, overwrite_b=True)
+            if info:  # > 0 singular, which distinct knots rule out; < 0 a bad argument
+                raise NumericalFitError(f"smoothing system not solved: dgbsv info {info}")
+            sol = sol.reshape(b.shape)
+            slot[:, 0, 0], slot[:, 0, 1:] = sol[:, 0], sol[:, 1::2]
+            slot[:, 1, 1:-1] = sol[:, 2:-1:2]
+    if len(lamns) < len(lams):
+        # R gam = Q^T y, the last read of r, which solveh_banded may overwrite
+        qt_y = qa[..., None] * y[:, :-2] + qb[..., None] * y[:, 1:-1] + qc[..., None] * y[:, 2:]
+        fits[[not lam for lam in lams], :, 1, 1:-1] = solveh_banded(
+            r.reshape(3, -1), qt_y.reshape(-1, m), overwrite_ab=True).reshape(qt_y.shape)
     return fits
 
 

@@ -9,8 +9,8 @@ the reference of every draw here.  One table, :data:`_STREAMS`, has a
 row of four fields for each stream tag: when a trial draws on it, how
 many 64-bit outputs its vectorised draw reads, that draw, and a function
 that returns the draw of one trial on its own generator.  A stream a
-trial does not use (noise at sigma0 = 0, stragglers in ``fixed`` mode,
-data when it is given or ``identity``) is never seeded.
+trial does not use (noise at sigma0 = 0, fixed stragglers, data when it
+is given or ``identity``) is never seeded.
 
 :func:`_chunk_draws` draws the streams of a chunk of trials.  Their states
 come from one vectorised pass (numpy's SeedSequence mixing in uint32
@@ -378,7 +378,7 @@ _STREAMS = {
         lambda rng, k, d: rng.uniform(-1.0, 1.0, (k, d))),
     _STRAGGLERS: _Stream(
         lambda setup: ((setup.stragglers.n, setup.stragglers.s)
-                       if setup.stragglers.mode == "uniform" else None),
+                       if setup.stragglers.fixed_stragglers is None else None),
         lambda n, s: None if n > 10000 and s > n // 50 or n > 2**32 - 1 else (s + 1) // 2,
         _floyd_survivors,
         lambda rng, n, s: _survivors(n, rng.choice(n, size=(1, s), replace=False))[0]),

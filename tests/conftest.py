@@ -6,6 +6,7 @@ from numpy.polynomial.legendre import leggauss
 
 from letcc import streams
 from letcc.points import chebyshev_grid
+from letcc.spline import fit
 from letcc.sim import NoiseModel, StragglerModel, TrialSetup, WorkerFunction, make_worker
 
 # one line per acceptance criterion, echoed after the test summary
@@ -100,3 +101,35 @@ def quadrature_roughness(evaluate, knots) -> float:
         second = np.atleast_2d(np.asarray(second).T).T
         total += (b - a) / 2 * float(np.sum(weights[:, None] * second**2))
     return total
+
+
+def penalty_matrix(knots) -> np.ndarray:
+    """Dense Gram matrix Phi of the cardinal natural-spline basis, int b_i'' b_j''.
+
+    Phi = Q R^{-1} Q^T from the textbook matrices of Green & Silverman
+    (1994, sec. 2.1.2), filled entry by entry from the knot spacings h:
+    column j of the n x (n-2) Q holds 1/h_j, -1/h_j - 1/h_{j+1} and
+    1/h_{j+1} in rows j to j+2, and the (n-2) x (n-2) R has (h_j +
+    h_{j+1})/3 on its diagonal and h_{j+1}/6 beside it.  A dense solve,
+    sharing no code with the banded fit; symmetrized, as Phi is.
+    """
+    h = np.diff(np.asarray(knots, dtype=float))
+    n = h.size + 1
+    q = np.zeros((n, n - 2))
+    r = np.zeros((n - 2, n - 2))
+    for j in range(n - 2):
+        q[j, j], q[j + 1, j], q[j + 2, j] = 1.0 / h[j], -1.0 / h[j] - 1.0 / h[j + 1], 1.0 / h[j + 1]
+        r[j, j] = (h[j] + h[j + 1]) / 3.0
+        if j:
+            r[j - 1, j] = r[j, j - 1] = h[j] / 6.0
+    phi = q @ np.linalg.solve(r, q.T)
+    return (phi + phi.T) / 2.0
+
+
+def basis_matrix(knots, x) -> np.ndarray:
+    """The n cardinal natural-spline basis functions of ``knots`` at ``x``, (len(x), n).
+
+    Column i is the interpolant of the i-th unit vector at the knots.
+    """
+    n = np.size(knots)
+    return fit(knots, np.eye(n), 0.0).evaluate(x)

@@ -15,12 +15,12 @@ from letcc.coding import (
     encoder_training_error,
     normalize_survivors,
 )
-from letcc import baselines, kernel, spline
+from letcc import baselines, kernel, sim, spline
 from letcc.points import chebyshev_grid
 
 from letcc.sim import WorkerReturns, make_worker
 
-from conftest import ols_affine
+from conftest import ols_affine, trial_setup
 
 
 class TestDataset:
@@ -520,6 +520,28 @@ class TestDecodeStackAtManyWeights:
         with pytest.raises(ValueError) as got:
             decode(WorkerReturns(indices, outputs), grid, bad)
         assert str(got.value) == str(want.value)
+
+
+def test_decode_checks_its_knots_once_and_a_chunk_none(monkeypatch):
+    # knots are checked where they enter: a decode's survivor knots are grid
+    # points at checked indices, so only its SplineFit checks them, and the
+    # stacked survivor knots of a Monte-Carlo chunk are not checked again
+    shapes = []
+    check = spline._check_points
+
+    def counted(name, pts, *args, **kwargs):
+        shapes.append(pts.shape)
+        return check(name, pts, *args, **kwargs)
+
+    monkeypatch.setattr(spline, "_check_points", counted)
+    grid = chebyshev_grid(8, 24)
+    decode([(i, [np.sin(i)]) for i in range(0, 24, 2)], grid, 1e-3)
+    assert shapes == [(12,)]
+    setup = trial_setup(n=24, s=4, sigma0=0.1, lambda_e=1e-3)
+    _linear_encoder(setup.grid, setup.lambda_e)  # the grid's encoder, fitted once on the alphas
+    shapes.clear()
+    results = sim.monte_carlo_lambdas(setup, 20, 5, (0.0, 1e-4))
+    assert shapes == [] and len(results) == 2
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:

@@ -378,7 +378,7 @@ class TestCountsFromOutside:
         with pytest.raises(ValueError, match=message.format("survivor index")):
             normalize_survivors(sim.WorkerReturns(index, np.ones((1, 1))), 16)
         with pytest.raises(ValueError, match=message.format("straggler index")):
-            StragglerModel(16, 1, mode="fixed", fixed_stragglers=index)
+            StragglerModel(16, 1, fixed_stragglers=index)
 
 
 _DATA = Dataset(np.array([[0.5], [-0.25], [1.0]]))

@@ -57,57 +57,60 @@ class TestStragglerModel:
         assert np.abs(freq - 0.4).max() < 0.01
 
     def test_fixed_mode_repeats_the_same_set(self):
-        model = StragglerModel(n=8, s=2, mode="fixed", fixed_stragglers=(1, 5))
+        model = StragglerModel(n=8, s=2, fixed_stragglers=(1, 5))
         for seed in range(5):
             survivors = sample_stragglers(model, trial_rng(seed, 1))
             assert survivors.tolist() == [0, 2, 3, 4, 6, 7]
 
     def test_fixed_mode_validation(self):
         with pytest.raises(ValueError):
-            StragglerModel(n=8, s=2, mode="fixed", fixed_stragglers=(1,))
+            StragglerModel(n=8, s=2, fixed_stragglers=(1,))
         with pytest.raises(ValueError):
-            StragglerModel(n=8, s=2, mode="fixed", fixed_stragglers=(1, 9))
+            StragglerModel(n=8, s=2, fixed_stragglers=(1, 9))
 
-    @pytest.mark.parametrize("kw, message", [
-        ({"mode": "bursty"}, "unknown straggler mode 'bursty'"),
-        ({"mode": "fixed"}, "fixed mode requires fixed_stragglers"),
-        ({"mode": "fixed", "fixed_stragglers": (3, 3)}, "fixed_stragglers contains duplicates"),
+    @pytest.mark.parametrize("stragglers, message", [
+        ((3, 3), "fixed_stragglers contains duplicates"),
+        ((0, 0, 0), "fixed_stragglers contains duplicates"),
+        ((), "fixed_stragglers size must equal S"),
+        ((0, 1, 2), "fixed_stragglers size must equal S"),
     ])
-    def test_mode_and_fixed_set_messages(self, kw, message):
+    def test_fixed_set_messages(self, stragglers, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            StragglerModel(n=8, s=2, **kw)
-
-    @pytest.mark.parametrize("stragglers", [(0, 1), (0, 0, 0), ()])
-    def test_fixed_stragglers_only_in_fixed_mode(self, stragglers):
-        # uniform mode would draw its own stragglers and let these survive
-        with pytest.raises(ValueError, match="fixed_stragglers given for mode 'uniform'"):
             StragglerModel(n=8, s=2, fixed_stragglers=stragglers)
+
+    def test_given_fixed_stragglers_are_the_stragglers_of_every_trial(self):
+        # the set alone decides the draw: no rng is read, none is needed
+        model = StragglerModel(8, 2, fixed_stragglers=(0, 1))
+        assert sample_stragglers(model, None).tolist() == [2, 3, 4, 5, 6, 7]
+        assert sample_stragglers(StragglerModel(8, 2), trial_rng(0, 1)).size == 6
+        with pytest.raises(ValueError, match="^uniform stragglers need an rng to draw them$"):
+            sample_stragglers(StragglerModel(8, 2), None)
 
     @pytest.mark.parametrize("bad", [0.7, 1.2, np.nan, np.inf])
     def test_fractional_fixed_stragglers_raise(self, bad):
         with pytest.raises(ValueError, match=f"straggler index {bad} is not an integer"):
-            StragglerModel(n=8, s=2, mode="fixed", fixed_stragglers=(bad, 3))
+            StragglerModel(n=8, s=2, fixed_stragglers=(bad, 3))
 
     def test_boolean_fixed_stragglers_raise(self):
         with pytest.raises(ValueError, match="straggler index must be an integer, got bool"):
-            StragglerModel(n=8, s=2, mode="fixed", fixed_stragglers=(True, False))
+            StragglerModel(n=8, s=2, fixed_stragglers=(True, False))
 
     @pytest.mark.parametrize("flag", [True, np.True_])
     def test_boolean_among_integer_fixed_stragglers_raises(self, flag):
         # numpy reads (True, 3) as (1, 3)
         with pytest.raises(ValueError, match="straggler index must be an integer, got bool"):
-            StragglerModel(n=8, s=2, mode="fixed", fixed_stragglers=(flag, 3))
+            StragglerModel(n=8, s=2, fixed_stragglers=(flag, 3))
 
     def test_column_of_fixed_stragglers_raises(self):
         with pytest.raises(ValueError, match=r"^straggler index array must be one-dimensional, "
                                              r"got shape \(2, 1\)$"):
-            StragglerModel(8, 2, mode="fixed", fixed_stragglers=np.array([[1], [3]]))
+            StragglerModel(8, 2, fixed_stragglers=np.array([[1], [3]]))
 
     def test_fixed_stragglers_outside_workers_raise(self):
         with pytest.raises(ValueError, match=r"^straggler index 8 outside \[0, 8\)$"):
-            StragglerModel(n=8, s=2, mode="fixed", fixed_stragglers=(8, 3))
+            StragglerModel(n=8, s=2, fixed_stragglers=(8, 3))
         with pytest.raises(ValueError, match=r"^straggler index -1 outside \[0, 8\)$"):
-            StragglerModel(n=8, s=2, mode="fixed", fixed_stragglers=(3, -1))
+            StragglerModel(n=8, s=2, fixed_stragglers=(3, -1))
 
     @pytest.mark.parametrize("field, n, s", [("n", [8], 2), ("n", [8, 9], 2),
                                              ("n", np.array([8]), 2), ("s", 8, (2,))])
@@ -135,7 +138,7 @@ class TestStragglerModel:
         assert sample_stragglers(model, trial_rng(3, 1)).size == 6
 
     def test_integral_float_fixed_stragglers_are_those_integers(self):
-        model = StragglerModel(n=8, s=2, mode="fixed", fixed_stragglers=(5.0, np.float64(1.0)))
+        model = StragglerModel(n=8, s=2, fixed_stragglers=(5.0, np.float64(1.0)))
         assert model.fixed_stragglers == (1, 5)
         assert all(type(i) is int for i in model.fixed_stragglers)
         assert sample_stragglers(model, None).tolist() == [0, 2, 3, 4, 6, 7]
@@ -191,7 +194,7 @@ class TestNoiseAndWorkers:
         assert np.array_equal(returns.indices, [0, 2, 5])
 
     def test_draws_without_an_rng_raise_naming_it(self):
-        # the uniform straggler mode and noise above 0 are where a draw is needed
+        # uniform stragglers and noise above 0 are where a draw is needed
         with pytest.raises(ValueError, match="rng"):
             sample_stragglers(StragglerModel(8, 2), None)
         grid = chebyshev_grid(4, 9)
@@ -515,7 +518,7 @@ class TestMonteCarlo:
 
     def test_deterministic_scheme_zero_std(self, rng):
         data = Dataset(rng.uniform(-1, 1, (8, 1)))
-        setup = trial_setup(s=2, data=data, mode="fixed", fixed_stragglers=(3, 17))
+        setup = trial_setup(s=2, data=data, fixed_stragglers=(3, 17))
         agg = monte_carlo(setup, trials=10, master_seed=1)
         assert agg.std_mse == 0.0
 
@@ -536,7 +539,7 @@ class TestMonteCarlo:
         if chunk_values is not None:  # chunks of 3, 3, 2 and 2 trials
             monkeypatch.setattr(sim, "_CHUNK_VALUES", chunk_values)
         func = make_worker(worker)
-        kw = {"mode": "fixed", "fixed_stragglers": (0, 7, 8, 22)} if mode == "fixed" else {}
+        kw = {"fixed_stragglers": (0, 7, 8, 22)} if mode == "fixed" else {}
         # lcc needs a degree for the workers that declare none
         setup = trial_setup(scheme=scheme, k=5, n=23, s=4, sigma0=sigma0, lambda_d=1e-6,
                        lambda_e=1e-3, func=func,
@@ -633,7 +636,7 @@ class TestMonteCarloLambdas:
                                                            monkeypatch):
         if chunk_values is not None:
             monkeypatch.setattr(sim, "_CHUNK_VALUES", chunk_values)
-        kw = {"mode": "fixed", "fixed_stragglers": (0, 7, 8, 22)} if mode == "fixed" else {}
+        kw = {"fixed_stragglers": (0, 7, 8, 22)} if mode == "fixed" else {}
         setup = trial_setup(k=5, n=23, s=4, sigma0=0.1, lambda_e=1e-3, func=make_worker(worker),
                        **kw)
         aggs = monte_carlo_lambdas(setup, 7, 31, self.LAMS)
@@ -731,7 +734,7 @@ class TestChunkSplit:
     @pytest.mark.parametrize("bound", [1, 2, 3, 5, 8])
     def test_sizes_within_one_larger_first(self, bound, monkeypatch):
         monkeypatch.setattr(sim, "_CHUNK_VALUES", bound * 24)
-        setup = trial_setup(s=2, mode="fixed", fixed_stragglers=(3, 17), data_rule="identity")
+        setup = trial_setup(s=2, fixed_stragglers=(3, 17), data_rule="identity")
         for trials in range(1, 18):
             sizes = _chunk_sizes(setup, trials)
             assert sum(sizes) == trials and len(sizes) == -(-trials // bound)

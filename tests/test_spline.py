@@ -11,67 +11,56 @@ from letcc.baselines import BerrutInterpolant, LagrangePolynomial
 from letcc.kernel import kernel_fit
 from letcc.points import chebyshev_second, mesh_stats
 from letcc.spline import (
-    DegenerateBasisError,
-    NaturalSplineBasis,
     NumericalFitError,
     SplineFit,
     evaluation_weights,
     fit,
 )
 
-from conftest import ols_affine, quadrature_roughness
+from conftest import basis_matrix, ols_affine, penalty_matrix, quadrature_roughness
 
 
 class TestBasis:
     def test_three_knots_dimension(self):
-        assert NaturalSplineBasis([-1.0, 0.0, 1.0]).basis_dim == 3
-
-    def test_fewer_than_three_knots_rejected(self):
-        with pytest.raises(DegenerateBasisError):
-            NaturalSplineBasis([-1.0, 1.0])
+        assert basis_matrix([-1.0, 0.0, 1.0], [-0.5, 0.5]).shape == (2, 3)
 
     def test_non_ascending_rejected(self):
         with pytest.raises(ValueError):
-            NaturalSplineBasis([0.0, 0.0, 1.0])
+            basis_matrix([0.0, 0.0, 1.0], [0.5])
 
     def test_knot_evaluation_matrix_invertible(self):
-        basis = NaturalSplineBasis(chebyshev_second(8))
-        mat = basis.basis_matrix(basis.knots)
+        knots = chebyshev_second(8)
+        mat = basis_matrix(knots, knots)
         # cardinal basis: the matrix is the identity, trivially invertible
         assert np.allclose(mat, np.eye(8), atol=1e-12)
         np.linalg.inv(mat)
 
     def test_affine_functions_in_span(self):
         knots = chebyshev_second(8)
-        basis = NaturalSplineBasis(knots)
         coef = 3.0 * knots - 0.5  # cardinal coefficients = knot values
         query = np.linspace(-1, 1, 57)
-        values = basis.basis_matrix(query) @ coef
+        values = basis_matrix(knots, query) @ coef
         assert values == pytest.approx(3.0 * query - 0.5, abs=1e-12)
 
 
 class TestPenaltyMatrix:
     def test_constant_in_null_space(self):
-        basis = NaturalSplineBasis(chebyshev_second(8))
-        phi = basis.penalty_matrix()
+        phi = penalty_matrix(chebyshev_second(8))
         assert np.abs(phi @ np.ones(8)).max() < 1e-10
 
     def test_linear_in_null_space(self):
-        basis = NaturalSplineBasis(chebyshev_second(8))
-        phi = basis.penalty_matrix()
-        assert np.abs(phi @ basis.knots).max() < 1e-10
+        knots = chebyshev_second(8)
+        assert np.abs(penalty_matrix(knots) @ knots).max() < 1e-10
 
     def test_symmetric_positive_semidefinite(self):
-        basis = NaturalSplineBasis(chebyshev_second(12))
-        phi = basis.penalty_matrix()
+        phi = penalty_matrix(chebyshev_second(12))
         assert np.array_equal(phi, phi.T)
         assert np.linalg.eigvalsh(phi).min() > -1e-9
 
     def test_quadratic_form_matches_quadrature(self):
         knots = chebyshev_second(8)
         coef = knots**2
-        basis = NaturalSplineBasis(knots)
-        quad_form = float(coef @ basis.penalty_matrix() @ coef)
+        quad_form = float(coef @ penalty_matrix(knots) @ coef)
         interp = fit(knots, coef, 0.0)
         oracle = quadrature_roughness(interp.evaluate, knots)
         assert quad_form == pytest.approx(oracle, rel=1e-6)
@@ -167,8 +156,7 @@ class TestFit:
         t = chebyshev_second(9)
         y = rng.normal(size=9)
         lam = 1e-3
-        phi = NaturalSplineBasis(t).penalty_matrix()
-        direct = np.linalg.solve(np.eye(9) + 9 * lam * phi, y)
+        direct = np.linalg.solve(np.eye(9) + 9 * lam * penalty_matrix(t), y)
         assert fit(t, y, lam).coefficients[:, 0] == pytest.approx(direct, abs=1e-9)
 
     def test_roughness_nonincreasing_in_lambda(self, rng):
@@ -229,7 +217,7 @@ class TestBandedAgainstOracles:
         # (I + n*lam*Phi) g = y, checked by componentwise residual: at large
         # n*lam the dense system is too ill-conditioned for its own solve
         # to serve as a forward reference
-        a = np.eye(n) + n * lam * NaturalSplineBasis(t).penalty_matrix()
+        a = np.eye(n) + n * lam * penalty_matrix(t)
         residual = np.abs(a @ g - y)
         assert (residual <= 1e-9 * (np.abs(a) @ np.abs(g) + np.abs(y))).all()
 
@@ -370,6 +358,25 @@ class TestFitValidation:
         assert listed.roughness() == f.roughness() == pytest.approx(48.0)
         assert SplineFit(f.knots, f.knot_data, 0.0).knot_data is f.knot_data
 
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("end", [0, -1])
+    def test_spline_fit_refuses_second_derivatives_at_the_end_knots(self, n, end):
+        # knot data bent at an end knot is no natural spline: with
+        # knot_data[1, 0, 0] = 7 on four knots, roughness() once read 158.34
+        # where quadrature of the fit's own evaluate gives 148.11
+        knots = np.array([-1.0, -0.2, 0.5, 1.0][:n])
+        f = fit(knots, np.array([[0.0, 1.0], [1.0, 0.0], [-1.0, 2.0], [0.5, 1.0]][:n]), 0.0)
+        data = f.knot_data.copy()
+        data[1, end, 1] = 7.0
+        with pytest.raises(ValueError, match="^knot_data must have zero second derivatives "
+                                             "at the end knots, as a natural spline has$"):
+            SplineFit(knots, data, 0.0)
+        data[1, end, 1] = np.nan
+        with pytest.raises(ValueError, match="^knot_data must have zero second derivatives"):
+            SplineFit(knots, data, 0.0)
+        data[1, end, 1] = -0.0
+        assert SplineFit(knots, data, 0.0).roughness() == f.roughness()
+
     def test_n_lambda_overflow_names_lambda(self, recwarn):
         t = chebyshev_second(64)
         with pytest.raises(ValueError, match="lam"):
@@ -406,33 +413,35 @@ def test_every_evaluate_takes_a_scalar_or_a_1d_query_only(name):
 
 
 class TestSmoothWeights:
-    @pytest.mark.parametrize("lamns", [[-0.5], [0.0], [np.nan], [np.inf], [0.5, -0.5]])
-    def test_weight_not_finite_and_positive_rejected(self, rng, lamns):
+    @pytest.mark.parametrize("lams, message", [
+        ([-0.5], r"^smoothing weight n\*lam must be finite and > 0, got -6\.0$"),
+        ([0.5, -0.5], r"^smoothing weight n\*lam must be finite and > 0, got -6\.0$"),
+        ([np.nan], r"^lam = nan overflows"),
+        ([np.inf], r"^lam = inf overflows"),
+    ], ids=["negative", "second_negative", "nan", "inf"])
+    def test_weight_not_finite_and_positive_rejected(self, rng, lams, message):
         # a negative weight solved as given would fit no smoothing spline,
-        # and a NaN one is no size at all
+        # and a NaN one is no size at all; the fit body refuses both, also
+        # from a caller that skipped the rule of letcc.points._real
         t = np.sort(rng.uniform(-1, 1, 12))
-        with pytest.raises(ValueError, match=r"^smoothing weight n\*lam must be finite and > 0"):
-            NaturalSplineBasis(t).smooth(rng.normal(size=(1, 12, 1)), lamns)
+        with pytest.raises(ValueError, match=message):
+            spline._fit_stack(t[None], rng.normal(size=(1, 12, 1)), lams)
 
 
 class TestStackedBasis:
     @pytest.mark.parametrize("kind", ["uniform", "chebyshev", "alternating", "log_uniform",
                                       "equal"])
     def test_each_set_equals_a_basis_on_it_alone(self, kind, monkeypatch):
-        # one dgbsv call per weight, and one solveh_banded call, solve all
-        # sets of a stack as one block-diagonal band; each set keeps the bits
-        # of a basis on it alone, also where pivots tie (equal gaps) and at
-        # extreme mesh ratios and weights
+        # one dgbsv call per weight, and one solveh_banded call for every
+        # lam = 0, solve all sets of a stack as one block-diagonal band; each
+        # set at each weight keeps the bits of its fit alone, also where
+        # pivots tie (equal gaps) and at extreme mesh ratios and weights
         calls = {"dgbsv": 0, "solveh_banded": 0}
         for name in calls:
             def spy(*args, name=name, original=getattr(spline, name), **kwargs):
                 calls[name] += 1
                 return original(*args, **kwargs)
             monkeypatch.setattr(spline, name, spy)
-
-        def counted(call, *args):
-            calls.update(dgbsv=0, solveh_banded=0)
-            return call(*args), calls.copy()
 
         rng = np.random.default_rng(["alternating", "chebyshev", "equal", "log_uniform",
                                      "uniform"].index(kind))
@@ -441,40 +450,27 @@ class TestStackedBasis:
             m = int(rng.choice([1, 3, 10]))
             knots = np.stack([TestDirectLapackSolve._mesh(kind, n, rng) for _ in range(count)])
             y = rng.normal(size=(count, n, m))
-            lamns = list(10.0 ** rng.uniform(-16, 16, int(rng.integers(1, 4))))
-            stack = NaturalSplineBasis(knots)
-            assert stack.basis_dim == n
-            qt = stack.apply_qt(y)
-            gam0, seen = counted(stack.interior_second_derivs, y)
-            assert seen == {"dgbsv": 0, "solveh_banded": 1}
-            fits, seen = counted(stack.smooth, y, lamns)
-            assert seen == {"dgbsv": len(lamns), "solveh_banded": 0}
-            assert (qt.shape, gam0.shape, fits.shape) == (
-                (count, n - 2, m), (count, n - 2, m), (len(lamns), count, 2, n, m))
+            lams = list(10.0 ** rng.uniform(-16, 16, int(rng.integers(1, 4))))
+            zeros = int(rng.integers(0, 3))  # interpolation at none, one or two weights
+            for _ in range(zeros):
+                lams.insert(int(rng.integers(0, len(lams) + 1)), 0.0)
+            calls.update(dgbsv=0, solveh_banded=0)
+            fits = spline._fit_stack(knots, y, lams)
+            assert calls == {"dgbsv": len(lams) - zeros, "solveh_banded": int(zeros > 0)}
+            assert fits.shape == (len(lams), count, 2, n, m)
             assert fits.flags.c_contiguous  # the one form of every fit
             assert not fits[:, :, 1, [0, -1]].any()
             for i in range(count):
-                alone = NaturalSplineBasis(knots[i])
-                one = y[i:i + 1]  # a single knot set takes a stack of one
-                assert np.array_equal(qt[i:i + 1], alone.apply_qt(one))
-                assert gam0[i:i + 1].tobytes() == alone.interior_second_derivs(one).tobytes()
-                for w, lamn in enumerate(lamns):  # each weight as on its own
-                    assert fits[w:w + 1, i:i + 1].tobytes() == alone.smooth(one, [lamn]).tobytes()
-
-    def test_knots_beyond_two_dimensions_rejected(self):
-        with pytest.raises(ValueError, match="one-dimensional"):
-            NaturalSplineBasis(np.zeros((2, 2, 3)))
-
-    def test_non_finite_knots_rejected(self):
-        with pytest.raises(ValueError, match="^knots contains non-finite values$"):
-            NaturalSplineBasis(np.array([-1.0, np.inf, 1.0]))
+                for w, lam in enumerate(lams):  # each set at each weight as on its own
+                    alone = spline._fit_stack(knots[i:i + 1], y[i:i + 1], [lam])
+                    assert fits[w:w + 1, i:i + 1].tobytes() == alone.tobytes()
 
 
 class TestDirectLapackSolve:
     def test_same_bytes_as_solve_banded(self, rng, monkeypatch):
-        # smooth hands dgbsv the six band rows of the system, two below the
-        # diagonal and three above, plus two fill-in rows: exactly what
-        # scipy's solve_banded builds for it
+        # the fit body hands dgbsv the six band rows of the system, two
+        # below the diagonal and three above, plus two fill-in rows: exactly
+        # what scipy's solve_banded builds for it
         seen = []
         original = spline.dgbsv
 
@@ -516,8 +512,8 @@ class TestDirectLapackSolve:
         # with each equation in the row of its namesake unknown the band has
         # three diagonals below the main one; solve_banded((3, 3)) of that
         # order, rebuilt here from each set's block of the band and
-        # right-hand side smooth hands dgbsv, one call per weight, gives every
-        # bit of smooth's knot values and second derivatives
+        # right-hand side the fit body hands dgbsv, one call per weight,
+        # gives every bit of its knot values and second derivatives
         seen = []
         original = spline.dgbsv
 
@@ -568,7 +564,7 @@ class TestDirectLapackSolve:
             seen.clear()
 
     def test_solution_returned_in_a_new_array_is_used(self, rng, monkeypatch):
-        # dgbsv hands back b itself when it solves in place; smooth reads
+        # dgbsv hands back b itself when it solves in place; the body reads
         # what it hands back, so a new array gives the same fits
         original = spline.dgbsv
 
@@ -576,11 +572,11 @@ class TestDirectLapackSolve:
             lu, piv, sol, info = original(kl, ku, ab, b.copy(), **kwargs)
             return lu, piv, sol.copy(), info
 
-        basis = NaturalSplineBasis(np.sort(rng.uniform(-1, 1, (3, 20)), axis=1))
+        t = np.sort(rng.uniform(-1, 1, (3, 20)), axis=1)
         y = rng.normal(size=(3, 20, 2))
-        want = basis.smooth(y, [1e-3, 0.5])
+        want = spline._fit_stack(t, y, [1e-3, 0.5])
         monkeypatch.setattr(spline, "dgbsv", copying)
-        got = basis.smooth(y, [1e-3, 0.5])
+        got = spline._fit_stack(t, y, [1e-3, 0.5])
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("info", [3, -4])

@@ -54,10 +54,10 @@ _CASES = {
     # numpy's branch boundary: Floyd up to N = 10000, or S <= N // 50
     **{f"Floyd at N = {n}, S = {s}": (dict(k=4, n=n, s=s), _seeds(13, 8), (DATA, STRAGGLERS), 0)
        for n, s in ((10000, 199), (10001, 199), (10001, 200), (24, 1), (24, 23))},
-    "fixed mode": (dict(sigma0=0.1, mode="fixed", fixed_stragglers=(0, 7, 8, 22)),
+    "fixed mode": (dict(sigma0=0.1, fixed_stragglers=(0, 7, 8, 22)),
                    _seeds(9, 8), (DATA, NOISE), None),
     "sigma0 = 0": (dict(), _seeds(9, 8), (DATA, STRAGGLERS), 0),
-    "identity data, fixed mode, sigma0 = 0": (dict(s=2, mode="fixed", fixed_stragglers=(3, 17),
+    "identity data, fixed mode, sigma0 = 0": (dict(s=2, fixed_stragglers=(3, 17),
                                                    data_rule="identity"), _seeds(9, 8), (), None),
 }
 
@@ -100,7 +100,7 @@ def test_chunk_draws_equal_numpys(case, vector_rows, monkeypatch):
     assert len(counts) == len(set(counts))
     assert bool(counts) == (len(seeds) >= streams._VECTOR_DRAWS and bool(set(tags) - {NOISE}))
     assert refused == ([] if refusals is None else [refusals])
-    if setup.stragglers.mode == "fixed":  # every trial stacks the public fixed survivors
+    if setup.stragglers.fixed_stragglers is not None:  # every trial stacks the fixed survivors
         fixed = sim.sample_stragglers(setup.stragglers, None)
         for row in next(sim._prepare(setup, seeds)).indices:
             assert (row.dtype, row.shape, row.tobytes()) == (fixed.dtype, fixed.shape,
@@ -179,7 +179,7 @@ class TestDrawMemo:
 
     @pytest.mark.parametrize("first, second, drawn", [
         (dict(s=4), dict(s=5), [9, 9]),
-        (dict(s=2), dict(s=2, mode="fixed", fixed_stragglers=(0, 7)), [9, 9]),
+        (dict(s=2), dict(s=2, fixed_stragglers=(0, 7)), [9, 9]),
         (dict(func=make_worker("tanh_net", d=2, m=2)),
          dict(func=make_worker("tanh_net", d=3, m=2)), [9, 9]),
         (dict(func=make_worker("tanh_net", d=2, m=2)),
@@ -190,8 +190,8 @@ class TestDrawMemo:
         (dict(data=Dataset(np.linspace(-0.5, 0.5, 6)[:, None])), dict(data_rule="uniform"),
          [9, 9]),
         # what is not drawn does not key the draws: a fixed set, given inputs
-        (dict(s=2, mode="fixed", fixed_stragglers=(0, 7)),
-         dict(s=2, mode="fixed", fixed_stragglers=(1, 7)), [9]),
+        (dict(s=2, fixed_stragglers=(0, 7)),
+         dict(s=2, fixed_stragglers=(1, 7)), [9]),
         (dict(data=Dataset(np.linspace(-0.5, 0.5, 6)[:, None])),
          dict(data=Dataset(np.linspace(-0.5, 0.6, 6)[:, None])), [9]),
     ])
@@ -266,7 +266,7 @@ class TestDrawMemo:
         _, drawn = _counted_draws(monkeypatch)
         setup = trial_setup(k=5, n=23, s=4, sigma0=0.1)
         monte_carlo(setup, 9, 4)
-        quiet = trial_setup(k=5, n=23, s=2, mode="fixed", fixed_stragglers=(3, 17),
+        quiet = trial_setup(k=5, n=23, s=2, fixed_stragglers=(3, 17),
                             data_rule="identity")
         assert streams._chunk_draws(quiet, [(4, t) for t in range(9)]) == {}
         monte_carlo(setup, 9, 4)

@@ -22,7 +22,10 @@ changes the tree), so repeated in-process calls pay for their work only.
 A non-finite result (a trial's risk, a number bound for stdout or a file)
 exits 1 with one ``error:`` line, no stdout payload and no file; numpy's
 overflow and invalid-value warnings are off, as each such result is refused
-explicitly, and a library warning prints as one ``warning: ...`` line.
+explicitly, and a library warning prints as one ``warning: ...`` line.  An
+allocation that fails (a MemoryError, say for an N too large for the
+machine) exits 1 with one ``error: out of memory: ...`` line, no stdout
+payload and no file.
 """
 
 from __future__ import annotations
@@ -62,8 +65,8 @@ from .sim import (
     TrialSetup,
     WORKER_FUNCTIONS,
     WorkerReturns,
+    make_worker,
     run_trial,
-    worker_for,
 )
 
 __all__ = ["main"]
@@ -127,7 +130,7 @@ def cmd_trial(args) -> int:
 
     setup = TrialSetup(
         scheme=cfg["scheme"],
-        func=worker_for(cfg["f"], cfg.get("d", 4), cfg.get("m", 3)),
+        func=make_worker(cfg["f"], cfg.get("d"), cfg.get("m")),
         grid=chebyshev_grid(cfg["k"], cfg["n"]),
         stragglers=StragglerModel(cfg["n"], cfg["s"]),
         noise=NoiseModel(cfg.get("sigma0", 0.0)),
@@ -443,6 +446,9 @@ def main(argv=None) -> int:
         return EXIT_RISK_BOUND
     except (ConfigError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        sys.stderr.write(f"error: out of memory: {exc}\n")
         return EXIT_CONFIG
 
 

@@ -24,9 +24,9 @@ from .sim import (
     _data_rule,
     _scheme,
     _worker_name,
+    make_worker,
     monte_carlo,
     monte_carlo_lambdas,
-    worker_for,
 )
 
 __all__ = [
@@ -215,7 +215,7 @@ def _run_points(config, points):
     of one N share one grid, and the encoders cached on it.
     Trial t of a point uses seed (master, key, t) for every scheme.
     """
-    func = worker_for(config.func, config.func_d, config.func_m)
+    func = make_worker(config.func, config.func_d, config.func_m)
     grid_for = cache(partial(chebyshev_grid, config.k))
     for key, n, s in points:
         lambda_d = config.lambda_d_scale * LAMBDA_RULES[config.lambda_d_rule](n, s)
@@ -359,7 +359,7 @@ def crossval_lambda(lambda_e_grid, lambda_d_grid, config: CrossvalConfig) -> Cro
     d_grid = _items(lambda_d_grid, "lambda_d_grid", _real)
     if not e_grid or not d_grid:
         raise ValueError("lambda grids must be nonempty")
-    func = worker_for(config.func, config.func_d, config.func_m)
+    func = make_worker(config.func, config.func_d, config.func_m)
     grid = chebyshev_grid(config.k, config.n)
     table = []
     for lam_e in e_grid:

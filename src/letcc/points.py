@@ -143,11 +143,18 @@ def mesh_stats(points, domain=(-1.0, 1.0)) -> MeshStats:
     )
 
 
+# 2**-1023, the largest gap h for which 1/h + 1/h overflows: above it a
+# spline's 1/h weights and the sums of two neighbours' are finite
+_MIN_GAP = 2.0 / np.finfo(float).max
+
+
 def _check_points(name: str, pts: np.ndarray, minimum: int = 1, domain=None) -> None:
     """Check the point set ``pts``, named ``name``.
 
     It is one-dimensional, with ``minimum`` points or more, finite,
-    strictly increasing and, given a ``domain`` (lo, hi), inside it.
+    strictly increasing with no gap of ``_MIN_GAP`` or less, where a
+    spline's 1/h weights overflow, and, given a ``domain`` (lo, hi),
+    inside it.
     """
     if pts.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
@@ -155,8 +162,14 @@ def _check_points(name: str, pts: np.ndarray, minimum: int = 1, domain=None) -> 
         raise ValueError(f"{name} needs at least {minimum} points, got {pts.size}")
     if np.count_nonzero(np.isfinite(pts)) < pts.size:  # a third of the cost of .all()
         raise ValueError(f"{name} contains non-finite values")
-    if np.count_nonzero(pts[1:] <= pts[:-1]):  # every point is finite here
-        raise ValueError(f"{name} must be strictly increasing")
+    # exact near _MIN_GAP and 0 only between equal points; a gap past the
+    # largest float is inf, wide enough, with numpy's overflow warning
+    gaps = pts[1:] - pts[:-1]
+    if np.count_nonzero(gaps <= _MIN_GAP):
+        if np.count_nonzero(gaps <= 0.0):
+            raise ValueError(f"{name} must be strictly increasing")
+        raise ValueError(f"{name} has a gap of at most {_MIN_GAP:.3g}, where 1/gap weights "
+                         "overflow")
     if domain is not None and not (domain[0] <= pts.min() and pts.max() <= domain[1]):
         raise ValueError(f"{name} must lie within [{domain[0]}, {domain[1]}]")
 

@@ -70,7 +70,6 @@ __all__ = [
     "aggregate",
     "relacc",
     "make_worker",
-    "worker_for",
     "WORKER_FUNCTIONS",
     "SCHEMES",
 ]
@@ -230,14 +229,14 @@ def _softplus() -> WorkerFunction:
                           lipschitz=1.0, curvature=0.25, elementwise=True)
 
 
-def _tanh_net(d: int = 4, m: int = 3, hidden: int = 16) -> WorkerFunction:
-    """Fixed-weight 2-layer tanh network with a softmax head over m >= 2 classes."""
-    d, m = _integer(d, "d"), _integer(m, "m")
+def _tanh_net(d: int = 4, m: int = 3) -> WorkerFunction:
+    """Fixed-weight 2-layer tanh network of 16 hidden units, softmax head over m >= 2 classes."""
     if d < 1:
         raise ValueError(f"tanh_net needs d >= 1 inputs, got d={d}")
     if m < 2:
         # a softmax over one class is the constant 1
         raise ValueError(f"tanh_net needs m >= 2 outputs, got m={m}")
+    hidden = 16
     rng = np.random.default_rng([9141, d, m, hidden])
     w1 = rng.normal(0.0, 1.0 / sqrt(d), (d, hidden))
     b1 = rng.normal(0.0, 0.1, hidden)
@@ -255,13 +254,14 @@ def _tanh_net(d: int = 4, m: int = 3, hidden: int = 16) -> WorkerFunction:
     return WorkerFunction(f"tanh_net_{d}_{m}", fn, d, m, lipschitz=float(q))
 
 
-WORKER_FUNCTIONS = {
+_CONSTRUCTORS = {
     "affine": _affine,
     "sin_pi": _sin_pi,
     "cubic": _cubic,
     "softplus": _softplus,
     "tanh_net": _tanh_net,
 }
+WORKER_FUNCTIONS = tuple(_CONSTRUCTORS)
 
 
 def _worker_name(name, what: str = "f") -> str:
@@ -272,17 +272,14 @@ def _worker_name(name, what: str = "f") -> str:
     return name
 
 
-def make_worker(name: str, **kwargs) -> WorkerFunction:
-    """Instantiate a built-in worker function by name, a string named ``f`` in errors."""
-    return WORKER_FUNCTIONS[_worker_name(name)](**kwargs)
+def make_worker(name: str, d: int | None = None, m: int | None = None) -> WorkerFunction:
+    """The built-in worker ``name``, one of :data:`WORKER_FUNCTIONS`, named ``f`` in errors.
 
-
-def worker_for(name: str, d: int, m: int) -> WorkerFunction:
-    """Built-in worker ``name``; ``d`` and ``m``, integers for any worker, size tanh_net only."""
-    d, m = _integer(d, "d"), _integer(m, "m")
-    if name == "tanh_net":
-        return make_worker(name, d=d, m=m)
-    return make_worker(name)
+    A given ``d`` or ``m`` is an integer for every worker; they size tanh_net only.
+    """
+    dims = {key: _integer(dim, key) for key, dim in (("d", d), ("m", m)) if dim is not None}
+    build = _CONSTRUCTORS[_worker_name(name)]
+    return build(**dims) if build is _tanh_net else build()
 
 
 @dataclass(frozen=True, eq=False)

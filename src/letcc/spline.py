@@ -88,7 +88,7 @@ __all__ = [
 
 
 class NumericalFitError(RuntimeError):
-    """The smoothing system could not be factorized."""
+    """The smoothing system could not be factorized, or its solution is not finite."""
 
 
 def _r_band(h: np.ndarray) -> np.ndarray:
@@ -208,7 +208,11 @@ def fit(t, y, lam: float) -> SplineFit:
     if not np.isfinite(y).all():
         raise ValueError("non-finite values in fit inputs")
     lam = _real(lam, "lam")
-    return SplineFit(t, _fit_stack(t[None], y[None], [lam])[0, 0], lam, _scalar=scalar)
+    knot_data = _fit_stack(t[None], y[None], [lam])[0, 0]
+    if not np.isfinite(knot_data).all():
+        raise NumericalFitError("fit not representable: non-finite knot values or second "
+                                f"derivatives on {t.size} knots at lam = {lam}")
+    return SplineFit(t, knot_data, lam, _scalar=scalar)
 
 
 def _fit_stack(t: np.ndarray, y: np.ndarray, lams: list[float]) -> np.ndarray:

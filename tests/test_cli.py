@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from letcc import cli, sim
+from letcc import cli, points, sim
 from letcc.coding import DecodeFailure
 from letcc.sim import RiskBoundViolation
 
@@ -715,6 +715,25 @@ class TestNonFiniteResults:
                                  "--d", d, "--k", "4", "--n", "16", "--s", "2")
         assert (code, out) == (1, "")
         assert err == f"error: tanh_net needs d >= 1 inputs, got d={d}\n"
+
+    @pytest.mark.parametrize("command", ["trial", "sweep"])
+    def test_failed_allocation_exits_one_in_one_line(self, capsys, tmp_path, monkeypatch,
+                                                     command):
+        # numpy's _ArrayMemoryError is a MemoryError; a grid of 400 000 000
+        # workers under a 3 GB address-space limit raises it
+        message = ("Unable to allocate 2.98 GiB for an array with shape (400000000,) "
+                   "and data type int64")
+
+        def no_memory(n):
+            raise MemoryError(message)
+        monkeypatch.setattr(points, "chebyshev_second", no_memory)
+        out = tmp_path / "out"
+        argv = TRIAL_ARGS if command == "trial" else [
+            "sweep", str(_sweep_config(tmp_path)), "--out", str(out)]
+        code, stdout, err = run_cli(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        assert err == f"error: out of memory: {message}\n"
+        assert not out.exists()
 
 
 class TestUnusableOut:

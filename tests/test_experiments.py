@@ -79,7 +79,7 @@ def _monte_carlo_row(config, scheme, key, n, s):
     lambda_d = config.lambda_d_scale * LAMBDA_RULES[config.lambda_d_rule](n, s)
     setup = sim.TrialSetup(
         scheme=scheme,
-        func=sim.worker_for(config.func, config.func_d, config.func_m),
+        func=sim.make_worker(config.func, config.func_d, config.func_m),
         grid=chebyshev_grid(config.k, n),
         stragglers=sim.StragglerModel(n, s),
         noise=sim.NoiseModel(config.sigma0),

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
@@ -38,7 +39,6 @@ from letcc.sim import (
     monte_carlo_lambdas,
     run_trial,
     sample_stragglers,
-    worker_for,
 )
 from letcc.spline import SplineFit, fit
 from letcc.streams import trial_rng
@@ -287,8 +287,8 @@ _COUNTS = {
     "crossval_lambda trials": ("trials", lambda c: _crossval(trials=c)),
     "tanh_net d": ("d", lambda c: _tanh(c, 2)),
     "tanh_net m": ("m", lambda c: _tanh(2, c)),
-    "worker_for d": ("d", lambda c: worker_for("sin_pi", c, 1).name),
-    "worker_for m": ("m", lambda c: worker_for("cubic", 1, c).name),
+    "make_worker d": ("d", lambda c: make_worker("sin_pi", c, 1).name),
+    "make_worker m": ("m", lambda c: make_worker("cubic", 1, c).name),
     "LagrangeCodec k": ("k", lambda c: LagrangeCodec(c, 2)),
     "LagrangeCodec f_degree": ("f_degree", lambda c: LagrangeCodec(3, c)),
     "LagrangeCodec.recovery_threshold s": ("s", LagrangeCodec(3, 2).recovery_threshold),
@@ -507,7 +507,7 @@ class TestSeedsFromOutside:
 # with, the entry at a name v)
 _NAMES = {
     "make_worker": ("f", make_worker),
-    "worker_for": ("f", lambda v: worker_for(v, 1, 1)),
+    "make_worker with d and m": ("f", lambda v: make_worker(v, 1, 1)),
     "TrialSetup scheme": ("scheme", lambda v: _setup(scheme=v)),
     "TrialSetup data_rule": ("data", lambda v: _setup(data_rule=v)),
     **{f"{build.__name__[1:]} {name}": (key, lambda v, build=build, name=name: build(
@@ -627,12 +627,28 @@ class TestNodesFromOutside:
         ([], "needs at least 1 points, got 0"),
         ([-0.5, 0.25, 0.25, 0.5], "must be strictly increasing"),
         ([-0.5, np.nan, 0.5], "contains non-finite values"),
-    ], ids=["empty", "duplicate", "nan"])
+        ([0.0, 5e-324, 1e-323, 0.5], r"has a gap of at most 1\.11e-308, where 1/gap weights "
+                                    "overflow"),
+    ], ids=["empty", "duplicate", "nan", "denormal gap"])
     @pytest.mark.parametrize("entry", list(_NODE_SETS))
     def test_bad_nodes_rejected_naming_the_field(self, entry, nodes, message):
         field, build = _NODE_SETS[entry]
         with pytest.raises(ValueError, match=f"^{field} {message}$"):
             build(np.array(nodes))
+
+    @pytest.mark.parametrize("entry", list(_NODE_SETS))
+    def test_gap_rule_holds_at_its_bound_without_a_warning(self, entry):
+        # 2**-1023 is the largest gap h where 1/h + 1/h overflows
+        field, build = _NODE_SETS[entry]
+        bound = 2.0**-1023
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{field} has a gap of at most "):
+                build(np.array([0.0, bound, 1.0]))
+            build(np.array([0.0, np.nextafter(bound, 1.0), 1.0]))
+        # a span past the largest float is one inf gap, which is wide enough
+        with np.errstate(over="ignore"):
+            build(np.array([-1e308, 1e308]))
 
     def test_nodes_need_not_lie_in_the_unit_interval(self):
         # only grids and mesh statistics bound their points

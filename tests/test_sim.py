@@ -235,6 +235,11 @@ class TestNoiseAndWorkers:
         with pytest.raises(ValueError):
             make_worker("nope")
 
+    def test_built_in_workers_are_names_that_make_worker_builds(self):
+        # a table of constructors let sim.WORKER_FUNCTIONS["tanh_net"](2.5, 3)
+        # skip the integer rule of make_worker's d and m
+        assert sim.WORKER_FUNCTIONS == ("affine", "sin_pi", "cubic", "softplus", "tanh_net")
+
     @pytest.mark.parametrize("m", [0, 1])
     def test_tanh_net_needs_two_classes(self, m):
         with pytest.raises(ValueError, match="m >= 2"):
@@ -244,7 +249,7 @@ class TestNoiseAndWorkers:
     def test_tanh_net_needs_an_input(self, d):
         # d = 0 would divide by zero and d < 0 fail inside numpy's seeding
         for build in (lambda: make_worker("tanh_net", d=d, m=3),
-                      lambda: sim.worker_for("tanh_net", d, 3)):
+                      lambda: make_worker("tanh_net", d)):
             with pytest.raises(ValueError, match=rf"^tanh_net needs d >= 1 inputs, got d={d}$"):
                 build()
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -298,6 +299,22 @@ class TestFitValidation:
     def test_non_finite_data_rejected(self):
         with pytest.raises(ValueError):
             fit([-1, 0, 1], [0.0, np.nan, 1.0], 0.0)
+
+    @pytest.mark.parametrize("gap", [1e-300, 1e-160])
+    def test_fit_it_cannot_represent_refused(self, gap):
+        # its second derivatives overflow: it was returned with inf knot
+        # data, and evaluated to inf at 0.5
+        with pytest.raises(NumericalFitError, match="^fit not representable: non-finite "):
+            fit(np.array([0.0, gap, 2 * gap, 1.0]), np.array([1.0, -1.0, 0.5, 0.25]), 0.0)
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-6])
+    def test_denormal_gaps_refused_as_points(self, lam):
+        # 1/h overflowed with two RuntimeWarnings, then scipy refused infs at
+        # lam = 0 and the overflow check blamed lam at 1e-6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^t has a gap of at most 1.11e-308, "):
+                fit(np.array([0.0, 5e-324, 1e-323, 1.0]), np.array([1.0, -1.0, 0.5, 0.25]), lam)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):

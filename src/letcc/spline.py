@@ -326,10 +326,12 @@ def _fit_stack(t: np.ndarray, y: np.ndarray, lams: list[float]) -> np.ndarray:
             slot[:, 0, 0], slot[:, 0, 1:] = sol[:, 0], sol[:, 1::2]
             slot[:, 1, 1:-1] = sol[:, 2:-1:2]
     if len(lamns) < len(lams):
-        # R gam = Q^T y, the last read of r, which solveh_banded may overwrite
+        # R gam = Q^T y, the last read of r, which solveh_banded may overwrite;
+        # R is finite on checked knots, and the callers refuse a non-finite gam
         qt_y = qa[..., None] * y[:, :-2] + qb[..., None] * y[:, 1:-1] + qc[..., None] * y[:, 2:]
         fits[[not lam for lam in lams], :, 1, 1:-1] = solveh_banded(
-            r.reshape(3, -1), qt_y.reshape(-1, m), overwrite_ab=True).reshape(qt_y.shape)
+            r.reshape(3, -1), qt_y.reshape(-1, m), overwrite_ab=True,
+            check_finite=False).reshape(qt_y.shape)
     return fits
 
 

@@ -12,22 +12,24 @@ that returns the draw of one trial on its own generator.  A stream a
 trial does not use (noise at sigma0 = 0, fixed stragglers, data when it
 is given or ``identity``) is never seeded.
 
-:func:`_chunk_draws` draws the streams of a chunk of trials.  Their states
-come from one vectorised pass (numpy's SeedSequence mixing in uint32
+:func:`_chunk_draws` draws the streams of a chunk of trials.  A chunk of
+fewer than ``_VECTOR_DRAWS`` trials draws each stream of each trial on
+:func:`trial_rng` itself.  A larger one computes the states of all its
+streams in one vectorised pass (numpy's SeedSequence mixing in uint32
 arrays, PCG64's seeding step on the 64-bit halves of its 128-bit state),
-as one (rows, 4) uint64 array.  A chunk of enough trials takes its data
-and straggler draws from vectorised passes, one per output count: PCG64's
-first outputs of every such stream by jump-ahead, turned into what
-``Generator.uniform`` and the Floyd sampling of ``Generator.choice`` give
-on them.  What stays per trial is the noise's ``standard_normal`` and any
-draw of a smaller chunk or one the pass does not reproduce, each returned
-by the row on the trial's stream, loaded into one reused generator, and
-stacked.  A chunk's draws depend on no scheme, so the draws of the chunk
-drawn last stay in a one-slot memo: a chunk with the same draws whose
-seeds are a contiguous run of the kept ones takes their slices, as when
-letcc, bacc and lcc run in turn on one master seed, and any other chunk
-draws afresh and takes the slot.  The kept arrays are read-only, and what
-stays in memory after a call is one chunk's draws.
+as one (rows, 4) uint64 array, and takes its data and straggler draws
+from vectorised passes, one per output count: PCG64's first outputs of
+every such stream by jump-ahead, turned into what ``Generator.uniform``
+and the Floyd sampling of ``Generator.choice`` give on them.  What stays
+per trial there is the noise's ``standard_normal`` and any draw the pass
+does not reproduce, each returned by the row on the trial's stream,
+loaded into one reused generator, and stacked.  A chunk's draws depend
+on no scheme, so the draws of the chunk drawn last stay in a one-slot
+memo: a chunk with the same draws whose seeds are a contiguous run of
+the kept ones takes their slices, as when letcc, bacc and lcc run in
+turn on one master seed, and any other chunk draws afresh and takes the
+slot.  The kept arrays are read-only, and what stays in memory after a
+call is one chunk's draws.
 """
 
 from __future__ import annotations
@@ -51,9 +53,9 @@ def trial_rng(seed, stream: int) -> np.random.Generator:
     """Generator for one substream of one trial.
 
     ``seed`` may be an int or a sequence of ints (e.g. (master, trial)),
-    checked by :func:`_entropy`.  The chunk draws compute the same states
-    (:func:`_stream_states`) and draw from them vectorised or on a reused
-    generator; this is their reference.
+    checked by :func:`_entropy`.  A small chunk draws on it; a larger one
+    computes the same states (:func:`_stream_states`) and draws from them
+    vectorised or on a reused generator, with this as their reference.
     """
     return np.random.default_rng([*_entropy(seed), stream])
 
@@ -77,20 +79,15 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
-# A word count needs _VECTOR_ROWS entropy rows for the vectorised seeding
-# to beat numpy's own SeedSequence and a Python-int seeding step per row,
-# and a chunk _VECTOR_DRAWS trials for its vectorised data and straggler
-# draws to beat a state load and a draw per trial.  Each breaks even at
-# about that count: timing a chunk's draws of three streams at K = 8 or 16,
-# N = 64 or 256 and S = N / 8 (interleaved, medians of 30 rounds, Python
-# 3.11, numpy 2.4, a shared 2-core box), a chunk of 3 trials (9 rows)
-# takes 87-93 us seeded row by row against 94-101 us vectorised, and one
-# of 4 (12 rows) 111-117 against 104-110; with vectorised seeding, 7
-# trials take 134-141 us drawn trial by trial against 139-156 us
-# vectorised, 8 take 145-152 against 145-162, and 10 165-173 against
-# 154-173.
-_VECTOR_ROWS = 12
-_VECTOR_DRAWS = 8
+# A chunk of _VECTOR_DRAWS trials or more seeds its streams and draws its
+# data and stragglers vectorised; a smaller one draws every stream through
+# trial_rng, below the fixed cost of the vectorised passes.  That is the
+# break-even: timing a chunk's draws of three streams at K = 8 or 16, N =
+# 64, 256 or 1024 and S = N / 8 (alternating, medians of 60 paired rounds,
+# Python 3.11, numpy 2.4, a shared 2-core box), the vectorised draws take
+# 3.2-4.1 times trial_rng's time at 1 trial, 1.04-1.30 at 4, 0.87-1.12 at
+# 5, 0.77-1.01 at 6 and 0.69-0.92 at 7.
+_VECTOR_DRAWS = 6
 # the state of the reused generator is replaced before every draw
 _ANY_SEED = np.random.SeedSequence(0)
 
@@ -205,38 +202,25 @@ def _stream_states(rows: Sequence[tuple[int, ...]]) -> np.ndarray:
     Gives (R, 4) uint64 rows of (state high, state low, increment high,
     increment low).  SeedSequence's mixing runs vectorised over all rows
     of one word count in uint32 numpy and PCG64's seeding step on their
-    64-bit halves.  A word count with fewer than ``_VECTOR_ROWS`` rows
-    takes numpy's own SeedSequence and the seeding step in Python ints per
-    row instead, which costs less than the fixed cost of the vectorised
-    pass.  A row that ``trial_rng`` refuses raises its error.
+    64-bit halves.  A row that ``trial_rng`` refuses raises its error.
     """
     states = np.empty((len(rows), 4), dtype=np.uint64)
     for index, words in _word_groups(rows):
-        if len(words) >= _VECTOR_ROWS:
-            seed_hi, seed_lo, inc_hi, inc_lo = _seed_words(words).T
-            # inc = 2 * inc + 1; from state 0: one step, add the seed, one more step
-            inc = (inc_hi << _U1 | inc_lo >> _U63, inc_lo << _U1 | _U1)
-            state = _add128(*_mul128(*_add128(*inc, seed_hi, seed_lo), *_PCG64_MULT_HALVES),
-                            *inc)
-            states[index] = np.stack([*state, *inc], axis=1)
-            continue
-        for i, row in zip(index, words):
-            seed_hi, seed_lo, inc_hi, inc_lo = (np.random.SeedSequence(row)
-                                                .generate_state(4, np.uint64).tolist())
-            inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-            state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
-            states[i] = state >> 64, state & _MASK64, inc >> 64, inc & _MASK64
+        seed_hi, seed_lo, inc_hi, inc_lo = _seed_words(words).T
+        # inc = 2 * inc + 1; from state 0: one step, add the seed, one more step
+        inc = (inc_hi << _U1 | inc_lo >> _U63, inc_lo << _U1 | _U1)
+        state = _add128(*_mul128(*_add128(*inc, seed_hi, seed_lo), *_PCG64_MULT_HALVES), *inc)
+        states[index] = np.stack([*state, *inc], axis=1)
     return states
 
 
 def _word_groups(rows: Sequence[tuple[int, ...]]) -> list[tuple[Sequence[int], np.ndarray]]:
     """The rows of each word count, as (row positions, (R, w) uint32 words) pairs.
 
-    At least ``_VECTOR_ROWS`` rows of one length whose entries are all
-    ints in [0, 2**32), the rows of a chunk, are one word per entry and
-    read through one array.
+    Rows of one length whose entries are all ints in [0, 2**32), the rows
+    of a chunk, are one word per entry and read through one array.
     """
-    if len(rows) >= _VECTOR_ROWS and len(set(map(len, rows))) == 1:
+    if len(set(map(len, rows))) == 1:
         entries = np.array(rows)
         if entries.dtype.kind in "iu":
             words = entries.astype(np.uint32)
@@ -439,35 +423,39 @@ def _chunk_draws(setup, chunk: list[tuple[int, ...]]) -> dict[int, np.ndarray]:
 def _fresh_draws(drawn: dict[int, tuple], chunk: list[tuple[int, ...]]) -> dict[int, np.ndarray]:
     """The draws of :func:`_chunk_draws` on each stream of ``drawn``, at its arguments, drawn.
 
-    The trials' streams are seeded in one vectorised pass.  At least
-    ``_VECTOR_DRAWS`` trials compute the first outputs of each stream with
-    a vectorised draw, by :func:`_pcg64_outputs` in one more pass per
-    output count, and take their draws from them.  Every other draw (a
-    smaller chunk's, the noise's, one the vectorised draw leaves over) is
-    returned by the row's ``trial`` on the trial's own stream, loaded just
-    before it into one reused generator: into its row of a vectorised
-    stack, or stacked with the chunk's other returned draws by ``np.array``.
+    A chunk of fewer than ``_VECTOR_DRAWS`` trials returns each draw by the
+    row's ``trial`` on :func:`trial_rng`, stacked by ``np.array``.  A larger
+    one seeds its streams in one vectorised pass, computes the first outputs
+    of each stream with a vectorised draw, by :func:`_pcg64_outputs` in one
+    pass per output count, and takes its draws from them; every other draw
+    (the noise's, one the vectorised draw leaves over) is returned by the
+    row's ``trial`` on the trial's stream, loaded just before it into one
+    reused generator: into its row of a vectorised stack, or stacked by
+    ``np.array``.
     """
-    gen = np.random.Generator(np.random.PCG64(_ANY_SEED))
-    states = _stream_states([seed + (tag,) for seed in chunk for tag in drawn])
-    states = {tag: states[i::len(drawn)] for i, tag in enumerate(drawn)}
-    outputs, passes = {}, {}
-    if len(chunk) >= _VECTOR_DRAWS:  # the streams of one output count take one pass
-        for tag, args in drawn.items():
+    if len(chunk) < _VECTOR_DRAWS:
+        draws = {tag: np.array([_STREAMS[tag].trial(trial_rng(seed, tag), *args)
+                                for seed in chunk]) for tag, args in drawn.items()}
+    else:
+        gen = np.random.Generator(np.random.PCG64(_ANY_SEED))
+        states = _stream_states([seed + (tag,) for seed in chunk for tag in drawn])
+        states = {tag: states[i::len(drawn)] for i, tag in enumerate(drawn)}
+        outputs, passes = {}, {}
+        for tag, args in drawn.items():  # the streams of one output count take one pass
             if (count := _STREAMS[tag].count(*args)) is not None:
                 passes.setdefault(count, []).append(tag)
-    for count, tags in passes.items():
-        firsts = _pcg64_outputs(np.concatenate([states[tag] for tag in tags]), count)
-        outputs.update(zip(tags, np.split(firsts, len(tags))))
-    draws = {}
-    for tag, args in drawn.items():
-        stream, rows = _STREAMS[tag], states[tag].tolist()
-        if tag in outputs:
-            stack, redo = stream.vectorised(outputs[tag], *args)
-            for t in redo:
-                stack[t] = stream.trial(_loaded(gen, *rows[t]), *args)
-        else:
-            stack = np.array([stream.trial(_loaded(gen, *row), *args) for row in rows])
+        for count, tags in passes.items():
+            firsts = _pcg64_outputs(np.concatenate([states[tag] for tag in tags]), count)
+            outputs.update(zip(tags, np.split(firsts, len(tags))))
+        draws = {}
+        for tag, args in drawn.items():
+            stream, rows = _STREAMS[tag], states[tag].tolist()
+            if tag in outputs:
+                draws[tag], redo = stream.vectorised(outputs[tag], *args)
+                for t in redo:
+                    draws[tag][t] = stream.trial(_loaded(gen, *rows[t]), *args)
+            else:
+                draws[tag] = np.array([stream.trial(_loaded(gen, *row), *args) for row in rows])
+    for stack in draws.values():
         stack.flags.writeable = False
-        draws[tag] = stack
     return draws

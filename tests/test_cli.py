@@ -674,9 +674,11 @@ class TestNonFiniteResults:
         assert err.startswith("error: letcc trial with seed (5, 16, 0) has non-finite risk ")
         assert not out.exists()
 
-    def test_overflowing_decode_exits_one_and_writes_no_file(self, capsys, tmp_path):
+    # at 1e308 the lam = 0 decode's Q^T y overflows too: it printed scipy's message
+    @pytest.mark.parametrize("value", [1e307, 1e308])
+    def test_overflowing_decode_exits_one_and_writes_no_file(self, value, capsys, tmp_path):
         data = tmp_path / "o.mat"
-        write_matrix_file(data, np.array([[1e307], [-1e307], [1e307], [-1e307]]))
+        write_matrix_file(data, np.array([[value], [-value], [value], [-value]]))
         out = tmp_path / "e.mat"
         code, stdout, err = run_cli(capsys, "codec", "decode", str(data), "--k", "3",
                                     "--n", "4", "--out", str(out))

@@ -560,14 +560,12 @@ class TestMonteCarlo:
                                                                    monkeypatch):
         # chunks of 3, 3, 2 and 2 trials, each seeded and drawn vectorised
         monkeypatch.setattr(streams, "_VECTOR_DRAWS", 1)
-        monkeypatch.setattr(streams, "_VECTOR_ROWS", 1)
         monkeypatch.setattr(sim, "_CHUNK_VALUES", 3 * 23)
         func = make_worker(worker)
         setup = trial_setup(scheme=scheme, k=5, n=23, s=4, sigma0=sigma0, lambda_d=1e-6,
                             lambda_e=1e-3, func=func, f_degree=2 if func.degree is None else None)
         agg = monte_carlo(setup, 10, 31)
         monkeypatch.setattr(streams, "_VECTOR_DRAWS", 10**9)
-        monkeypatch.setattr(streams, "_VECTOR_ROWS", 10**9)
         assert agg.columns == on_empty_memo(monte_carlo, setup, 10, 31).columns
         for t, metrics in enumerate(agg.metrics):
             assert metrics == on_empty_memo(run_trial, setup, (31, t))

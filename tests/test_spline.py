@@ -300,12 +300,16 @@ class TestFitValidation:
         with pytest.raises(ValueError):
             fit([-1, 0, 1], [0.0, np.nan, 1.0], 0.0)
 
-    @pytest.mark.parametrize("gap", [1e-300, 1e-160])
-    def test_fit_it_cannot_represent_refused(self, gap):
+    @pytest.mark.parametrize("gap, y", [
+        (1e-300, [1.0, -1.0, 0.5, 0.25]), (1e-160, [1.0, -1.0, 0.5, 0.25]),
+        # Q^T y overflows too: scipy's finiteness check refused it with its message
+        (1e-300, [1e10, -1e10, 1.0, 1.0])])
+    def test_fit_it_cannot_represent_refused(self, gap, y):
         # its second derivatives overflow: it was returned with inf knot
         # data, and evaluated to inf at 0.5
-        with pytest.raises(NumericalFitError, match="^fit not representable: non-finite "):
-            fit(np.array([0.0, gap, 2 * gap, 1.0]), np.array([1.0, -1.0, 0.5, 0.25]), 0.0)
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericalFitError, match="^fit not representable: non-finite "):
+            fit(np.array([0.0, gap, 2 * gap, 1.0]), np.array(y), 0.0)
 
     @pytest.mark.parametrize("lam", [0.0, 1e-6])
     def test_denormal_gaps_refused_as_points(self, lam):

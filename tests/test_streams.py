@@ -31,50 +31,53 @@ def _seeds(master, trials, first=0):
 
 
 # case: (setup keywords, the chunk's seeds, the streams drawn, straggler sets
-# Floyd's vectorised draws refuse, None where they do not run).  Three
-# streams a trial: a chunk of 4 trials seeds 12 rows, _VECTOR_ROWS, one of 8
-# draws vectorised, _VECTOR_DRAWS.
+# Floyd's vectorised draws refuse, None where they do not run).  A chunk of
+# _VECTOR_DRAWS trials or more is seeded and drawn vectorised, a smaller one
+# on trial_rng.
+BELOW, AT, ABOVE = (streams._VECTOR_DRAWS + step for step in (-1, 0, 1))
 _CASES = {
     "one trial": (dict(sigma0=0.1), _seeds(9, 1), ALL, None),
-    "below the vectorised draws": (dict(sigma0=0.1), _seeds(9, 4), ALL, None),
-    "at the vectorised draws": (dict(sigma0=0.1), _seeds(9, 8), ALL, 0),
-    "entropy past 2**32": (dict(sigma0=0.1), _seeds(2**64 + 5, 8), ALL, 0),
+    "below the vectorised draws": (dict(sigma0=0.1), _seeds(9, BELOW), ALL, None),
+    "at the vectorised draws": (dict(sigma0=0.1), _seeds(9, AT), ALL, 0),
+    "entropy past 2**32": (dict(sigma0=0.1), _seeds(2**64 + 5, AT), ALL, 0),
     "entropy past 2**32, one trial": (dict(sigma0=0.1), _seeds(2**64 + 5, 1), ALL, None),
-    # 2 trials of 3 words (seeded per row) and 6 of 4 (vectorised)
-    "two entropy widths": (dict(sigma0=0.1), _seeds(3, 8, 2**32 - 2), ALL, 0),
-    "data and stragglers on one output count": (dict(k=4, s=8, sigma0=0.1), _seeds(9, 8), ALL, 0),
+    # 2 trials of 3 words and the rest of 4, each group seeded by the vectorised pass
+    "two entropy widths": (dict(sigma0=0.1), _seeds(3, AT, 2**32 - 2), ALL, 0),
+    "data and stragglers on one output count": (dict(k=4, s=8, sigma0=0.1), _seeds(9, AT), ALL,
+                                                0),
     "d = 4 inputs and m = 3 outputs": (dict(k=6, func=make_worker("tanh_net"), sigma0=0.1),
-                                       _seeds(17, 9), ALL, 0),
-    "no stragglers": (dict(s=0), _seeds(21, 8), (DATA, STRAGGLERS), 0),
-    "Lemire rejection": (dict(k=4, n=10000, s=200), _seeds(144, 8), (DATA, STRAGGLERS), 1),
-    "Floyd at N = 10000, S > N // 50": (dict(k=4, n=10000, s=201), _seeds(21, 8),
+                                       _seeds(17, ABOVE), ALL, 0),
+    "no stragglers": (dict(s=0), _seeds(21, AT), (DATA, STRAGGLERS), 0),
+    # trial 5 of master seed 144 draws a word Lemire's method rejects
+    "Lemire rejection": (dict(k=4, n=10000, s=200), _seeds(144, AT, 5), (DATA, STRAGGLERS), 1),
+    "Floyd at N = 10000, S > N // 50": (dict(k=4, n=10000, s=201), _seeds(21, AT),
                                         (DATA, STRAGGLERS), 0),
-    "N past 10000, small S": (dict(k=4, n=20000, s=400), _seeds(21, 8), (DATA, STRAGGLERS), 0),
-    "tail shuffle": (dict(k=4, n=10001, s=201, sigma0=0.1), _seeds(21, 8), ALL, None),
+    "N past 10000, small S": (dict(k=4, n=20000, s=400), _seeds(21, AT), (DATA, STRAGGLERS), 0),
+    "tail shuffle": (dict(k=4, n=10001, s=201, sigma0=0.1), _seeds(21, AT), ALL, None),
     # numpy's branch boundary: Floyd up to N = 10000, or S <= N // 50
-    **{f"Floyd at N = {n}, S = {s}": (dict(k=4, n=n, s=s), _seeds(13, 8), (DATA, STRAGGLERS), 0)
+    **{f"Floyd at N = {n}, S = {s}": (dict(k=4, n=n, s=s), _seeds(13, AT), (DATA, STRAGGLERS), 0)
        for n, s in ((10000, 199), (10001, 199), (10001, 200), (24, 1), (24, 23))},
     "fixed mode": (dict(sigma0=0.1, fixed_stragglers=(0, 7, 8, 22)),
-                   _seeds(9, 8), (DATA, NOISE), None),
-    "sigma0 = 0": (dict(), _seeds(9, 8), (DATA, STRAGGLERS), 0),
+                   _seeds(9, AT), (DATA, NOISE), None),
+    "sigma0 = 0": (dict(), _seeds(9, AT), (DATA, STRAGGLERS), 0),
     "identity data, fixed mode, sigma0 = 0": (dict(s=2, fixed_stragglers=(3, 17),
-                                                   data_rule="identity"), _seeds(9, 8), (), None),
+                                                   data_rule="identity"), _seeds(9, AT), (), None),
 }
 
 
-@pytest.mark.parametrize("vector_rows", [None, 1, 10**9])  # or every row, or none, vectorised
 @pytest.mark.parametrize("case", list(_CASES))
-def test_chunk_draws_equal_numpys(case, vector_rows, monkeypatch):
-    if vector_rows is not None:
-        monkeypatch.setattr(streams, "_VECTOR_ROWS", vector_rows)
+def test_chunk_draws_equal_numpys(case, monkeypatch):
     kw, seeds, tags, refusals = _CASES[case]
-    seeded, built, counts, refused = [], [], [], []
-    states, pcg64, outputs, floyd = (streams._stream_states, np.random.PCG64,
-                                     streams._pcg64_outputs, streams._floyd_sets)
+    seeded, built, counts, refused, rngs = [], [], [], [], []
+    states, pcg64, outputs, floyd, reference = (streams._stream_states, np.random.PCG64,
+                                                streams._pcg64_outputs, streams._floyd_sets,
+                                                streams.trial_rng)
     monkeypatch.setattr(streams, "_stream_states", lambda rows: seeded.extend(rows) or states(rows))
     monkeypatch.setattr(np.random, "PCG64", lambda *a: built.append(a) or pcg64(*a))
     monkeypatch.setattr(streams, "_pcg64_outputs", lambda rows, count: (
         counts.append(count) or outputs(rows, count)))
+    monkeypatch.setattr(streams, "trial_rng", lambda seed, tag: (
+        rngs.append(seed + (tag,)) or reference(seed, tag)))
 
     def refusing(words, n, s):
         sets, drawn = floyd(words, n, s)
@@ -93,12 +96,15 @@ def test_chunk_draws_equal_numpys(case, vector_rows, monkeypatch):
                 one = sim.sample_stragglers(setup.stragglers, trial_rng(seed, STRAGGLERS))
                 assert (one.dtype, one.shape, one.tobytes()) == (got.dtype, got.shape,
                                                                  got.tobytes())
-    # only the streams drawn are seeded, one generator serving them all; the
-    # vectorised draws run at a chunk of _VECTOR_DRAWS, one pass per count
-    assert sorted(seeded) == sorted(seed + (tag,) for seed in seeds for tag in tags)
-    assert len(built) == (1 if tags else 0)
+    # only the streams drawn are drawn on: a small chunk's on trial_rng, a
+    # larger one's seeded by the vectorised pass, one generator serving
+    # them all, and drawn vectorised, one pass per count
+    rows = sorted(seed + (tag,) for seed in seeds for tag in tags)
+    vectorised = len(seeds) >= streams._VECTOR_DRAWS
+    assert (sorted(seeded), sorted(rngs)) == ((rows, []) if vectorised else ([], rows))
+    assert len(built) == (1 if tags and vectorised else 0)
     assert len(counts) == len(set(counts))
-    assert bool(counts) == (len(seeds) >= streams._VECTOR_DRAWS and bool(set(tags) - {NOISE}))
+    assert bool(counts) == (vectorised and bool(set(tags) - {NOISE}))
     assert refused == ([] if refusals is None else [refusals])
     if setup.stragglers.fixed_stragglers is not None:  # every trial stacks the fixed survivors
         fixed = sim.sample_stragglers(setup.stragglers, None)
@@ -112,7 +118,7 @@ def test_no_vectorised_sets_where_choice_shuffles_or_reads_wide_words(n, s):
     assert streams._STREAMS[STRAGGLERS].count(n, s) is None
 
 
-def test_negative_entropy_raises_as_trial_rng(monkeypatch):
+def test_negative_entropy_raises_as_trial_rng():
     # a seed entry from outside is refused by the seed rule, naming the
     # seed; an internal entropy row, by the seeder, as numpy refuses it
     with pytest.raises(ValueError) as reference:
@@ -123,11 +129,9 @@ def test_negative_entropy_raises_as_trial_rng(monkeypatch):
     assert str(got.value) == str(reference.value)
     with pytest.raises(ValueError) as numpy_refusal:
         np.random.default_rng([5, -1, 101])
-    for vector_rows in (1, 10**9):
-        monkeypatch.setattr(streams, "_VECTOR_ROWS", vector_rows)
-        with pytest.raises(ValueError) as got:
-            streams._stream_states([(7, 0, 303), (5, -1, 101)])
-        assert str(got.value) == str(numpy_refusal.value)
+    with pytest.raises(ValueError) as got:
+        streams._stream_states([(7, 0, 303), (5, -1, 101)])
+    assert str(got.value) == str(numpy_refusal.value)
 
 
 def _counted_draws(monkeypatch) -> tuple[list, list]:

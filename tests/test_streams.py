@@ -31,17 +31,18 @@ def _seeds(master, trials, first=0):
 
 
 # case: (setup keywords, the chunk's seeds, the streams drawn, straggler sets
-# Floyd's vectorised draws refuse, None where they do not run).  A chunk of
+# Floyd's vectorised draws refuse, None where they never run).  A chunk of
 # _VECTOR_DRAWS trials or more is seeded and drawn vectorised, a smaller one
 # on trial_rng.
 BELOW, AT, ABOVE = (streams._VECTOR_DRAWS + step for step in (-1, 0, 1))
 _CASES = {
-    "one trial": (dict(sigma0=0.1), _seeds(9, 1), ALL, None),
-    "below the vectorised draws": (dict(sigma0=0.1), _seeds(9, BELOW), ALL, None),
+    "one trial": (dict(sigma0=0.1), _seeds(9, 1), ALL, 0),
+    "below the vectorised draws": (dict(sigma0=0.1), _seeds(9, BELOW), ALL, 0),
     "at the vectorised draws": (dict(sigma0=0.1), _seeds(9, AT), ALL, 0),
     "entropy past 2**32": (dict(sigma0=0.1), _seeds(2**64 + 5, AT), ALL, 0),
-    "entropy past 2**32, one trial": (dict(sigma0=0.1), _seeds(2**64 + 5, 1), ALL, None),
+    "entropy past 2**32, one trial": (dict(sigma0=0.1), _seeds(2**64 + 5, 1), ALL, 0),
     # 2 trials of 3 words and the rest of 4, each group seeded by the vectorised pass
+    # where the chunk is drawn vectorised
     "two entropy widths": (dict(sigma0=0.1), _seeds(3, AT, 2**32 - 2), ALL, 0),
     "data and stragglers on one output count": (dict(k=4, s=8, sigma0=0.1), _seeds(9, AT), ALL,
                                                 0),
@@ -65,8 +66,11 @@ _CASES = {
 }
 
 
+@pytest.mark.parametrize("vector_draws", [None, 1, 10**9])  # or every chunk, or none, vectorised
 @pytest.mark.parametrize("case", list(_CASES))
-def test_chunk_draws_equal_numpys(case, monkeypatch):
+def test_chunk_draws_equal_numpys(case, vector_draws, monkeypatch):
+    if vector_draws is not None:
+        monkeypatch.setattr(streams, "_VECTOR_DRAWS", vector_draws)
     kw, seeds, tags, refusals = _CASES[case]
     seeded, built, counts, refused, rngs = [], [], [], [], []
     states, pcg64, outputs, floyd, reference = (streams._stream_states, np.random.PCG64,
@@ -105,7 +109,7 @@ def test_chunk_draws_equal_numpys(case, monkeypatch):
     assert len(built) == (1 if tags and vectorised else 0)
     assert len(counts) == len(set(counts))
     assert bool(counts) == (vectorised and bool(set(tags) - {NOISE}))
-    assert refused == ([] if refusals is None else [refusals])
+    assert refused == ([] if refusals is None or not vectorised else [refusals])
     if setup.stragglers.fixed_stragglers is not None:  # every trial stacks the fixed survivors
         fixed = sim.sample_stragglers(setup.stragglers, None)
         for row in next(sim._prepare(setup, seeds)).indices:

@@ -30,9 +30,9 @@ in one pass, the one aggregation path that :func:`aggregate` takes too:
 no per-trial object is built between a decode body and the aggregate.
 The public one-trial :func:`sample_stragglers` and :func:`apply_workers`
 take one trial's draw as its stream's row returns it to a chunk, and
-:func:`run_trial` is a chunk of one at one weight decoded through the
-scheme's public one-trial decode, its :class:`TrialMetrics` the one row
-of its columns.
+:func:`run_trial` is a chunk of one at one weight, decoded as any chunk
+(letcc's through one :func:`letcc.coding.decode` call), its
+:class:`TrialMetrics` the one row of its columns.
 :func:`monte_carlo` is the call at the setup's own lambda_d.  Every step
 does the same arithmetic on a trial's values alone as in any batch, so a
 trial's metrics are bit-identical whether it runs through
@@ -166,10 +166,10 @@ class WorkerFunction:
     the rows of several trials together: a BLAS product such as
     tanh_net's can round a row differently with the number of rows in the
     call, which would make a trial's bits depend on its batch.  The
-    optional ``lipschitz`` and ``curvature`` bounds are declared over
-    [-2, 2]; ``degree`` is the polynomial degree used by the Lagrange
-    baseline.  A 1-D result is read as :func:`letcc.coding._rows` reads
-    outputs: q values of one column, or the one row's m values if q is 1.
+    optional ``lipschitz`` bound is declared over [-2, 2]; ``degree`` is
+    the polynomial degree used by the Lagrange baseline.  A 1-D result is
+    read as :func:`letcc.coding._rows` reads outputs: q values of one
+    column, or the one row's m values if q is 1.
     The dimensions ``in_dim`` (d) and ``out_dim`` (m) are counts of at
     least 1, by :func:`letcc.points._integer`.
     """
@@ -179,7 +179,6 @@ class WorkerFunction:
     in_dim: int
     out_dim: int
     lipschitz: float | None = None
-    curvature: float | None = None
     degree: int | None = None
     elementwise: bool = False
 
@@ -208,25 +207,25 @@ class WorkerFunction:
 def _affine() -> WorkerFunction:
     # in both penalty null spaces: the pipeline recovers it exactly
     return WorkerFunction("affine", lambda x: 2.0 * x - 0.5, 1, 1,
-                          lipschitz=2.0, curvature=0.0, degree=1, elementwise=True)
+                          lipschitz=2.0, degree=1, elementwise=True)
 
 
 def _sin_pi() -> WorkerFunction:
     return WorkerFunction("sin_pi", lambda x: np.sin(np.pi * x), 1, 1,
-                          lipschitz=np.pi, curvature=np.pi**2, elementwise=True)
+                          lipschitz=np.pi, elementwise=True)
 
 
 def _cubic() -> WorkerFunction:
-    # |3x^2| <= 12 and |6x| <= 12 on [-2, 2].  Cubed by multiplication:
-    # correctly rounded and exactly odd, where numpy's power takes a slow
-    # scalar path for negative bases and its bits follow the CPU dispatch
+    # |3x^2| <= 12 on [-2, 2].  Cubed by multiplication: correctly rounded
+    # and exactly odd, where numpy's power takes a slow scalar path for
+    # negative bases and its bits follow the CPU dispatch
     return WorkerFunction("cubic", lambda x: x * x * x, 1, 1,
-                          lipschitz=12.0, curvature=12.0, degree=3, elementwise=True)
+                          lipschitz=12.0, degree=3, elementwise=True)
 
 
 def _softplus() -> WorkerFunction:
     return WorkerFunction("softplus", lambda x: np.logaddexp(0.0, x), 1, 1,
-                          lipschitz=1.0, curvature=0.25, elementwise=True)
+                          lipschitz=1.0, elementwise=True)
 
 
 def _tanh_net(d: int = 4, m: int = 3) -> WorkerFunction:
@@ -602,10 +601,11 @@ def _score(setup: TrialSetup, chunk: _Chunk, estimates: np.ndarray, degraded: bo
     (T,) l_enc terms, and lists of their survivor counts, degraded flags
     and seeds: the fields of :class:`TrialColumns` but ``rmse``, which
     :func:`_results` takes from the risks; l_dec and l_enc are None but
-    for letcc, and the agreements None for 1-D outputs.  The distances,
-    bounds and class agreement of every trial at every weight run once on
-    the stack, each reduced as on its own.  The first weight with a trial
-    whose risk is not finite or, for letcc, exceeds its decomposition bound
+    for a chunk with through-encoder values (letcc's), and the agreements
+    None for 1-D outputs.  The distances, bounds and class agreement of
+    every trial at every weight run once on the stack, each reduced as on
+    its own.  The first weight with a trial whose risk is not finite or,
+    with through-encoder values, exceeds its decomposition bound
     raises: ValueError naming the first trial of the first kind, else
     :class:`RiskBoundViolation` for the first of the second.
     """
@@ -613,7 +613,7 @@ def _score(setup: TrialSetup, chunk: _Chunk, estimates: np.ndarray, degraded: bo
     bad = ~np.isfinite(risks)
     failed = bad.any(axis=1)
     l_decs = agreement = None
-    if setup.scheme == "letcc":
+    if chunk.through_encoder is not None:
         l_decs = 2.0 * _mean_sq_dist(estimates, chunk.through_encoder)
         bounds = l_decs + chunk.l_enc
         over = risks > bounds + 1e-9 * (1.0 + bounds)
@@ -661,21 +661,19 @@ def run_trial(setup: TrialSetup, seed) -> TrialMetrics:
 
     ``seed`` (int or tuple of ints, by :func:`letcc.streams._entropy`)
     fully determines the trial: identical seeds give bit-identical
-    metrics.  The trial is a chunk of one, decoded through the scheme's
-    public one-trial decode: a letcc trial through one
-    :func:`letcc.coding.decode` call, whose survivors expose ``indices``
-    and ``outputs``.
+    metrics.  The trial is a chunk of one, decoded as any chunk is, but
+    a letcc trial through one :func:`letcc.coding.decode` call, whose
+    survivors expose ``indices`` and ``outputs``.
     """
     chunk, = _prepare(setup, [streams._entropy(seed)])
-    returns = WorkerReturns(chunk.indices[0], chunk.outputs[0])
     if setup.scheme == "letcc":
-        result = coding.decode(returns, setup.grid, setup.lambda_d)
-    elif setup.scheme == "bacc":
-        result = baselines.bacc_decode(returns, setup.grid)
+        # bench/workloads.py::_capture_decode records this call; ROADMAP item 3 removes it
+        result = coding.decode(WorkerReturns(chunk.indices[0], chunk.outputs[0]),
+                               setup.grid, setup.lambda_d)
+        decoded = result.estimates[None, None], result.degraded
     else:
-        result = baselines.lcc_decode(returns, setup.grid, setup.f_degree)
-    scores = _score(setup, chunk, result.estimates[None, None], result.degraded)
-    return _results(setup.scheme, [scores])[0].metrics[0]
+        decoded = _decode_chunk(setup, chunk, (setup.lambda_d,))
+    return _results(setup.scheme, [_score(setup, chunk, *decoded)])[0].metrics[0]
 
 
 @dataclass(frozen=True)

@@ -327,8 +327,11 @@ def _fit_stack(t: np.ndarray, y: np.ndarray, lams: list[float]) -> np.ndarray:
             slot[:, 1, 1:-1] = sol[:, 2:-1:2]
     if len(lamns) < len(lams):
         # R gam = Q^T y, the last read of r, which solveh_banded may overwrite;
-        # R is finite on checked knots, and the callers refuse a non-finite gam
-        qt_y = qa[..., None] * y[:, :-2] + qb[..., None] * y[:, 1:-1] + qc[..., None] * y[:, 2:]
+        # R is finite on checked knots, and the callers refuse a non-finite gam,
+        # so Q^T y may overflow here without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            qt_y = (qa[..., None] * y[:, :-2] + qb[..., None] * y[:, 1:-1]
+                    + qc[..., None] * y[:, 2:])
         fits[[not lam for lam in lams], :, 1, 1:-1] = solveh_banded(
             r.reshape(3, -1), qt_y.reshape(-1, m), overwrite_ab=True,
             check_finite=False).reshape(qt_y.shape)

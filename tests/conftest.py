@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
+from scipy.interpolate import make_smoothing_spline
 
 from letcc import streams
 from letcc.points import chebyshev_grid
@@ -80,6 +81,16 @@ def ols_affine(t, y):
     design = np.column_stack([np.ones(t.size), t])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     return design @ coef
+
+
+def scipy_fit(t, y, lam):
+    """scipy's smoothing spline of ``y`` on knots ``t``, as a callable BSpline.
+
+    scipy minimises sum (y_i - f(t_i))^2 + lam * int f''^2, and
+    :func:`letcc.spline.fit` the mean squared error plus lam times the
+    roughness, so scipy's weight is n * lam.
+    """
+    return make_smoothing_spline(t, y, lam=t.size * lam)
 
 
 def quadrature_roughness(evaluate, knots) -> float:

@@ -280,8 +280,7 @@ class TestNoiseAndWorkers:
 
 class TestRunTrial:
     def test_identity_function_near_machine_floor(self):
-        ident = WorkerFunction("identity", lambda x: x, 1, 1, lipschitz=1.0,
-                               curvature=0.0)
+        ident = WorkerFunction("identity", lambda x: x, 1, 1, lipschitz=1.0)
         metrics = run_trial(trial_setup(func=ident, s=0, data_rule="identity"), seed=3)
         assert metrics.empirical_risk <= 1e-12
 
@@ -431,6 +430,25 @@ def test_letcc_trials_decode_once_each(monkeypatch):
         (alone,) = sim._prepare(setup, [(7, t)])
         assert np.array_equal(indices[t], alone.indices[0])
         assert np.array_equal(outputs[t], alone.outputs[0])
+
+
+@pytest.mark.parametrize("s", [4, 12])  # 19 and 11 survivors: lcc degrades at 11
+@pytest.mark.parametrize("scheme", ["bacc", "lcc"])
+def test_baseline_trials_decode_as_any_chunk(scheme, s, monkeypatch):
+    # a bacc or lcc trial decodes through its scheme's stacked body, as a
+    # chunk does, never through the public one-trial decodes; its row is
+    # its monte_carlo row
+    calls = []
+    for name in ("bacc_decode", "lcc_decode"):
+        def spy(*args, _name=name, _decode=getattr(sim.baselines, name)):
+            calls.append(_name)
+            return _decode(*args)
+        monkeypatch.setattr(sim.baselines, name, spy)
+    setup = trial_setup(scheme=scheme, k=5, n=23, s=s, sigma0=0.1, func=make_worker("cubic"))
+    rows = [on_empty_memo(run_trial, setup, (7, t)) for t in range(4)]
+    assert calls == []
+    assert monte_carlo(setup, 4, 7).metrics == tuple(rows)
+    assert [row.degraded for row in rows] == [scheme == "lcc" and s == 12] * 4
 
 
 @pytest.mark.parametrize("worker", ["sin_pi", "tanh_net"])

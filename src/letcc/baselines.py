@@ -56,6 +56,7 @@ from .coding import (
     normalize_survivors,
 )
 from .points import InterpolationGrid, _check_points, _integer, _query
+from .spline import NumericalFitError
 
 __all__ = [
     "BerrutInterpolant",
@@ -236,15 +237,25 @@ def bacc_encode(data: Dataset, grid: InterpolationGrid) -> CodedBatch:
     return _encode(data, grid, "bacc")
 
 
+def _finite(estimates: np.ndarray, count: int) -> np.ndarray:
+    """One trial's ``estimates`` from ``count`` survivors, if finite, as ``spline.fit`` refuses."""
+    if not np.isfinite(estimates).all():
+        raise NumericalFitError(f"decode not representable: non-finite estimates from "
+                                f"{count} survivors")
+    return estimates
+
+
 def bacc_decode(survivors, grid: InterpolationGrid) -> DecodeResult:
     """Berrut interpolant through surviving (beta, output) pairs, at alphas.
 
     A stack of one trial of the decode body, after
-    :func:`letcc.coding.normalize_survivors`.
+    :func:`letcc.coding.normalize_survivors`; non-finite estimates raise
+    :class:`~letcc.spline.NumericalFitError`.
     """
     indices, outputs = normalize_survivors(survivors, grid.n)
-    estimates = _bacc_decode_stack(grid, indices[None], outputs[None])
-    return DecodeResult(estimates=estimates[0],
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimates = _bacc_decode_stack(grid, indices[None], outputs[None])
+    return DecodeResult(estimates=_finite(estimates[0], indices.size),
                         decoder_fit=BerrutInterpolant(grid.betas[indices], outputs),
                         survivor_count=indices.size)
 
@@ -285,12 +296,14 @@ def lcc_decode(survivors, grid: InterpolationGrid, f_degree: int) -> DecodeResul
     Below the threshold it fits the highest degree the survivor count
     supports and flags the result as degraded.  ``f_degree`` must be a
     nonnegative integer.  A stack of one trial of the decode body, after
-    :func:`letcc.coding.normalize_survivors`.
+    :func:`letcc.coding.normalize_survivors`; non-finite estimates raise
+    :class:`~letcc.spline.NumericalFitError`.
     """
     degree = _nonnegative(f_degree, "f_degree")
     indices, outputs = normalize_survivors(survivors, grid.n)
-    estimates, coef, degraded = _lcc_decode_stack(grid, indices[None], outputs[None], degree)
-    return DecodeResult(estimates=estimates[0], decoder_fit=coef[0],
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimates, coef, degraded = _lcc_decode_stack(grid, indices[None], outputs[None], degree)
+    return DecodeResult(estimates=_finite(estimates[0], indices.size), decoder_fit=coef[0],
                         survivor_count=indices.size, degraded=degraded)
 
 

@@ -47,7 +47,6 @@ from .experiments import (
     DEFAULT_LAMBDA_GRID,
     StragglerSweepConfig,
     SweepConfig,
-    SweepReport,
     crossval_lambda,
     report_to_dict,
     straggler_sweep,
@@ -56,8 +55,9 @@ from .experiments import (
     write_json,
     write_svg,
 )
-from .points import _string, chebyshev_grid
+from .points import _choice, _string, chebyshev_grid
 from .sim import (
+    DATA_RULES,
     NoiseModel,
     RiskBoundViolation,
     SCHEMES,
@@ -169,24 +169,21 @@ def _outdir(args) -> str:
     return args.out
 
 
-def _formats(args) -> set:
-    choices = {"csv", "json", "svg"}
-    fmts = {f.strip() for f in args.format.split(",") if f.strip()}
-    bad = fmts - choices
-    if bad:
-        raise ConfigError(f"unknown formats {sorted(bad)}; choices: {sorted(choices)}")
-    return fmts
+def _formats(args, choices) -> tuple:
+    """The ``--format`` entries, each one of ``choices``, the kind's formats; all if not given."""
+    if args.format is None:
+        return choices
+    return tuple(_choice(f.strip(), "format", choices, "format") for f in args.format.split(","))
 
 
-def _write_reports(args, stem: str, report) -> str:
-    """Write the ``--format`` files of ``report`` into ``--out``; return it."""
+def _write_reports(args, fmts, stem: str, report) -> str:
+    """Write the ``fmts`` files of ``report`` into ``--out``; return it."""
     out = _outdir(args)
-    fmts = _formats(args)
     if "csv" in fmts:
         _output(write_csv, os.path.join(out, f"{stem}.csv"), report.rows)
     if "json" in fmts:
         _output(write_json, os.path.join(out, f"{stem}.json"), report_to_dict(report))
-    if "svg" in fmts and isinstance(report, SweepReport):
+    if "svg" in fmts:
         _output(write_svg, os.path.join(out, f"{stem}.svg"), report)
     return out
 
@@ -220,10 +217,8 @@ def _run_kind(kind: str, raw: dict, args) -> int:
     that configure the run but are no field.  Every check, ``--out`` and
     ``--format`` included, happens before the first trial.
     """
-    if kind not in _SWEEP_KINDS:
-        raise ConfigError(f"unknown sweep kind {kind!r}; "
-                          f"choices: {list(_SWEEP_KINDS)}")
-    config_class, extra, run = _SWEEP_KINDS[kind]
+    config_class, extra, run, formats = _SWEEP_KINDS[_choice(kind, "kind", _SWEEP_KINDS,
+                                                             "sweep kind")]
     by_key = {experiments._CONFIG_KEYS.get(f.name, f.name): f
               for f in fields(config_class)}
     cfg = _check_config(raw, {"kind", *by_key, *extra})
@@ -232,48 +227,46 @@ def _run_kind(kind: str, raw: dict, args) -> int:
     for key, field in by_key.items():
         if key not in cfg and field.default is MISSING:
             raise ConfigError(f"config key {key!r} is required")
-    _formats(args)  # reject a bad --format before running anything
+    fmts = _formats(args, formats)
     config = config_class(**{field.name: cfg[key] for key, field in by_key.items()
                              if key in cfg})
     if kind != "crossval" and not args.out:
         raise ConfigError("--out directory is required")
     if args.out:
         _check_outdir(args.out)
-    return run(config, args, **{key: cfg.get(key, default)
-                                for key, default in extra.items()})
+    return run(config, args, fmts, **{key: cfg.get(key, default)
+                                      for key, default in extra.items()})
 
 
-def _run_n_sweep(config: SweepConfig, args) -> int:
+def _run_n_sweep(config: SweepConfig, args, fmts) -> int:
     report = sweep_n(config)
-    out = _write_reports(args, "sweep", report)
+    out = _write_reports(args, fmts, "sweep", report)
     sys.stderr.write(f"sweep: {len(report.rows)} rows written to {out}\n")
     return EXIT_OK
 
 
-def _run_straggler(config: StragglerSweepConfig, args) -> int:
+def _run_straggler(config: StragglerSweepConfig, args, fmts) -> int:
     report = straggler_sweep(config)
-    out = _write_reports(args, "straggler", report)
+    out = _write_reports(args, fmts, "straggler", report)
     sys.stderr.write(f"straggler sweep: {len(report.table)} rows written to {out}\n")
     return EXIT_OK
 
 
-def _run_crossval(config: CrossvalConfig, args, lambda_e_grid, lambda_d_grid) -> int:
+def _run_crossval(config: CrossvalConfig, args, fmts, lambda_e_grid, lambda_d_grid) -> int:
     result = crossval_lambda(lambda_e_grid, lambda_d_grid, config)
-    payload = report_to_dict(result)
     if args.out:
-        out = _outdir(args)
-        _output(write_json, os.path.join(out, "crossval.json"), payload)
+        out = _write_reports(args, fmts, "crossval", result)
         sys.stderr.write(f"crossval: table written to {out}\n")
-    sys.stdout.write(experiments._dump_json(payload) + "\n")
+    sys.stdout.write(experiments._dump_json(report_to_dict(result)) + "\n")
     return EXIT_OK
 
 
-# kind -> (config dataclass, runner's extra keys with their defaults, runner)
+# kind -> (config dataclass, runner's extra keys with their defaults, runner, its formats)
 _SWEEP_KINDS = {
-    "n_sweep": (SweepConfig, {}, _run_n_sweep),
-    "straggler": (StragglerSweepConfig, {}, _run_straggler),
+    "n_sweep": (SweepConfig, {}, _run_n_sweep, ("csv", "json", "svg")),
+    "straggler": (StragglerSweepConfig, {}, _run_straggler, ("csv", "json")),
     "crossval": (CrossvalConfig, {"lambda_e_grid": (0.0,),
-                                  "lambda_d_grid": DEFAULT_LAMBDA_GRID}, _run_crossval),
+                                  "lambda_d_grid": DEFAULT_LAMBDA_GRID}, _run_crossval, ("json",)),
 }
 
 
@@ -371,8 +364,9 @@ def build_parser() -> _Parser:
 
     def add_reports(p):
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--format", default="csv,json,svg",
-                       help="comma list of csv,json,svg (svg applies to n_sweep only)")
+        p.add_argument("--format", default=None, help=(
+            "comma list of report formats, by default all the kind's: " + "; ".join(
+                f"{kind} {','.join(entry[-1])}" for kind, entry in _SWEEP_KINDS.items())))
 
     t = sub.add_parser("trial", help="run one pipeline trial, JSON metrics on stdout")
     t.add_argument("--config", default=None, help="JSON config file (flags override)")
@@ -385,7 +379,7 @@ def build_parser() -> _Parser:
     t.add_argument("--lambda-e", dest="lambda_e", type=float, default=None)
     t.add_argument("--lambda-d", dest="lambda_d", type=float, default=None)
     t.add_argument("--f-degree", dest="f_degree", type=int, default=None)
-    t.add_argument("--data", choices=("uniform", "identity"), default=None)
+    t.add_argument("--data", choices=DATA_RULES, default=None)
     t.add_argument("--d", type=int, default=None, help="tanh_net input dim")
     t.add_argument("--m", type=int, default=None, help="tanh_net output dim")
     add_common(t)

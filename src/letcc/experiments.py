@@ -16,7 +16,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from .points import _check_points, _integer, _items, _real, _seed, _string, chebyshev_grid
+from .points import _check_points, _choice, _integer, _items, _real, _seed, chebyshev_grid
 from .sim import (
     NoiseModel,
     StragglerModel,
@@ -70,13 +70,6 @@ DEFAULT_LAMBDA_GRID = tuple(10.0 ** -e for e in range(13, -1, -1))
 MSE_FLOOR = 1e-18
 
 
-def _lambda_rule(name, what: str) -> str:
-    """``name`` if it is one of ``LAMBDA_RULES``, a string named ``what`` in errors."""
-    if _string(name, what) not in LAMBDA_RULES:
-        raise ValueError(f"unknown lambda_d rule {name!r}; choices: {sorted(LAMBDA_RULES)}")
-    return name
-
-
 # Config fields whose config key is named otherwise.
 _CONFIG_KEYS = {"func": "f", "master_seed": "seed", "data_rule": "data",
                 "func_d": "d", "func_m": "m"}
@@ -90,7 +83,7 @@ _FIELD_RULES = {name: partial(rule, what=_CONFIG_KEYS.get(name, name)) for rule,
     (_real, ("sigma0", "s_ratio", "lambda_e", "lambda_d_scale")),
     (_seed, ("master_seed",)),
     (_worker_name, ("func",)),
-    (_lambda_rule, ("lambda_d_rule",)),
+    (partial(_choice, choices=LAMBDA_RULES, kind="lambda_d rule"), ("lambda_d_rule",)),
     (_data_rule, ("data_rule",)),
     (partial(_items, rule=_scheme), ("schemes",)),
     (partial(_items, rule=_integer), ("n_values",))) for name in names}

@@ -12,8 +12,9 @@ caller keeping its own minimum; every real parameter (a smoothing weight,
 a noise level, a scale or ratio) passes :func:`_real`; every point set
 :func:`_check_points`; every query of a fitted interpolant's ``evaluate``
 :func:`_query`; every seed entry :func:`_seed`, the integer rule without
-its int64 limit; every name :func:`_string`; and every list of names,
-counts or reals :func:`_items`, each item by its own rule.
+its int64 limit; every name :func:`_string`, or :func:`_choice` if it is
+one of a fixed set; and every list of names, counts or reals
+:func:`_items`, each item by its own rule.
 """
 
 from __future__ import annotations
@@ -288,6 +289,13 @@ def _string(value, what: str) -> str:
     """One name from outside, ``value`` named ``what``: a str, never a number or a list."""
     if not isinstance(value, str):
         raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _choice(value, what: str, choices, kind: str) -> str:
+    """Name ``value``, called ``what``, if one of ``choices``; else an unknown ``kind``."""
+    if _string(value, what) not in choices:
+        raise ValueError(f"unknown {kind} {value!r}; choices: {sorted(choices)}")
     return value
 
 

@@ -42,6 +42,7 @@ trial's metrics are bit-identical whether it runs through
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import partial
 from itertools import chain
 from math import sqrt
 from typing import Callable, Iterator, Sequence
@@ -50,7 +51,7 @@ import numpy as np
 
 from . import baselines, coding, streams
 from .coding import CodedBatch, Dataset
-from .points import InterpolationGrid, _integer, _integral_indices, _real, _string
+from .points import InterpolationGrid, _choice, _integer, _integral_indices, _real
 
 __all__ = [
     "RiskBoundViolation",
@@ -72,9 +73,11 @@ __all__ = [
     "make_worker",
     "WORKER_FUNCTIONS",
     "SCHEMES",
+    "DATA_RULES",
 ]
 
 SCHEMES = ("letcc", "bacc", "lcc")
+DATA_RULES = ("uniform", "identity")
 
 # Values per trial and decoder weight (N x input dimension coded values;
 # N x max(input dimension, K) for bacc, whose batched decode holds (K, N)
@@ -263,12 +266,10 @@ _CONSTRUCTORS = {
 WORKER_FUNCTIONS = tuple(_CONSTRUCTORS)
 
 
-def _worker_name(name, what: str = "f") -> str:
-    """``name`` if a built-in worker function has it, a string named ``what`` in errors."""
-    if _string(name, what) not in WORKER_FUNCTIONS:
-        raise ValueError(f"unknown worker function {name!r}; "
-                         f"choices: {sorted(WORKER_FUNCTIONS)}")
-    return name
+# the name rules, each called with a name and what to call it in errors
+_worker_name = partial(_choice, choices=WORKER_FUNCTIONS, kind="worker function")
+_scheme = partial(_choice, choices=SCHEMES, kind="scheme")
+_data_rule = partial(_choice, choices=DATA_RULES, kind="data rule")
 
 
 def make_worker(name: str, d: int | None = None, m: int | None = None) -> WorkerFunction:
@@ -277,7 +278,7 @@ def make_worker(name: str, d: int | None = None, m: int | None = None) -> Worker
     A given ``d`` or ``m`` is an integer for every worker; they size tanh_net only.
     """
     dims = {key: _integer(dim, key) for key, dim in (("d", d), ("m", m)) if dim is not None}
-    build = _CONSTRUCTORS[_worker_name(name)]
+    build = _CONSTRUCTORS[_worker_name(name, "f")]
     return build(**dims) if build is _tanh_net else build()
 
 
@@ -403,20 +404,6 @@ class TrialColumns:
 _COLUMNS = [f.name for f in fields(TrialMetrics) if f.name != "scheme"]
 
 
-def _scheme(name, what: str = "scheme") -> str:
-    """``name`` if it is one of ``SCHEMES``, a string named ``what`` in errors."""
-    if _string(name, what) not in SCHEMES:
-        raise ValueError(f"unknown scheme {name!r}; choices: {SCHEMES}")
-    return name
-
-
-def _data_rule(name, what: str = "data") -> str:
-    """``name`` if it is a data rule, ``uniform`` or ``identity``, named ``what`` in errors."""
-    if _string(name, what) not in ("uniform", "identity"):
-        raise ValueError(f"unknown data rule {name!r}")
-    return name
-
-
 class _DeclaredDegree(int):
     """An lcc degree taken from the worker, which ``dataclasses.replace`` resolves again."""
 
@@ -427,7 +414,8 @@ class TrialSetup:
 
     Every field is checked on construction; ``lambda_e`` and ``lambda_d``
     are kept as floats, checked by :func:`letcc.points._real`, and the
-    names ``scheme`` and ``data_rule`` (``data`` in errors) are strings.
+    names ``scheme`` and ``data_rule`` (``data`` in errors) are one of
+    :data:`SCHEMES` and of :data:`DATA_RULES`, by :func:`letcc.points._choice`.
     ``f_degree``, given or, for lcc without one, the worker's declared
     degree, is resolved into that field once, here, as a nonnegative
     integer (``dataclasses.replace`` resolves it again).
@@ -445,12 +433,12 @@ class TrialSetup:
     data_rule: str = "uniform"
 
     def __post_init__(self):
-        _scheme(self.scheme)
+        _scheme(self.scheme, "scheme")
         if self.stragglers.n != self.grid.n:
             raise ValueError("straggler model N must match grid worker count")
         if self.data is not None:
             coding._check_rows(self.data, self.grid)
-        if (_data_rule(self.data_rule) == "identity" and self.data is None
+        if (_data_rule(self.data_rule, "data") == "identity" and self.data is None
                 and self.func.in_dim != 1):
             raise ValueError("identity data rule requires a 1-D worker function")
         degree = None if type(self.f_degree) is _DeclaredDegree else self.f_degree

@@ -21,6 +21,7 @@ from letcc.baselines import (
 )
 from letcc.coding import Dataset, DecodeFailure
 from letcc.points import chebyshev_grid, chebyshev_second
+from letcc.spline import NumericalFitError
 from letcc.sim import (
     NoiseModel,
     StragglerModel,
@@ -187,6 +188,24 @@ class TestBacc:
         grid = chebyshev_grid(5, 12)
         batch = bacc_encode(Dataset(rng.uniform(-1, 1, (5, 3))), grid)
         assert batch.coded.shape == (12, 3)
+
+
+class TestDecodeOverflow:
+    # finite rows near the float limit overflow in both decode bodies: bacc's
+    # matmul overflows, lcc's gives invalid values.  Each one-trial decode
+    # refuses its non-finite estimates, as spline.fit does, with no numpy
+    # RuntimeWarning first
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("decode", [bacc_decode, lambda s, g: lcc_decode(s, g, 1)],
+                             ids=["bacc", "lcc"])
+    def test_non_finite_estimates_refused(self, decode, sign):
+        grid = chebyshev_grid(3, 4)
+        outputs = sign * np.array([[1e308], [-1e308], [1e308], [-1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFitError, match="^decode not representable: "
+                                                        "non-finite estimates from 4 survivors$"):
+                decode(WorkerReturns(np.arange(4), outputs), grid)
 
 
 class TestCachedEncoders:

@@ -214,12 +214,22 @@ class TestSweep:
         report = json.loads((out / "straggler.json").read_text())
         assert len(report["table"]) == 2
 
-    def test_format_selection(self, capsys, tmp_path):
-        cfg = _sweep_config(tmp_path)
-        out = tmp_path / "csvonly"
-        run_cli(capsys, "sweep", str(cfg), "--out", str(out), "--format", "csv")
-        assert (out / "sweep.csv").exists()
-        assert not (out / "sweep.json").exists()
+    # --format picks among the kind's formats, all of them by default
+    @pytest.mark.parametrize("kind, fmt, files", [
+        ("n_sweep", "csv", ["sweep.csv"]),
+        ("n_sweep", " svg , csv", ["sweep.csv", "sweep.svg"]),
+        ("straggler", None, ["straggler.csv", "straggler.json"]),
+        ("crossval", None, ["crossval.json"]),
+        ("crossval", "json", ["crossval.json"]),
+    ])
+    def test_format_selection(self, capsys, tmp_path, kind, fmt, files):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_KIND_CONFIGS[kind]))
+        out = tmp_path / "out"
+        flag = [] if fmt is None else ["--format", fmt]
+        code, _, _ = run_cli(capsys, "sweep", str(path), "--out", str(out), *flag)
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == files
 
     def test_null_kind_runs_an_n_sweep(self, capsys, tmp_path):
         outs = []
@@ -293,6 +303,14 @@ _MALFORMED = [
     ("no trials", "straggler", {"trials": 0}, "trials must be >= 1"),
     ("unknown lambda_d rule", "straggler", {"lambda_d_rule": "n**-2"},
      "unknown lambda_d rule 'n**-2'"),
+    ("unknown f", "n_sweep", {"f": "bogus"}, "unknown worker function 'bogus'; "
+     "choices: ['affine', 'cubic', 'sin_pi', 'softplus', 'tanh_net']"),
+    ("unknown scheme", "straggler", {"schemes": ["nope"]},
+     "unknown scheme 'nope'; choices: ['bacc', 'lcc', 'letcc']"),
+    ("unknown data rule", "crossval", {"data": "gaussian"},
+     "unknown data rule 'gaussian'; choices: ['identity', 'uniform']"),
+    ("unknown kind", "n_sweep", {"kind": "wat"},
+     "unknown sweep kind 'wat'; choices: ['crossval', 'n_sweep', 'straggler']"),
 ]
 
 
@@ -335,9 +353,9 @@ _EARLY_FAILURES = [
     ("string as integer", "n_sweep", {"d": "1"}, True, "error: d must be an integer, got str"),
     ("number as name", "straggler", {"data": 5}, True, "error: data must be a string, got 5"),
     ("bad second scheme", "n_sweep", {"schemes": ["letcc", "nope"]}, True,
-     "error: unknown scheme 'nope'"),
+     "error: unknown scheme 'nope'; choices: ['bacc', 'lcc', 'letcc']\n"),
     ("bad second scheme", "straggler", {"schemes": ["letcc", "nope"]}, True,
-     "error: unknown scheme 'nope'"),
+     "error: unknown scheme 'nope'; choices: ['bacc', 'lcc', 'letcc']\n"),
     ("lcc without degree", "n_sweep", {"schemes": ["letcc", "lcc"]}, True,
      "error: lcc needs a declared polynomial degree"),
     ("lcc without degree", "straggler", {"schemes": ["letcc", "lcc"]}, True,
@@ -348,6 +366,18 @@ _EARLY_FAILURES = [
     ("tanh_net without inputs", "crossval", {"f": "tanh_net", "data": "uniform", "d": -1,
                                              "m": 3}, False,
      "error: tanh_net needs d >= 1 inputs, got d=-1"),
+]
+
+# (command, kind, --format, error text): each entry is one of the formats
+# the kind writes, none empty
+_BAD_FORMATS = [
+    ("crossval", "crossval", "bogus", "unknown format 'bogus'; choices: ['json']"),
+    ("crossval", "crossval", "csv", "unknown format 'csv'; choices: ['json']"),
+    ("sweep", "crossval", "json,svg", "unknown format 'svg'; choices: ['json']"),
+    ("sweep", "straggler", "svg", "unknown format 'svg'; choices: ['csv', 'json']"),
+    ("sweep", "n_sweep", ",", "unknown format ''; choices: ['csv', 'json', 'svg']"),
+    ("sweep", "n_sweep", "", "unknown format ''; choices: ['csv', 'json', 'svg']"),
+    ("sweep", "n_sweep", "csv,,json", "unknown format ''; choices: ['csv', 'json', 'svg']"),
 ]
 
 
@@ -366,6 +396,20 @@ class TestFailsBeforeFirstTrial:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, calls) == (1, "", [])
         assert err.startswith(message) and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("command, kind, fmt, message", _BAD_FORMATS,
+                             ids=[f"{command}-{kind}-{fmt!r}"
+                                  for command, kind, fmt, _ in _BAD_FORMATS])
+    def test_unknown_format_exits_one_and_writes_nothing(self, capsys, tmp_path, monkeypatch,
+                                                         command, kind, fmt, message):
+        prepared, prepare = [], sim._prepare
+        monkeypatch.setattr(sim, "_prepare", lambda *a: prepared.append(a) or prepare(*a))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_KIND_CONFIGS[kind]))
+        code, out, err = run_cli(capsys, command, str(path), "--out", str(tmp_path / "out"),
+                                 "--format", fmt)
+        assert (code, out, err, prepared) == (1, "", f"error: {message}\n", [])
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
@@ -449,19 +493,6 @@ class TestCrossvalCommand:
         assert [p.name for p in out.iterdir()] == ["crossval.json"]
         assert (out / "crossval.json").read_text() == stdout
         assert json.loads(stdout)["best_lambda_d"] == 1e-4
-
-    def test_unknown_format_exits_one_and_writes_nothing(self, capsys, tmp_path):
-        cfg = {"kind": "crossval", "f": "sin_pi", "k": 8, "n": 24, "s": 2,
-               "trials": 1, "lambda_d_grid": [1e-4]}
-        path = tmp_path / "cv.json"
-        path.write_text(json.dumps(cfg))
-        out = tmp_path / "o"
-        code, stdout, err = run_cli(capsys, "crossval", str(path), "--out", str(out),
-                                    "--format", "bogus")
-        assert code == 1
-        assert stdout == ""
-        assert "bogus" in err
-        assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["n_sweep", "straggler", "bogus"])
     def test_other_kind_exits_one_before_any_trial(self, capsys, tmp_path, monkeypatch,

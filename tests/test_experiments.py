@@ -153,12 +153,12 @@ _NAMED_CONFIGS = {
     CrossvalConfig: dict(func="sin_pi", k=2, n=8),
 }
 _UNKNOWN_NAMES = {
-    "schemes": (("letcc", "nope"), "unknown scheme 'nope'; choices: ('letcc', 'bacc', 'lcc')"),
+    "schemes": (("letcc", "nope"), "unknown scheme 'nope'; choices: ['bacc', 'lcc', 'letcc']"),
     "func": ("bogus", "unknown worker function 'bogus'; "
                       "choices: ['affine', 'cubic', 'sin_pi', 'softplus', 'tanh_net']"),
     "lambda_d_rule": ("x", "unknown lambda_d rule 'x'; "
                            "choices: ['fixed', 'n**-4', 'survivors**-0.8']"),
-    "data_rule": ("y", "unknown data rule 'y'"),
+    "data_rule": ("y", "unknown data rule 'y'; choices: ['identity', 'uniform']"),
 }
 
 

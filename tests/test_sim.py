@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -232,7 +233,9 @@ class TestNoiseAndWorkers:
         assert np.array_equal(sim._evaluate_stack(cubic, stack), stack * stack * stack)
 
     def test_unknown_function_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(
+                "unknown worker function 'nope'; "
+                "choices: ['affine', 'cubic', 'sin_pi', 'softplus', 'tanh_net']")):
             make_worker("nope")
 
     def test_built_in_workers_are_names_that_make_worker_builds(self):
@@ -294,14 +297,16 @@ class TestRunTrial:
             # the encoders' row rule and message, and the data rule checked
             # also beside given data
             ({"data": Dataset(np.zeros((5, 1)))}, "dataset has 5 rows but grid has 4 alphas"),
-            ({"data_rule": "gaussian"}, "unknown data rule 'gaussian'"),
+            ({"data_rule": "gaussian"},
+             "unknown data rule 'gaussian'; choices: ['identity', 'uniform']"),
             ({"data": Dataset(np.zeros((4, 1))), "data_rule": "bogus"},
-             "unknown data rule 'bogus'"),
+             "unknown data rule 'bogus'; choices: ['identity', 'uniform']"),
+            ({"scheme": "nope"}, "unknown scheme 'nope'; choices: ['bacc', 'lcc', 'letcc']"),
             ({"data_rule": "identity", "func": make_worker("tanh_net", d=2, m=3)},
              "identity data rule requires a 1-D worker function"),
         ]
         for change, message in cases:
-            with pytest.raises(ValueError, match=f"^{message}$"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 TrialSetup(**dict(base, **change))
 
     def test_lcc_without_degree_rejected_at_setup(self):
